@@ -17,7 +17,7 @@ BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkDelaunay|BenchmarkMedium|Benchma
 BENCH_GATE_PKGS := . ./internal/geom ./internal/ldt ./internal/mac ./internal/dtn ./internal/des ./internal/sim
 BENCH_GATE_FLAGS := -benchmem -count 5 -benchtime 0.3s -run '^$$'
 
-.PHONY: build test test-short bench bench-gate bench-baseline mem-gate api api-check doc-check atlas atlas-check atlas-golden fmt vet ci
+.PHONY: build test test-short bench bench-gate bench-baseline bench-check mem-gate api api-check doc-check atlas atlas-check atlas-golden fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -55,9 +55,14 @@ bench-baseline:
 	$(GO) test -bench '$(BENCH_GATE_PATTERN)' $(BENCH_GATE_FLAGS) $(BENCH_GATE_PKGS) | tee bench.txt
 	$(GO) run ./cmd/benchgate -in bench.txt -write ci/bench_baseline.json
 
+## bench-check is the CI bench-module job: vet and test the separate
+## bench/ module (replace glr => ../), which `go test ./...` at the root
+## never builds.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 ## mem-gate is the CI memory-ceiling job: run the 10k-node giant scale
-## tier (fast path vs heap event core, byte-identity asserted inside
-## the sweep) and fail if its sampled peak heap exceeds the committed
+## tier and fail if its sampled peak heap exceeds the committed
 ## per-scenario ceiling in ci/mem_budget.json.
 mem-gate:
 	$(GO) run ./cmd/glrexp -exp scale -sizes 10000 -memreport memreport.json | tee scale-giant.txt
@@ -121,8 +126,8 @@ vet:
 	$(GO) vet ./...
 
 ## ci is the whole pipeline: build, formatting gate, vet, API-surface
-## gate, godoc audit, short tests, the atlas gate, and the
-## benchmark-regression gate.
+## gate, godoc audit, short tests, the atlas gate, the
+## benchmark-regression and memory gates, and the bench-module check.
 ci: build
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
@@ -133,3 +138,4 @@ ci: build
 	$(MAKE) atlas-check
 	$(MAKE) bench-gate
 	$(MAKE) mem-gate
+	$(MAKE) bench-check

@@ -166,14 +166,19 @@ func BenchmarkAblation(b *testing.B) {
 
 // BenchmarkSingleRunGLR measures one end-to-end GLR scenario (the unit of
 // every experiment above), for profiling the simulator itself.
-func BenchmarkSingleRunGLR(b *testing.B) {
-	cfg := DefaultConfig(100)
-	cfg.Messages = 100
-	cfg.SimTime = 700
+func BenchmarkSingleRunGLR(b *testing.B) { benchmarkSingleRun(b, GLR) }
+
+// benchmarkSingleRun runs the paper's Table-1 world with 100 messages
+// under protocol p, one seed per iteration.
+func benchmarkSingleRun(b *testing.B, p Protocol) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		if _, err := Run(cfg); err != nil {
+		sc, err := NewScenario(WithProtocol(p), WithWorkload(PaperWorkload{Messages: 100}),
+			WithSimTime(700), WithSeed(int64(i+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sc.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -361,16 +366,4 @@ func BenchmarkWorldStepFaults(b *testing.B) {
 }
 
 // BenchmarkSingleRunEpidemic is the epidemic counterpart.
-func BenchmarkSingleRunEpidemic(b *testing.B) {
-	cfg := DefaultConfig(100)
-	cfg.Protocol = Epidemic
-	cfg.Messages = 100
-	cfg.SimTime = 700
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkSingleRunEpidemic(b *testing.B) { benchmarkSingleRun(b, Epidemic) }

@@ -12,9 +12,9 @@
 //	glrexp -exp scale -sizes 10000 -memreport mem.json
 //
 // -sizes entries at or above experiments.GiantTierNodes run the reduced
-// giant-world protocol (GiantSweep): fast path vs heap event core, one
-// run each, peak-heap sampling. -memreport writes their machine-readable
-// digest for cmd/benchgate's -gate-mem-ceiling CI gate.
+// giant-world protocol (GiantSweep): one run each, peak-heap sampling.
+// -memreport writes their machine-readable digest for cmd/benchgate's
+// -gate-mem-ceiling CI gate.
 package main
 
 import (

@@ -165,7 +165,7 @@ var experimentTable = map[string]struct {
 		},
 	},
 	"scale": {
-		ExperimentInfo{"scale", "Scaling", "Node-count sweep (100..1000 nodes, fixed density): delivery + wall-clock + spanner-construction time, cached vs from-scratch spanner"},
+		ExperimentInfo{"scale", "Scaling", "Node-count sweep (100..1000 nodes, fixed density): delivery + wall-clock + spanner-construction time, serial vs sharded engine"},
 		func(o experiments.Options) (string, error) {
 			r, err := experiments.NodeCountSweep(o, nil)
 			if err != nil {

@@ -97,7 +97,7 @@ func (f Fault) spec() fault.Spec {
 // compose: several models (and several instances of one model) apply
 // simultaneously. The compiled fault schedule is a pure function of the
 // fault set and the run seed — identical seeds replay identical
-// schedules, independent of Engine escape hatches and parallelism — and
+// schedules, independent of the Engine and parallelism — and
 // an empty fault set leaves the run byte-identical to one built without
 // this option. Malformed faults are rejected at NewScenario.
 func WithFaults(faults ...Fault) Option {

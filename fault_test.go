@@ -49,10 +49,9 @@ func runFaulted(t *testing.T, seed int64, engine Engine, parallelism int, faults
 }
 
 // TestFaultedRunEquivalence: a faulted run must produce identical
-// results on every engine escape hatch and at every shard count — the
-// fault schedule is a pure function of (fault set, seed), never of the
-// execution strategy. Short mode crosses each single hatch and the
-// shard counts; full mode crosses all 64 hatch combinations.
+// results on the serial engine and at every shard count — the fault
+// schedule is a pure function of (fault set, seed), never of the
+// execution strategy.
 func TestFaultedRunEquivalence(t *testing.T) {
 	faults := faultTestSet()
 	base := runFaulted(t, 7, Engine{}, 0, faults)
@@ -60,20 +59,8 @@ func TestFaultedRunEquivalence(t *testing.T) {
 		t.Fatal("faulted baseline delivered nothing; scenario too hostile to be meaningful")
 	}
 
-	single := []Engine{
-		{DisableSharding: true},
-		{DisableSpatialIndex: true},
-		{DisableSpannerCache: true},
-		{DisableDenseTables: true},
-		{DisableCalendarQueue: true},
-		{DisableBeaconAggregation: true},
-		{DisableSharding: true, DisableSpatialIndex: true, DisableSpannerCache: true,
-			DisableDenseTables: true, DisableCalendarQueue: true, DisableBeaconAggregation: true},
-	}
-	for i, e := range single {
-		if got := runFaulted(t, 7, e, 0, faults); !reflect.DeepEqual(base, got) {
-			t.Errorf("engine variant %d (%+v) diverged:\n  base: %+v\n  got:  %+v", i, e, base, got)
-		}
+	if got := runFaulted(t, 7, Engine{DisableSharding: true}, 0, faults); !reflect.DeepEqual(base, got) {
+		t.Errorf("serial engine diverged:\n  base: %+v\n  got:  %+v", base, got)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		if got := runFaulted(t, 7, Engine{}, workers, faults); !reflect.DeepEqual(base, got) {
@@ -88,30 +75,6 @@ func TestFaultedRunEquivalence(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		if got := runFaulted(t, 7, Engine{ForkThresholds: forceFork}, workers, faults); !reflect.DeepEqual(base, got) {
 			t.Errorf("parallelism=%d fork-always diverged:\n  base: %+v\n  got:  %+v", workers, base, got)
-		}
-	}
-
-	if testing.Short() {
-		return
-	}
-	for mask := 1; mask < 64; mask++ {
-		e := Engine{
-			DisableSharding:          mask&1 != 0,
-			DisableSpatialIndex:      mask&2 != 0,
-			DisableSpannerCache:      mask&4 != 0,
-			DisableDenseTables:       mask&8 != 0,
-			DisableCalendarQueue:     mask&16 != 0,
-			DisableBeaconAggregation: mask&32 != 0,
-		}
-		// Sharded combinations run with forked-always thresholds so the
-		// hatch cross exercises the parallel planes, not just the pool
-		// attachment; calibrated thresholds are covered by the sweeps
-		// above.
-		if !e.DisableSharding {
-			e.ForkThresholds = forceFork
-		}
-		if got := runFaulted(t, 7, e, 4, faults); !reflect.DeepEqual(base, got) {
-			t.Errorf("hatch mask %06b diverged:\n  base: %+v\n  got:  %+v", mask, base, got)
 		}
 	}
 }
@@ -188,12 +151,7 @@ func TestForkThresholdValidation(t *testing.T) {
 // byte-identical — the fault subsystem may not perturb a fault-free
 // run, not even by consuming an RNG draw or an event sequence number.
 func TestZeroFaultsByteIdentity(t *testing.T) {
-	engines := []Engine{
-		{},
-		{DisableSharding: true},
-		{DisableSharding: true, DisableSpatialIndex: true, DisableSpannerCache: true,
-			DisableDenseTables: true, DisableCalendarQueue: true, DisableBeaconAggregation: true},
-	}
+	engines := []Engine{{}, {DisableSharding: true}}
 	for i, e := range engines {
 		plain := runFaulted(t, 3, e, 0, nil)
 		empty := runFaulted(t, 3, e, 0, []Fault{})

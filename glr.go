@@ -57,147 +57,39 @@
 //	out, err := glr.RunExperiment("fig7", glr.Quick)
 //	fmt.Println(out)
 //
-// The flat Config / Run / Compare surface predating the builder remains
-// as a thin adapter and produces byte-identical results; new code
-// should prefer NewScenario.
-//
 // # Performance & scaling
 //
-// The wireless medium resolves receptions, carrier sensing, and
-// interference through a uniform-grid spatial index (internal/spatial)
-// whose cells match the relevant query radii, so the per-airing cost
-// depends on the sender's neighborhood, not on the network size; unicast
-// frames resolve against their destination in O(1). Radio cells are
-// refreshed lazily as positions are observed and in bulk once per beacon
-// interval, with index queries widened by a slack covering the possible
-// drift in between, which keeps grid resolution exactly equivalent to a
-// full scan (a property test in internal/mac asserts identical delivered
-// frame sets and MAC statistics across randomized static and mobile
-// topologies). The naive O(n²) path remains available behind
-// mac.Config.DisableSpatialIndex as an escape hatch and benchmark
-// baseline: BenchmarkMediumBroadcast{Naive,Grid} in internal/mac compare
-// the two on a 1000-radio medium.
+// Every simulator layer runs one production path; the reference
+// implementation each fast path replaced survives only as a test oracle:
 //
-// The GLR routing loop's spanner construction — the per-check k-LDTG a
-// node derives from beacon knowledge — runs through a persistent cache
-// (ldt.Maintainer, one shared per world) instead of re-triangulating
-// every witness neighborhood from scratch each check interval:
+//   - The event core (internal/des) is a calendar queue with O(1)
+//     amortized schedule and dispatch, checked against a binary heap.
+//   - The wireless medium (internal/mac) resolves receptions, carrier
+//     sensing, and interference through uniform-grid spatial indexes,
+//     checked against all-pairs scans.
+//   - Per-node neighbor tables (internal/dtn) are dense id-indexed rows,
+//     or compact slot-mapped rows above 2048 nodes, checked against a
+//     map-backed table.
+//   - The per-check k-LDTG spanner (internal/ldt) comes from a cache
+//     shared by a world's nodes, checked against the from-scratch
+//     reference construction.
+//   - Beacons fire from one ring event in (time, id) order, checked
+//     against each node's phase + k·interval schedule.
 //
-//   - Witness triangulations and whole accepted-neighbor results are
-//     keyed by exact signatures (member ids plus IEEE-754 position bits,
-//     sorted by id), so permuted views, repeated checks, and overlapping
-//     neighborhoods of different nodes all reuse one entry, and any
-//     movement or membership change misses rather than returning stale
-//     state. Correctness therefore never depends on invalidation;
-//     invalidation is hygiene: beacons feed Maintainer.Observe with the
-//     freshest position per node, and a periodic sweep evicts entries
-//     built from superseded coordinates once they stop being queried,
-//     plus anything idle past a short TTL.
-//   - Cold rebuilds use an adjacency-based Bowyer–Watson triangulator
-//     (geom.Triangulator: neighbor-linked mesh, walk-based point
-//     location, BFS cavity search, ghost triangles for the hull,
-//     reusable scratch buffers), which replaces the reference
-//     implementation's O(triangles) scans per insertion and cuts a
-//     256-point construction from ~15 ms to ~0.3 ms with ~60× fewer
-//     allocations. The reference construction is kept as
-//     geom.DelaunayRef and is equivalence-tested against the mesh.
-//   - The Gabriel and UDG ablation spanners ride the same result cache.
-//   - core.Config.DisableSpannerCache restores the from-scratch
-//     reference path (mirroring DisableSpatialIndex); equivalence tests
-//     in internal/core assert that cached and from-scratch runs produce
-//     identical per-node accepted-neighbor sets and identical end-to-end
-//     reports across randomized mobile scenarios.
-//
-// The per-node state plane — the neighbor and location tables every DTN
-// node refreshes on every received beacon — is dense and generation-
-// stamped rather than map-based: rows live in per-world id-indexed
-// arrays (dtn.NewDenseNeighborTable/NewDenseLocationTable), a row is
-// live iff its stamp matches the table generation (O(1) upsert, O(1)
-// whole-table reset), and a sorted live-id list keeps outputs in the
-// same deterministic order as the map-backed reference. The hot tick
-// path is allocation-free in steady state:
-//
-//   - Observe copies each beacon's advertised list into row-owned
-//     backing arrays reused across refreshes, so beacon payloads (frame,
-//     payload box, and neighbor buffer together) recycle on world-level
-//     free lists the moment the MAC resolves the broadcast; generic
-//     protocol frames and GLR data-frame boxes pool the same way.
-//   - Snapshot-style queries have appending variants (AppendAdvertised,
-//     AppendTwoHop) writing into caller-reused scratch, with generation-
-//     stamped marks replacing the per-call dedup map; the GLR routing
-//     loop feeds its spanner construction and per-message candidate
-//     sort entirely from per-instance scratch buffers.
-//   - The medium resolves receptions in per-tick batches: airings whose
-//     ends coincide are resolved by one pass that prunes the FIFO once
-//     and gathers a shared interferer-candidate set over the affected
-//     grid cells (epoch-stamped dedup), with closure-free NearIDs
-//     queries into reused buffers; per-radio backoff/defer retries reuse
-//     one pre-allocated handler.
-//   - The map-backed reference tables remain behind
-//     sim.Scenario.DisableDenseTables (mirroring DisableSpatialIndex and
-//     DisableSpannerCache); property tests in internal/dtn drive both
-//     backends through randomized churn — expiry, re-appearance, id
-//     reuse, relabeling — asserting identical outputs, and equivalence
-//     tests in internal/core prove byte-identical end-to-end reports
-//     across every escape-hatch combination.
-//
-// On multi-core hosts a single run additionally executes on a sharded
-// engine: the region is partitioned into grid-cell stripes with halo
-// overlap of one radio range plus the index slack, a per-world worker
-// pool (internal/shard) evaluates the read-only parts of broadcast
-// reception resolution and of the GLR spanner precompute concurrently
-// by stripe, and every mutation commits on the single event-loop
-// goroutine in the exact order serial execution would have produced —
-// so sharded results are byte-identical to serial, not merely
-// statistically equivalent. WithParallelism sets the pool width (0 =
-// automatic, GOMAXPROCS; the Runner divides the machine between its
-// replication workers and each run's pool), and the engine escape
-// hatches — sharding included — are consolidated behind WithEngine:
+// On multi-core hosts a run also steps on a sharded engine: read-only
+// work runs on a per-world worker pool and every mutation commits on the
+// event goroutine in serial order, so sharded results are byte-identical
+// to serial ones. WithParallelism sets the pool width (0 = automatic,
+// GOMAXPROCS) and WithEngine pins the serial engine or the fork
+// thresholds:
 //
 //	sc, err := glr.NewScenario(
-//		glr.WithParallelism(4),                          // 4 shard workers
-//		glr.WithEngine(glr.Engine{DisableSharding: true}), // bitwise-legacy serial
+//		glr.WithParallelism(4),                            // 4 shard workers
+//		glr.WithEngine(glr.Engine{DisableSharding: true}), // fully serial
 //	)
 //
-// Equivalence suites in internal/core and internal/sim compare sharded
-// runs against serial across every Engine combination and shard counts
-// 1/2/4/8 — including randomized mobile topologies whose traffic
-// deliberately straddles stripe boundaries — under the race detector,
-// asserting identical delivered-frame logs and identical end-to-end
-// reports. docs/ARCHITECTURE.md documents the stripe/halo geometry and
-// the determinism argument.
-//
-// The event core itself is a calendar queue (internal/des): events hash
-// into day buckets by timestamp, dequeue scans the current year of
-// buckets behind a cursor, and the bucket count and day width track the
-// live population, so schedule/cancel/dispatch stay O(1) amortized
-// where the reference binary heap pays O(log n) per operation at
-// 10k–100k pending events (BenchmarkSchedulerCalendar vs
-// BenchmarkSchedulerHeap, ~10⁶ resident events). Dispatch follows the
-// exact (time, seq) total order both backends share, so calendar and
-// heap runs are byte-identical, not merely statistically equivalent.
-// Two more giant-world levers ride on it: beacons aggregate into one
-// pending event per occupied grid cell (members fire in phase order
-// under a ring cursor), collapsing the dominant event population, and
-// above 2048 nodes the per-node tables switch from dense id-indexed
-// arrays to compact slot-mapped rows (dtn.NewCompactNeighborTable) so
-// table memory is O(neighborhood) per node instead of O(world).
-// Engine.DisableCalendarQueue and Engine.DisableBeaconAggregation
-// restore the reference heap and per-node tickers.
-//
-// The node-count scaling sweep (`glrexp -exp scale`) reports delivery,
-// wall-clock, spanner-construction time (cached vs from-scratch),
-// heap-allocation pressure (dense vs map-backed tables, via
-// runtime.ReadMemStats), and serial-vs-sharded wall clock for
-// 100..1000-node scenarios at the paper's density; at 1000 nodes the
-// cached spanner path cuts construction ~3.6× and the dense state
-// plane removes over half of all heap allocations. CI guards the hot
-// paths with a benchmark-regression gate (cmd/benchgate): spanner +
-// medium + table + beacon-tick + world-step benchmarks run five times
-// with -benchmem, per-benchmark median ns/op is normalized by a
-// calibration probe while B/op and allocs/op gate raw, and any >15%
-// regression against the committed ci/bench_baseline.json fails the
-// build.
+// docs/ARCHITECTURE.md maps each layer to its oracle test, and
+// bench/README.md describes the repository benchmark and its numbers.
 package glr
 
 import (
@@ -219,51 +111,6 @@ const (
 	// Epidemic is the Vahdat–Becker benchmark.
 	Epidemic Protocol = "epidemic"
 )
-
-// Config describes one simulation run on the original flat surface.
-// Zero values fall back to the paper's Table-1 defaults; construct with
-// DefaultConfig.
-//
-// Config predates the composable scenario API and remains supported as
-// a thin adapter: Run(cfg) is exactly cfg.Scenario() + Scenario.Run and
-// produces byte-identical results. New code should use NewScenario,
-// which also reaches the mobility models, workloads, observers, and the
-// parallel Runner that Config cannot express.
-//
-// Deprecated: use NewScenario with functional options; see
-// docs/MIGRATION.md for the field-by-field mapping. Config stays
-// supported (and byte-identical) for existing callers.
-type Config struct {
-	// Protocol to run (default GLR).
-	Protocol Protocol
-	// Nodes is the network size (paper: 50).
-	Nodes int
-	// Range is the transmission range in metres (paper: 50–250).
-	Range float64
-	// Width and Height set the deployment region (paper: 1500×300 m).
-	Width, Height float64
-	// Messages generated using the paper's traffic pattern (45 sources,
-	// round-robin, 1 msg/s). Ignored when Traffic is set.
-	Messages int
-	// Traffic optionally supplies an explicit schedule: (src, dst, at).
-	Traffic []Message
-	// SimTime is the horizon in seconds (0 = long enough for Traffic).
-	SimTime float64
-	// StorageLimit bounds per-node message storage (0 = unlimited).
-	StorageLimit int
-	// MaxSpeed is the random-waypoint top speed in m/s (paper: 20).
-	MaxSpeed float64
-	// Static disables mobility (uniform static placement).
-	Static bool
-	// Seed makes the run reproducible.
-	Seed int64
-
-	// GLRConfig overrides the GLR protocol parameters (nil = paper
-	// defaults). See package documentation for the knobs.
-	GLRConfig *GLRConfig
-	// EpidemicConfig overrides the epidemic baseline parameters.
-	EpidemicConfig *EpidemicConfig
-}
 
 // Message is one scheduled message generation.
 type Message struct {
@@ -309,21 +156,6 @@ type EpidemicConfig struct {
 	ActiveReceipts bool
 }
 
-// DefaultConfig returns the paper's Table-1 scenario at the given
-// transmission range, with a modest default workload.
-func DefaultConfig(rangeMetres float64) Config {
-	return Config{
-		Protocol: GLR,
-		Nodes:    50,
-		Range:    rangeMetres,
-		Width:    1500,
-		Height:   300,
-		Messages: 200,
-		MaxSpeed: 20,
-		Seed:     1,
-	}
-}
-
 // Result digests one run.
 type Result struct {
 	Generated      int
@@ -363,68 +195,6 @@ func resultFromReport(rep metrics.Report) Result {
 	}
 }
 
-// Run executes one simulation and returns its metrics.
-//
-// Run is the original flat entry point, kept as a thin adapter over the
-// scenario builder: it is exactly cfg.Scenario() followed by
-// Scenario.Run, with byte-identical results. New code should use
-// NewScenario.
-//
-// Deprecated: use NewScenario(...).Run(); see docs/MIGRATION.md.
-func Run(cfg Config) (Result, error) {
-	sc, err := cfg.Scenario()
-	if err != nil {
-		return Result{}, err
-	}
-	return sc.Run()
-}
-
-// Compare runs the same scenario under GLR and epidemic routing.
-//
-// Like Run, Compare is a thin adapter over the scenario builder; for
-// multi-seed comparisons with confidence intervals and a worker pool,
-// use Runner.Compare.
-//
-// Deprecated: use Runner.Compare, or two NewScenario runs differing
-// only in WithGLR/WithEpidemic; see docs/MIGRATION.md.
-func Compare(cfg Config) (glrRes, epidemicRes Result, err error) {
-	cfg.Protocol = GLR
-	glrRes, err = Run(cfg)
-	if err != nil {
-		return
-	}
-	cfg.Protocol = Epidemic
-	epidemicRes, err = Run(cfg)
-	return
-}
-
-// Validate reports a descriptive error for unusable configurations.
-// Negative knobs are rejected rather than silently treated as unset.
-func (cfg Config) Validate() error {
-	switch {
-	case cfg.Nodes < 0:
-		return fmt.Errorf("glr: node count %d must be nonnegative", cfg.Nodes)
-	case cfg.Range < 0:
-		return fmt.Errorf("glr: range %v must be nonnegative", cfg.Range)
-	case cfg.Width < 0 || cfg.Height < 0:
-		// One dimension set without the other keeps the default region,
-		// as the legacy path always did; only negatives are rejected.
-		return fmt.Errorf("glr: region %vx%v must be nonnegative", cfg.Width, cfg.Height)
-	case cfg.Messages < 0:
-		return fmt.Errorf("glr: message count %d must be nonnegative", cfg.Messages)
-	case cfg.SimTime < 0:
-		return fmt.Errorf("glr: sim time %v must be nonnegative", cfg.SimTime)
-	case cfg.StorageLimit < 0:
-		return fmt.Errorf("glr: storage limit %d must be nonnegative", cfg.StorageLimit)
-	case cfg.MaxSpeed < 0:
-		return fmt.Errorf("glr: max speed %v must be nonnegative", cfg.MaxSpeed)
-	}
-	if err := cfg.GLRConfig.validate(); err != nil {
-		return err
-	}
-	return cfg.EpidemicConfig.validate()
-}
-
 // validate rejects knob values outside their domain (nil is valid:
 // paper defaults).
 func (o *GLRConfig) validate() error {
@@ -462,64 +232,10 @@ func (o *EpidemicConfig) validate() error {
 	return nil
 }
 
-// Scenario translates the flat Config onto the scenario builder — the
-// migration path from the legacy surface: Run(cfg) ≡ cfg.Scenario() +
-// Scenario.Run. The translation preserves the legacy zero-value
-// semantics exactly (0 = paper default everywhere).
-func (cfg Config) Scenario() (*Scenario, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	opts := []Option{WithProtocol(cfg.Protocol), WithSeed(cfg.Seed)}
-	if cfg.Nodes > 0 {
-		opts = append(opts, WithNodes(cfg.Nodes))
-	}
-	if cfg.Range > 0 {
-		opts = append(opts, WithRange(cfg.Range))
-	}
-	if cfg.Width > 0 && cfg.Height > 0 {
-		opts = append(opts, WithRegion(cfg.Width, cfg.Height))
-	}
-	if cfg.SimTime > 0 {
-		opts = append(opts, WithSimTime(cfg.SimTime))
-	}
-	if cfg.StorageLimit > 0 {
-		opts = append(opts, WithStorageLimit(cfg.StorageLimit))
-	}
-	if cfg.Static {
-		opts = append(opts, WithMobility(Static{}))
-		if cfg.MaxSpeed > 0 {
-			// The legacy path carried MaxSpeed into static scenarios,
-			// where it only widens the radio index's staleness slack;
-			// preserved for byte-identical adapter results.
-			opts = append(opts, legacyMaxSpeed(cfg.MaxSpeed))
-		}
-	} else if cfg.MaxSpeed > 0 {
-		opts = append(opts, WithMobility(Waypoint{MaxSpeed: cfg.MaxSpeed}))
-	}
-	if len(cfg.Traffic) > 0 {
-		opts = append(opts, WithWorkload(ScheduleWorkload(cfg.Traffic)))
-	} else {
-		// Always the fixed 45-source pattern, never the adaptive
-		// PaperWorkload: legacy configs on networks too small for it
-		// must keep erroring exactly as they always did.
-		opts = append(opts, WithWorkload(legacyPaperWorkload{messages: cfg.Messages}))
-	}
-	if cfg.GLRConfig != nil {
-		opts = append(opts, WithGLR(*cfg.GLRConfig))
-	}
-	if cfg.EpidemicConfig != nil {
-		opts = append(opts, WithEpidemic(*cfg.EpidemicConfig))
-	}
-	return NewScenario(opts...)
-}
-
-// buildFactory constructs the protocol factory shared by the scenario
-// builder and the legacy Config adapter, validating every knob (invalid
-// values error instead of passing through as "unset").
-// disableSpannerCache threads Engine.DisableSpannerCache down to the GLR
-// core (a no-op for the epidemic baseline, which builds no spanners).
-func buildFactory(p Protocol, g *GLRConfig, e *EpidemicConfig, disableSpannerCache bool) (sim.ProtocolFactory, error) {
+// buildFactory constructs the scenario's protocol factory, validating
+// every knob (invalid values error instead of passing through as
+// "unset").
+func buildFactory(p Protocol, g *GLRConfig, e *EpidemicConfig) (sim.ProtocolFactory, error) {
 	// Both knob sets validate regardless of the selected protocol:
 	// Runner.Compare runs the same scenario under either.
 	if err := g.validate(); err != nil {
@@ -544,7 +260,6 @@ func buildFactory(p Protocol, g *GLRConfig, e *EpidemicConfig, disableSpannerCac
 		return epidemic.New(ec)
 	case GLR, "":
 		gc := core.DefaultConfig()
-		gc.DisableSpannerCache = disableSpannerCache
 		if o := g; o != nil {
 			if o.CheckInterval > 0 {
 				gc.CheckInterval = o.CheckInterval

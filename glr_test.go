@@ -5,14 +5,22 @@ import (
 	"testing"
 )
 
-func TestDefaultConfigRuns(t *testing.T) {
-	cfg := DefaultConfig(250)
-	cfg.Messages = 20
-	cfg.SimTime = 200
-	res, err := Run(cfg)
+// smallRun builds and runs a scenario, failing the test on any error.
+func smallRun(t *testing.T, opts ...Option) Result {
+	t.Helper()
+	sc, err := NewScenario(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestDefaultConfigRuns(t *testing.T) {
+	res := smallRun(t, WithRange(250), WithWorkload(PaperWorkload{Messages: 20}), WithSimTime(200))
 	if res.Generated != 20 {
 		t.Errorf("generated %d, want 20", res.Generated)
 	}
@@ -25,13 +33,9 @@ func TestDefaultConfigRuns(t *testing.T) {
 }
 
 func TestCompare(t *testing.T) {
-	cfg := DefaultConfig(250)
-	cfg.Messages = 20
-	cfg.SimTime = 200
-	mine, base, err := Compare(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := []Option{WithRange(250), WithWorkload(PaperWorkload{Messages: 20}), WithSimTime(200)}
+	mine := smallRun(t, append(opts, WithProtocol(GLR))...)
+	base := smallRun(t, append(opts, WithProtocol(Epidemic))...)
 	if mine.Generated != base.Generated {
 		t.Error("both protocols must see identical workloads")
 	}
@@ -45,61 +49,35 @@ func TestCompare(t *testing.T) {
 }
 
 func TestConfigKnobs(t *testing.T) {
-	cfg := DefaultConfig(100)
-	cfg.Messages = 10
-	cfg.SimTime = 100
-	cfg.GLRConfig = &GLRConfig{CheckInterval: 0.5, Copies: 2, Location: "all", K: 2}
-	if _, err := Run(cfg); err != nil {
-		t.Fatalf("GLR knobs rejected: %v", err)
-	}
-	cfg.GLRConfig = &GLRConfig{Location: "bogus"}
-	if _, err := Run(cfg); err == nil {
+	opts := []Option{WithWorkload(PaperWorkload{Messages: 10}), WithSimTime(100)}
+	smallRun(t, append(opts, WithGLR(GLRConfig{CheckInterval: 0.5, Copies: 2, Location: "all", K: 2}))...)
+	if _, err := NewScenario(append(opts, WithGLR(GLRConfig{Location: "bogus"}))...); err == nil {
 		t.Error("bogus location regime accepted")
 	}
-	cfg.GLRConfig = nil
-	cfg.Protocol = Epidemic
-	cfg.EpidemicConfig = &EpidemicConfig{ExchangeInterval: 2, DataSendRate: 5, BroadcastDeltas: true}
-	if _, err := Run(cfg); err != nil {
-		t.Fatalf("epidemic knobs rejected: %v", err)
-	}
-	cfg.Protocol = "bogus"
-	if _, err := Run(cfg); err == nil {
+	smallRun(t, append(opts, WithProtocol(Epidemic),
+		WithEpidemic(EpidemicConfig{ExchangeInterval: 2, DataSendRate: 5, BroadcastDeltas: true}))...)
+	if _, err := NewScenario(append(opts, WithProtocol("bogus"))...); err == nil {
 		t.Error("bogus protocol accepted")
 	}
 }
 
 func TestCustomTraffic(t *testing.T) {
-	cfg := DefaultConfig(250)
-	cfg.Traffic = []Message{{Src: 0, Dst: 5, At: 1}, {Src: 3, Dst: 7, At: 2}}
-	cfg.SimTime = 120
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smallRun(t, WithRange(250), WithSimTime(120),
+		WithWorkload(ScheduleWorkload{{Src: 0, Dst: 5, At: 1}, {Src: 3, Dst: 7, At: 2}}))
 	if res.Generated != 2 {
 		t.Errorf("generated %d, want 2", res.Generated)
 	}
 }
 
 func TestStaticPlacement(t *testing.T) {
-	cfg := DefaultConfig(250)
-	cfg.Static = true
-	cfg.Messages = 10
-	cfg.SimTime = 100
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	smallRun(t, WithRange(250), WithMobility(Static{}), WithWorkload(PaperWorkload{Messages: 10}), WithSimTime(100))
 }
 
 func TestInvalidConfigRejected(t *testing.T) {
-	cfg := DefaultConfig(100)
-	cfg.Nodes = 1
-	if _, err := Run(cfg); err == nil {
-		t.Error("single-node config accepted")
+	if _, err := NewScenario(WithNodes(1)); err == nil {
+		t.Error("single-node scenario accepted")
 	}
-	cfg = DefaultConfig(100)
-	cfg.Traffic = []Message{{Src: 0, Dst: 0, At: 1}}
-	if _, err := Run(cfg); err == nil {
+	if _, err := NewScenario(WithWorkload(ScheduleWorkload{{Src: 0, Dst: 0, At: 1}})); err == nil {
 		t.Error("self-loop traffic accepted")
 	}
 }
@@ -134,18 +112,8 @@ func TestRunExperimentFig1(t *testing.T) {
 }
 
 func TestDeterministicPublicRuns(t *testing.T) {
-	cfg := DefaultConfig(150)
-	cfg.Messages = 30
-	cfg.SimTime = 200
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("identical configs must give identical results")
+	opts := []Option{WithRange(150), WithWorkload(PaperWorkload{Messages: 30}), WithSimTime(200)}
+	if a, b := smallRun(t, opts...), smallRun(t, opts...); a != b {
+		t.Error("identical scenarios must give identical results")
 	}
 }

@@ -2,44 +2,127 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
+	"glr/internal/dtn"
+	"glr/internal/geom"
+	"glr/internal/mobility"
 	"glr/internal/sim"
 )
 
-// TestDenseTablesRunEquivalence: across randomized mobile scenarios, a
-// run on the dense slice-backed neighbor/location tables must produce
-// *identical* end-to-end results — delivery, latency, hops, storage,
-// frame counts — to the same run on the map-backed reference path
-// (sim.Scenario.DisableDenseTables). Any divergence means the dense
-// state plane changed an observation order or a routing decision.
+// beaconLog is the map-backed reference for one node's neighbor table:
+// the latest beacon heard from each neighbor, rebuilt from the beacon
+// stream the protocol sees, independently of the table backend.
+type beaconLog struct {
+	*GLR
+	rows map[int]dtn.NeighborInfo
+}
+
+// OnBeacon records the beacon, then hands it to the protocol.
+func (p *beaconLog) OnBeacon(b sim.Beacon) {
+	p.rows[b.From] = dtn.NeighborInfo{
+		ID:        b.From,
+		Pos:       b.Pos,
+		LastSeen:  b.Time,
+		Neighbors: append([]dtn.NeighborNeighbor(nil), b.Neighbors...),
+	}
+	p.GLR.OnBeacon(b)
+}
+
+// twoHopAt is the reference two-hop view at now: self first, then the
+// rows heard after the expiry deadline in ascending id order, each
+// followed by its unseen advertised neighbors.
+func (p *beaconLog) twoHopAt(now, expiry float64) ([]int, []geom.Point) {
+	ids := []int{p.n.ID()}
+	pts := []geom.Point{p.n.Pos()}
+	var live []int
+	for id, r := range p.rows {
+		if r.LastSeen > now-expiry {
+			live = append(live, id)
+		}
+	}
+	sort.Ints(live)
+	seen := map[int]bool{p.n.ID(): true}
+	for _, id := range live {
+		r := p.rows[id]
+		if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+			pts = append(pts, r.Pos)
+		}
+		for _, nn := range r.Neighbors {
+			if !seen[nn.ID] {
+				seen[nn.ID] = true
+				ids = append(ids, nn.ID)
+				pts = append(pts, nn.Pos)
+			}
+		}
+	}
+	return ids, pts
+}
+
+// loggedWorld wires a GLR world whose nodes log their beacons.
+func loggedWorld(t *testing.T, s sim.Scenario, cfg Config) (*sim.World, []*beaconLog) {
+	t.Helper()
+	factory, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs []*beaconLog
+	w, err := sim.NewWorld(s, func(n *sim.Node) sim.Protocol {
+		p := &beaconLog{GLR: factory(n).(*GLR), rows: make(map[int]dtn.NeighborInfo)}
+		logs = append(logs, p)
+		return p
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, logs
+}
+
+// checkTablesAgainstLog compares every node's table view at the current
+// instant — read without mutating the table — with the reference
+// rebuilt from its beacon log, returning the number of rows compared.
+func checkTablesAgainstLog(t *testing.T, w *sim.World, logs []*beaconLog, label string) int {
+	t.Helper()
+	now, expiry := w.Scheduler().Now(), w.Config().NeighborExpiry
+	rows := 0
+	for i, p := range logs {
+		gotIDs, gotPts := w.Node(i).AppendTwoHopAt(nil, nil, now)
+		wantIDs, wantPts := p.twoHopAt(now, expiry)
+		if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotPts, wantPts) {
+			t.Fatalf("%s node %d: table view %v != beacon-log reference %v", label, i, gotIDs, wantIDs)
+		}
+		rows += len(gotIDs) - 1
+	}
+	return rows
+}
+
+// TestDenseTablesRunEquivalence: across randomized mobile scenarios, at
+// checkpoints over the whole run, every node's neighbor table (the dense
+// backend at these sizes) must serve exactly the two-hop view a
+// map-backed reference rebuilt from the beacons the node heard gives.
+// Any divergence means the table changed an observation order or a
+// routing input.
 func TestDenseTablesRunEquivalence(t *testing.T) {
 	const trials = 15
 	delivered := 0
 	for trial := 0; trial < trials; trial++ {
-		trial := trial
 		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			var reports [2]interface{}
-			for i, disable := range []bool{false, true} {
-				factory, _, err := NewInstrumented(equivConfig(trial, false))
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := equivScenario(trial)
-				s.DisableDenseTables = disable
-				w, err := sim.NewWorld(s, factory)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep := w.Run()
-				reports[i] = rep
-				delivered += rep.Delivered
+			s := equivScenario(trial)
+			w, logs := loggedWorld(t, s, equivConfig(trial))
+			rows := 0
+			for until := 5.0; until < s.SimTime; until += 5 {
+				w.Scheduler().Run(until)
+				rows += checkTablesAgainstLog(t, w, logs, fmt.Sprintf("t=%.0f", until))
 			}
-			if !reflect.DeepEqual(reports[0], reports[1]) {
-				t.Fatalf("dense-table run diverged from map-backed:\n  dense: %+v\n  map:   %+v",
-					reports[0], reports[1])
+			if rows == 0 {
+				t.Fatal("no table rows compared")
 			}
+			delivered += w.Run().Delivered
 		})
 	}
 	if delivered == 0 {
@@ -47,50 +130,34 @@ func TestDenseTablesRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestDenseTablesFullStackEquivalence crosses the dense-table flag with
-// the spatial-index and spanner-cache flags: all three escape hatches
-// must agree pairwise with the all-fast default, so any combination of
-// the reference paths reproduces the optimized stack bit for bit.
+// TestDenseTablesFullStackEquivalence runs both run-scale oracles at
+// once on a world above the dense-table node limit, where nodes use the
+// compact table backend: every node's table view matches its beacon log,
+// and every node's cached spanner matches the reference construction.
 func TestDenseTablesFullStackEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-stack flag cross is slow")
+		t.Skip("2100-node oracle run is slow")
 	}
-	base := func() sim.Scenario { return equivScenario(2) }
-	type variant struct {
-		name       string
-		denseOff   bool
-		spatialOff bool
-		spannerOff bool
+	const n = 2100
+	h := math.Sqrt(n / (50.0 / (1500 * 300)) / 5)
+	s := sim.DefaultScenario(100)
+	s.Name = "full-stack-oracle"
+	s.N = n
+	s.Region = mobility.Region{W: 5 * h, H: h}
+	s.SimTime = 6
+	s.Traffic = sim.UniformTraffic(n, 50, 10, 3)
+	w, logs := loggedWorld(t, s, DefaultConfig())
+	instances := make([]*GLR, len(logs))
+	for i, p := range logs {
+		instances[i] = p.GLR
 	}
-	variants := []variant{
-		{name: "all-fast"},
-		{name: "map-tables", denseOff: true},
-		{name: "naive-medium", spatialOff: true},
-		{name: "scratch-spanner", spannerOff: true},
-		{name: "all-reference", denseOff: true, spatialOff: true, spannerOff: true},
+	w.Scheduler().Run(3)
+	if rows := checkTablesAgainstLog(t, w, logs, "t=3"); rows == 0 {
+		t.Fatal("no table rows compared")
 	}
-	var first interface{}
-	for _, v := range variants {
-		cfg := equivConfig(2, v.spannerOff)
-		factory, _, err := NewInstrumented(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := base()
-		s.DisableDenseTables = v.denseOff
-		s.DisableSpatialIndex = v.spatialOff
-		w, err := sim.NewWorld(s, factory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := w.Run()
-		if first == nil {
-			first = rep
-			continue
-		}
-		if !reflect.DeepEqual(first, rep) {
-			t.Fatalf("variant %q diverged from all-fast:\n  fast: %+v\n  %s: %+v",
-				v.name, first, v.name, rep)
-		}
+	if checkSpannersAgainstReference(t, instances, "t=3") == 0 {
+		t.Fatal("no node had a spanner view to compare")
 	}
+	w.Scheduler().Run(s.SimTime)
+	checkTablesAgainstLog(t, w, logs, "t=6")
 }

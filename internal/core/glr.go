@@ -116,12 +116,6 @@ type Config struct {
 	// graph (no planarization — face routing loses its guarantees).
 	// Ablation knob for the §2.1 design choice.
 	Spanner SpannerKind
-	// DisableSpannerCache makes every route check rebuild its spanner
-	// from scratch with the reference construction instead of going
-	// through the shared ldt.Maintainer (which reuses witness
-	// triangulations across check intervals and across nodes). Results
-	// are identical; the node-count sweep uses it to measure the win.
-	DisableSpannerCache bool
 	// FullTableExchange implements the §2.3.1 extension the paper
 	// describes but leaves disabled: "for best location accuracy,
 	// location tables should be exchanged whenever two nodes meet each
@@ -303,7 +297,7 @@ func NewInstrumented(cfg Config) (sim.ProtocolFactory, *ldt.Maintainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	maint := ldt.NewMaintainer(cfg.DisableSpannerCache)
+	maint := ldt.NewMaintainer()
 	frames := &framePool{}
 	return func(n *sim.Node) sim.Protocol {
 		return &GLR{

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"glr/internal/metrics"
+	"glr/internal/shard"
 	"glr/internal/sim"
 )
 
@@ -24,7 +26,7 @@ func TestShardedRunEquivalence(t *testing.T) {
 		trial := trial
 		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
 			run := func(parallelism int, disable bool) metrics.Report {
-				factory, maint, err := NewInstrumented(equivConfig(trial, false))
+				factory, maint, err := NewInstrumented(equivConfig(trial))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,51 +60,34 @@ func TestShardedRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedFullStackEquivalence crosses the sharding escape hatch with
-// every other one — dense tables, spatial index, spanner cache, calendar
-// queue — in all thirty-two combinations. Every combination must
-// reproduce the all-fast sharded run bit for bit, so any mix of
-// reference paths and engines is interchangeable.
+// TestShardedFullStackEquivalence crosses the sharded engine with the
+// fork-threshold extremes — calibrated, 0 (every batch forks), and
+// math.MaxInt (nothing forks) — on the full GLR stack: every variant
+// must reproduce the serial run bit for bit.
 func TestShardedFullStackEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-stack flag cross is slow")
+		t.Skip("full-stack engine cross is slow")
 	}
-	var first interface{}
-	var firstName string
-	for mask := 0; mask < 32; mask++ {
-		denseOff := mask&1 != 0
-		spatialOff := mask&2 != 0
-		spannerOff := mask&4 != 0
-		shardOff := mask&8 != 0
-		calendarOff := mask&16 != 0
-		name := fmt.Sprintf("dense=%t spatial=%t spanner=%t shard=%t calendar=%t",
-			!denseOff, !spatialOff, !spannerOff, !shardOff, !calendarOff)
-
-		cfg := equivConfig(2, spannerOff)
-		factory, _, err := NewInstrumented(cfg)
+	run := func(serial bool, thr *shard.Thresholds) metrics.Report {
+		factory, _, err := NewInstrumented(equivConfig(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := equivScenario(2)
-		s.DisableDenseTables = denseOff
-		s.DisableSpatialIndex = spatialOff
-		s.DisableSharding = shardOff
-		s.DisableCalendarQueue = calendarOff
-		if !shardOff {
-			s.Parallelism = 4 // force workers; auto may resolve serial on 1-CPU hosts
-		}
+		s.DisableSharding = serial
+		s.Parallelism = 4 // force workers; auto may resolve serial on 1-CPU hosts
+		s.ForkThresholds = thr
 		w, err := sim.NewWorld(s, factory)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := w.Run()
-		if first == nil {
-			first, firstName = rep, name
-			continue
-		}
-		if !reflect.DeepEqual(first, rep) {
-			t.Fatalf("variant [%s] diverged from [%s]:\n  first: %+v\n  this:  %+v",
-				name, firstName, first, rep)
+		return w.Run()
+	}
+	serial := run(true, nil)
+	never := &shard.Thresholds{RxMin: math.MaxInt, BeaconMin: math.MaxInt, MobilityMin: math.MaxInt, DiffMin: math.MaxInt}
+	for name, thr := range map[string]*shard.Thresholds{"calibrated": nil, "fork-always": {}, "fork-never": never} {
+		if got := run(false, thr); !reflect.DeepEqual(serial, got) {
+			t.Fatalf("sharded %s diverged from serial:\n  serial:  %+v\n  sharded: %+v", name, serial, got)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,9 +11,9 @@ import (
 	"glr/internal/sim"
 )
 
-// equivScenario builds a randomized mobile scenario for the cache
-// equivalence property: paper-style density and mobility at a small
-// scale, random size, range, and traffic.
+// equivScenario builds a randomized mobile scenario for the oracle
+// tests: paper-style density and mobility at a small scale, random size,
+// range, and traffic.
 func equivScenario(trial int) sim.Scenario {
 	rng := rand.New(rand.NewSource(int64(trial)*104729 + 11))
 	n := 20 + rng.Intn(20)
@@ -28,50 +28,95 @@ func equivScenario(trial int) sim.Scenario {
 	return s
 }
 
-// equivConfig randomizes the spanner variant so Gabriel and UDG ablations
-// go through the cache equivalence too.
-func equivConfig(trial int, disableCache bool) Config {
+// equivConfig randomizes the spanner variant so the Gabriel and UDG
+// ablations go through the cache checks too.
+func equivConfig(trial int) Config {
 	cfg := DefaultConfig()
 	cfg.Spanner = SpannerKind(trial % 3)
-	cfg.DisableSpannerCache = disableCache
 	return cfg
 }
 
-// TestSpannerCacheRunEquivalence: across ≥20 randomized mobile scenarios,
-// a run with the shared spanner cache must produce *identical* end-to-end
-// results — delivery, latency, hops, storage, frame counts — to the same
-// run on the from-scratch reference path. Any divergence means the cache
-// (or the mesh triangulator under it) changed a routing decision.
+// checkSpannersAgainstReference freezes a running world and compares,
+// node by node, the cached accepted-neighbor set against the from-scratch
+// reference construction over the same neighbor-table state: the
+// reference Delaunay LDTG (LDTGNeighborsRef), or the direct Gabriel/UDG
+// constructions under those ablations. It returns the number of nodes
+// compared.
+func checkSpannersAgainstReference(t *testing.T, instances []*GLR, label string) int {
+	t.Helper()
+	compared := 0
+	for _, g := range instances {
+		view, nbrIDs, _ := g.localSpanner()
+		if view == nil {
+			continue
+		}
+		var local []int
+		switch g.cfg.Spanner {
+		case SpannerGabriel:
+			local = view.GabrielNeighbors()
+		case SpannerUDG:
+			local = view.UDGNeighbors()
+		default:
+			var err error
+			if local, err = view.LDTGNeighborsRef(g.cfg.K); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make([]int, 0, len(local))
+		for _, li := range local {
+			want = append(want, view.IDs[li])
+		}
+		got := append([]int(nil), nbrIDs...)
+		sort.Ints(got)
+		sort.Ints(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s node %d: cached %v != from-scratch %v", label, g.n.ID(), got, want)
+		}
+		compared++
+	}
+	return compared
+}
+
+// probedInstrumentedWorld wires a world from an instrumented factory and
+// captures every node's GLR instance.
+func probedInstrumentedWorld(t *testing.T, s sim.Scenario, cfg Config) (*sim.World, []*GLR, *ldt.Maintainer) {
+	t.Helper()
+	factory, maint, err := NewInstrumented(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var instances []*GLR
+	w, err := sim.NewWorld(s, func(n *sim.Node) sim.Protocol {
+		p := factory(n)
+		instances = append(instances, p.(*GLR))
+		return p
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, instances, maint
+}
+
+// TestSpannerCacheRunEquivalence: across ≥20 randomized mobile scenarios
+// and all three spanner variants, the shared spanner cache must answer
+// every node exactly as the from-scratch reference construction would,
+// at checkpoints spread over the whole run. Any divergence means the
+// cache (or the mesh triangulator under it) changed a routing decision.
 func TestSpannerCacheRunEquivalence(t *testing.T) {
 	const trials = 21
 	delivered := 0
 	for trial := 0; trial < trials; trial++ {
-		trial := trial
 		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			var reports [2]interface{}
-			for i, disable := range []bool{false, true} {
-				factory, maint, err := NewInstrumented(equivConfig(trial, disable))
-				if err != nil {
-					t.Fatal(err)
-				}
-				w, err := sim.NewWorld(equivScenario(trial), factory)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep := w.Run()
-				reports[i] = rep
-				delivered += rep.Delivered
-				st := maint.Stats()
-				if st.Queries == 0 {
-					t.Fatal("no spanner queries recorded")
-				}
-				if disable && (st.TriBuilds != 0 || st.TriHits != 0 || st.ResultHits != 0) {
-					t.Fatalf("from-scratch run used the cache: %+v", st)
-				}
+			s := equivScenario(trial)
+			w, instances, _ := probedInstrumentedWorld(t, s, equivConfig(trial))
+			compared := 0
+			for until := 10.0; until < s.SimTime; until += 10 {
+				w.Scheduler().Run(until)
+				compared += checkSpannersAgainstReference(t, instances, fmt.Sprintf("t=%.0f", until))
 			}
-			if !reflect.DeepEqual(reports[0], reports[1]) {
-				t.Fatalf("cached run diverged from from-scratch:\n  cached: %+v\n  scratch: %+v",
-					reports[0], reports[1])
+			delivered += w.Run().Delivered
+			if compared == 0 {
+				t.Fatal("no node had a spanner view to compare")
 			}
 		})
 	}
@@ -80,51 +125,16 @@ func TestSpannerCacheRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpannerCachePerNodeEquivalence freezes running worlds at several
-// checkpoints and compares, node by node, the cached accepted-neighbor
-// set against a from-scratch reference construction over the same
-// neighbor-table state.
+// TestSpannerCachePerNodeEquivalence freezes running LDTG worlds at
+// several checkpoints and compares, node by node, the cached
+// accepted-neighbor set against the reference construction.
 func TestSpannerCachePerNodeEquivalence(t *testing.T) {
 	compared := 0
 	for trial := 0; trial < 6; trial++ {
-		factory, _, err := NewInstrumented(equivConfig(0, false)) // LDTG
-		if err != nil {
-			t.Fatal(err)
-		}
-		var instances []*GLR
-		capture := func(n *sim.Node) sim.Protocol {
-			p := factory(n)
-			instances = append(instances, p.(*GLR))
-			return p
-		}
-		w, err := sim.NewWorld(equivScenario(trial), capture)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, instances, _ := probedInstrumentedWorld(t, equivScenario(trial), equivConfig(0))
 		for _, until := range []float64{8, 17, 33} {
 			w.Scheduler().Run(until)
-			for _, g := range instances {
-				view, nbrIDs, _ := g.localSpanner()
-				if view == nil {
-					continue
-				}
-				local, err := view.LDTGNeighborsRef(g.cfg.K)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want []int
-				for _, li := range local {
-					want = append(want, view.IDs[li])
-				}
-				got := append([]int(nil), nbrIDs...)
-				sort.Ints(got)
-				sort.Ints(want)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d t=%.0f node %d: cached %v != from-scratch %v",
-						trial, until, g.n.ID(), got, want)
-				}
-				compared++
-			}
+			compared += checkSpannersAgainstReference(t, instances, fmt.Sprintf("trial %d t=%.0f", trial, until))
 		}
 	}
 	if compared < 100 {
@@ -132,53 +142,22 @@ func TestSpannerCachePerNodeEquivalence(t *testing.T) {
 	}
 }
 
-// TestDisableSpannerCacheConfig exercises the flag end to end: both modes
-// must run and the cached mode must actually reuse state in a static
-// scenario.
-func TestDisableSpannerCacheConfig(t *testing.T) {
+// TestSpannerCacheStaticHits: an invalid zero config is rejected, and in
+// a static scenario — every view repeats after the first check
+// interval — the result cache serves the steady state.
+func TestSpannerCacheStaticHits(t *testing.T) {
+	if _, _, err := NewInstrumented(Config{}); err == nil {
+		t.Fatal("invalid zero config accepted")
+	}
 	s := sim.DefaultScenario(120)
 	s.N = 25
 	s.Mobility = sim.MobilityStatic
 	s.SimTime = 30
 	s.Traffic = sim.UniformTraffic(s.N, 8, 1.0, 3)
-
-	factory, maint, err := NewInstrumented(Config{})
-	if err == nil {
-		t.Fatal("invalid zero config accepted")
-	}
-	_ = factory
-	_ = maint
-
-	cfg := DefaultConfig()
-	factory, maint, err = NewInstrumented(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.NewWorld(s, factory); err != nil {
-		t.Fatal(err)
-	}
-	// Static nodes: after the first check interval every view repeats, so
-	// the result cache must serve the steady state.
-	w, err := sim.NewWorld(s, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, _, maint := probedInstrumentedWorld(t, s, DefaultConfig())
 	w.Run()
-	st := maint.Stats()
-	if st.ResultHits == 0 {
+	if st := maint.Stats(); st.ResultHits == 0 {
 		t.Errorf("static scenario produced no result-cache hits: %+v", st)
-	}
-	if maint.Disabled() {
-		t.Error("default config should enable the cache")
-	}
-
-	cfg.DisableSpannerCache = true
-	_, maint, err = NewInstrumented(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !maint.Disabled() {
-		t.Error("DisableSpannerCache not honored")
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// calendarQueue is the default eventQueue: a Brown-style calendar queue
+// calendarQueue is the Scheduler's event set: a Brown-style calendar queue
 // (R. Brown, "Calendar queues: a fast O(1) priority queue implementation
 // for the simulation event set problem", CACM 1988), the structure NS-2's
 // scheduler made standard for network DES.
@@ -15,7 +15,7 @@ import (
 // "year" and recycle across years. Each bucket keeps its events in an
 // intrusive singly-linked chain sorted by the total order eventLess, so
 // dequeue order within a day is exact — there is no approximate binning,
-// and dispatch order is byte-identical to the reference heap. Chains make
+// and dispatch order is byte-identical to a binary heap's. Chains make
 // enqueue and dequeue allocation-free: an event links into its bucket
 // through its own next pointer, so steady-state scheduling never grows a
 // slice and never feeds the garbage collector. With the width matched to
@@ -70,11 +70,10 @@ func newCalendarQueue() *calendarQueue {
 	}
 }
 
-func (q *calendarQueue) size() int { return q.count }
-
-// vday maps a timestamp to its virtual day. Timestamps are nonnegative
-// (the Scheduler rejects scheduling before time 0), so truncation is
-// floor. Multiplying by the cached reciprocal is not bit-equal to
+// vday maps a timestamp to its virtual day. Timestamps are finite and
+// nonnegative (the Scheduler rejects scheduling before time 0 and at NaN
+// or +Inf, whose int64 conversion Go leaves implementation-defined), so
+// truncation is floor. Multiplying by the cached reciprocal is not bit-equal to
 // dividing by width, but any monotone time→day map is correct here: the
 // queue only needs insert, peek, and the cursor to agree on the map.
 func (q *calendarQueue) vday(t Time) int64 { return int64(t * q.invW) }

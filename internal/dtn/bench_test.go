@@ -7,22 +7,16 @@ import (
 	"glr/internal/geom"
 )
 
-// benchNeighborTable measures the steady-state per-beacon table work of
+// BenchmarkNeighborTableDense measures the steady-state per-beacon table work of
 // one node: refresh a neighbor row (with its advertised list), expire,
 // and rebuild the 2-hop point set — the sequence the simulator runs for
-// every received beacon plus route check. The dense backend should do
-// this allocation-free once warm.
-func benchNeighborTable(b *testing.B, dense bool) {
+// every received beacon plus route check. The dense backend does this
+// allocation-free once warm.
+func BenchmarkNeighborTableDense(b *testing.B) {
 	const n = 1000 // world size
 	const degree = 24
 	rng := rand.New(rand.NewSource(17))
-
-	var t *NeighborTable
-	if dense {
-		t = NewDenseNeighborTable(n)
-	} else {
-		t = NewNeighborTable()
-	}
+	t := NewDenseNeighborTable(n)
 
 	// Steady-state neighborhood: `degree` live neighbors, each
 	// advertising `degree` of its own.
@@ -52,7 +46,3 @@ func benchNeighborTable(b *testing.B, dense bool) {
 	_ = ids
 	_ = pts
 }
-
-func BenchmarkNeighborTableDense(b *testing.B) { benchNeighborTable(b, true) }
-
-func BenchmarkNeighborTableMap(b *testing.B) { benchNeighborTable(b, false) }

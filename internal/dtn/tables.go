@@ -6,31 +6,29 @@ import (
 	"glr/internal/geom"
 )
 
-// The neighbor and location tables come in multiple storage backends
-// sharing one API:
+// The neighbor and location tables come in storage backends sharing one
+// API:
 //
-//   - The map backend (NewLocationTable/NewNeighborTable) keys rows by
-//     node id in a Go map. It handles arbitrary sparse id spaces and is
-//     the reference implementation.
-//   - The dense backend (NewDenseLocationTable/NewDenseNeighborTable)
-//     stores rows in per-world id-indexed arrays with generation stamps:
+//   - The dense backends (NewDenseLocationTable/NewDenseNeighborTable)
+//     store rows in per-world id-indexed arrays with generation stamps:
 //     a row is live iff its stamp equals the table generation, so upsert
 //     and whole-table reset are O(1) and no hashing or per-row boxing
 //     happens on the beacon hot path. A sorted live-id list keeps
-//     iteration order identical to the map backend's sorted outputs.
-//   - The compact backend (NewCompactNeighborTable) keeps the dense
-//     backend's hot paths — row-owned storage, the sorted live list,
-//     allocation-free advertise/two-hop appends — but indexes rows
+//     iteration in ascending id order.
+//   - The compact neighbor backend (NewCompactNeighborTable) keeps the
+//     dense backend's hot paths — row-owned storage, the sorted live
+//     list, allocation-free advertise/two-hop appends — but indexes rows
 //     through a small id→slot map, so a node's table costs O(its
 //     neighborhood) instead of O(world size). The dense backend's
 //     id-indexed arrays are O(n) per node and therefore O(n²) per world,
 //     which is the memory wall for 10k–100k-node runs; compact tables
-//     are what giant worlds use.
+//     are what giant worlds use, together with the map-backed location
+//     table (NewLocationTable), which is O(knowledge) per node.
 //
 // All backends produce byte-identical results for identical operation
-// sequences (asserted by property tests in tables_dense_test.go); the
-// simulator picks the backend via sim.Scenario.DisableDenseTables and
-// the world size.
+// sequences (asserted by property tests in tables_dense_test.go against
+// map-backed references); the simulator picks the backend from the world
+// size.
 
 // LocationEntry is one row of a node's location table: where a node was
 // last known to be, and when that knowledge originated (§2.3.1: "Each node
@@ -212,8 +210,8 @@ type NeighborInfo struct {
 
 // NeighborTable tracks currently-audible neighbors with expiry, fed by
 // periodic beacons. The zero value is not usable; create with
-// NewNeighborTable (map backend), NewDenseNeighborTable (dense backend),
-// or NewCompactNeighborTable (compact backend for giant worlds).
+// NewDenseNeighborTable (dense backend) or NewCompactNeighborTable
+// (compact backend for giant worlds).
 //
 // The table owns the Neighbors storage of its rows: Observe copies the
 // advertised list into a row-owned backing array (reused across
@@ -222,8 +220,6 @@ type NeighborInfo struct {
 // and Snapshot alias that row-owned storage and must not be retained
 // across later Observe calls for the same id.
 type NeighborTable struct {
-	m map[int]NeighborInfo // map backend; nil in dense mode
-
 	// Dense backend: rows[id] is live iff rowGen[id] == gen; live holds
 	// the live ids ascending; expired is the scratch Expire returns.
 	rows    []NeighborInfo
@@ -244,11 +240,6 @@ type NeighborTable struct {
 	slot      map[int]int32
 	freeSlots []int32
 	markM     map[int]uint64
-}
-
-// NewNeighborTable returns an empty map-backed table.
-func NewNeighborTable() *NeighborTable {
-	return &NeighborTable{m: make(map[int]NeighborInfo)}
 }
 
 // NewDenseNeighborTable returns an empty dense table pre-sized for node
@@ -272,14 +263,10 @@ func NewCompactNeighborTable() *NeighborTable {
 	}
 }
 
-// mapBacked reports whether the table uses the reference map backend
-// (the other two backends share the row-array code paths).
-func (t *NeighborTable) mapBacked() bool { return t.m != nil }
-
 // compact reports whether the table uses the compact (slot-mapped) backend.
 func (t *NeighborTable) compact() bool { return t.slot != nil }
 
-// liveRow returns the row for an id known to be live (row-array backends).
+// liveRow returns the row for an id known to be live.
 func (t *NeighborTable) liveRow(id int) *NeighborInfo {
 	if t.compact() {
 		return &t.rows[t.slot[id]]
@@ -299,8 +286,8 @@ func (t *NeighborTable) takeSlot() int32 {
 	return int32(len(t.rows) - 1)
 }
 
-// kill releases a live id's row storage (row-array backends); the caller
-// maintains the live list.
+// kill releases a live id's row storage; the caller maintains the live
+// list.
 func (t *NeighborTable) kill(id int) {
 	if t.compact() {
 		t.freeSlots = append(t.freeSlots, t.slot[id])
@@ -320,9 +307,6 @@ func (t *NeighborTable) ensure(id int) {
 
 // Len returns the number of live rows.
 func (t *NeighborTable) Len() int {
-	if t.mapBacked() {
-		return len(t.m)
-	}
 	return len(t.live)
 }
 
@@ -330,10 +314,6 @@ func (t *NeighborTable) Len() int {
 // allocated for reuse (dense: O(1) generation bump; compact: slots are
 // banked for recycling).
 func (t *NeighborTable) Reset() {
-	if t.mapBacked() {
-		clear(t.m)
-		return
-	}
 	if t.compact() {
 		for _, id := range t.live {
 			t.freeSlots = append(t.freeSlots, t.slot[id])
@@ -351,12 +331,6 @@ func (t *NeighborTable) Reset() {
 // list is copied into row-owned storage; the caller keeps ownership of
 // info.Neighbors.
 func (t *NeighborTable) Observe(info NeighborInfo) {
-	if t.mapBacked() {
-		old := t.m[info.ID]
-		info.Neighbors = append(old.Neighbors[:0], info.Neighbors...)
-		t.m[info.ID] = info
-		return
-	}
 	id := info.ID
 	if id < 0 {
 		return
@@ -386,10 +360,6 @@ func (t *NeighborTable) Observe(info NeighborInfo) {
 // Get returns the row for id. The row's Neighbors slice aliases table-
 // owned storage (see the type doc).
 func (t *NeighborTable) Get(id int) (NeighborInfo, bool) {
-	if t.mapBacked() {
-		r, ok := t.m[id]
-		return r, ok
-	}
 	if t.compact() {
 		si, ok := t.slot[id]
 		if !ok {
@@ -405,10 +375,6 @@ func (t *NeighborTable) Get(id int) (NeighborInfo, bool) {
 
 // Remove drops the row for id.
 func (t *NeighborTable) Remove(id int) {
-	if t.mapBacked() {
-		delete(t.m, id)
-		return
-	}
 	if t.compact() {
 		if _, ok := t.slot[id]; !ok {
 			return
@@ -422,19 +388,8 @@ func (t *NeighborTable) Remove(id int) {
 
 // Expire drops every row last seen at or before deadline and returns the
 // expired ids in ascending order. The returned slice is scratch reused
-// by the next Expire call (dense backend); callers must not retain it.
+// by the next Expire call; callers must not retain it.
 func (t *NeighborTable) Expire(deadline float64) []int {
-	if t.mapBacked() {
-		var gone []int
-		for id, r := range t.m {
-			if r.LastSeen <= deadline {
-				gone = append(gone, id)
-				delete(t.m, id)
-			}
-		}
-		sort.Ints(gone)
-		return gone
-	}
 	t.expired = t.expired[:0]
 	keep := t.live[:0]
 	for _, id := range t.live {
@@ -453,14 +408,6 @@ func (t *NeighborTable) Expire(deadline float64) []int {
 // allocated; row Neighbors alias table-owned storage. Hot paths should
 // prefer AppendAdvertised/AppendTwoHop.
 func (t *NeighborTable) Snapshot() []NeighborInfo {
-	if t.mapBacked() {
-		out := make([]NeighborInfo, 0, len(t.m))
-		for _, r := range t.m {
-			out = append(out, r)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-		return out
-	}
 	out := make([]NeighborInfo, 0, len(t.live))
 	for _, id := range t.live {
 		out = append(out, *t.liveRow(id))
@@ -470,15 +417,8 @@ func (t *NeighborTable) Snapshot() []NeighborInfo {
 
 // AppendAdvertised appends the (id, position) pair of every live row in
 // ascending id order — the list a beacon advertises — and returns the
-// extended slice. With a caller-reused buffer the dense backend
-// allocates nothing.
+// extended slice. With a caller-reused buffer it allocates nothing.
 func (t *NeighborTable) AppendAdvertised(buf []NeighborNeighbor) []NeighborNeighbor {
-	if t.mapBacked() {
-		for _, r := range t.Snapshot() {
-			buf = append(buf, NeighborNeighbor{ID: r.ID, Pos: r.Pos})
-		}
-		return buf
-	}
 	for _, id := range t.live {
 		buf = append(buf, NeighborNeighbor{ID: id, Pos: t.liveRow(id).Pos})
 	}
@@ -495,47 +435,27 @@ func (t *NeighborTable) TwoHopPoints(selfID int, selfPos geom.Point) (ids []int,
 }
 
 // AppendTwoHop is TwoHopPoints appending into caller-supplied slices
-// (pass buf[:0] to reuse); the dense backend dedups with generation-
-// stamped marks instead of a per-call map, so a warm call allocates
-// nothing. Output order is identical across backends: self first, then
-// rows in ascending id order, each followed by its unseen advertised
-// neighbors in advertisement order.
+// (pass buf[:0] to reuse); it dedups with generation-stamped marks
+// instead of a per-call map, so a warm call allocates nothing. Output
+// order: self first, then rows in ascending id order, each followed by
+// its unseen advertised neighbors in advertisement order.
 func (t *NeighborTable) AppendTwoHop(ids []int, pts []geom.Point, selfID int, selfPos geom.Point) ([]int, []geom.Point) {
 	ids = append(ids, selfID)
 	pts = append(pts, selfPos)
-	if !t.mapBacked() {
-		t.markGen++
-		t.markSeen(selfID)
-		for _, id := range t.live {
-			r := t.liveRow(id)
-			if !t.seen(id) {
-				t.markSeen(id)
-				ids = append(ids, id)
-				pts = append(pts, r.Pos)
-			}
-			for _, nn := range r.Neighbors {
-				if t.seen(nn.ID) {
-					continue
-				}
-				t.markSeen(nn.ID)
-				ids = append(ids, nn.ID)
-				pts = append(pts, nn.Pos)
-			}
-		}
-		return ids, pts
-	}
-	seen := map[int]struct{}{selfID: {}}
-	for _, r := range t.Snapshot() {
-		if _, dup := seen[r.ID]; !dup {
-			seen[r.ID] = struct{}{}
-			ids = append(ids, r.ID)
+	t.markGen++
+	t.markSeen(selfID)
+	for _, id := range t.live {
+		r := t.liveRow(id)
+		if !t.seen(id) {
+			t.markSeen(id)
+			ids = append(ids, id)
 			pts = append(pts, r.Pos)
 		}
 		for _, nn := range r.Neighbors {
-			if _, dup := seen[nn.ID]; dup {
+			if t.seen(nn.ID) {
 				continue
 			}
-			seen[nn.ID] = struct{}{}
+			t.markSeen(nn.ID)
 			ids = append(ids, nn.ID)
 			pts = append(pts, nn.Pos)
 		}
@@ -547,53 +467,31 @@ func (t *NeighborTable) AppendTwoHop(ids []int, pts []geom.Point, selfID int, se
 // Expire(deadline): rows last seen at or before deadline are skipped —
 // along with their advertised neighbors — without being dropped. The
 // output is byte-identical to calling Expire(deadline) followed by
-// AppendTwoHop, but the table itself is not mutated (only the dense
-// backend's dedup marks advance, which no reader observes), so callers
+// AppendTwoHop, but the table itself is not mutated (only the dedup
+// marks advance, which no reader observes), so callers
 // may preview the view a future route check will build without
 // disturbing the run. Not safe for concurrent use, like every
 // NeighborTable method.
 func (t *NeighborTable) AppendTwoHopAt(ids []int, pts []geom.Point, selfID int, selfPos geom.Point, deadline float64) ([]int, []geom.Point) {
 	ids = append(ids, selfID)
 	pts = append(pts, selfPos)
-	if !t.mapBacked() {
-		t.markGen++
-		t.markSeen(selfID)
-		for _, id := range t.live {
-			r := t.liveRow(id)
-			if r.LastSeen <= deadline {
-				continue
-			}
-			if !t.seen(id) {
-				t.markSeen(id)
-				ids = append(ids, id)
-				pts = append(pts, r.Pos)
-			}
-			for _, nn := range r.Neighbors {
-				if t.seen(nn.ID) {
-					continue
-				}
-				t.markSeen(nn.ID)
-				ids = append(ids, nn.ID)
-				pts = append(pts, nn.Pos)
-			}
-		}
-		return ids, pts
-	}
-	seen := map[int]struct{}{selfID: {}}
-	for _, r := range t.Snapshot() {
+	t.markGen++
+	t.markSeen(selfID)
+	for _, id := range t.live {
+		r := t.liveRow(id)
 		if r.LastSeen <= deadline {
 			continue
 		}
-		if _, dup := seen[r.ID]; !dup {
-			seen[r.ID] = struct{}{}
-			ids = append(ids, r.ID)
+		if !t.seen(id) {
+			t.markSeen(id)
+			ids = append(ids, id)
 			pts = append(pts, r.Pos)
 		}
 		for _, nn := range r.Neighbors {
-			if _, dup := seen[nn.ID]; dup {
+			if t.seen(nn.ID) {
 				continue
 			}
-			seen[nn.ID] = struct{}{}
+			t.markSeen(nn.ID)
 			ids = append(ids, nn.ID)
 			pts = append(pts, nn.Pos)
 		}
@@ -602,7 +500,7 @@ func (t *NeighborTable) AppendTwoHopAt(ids []int, pts []geom.Point, selfID int, 
 }
 
 // seen reports whether id was already emitted in the current AppendTwoHop
-// pass (row-array backends).
+// pass.
 func (t *NeighborTable) seen(id int) bool {
 	if t.markM != nil {
 		return t.markM[id] == t.markGen

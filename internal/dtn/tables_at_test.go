@@ -10,7 +10,8 @@ import (
 
 // TestAppendTwoHopAtMatchesExpire: on both backends, AppendTwoHopAt must
 // emit exactly what Expire(deadline) followed by AppendTwoHop would —
-// same ids, same positions, same order — while leaving the table
+// same ids, same positions, same order, and equal to the map-backed
+// reference's view over the unexpired rows — while leaving the table
 // untouched. This is the contract the speculative spanner path relies on
 // to preview a future route check's view.
 func TestAppendTwoHopAtMatchesExpire(t *testing.T) {
@@ -20,9 +21,10 @@ func TestAppendTwoHopAtMatchesExpire(t *testing.T) {
 		// Two identical tables per backend: one previews with
 		// AppendTwoHopAt, the other actually expires.
 		tables := []*NeighborTable{
-			NewNeighborTable(), NewNeighborTable(),
 			NewDenseNeighborTable(idSpace), NewDenseNeighborTable(idSpace),
+			NewCompactNeighborTable(), NewCompactNeighborTable(),
 		}
+		ref := newRefNeighborTable()
 		now := 0.0
 		for step := 0; step < 30+rng.Intn(40); step++ {
 			now += rng.Float64()
@@ -40,10 +42,12 @@ func TestAppendTwoHopAtMatchesExpire(t *testing.T) {
 			for _, tbl := range tables {
 				tbl.Observe(info)
 			}
+			ref.Observe(info)
 		}
 		deadline := now - rng.Float64()*3
 		self := idSpace + 1
 		selfPos := geom.Pt(3, 4)
+		refIDs, refPts := ref.TwoHopPointsAt(self, selfPos, deadline)
 		for b := 0; b < 4; b += 2 {
 			before, beforePts := tables[b].AppendTwoHop(nil, nil, self, selfPos)
 			preview, previewPts := tables[b].AppendTwoHopAt(nil, nil, self, selfPos, deadline)
@@ -52,6 +56,10 @@ func TestAppendTwoHopAtMatchesExpire(t *testing.T) {
 			if !reflect.DeepEqual(preview, want) || !reflect.DeepEqual(previewPts, wantPts) {
 				t.Fatalf("trial %d backend %d: AppendTwoHopAt diverged from Expire+AppendTwoHop:\n  at:      %v\n  expired: %v",
 					trial, b/2, preview, want)
+			}
+			if !reflect.DeepEqual(preview, refIDs) || !reflect.DeepEqual(previewPts, refPts) {
+				t.Fatalf("trial %d backend %d: AppendTwoHopAt diverged from the map-backed reference:\n  at:  %v\n  ref: %v",
+					trial, b/2, preview, refIDs)
 			}
 			// The preview must not have mutated the table: a plain
 			// AppendTwoHop before and after agrees.

@@ -1,16 +1,99 @@
 package dtn
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"glr/internal/geom"
 )
 
-// checkTablesAgree asserts every observable output of the two backends
-// matches for the current state.
-func checkTablesAgree(t *testing.T, m, d *NeighborTable, idSpace int) {
+// refNeighborTable is the map-backed reference the row-array backends
+// are checked against: rows keyed by id in a Go map, every ordered output
+// produced by sorting, and two-hop dedup through a per-call set — the
+// straightforward implementation of the NeighborTable contract.
+type refNeighborTable struct {
+	m map[int]NeighborInfo
+}
+
+func newRefNeighborTable() *refNeighborTable {
+	return &refNeighborTable{m: make(map[int]NeighborInfo)}
+}
+
+func (t *refNeighborTable) Len() int { return len(t.m) }
+
+func (t *refNeighborTable) Observe(info NeighborInfo) {
+	info.Neighbors = append([]NeighborNeighbor(nil), info.Neighbors...)
+	t.m[info.ID] = info
+}
+
+func (t *refNeighborTable) Get(id int) (NeighborInfo, bool) {
+	r, ok := t.m[id]
+	return r, ok
+}
+
+func (t *refNeighborTable) Remove(id int) { delete(t.m, id) }
+
+func (t *refNeighborTable) Expire(deadline float64) []int {
+	var gone []int
+	for id, r := range t.m {
+		if r.LastSeen <= deadline {
+			gone = append(gone, id)
+			delete(t.m, id)
+		}
+	}
+	sort.Ints(gone)
+	return gone
+}
+
+func (t *refNeighborTable) Snapshot() []NeighborInfo {
+	out := make([]NeighborInfo, 0, len(t.m))
+	for _, r := range t.m {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+func (t *refNeighborTable) AppendAdvertised(buf []NeighborNeighbor) []NeighborNeighbor {
+	for _, r := range t.Snapshot() {
+		buf = append(buf, NeighborNeighbor{ID: r.ID, Pos: r.Pos})
+	}
+	return buf
+}
+
+// TwoHopPointsAt is the two-hop view over the rows last seen after
+// deadline: self first, then rows in ascending id order, each followed by
+// its unseen advertised neighbors in advertisement order.
+func (t *refNeighborTable) TwoHopPointsAt(selfID int, selfPos geom.Point, deadline float64) ([]int, []geom.Point) {
+	ids := []int{selfID}
+	pts := []geom.Point{selfPos}
+	seen := map[int]bool{selfID: true}
+	for _, r := range t.Snapshot() {
+		if r.LastSeen <= deadline {
+			continue
+		}
+		if !seen[r.ID] {
+			seen[r.ID] = true
+			ids = append(ids, r.ID)
+			pts = append(pts, r.Pos)
+		}
+		for _, nn := range r.Neighbors {
+			if !seen[nn.ID] {
+				seen[nn.ID] = true
+				ids = append(ids, nn.ID)
+				pts = append(pts, nn.Pos)
+			}
+		}
+	}
+	return ids, pts
+}
+
+// checkTablesAgree asserts every observable output of a row-array backend
+// matches the reference for the current state.
+func checkTablesAgree(t *testing.T, m *refNeighborTable, d *NeighborTable, idSpace int) {
 	t.Helper()
 	if m.Len() != d.Len() {
 		t.Fatalf("Len: map %d, dense %d", m.Len(), d.Len())
@@ -18,7 +101,7 @@ func checkTablesAgree(t *testing.T, m, d *NeighborTable, idSpace int) {
 	if !neighborsEqual(m.Snapshot(), d.Snapshot()) {
 		t.Fatalf("Snapshot mismatch:\nmap   %+v\ndense %+v", m.Snapshot(), d.Snapshot())
 	}
-	mi, mp := m.TwoHopPoints(idSpace, geom.Pt(1, 2))
+	mi, mp := m.TwoHopPointsAt(idSpace, geom.Pt(1, 2), math.Inf(-1))
 	di, dp := d.TwoHopPoints(idSpace, geom.Pt(1, 2))
 	if !reflect.DeepEqual(mi, di) || !reflect.DeepEqual(mp, dp) {
 		t.Fatalf("TwoHopPoints mismatch:\nmap   %v %v\ndense %v %v", mi, mp, di, dp)
@@ -67,17 +150,17 @@ func neighborsEqual(a, b []NeighborInfo) bool {
 	return true
 }
 
-// TestNeighborTableDenseMapEquivalenceChurn drives all three backends
-// through randomized Observe/Expire/Remove churn — neighbors expiring,
-// re-appearing, and ids (and compact row slots) being reused across
-// generations — asserting identical Snapshot/TwoHopPoints/Get results
-// throughout.
+// TestNeighborTableDenseMapEquivalenceChurn drives the dense and compact
+// backends and the map-backed reference through randomized
+// Observe/Expire/Remove churn — neighbors expiring, re-appearing, and ids
+// (and compact row slots) being reused across generations — asserting
+// identical Snapshot/TwoHopPoints/Get results throughout.
 func TestNeighborTableDenseMapEquivalenceChurn(t *testing.T) {
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*2671 + 9))
 		idSpace := 4 + rng.Intn(28)
-		m := NewNeighborTable()
+		m := newRefNeighborTable()
 		d := NewDenseNeighborTable(idSpace)
 		c := NewCompactNeighborTable()
 		now := 0.0

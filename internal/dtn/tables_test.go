@@ -55,7 +55,7 @@ func TestLocationTableMerge(t *testing.T) {
 }
 
 func TestNeighborTableObserveExpire(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := NewDenseNeighborTable(4)
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 0), LastSeen: 10})
 	nt.Observe(NeighborInfo{ID: 2, Pos: geom.Pt(2, 0), LastSeen: 20})
 	nt.Observe(NeighborInfo{ID: 3, Pos: geom.Pt(3, 0), LastSeen: 30})
@@ -79,7 +79,7 @@ func TestNeighborTableObserveExpire(t *testing.T) {
 }
 
 func TestNeighborTableRefresh(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := NewDenseNeighborTable(4)
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 0), LastSeen: 10})
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(5, 0), LastSeen: 15})
 	r, _ := nt.Get(1)
@@ -92,7 +92,7 @@ func TestNeighborTableRefresh(t *testing.T) {
 }
 
 func TestNeighborTableSnapshotSorted(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := NewCompactNeighborTable()
 	for _, id := range []int{5, 1, 3} {
 		nt.Observe(NeighborInfo{ID: id, LastSeen: 1})
 	}
@@ -103,7 +103,7 @@ func TestNeighborTableSnapshotSorted(t *testing.T) {
 }
 
 func TestTwoHopPoints(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := NewCompactNeighborTable()
 	nt.Observe(NeighborInfo{
 		ID: 1, Pos: geom.Pt(10, 0), LastSeen: 1,
 		Neighbors: []NeighborNeighbor{
@@ -139,7 +139,7 @@ func TestTwoHopPoints(t *testing.T) {
 }
 
 func TestTwoHopPointsEmpty(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := NewCompactNeighborTable()
 	ids, pts := nt.TwoHopPoints(7, geom.Pt(1, 2))
 	if len(ids) != 1 || ids[0] != 7 || !pts[0].Eq(geom.Pt(1, 2)) {
 		t.Error("empty table should yield only self")

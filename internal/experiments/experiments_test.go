@@ -200,18 +200,17 @@ func TestNodeCountSweepSmoke(t *testing.T) {
 		t.Fatalf("got %d points, want 2", len(res.Points))
 	}
 	for _, p := range res.Points {
-		if p.WallCached <= 0 || p.WallScratch <= 0 {
-			t.Errorf("n=%d: wall-clock not measured: cached %v scratch %v", p.N, p.WallCached, p.WallScratch)
+		if p.WallSerial <= 0 || p.WallSharded <= 0 {
+			t.Errorf("n=%d: wall-clock not measured: serial %v sharded %v", p.N, p.WallSerial, p.WallSharded)
 		}
-		if p.SpannerCached <= 0 || p.SpannerScratch <= 0 {
-			t.Errorf("n=%d: spanner time not measured: cached %v scratch %v", p.N, p.SpannerCached, p.SpannerScratch)
+		if p.SpannerSerial <= 0 {
+			t.Errorf("n=%d: spanner time not measured", p.N)
 		}
 		if !p.Identical {
-			t.Errorf("n=%d: fast, from-scratch, and map-table runs diverged", p.N)
+			t.Errorf("n=%d: serial and sharded runs diverged", p.N)
 		}
-		if p.AllocsDense == 0 || p.AllocsMapTables == 0 {
-			t.Errorf("n=%d: allocation pressure not measured: dense %d map %d",
-				p.N, p.AllocsDense, p.AllocsMapTables)
+		if p.Allocs == 0 {
+			t.Errorf("n=%d: allocation pressure not measured", p.N)
 		}
 		if p.Region.W <= p.Region.H {
 			t.Errorf("n=%d: region %v should keep the 5:1 aspect", p.N, p.Region)
@@ -224,7 +223,7 @@ func TestNodeCountSweepSmoke(t *testing.T) {
 		t.Errorf("per-node area drifts: %.1f vs %.1f", a0, a1)
 	}
 	out := res.Render()
-	for _, want := range []string{"scaling sweep", "Spanner", "Spd-up", "Allocs", "Δalloc", "identical"} {
+	for _, want := range []string{"scaling sweep", "Spanner", "Shd-up", "Allocs", "identical"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}

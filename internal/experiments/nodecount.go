@@ -25,73 +25,34 @@ var NodeCountSizes = []int{100, 250, 500, 1000}
 // paperDensity is the paper's node density: 50 nodes in 1500 × 300 m.
 const paperDensity = 50.0 / (1500 * 300)
 
-// NodeCountPoint is one sweep point: the same scenario run four ways —
-// the full serial fast path (dense tables + spanner cache, sharding
-// off), the from-scratch spanner reference
-// (core.Config.DisableSpannerCache), the map-backed table reference
-// (sim.Scenario.DisableDenseTables), and the sharded engine (an
-// automatic GOMAXPROCS-wide worker pool) — with wall-clock,
-// spanner-construction time, and heap-allocation pressure measured for
-// each. All runs use the grid-indexed medium (PR 1); the naive medium
-// keeps its own benchmarks in internal/mac.
+// NodeCountPoint is one sweep point: the same scenario run twice — on
+// the serial engine and on the sharded engine (an automatic
+// GOMAXPROCS-wide worker pool) — with wall-clock, spanner-construction
+// time, and heap-allocation pressure measured.
 type NodeCountPoint struct {
-	N               int
-	Region          mobility.Region
-	Delivery        stats.MeanCI  // fast-path runs
-	DeliveryScratch stats.MeanCI  // from-scratch spanner runs
-	WallCached      time.Duration // mean per run
-	WallScratch     time.Duration
-	WallMapTables   time.Duration
-	WallSharded     time.Duration // sharded-engine runs
-	ShardWorkers    int           // pool width of the sharded runs (GOMAXPROCS)
-	SpannerCached   time.Duration // mean spanner-construction time per run
-	SpannerScratch  time.Duration
-	SpannerSharded  time.Duration    // mean spanner time within the sharded runs
-	Phases          sim.PhaseProf    // sharded runs: mean per-phase wall clock
-	Thresholds      shard.Thresholds // fork thresholds the sharded runs calibrated
-	TriHitRate      float64          // fast-path runs: witness-triangulation reuse
-	AllocsDense     uint64           // mean heap allocations per fast-path run
-	AllocsMapTables uint64           // mean heap allocations per map-backed run
-	GCDense         uint32           // mean GC cycles per fast-path run
-	GCMapTables     uint32           // mean GC cycles per map-backed run
-	Identical       bool             // all four reports matched exactly at every seed
+	N              int
+	Region         mobility.Region
+	Delivery       stats.MeanCI
+	WallSerial     time.Duration    // mean per serial run
+	WallSharded    time.Duration    // mean per sharded run
+	ShardWorkers   int              // pool width of the sharded runs (GOMAXPROCS)
+	SpannerSerial  time.Duration    // mean spanner-construction time per serial run
+	SpannerSharded time.Duration    // mean spanner time within the sharded runs
+	Phases         sim.PhaseProf    // sharded runs: mean per-phase wall clock
+	Thresholds     shard.Thresholds // fork thresholds the sharded runs calibrated
+	TriHitRate     float64          // serial runs: witness-triangulation reuse
+	Allocs         uint64           // mean heap allocations per serial run
+	GC             uint32           // mean GC cycles per serial run
+	Identical      bool             // serial and sharded reports matched exactly at every seed
 }
 
-// SpannerSpeedup returns from-scratch spanner-construction time over
-// cached.
-func (p NodeCountPoint) SpannerSpeedup() float64 {
-	if p.SpannerCached <= 0 {
-		return 0
-	}
-	return float64(p.SpannerScratch) / float64(p.SpannerCached)
-}
-
-// WallSpeedup returns from-scratch wall-clock over cached wall-clock.
-func (p NodeCountPoint) WallSpeedup() float64 {
-	if p.WallCached <= 0 {
-		return 0
-	}
-	return float64(p.WallScratch) / float64(p.WallCached)
-}
-
-// ShardSpeedup returns serial fast-path wall-clock over sharded-engine
-// wall-clock (1.0 on a single-CPU host, where the automatic pool
-// resolves serial).
+// ShardSpeedup returns serial wall-clock over sharded-engine wall-clock
+// (1.0 on a single-CPU host, where the automatic pool resolves serial).
 func (p NodeCountPoint) ShardSpeedup() float64 {
 	if p.WallSharded <= 0 {
 		return 0
 	}
-	return float64(p.WallCached) / float64(p.WallSharded)
-}
-
-// AllocReduction returns the fraction of heap allocations the dense
-// state plane removes relative to the map-backed reference (0.3 = 30%
-// fewer allocations).
-func (p NodeCountPoint) AllocReduction() float64 {
-	if p.AllocsMapTables == 0 {
-		return 0
-	}
-	return 1 - float64(p.AllocsDense)/float64(p.AllocsMapTables)
+	return float64(p.WallSerial) / float64(p.WallSharded)
 }
 
 // NodeCountResult is the node-count scaling sweep artifact.
@@ -130,11 +91,12 @@ type instrRun struct {
 	thr     shard.Thresholds
 }
 
-// executeInstrumented runs one GLR scenario with spanner and allocation
-// instrumentation; profile additionally turns on per-phase wall-clock
-// attribution (which never changes the report — see sim.PhaseProf).
-func executeInstrumented(ctx context.Context, s sim.Scenario, cfg core.Config, profile bool) (instrRun, error) {
-	factory, maint, err := core.NewInstrumented(cfg)
+// executeInstrumented runs one GLR scenario (paper defaults) with spanner
+// and allocation instrumentation; profile additionally turns on
+// per-phase wall-clock attribution (which never changes the report — see
+// sim.PhaseProf).
+func executeInstrumented(ctx context.Context, s sim.Scenario, profile bool) (instrRun, error) {
+	factory, maint, err := core.NewInstrumented(core.DefaultConfig())
 	if err != nil {
 		return instrRun{}, err
 	}
@@ -163,18 +125,11 @@ func executeInstrumented(ctx context.Context, s sim.Scenario, cfg core.Config, p
 }
 
 // NodeCountSweep measures how the simulator scales with node count at
-// fixed density. Each seed runs the same scenario four ways:
-//
-//   - fast: dense tables + spanner cache, serial (sharding off);
-//   - scratch: core.Config.DisableSpannerCache (from-scratch spanner);
-//   - map: sim.Scenario.DisableDenseTables (map-backed tables);
-//   - sharded: the fast stack on the sharded engine (automatic
-//     GOMAXPROCS-wide worker pool).
-//
-// It reports delivery, wall-clock, spanner-construction time fast vs
-// scratch, heap-allocation pressure fast vs map, and serial-vs-sharded
-// wall clock — and asserts all four reports are identical. sizes nil
-// means NodeCountSizes.
+// fixed density. Each seed runs the same scenario on the serial engine
+// and on the sharded engine (automatic GOMAXPROCS-wide worker pool). It
+// reports delivery, wall-clock, spanner-construction time, heap-
+// allocation pressure, and serial-vs-sharded wall clock — and asserts
+// the two reports are identical. sizes nil means NodeCountSizes.
 // Replications are run sequentially (never in parallel) so the
 // wall-clock comparison is not distorted by CPU contention; o.Runs is
 // capped at 3 — even when overridden via `glrexp -runs` — because the
@@ -199,46 +154,26 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 		}
 		msgs := o.messages(n)
 		point := NodeCountPoint{N: n, Identical: true}
-		cached := make([]float64, runs)
-		scratch := make([]float64, runs)
+		delivery := make([]float64, runs)
 		var hitStats ldt.SpannerStats
-		var allocsDense, allocsMap uint64
-		var gcDense, gcMap uint32
+		var allocs uint64
+		var gc uint32
 		point.ShardWorkers = runtime.GOMAXPROCS(0)
 		for r := 0; r < runs; r++ {
 			seed := o.BaseSeed + int64(r)
-			var reports [4]metrics.Report
-			for i, mode := range []string{"fast", "scratch", "map", "sharded"} {
+			var reports [2]metrics.Report
+			for i, sharded := range []bool{false, true} {
 				s := nodeCountScenario(n, msgs, seed)
 				point.Region = s.Region
-				// The serial modes pin sharding off so their timings
-				// measure the legacy engine; "sharded" leaves the
-				// default automatic pool on.
-				s.DisableSharding = mode != "sharded"
-				cfg := core.DefaultConfig()
-				switch mode {
-				case "scratch":
-					cfg.DisableSpannerCache = true
-				case "map":
-					s.DisableDenseTables = true
-				}
+				s.DisableSharding = !sharded
 				start := time.Now()
-				ir, err := executeInstrumented(ctx, s, cfg, mode == "sharded")
+				ir, err := executeInstrumented(ctx, s, sharded)
 				elapsed := time.Since(start)
 				if err != nil {
 					return nil, err
 				}
 				reports[i] = ir.rep
-				switch mode {
-				case "scratch":
-					scratch[r] = ir.rep.DeliveryRatio
-					point.WallScratch += elapsed
-					point.SpannerScratch += ir.spanner.BuildTime
-				case "map":
-					point.WallMapTables += elapsed
-					allocsMap += ir.mallocs
-					gcMap += ir.gc
-				case "sharded":
+				if sharded {
 					point.WallSharded += elapsed
 					point.SpannerSharded += ir.spanner.BuildTime
 					point.Phases.Beacon += ir.phases.Beacon
@@ -246,46 +181,39 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 					point.Phases.Rx += ir.phases.Rx
 					point.Phases.AntiEntropy += ir.phases.AntiEntropy
 					point.Thresholds = ir.thr
-				default:
-					cached[r] = ir.rep.DeliveryRatio
-					point.WallCached += elapsed
-					point.SpannerCached += ir.spanner.BuildTime
+				} else {
+					delivery[r] = ir.rep.DeliveryRatio
+					point.WallSerial += elapsed
+					point.SpannerSerial += ir.spanner.BuildTime
 					hitStats.Add(ir.spanner)
-					allocsDense += ir.mallocs
-					gcDense += ir.gc
+					allocs += ir.mallocs
+					gc += ir.gc
 				}
 			}
-			if reports[0] != reports[1] || reports[0] != reports[2] || reports[0] != reports[3] {
+			if reports[0] != reports[1] {
 				point.Identical = false
 			}
 		}
-		point.Delivery = stats.ConfidenceInterval(cached, o.Confidence)
-		point.DeliveryScratch = stats.ConfidenceInterval(scratch, o.Confidence)
-		point.WallCached /= time.Duration(runs)
-		point.WallScratch /= time.Duration(runs)
-		point.WallMapTables /= time.Duration(runs)
+		point.Delivery = stats.ConfidenceInterval(delivery, o.Confidence)
+		point.WallSerial /= time.Duration(runs)
 		point.WallSharded /= time.Duration(runs)
-		point.SpannerCached /= time.Duration(runs)
-		point.SpannerScratch /= time.Duration(runs)
+		point.SpannerSerial /= time.Duration(runs)
 		point.SpannerSharded /= time.Duration(runs)
 		point.Phases.Beacon /= time.Duration(runs)
 		point.Phases.Mobility /= time.Duration(runs)
 		point.Phases.Rx /= time.Duration(runs)
 		point.Phases.AntiEntropy /= time.Duration(runs)
 		point.TriHitRate = hitStats.TriHitRate()
-		point.AllocsDense = allocsDense / uint64(runs)
-		point.AllocsMapTables = allocsMap / uint64(runs)
-		point.GCDense = gcDense / uint32(runs)
-		point.GCMapTables = gcMap / uint32(runs)
+		point.Allocs = allocs / uint64(runs)
+		point.GC = gc / uint32(runs)
 		res.Points = append(res.Points, point)
 		res.msgs = append(res.msgs, msgs)
-		o.progress("scale: n=%d -> delivery %.2f, spanner %v vs %v (%.1fx, hit %.0f%%), wall %v vs %v, sharded %v (%.1fx on %d workers), allocs %dM vs %dM (-%.0f%%)",
+		o.progress("scale: n=%d -> delivery %.2f, spanner %v (hit %.0f%%), wall %v, sharded %v (%.1fx on %d workers), allocs %dM",
 			n, point.Delivery.Mean,
-			point.SpannerCached.Round(time.Millisecond), point.SpannerScratch.Round(time.Millisecond),
-			point.SpannerSpeedup(), 100*point.TriHitRate,
-			point.WallCached.Round(time.Millisecond), point.WallScratch.Round(time.Millisecond),
+			point.SpannerSerial.Round(time.Millisecond), 100*point.TriHitRate,
+			point.WallSerial.Round(time.Millisecond),
 			point.WallSharded.Round(time.Millisecond), point.ShardSpeedup(), point.ShardWorkers,
-			point.AllocsDense/1e6, point.AllocsMapTables/1e6, 100*point.AllocReduction())
+			point.Allocs/1e6)
 	}
 	return res, nil
 }
@@ -303,16 +231,13 @@ func (r *NodeCountResult) Render() string {
 			fmt.Sprintf("%.0fx%.0f m", p.Region.W, p.Region.H),
 			fmt.Sprintf("%d", r.msgs[i]),
 			fmt.Sprintf("%.2f±%.2f", p.Delivery.Mean, p.Delivery.HalfWidth),
-			p.SpannerCached.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1fx", p.SpannerSpeedup()),
+			p.SpannerSerial.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f%%", 100*p.TriHitRate),
-			p.WallCached.Round(time.Millisecond).String(),
+			p.WallSerial.Round(time.Millisecond).String(),
 			p.WallSharded.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.1fx", p.ShardSpeedup()),
-			fmt.Sprintf("%.0fM", float64(p.AllocsDense)/1e6),
-			fmt.Sprintf("%.0fM", float64(p.AllocsMapTables)/1e6),
-			fmt.Sprintf("-%.0f%%", 100*p.AllocReduction()),
-			fmt.Sprintf("%d/%d", p.GCDense, p.GCMapTables),
+			fmt.Sprintf("%.0fM", float64(p.Allocs)/1e6),
+			fmt.Sprintf("%d", p.GC),
 		}
 	}
 	workers := runtime.GOMAXPROCS(0)
@@ -322,7 +247,7 @@ func (r *NodeCountResult) Render() string {
 	var sb strings.Builder
 	sb.WriteString(asciiplot.Table{
 		Title:   fmt.Sprintf("Node-count scaling sweep (fixed density, GLR, %d run(s)/point)", r.Runs),
-		Headers: []string{"Nodes", "Region", "Msgs", "Delivery", "Spanner", "Spd-up", "Tri hits", "Wall", "Sharded", "Shd-up", "Allocs", "Allocs(map)", "Δalloc", "GC d/m"},
+		Headers: []string{"Nodes", "Region", "Msgs", "Delivery", "Spanner", "Tri hits", "Wall", "Sharded", "Shd-up", "Allocs", "GC"},
 		Rows:    rows,
 	}.Render())
 	sb.WriteString("\nSharded per-phase wall clock (share of the sharded run's wall):\n")
@@ -345,20 +270,18 @@ func (r *NodeCountResult) Render() string {
 			workers, fmtThreshold(thr.RxMin), fmtThreshold(thr.BeaconMin),
 			fmtThreshold(thr.MobilityMin), fmtThreshold(thr.DiffMin)))
 	}
-	sb.WriteString("\nSpanner columns time the GLR routing loop's local-graph construction\n" +
-		"through the shared ldt.Maintainer; \"Spd-up\" is the from-scratch reference\n" +
-		"(DisableSpannerCache) over it. \"Wall\" is the serial fast path and\n" +
-		fmt.Sprintf("\"Sharded\" the same run on the sharded engine (%d worker(s) here);\n", workers) +
-		"\"Shd-up\" is serial over sharded. Alloc columns count heap allocations\n" +
-		"per run (runtime.ReadMemStats Mallocs) on the dense slice-backed state\n" +
-		"plane vs the map-backed reference tables (DisableDenseTables); \"GC d/m\"\n" +
-		"is garbage-collection cycles dense/map.\n")
+	sb.WriteString("\n\"Spanner\" times the GLR routing loop's local-graph construction\n" +
+		"through the shared ldt.Maintainer in the serial run. \"Wall\" is the serial\n" +
+		fmt.Sprintf("run and \"Sharded\" the same run on the sharded engine (%d worker(s) here);\n", workers) +
+		"\"Shd-up\" is serial over sharded. \"Allocs\" counts heap allocations per\n" +
+		"serial run (runtime.ReadMemStats Mallocs) and \"GC\" its garbage-collection\n" +
+		"cycles.\n")
 	if allIdentical {
-		sb.WriteString("All four paths produced identical end-to-end reports at every point.\n")
+		sb.WriteString("Serial and sharded runs produced identical end-to-end reports at every point.\n")
 	} else {
-		sb.WriteString("WARNING: the fast, from-scratch-spanner, map-table, and sharded runs\n" +
-			"disagreed at some point — this should never happen; see the\n" +
-			"equivalence tests in internal/core and internal/sim.\n")
+		sb.WriteString("WARNING: the serial and sharded runs disagreed at some point — this\n" +
+			"should never happen; see the equivalence tests in internal/core and\n" +
+			"internal/sim.\n")
 	}
 	return sb.String()
 }
@@ -370,22 +293,4 @@ func fmtThreshold(v int) string {
 		return "never"
 	}
 	return fmt.Sprintf("%d", v)
-}
-
-// SpannerSpeedupAtLargestN returns the spanner-construction speedup at
-// the biggest sweep point (the headline the ROADMAP tracks).
-func (r *NodeCountResult) SpannerSpeedupAtLargestN() float64 {
-	if len(r.Points) == 0 {
-		return 0
-	}
-	return r.Points[len(r.Points)-1].SpannerSpeedup()
-}
-
-// AllocReductionAtLargestN returns the heap-allocation reduction of the
-// dense state plane at the biggest sweep point.
-func (r *NodeCountResult) AllocReductionAtLargestN() float64 {
-	if len(r.Points) == 0 {
-		return 0
-	}
-	return r.Points[len(r.Points)-1].AllocReduction()
 }

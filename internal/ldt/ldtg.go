@@ -200,8 +200,7 @@ func (v *LocalView) LDTGNeighbors(k int) ([]int, error) {
 }
 
 // LDTGNeighborsRef is LDTGNeighbors over the reference (pre-mesh)
-// Delaunay construction. It is the protocol's from-scratch escape hatch
-// (core Config.DisableSpannerCache) and the baseline the cached path is
+// Delaunay construction: the oracle the Maintainer's cached path is
 // equivalence-tested and benchmarked against.
 func (v *LocalView) LDTGNeighborsRef(k int) ([]int, error) {
 	return v.ldtgNeighbors(k, geom.DelaunayGraphRef)

@@ -23,7 +23,7 @@ const (
 
 // SpannerStats counts Maintainer activity. BuildTime is wall-clock time
 // spent inside Neighbors calls (the protocol's whole spanner-construction
-// cost), so cached and from-scratch runs are directly comparable.
+// cost).
 type SpannerStats struct {
 	Queries     uint64 // Neighbors calls
 	ResultHits  uint64 // whole-query (view-level) cache hits
@@ -145,8 +145,7 @@ func newBuildCtx() *buildCtx { return &buildCtx{tr: geom.NewTriangulator()} }
 // coordinates (once no longer queried; a node's stale 2-hop knowledge
 // may lag the freshest beacon) or that have idled past cacheTTL.
 type Maintainer struct {
-	disabled bool
-	ctx      *buildCtx // event-loop build scratch
+	ctx *buildCtx // event-loop build scratch
 
 	// Concurrent mode (EnableConcurrent): pool runs speculative builds,
 	// mu guards tris/results/specs/stats/lastPos, ctxPool lends scratch
@@ -166,18 +165,14 @@ type Maintainer struct {
 	stats     SpannerStats
 }
 
-// NewMaintainer returns an empty cache. disabled selects the from-scratch
-// reference path for every query (the pre-cache behavior, kept behind
-// core's Config.DisableSpannerCache); stats are still collected so the
-// two modes are comparable.
-func NewMaintainer(disabled bool) *Maintainer {
+// NewMaintainer returns an empty cache.
+func NewMaintainer() *Maintainer {
 	m := &Maintainer{
-		disabled: disabled,
-		ctx:      newBuildCtx(),
-		tris:     make(map[uint64][]*triEntry),
-		results:  make(map[uint64][]*resEntry),
-		lastPos:  make(map[int]geom.Point),
-		specs:    make(map[uint64][]*specEntry),
+		ctx:     newBuildCtx(),
+		tris:    make(map[uint64][]*triEntry),
+		results: make(map[uint64][]*resEntry),
+		lastPos: make(map[int]geom.Point),
+		specs:   make(map[uint64][]*specEntry),
 	}
 	m.ctxPool.New = func() any { return newBuildCtx() }
 	return m
@@ -197,9 +192,6 @@ func (m *Maintainer) unlock() {
 		m.mu.Unlock()
 	}
 }
-
-// Disabled reports whether the Maintainer runs the from-scratch path.
-func (m *Maintainer) Disabled() bool { return m.disabled }
 
 // Stats returns the accumulated counters.
 func (m *Maintainer) Stats() SpannerStats {
@@ -224,9 +216,6 @@ func (m *Maintainer) Size() (tris, results int) {
 // Observe records the freshest directly-beaconed position of a node.
 // Entries built from superseded coordinates become sweep candidates.
 func (m *Maintainer) Observe(id int, pos geom.Point) {
-	if m.disabled {
-		return
-	}
 	m.lock()
 	defer m.unlock()
 	if last, ok := m.lastPos[id]; ok && last.Eq(pos) {
@@ -249,10 +238,6 @@ func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int, now floa
 		m.stats.BuildTime += time.Since(start)
 		m.unlock()
 	}()
-	if m.disabled {
-		m.stats.Queries++
-		return m.fromScratch(view, variant, k)
-	}
 	sig := sigViewQuery(view, variant, k)
 	m.lock()
 	m.stats.Queries++
@@ -309,39 +294,14 @@ func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int, now floa
 	return e.accIDs, e.accPts, nil
 }
 
-// fromScratch runs the legacy per-call construction (reference Delaunay,
-// no cross-call reuse), mirroring the pre-cache protocol exactly.
-func (m *Maintainer) fromScratch(view *LocalView, variant Variant, k int) ([]int, []geom.Point, error) {
-	var local []int
-	var err error
-	switch variant {
-	case VariantGabriel:
-		local = view.GabrielNeighbors()
-	case VariantUDG:
-		local = view.UDGNeighbors()
-	default:
-		local, err = view.LDTGNeighborsRef(k)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	ids := make([]int, len(local))
-	pts := make([]geom.Point, len(local))
-	for i, li := range local {
-		ids[i] = view.IDs[li]
-		pts[i] = view.Pts[li]
-	}
-	return ids, pts, nil
-}
-
 // ldtgNeighbors is the cached engine behind the paper's acceptance rule.
 // It matches LDTGNeighbors semantically; witness triangulations are
 // normalized (members sorted by global id, coincident coordinates
 // coalesced) so permuted views and different witnesses map to the same
-// cache entries. Unlike the from-scratch path it avoids geom.Graph for
-// the view's unit-disk topology: adjacency lists and BFS buffers live on
-// the Maintainer, which profiling shows matters as much as the
-// triangulation itself once the mesh construction is cheap.
+// cache entries. Unlike LDTGNeighbors it avoids geom.Graph for the view's
+// unit-disk topology: adjacency lists and BFS buffers live on the
+// Maintainer, which profiling shows matters as much as the triangulation
+// itself once the mesh construction is cheap.
 func (m *Maintainer) ldtgNeighbors(c *buildCtx, view *LocalView, k int, now float64) ([]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ldt: k must be ≥ 1, got %d", k)

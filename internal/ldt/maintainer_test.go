@@ -45,13 +45,51 @@ func sortedCopy(xs []int) []int {
 	return out
 }
 
+// referenceNeighbors is the from-scratch oracle for a Maintainer query:
+// the reference Delaunay construction for the LDTG, and the direct
+// per-call constructions for the Gabriel and UDG variants, mapped to
+// sorted global ids.
+func referenceNeighbors(t *testing.T, view *LocalView, variant Variant, k int) []int {
+	t.Helper()
+	var local []int
+	switch variant {
+	case VariantGabriel:
+		local = view.GabrielNeighbors()
+	case VariantUDG:
+		local = view.UDGNeighbors()
+	default:
+		var err error
+		if local, err = view.LDTGNeighborsRef(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return acceptedIDs(view, local)
+}
+
+// permutedView returns view with the points after self shuffled: the same
+// query in a different order, which must hit the same cache entries.
+func permutedView(t *testing.T, view *LocalView, rng *rand.Rand) *LocalView {
+	t.Helper()
+	ids := []int{view.IDs[0]}
+	pts := []geom.Point{view.Pts[0]}
+	for _, j := range rng.Perm(len(view.IDs) - 1) {
+		ids = append(ids, view.IDs[j+1])
+		pts = append(pts, view.Pts[j+1])
+	}
+	pv, err := NewLocalView(view.SelfID, ids, pts, view.R)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pv
+}
+
 // TestMaintainerMatchesFromScratch: across evolving random topologies the
-// cached path must accept exactly the same neighbor sets as the reference
-// from-scratch construction, for every variant.
+// cached path must accept exactly the neighbor sets of the from-scratch
+// reference construction (LDTGNeighborsRef for the LDTG), for every
+// variant, on each view and on a permuted copy of it.
 func TestMaintainerMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := NewMaintainer(false)
-	ref := NewMaintainer(true)
+	m := NewMaintainer()
 	const r = 250
 	pts := randomPoints(rng, 40, 900, 900)
 	for epoch := 0; epoch < 12; epoch++ {
@@ -68,38 +106,36 @@ func TestMaintainerMatchesFromScratch(t *testing.T) {
 			m.Observe(i, pts[i])
 		}
 		for self := 0; self < len(pts); self += 3 {
-			view := buildView(t, pts, self, r, func(i int) int { return i })
-			for _, variant := range []Variant{VariantLDTG, VariantGabriel, VariantUDG} {
-				gotIDs, gotPts, err := m.Neighbors(view, variant, 2, now)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantIDs, _, err := ref.Neighbors(view, variant, 2, now)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(sortedCopy(gotIDs), sortedCopy(wantIDs)) {
-					t.Fatalf("epoch %d self %d variant %d: cached %v != from-scratch %v",
-						epoch, self, variant, gotIDs, wantIDs)
-				}
-				for i, id := range gotIDs {
-					li := -1
-					for j, vid := range view.IDs {
-						if vid == id {
-							li = j
-							break
-						}
+			base := buildView(t, pts, self, r, func(i int) int { return i })
+			for _, view := range []*LocalView{base, permutedView(t, base, rng)} {
+				for _, variant := range []Variant{VariantLDTG, VariantGabriel, VariantUDG} {
+					gotIDs, gotPts, err := m.Neighbors(view, variant, 2, now)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if li < 0 || !gotPts[i].Eq(view.Pts[li]) {
-						t.Fatalf("epoch %d self %d: returned position for %d does not match the view", epoch, self, id)
+					if want := referenceNeighbors(t, view, variant, 2); !reflect.DeepEqual(sortedCopy(gotIDs), want) {
+						t.Fatalf("epoch %d self %d variant %d: cached %v != from-scratch %v",
+							epoch, self, variant, gotIDs, want)
+					}
+					for i, id := range gotIDs {
+						li := -1
+						for j, vid := range view.IDs {
+							if vid == id {
+								li = j
+								break
+							}
+						}
+						if li < 0 || !gotPts[i].Eq(view.Pts[li]) {
+							t.Fatalf("epoch %d self %d: returned position for %d does not match the view", epoch, self, id)
+						}
 					}
 				}
 			}
 		}
 	}
 	st := m.Stats()
-	if st.TriHits == 0 {
-		t.Error("evolving-topology run produced no triangulation cache hits")
+	if st.TriHits == 0 || st.ResultHits == 0 {
+		t.Errorf("evolving-topology run produced no cache hits: %+v", st)
 	}
 	if st.TriBuilds == 0 || st.Queries == 0 {
 		t.Errorf("stats not collected: %+v", st)
@@ -165,7 +201,7 @@ func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 		// Cache-keying check: querying the original then the shuffled
 		// view on one Maintainer must hit (same signature) and still
 		// return the correct mapping.
-		m := NewMaintainer(false)
+		m := NewMaintainer()
 		ids1, _, err := m.Neighbors(base, VariantLDTG, 2, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +227,7 @@ func TestMaintainerSweepEvictsSupersededAndIdle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts := randomPoints(rng, 25, 600, 600)
 	const r = 220
-	m := NewMaintainer(false)
+	m := NewMaintainer()
 	view := buildView(t, pts, 0, r, func(i int) int { return i })
 	if _, _, err := m.Neighbors(view, VariantLDTG, 2, 0); err != nil {
 		t.Fatal(err)
@@ -215,7 +251,7 @@ func TestMaintainerSweepEvictsSupersededAndIdle(t *testing.T) {
 	}
 
 	// Idle entries go after cacheTTL regardless of movement.
-	m2 := NewMaintainer(false)
+	m2 := NewMaintainer()
 	if _, _, err := m2.Neighbors(view, VariantLDTG, 2, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -224,36 +260,6 @@ func TestMaintainerSweepEvictsSupersededAndIdle(t *testing.T) {
 	}
 	if m2.Stats().Evictions == 0 {
 		t.Error("idle entries were not TTL-evicted")
-	}
-}
-
-// TestMaintainerDisabledMatchesLegacy: the from-scratch mode must be the
-// literal pre-cache construction.
-func TestMaintainerDisabledMatchesLegacy(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	pts := randomPoints(rng, 35, 800, 800)
-	const r = 240
-	m := NewMaintainer(true)
-	if !m.Disabled() {
-		t.Fatal("Disabled() = false")
-	}
-	for self := 0; self < 8; self++ {
-		view := buildView(t, pts, self, r, func(i int) int { return i })
-		ids, _, err := m.Neighbors(view, VariantLDTG, 2, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local, err := view.LDTGNeighborsRef(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sortedCopy(ids), acceptedIDs(view, local)) {
-			t.Fatalf("self %d: disabled maintainer diverges from LDTGNeighborsRef", self)
-		}
-	}
-	tris, results := m.Size()
-	if tris != 0 || results != 0 {
-		t.Error("disabled maintainer cached entries")
 	}
 }
 
@@ -303,15 +309,15 @@ func spannerBenchView(b *testing.B, n int) *LocalView {
 	return view
 }
 
-// BenchmarkSpannerFromScratchRef is the pre-cache cost of one routing-
-// loop spanner construction (reference Delaunay, per-call memo only).
+// BenchmarkSpannerFromScratchRef is the cost of one routing-loop spanner
+// construction on the reference oracle (reference Delaunay, per-call
+// memo only), the baseline the cached path is measured against.
 func BenchmarkSpannerFromScratchRef(b *testing.B) {
 	view := spannerBenchView(b, 60)
-	m := NewMaintainer(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := m.Neighbors(view, VariantLDTG, 2, float64(i)); err != nil {
+		if _, err := view.LDTGNeighborsRef(2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -322,7 +328,7 @@ func BenchmarkSpannerFromScratchRef(b *testing.B) {
 // scratch reuse), the regime of fully mobile nodes.
 func BenchmarkSpannerColdCache(b *testing.B) {
 	view := spannerBenchView(b, 60)
-	m := NewMaintainer(false)
+	m := NewMaintainer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -338,7 +344,7 @@ func BenchmarkSpannerColdCache(b *testing.B) {
 // refreshes: the whole query is served from the result cache.
 func BenchmarkSpannerWarmCache(b *testing.B) {
 	view := spannerBenchView(b, 60)
-	m := NewMaintainer(false)
+	m := NewMaintainer()
 	if _, _, err := m.Neighbors(view, VariantLDTG, 2, 0); err != nil {
 		b.Fatal(err)
 	}

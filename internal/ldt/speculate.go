@@ -91,12 +91,11 @@ func sigViewOrdered(view *LocalView, variant Variant, k int) uint64 {
 
 // EnableConcurrent attaches a shard worker pool: speculative builds run
 // on the pool and the shared caches go behind a mutex. Results are
-// unchanged — see the package comment at the top of this file. A
-// disabled (from-scratch) Maintainer or a serial pool leaves the
-// Maintainer in single-threaded mode. Safe to call repeatedly (every
-// node's Init passes the same world pool).
+// unchanged — see the package comment at the top of this file. A nil or
+// serial pool leaves the Maintainer in single-threaded mode. Safe to
+// call repeatedly (every node's Init passes the same world pool).
 func (m *Maintainer) EnableConcurrent(p *shard.Pool) {
-	if m.disabled || p == nil || p.Workers() < 2 {
+	if p == nil || p.Workers() < 2 {
 		return
 	}
 	m.pool = p

@@ -45,14 +45,14 @@ func TestSpeculateAdoptionIdentical(t *testing.T) {
 		k := 1 + rng.Intn(2)
 		now := float64(trial)
 
-		serial := NewMaintainer(false)
+		serial := NewMaintainer()
 		view1, err := NewLocalView(ids[0], ids, pts, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantIDs, wantPts, wantErr := serial.Neighbors(view1, VariantLDTG, k, now)
 
-		conc := NewMaintainer(false)
+		conc := NewMaintainer()
 		conc.EnableConcurrent(pool)
 		if !conc.Speculative() {
 			t.Fatal("EnableConcurrent did not take")
@@ -108,7 +108,7 @@ func TestSpeculateStalePredictionFallsBack(t *testing.T) {
 	const r = 80.0
 	for trial := 0; trial < 40; trial++ {
 		ids, pts := randView(rng, 10+rng.Intn(10), r)
-		conc := NewMaintainer(false)
+		conc := NewMaintainer()
 		conc.EnableConcurrent(pool)
 		// Predict a perturbed view (one position nudged).
 		wrongPts := append([]geom.Point(nil), pts...)
@@ -127,7 +127,7 @@ func TestSpeculateStalePredictionFallsBack(t *testing.T) {
 			<-parked.done
 		}
 
-		serial := NewMaintainer(false)
+		serial := NewMaintainer()
 		view := func() *LocalView {
 			v, err := NewLocalView(ids[0], ids, pts, r)
 			if err != nil {
@@ -162,9 +162,9 @@ func TestSpeculateHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pool := shard.NewPool(4)
 	defer pool.Close()
-	conc := NewMaintainer(false)
+	conc := NewMaintainer()
 	conc.EnableConcurrent(pool)
-	serial := NewMaintainer(false)
+	serial := NewMaintainer()
 	const r = 60.0
 	type q struct {
 		ids []int
@@ -206,15 +206,10 @@ func TestSpeculateHammer(t *testing.T) {
 	t.Logf("hammer stats: %+v", st)
 }
 
-// TestEnableConcurrentRefusals: disabled maintainers and serial pools
-// stay single-threaded.
+// TestEnableConcurrentRefusals: serial and nil pools stay
+// single-threaded.
 func TestEnableConcurrentRefusals(t *testing.T) {
-	m := NewMaintainer(true)
-	m.EnableConcurrent(shard.NewPool(4))
-	if m.Speculative() {
-		t.Fatal("disabled maintainer went concurrent")
-	}
-	m2 := NewMaintainer(false)
+	m2 := NewMaintainer()
 	m2.EnableConcurrent(shard.NewPool(1))
 	if m2.Speculative() {
 		t.Fatal("serial pool enabled concurrency")

@@ -15,17 +15,16 @@ import (
 // 1500×300 m). The naive variant scans every radio and every active
 // transmission; the grid variant touches only the sender's
 // neighborhood.
-func benchMediumBroadcast(b *testing.B, disableIndex bool) {
+func benchMediumBroadcast(b *testing.B, newMedium func(*des.Scheduler, Config, int64) (*Medium, error)) {
 	const n = 1000
 	cfg := DefaultConfig(100)
-	cfg.DisableSpatialIndex = disableIndex
 
 	// Fixed density: area grows linearly with the node count.
 	area := float64(n) / (50.0 / (1500 * 300))
 	side := math.Sqrt(area)
 
 	sched := des.NewScheduler()
-	m, err := NewMedium(sched, cfg, 42)
+	m, err := newMedium(sched, cfg, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,6 +49,6 @@ func benchMediumBroadcast(b *testing.B, disableIndex bool) {
 	b.ReportMetric(float64(m.stats.Delivered)/float64(b.N), "recv/op")
 }
 
-func BenchmarkMediumBroadcastNaive(b *testing.B) { benchMediumBroadcast(b, true) }
+func BenchmarkMediumBroadcastNaive(b *testing.B) { benchMediumBroadcast(b, newNaiveMedium) }
 
-func BenchmarkMediumBroadcastGrid(b *testing.B) { benchMediumBroadcast(b, false) }
+func BenchmarkMediumBroadcastGrid(b *testing.B) { benchMediumBroadcast(b, NewMedium) }

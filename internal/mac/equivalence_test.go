@@ -29,12 +29,17 @@ type equivMedium struct {
 }
 
 // buildEquivMedium wires n radios with the given position functions onto
-// a fresh medium. pos functions take the medium's own clock so moving
-// topologies evolve identically on both sides.
-func buildEquivMedium(t *testing.T, cfg Config, n int, pos func(id int, now des.Time) geom.Point, seed int64) *equivMedium {
+// a fresh medium — grid-indexed, or the naive full-scan reference. pos
+// functions take the medium's own clock so moving topologies evolve
+// identically on both sides.
+func buildEquivMedium(t *testing.T, cfg Config, naive bool, n int, pos func(id int, now des.Time) geom.Point, seed int64) *equivMedium {
 	t.Helper()
 	sched := des.NewScheduler()
-	m, err := NewMedium(sched, cfg, seed)
+	newMedium := NewMedium
+	if naive {
+		newMedium = newNaiveMedium
+	}
+	m, err := newMedium(sched, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +107,9 @@ func TestGridNaiveEquivalence(t *testing.T) {
 			}
 			cfg.IndexSlack = maxSpeed*reindexEvery + 1
 
-			naiveCfg := cfg
-			naiveCfg.DisableSpatialIndex = true
-
 			seed := int64(trial)*31 + 11
-			grid := buildEquivMedium(t, cfg, n, pos, seed)
-			naive := buildEquivMedium(t, naiveCfg, n, pos, seed)
+			grid := buildEquivMedium(t, cfg, false, n, pos, seed)
+			naive := buildEquivMedium(t, cfg, true, n, pos, seed)
 
 			// Identical traffic on both media: a mix of broadcasts and
 			// unicasts from random sources over the first 5 seconds.

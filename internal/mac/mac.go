@@ -55,11 +55,6 @@ type Config struct {
 	// RTS/CTS for all unicast data (RTSThreshold 0), so this matches
 	// the paper's stack.
 	VirtualCS bool
-	// DisableSpatialIndex falls back to the O(n) full scans over radios
-	// and active transmissions instead of the uniform-grid spatial
-	// index. The two paths resolve identical frame sets; the flag
-	// exists as an escape hatch and for benchmarking the index.
-	DisableSpatialIndex bool
 	// IndexSlack widens spatial-index queries over radios by this many
 	// metres to tolerate movement between index refreshes. It must be
 	// at least the farthest any radio can drift between Reindex calls
@@ -154,14 +149,17 @@ type Stats struct {
 // Medium is the shared wireless channel. All radios attached to a medium
 // share one spatial channel; concurrency is event-driven via the scheduler.
 //
-// Unless Config.DisableSpatialIndex is set, the medium keeps two
-// uniform-grid indexes with cell size equal to the carrier-sense range:
+// The medium keeps two uniform-grid indexes with cell size equal to the
+// carrier-sense range:
 // one over radios (cells refreshed lazily whenever a radio's position is
 // observed, and in bulk by Reindex) and one over the anchor points of
 // active transmissions (sender position, plus the receiver position for
 // unicast virtual carrier sensing). Reception resolution, carrier
 // sensing, and interference checks then touch only the 3×3 cell block
 // around a point instead of every radio and airing in the simulation.
+// The full scans over every radio and airing remain as the reference
+// the index is tested against; only the tests' naive constructor
+// (export_test.go) builds a medium without indexes.
 type Medium struct {
 	cfg      Config
 	sched    *des.Scheduler
@@ -172,7 +170,7 @@ type Medium struct {
 	inflight int             // airings not yet ended (end > now)
 	stats    Stats
 
-	// Spatial index state (nil / unused when DisableSpatialIndex).
+	// Spatial index state (nil only in the tests' naive reference medium).
 	// Transmission anchors are registered under small recycled handles
 	// so the handle table stays a dense slice.
 	radioIdx    *spatial.Grid
@@ -230,17 +228,15 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
 		sched: sched,
 		rng:   rand.New(rand.NewSource(seed)),
 	}
-	if !cfg.DisableSpatialIndex {
-		// Cell sizes match each index's query radius so any disk query
-		// touches at most a 3×3 cell block: reception range for the
-		// radio index, carrier-sense range for transmission anchors.
-		var err error
-		if m.radioIdx, err = spatial.NewGrid(cfg.Range); err != nil {
-			return nil, err
-		}
-		if m.txIdx, err = spatial.NewGrid(cfg.Range * cfg.CSRangeFactor); err != nil {
-			return nil, err
-		}
+	// Cell sizes match each index's query radius so any disk query
+	// touches at most a 3×3 cell block: reception range for the radio
+	// index, carrier-sense range for transmission anchors.
+	var err error
+	if m.radioIdx, err = spatial.NewGrid(cfg.Range); err != nil {
+		return nil, err
+	}
+	if m.txIdx, err = spatial.NewGrid(cfg.Range * cfg.CSRangeFactor); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -258,8 +254,8 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
 // serial path; the pool only shortens the wall clock. thr gates when
 // each plane forks (batches below the threshold run inline; thresholds
 // never change what is computed — see shard.Calibrate). A nil or
-// single-worker pool, or the naive (DisableSpatialIndex) medium, keeps
-// the serial path.
+// single-worker pool, or the tests' naive reference medium, keeps the
+// serial path.
 func (m *Medium) SetPool(p *shard.Pool, regionW float64, thr shard.Thresholds) {
 	if p == nil || p.Workers() < 2 || m.radioIdx == nil {
 		m.pool = nil
@@ -313,8 +309,8 @@ func (m *Medium) AddRadio(id int, pos func() geom.Point, onRecv ReceiveFunc, onS
 // callback. The simulator calls it periodically (once per beacon
 // interval) so that, together with the lazy per-observation refreshes,
 // no cached cell is ever staler than one reindex period — the drift
-// bound Config.IndexSlack must cover. It is a no-op when the spatial
-// index is disabled.
+// bound Config.IndexSlack must cover. It is a no-op on the tests' naive
+// reference medium.
 //
 // With a pool attached and enough radios (Thresholds.MobilityMin), the
 // position extrapolations — the dominant cost, each a lazy walk of the

@@ -80,7 +80,7 @@ func TestShardedReceptionEquivalence(t *testing.T) {
 			seed := int64(trial)*77 + 5
 
 			run := func(workers int) *equivMedium {
-				em := buildEquivMedium(t, cfg, n, pos, seed)
+				em := buildEquivMedium(t, cfg, false, n, pos, seed)
 				if workers > 1 {
 					pool := shard.NewPool(workers)
 					defer pool.Close()
@@ -139,9 +139,7 @@ func TestSetPoolRefusals(t *testing.T) {
 	if m.pool != nil {
 		t.Fatal("nil pool attached")
 	}
-	naiveCfg := cfg
-	naiveCfg.DisableSpatialIndex = true
-	nm, err := NewMedium(des.NewScheduler(), naiveCfg, 1)
+	nm, err := newNaiveMedium(des.NewScheduler(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,127 +1,85 @@
 package sim
 
 import (
-	"math"
+	"slices"
 	"sort"
 
 	"glr/internal/des"
 )
 
-// beaconGroup aggregates the hello tickers of the nodes in one spatial
-// grid cell into a single scheduled event. The reference path arms one
-// des.Ticker per node, so a giant world keeps n beacon events pending at
-// all times; a group keeps exactly one, cutting the scheduler's resident
-// beacon load from n events to one per occupied cell.
+// beaconRing drives every node's hello from a single pending event. Node
+// i fires at phase_i, phase_i+I, (phase_i+I)+I, and so on — each next
+// time computed as now + interval at the exact fire time, the float
+// accumulation a per-node des.Ticker would perform — and the hellos due
+// at one instant go out in ascending id order. The beacon schedule is
+// therefore the merge of the per-node sequences sorted by (time, id),
+// while the scheduler holds one beacon event instead of one per node.
 //
-// Byte-identity argument. Every node fires at phase + k·interval — the
-// same floats the Ticker path produces, because a fired member's next
-// time is computed as now + interval at its exact fire time, matching
-// Ticker.tick. With one shared interval, the members' fire order within
-// a cycle is their phase order, which never changes; members is sorted by
-// (phase, id), so a cursor walking the ring visits members in exactly
-// the order the per-node tickers would fire. Members whose phases are
-// bit-equal fire back-to-back under one event in id order — the order
-// the per-node path dispatches them, since their tickers were armed (and
-// re-armed) in id order. Across nodes with distinct phases the scheduled
-// times themselves interleave the sends, identically in both paths.
-//
-// The one case grouping cannot reproduce is two fire times landing
-// bit-equal in different groups: the two group events would tie, and
-// their seq order need not match the per-node tickers' re-arm order.
-// World.scheduleBeacons detects the systematic source — bit-equal phase
-// draws (a ~2⁻⁵³ coincidence per pair) — and falls back to per-node
-// tickers. Distinct phases can still merge if thousands of accumulated
-// interval additions round two sequences onto the same float, a
-// coincidence requiring phases within ~K·ulp of each other; the scale
-// sweep's report-identity check verifies every aggregated run against
-// the ticker path, so such a merge would fail loudly rather than drift
-// silently.
-type beaconGroup struct {
-	w       *World
-	members []*Node    // one cell's nodes, sorted by (phase, id)
-	nextAt  []des.Time // next fire time per member, parallel to members
-	cursor  int        // index of the member that fires next
-	due     []*Node    // scratch: the members due at the firing instant
+// Members are sorted by (phase, id) and a cursor walks them. Adding the
+// interval is monotone in floating point (a ≤ b implies a+I ≤ b+I), so
+// within every cycle the members' fire times keep their phase order and
+// the members due at the current instant are consecutive ring positions
+// starting at the cursor. Ties — bit-equal phases, or distinct phases
+// that rounding merges after many additions — are put in id order before
+// sending.
+type beaconRing struct {
+	sched    *des.Scheduler
+	interval float64
+	ids      []int      // member node ids, sorted by (phase, id)
+	nextAt   []des.Time // next fire time per member, parallel to ids
+	cursor   int        // index of the member that fires next
+	due      []int      // scratch: the ids due at the firing instant
+	send     func(due []int)
+	fireFn   des.Handler // fire bound once (rescheduling a method value would allocate)
 }
 
-// arm schedules the group's single pending event at the next member's
+// newBeaconRing returns a ring over nodes 0..len(phases)-1 with the given
+// first fire times; send receives the ids due at each firing instant.
+func newBeaconRing(sched *des.Scheduler, interval float64, phases []float64, send func(due []int)) *beaconRing {
+	r := &beaconRing{
+		sched:    sched,
+		interval: interval,
+		ids:      make([]int, len(phases)),
+		nextAt:   make([]des.Time, len(phases)),
+		send:     send,
+	}
+	for i := range r.ids {
+		r.ids[i] = i
+	}
+	// Stable sort by phase: ids start ascending, so bit-equal phases
+	// stay in id order.
+	sort.SliceStable(r.ids, func(a, b int) bool { return phases[r.ids[a]] < phases[r.ids[b]] })
+	for i, id := range r.ids {
+		r.nextAt[i] = phases[id]
+	}
+	r.fireFn = r.fire
+	return r
+}
+
+// arm schedules the ring's single pending event at the next member's
 // fire time.
-func (g *beaconGroup) arm() {
-	g.w.sched.At(g.nextAt[g.cursor], g.fire)
+func (r *beaconRing) arm() {
+	r.sched.At(r.nextAt[r.cursor], r.fireFn)
 }
 
-// fire sends the hello of every member due at the current instant —
-// consecutive ring positions, in (phase, id) order — advances their next
-// fire times by one interval, and re-arms. The due members are
-// collected before any hello is sent: sends never touch the ring state,
-// so collect-then-send dispatches the identical member sequence while
+// fire sends the hellos of every member due at the current instant,
+// advances their next fire times by one interval, and re-arms. The due
+// members are collected before any hello is sent: sends never touch the
+// ring, so collect-then-send dispatches the identical sequence while
 // letting World.sendBeacons construct a multi-member batch in parallel.
-func (g *beaconGroup) fire() {
-	t := g.w.sched.Now()
-	due := g.due[:0]
-	for g.nextAt[g.cursor] == t {
-		due = append(due, g.members[g.cursor])
-		// now + interval at the exact fire time: the same float
-		// accumulation Ticker.tick performs.
-		g.nextAt[g.cursor] = t + g.w.cfg.BeaconInterval
-		g.cursor++
-		if g.cursor == len(g.members) {
-			g.cursor = 0
+func (r *beaconRing) fire() {
+	t := r.sched.Now()
+	due := r.due[:0]
+	for r.nextAt[r.cursor] == t {
+		due = append(due, r.ids[r.cursor])
+		r.nextAt[r.cursor] = t + r.interval
+		r.cursor++
+		if r.cursor == len(r.ids) {
+			r.cursor = 0
 		}
 	}
-	g.due = due
-	g.w.sendBeacons(due)
-	g.arm()
-}
-
-// buildBeaconGroups partitions nodes by the grid cell of their initial
-// position (cell side = transmission range, the same geometry the
-// medium's spatial index uses) and returns one group per occupied cell,
-// each with its members sorted by (phase, id).
-func (w *World) buildBeaconGroups(phases []float64) []*beaconGroup {
-	side := w.cfg.Range
-	type cellKey struct{ cx, cy int }
-	cells := make(map[cellKey][]*Node)
-	order := make([]cellKey, 0)
-	for _, n := range w.nodes { // id order, so cell member lists stay id-sorted
-		p := n.Pos()
-		k := cellKey{int(math.Floor(p.X / side)), int(math.Floor(p.Y / side))}
-		if _, ok := cells[k]; !ok {
-			order = append(order, k)
-		}
-		cells[k] = append(cells[k], n)
-	}
-	groups := make([]*beaconGroup, 0, len(order))
-	for _, k := range order {
-		members := cells[k]
-		g := &beaconGroup{
-			w:       w,
-			members: members,
-			nextAt:  make([]des.Time, len(members)),
-		}
-		// Stable sort by phase: members is id-ordered, so bit-equal
-		// phases stay in id order — the per-node tickers' tie order.
-		sort.SliceStable(g.members, func(i, j int) bool {
-			return phases[g.members[i].id] < phases[g.members[j].id]
-		})
-		for i, n := range g.members {
-			g.nextAt[i] = phases[n.id]
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// phasesCollide reports whether any two drawn beacon phases are
-// bit-equal — the one configuration beacon aggregation cannot reproduce
-// byte-identically (see beaconGroup).
-func phasesCollide(phases []float64) bool {
-	sorted := append([]float64(nil), phases...)
-	sort.Float64s(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return true
-		}
-	}
-	return false
+	slices.Sort(due)
+	r.due = due
+	r.send(due)
+	r.arm()
 }

@@ -132,10 +132,10 @@ func TestWalkAndTraceWorldsRun(t *testing.T) {
 // traces: scripted segments are not bounded by MaxSpeed, so the radio
 // index's staleness slack must derive from the fastest trace segment or
 // the indexed medium silently misses receivers. A 400 m/s shuttle
-// between pinned stations must produce reports identical to the naive
-// full-scan reference.
+// between pinned stations must produce reports identical to a full scan
+// (an index slack spanning the whole region).
 func TestFastTraceGridEquivalence(t *testing.T) {
-	build := func(disableIndex bool) Scenario {
+	build := func(fullScan bool) Scenario {
 		s := DefaultScenario(150)
 		s.N = 6
 		s.SimTime = 300
@@ -159,20 +159,22 @@ func TestFastTraceGridEquivalence(t *testing.T) {
 		}
 		s.Traces[5] = shuttle
 		s.Traffic = UniformTraffic(s.N, 150, 1, 5)
-		s.DisableSpatialIndex = disableIndex
+		if fullScan {
+			s.MACOverride = fullScanMAC(s)
+		}
 		return s
 	}
-	run := func(disableIndex bool) interface{} {
-		w, err := NewWorld(build(disableIndex), directFactory)
+	run := func(fullScan bool) interface{} {
+		w, err := NewWorld(build(fullScan), directFactory)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return w.Run()
 	}
 	indexed := run(false)
-	naive := run(true)
-	if indexed != naive {
-		t.Errorf("indexed medium diverged from naive reference on a fast trace:\nindexed: %+v\nnaive:   %+v", indexed, naive)
+	full := run(true)
+	if indexed != full {
+		t.Errorf("indexed medium diverged from the full scan on a fast trace:\nindexed: %+v\nfull:    %+v", indexed, full)
 	}
 }
 

@@ -84,18 +84,6 @@ type Scenario struct {
 	// MACOverride, when non-nil, replaces the derived MAC configuration.
 	MACOverride *mac.Config
 
-	// DisableSpatialIndex makes the medium resolve receptions with the
-	// naive O(n) scans instead of the uniform-grid index. Results are
-	// identical; the node-count sweep uses it to measure the win.
-	DisableSpatialIndex bool
-
-	// DisableDenseTables backs every node's neighbor/location tables
-	// with the map-based reference implementation instead of the dense
-	// id-indexed arrays (mirroring DisableSpatialIndex and
-	// core.Config.DisableSpannerCache). Results are identical; the
-	// node-count sweep uses it to measure allocation pressure.
-	DisableDenseTables bool
-
 	// Parallelism bounds the world's shard worker pool — the within-run
 	// parallel engine behind sharded reception verdicts and speculative
 	// spanner builds. 0 means automatic (GOMAXPROCS); 1 forces serial
@@ -104,9 +92,8 @@ type Scenario struct {
 	Parallelism int
 
 	// DisableSharding pins the run to the fully serial engine regardless
-	// of Parallelism — the escape hatch mirroring DisableSpatialIndex /
-	// DisableDenseTables for the sharded stepping work. Results are
-	// identical; equivalence tests and the node-count sweep use it.
+	// of Parallelism. Results are identical; equivalence tests and the
+	// node-count sweep use it.
 	DisableSharding bool
 
 	// ForkThresholds overrides the sharded engine's per-plane fork
@@ -117,18 +104,6 @@ type Scenario struct {
 	// math.MaxInt (never fork), which the equivalence tests force.
 	// Ignored by serial runs.
 	ForkThresholds *shard.Thresholds
-
-	// DisableCalendarQueue backs the event core with the reference binary
-	// heap instead of the O(1)-amortized calendar queue. Dispatch order —
-	// and therefore every result — is byte-identical; equivalence tests
-	// and the scale sweep use it.
-	DisableCalendarQueue bool
-
-	// DisableBeaconAggregation schedules one beacon ticker per node (the
-	// reference path) instead of one event per occupied grid cell. The
-	// hello frames, their order, and every downstream result are
-	// byte-identical; only scheduler load changes.
-	DisableBeaconAggregation bool
 
 	// Faults lists the disruption models injected into the run (see
 	// internal/fault). Empty means a fault-free run, byte-identical to
@@ -268,9 +243,6 @@ func (s Scenario) MACConfig() mac.Config {
 	cfg := mac.DefaultConfig(s.Range)
 	if s.MACOverride != nil {
 		cfg = *s.MACOverride
-	}
-	if s.DisableSpatialIndex {
-		cfg.DisableSpatialIndex = true
 	}
 	return cfg
 }

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"glr/internal/dtn"
+	"glr/internal/mac"
+	"glr/internal/metrics"
 	"glr/internal/mobility"
 )
 
@@ -226,22 +229,34 @@ func TestWorldSetsIndexSlackForMobility(t *testing.T) {
 	}
 }
 
+// fullScanMAC returns s's MAC configuration with a radio-index slack
+// spanning the whole region, so every index query returns every radio: a
+// full scan with the grid's candidate order. (The exact per-frame
+// equivalence of the grid and the naive medium lives in internal/mac.)
+func fullScanMAC(s Scenario) *mac.Config {
+	mc := s.MACConfig()
+	mc.IndexSlack = math.Hypot(s.Region.W, s.Region.H) + s.Range
+	return &mc
+}
+
 func TestWorldNaiveMediumMatchesGridDelivery(t *testing.T) {
-	// Full-stack sanity for the DisableSpatialIndex escape hatch: the
-	// same scenario must still deliver traffic without the index. (The
-	// exact per-frame equivalence property lives in internal/mac.)
+	// The world's derived index slack must reproduce the full-scan
+	// medium's run exactly, delivering all traffic.
+	run := func(s Scenario) metrics.Report {
+		w, err := NewWorld(s, directFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Run()
+	}
+	grid := run(smallScenario())
 	s := smallScenario()
-	s.DisableSpatialIndex = true
-	if !s.MACConfig().DisableSpatialIndex {
-		t.Fatal("scenario flag must reach the MAC config")
+	s.MACOverride = fullScanMAC(s)
+	if full := run(s); full != grid {
+		t.Errorf("grid medium diverged from the full scan:\ngrid: %+v\nfull: %+v", grid, full)
 	}
-	w, err := NewWorld(s, directFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := w.Run()
-	if rep.Delivered != rep.Generated {
-		t.Errorf("naive medium delivered %d/%d", rep.Delivered, rep.Generated)
+	if grid.Delivered != grid.Generated {
+		t.Errorf("grid medium delivered %d/%d", grid.Delivered, grid.Generated)
 	}
 }
 

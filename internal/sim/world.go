@@ -126,14 +126,10 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DisableCalendarQueue {
-		w.sched = des.NewHeapScheduler()
-	} else {
-		w.sched = des.NewScheduler()
-	}
+	w.sched = des.NewScheduler()
 
 	macCfg := cfg.MACConfig()
-	if !macCfg.DisableSpatialIndex && macCfg.IndexSlack == 0 {
+	if macCfg.IndexSlack == 0 {
 		// The medium's radio index is refreshed once per beacon
 		// interval (see scheduleReindex), so cached cells can be stale
 		// by up to top-speed × BeaconInterval metres of movement; widen
@@ -185,15 +181,12 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 			mob:   models[i],
 			rng:   newRand(cfg.Seed + int64(i)*104729 + 7),
 		}
-		if cfg.DisableDenseTables {
-			n.neighbors = dtn.NewNeighborTable()
-			n.locations = dtn.NewLocationTable()
-		} else if cfg.N > denseTableNodeLimit {
+		if cfg.N > denseTableNodeLimit {
 			// Dense tables cost O(n) per node — O(n²) across the world,
 			// the memory wall for 10k+ nodes. Compact neighbor rows keep
 			// the dense hot paths at O(neighborhood); the map location
-			// table is already O(knowledge). All backends are
-			// byte-identical, so the switch is invisible in reports.
+			// table is O(knowledge). All backends are byte-identical, so
+			// the switch is invisible in reports.
 			n.neighbors = dtn.NewCompactNeighborTable()
 			n.locations = dtn.NewLocationTable()
 		} else {
@@ -226,10 +219,7 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 
 // scheduleReindex amortizes spatial-index maintenance over beacon ticks:
 // one bulk refresh of every radio's grid cell per beacon interval bounds
-// cell staleness to the drift the medium's IndexSlack covers. The ticker
-// runs even when the index is disabled (Reindex is then a no-op) so that
-// indexed and naive runs of the same scenario dispatch identical event
-// sequences and stay comparable.
+// cell staleness to the drift the medium's IndexSlack covers.
 func (w *World) scheduleReindex() {
 	des.NewTicker(w.sched, w.cfg.BeaconInterval, 0, func() {
 		if w.prof != nil {
@@ -239,18 +229,18 @@ func (w *World) scheduleReindex() {
 	})
 }
 
-// sendBeacons fires the hellos of the due members of one aggregated
-// beacon event, in due order. Below the beacon fork threshold (the
-// common case — members of one cell have distinct random phases, so a
-// typical event carries exactly one due member) it is the plain serial
-// loop. Above it, the batch runs in three phases mirroring the sharded
-// reception discipline: serial enumeration (the fault-plan liveness
-// check and pooled-frame allocation, in due order), parallel hello
-// construction (fillBeacon touches only the member's own tables,
-// mobility model, and pooled frame — per-node state, each touched by
-// exactly one worker — plus pure reads of the fault plan and clock),
-// and a serial commit (frame counting and the MAC sends, whose backoff
-// draws from the medium RNG must happen in exactly the serial order).
+// sendBeacons fires the hellos of the nodes due at one beacon-ring
+// event, in id order. Below the beacon fork threshold (the common case —
+// nodes have distinct random phases, so a typical event carries exactly
+// one due node) it is the plain serial loop. Above it, the batch runs in
+// three phases mirroring the sharded reception discipline: serial
+// enumeration (the fault-plan liveness check and pooled-frame
+// allocation, in due order), parallel hello construction (fillBeacon
+// touches only the member's own tables, mobility model, and pooled
+// frame — per-node state, each touched by exactly one worker — plus
+// pure reads of the fault plan and clock), and a serial commit (frame
+// counting and the MAC sends, whose backoff draws from the medium RNG
+// must happen in exactly the serial order).
 //
 // One deviation from the serial loop is deliberate: pooled beacon
 // frames are all taken before any send, so when a send fails
@@ -259,22 +249,22 @@ func (w *World) scheduleReindex() {
 // are identical either way — every field is rewritten by fillBeacon —
 // and receivers copy what they keep, so object identity is never
 // observable.
-func (w *World) sendBeacons(due []*Node) {
+func (w *World) sendBeacons(due []int) {
 	if w.prof != nil {
 		defer w.prof.clock(&w.prof.Beacon)()
 	}
 	if w.pool == nil || len(due) < w.thr.BeaconMin {
-		for _, n := range due {
-			n.sendBeacon()
+		for _, id := range due {
+			w.nodes[id].sendBeacon()
 		}
 		return
 	}
 	live, bfs := w.beaconDue[:0], w.beaconBatch[:0]
-	for _, n := range due {
-		if w.nodeDown(n.id) {
+	for _, id := range due {
+		if w.nodeDown(id) {
 			continue
 		}
-		live = append(live, n)
+		live = append(live, w.nodes[id])
 		bfs = append(bfs, w.takeBeacon())
 	}
 	w.beaconDue, w.beaconBatch = live, bfs
@@ -289,32 +279,14 @@ func (w *World) sendBeacons(due []*Node) {
 
 // scheduleBeacons arms the hello beacons with random phases so nodes do
 // not fire in lockstep (IMEP's periodic link/connection status sensing).
-// The phases are drawn from the world RNG in node-id order regardless of
-// mode, so the RNG stream — and everything downstream of it — is
-// identical across modes. By default beacons are aggregated into one
-// pending event per occupied grid cell (see beaconGroup);
-// DisableBeaconAggregation arms the reference per-node tickers, as does
-// the (astronomically unlikely) draw of two bit-equal phases, which
-// aggregation cannot order byte-identically.
+// The phases are drawn from the world RNG in node-id order; one beacon
+// ring then fires every node's hellos (see beaconRing).
 func (w *World) scheduleBeacons() {
 	phases := make([]float64, len(w.nodes))
 	for i := range phases {
 		phases[i] = w.rng.Float64() * w.cfg.BeaconInterval
 	}
-	if w.cfg.DisableBeaconAggregation || phasesCollide(phases) {
-		for i, n := range w.nodes {
-			des.NewTicker(w.sched, w.cfg.BeaconInterval, phases[i], func() {
-				if w.prof != nil {
-					defer w.prof.clock(&w.prof.Beacon)()
-				}
-				n.sendBeacon()
-			})
-		}
-		return
-	}
-	for _, g := range w.buildBeaconGroups(phases) {
-		g.arm()
-	}
+	newBeaconRing(w.sched, w.cfg.BeaconInterval, phases, w.sendBeacons).arm()
 }
 
 // scheduleTraffic arms one generation event per traffic item.

@@ -24,7 +24,6 @@ type Scenario struct {
 	simTime      float64 // 0 = horizon derived from the workload
 	storageLimit int
 	seed         int64
-	maxSpeed     float64 // legacy-adapter override (Config.MaxSpeed with Static)
 
 	mob       Mobility // nil = Waypoint{} (the paper's model)
 	work      Workload // nil = PaperWorkload{}
@@ -37,36 +36,16 @@ type Scenario struct {
 	engine      Engine
 }
 
-// Engine selects the execution engine for a scenario's runs — the
-// consolidated escape-hatch surface. Every field is a "disable" switch
-// restoring a reference implementation; results are byte-identical in
-// every combination (equivalence tests in internal/core assert it), so
-// the engine only changes speed and allocation pressure, never outcomes.
-// The zero value is the full fast path: sharded stepping, grid spatial
-// index, shared spanner cache, dense tables.
+// Engine selects how a scenario's runs use the host's cores. Results
+// are byte-identical at every setting (equivalence tests in
+// internal/core and internal/sim assert it), so the engine only changes
+// wall clock, never outcomes. The zero value is the sharded engine with
+// calibrated fork thresholds.
 type Engine struct {
 	// DisableSharding pins runs to the fully serial engine regardless of
 	// WithParallelism: no worker pool, no parallel reception verdicts, no
 	// speculative spanner builds.
 	DisableSharding bool
-	// DisableSpatialIndex resolves receptions and carrier sensing with
-	// naive O(n) scans instead of the uniform-grid index.
-	DisableSpatialIndex bool
-	// DisableSpannerCache rebuilds every route check's spanner from
-	// scratch with the reference construction instead of the shared
-	// ldt.Maintainer.
-	DisableSpannerCache bool
-	// DisableDenseTables backs neighbor/location tables with the
-	// map-based reference implementation instead of dense id-indexed
-	// arrays.
-	DisableDenseTables bool
-	// DisableCalendarQueue backs the event scheduler with the reference
-	// binary heap instead of the O(1)-amortized calendar queue.
-	DisableCalendarQueue bool
-	// DisableBeaconAggregation arms one reference ticker per node
-	// instead of aggregating beacons into one pending event per occupied
-	// grid cell.
-	DisableBeaconAggregation bool
 	// ForkThresholds pins the per-plane fork thresholds of a sharded run:
 	// a stepping plane forks its batch onto the worker pool only when the
 	// batch size reaches the plane's threshold, and runs inline otherwise.
@@ -101,8 +80,8 @@ type ForkThresholds struct {
 }
 
 // WithEngine selects the execution engine (default: the zero Engine —
-// all fast paths on). See Engine for the switches and docs/MIGRATION.md
-// for the mapping from the scattered internal flags this consolidates.
+// sharded stepping with calibrated fork thresholds). See Engine for the
+// settings.
 func WithEngine(e Engine) Option {
 	return func(s *Scenario) error {
 		s.engine = e
@@ -301,16 +280,6 @@ func WithObserver(o *Observer) Option {
 	}
 }
 
-// legacyMaxSpeed reproduces the deprecated Config path's quirk of
-// carrying MaxSpeed into static scenarios (where it only sizes the
-// radio index's staleness slack); it keeps Config.Scenario byte-exact.
-func legacyMaxSpeed(v float64) Option {
-	return func(s *Scenario) error {
-		s.maxSpeed = v
-		return nil
-	}
-}
-
 // Run executes the scenario once and returns its metrics.
 func (s *Scenario) Run() (Result, error) {
 	return s.RunContext(context.Background())
@@ -368,10 +337,6 @@ func (s *Scenario) compile(seed int64) (sim.Scenario, sim.ProtocolFactory, error
 	scn.StorageLimit = s.storageLimit
 	scn.Parallelism = s.parallelism
 	scn.DisableSharding = s.engine.DisableSharding
-	scn.DisableSpatialIndex = s.engine.DisableSpatialIndex
-	scn.DisableDenseTables = s.engine.DisableDenseTables
-	scn.DisableCalendarQueue = s.engine.DisableCalendarQueue
-	scn.DisableBeaconAggregation = s.engine.DisableBeaconAggregation
 	if ft := s.engine.ForkThresholds; ft != nil {
 		scn.ForkThresholds = &shard.Thresholds{
 			RxMin:       ft.RxMin,
@@ -394,9 +359,6 @@ func (s *Scenario) compile(seed int64) (sim.Scenario, sim.ProtocolFactory, error
 	}
 	if err := mob.apply(&scn); err != nil {
 		return sim.Scenario{}, nil, err
-	}
-	if s.maxSpeed > 0 {
-		scn.MaxSpeed = s.maxSpeed
 	}
 
 	work := s.work
@@ -429,7 +391,7 @@ func (s *Scenario) compile(seed int64) (sim.Scenario, sim.ProtocolFactory, error
 	if err := scn.Validate(); err != nil {
 		return sim.Scenario{}, nil, err
 	}
-	factory, err := buildFactory(s.protocol, s.glrCfg, s.epiCfg, s.engine.DisableSpannerCache)
+	factory, err := buildFactory(s.protocol, s.glrCfg, s.epiCfg)
 	if err != nil {
 		return sim.Scenario{}, nil, err
 	}
@@ -607,24 +569,6 @@ func (w PaperWorkload) Schedule(n int, seed int64) ([]Message, error) {
 		return nil, fmt.Errorf("glr: message count %d must be nonnegative", w.Messages)
 	}
 	return fromTraffic(sim.PaperTrafficN(n, msgs)), nil
-}
-
-// legacyPaperWorkload pins the fixed 45-source pattern of the
-// pre-builder Config API regardless of network size, so the deprecated
-// adapters keep their exact semantics — including the validation error
-// small networks always produced. New code gets the adaptive
-// PaperWorkload instead.
-type legacyPaperWorkload struct {
-	messages int
-}
-
-// Schedule implements Workload.
-func (w legacyPaperWorkload) Schedule(n int, seed int64) ([]Message, error) {
-	msgs := w.messages
-	if msgs <= 0 {
-		msgs = 200
-	}
-	return fromTraffic(sim.PaperTraffic(msgs)), nil
 }
 
 // UniformWorkload generates messages between uniformly random distinct

@@ -1,12 +1,235 @@
 package glr
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"glr/internal/metrics"
+	"glr/internal/sim"
 )
 
-// TestScenarioDefaultsMatchLegacyDefaults: NewScenario() with no
-// options must equal the legacy DefaultConfig(100) run.
+// goldenSpec is one scenario description lowered two ways: through the
+// builder's options, and by hand onto the simulator's sim.Scenario (the
+// reference the golden tests compare the builder against). Zero values
+// mean the paper's Table-1 defaults.
+type goldenSpec struct {
+	protocol      Protocol
+	nodes         int
+	rangeM        float64
+	width, height float64
+	messages      int
+	traffic       []Message // nil: the paper's round-robin pattern
+	simTime       float64
+	storage       int
+	static        bool
+	maxSpeed      float64 // waypoint top speed
+	seed          int64
+	glrCfg        *GLRConfig
+	epiCfg        *EpidemicConfig
+}
+
+// options lowers the spec onto the builder.
+func (g goldenSpec) options() []Option {
+	opts := []Option{WithProtocol(g.protocol), WithSeed(g.seed)}
+	if g.nodes > 0 {
+		opts = append(opts, WithNodes(g.nodes))
+	}
+	if g.rangeM > 0 {
+		opts = append(opts, WithRange(g.rangeM))
+	}
+	if g.width > 0 {
+		opts = append(opts, WithRegion(g.width, g.height))
+	}
+	if g.simTime > 0 {
+		opts = append(opts, WithSimTime(g.simTime))
+	}
+	if g.storage > 0 {
+		opts = append(opts, WithStorageLimit(g.storage))
+	}
+	if g.static {
+		opts = append(opts, WithMobility(Static{}))
+	} else if g.maxSpeed > 0 {
+		opts = append(opts, WithMobility(Waypoint{MaxSpeed: g.maxSpeed}))
+	}
+	if g.traffic != nil {
+		opts = append(opts, WithWorkload(ScheduleWorkload(g.traffic)))
+	} else if g.messages > 0 {
+		opts = append(opts, WithWorkload(PaperWorkload{Messages: g.messages}))
+	}
+	if g.glrCfg != nil {
+		opts = append(opts, WithGLR(*g.glrCfg))
+	}
+	if g.epiCfg != nil {
+		opts = append(opts, WithEpidemic(*g.epiCfg))
+	}
+	return opts
+}
+
+// reference runs the spec by hand-lowering it onto sim.Scenario and the
+// simulator directly, bypassing the scenario builder.
+func (g goldenSpec) reference(t *testing.T) metrics.Report {
+	t.Helper()
+	rangeM := g.rangeM
+	if rangeM == 0 {
+		rangeM = 100
+	}
+	s := sim.DefaultScenario(rangeM)
+	s.Seed = g.seed
+	if g.nodes > 0 {
+		s.N = g.nodes
+	}
+	if g.width > 0 {
+		s.Region.W, s.Region.H = g.width, g.height
+	}
+	if g.static {
+		s.Mobility = sim.MobilityStatic
+	} else if g.maxSpeed > 0 {
+		s.MaxSpeed = g.maxSpeed
+	}
+	s.StorageLimit = g.storage
+	if g.traffic != nil {
+		for _, m := range g.traffic {
+			s.Traffic = append(s.Traffic, sim.TrafficItem{Src: m.Src, Dst: m.Dst, At: m.At})
+		}
+	} else {
+		msgs := g.messages
+		if msgs == 0 {
+			msgs = 200
+		}
+		s.Traffic = sim.PaperTraffic(msgs)
+	}
+	s.SimTime = g.simTime
+	if s.SimTime == 0 {
+		for _, ti := range s.Traffic {
+			s.SimTime = max(s.SimTime, ti.At)
+		}
+		s.SimTime += 600
+	}
+	factory, err := buildFactory(g.protocol, g.glrCfg, g.epiCfg)
+	if err != nil {
+		t.Fatalf("reference factory: %v", err)
+	}
+	w, err := sim.NewWorld(s, factory)
+	if err != nil {
+		t.Fatalf("reference world: %v", err)
+	}
+	return w.Run()
+}
+
+// randomGoldenSpec draws a small but structurally varied spec.
+func randomGoldenSpec(rng *rand.Rand) goldenSpec {
+	// The paper workload schedules 45 distinct sources, so node counts
+	// stay at or above the paper's 50.
+	g := goldenSpec{
+		protocol: GLR,
+		nodes:    50 + rng.Intn(10),
+		rangeM:   120 + rng.Float64()*130,
+		messages: 8 + rng.Intn(15),
+		simTime:  100 + rng.Float64()*60,
+		seed:     rng.Int63n(1 << 30),
+	}
+	if rng.Intn(2) == 0 {
+		g.width, g.height = 800+rng.Float64()*700, 250+rng.Float64()*250
+	}
+	switch rng.Intn(3) {
+	case 0:
+		g.static = true
+	case 1:
+		g.maxSpeed = 5 + rng.Float64()*25
+	}
+	if rng.Intn(3) == 0 {
+		g.storage = 3 + rng.Intn(10)
+	}
+	if rng.Intn(3) == 0 {
+		g.traffic = make([]Message, 5+rng.Intn(10))
+		for i := range g.traffic {
+			src := rng.Intn(g.nodes)
+			dst := rng.Intn(g.nodes - 1)
+			if dst >= src {
+				dst++
+			}
+			g.traffic[i] = Message{Src: src, Dst: dst, At: rng.Float64() * g.simTime / 2}
+		}
+	}
+	switch rng.Intn(3) {
+	case 0:
+		g.glrCfg = &GLRConfig{
+			CheckInterval:  0.5 + rng.Float64(),
+			Copies:         rng.Intn(4),
+			DisableCustody: rng.Intn(2) == 0,
+			Location:       []string{"", "source", "all", "none"}[rng.Intn(4)],
+		}
+	case 1:
+		g.protocol = Epidemic
+		g.epiCfg = &EpidemicConfig{
+			ExchangeInterval: rng.Float64() * 3,
+			DataSendRate:     float64(rng.Intn(3)) * 5,
+			BroadcastDeltas:  rng.Intn(2) == 0,
+		}
+	}
+	return g
+}
+
+// TestGoldenBuilderEquivalence is the golden test of the scenario
+// builder: across randomized specs, NewScenario's lowering must
+// reproduce the hand-lowered simulator run's metrics.Report byte for
+// byte, including with observers attached (observation is side-effect
+// free).
+func TestGoldenBuilderEquivalence(t *testing.T) {
+	cases := 10
+	if testing.Short() {
+		cases = 4
+	}
+	rng := rand.New(rand.NewSource(20260729))
+	for i := 0; i < cases; i++ {
+		g := randomGoldenSpec(rng)
+		t.Run(fmt.Sprintf("case%d", i), func(t *testing.T) {
+			sc, err := NewScenario(g.options()...)
+			if err != nil {
+				t.Fatalf("builder scenario: %v", err)
+			}
+			built, err := sc.runSeed(t.Context(), sc.seed, true)
+			if err != nil {
+				t.Fatalf("builder run: %v", err)
+			}
+			if ref := g.reference(t); ref != built {
+				t.Errorf("builder diverged from the reference lowering\nspec:      %+v\nreference: %+v\nbuilt:     %+v", g, ref, built)
+			}
+		})
+	}
+}
+
+// TestGoldenRunAdapter pins the public entry points: Scenario.Run and
+// RunContext must agree exactly with the hand-lowered reference.
+func TestGoldenRunAdapter(t *testing.T) {
+	g := goldenSpec{protocol: GLR, rangeM: 200, messages: 15, simTime: 150, seed: 1}
+	want := resultFromReport(g.reference(t))
+	sc, err := NewScenario(g.options()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Scenario.Run diverged from the reference: %+v vs %+v", got, want)
+	}
+	got, err = sc.RunContext(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Scenario.RunContext diverged from the reference: %+v vs %+v", got, want)
+	}
+}
+
+// TestScenarioDefaultsMatchLegacyDefaults: NewScenario() with no options
+// must run exactly the paper's Table-1 scenario lowered by hand —
+// sim.DefaultScenario(100), the 45-source pattern with 200 messages,
+// and a horizon of the last generation plus 600 s.
 func TestScenarioDefaultsMatchLegacyDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 200-message default run; skipped in -short")
@@ -19,12 +242,8 @@ func TestScenarioDefaultsMatchLegacyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(DefaultConfig(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != want {
-		t.Errorf("builder defaults diverged from DefaultConfig(100): %+v vs %+v", res, want)
+	if want := resultFromReport(goldenSpec{protocol: GLR, seed: 1}.reference(t)); res != want {
+		t.Errorf("builder defaults diverged from the Table-1 reference: %+v vs %+v", res, want)
 	}
 }
 
@@ -263,42 +482,25 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestConfigValidation pins the satellite fix: invalid legacy Config
-// values error out instead of silently passing through as "unset".
+// TestConfigValidation: invalid GLRConfig and EpidemicConfig knobs error
+// out at construction instead of silently passing through as "unset",
+// whichever protocol the scenario runs.
 func TestConfigValidation(t *testing.T) {
-	check := func(name string, mutate func(*Config)) {
-		cfg := DefaultConfig(100)
-		cfg.Messages = 5
-		cfg.SimTime = 50
-		mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("%s: accepted", name)
+	for name, opt := range map[string]Option{
+		"negative copies":            WithGLR(GLRConfig{Copies: -1}),
+		"negative K":                 WithGLR(GLRConfig{K: -2}),
+		"negative check interval":    WithGLR(GLRConfig{CheckInterval: -0.5}),
+		"negative exchange interval": WithEpidemic(EpidemicConfig{ExchangeInterval: -1}),
+		"negative send rate":         WithEpidemic(EpidemicConfig{DataSendRate: -2}),
+	} {
+		for _, p := range []Protocol{GLR, Epidemic} {
+			_, err := NewScenario(WithProtocol(p), WithWorkload(PaperWorkload{Messages: 5}), WithSimTime(50), opt)
+			if err == nil {
+				t.Errorf("%s under %s: accepted", name, p)
+			} else if !strings.Contains(err.Error(), "glr:") {
+				// Errors carry the glr: prefix of the package.
+				t.Errorf("%s: validation error %v lacks package prefix", name, err)
+			}
 		}
-	}
-	check("negative nodes", func(c *Config) { c.Nodes = -3 })
-	check("negative range", func(c *Config) { c.Range = -10 })
-	check("negative messages", func(c *Config) { c.Messages = -1 })
-	check("negative simtime", func(c *Config) { c.SimTime = -1 })
-	check("negative storage", func(c *Config) { c.StorageLimit = -1 })
-	check("negative speed", func(c *Config) { c.MaxSpeed = -1 })
-	check("negative width", func(c *Config) { c.Width = -500; c.Height = 300 })
-	check("negative copies", func(c *Config) { c.GLRConfig = &GLRConfig{Copies: -1} })
-	check("negative K", func(c *Config) { c.GLRConfig = &GLRConfig{K: -2} })
-	check("negative check interval", func(c *Config) { c.GLRConfig = &GLRConfig{CheckInterval: -0.5} })
-	check("negative exchange interval", func(c *Config) {
-		c.Protocol = Epidemic
-		c.EpidemicConfig = &EpidemicConfig{ExchangeInterval: -1}
-	})
-	check("negative send rate", func(c *Config) {
-		c.Protocol = Epidemic
-		c.EpidemicConfig = &EpidemicConfig{DataSendRate: -2}
-	})
-
-	// Errors carry the glr: prefix of the package.
-	cfg := DefaultConfig(100)
-	cfg.GLRConfig = &GLRConfig{Copies: -1}
-	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "glr:") {
-		t.Errorf("validation error %v lacks package prefix", err)
 	}
 }
