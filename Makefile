@@ -8,10 +8,9 @@ SHELL := /bin/bash
 
 # Benchmarks under the CI regression gate (spanner construction + MAC
 # medium + dense node-state plane + beacon tick + the event-core
-# scheduler pair + the parallel Runner sweep + the serial/sharded
-# world-step pair + the per-plane WorldStep{Beacon,Mobility,AntiEntropy}
-# benchmarks on a pinned 4-worker pool + the calibration probe benchgate
-# normalizes by). The gate covers ns/op (calibration-normalized) and,
+# scheduler + the sequential/parallel Runner sweep pair + the
+# 1000-node world step with and without faults + the calibration probe
+# benchgate normalizes by). The gate covers ns/op (calibration-normalized) and,
 # from -benchmem, B/op and allocs/op (raw).
 BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkDelaunay|BenchmarkMedium|BenchmarkNeighborTable|BenchmarkBeaconTick|BenchmarkScheduler|BenchmarkRunner|BenchmarkWorldStep|BenchmarkCalibration
 BENCH_GATE_PKGS := . ./internal/geom ./internal/ldt ./internal/mac ./internal/dtn ./internal/des ./internal/sim
@@ -39,15 +38,12 @@ bench:
 ## median ns/op normalized by the calibration probe, fail on >15%
 ## regression vs ci/bench_baseline.json. Emits BENCH_spanner.json. The
 ## Runner and WorldStep macro-benchmarks gate on memory only
-## (-skip-ns): their wall-clock depends on the host's core count, which
-## the single-threaded calibration probe cannot normalize. The sharded
-## world-step additionally skips the memory gate (-skip-mem): its
-## worker-pool buffers scale with GOMAXPROCS, so B/op is
-## host-dependent too.
+## (-skip-ns): their wall-clock depends on the host's core count and
+## load, which the single-threaded calibration probe cannot normalize.
 bench-gate:
 	$(GO) test -bench '$(BENCH_GATE_PATTERN)' $(BENCH_GATE_FLAGS) $(BENCH_GATE_PKGS) | tee bench.txt
 	$(GO) run ./cmd/benchgate -in bench.txt -baseline ci/bench_baseline.json \
-		-out BENCH_spanner.json -tolerance 0.15 -skip-ns '^(Runner|WorldStep)' -skip-mem '^WorldStepSharded'
+		-out BENCH_spanner.json -tolerance 0.15 -skip-ns '^(Runner|WorldStep)'
 
 ## bench-baseline refreshes the committed baseline (run on an idle
 ## machine; commit the result together with the change that moved it).

@@ -10,7 +10,6 @@ package glr
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"testing"
 
@@ -186,17 +185,13 @@ func benchmarkSingleRun(b *testing.B, p Protocol) {
 
 // runnerScenario is the replication workload of the Runner benchmarks:
 // small enough for the CI benchmark gate, large enough that per-run
-// work dominates pool overhead. Sharding is pinned off so the
-// measurement isolates the Runner's own pool (per-run shard workers
-// would otherwise vary with the host's core count and the B/op profile
-// with goroutine scheduling).
+// work dominates pool overhead.
 func runnerScenario(b *testing.B) *Scenario {
 	sc, err := NewScenario(
 		WithNodes(50),
 		WithRange(100),
 		WithWorkload(UniformWorkload{Messages: 40, Rate: 1}),
 		WithSimTime(120),
-		WithEngine(Engine{DisableSharding: true}),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -229,21 +224,18 @@ func BenchmarkRunnerSequential(b *testing.B) { benchmarkRunner(b, 1) }
 // TestRunnerParallelMatchesSequential).
 func BenchmarkRunnerParallel(b *testing.B) { benchmarkRunner(b, runtime.GOMAXPROCS(0)) }
 
-// worldStepScenario is the workload of the execution-engine benchmarks:
-// a dense 1000-node field (denser than the paper's strip, so broadcast
-// neighborhoods are large enough to shard) over a short horizon. The
-// serial and sharded runs produce byte-identical results — the
-// equivalence suites prove it — so the pair measures pure wall clock.
-func worldStepScenario(b *testing.B, engine Engine, parallelism int) *Scenario {
-	sc, err := NewScenario(
+// worldStepScenario is the workload of the world-step benchmarks: a
+// dense 1000-node field (denser than the paper's strip, so broadcast
+// neighborhoods are large) over a short horizon, plus any extra options.
+func worldStepScenario(b *testing.B, extra ...Option) *Scenario {
+	opts := append([]Option{
 		WithNodes(1000),
 		WithRange(100),
 		WithRegion(3000, 1000),
 		WithWorkload(UniformWorkload{Messages: 150, Rate: 20}),
 		WithSimTime(10),
-		WithEngine(engine),
-		WithParallelism(parallelism),
-	)
+	}, extra...)
+	sc, err := NewScenario(opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,8 +243,7 @@ func worldStepScenario(b *testing.B, engine Engine, parallelism int) *Scenario {
 }
 
 // benchmarkWorldStep runs the scenario once per iteration.
-func benchmarkWorldStep(b *testing.B, engine Engine, parallelism int) {
-	sc := worldStepScenario(b, engine, parallelism)
+func benchmarkWorldStep(b *testing.B, sc *Scenario) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := sc.Run()
@@ -263,106 +254,23 @@ func benchmarkWorldStep(b *testing.B, engine Engine, parallelism int) {
 	}
 }
 
-// BenchmarkWorldStepSerial is the serial-engine baseline at 1000 nodes.
+// BenchmarkWorldStepSerial steps the 1000-node world under GLR.
 func BenchmarkWorldStepSerial(b *testing.B) {
-	benchmarkWorldStep(b, Engine{DisableSharding: true}, 0)
+	benchmarkWorldStep(b, worldStepScenario(b))
 }
 
-// BenchmarkWorldStepSharded runs the identical world on the sharded
-// engine with an automatic (GOMAXPROCS) worker pool; the gap to
-// BenchmarkWorldStepSerial is the within-run speedup the benchgate
-// baseline records. On a single-CPU host the automatic pool resolves
-// serial and the two benchmarks coincide.
-func BenchmarkWorldStepSharded(b *testing.B) {
-	benchmarkWorldStep(b, Engine{}, 0)
-}
-
-// benchmarkWorldStepPlane runs the 1000-node world on a pinned 4-worker
-// pool with exactly one plane's fork threshold open (1) and every other
-// pinned shut (math.MaxInt), so each benchmark isolates one parallel
-// plane's cost. The epidemic protocol replaces GLR: its exchange work
-// is deterministic under sharding (GLR's speculative spanner builds
-// vary with worker timing, making B/op host-dependent) and it drives
-// the anti-entropy plane GLR never touches. Pinned thresholds keep the
-// fork decisions — and so the allocation profile the benchgate baseline
-// gates — independent of the host's calibration.
-func benchmarkWorldStepPlane(b *testing.B, ft ForkThresholds) {
-	sc, err := NewScenario(
-		WithProtocol(Epidemic),
-		WithNodes(1000),
-		WithRange(100),
-		WithRegion(3000, 1000),
-		WithWorkload(UniformWorkload{Messages: 150, Rate: 20}),
-		WithSimTime(10),
-		WithEngine(Engine{ForkThresholds: &ft}),
-		WithParallelism(4),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := sc.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.DeliveryRatio, "delivery-ratio")
-	}
-}
-
-// BenchmarkWorldStepBeaconSharded isolates the batched beacon plane:
-// per-cell hello batches fork however small, everything else inline.
-func BenchmarkWorldStepBeaconSharded(b *testing.B) {
-	benchmarkWorldStepPlane(b, ForkThresholds{
-		RxMin: math.MaxInt, BeaconMin: 1, MobilityMin: math.MaxInt, DiffMin: math.MaxInt})
-}
-
-// BenchmarkWorldStepMobilitySharded isolates the bulk-reindex plane:
-// the periodic position re-extrapolation forks, everything else inline.
-func BenchmarkWorldStepMobilitySharded(b *testing.B) {
-	benchmarkWorldStepPlane(b, ForkThresholds{
-		RxMin: math.MaxInt, BeaconMin: math.MaxInt, MobilityMin: 1, DiffMin: math.MaxInt})
-}
-
-// BenchmarkWorldStepAntiEntropySharded isolates the anti-entropy diff
-// plane: summary-vector screening forks, everything else inline.
-func BenchmarkWorldStepAntiEntropySharded(b *testing.B) {
-	benchmarkWorldStepPlane(b, ForkThresholds{
-		RxMin: math.MaxInt, BeaconMin: math.MaxInt, MobilityMin: math.MaxInt, DiffMin: 1})
-}
-
-// BenchmarkWorldStepFaults runs the serial world-step scenario under a
+// BenchmarkWorldStepFaults runs the world-step scenario under a
 // composite fault plan (churn + link blackouts + GPS noise + Byzantine
 // nodes): the per-reception fault predicate and the churn event
-// schedule are on the hot path here. The serial engine keeps B/op
-// host-independent; like the other WorldStep macro-benchmarks the
-// benchgate baseline gates memory only.
+// schedule are on the hot path here. Like the other WorldStep
+// macro-benchmarks the benchgate baseline gates memory only.
 func BenchmarkWorldStepFaults(b *testing.B) {
-	sc, err := NewScenario(
-		WithNodes(1000),
-		WithRange(100),
-		WithRegion(3000, 1000),
-		WithWorkload(UniformWorkload{Messages: 150, Rate: 20}),
-		WithSimTime(10),
-		WithEngine(Engine{DisableSharding: true}),
-		WithFaults(
-			Fault{Kind: FaultChurn, Rate: 0.01, Duration: 2},
-			Fault{Kind: FaultLinkBlackout, Rate: 0.2, Period: 5},
-			Fault{Kind: FaultGPSNoise, Sigma: 30},
-			Fault{Kind: FaultByzantine, Fraction: 0.1},
-		),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := sc.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.DeliveryRatio, "delivery-ratio")
-	}
+	benchmarkWorldStep(b, worldStepScenario(b, WithFaults(
+		Fault{Kind: FaultChurn, Rate: 0.01, Duration: 2},
+		Fault{Kind: FaultLinkBlackout, Rate: 0.2, Period: 5},
+		Fault{Kind: FaultGPSNoise, Sigma: 30},
+		Fault{Kind: FaultByzantine, Fraction: 0.1},
+	)))
 }
 
 // BenchmarkSingleRunEpidemic is the epidemic counterpart.

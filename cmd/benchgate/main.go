@@ -36,9 +36,8 @@
 // calibration probe cannot normalize — are recorded in the baseline
 // for visibility but gate only on their (machine-independent) B/op and
 // allocs/op. -skip-mem does the same for the memory metrics: benchmarks
-// whose allocation profile legitimately varies with the host — the
-// sharded world benchmarks size their worker pool (and its buffers)
-// from GOMAXPROCS — are recorded but not gated on B/op or allocs/op.
+// whose allocation profile legitimately varies with the host are
+// recorded but not gated on B/op or allocs/op.
 //
 // A second, independent mode gates absolute memory ceilings instead of
 // benchmark regressions:

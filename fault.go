@@ -42,8 +42,9 @@ const (
 // data — comparable and canonically serializable via EncodeFaults — so
 // fault sets can become a Matrix axis. Fields not used by a Kind must
 // stay zero; Validate (run at scenario construction) rejects anything
-// else, along with negative rates and durations, probabilities outside
-// [0,1], and blackout rectangles outside the deployment region.
+// else, along with NaN and ±Inf, negative rates and durations,
+// probabilities outside [0,1], and blackout rectangles outside the
+// deployment region.
 type Fault struct {
 	// Kind selects the disruption model.
 	Kind FaultKind
@@ -97,8 +98,7 @@ func (f Fault) spec() fault.Spec {
 // compose: several models (and several instances of one model) apply
 // simultaneously. The compiled fault schedule is a pure function of the
 // fault set and the run seed — identical seeds replay identical
-// schedules, independent of the Engine and parallelism — and
-// an empty fault set leaves the run byte-identical to one built without
+// schedules — and an empty fault set leaves the run byte-identical to one built without
 // this option. Malformed faults are rejected at NewScenario.
 func WithFaults(faults ...Fault) Option {
 	return func(s *Scenario) error {

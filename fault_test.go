@@ -3,7 +3,6 @@ package glr
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,17 +21,16 @@ func faultTestSet() []Fault {
 	}
 }
 
-// runFaulted runs a small faulted scenario under the given engine and
-// parallelism and returns its result.
-func runFaulted(t *testing.T, seed int64, engine Engine, parallelism int, faults []Fault) Result {
+// runFaulted runs a small faulted scenario under the given protocol and
+// returns its result.
+func runFaulted(t *testing.T, seed int64, p Protocol, faults []Fault) Result {
 	t.Helper()
 	opts := []Option{
+		WithProtocol(p),
 		WithNodes(30),
 		WithWorkload(UniformWorkload{Messages: 40}),
 		WithSimTime(150),
 		WithSeed(seed),
-		WithEngine(engine),
-		WithParallelism(parallelism),
 	}
 	if len(faults) > 0 {
 		opts = append(opts, WithFaults(faults...))
@@ -48,117 +46,82 @@ func runFaulted(t *testing.T, seed int64, engine Engine, parallelism int, faults
 	return res
 }
 
-// TestFaultedRunEquivalence: a faulted run must produce identical
-// results on the serial engine and at every shard count — the fault
-// schedule is a pure function of (fault set, seed), never of the
-// execution strategy.
+// TestFaultedRunEquivalence: a faulted run is a pure function of its
+// scenario and seed. Under both protocols, the combined fault set and
+// each fault kind alone must produce identical results when the same
+// scenario runs twice — the fault schedule, the reception vetoes, the
+// churn restarts, and the Byzantine drops may read nothing outside it.
 func TestFaultedRunEquivalence(t *testing.T) {
-	faults := faultTestSet()
-	base := runFaulted(t, 7, Engine{}, 0, faults)
-	if base.Delivered == 0 {
-		t.Fatal("faulted baseline delivered nothing; scenario too hostile to be meaningful")
+	all := faultTestSet()
+	sets := map[string][]Fault{"all": all}
+	for _, f := range all {
+		sets[string(f.Kind)] = []Fault{f}
 	}
-
-	if got := runFaulted(t, 7, Engine{DisableSharding: true}, 0, faults); !reflect.DeepEqual(base, got) {
-		t.Errorf("serial engine diverged:\n  base: %+v\n  got:  %+v", base, got)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		if got := runFaulted(t, 7, Engine{}, workers, faults); !reflect.DeepEqual(base, got) {
-			t.Errorf("parallelism=%d diverged:\n  base: %+v\n  got:  %+v", workers, base, got)
-		}
-	}
-	// All-zero thresholds force every parallel plane — reception
-	// verdicts, batched beacons, the bulk reindex, anti-entropy diffs —
-	// to fork on every batch, however small, crossing the fault schedule
-	// with maximal parallel coverage.
-	forceFork := &ForkThresholds{}
-	for _, workers := range []int{2, 8} {
-		if got := runFaulted(t, 7, Engine{ForkThresholds: forceFork}, workers, faults); !reflect.DeepEqual(base, got) {
-			t.Errorf("parallelism=%d fork-always diverged:\n  base: %+v\n  got:  %+v", workers, base, got)
-		}
-	}
-}
-
-// TestForkThresholdEquivalence is the pathological-threshold property
-// test: pinning the per-plane fork thresholds to the extremes — 0
-// (every batch forks, even singletons) and math.MaxInt (nothing ever
-// forks, the pool idles) — must leave a faulted run's result
-// byte-identical to the auto-calibrated default, for both protocols
-// and across worker counts. Thresholds gate only where work executes,
-// never what it computes.
-func TestForkThresholdEquivalence(t *testing.T) {
-	faults := faultTestSet()
-	run := func(p Protocol, ft *ForkThresholds, workers int) Result {
-		t.Helper()
-		s, err := NewScenario(
-			WithProtocol(p),
-			WithNodes(30),
-			WithWorkload(UniformWorkload{Messages: 40}),
-			WithSimTime(150),
-			WithSeed(11),
-			WithEngine(Engine{ForkThresholds: ft}),
-			WithParallelism(workers),
-			WithFaults(faults...),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	never := &ForkThresholds{RxMin: math.MaxInt, BeaconMin: math.MaxInt,
-		MobilityMin: math.MaxInt, DiffMin: math.MaxInt}
 	for _, p := range []Protocol{GLR, Epidemic} {
-		base := run(p, nil, 0)
-		if base.Delivered == 0 {
-			t.Fatalf("%s: baseline delivered nothing; the property test is vacuous", p)
-		}
-		for _, workers := range []int{2, 8} {
-			for name, ft := range map[string]*ForkThresholds{
-				"fork-always": {},
-				"fork-never":  never,
-			} {
-				if got := run(p, ft, workers); !reflect.DeepEqual(base, got) {
-					t.Errorf("%s parallelism=%d %s diverged:\n  base: %+v\n  got:  %+v",
-						p, workers, name, base, got)
-				}
+		for name, faults := range sets {
+			first := runFaulted(t, 7, p, faults)
+			if name == "all" && first.Delivered == 0 {
+				t.Fatalf("%s: faulted baseline delivered nothing; scenario too hostile to be meaningful", p)
+			}
+			if second := runFaulted(t, 7, p, faults); !reflect.DeepEqual(first, second) {
+				t.Errorf("%s faults=%s: repeated run diverged:\n  first:  %+v\n  second: %+v", p, name, first, second)
 			}
 		}
 	}
 }
 
-// TestForkThresholdValidation: negative thresholds are rejected at
-// scenario construction.
-func TestForkThresholdValidation(t *testing.T) {
-	for _, ft := range []ForkThresholds{
-		{RxMin: -1}, {BeaconMin: -1}, {MobilityMin: -2}, {DiffMin: -3},
-	} {
-		ft := ft
-		if _, err := NewScenario(WithEngine(Engine{ForkThresholds: &ft})); err == nil {
-			t.Errorf("negative thresholds %+v accepted", ft)
+// TestZeroFaultsByteIdentity: building a scenario with an empty
+// WithFaults (or none at all) must leave results byte-identical — the
+// fault subsystem may not perturb a fault-free run, not even by
+// consuming an RNG draw or an event sequence number.
+func TestZeroFaultsByteIdentity(t *testing.T) {
+	for _, p := range []Protocol{GLR, Epidemic} {
+		plain := runFaulted(t, 3, p, nil)
+		empty := runFaulted(t, 3, p, []Fault{})
+		if !reflect.DeepEqual(plain, empty) {
+			t.Errorf("%s: empty WithFaults diverged from no faults:\n  plain: %+v\n  empty: %+v",
+				p, plain, empty)
 		}
-	}
-	if _, err := NewScenario(WithEngine(Engine{ForkThresholds: &ForkThresholds{}})); err != nil {
-		t.Errorf("zero thresholds rejected: %v", err)
 	}
 }
 
-// TestZeroFaultsByteIdentity: building a scenario with an empty
-// WithFaults (or none at all) must leave every engine's results
-// byte-identical — the fault subsystem may not perturb a fault-free
-// run, not even by consuming an RNG draw or an event sequence number.
-func TestZeroFaultsByteIdentity(t *testing.T) {
-	engines := []Engine{{}, {DisableSharding: true}}
-	for i, e := range engines {
-		plain := runFaulted(t, 3, e, 0, nil)
-		empty := runFaulted(t, 3, e, 0, []Fault{})
-		if !reflect.DeepEqual(plain, empty) {
-			t.Errorf("engine %d: empty WithFaults diverged from no faults:\n  plain: %+v\n  empty: %+v",
-				i, plain, empty)
-		}
+// TestNonFiniteFaultsRejected: NaN fails every ordered comparison and
+// ±Inf passes some, so a non-finite fault field must be rejected at
+// NewScenario — before it can schedule an event at a non-finite time
+// or silently zero delivery — and never reach Run.
+func TestNonFiniteFaultsRejected(t *testing.T) {
+	for _, slug := range []string{
+		"churn(rate=0.01,dur=NaN)",
+		"churn(rate=NaN,dur=5)",
+		"churn(rate=0.01,dur=Inf)",
+		"churn(rate=Inf,dur=5)",
+		"gps-noise(sigma=NaN)",
+		"gps-noise(sigma=Inf)",
+		"link-blackout(rate=NaN)",
+		"link-blackout(rate=0.2,period=NaN)",
+		"link-blackout(rate=0.2,period=Inf)",
+		"byzantine(frac=NaN)",
+		"region-blackout(x=NaN,y=0,w=100,h=100,start=0,end=50)",
+		"region-blackout(x=0,y=0,w=100,h=100,start=0,end=Inf)",
+		"region-blackout(x=0,y=0,w=100,h=100,start=-Inf,end=50)",
+	} {
+		t.Run(slug, func(t *testing.T) {
+			faults, err := ParseFaults(slug)
+			if err != nil {
+				t.Fatalf("ParseFaults: %v", err)
+			}
+			base := []Option{WithNodes(30), WithWorkload(UniformWorkload{Messages: 40}), WithSimTime(150)}
+			if _, err := NewScenario(base...); err != nil {
+				t.Fatalf("fault-free scenario rejected: %v", err)
+			}
+			sc, err := NewScenario(append(base, WithFaults(faults...))...)
+			if err == nil {
+				t.Fatalf("NewScenario accepted %+v", faults)
+			}
+			if sc != nil {
+				t.Fatalf("NewScenario returned a scenario alongside error %v", err)
+			}
+		})
 	}
 }
 
@@ -415,8 +378,8 @@ func TestFaultKindsCoverInternal(t *testing.T) {
 // TestFaultedRunnerSmoke: a faulted scenario runs under the Runner's
 // replication machinery and degrades delivery versus fault-free.
 func TestFaultedRunnerSmoke(t *testing.T) {
-	res := runFaulted(t, 1, Engine{}, 0, nil)
-	faulted := runFaulted(t, 1, Engine{}, 0, []Fault{
+	res := runFaulted(t, 1, GLR, nil)
+	faulted := runFaulted(t, 1, GLR, []Fault{
 		{Kind: FaultChurn, Rate: 0.05, Duration: 60},
 		{Kind: FaultLinkBlackout, Rate: 0.6, Period: 10},
 	})

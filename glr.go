@@ -76,17 +76,11 @@
 //   - Beacons fire from one ring event in (time, id) order, checked
 //     against each node's phase + k·interval schedule.
 //
-// On multi-core hosts a run also steps on a sharded engine: read-only
-// work runs on a per-world worker pool and every mutation commits on the
-// event goroutine in serial order, so sharded results are byte-identical
-// to serial ones. WithParallelism sets the pool width (0 = automatic,
-// GOMAXPROCS) and WithEngine pins the serial engine or the fork
-// thresholds:
+// Each run steps its world on one goroutine. Multi-seed sweeps use
+// several cores through Runner.Workers, which runs replications
+// concurrently:
 //
-//	sc, err := glr.NewScenario(
-//		glr.WithParallelism(4),                            // 4 shard workers
-//		glr.WithEngine(glr.Engine{DisableSharding: true}), // fully serial
-//	)
+//	sum, err := glr.Runner{Workers: 4}.Replicate(ctx, sc, 20)
 //
 // docs/ARCHITECTURE.md maps each layer to its oracle test, and
 // bench/README.md describes the repository benchmark and its numbers.

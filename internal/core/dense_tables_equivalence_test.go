@@ -84,14 +84,16 @@ func loggedWorld(t *testing.T, s sim.Scenario, cfg Config) (*sim.World, []*beaco
 }
 
 // checkTablesAgainstLog compares every node's table view at the current
-// instant — read without mutating the table — with the reference
-// rebuilt from its beacon log, returning the number of rows compared.
+// instant — read through the same expire-then-assemble path a route
+// check takes — with the reference rebuilt from its beacon log,
+// returning the number of rows compared.
 func checkTablesAgainstLog(t *testing.T, w *sim.World, logs []*beaconLog, label string) int {
 	t.Helper()
 	now, expiry := w.Scheduler().Now(), w.Config().NeighborExpiry
 	rows := 0
 	for i, p := range logs {
-		gotIDs, gotPts := w.Node(i).AppendTwoHopAt(nil, nil, now)
+		n := w.Node(i)
+		gotIDs, gotPts := n.Neighbors().AppendTwoHop(nil, nil, i, n.Pos())
 		wantIDs, wantPts := p.twoHopAt(now, expiry)
 		if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotPts, wantPts) {
 			t.Fatalf("%s node %d: table view %v != beacon-log reference %v", label, i, gotIDs, wantIDs)

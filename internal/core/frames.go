@@ -337,8 +337,4 @@ func (g *GLR) sendAck(to int, m *dtn.Message) {
 func (g *GLR) OnBeacon(b sim.Beacon) {
 	g.maint.Observe(b.From, b.Pos)
 	g.maybeExchangeTable(b.From)
-	// The beacon just changed the two-hop view, invalidating any earlier
-	// prediction for the pending route check — re-speculate from the
-	// fresh tables so the pre-built spanner matches what the check sees.
-	g.speculateNextCheck()
 }

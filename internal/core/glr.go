@@ -245,14 +245,6 @@ type GLR struct {
 	targets []hopTarget    // per-tree forwarding picks, sorted by dst
 	checkFn func()         // routeCheck bound once (rescheduling a method value would allocate)
 
-	// nextCheckAt mirrors the instant the pending routeCheck timer fires
-	// (Init's phased start, then now+CheckInterval at every reschedule) so
-	// speculative spanner builds can target the exact future view the
-	// check will query. specIDs/specPts are the preview scratch.
-	nextCheckAt float64
-	specIDs     []int
-	specPts     []geom.Point
-
 	stats Stats
 }
 
@@ -313,17 +305,10 @@ func NewInstrumented(cfg Config) (sim.ProtocolFactory, *ldt.Maintainer, error) {
 }
 
 // Init implements sim.Protocol: start the periodic route check with a
-// random phase so nodes do not check in lockstep. When the world runs
-// the sharded engine, the shared spanner cache goes concurrent so idle
-// worker time can pre-build the spanners the next checks will need —
-// results stay byte-identical (see internal/ldt/speculate.go).
+// random phase so nodes do not check in lockstep.
 func (g *GLR) Init(n *sim.Node) {
-	if p := n.ShardPool(); p != nil {
-		g.maint.EnableConcurrent(p)
-	}
 	g.checkFn = g.routeCheck
 	phase := n.Rand().Float64() * g.cfg.CheckInterval
-	g.nextCheckAt = n.Now() + phase
 	n.After(phase, g.checkFn)
 }
 

@@ -33,25 +33,7 @@ func (g *GLR) routeCheck() {
 		}
 	}
 
-	g.nextCheckAt = now + g.cfg.CheckInterval
 	g.n.After(g.cfg.CheckInterval, g.checkFn)
-	g.speculateNextCheck()
-}
-
-// speculateNextCheck hands the shared spanner cache a prediction of this
-// node's next route-check query — the two-hop view as it will look when
-// the pending check timer fires — so a shard worker can build the LDTG
-// off the event goroutine. Purely an optimization: the prediction is
-// adopted only if it matches the real query byte for byte (a beacon
-// heard in between changes the view and the speculation is discarded),
-// so results are identical with or without it.
-func (g *GLR) speculateNextCheck() {
-	if !g.maint.Speculative() || g.store.StoreLen() == 0 {
-		return
-	}
-	at := g.nextCheckAt
-	g.specIDs, g.specPts = g.n.AppendTwoHopAt(g.specIDs[:0], g.specPts[:0], at)
-	g.maint.Speculate(g.n.ID(), g.specIDs, g.specPts, g.n.Range(), g.spannerVariant(), g.cfg.K, at)
 }
 
 // localSpanner constructs this node's current routing-graph incident

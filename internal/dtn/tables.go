@@ -463,42 +463,6 @@ func (t *NeighborTable) AppendTwoHop(ids []int, pts []geom.Point, selfID int, se
 	return ids, pts
 }
 
-// AppendTwoHopAt is AppendTwoHop as the table will stand after
-// Expire(deadline): rows last seen at or before deadline are skipped —
-// along with their advertised neighbors — without being dropped. The
-// output is byte-identical to calling Expire(deadline) followed by
-// AppendTwoHop, but the table itself is not mutated (only the dedup
-// marks advance, which no reader observes), so callers
-// may preview the view a future route check will build without
-// disturbing the run. Not safe for concurrent use, like every
-// NeighborTable method.
-func (t *NeighborTable) AppendTwoHopAt(ids []int, pts []geom.Point, selfID int, selfPos geom.Point, deadline float64) ([]int, []geom.Point) {
-	ids = append(ids, selfID)
-	pts = append(pts, selfPos)
-	t.markGen++
-	t.markSeen(selfID)
-	for _, id := range t.live {
-		r := t.liveRow(id)
-		if r.LastSeen <= deadline {
-			continue
-		}
-		if !t.seen(id) {
-			t.markSeen(id)
-			ids = append(ids, id)
-			pts = append(pts, r.Pos)
-		}
-		for _, nn := range r.Neighbors {
-			if t.seen(nn.ID) {
-				continue
-			}
-			t.markSeen(nn.ID)
-			ids = append(ids, nn.ID)
-			pts = append(pts, nn.Pos)
-		}
-	}
-	return ids, pts
-}
-
 // seen reports whether id was already emitted in the current AppendTwoHop
 // pass.
 func (t *NeighborTable) seen(id int) bool {

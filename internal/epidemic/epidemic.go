@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"glr/internal/dtn"
-	"glr/internal/shard"
 	"glr/internal/sim"
 )
 
@@ -164,10 +163,9 @@ type Epidemic struct {
 	lastRefill float64
 
 	// Scratch for onSummary's diff: the advertised ids in (Src, Seq)
-	// order and the per-id keep verdicts. Reused across exchanges; the
-	// request frame itself gets a fresh slice (it outlives the call).
-	diffIDs  []dtn.MessageID
-	diffKeep []bool
+	// order. Reused across exchanges; the request frame itself gets a
+	// fresh slice (it outlives the call).
+	diffIDs []dtn.MessageID
 }
 
 // receiptFrame is the active-receipt anti-packet: it names delivered
@@ -460,18 +458,8 @@ func (e *Epidemic) onReceipt(f receiptFrame) {
 // summary opened a session, we reply with our own so the exchange is
 // bidirectional (the Vahdat–Becker handshake).
 //
-// The diff is the anti-entropy hot loop — one buffer/wants/immunity
-// probe per advertised id, thousands of ids per full summary at paper
-// load — and it is a pure per-id predicate over state that nothing
-// mutates until the request list is committed. So the advertised ids
-// are first sorted into the canonical (Src, Seq) order (fixing each
-// id's slot), then the per-id verdicts are computed — forked onto the
-// shard pool over contiguous chunks when the batch crosses the diff
-// threshold, inline otherwise — and the request list is assembled
-// serially from the verdict slots. Sorting before filtering yields
-// exactly the filter-then-sort order of the serial reference (ids are
-// unique, and filtering preserves sorted order), so request frames hit
-// the medium in the identical (Src, Seq)/peer order either way.
+// The advertised ids are visited in the canonical (Src, Seq) order, so
+// request frames hit the medium in the same order on every run.
 func (e *Epidemic) onSummary(f svFrame, from int) {
 	now := e.n.Now()
 	var diffStart time.Time
@@ -483,56 +471,27 @@ func (e *Epidemic) onSummary(f svFrame, from int) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	if cap(e.diffKeep) < len(ids) {
-		e.diffKeep = make([]bool, len(ids))
-	}
-	keep := e.diffKeep[:len(ids)]
 	e.diffIDs = ids
-	decide := func(i int) {
-		id := ids[i]
+	// The request frame owns a fresh slice: it stays queued in the MAC
+	// while later exchanges reuse the scratch.
+	var missing []dtn.MessageID
+	for _, id := range ids {
 		if e.buf.Has(id) {
-			keep[i] = false
-			return
+			continue
 		}
 		// Skip ids already requested recently from any peer, and ids
 		// purged by active receipts.
 		if w, ok := e.wants[id]; ok && now-w.at < e.cfg.RequestTimeout {
-			keep[i] = false
-			return
+			continue
 		}
-		keep[i] = !(e.cfg.ActiveReceipts && e.immune[id])
-	}
-	if p := e.n.ShardPool(); p != nil && len(ids) >= e.n.ForkThresholds().DiffMin {
-		// Forked verdicts: pure map reads (buffer membership, want
-		// recency, receipt immunity) into per-id slots, each id touched
-		// by exactly one worker. Nothing mutates until the join, and
-		// chunk order cannot reorder slots, so the verdict vector is
-		// byte-identical to the inline loop's.
-		parts := p.Workers()
-		p.Run(parts, func(c int) {
-			lo, hi := shard.ChunkBounds(len(ids), parts, c)
-			for i := lo; i < hi; i++ {
-				decide(i)
-			}
-		})
-	} else {
-		for i := range ids {
-			decide(i)
-		}
-	}
-	// Serial commit in (Src, Seq) order. The request frame owns a fresh
-	// slice: it stays queued in the MAC while later exchanges reuse the
-	// scratch.
-	var missing []dtn.MessageID
-	for i := range ids {
-		if !keep[i] {
+		if e.cfg.ActiveReceipts && e.immune[id] {
 			continue
 		}
 		if len(missing) == e.cfg.MaxBatch {
 			e.backlog[from] = true // more to pull once this batch settles
 			break
 		}
-		missing = append(missing, ids[i])
+		missing = append(missing, id)
 	}
 	if !diffStart.IsZero() {
 		e.n.AddAntiEntropyTime(time.Since(diffStart))

@@ -200,14 +200,14 @@ func TestNodeCountSweepSmoke(t *testing.T) {
 		t.Fatalf("got %d points, want 2", len(res.Points))
 	}
 	for _, p := range res.Points {
-		if p.WallSerial <= 0 || p.WallSharded <= 0 {
-			t.Errorf("n=%d: wall-clock not measured: serial %v sharded %v", p.N, p.WallSerial, p.WallSharded)
+		if p.WallSerial <= 0 {
+			t.Errorf("n=%d: wall-clock not measured", p.N)
 		}
 		if p.SpannerSerial <= 0 {
 			t.Errorf("n=%d: spanner time not measured", p.N)
 		}
-		if !p.Identical {
-			t.Errorf("n=%d: serial and sharded runs diverged", p.N)
+		if p.Phases.Rx <= 0 {
+			t.Errorf("n=%d: reception phase not attributed", p.N)
 		}
 		if p.Allocs == 0 {
 			t.Errorf("n=%d: allocation pressure not measured", p.N)
@@ -223,7 +223,7 @@ func TestNodeCountSweepSmoke(t *testing.T) {
 		t.Errorf("per-node area drifts: %.1f vs %.1f", a0, a1)
 	}
 	out := res.Render()
-	for _, want := range []string{"scaling sweep", "Spanner", "Shd-up", "Allocs", "identical"} {
+	for _, want := range []string{"scaling sweep", "Spanner", "Per-phase", "Allocs"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}

@@ -5,13 +5,12 @@
 // custody. A set of declarative Specs compiles into a Plan whose
 // queries are pure functions of the compiled state and their arguments,
 // so the same (specs, n, region, horizon, seed) tuple always replays
-// the identical fault schedule — independent of the engine, shard
-// counts, and call order.
+// the identical fault schedule — independent of call order.
 //
 // Determinism contract. Stochastic faults (link blackouts, GPS noise,
 // Byzantine membership) are stateless: each query hashes (seed, salt,
-// arguments) through a splitmix64 mixer, so concurrent shards asking
-// the same question get the same answer with no shared mutable state.
+// arguments) through a splitmix64 mixer, so the same question always
+// gets the same answer with no shared mutable state.
 // Churn is precomputed: Compile draws every outage interval up front
 // from a dedicated rand stream (never the world's RNG, whose draw
 // sequence must stay byte-identical to a fault-free run), and Down is
@@ -85,9 +84,25 @@ type Spec struct {
 const defaultLinkPeriod = 10.0
 
 // Validate checks the spec against the deployment region and horizon,
-// rejecting negative rates and durations, probabilities outside [0,1],
-// blackout rectangles outside the region, and inverted windows.
+// rejecting non-finite values, negative rates and durations,
+// probabilities outside [0,1], blackout rectangles outside the region,
+// and inverted windows.
 func (s Spec) Validate(region mobility.Region, simTime float64) error {
+	// NaN fails every ordered comparison below and ±Inf passes some of
+	// them, so non-finite values are rejected up front.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"rate", s.Rate}, {"period", s.Period}, {"duration", s.Duration},
+		{"start", s.Start}, {"end", s.End},
+		{"x", s.X}, {"y", s.Y}, {"w", s.W}, {"h", s.H},
+		{"sigma", s.Sigma}, {"fraction", s.Fraction},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fault: %s %s %v is not finite", s.Kind, f.name, f.v)
+		}
+	}
 	switch s.Kind {
 	case LinkBlackout:
 		if s.Rate < 0 || s.Rate > 1 {
@@ -159,7 +174,7 @@ type Window struct {
 
 // Plan is a compiled fault set. All query methods are pure: they read
 // only immutable compiled state and their arguments, so they are safe
-// to call concurrently from shard workers.
+// to call concurrently.
 type Plan struct {
 	seed   int64
 	region mobility.Region
@@ -360,7 +375,7 @@ func (p *Plan) Byzantine(node int) bool { return p.byzantine[node] }
 // BlocksReception reports whether a frame from src arriving at dst at
 // time t must be lost: the receiver is crashed, the pair's link is
 // blacked out this epoch, or either endpoint sits inside an active
-// region blackout. Pure; safe from shard workers.
+// region blackout. Pure.
 func (p *Plan) BlocksReception(src, dst int, t float64, srcPos, dstPos geom.Point) bool {
 	if p.Down(dst, t) {
 		return true

@@ -40,6 +40,14 @@ func TestValidateRejectsMalformedSpecs(t *testing.T) {
 		{"rect negative size", Spec{Kind: RegionBlackout, X: 0, Y: 0, W: -50, H: 50, Start: 0, End: 100}},
 		{"inverted window", Spec{Kind: RegionBlackout, X: 0, Y: 0, W: 50, H: 50, Start: 100, End: 50}},
 		{"negative window start", Spec{Kind: RegionBlackout, X: 0, Y: 0, W: 50, H: 50, Start: -1, End: 50}},
+		{"NaN churn duration", Spec{Kind: Churn, Rate: 0.01, Duration: math.NaN()}},
+		{"NaN churn rate", Spec{Kind: Churn, Rate: math.NaN(), Duration: 5}},
+		{"NaN link rate", Spec{Kind: LinkBlackout, Rate: math.NaN()}},
+		{"infinite link period", Spec{Kind: LinkBlackout, Rate: 0.2, Period: math.Inf(1)}},
+		{"NaN sigma", Spec{Kind: GPSNoise, Sigma: math.NaN()}},
+		{"infinite sigma", Spec{Kind: GPSNoise, Sigma: math.Inf(1)}},
+		{"NaN fraction", Spec{Kind: Byzantine, Fraction: math.NaN()}},
+		{"infinite window end", Spec{Kind: RegionBlackout, X: 0, Y: 0, W: 50, H: 50, Start: 0, End: math.Inf(1)}},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(testRegion, 600); err == nil {

@@ -3,11 +3,9 @@ package ldt
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"glr/internal/geom"
-	"glr/internal/shard"
 )
 
 // Variant selects which local routing graph a Maintainer query builds.
@@ -25,14 +23,17 @@ const (
 // spent inside Neighbors calls (the protocol's whole spanner-construction
 // cost).
 type SpannerStats struct {
-	Queries     uint64 // Neighbors calls
-	ResultHits  uint64 // whole-query (view-level) cache hits
-	TriBuilds   uint64 // witness triangulations built
-	TriHits     uint64 // witness triangulations reused from the cache
-	Evictions   uint64 // cache entries dropped by the sweep
-	SpecBuilds  uint64 // speculative builds launched on the worker pool
-	SpecAdopted uint64 // queries answered by adopting a speculative build
-	BuildTime   time.Duration
+	Queries    uint64 // Neighbors calls
+	ResultHits uint64 // whole-query (view-level) cache hits
+	TriBuilds  uint64 // witness triangulations built
+	TriHits    uint64 // witness triangulations reused from the cache
+	Evictions  uint64 // cache entries dropped by the sweep
+	BuildTime  time.Duration
+
+	// SpecBuilds and SpecAdopted are always 0. Spanner builds run only
+	// on the query path; the fields stay because the repository
+	// benchmark reads them (see internal/sim/benchcompat.go).
+	SpecBuilds, SpecAdopted uint64
 }
 
 // TriHitRate returns the fraction of witness-triangulation lookups served
@@ -52,8 +53,6 @@ func (s *SpannerStats) Add(o SpannerStats) {
 	s.TriBuilds += o.TriBuilds
 	s.TriHits += o.TriHits
 	s.Evictions += o.Evictions
-	s.SpecBuilds += o.SpecBuilds
-	s.SpecAdopted += o.SpecAdopted
 	s.BuildTime += o.BuildTime
 }
 
@@ -111,9 +110,6 @@ type resEntry struct {
 
 // buildCtx is the scratch state one spanner build needs: the mesh
 // triangulator plus adjacency/BFS/sort buffers, reused across queries.
-// The Maintainer owns one for the event-loop query path; in concurrent
-// mode each speculative build borrows one from a pool, so builds never
-// share scratch.
 type buildCtx struct {
 	tr       *geom.Triangulator
 	order    []int
@@ -134,9 +130,7 @@ func newBuildCtx() *buildCtx { return &buildCtx{tr: geom.NewTriangulator()} }
 // neighbor results by exact (member-id, position) signatures and reuses
 // them across check intervals, across witnesses, and across every node of
 // a world (one Maintainer is shared per simulation; it is single-threaded
-// like the event loop that owns it, until EnableConcurrent attaches a
-// worker pool for speculative builds — then the shared caches go behind
-// a mutex while query results stay byte-identical).
+// like the event loop that owns it).
 //
 // Correctness never depends on invalidation: a signature covers the exact
 // positions that produced an entry, so changed inputs can only miss.
@@ -145,16 +139,7 @@ func newBuildCtx() *buildCtx { return &buildCtx{tr: geom.NewTriangulator()} }
 // coordinates (once no longer queried; a node's stale 2-hop knowledge
 // may lag the freshest beacon) or that have idled past cacheTTL.
 type Maintainer struct {
-	ctx *buildCtx // event-loop build scratch
-
-	// Concurrent mode (EnableConcurrent): pool runs speculative builds,
-	// mu guards tris/results/specs/stats/lastPos, ctxPool lends scratch
-	// to workers.
-	concurrent bool
-	pool       *shard.Pool
-	mu         sync.Mutex
-	ctxPool    sync.Pool
-	specs      map[uint64][]*specEntry
+	ctx *buildCtx // build scratch
 
 	tris    map[uint64][]*triEntry
 	results map[uint64][]*resEntry
@@ -167,43 +152,19 @@ type Maintainer struct {
 
 // NewMaintainer returns an empty cache.
 func NewMaintainer() *Maintainer {
-	m := &Maintainer{
+	return &Maintainer{
 		ctx:     newBuildCtx(),
 		tris:    make(map[uint64][]*triEntry),
 		results: make(map[uint64][]*resEntry),
 		lastPos: make(map[int]geom.Point),
-		specs:   make(map[uint64][]*specEntry),
-	}
-	m.ctxPool.New = func() any { return newBuildCtx() }
-	return m
-}
-
-// lock/unlock guard the shared caches. Outside concurrent mode every
-// caller is the event loop, so they collapse to no-ops and the serial
-// query path stays lock-free.
-func (m *Maintainer) lock() {
-	if m.concurrent {
-		m.mu.Lock()
-	}
-}
-
-func (m *Maintainer) unlock() {
-	if m.concurrent {
-		m.mu.Unlock()
 	}
 }
 
 // Stats returns the accumulated counters.
-func (m *Maintainer) Stats() SpannerStats {
-	m.lock()
-	defer m.unlock()
-	return m.stats
-}
+func (m *Maintainer) Stats() SpannerStats { return m.stats }
 
 // Size returns the live entry counts (triangulations, results).
 func (m *Maintainer) Size() (tris, results int) {
-	m.lock()
-	defer m.unlock()
 	for _, b := range m.tris {
 		tris += len(b)
 	}
@@ -216,8 +177,6 @@ func (m *Maintainer) Size() (tris, results int) {
 // Observe records the freshest directly-beaconed position of a node.
 // Entries built from superseded coordinates become sweep candidates.
 func (m *Maintainer) Observe(id int, pos geom.Point) {
-	m.lock()
-	defer m.unlock()
 	if last, ok := m.lastPos[id]; ok && last.Eq(pos) {
 		return
 	}
@@ -233,28 +192,15 @@ func (m *Maintainer) Observe(id int, pos geom.Point) {
 // them (the routing loop reads them within one route check).
 func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int, now float64) ([]int, []geom.Point, error) {
 	start := time.Now()
-	defer func() {
-		m.lock()
-		m.stats.BuildTime += time.Since(start)
-		m.unlock()
-	}()
+	defer func() { m.stats.BuildTime += time.Since(start) }()
 	sig := sigViewQuery(view, variant, k)
-	m.lock()
 	m.stats.Queries++
 	m.maybeSweep(now)
 	for _, e := range m.results[sig] {
 		if e.matches(view, variant, k) {
 			e.lastHit = now
 			m.stats.ResultHits++
-			m.unlock()
 			return e.accIDs, e.accPts, nil
-		}
-	}
-	m.unlock()
-
-	if m.concurrent {
-		if ids, pts, ok := m.adoptSpec(view, variant, k, now, sig); ok {
-			return ids, pts, nil
 		}
 	}
 
@@ -266,7 +212,7 @@ func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int, now floa
 	case VariantUDG:
 		local = view.UDGNeighbors()
 	default:
-		local, err = m.ldtgNeighbors(m.ctx, view, k, now)
+		local, err = m.ldtgNeighbors(view, k, now)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -288,9 +234,7 @@ func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int, now floa
 		accPts:  accPts,
 		lastHit: now,
 	}
-	m.lock()
 	m.results[sig] = append(m.results[sig], e)
-	m.unlock()
 	return e.accIDs, e.accPts, nil
 }
 
@@ -302,10 +246,11 @@ func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int, now floa
 // unit-disk topology: adjacency lists and BFS buffers live on the
 // Maintainer, which profiling shows matters as much as the triangulation
 // itself once the mesh construction is cheap.
-func (m *Maintainer) ldtgNeighbors(c *buildCtx, view *LocalView, k int, now float64) ([]int, error) {
+func (m *Maintainer) ldtgNeighbors(view *LocalView, k int, now float64) ([]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ldt: k must be ≥ 1, got %d", k)
 	}
+	c := m.ctx
 	c.buildAdjacency(view)
 
 	selfNbrs := c.adj[0] // ascending local indices
@@ -316,7 +261,7 @@ func (m *Maintainer) ldtgNeighbors(c *buildCtx, view *LocalView, k int, now floa
 		if i > 0 {
 			w = selfNbrs[i-1]
 		}
-		e, err := m.triangulation(c, view, c.khop(w, k), now)
+		e, err := m.triangulation(view, c.khop(w, k), now)
 		if err != nil {
 			c.wit = wit
 			return nil, err
@@ -406,13 +351,9 @@ func (c *buildCtx) khop(w, k int) []int {
 
 // triangulation returns the Delaunay edge set over the positions of the
 // given view members (local indices), from the cache when an entry with
-// the same (id, position) set exists. A triangulation's content is a
-// pure function of its canonical sorted member list, so in concurrent
-// mode the event loop and the speculation workers may share one cache:
-// whoever builds first inserts (with a double-check under the lock), and
-// every later lookup returns the byte-identical entry it would have
-// built itself.
-func (m *Maintainer) triangulation(c *buildCtx, view *LocalView, members []int, now float64) (*triEntry, error) {
+// the same (id, position) set exists.
+func (m *Maintainer) triangulation(view *LocalView, members []int, now float64) (*triEntry, error) {
+	c := m.ctx
 	// Normalize: members sorted by global id. Insertion sort instead of
 	// sort.Slice: witness neighborhoods are small (tens of members),
 	// global ids are unique (ties impossible), and the closure +
@@ -431,19 +372,16 @@ func (m *Maintainer) triangulation(c *buildCtx, view *LocalView, members []int, 
 	}
 
 	sig := sigMembers(view, c.order)
-	m.lock()
 	for _, e := range m.tris[sig] {
 		if e.matchesMembers(view, c.order) {
 			if now > e.lastHit {
 				e.lastHit = now
 			}
 			m.stats.TriHits++
-			m.unlock()
 			return e, nil
 		}
 	}
 	m.stats.TriBuilds++
-	m.unlock()
 
 	ids := make([]int, len(c.order))
 	pts := make([]geom.Point, len(c.order))
@@ -466,23 +404,7 @@ func (m *Maintainer) triangulation(c *buildCtx, view *LocalView, members []int, 
 		return nil, err
 	}
 	e := &triEntry{ids: ids, pts: pts, edges: edges, idx: idx, lastHit: now}
-	m.lock()
-	if m.concurrent {
-		// Double-check: a concurrent build may have inserted the same
-		// canonical entry while ours ran. Keep the first; both are
-		// byte-identical.
-		for _, e2 := range m.tris[sig] {
-			if e2.matchesMembers(view, c.order) {
-				if now > e2.lastHit {
-					e2.lastHit = now
-				}
-				m.unlock()
-				return e2, nil
-			}
-		}
-	}
 	m.tris[sig] = append(m.tris[sig], e)
-	m.unlock()
 	return e, nil
 }
 
@@ -522,13 +444,11 @@ func (c *buildCtx) delaunayEdges(sub []geom.Point) (map[uint64]struct{}, error) 
 }
 
 // maybeSweep evicts idle and superseded entries at most once per
-// sweepEvery simulated seconds. Called with the cache locked (in
-// concurrent mode).
+// sweepEvery simulated seconds.
 func (m *Maintainer) maybeSweep(now float64) {
 	if now-m.lastSweep < sweepEvery {
 		return
 	}
-	m.sweepSpecs(now)
 	m.prevSweep, m.lastSweep = m.lastSweep, now
 	for sig, bucket := range m.tris {
 		keep := bucket[:0]

@@ -21,8 +21,6 @@ import (
 
 	"glr/internal/des"
 	"glr/internal/geom"
-	"glr/internal/phy"
-	"glr/internal/shard"
 	"glr/internal/spatial"
 )
 
@@ -65,12 +63,10 @@ type Config struct {
 	// src arriving at dst at time now (sender position at start of
 	// airing, receiver position at reception) is silently lost when it
 	// returns true, counted in Stats.FaultDrops. It is consulted after
-	// the range check and before interference resolution, at the same
-	// point on the serial and sharded paths, so it MUST be a pure
-	// function of its arguments — the fault-injection layer's blackout
-	// and churn predicates are; anything stateful would break the
-	// engines' byte-identity. Nil (the default) costs nothing on the
-	// hot path.
+	// the range check and before interference resolution. It MUST be a
+	// pure function of its arguments — the fault-injection layer's
+	// blackout and churn predicates are — so a run stays reproducible
+	// from its seed. Nil (the default) costs nothing on the hot path.
 	DropRx func(src, dst int, now float64, srcPos, dstPos geom.Point) bool
 }
 
@@ -184,18 +180,6 @@ type Medium struct {
 	batch       []*transmission // airings ending at the tick being resolved
 	txFree      []*transmission // recycled transmission objects
 
-	// Sharded reception (nil pool = serial). Broadcast analyses are
-	// computed in parallel over stripe shards; see SetPool.
-	pool    *shard.Pool
-	thr     shard.Thresholds // per-plane fork thresholds (see SetPool)
-	stripes spatial.Stripes
-	candPts []geom.Point // cached grid positions parallel to scratch
-	rxIDs   []int        // candidate receivers of the airing being resolved
-	rxPts   []geom.Point // observed positions, written by the parallel phase
-	rxShard []int        // stripe indices, same order
-	rxStat  []uint8      // per-candidate analysis slots (rxSkip..rxOK)
-	reixPts []geom.Point // position scratch for the parallel Reindex
-
 	// rxClock, when non-nil, receives the wall-clock duration of each
 	// end-of-airing resolution batch (see SetRxClock).
 	rxClock func(time.Duration)
@@ -239,31 +223,6 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// SetPool attaches a shard worker pool for parallel broadcast-reception
-// analysis and the bulk Reindex, and declares the region width the
-// stripe shards partition. Receivers are grouped into vertical stripes
-// at least one halo (reception range + IndexSlack, see phy.HaloWidth)
-// wide; each stripe's per-candidate analysis — position extrapolation,
-// range and fault checks, and interference verdicts, all touching only
-// per-candidate state or state frozen while the event loop blocks on
-// the join — is computed by one worker, and every mutation (grid
-// refreshes, stats, deliveries) stays on the event loop in exactly the
-// serial enumeration order. Results are therefore byte-identical to the
-// serial path; the pool only shortens the wall clock. thr gates when
-// each plane forks (batches below the threshold run inline; thresholds
-// never change what is computed — see shard.Calibrate). A nil or
-// single-worker pool, or the tests' naive reference medium, keeps the
-// serial path.
-func (m *Medium) SetPool(p *shard.Pool, regionW float64, thr shard.Thresholds) {
-	if p == nil || p.Workers() < 2 || m.radioIdx == nil {
-		m.pool = nil
-		return
-	}
-	m.pool = p
-	m.thr = thr
-	m.stripes = spatial.NewStripes(regionW, phy.HaloWidth(m.cfg.Range, m.cfg.IndexSlack), p.Workers())
 }
 
 // SetRxClock installs a callback receiving the wall-clock duration of
@@ -311,35 +270,8 @@ func (m *Medium) AddRadio(id int, pos func() geom.Point, onRecv ReceiveFunc, onS
 // no cached cell is ever staler than one reindex period — the drift
 // bound Config.IndexSlack must cover. It is a no-op on the tests' naive
 // reference medium.
-//
-// With a pool attached and enough radios (Thresholds.MobilityMin), the
-// position extrapolations — the dominant cost, each a lazy walk of the
-// radio's mobility trajectory — run in parallel over contiguous id
-// chunks, and the grid updates commit serially in id order. Each radio
-// (and so each mobility model, which is mutable and not concurrency-
-// safe) is touched by exactly one worker, and position queries are
-// order-independent (see internal/mobility), so the refreshed cells are
-// byte-identical to the serial loop's.
 func (m *Medium) Reindex() {
 	if m.radioIdx == nil {
-		return
-	}
-	n := len(m.radios)
-	if m.pool != nil && n >= m.thr.MobilityMin {
-		if cap(m.reixPts) < n {
-			m.reixPts = make([]geom.Point, n)
-		}
-		pts := m.reixPts[:n]
-		parts := m.pool.Workers()
-		m.pool.Run(parts, func(c int) {
-			lo, hi := shard.ChunkBounds(n, parts, c)
-			for i := lo; i < hi; i++ {
-				pts[i] = m.radios[i].pos()
-			}
-		})
-		for i, r := range m.radios {
-			m.radioIdx.Update(r.id, pts[i])
-		}
 		return
 	}
 	for _, r := range m.radios {
@@ -673,124 +605,13 @@ func (m *Medium) finishTransmission(t *transmission) bool {
 	// order, which is deterministic for a given seed but differs from
 	// the naive path's id order; the delivered frame set is identical
 	// either way.
-	if m.pool != nil {
-		m.scratch, m.candPts = m.radioIdx.NearEntries(
-			t.pos, m.cfg.Range+m.cfg.IndexSlack, m.scratch[:0], m.candPts[:0])
-		if len(m.scratch) >= m.thr.RxMin {
-			m.finishBroadcastSharded(t)
-			return false
-		}
-	} else {
-		m.scratch = m.radioIdx.NearIDs(t.pos, m.cfg.Range+m.cfg.IndexSlack, m.scratch[:0])
-	}
+	m.scratch = m.radioIdx.NearIDs(t.pos, m.cfg.Range+m.cfg.IndexSlack, m.scratch[:0])
 	for _, id := range m.scratch {
 		if id != t.from.id {
 			m.deliverTo(t, m.radios[id])
 		}
 	}
 	return false
-}
-
-// Per-candidate analysis slots of the sharded broadcast path: the full
-// outcome of the serial deliverTo prelude, computed in parallel and
-// committed in serial enumeration order.
-const (
-	rxSkip  uint8 = iota // out of reception range
-	rxFault              // vetoed by Config.DropRx
-	rxBad                // corrupted by interference or half-duplex
-	rxOK                 // delivered
-)
-
-// finishBroadcastSharded resolves a broadcast's receptions in three
-// phases so the whole per-candidate analysis — not just the
-// interference verdict — runs on the worker pool while everything
-// observable stays in serial order:
-//
-//  1. Serial enumeration, in index order: fix the candidate list (and
-//     with it the commit order) and assign each candidate a stripe from
-//     its cached grid position. The cached position may trail the fresh
-//     one, but any deterministic partition is valid — the analyses are
-//     pure per candidate and write caller-indexed slots — and using the
-//     cache keeps this phase free of position-callback side effects.
-//  2. Parallel analysis, grouped by stripe shard: observe the
-//     candidate's fresh position (each mobility model is touched by
-//     exactly one worker, and position queries are order-independent —
-//     see internal/mobility), apply the range check, the DropRx fault
-//     predicate (pure by contract), and corruptedAt. Every other input
-//     (txCand, per-radio airing histories, the scheduler clock) is
-//     frozen while the event loop blocks on the join, and each
-//     candidate writes only its own slots, so the phase is race-free
-//     and its outcomes equal the serial path's — deliveries committed
-//     mid-batch can never flip an outcome, because a transmission
-//     starting at the batch tick cannot overlap one ending at it, and
-//     txCand was gathered before any commit either way.
-//  3. Serial commit, again in enumeration order, interleaving exactly
-//     like the serial loop's deliverTo: per candidate, the lazy grid
-//     refresh (in-range candidates only), then the stat counter or the
-//     delivery (onRecv is protocol code — queues, carrier sensing —
-//     that must see the same interleaving as the serial engine).
-func (m *Medium) finishBroadcastSharded(t *transmission) {
-	m.rxIDs, m.rxShard = m.rxIDs[:0], m.rxShard[:0]
-	for i, id := range m.scratch {
-		if id == t.from.id {
-			continue
-		}
-		m.rxIDs = append(m.rxIDs, id)
-		m.rxShard = append(m.rxShard, m.stripes.Of(m.candPts[i].X))
-	}
-	n := len(m.rxIDs)
-	if n == 0 {
-		return
-	}
-	if cap(m.rxPts) < n {
-		m.rxPts = make([]geom.Point, n)
-		m.rxStat = make([]uint8, n)
-	}
-	m.rxPts, m.rxStat = m.rxPts[:n], m.rxStat[:n]
-	r2 := m.cfg.Range * m.cfg.Range
-	now := float64(m.sched.Now())
-	m.pool.Run(m.stripes.Count(), func(s int) {
-		for i, id := range m.rxIDs {
-			if m.rxShard[i] != s {
-				continue
-			}
-			p := m.radios[id].pos()
-			m.rxPts[i] = p
-			switch {
-			case t.pos.Dist2(p) > r2:
-				m.rxStat[i] = rxSkip
-			case m.cfg.DropRx != nil && m.cfg.DropRx(t.from.id, id, now, t.pos, p):
-				m.rxStat[i] = rxFault
-			case m.corruptedAt(t, id, p):
-				m.rxStat[i] = rxBad
-			default:
-				m.rxStat[i] = rxOK
-			}
-		}
-	})
-	lazyRefresh := m.cfg.IndexSlack > 0
-	for i, id := range m.rxIDs {
-		st := m.rxStat[i]
-		if st == rxSkip {
-			continue
-		}
-		if lazyRefresh {
-			m.radioIdx.Update(id, m.rxPts[i])
-		}
-		switch st {
-		case rxFault:
-			m.stats.FaultDrops++
-		case rxBad:
-			m.stats.Collisions++
-		default:
-			r := m.radios[id]
-			m.stats.Delivered++
-			r.recvCount++
-			if r.onRecv != nil {
-				r.onRecv(t.frame)
-			}
-		}
-	}
 }
 
 // deliverTo attempts reception of t at radio r and reports success. As a

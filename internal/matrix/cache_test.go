@@ -113,6 +113,32 @@ func TestDriverCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDriverParallelMatchesSequential: each run steps its world on one
+// goroutine, so the driver's only concurrency is running replications
+// side by side. A four-worker sweep over several cells and seeds must
+// render exactly the atlas a one-worker sweep does. Run under -race in
+// CI.
+func TestDriverParallelMatchesSequential(t *testing.T) {
+	m := tinyMatrix()
+	m.Protocols = []glr.Protocol{glr.GLR, glr.Epidemic}
+	m.Seeds = 3
+	secs := []Section{{Name: "tiny", Title: "Tiny", Matrix: m, ChartX: "range", SeriesChart: true}}
+	render := func(workers int) string {
+		atlas, err := (&Driver{Workers: workers}).Run(context.Background(), secs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := atlas.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js)
+	}
+	if seq, par := render(1), render(4); seq != par {
+		t.Fatalf("four-worker atlas differs from one-worker atlas:\n%s\nvs\n%s", par, seq)
+	}
+}
+
 // TestDriverVersionBumpMisses: a semantic version bump invalidates
 // every previously cached cell.
 func TestDriverVersionBumpMisses(t *testing.T) {

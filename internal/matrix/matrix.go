@@ -24,29 +24,12 @@ package matrix
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"glr"
 	"glr/internal/runner"
 	"glr/internal/stats"
 )
-
-// shardBudget splits GOMAXPROCS between the driver's replication
-// workers and each run's shard pool, mirroring the public Runner's
-// division: w concurrent runs each get GOMAXPROCS/w shard workers,
-// minimum 1 (serial).
-func shardBudget(workers int) int {
-	procs := runtime.GOMAXPROCS(0)
-	w := workers
-	if w <= 0 {
-		w = procs
-	}
-	if b := procs / w; b > 1 {
-		return b
-	}
-	return 1
-}
 
 // Version namespaces every cache key. Bump it whenever simulation
 // semantics change in a way that invalidates previously computed
@@ -291,11 +274,8 @@ func (d *Driver) Run(ctx context.Context, sections []Section) (*Atlas, error) {
 	}
 
 	// One shared pool over every missing (cell, seed): a sweep with a
-	// few straggler cells still saturates the workers. Each run's shard
-	// pool is capped so driver workers × shard workers stays within
-	// GOMAXPROCS (results are byte-identical at any parallelism; cached
-	// atlases stay valid regardless of the split).
-	budget := shardBudget(d.Workers)
+	// few straggler cells still saturates the workers. Each run steps
+	// on its own goroutine.
 	var jobs []runner.Job[seedOut]
 	for mi := range misses {
 		p := &misses[mi]
@@ -308,7 +288,7 @@ func (d *Driver) Run(ctx context.Context, sections []Section) (*Atlas, error) {
 					SampleEvery: every,
 					OnSample:    func(s glr.Sample) { out.delivery = append(out.delivery, s.DeliveryRatio) },
 				}
-				sc, err := spec.Scenario(glr.WithSeed(seed), glr.WithObserver(obs), glr.WithParallelism(budget))
+				sc, err := spec.Scenario(glr.WithSeed(seed), glr.WithObserver(obs))
 				if err != nil {
 					return seedOut{}, fmt.Errorf("matrix: cell %s seed %d: %w", spec.Label(), seed, err)
 				}

@@ -12,11 +12,7 @@
 // extension mutates internal state, and the randomized models each own a
 // private RNG), but distinct instances share nothing — every stochastic
 // model is seeded with its own stream precisely so trajectories never
-// depend on cross-node query interleaving. The sharded engine's parallel
-// planes rely on exactly this split: any partition of nodes across workers
-// may query positions concurrently, provided each node's model is touched
-// by exactly one worker per fork, and the returned positions are
-// byte-identical to any serial query order.
+// depend on cross-node query interleaving.
 package mobility
 
 import (

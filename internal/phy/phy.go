@@ -125,15 +125,3 @@ func ThresholdForRange(m Propagation, pt, wantRange float64) (float64, error) {
 // (0.28183815 W, which with the default thresholds yields a 250 m range
 // under TwoRayGround).
 const NS2DefaultTxPower = 0.28183815
-
-// HaloWidth returns the shard-halo width for a medium whose radios reach
-// rangeM metres and whose spatial index tolerates indexSlack metres of
-// inter-reindex drift: the distance within which a transmission's
-// receiver candidates can lie, and therefore the minimum stripe width
-// that guarantees one shard's receivers reach at most into the adjacent
-// stripes. Carrier sensing and interference verdicts read further
-// (rangeM × (1+CSRangeFactor)), but those reads are immutable during a
-// parallel section, so only the reception reach bounds the stripes.
-func HaloWidth(rangeM, indexSlack float64) float64 {
-	return rangeM + indexSlack
-}

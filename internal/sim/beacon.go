@@ -66,7 +66,7 @@ func (r *beaconRing) arm() {
 // advances their next fire times by one interval, and re-arms. The due
 // members are collected before any hello is sent: sends never touch the
 // ring, so collect-then-send dispatches the identical sequence while
-// letting World.sendBeacons construct a multi-member batch in parallel.
+// letting World.sendBeacons time the whole batch as one beacon phase.
 func (r *beaconRing) fire() {
 	t := r.sched.Now()
 	due := r.due[:0]

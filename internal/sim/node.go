@@ -10,7 +10,6 @@ import (
 	"glr/internal/mac"
 	"glr/internal/metrics"
 	"glr/internal/mobility"
-	"glr/internal/shard"
 )
 
 // Protocol is the routing-protocol hook set. The GLR implementation lives
@@ -124,19 +123,6 @@ func (n *Node) Neighbors() *dtn.NeighborTable {
 // Locations returns the node's location table (§2.3.1 diffusion state).
 func (n *Node) Locations() *dtn.LocationTable { return n.locations }
 
-// ShardPool exposes the world's shard worker pool, nil when the run is
-// serial (Scenario.DisableSharding, Parallelism 1, or a single-CPU
-// automatic resolution). Protocols may use it for speculative read-only
-// work; everything that mutates simulation state stays on the event
-// goroutine.
-func (n *Node) ShardPool() *shard.Pool { return n.world.pool }
-
-// ForkThresholds returns the run's per-plane fork thresholds
-// (shard.Never() on serial engines). Protocols forking batch work onto
-// ShardPool gate on the matching plane's threshold so below-break-even
-// batches stay inline.
-func (n *Node) ForkThresholds() shard.Thresholds { return n.world.thr }
-
 // PhaseProfiled reports whether the run collects per-phase wall-clock
 // attribution (see World.EnablePhaseProfile).
 func (n *Node) PhaseProfiled() bool { return n.world.prof != nil }
@@ -147,16 +133,6 @@ func (n *Node) AddAntiEntropyTime(d time.Duration) {
 	if n.world.prof != nil {
 		n.world.prof.AntiEntropy += d
 	}
-}
-
-// AppendTwoHopAt appends the node's two-hop neighborhood as it will look
-// at the (future or present) instant `at` — the rows that will not have
-// expired by then plus this node's own predicted position — without
-// mutating the table. It feeds speculative spanner builds: the preview
-// is byte-identical to what Neighbors().AppendTwoHop would return at
-// `at` provided no beacon arrives in between.
-func (n *Node) AppendTwoHopAt(ids []int, pts []geom.Point, at float64) ([]int, []geom.Point) {
-	return n.neighbors.AppendTwoHopAt(ids, pts, n.id, n.mob.Position(at), at-n.world.cfg.NeighborExpiry)
 }
 
 // OraclePosition returns the true current position of any node. It backs
@@ -263,27 +239,18 @@ func (n *Node) handleBeacon(b Beacon) {
 
 // sendBeacon broadcasts this node's current hello from a pooled frame:
 // the advertised-neighbor list is built in the pooled buffer, so a
-// steady-state beacon allocates nothing.
+// steady-state beacon allocates nothing. The advertised position is the
+// true one in fault-free runs; under GPS noise or a Byzantine plan the
+// node claims somewhere else, and every receiver's tables trust the
+// claim.
 func (n *Node) sendBeacon() {
 	if n.world.nodeDown(n.id) {
 		return
 	}
 	bf := n.world.takeBeacon()
-	n.fillBeacon(bf)
-	n.countFrame(KindControl)
-	n.radio.Send(&bf.frame)
-}
-
-// fillBeacon constructs this node's current hello into the pooled
-// frame: neighbor-table expiry, advertised-neighbor fill, and the
-// advertised position (the true one in fault-free runs; under GPS
-// noise or a Byzantine plan the node claims somewhere else, and every
-// receiver's tables trust the claim). It touches only the node's own
-// tables, mobility model, and bf — plus pure reads of the clock and
-// the fault plan — so the batched beacon plane may run fillBeacon for
-// distinct nodes on parallel workers (see World.sendBeacons).
-func (n *Node) fillBeacon(bf *beaconFrame) {
 	adv := n.Neighbors().AppendAdvertised(bf.b.Neighbors[:0])
 	bf.b = Beacon{From: n.id, Pos: n.world.advertisedPos(n.id, n.Pos()), Time: n.Now(), Neighbors: adv}
 	bf.frame = mac.Frame{Dst: mac.Broadcast, Bits: beaconBits(len(adv)), Payload: bf}
+	n.countFrame(KindControl)
+	n.radio.Send(&bf.frame)
 }

@@ -1,14 +1,10 @@
 package sim
 
-import (
-	"time"
-
-	"glr/internal/shard"
-)
+import "time"
 
 // PhaseProf accumulates the wall clock spent in each stepping plane of
-// a run — the attribution the scale sweep prints so parallel-coverage
-// gains are visible per plane rather than only end to end. Profiling is
+// a run — the attribution the scale sweep prints so each plane's cost is
+// visible rather than only the end-to-end wall clock. Profiling is
 // off by default (a run pays one nil check per phase dispatch);
 // EnablePhaseProfile switches it on for a world before Run.
 //
@@ -55,8 +51,3 @@ func (w *World) PhaseProfile() PhaseProf {
 	}
 	return *w.prof
 }
-
-// ForkThresholds returns the per-plane fork thresholds in effect for
-// this world: the scenario's pinned values, the calibrated model for an
-// automatic sharded run, or shard.Never() for serial engines.
-func (w *World) ForkThresholds() shard.Thresholds { return w.thr }

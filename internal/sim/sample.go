@@ -90,13 +90,11 @@ func (w *World) RunContext(ctx context.Context) (metrics.Report, error) {
 	if ctx != nil && ctx.Done() != nil {
 		for t := runChunk; t < w.cfg.SimTime; t += runChunk {
 			if err := ctx.Err(); err != nil {
-				w.closePool()
 				return metrics.Report{}, err
 			}
 			w.sched.Run(t)
 		}
 		if err := ctx.Err(); err != nil {
-			w.closePool()
 			return metrics.Report{}, err
 		}
 	}

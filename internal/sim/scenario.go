@@ -7,12 +7,10 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"glr/internal/fault"
 	"glr/internal/mac"
 	"glr/internal/mobility"
-	"glr/internal/shard"
 )
 
 // MobilityKind selects the movement model for a scenario.
@@ -84,27 +82,6 @@ type Scenario struct {
 	// MACOverride, when non-nil, replaces the derived MAC configuration.
 	MACOverride *mac.Config
 
-	// Parallelism bounds the world's shard worker pool — the within-run
-	// parallel engine behind sharded reception verdicts and speculative
-	// spanner builds. 0 means automatic (GOMAXPROCS); 1 forces serial
-	// stepping. Results are byte-identical at every setting; only the
-	// wall clock changes.
-	Parallelism int
-
-	// DisableSharding pins the run to the fully serial engine regardless
-	// of Parallelism. Results are identical; equivalence tests and the
-	// node-count sweep use it.
-	DisableSharding bool
-
-	// ForkThresholds overrides the sharded engine's per-plane fork
-	// thresholds (nil = measure once at world init via shard.Calibrate).
-	// Thresholds gate only whether a parallel plane forks onto the pool,
-	// never what it computes, so results are byte-identical at every
-	// setting — including the pathological 0 (always fork) and
-	// math.MaxInt (never fork), which the equivalence tests force.
-	// Ignored by serial runs.
-	ForkThresholds *shard.Thresholds
-
 	// Faults lists the disruption models injected into the run (see
 	// internal/fault). Empty means a fault-free run, byte-identical to
 	// a build without the fault subsystem; the same Seed always replays
@@ -152,13 +129,6 @@ func (s Scenario) Validate() error {
 			s.NeighborExpiry, s.BeaconInterval)
 	case s.StorageLimit < 0:
 		return fmt.Errorf("sim: storage limit %d must be nonnegative", s.StorageLimit)
-	case s.Parallelism < 0:
-		return fmt.Errorf("sim: parallelism %d must be nonnegative", s.Parallelism)
-	}
-	if t := s.ForkThresholds; t != nil {
-		if t.RxMin < 0 || t.BeaconMin < 0 || t.MobilityMin < 0 || t.DiffMin < 0 {
-			return fmt.Errorf("sim: fork thresholds %+v must be nonnegative", *t)
-		}
 	}
 	switch s.Mobility {
 	case MobilityWaypoint, MobilityStatic:
@@ -200,19 +170,6 @@ func (s Scenario) Validate() error {
 		}
 	}
 	return nil
-}
-
-// shardWorkers resolves the effective worker count of the shard pool:
-// 1 (serial) when sharding is disabled, GOMAXPROCS when Parallelism is
-// automatic, the configured bound otherwise.
-func (s Scenario) shardWorkers() int {
-	if s.DisableSharding {
-		return 1
-	}
-	if s.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Parallelism
 }
 
 // maxDriftSpeed returns the fastest any node can move, for sizing the

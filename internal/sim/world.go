@@ -10,7 +10,6 @@ import (
 	"glr/internal/mac"
 	"glr/internal/metrics"
 	"glr/internal/mobility"
-	"glr/internal/shard"
 )
 
 // ProtocolFactory builds one protocol instance per node.
@@ -25,21 +24,9 @@ type World struct {
 	collector *metrics.Collector
 	rng       *rand.Rand
 
-	// pool is the shard worker pool for within-run parallelism (nil =
-	// serial engine); see Scenario.Parallelism / DisableSharding. thr
-	// holds the per-plane fork thresholds in effect — calibrated at
-	// init or pinned by Scenario.ForkThresholds; shard.Never() for
-	// serial runs.
-	pool *shard.Pool
-	thr  shard.Thresholds
-
 	// prof accumulates per-phase wall clock when EnablePhaseProfile was
 	// called (nil = off, the default; see phaseprof.go).
 	prof *PhaseProf
-
-	// Scratch for the batched beacon plane (see sendBeacons).
-	beaconDue   []*Node
-	beaconBatch []*beaconFrame
 
 	// plan is the compiled fault set (nil = fault-free run; every
 	// fault-path check is gated on it so the zero-fault hot path pays
@@ -140,35 +127,13 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	}
 	if w.plan != nil {
 		// Blackouts and crashed receivers gate reception inside the
-		// medium; the predicate is pure, so serial and sharded
-		// resolution reach identical verdicts.
+		// medium through a pure predicate of its arguments.
 		macCfg.DropRx = w.plan.BlocksReception
 	}
 	w.medium, err = mac.NewMedium(w.sched, macCfg, cfg.Seed^0x5eed)
 	if err != nil {
 		return nil, err
 	}
-	if workers := cfg.shardWorkers(); workers > 1 {
-		// The sharded engine: a worker pool shared by the medium
-		// (parallel reception analysis and bulk reindexing), the beacon
-		// plane (parallel hello construction), the protocols' anti-
-		// entropy diffs, and the speculative spanner builds (via
-		// Node.ShardPool). Results stay byte-identical to the serial
-		// engine — see internal/shard's package doc for the discipline
-		// that guarantees it. Each plane forks only above its threshold:
-		// calibrated from the measured fork cost, or pinned by the
-		// scenario for reproducible fork decisions.
-		w.pool = shard.NewPool(workers)
-		if cfg.ForkThresholds != nil {
-			w.thr = *cfg.ForkThresholds
-		} else {
-			w.thr = shard.Calibrate(workers)
-		}
-		w.medium.SetPool(w.pool, cfg.Region.W, w.thr)
-	} else {
-		w.thr = shard.Never()
-	}
-
 	models, err := w.buildMobility()
 	if err != nil {
 		return nil, err
@@ -230,50 +195,13 @@ func (w *World) scheduleReindex() {
 }
 
 // sendBeacons fires the hellos of the nodes due at one beacon-ring
-// event, in id order. Below the beacon fork threshold (the common case —
-// nodes have distinct random phases, so a typical event carries exactly
-// one due node) it is the plain serial loop. Above it, the batch runs in
-// three phases mirroring the sharded reception discipline: serial
-// enumeration (the fault-plan liveness check and pooled-frame
-// allocation, in due order), parallel hello construction (fillBeacon
-// touches only the member's own tables, mobility model, and pooled
-// frame — per-node state, each touched by exactly one worker — plus
-// pure reads of the fault plan and clock), and a serial commit (frame
-// counting and the MAC sends, whose backoff draws from the medium RNG
-// must happen in exactly the serial order).
-//
-// One deviation from the serial loop is deliberate: pooled beacon
-// frames are all taken before any send, so when a send fails
-// queue-full (recycling its frame inline) the next member uses a
-// different pooled object than the serial path would have. Contents
-// are identical either way — every field is rewritten by fillBeacon —
-// and receivers copy what they keep, so object identity is never
-// observable.
+// event, in id order.
 func (w *World) sendBeacons(due []int) {
 	if w.prof != nil {
 		defer w.prof.clock(&w.prof.Beacon)()
 	}
-	if w.pool == nil || len(due) < w.thr.BeaconMin {
-		for _, id := range due {
-			w.nodes[id].sendBeacon()
-		}
-		return
-	}
-	live, bfs := w.beaconDue[:0], w.beaconBatch[:0]
 	for _, id := range due {
-		if w.nodeDown(id) {
-			continue
-		}
-		live = append(live, w.nodes[id])
-		bfs = append(bfs, w.takeBeacon())
-	}
-	w.beaconDue, w.beaconBatch = live, bfs
-	w.pool.Run(len(live), func(i int) {
-		live[i].fillBeacon(bfs[i])
-	})
-	for i, n := range live {
-		n.countFrame(KindControl)
-		n.radio.Send(&bfs[i].frame)
+		w.nodes[id].sendBeacon()
 	}
 }
 
@@ -383,22 +311,9 @@ func (w *World) Config() Scenario { return w.cfg }
 // may alternatively step the Scheduler directly for partial runs.
 func (w *World) Run() metrics.Report {
 	w.sched.Run(w.cfg.SimTime)
-	w.closePool()
 	// Final storage sample at the horizon.
 	for i, n := range w.nodes {
 		w.collector.SampleStorage(i, n.proto.StorageUsed())
 	}
 	return w.collector.Report()
-}
-
-// closePool releases the shard workers; idempotent, and safe mid-run
-// (the pool degrades to inline execution once closed). Run and the
-// context-cancelled path of Scenario.RunContext both call it; tests that
-// step the Scheduler directly may leave workers parked until exit, which
-// is harmless.
-func (w *World) closePool() {
-	if w.pool != nil {
-		w.pool.Close()
-		w.pool = nil
-	}
 }

@@ -367,21 +367,3 @@ func (g *Grid) NearIDs(p geom.Point, r float64, buf []int) []int {
 	}
 	return buf
 }
-
-// NearEntries is NearIDs returning the cached positions alongside the
-// ids, appended to parallel buffers in one scan. The sharded reception
-// path partitions candidates into stripe shards before observing their
-// fresh positions; the cached position is the deterministic stand-in
-// that keeps the partition free of position-callback side effects.
-func (g *Grid) NearEntries(p geom.Point, r float64, ids []int, pts []geom.Point) ([]int, []geom.Point) {
-	s := g.rect(p, r)
-	for cy := s.y0; cy <= s.y1; cy++ {
-		for cx := s.x0; cx <= s.x1; cx++ {
-			for _, it := range g.bucketAt(cx, cy, s.clipped) {
-				ids = append(ids, it.id)
-				pts = append(pts, it.p)
-			}
-		}
-	}
-	return ids, pts
-}

@@ -3,7 +3,6 @@ package glr
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"glr/internal/metrics"
 	"glr/internal/runner"
@@ -14,6 +13,9 @@ import (
 // comparisons — across a worker pool, aggregating results as mean ±
 // Student-t confidence half-width (the paper's methodology). The zero
 // value runs on all CPUs at 90% confidence.
+//
+// Each replication steps its world on one goroutine; Workers is how a
+// sweep uses several cores.
 //
 // Replication r runs with seed base+r, where base is the scenario's
 // WithSeed value — so any single replication can be reproduced with
@@ -96,16 +98,13 @@ func (r Runner) Compare(ctx context.Context, s *Scenario, runs int) (Comparison,
 	if err := r.check(runs); err != nil {
 		return Comparison{}, err
 	}
-	budget := runnerShardBudget(r.Workers, 2*runs)
 	jobs := make([]runner.Job[metrics.Report], 0, 2*runs)
 	for _, proto := range []Protocol{GLR, Epidemic} {
 		proto := proto
 		for i := 0; i < runs; i++ {
 			seed := s.seed + int64(i)
 			jobs = append(jobs, func(ctx context.Context) (metrics.Report, error) {
-				cp := s.withProtocol(proto)
-				cp.parallelism = capParallelism(s.parallelism, budget)
-				return cp.runSeed(ctx, seed, false)
+				return s.withProtocol(proto).runSeed(ctx, seed, false)
 			})
 		}
 	}
@@ -121,48 +120,14 @@ func (r Runner) Compare(ctx context.Context, s *Scenario, runs int) (Comparison,
 
 // replicate fans one protocol's replications over the pool.
 func (r Runner) replicate(ctx context.Context, s *Scenario, proto Protocol, runs int) ([]metrics.Report, error) {
-	budget := runnerShardBudget(r.Workers, runs)
 	jobs := make([]runner.Job[metrics.Report], runs)
 	for i := 0; i < runs; i++ {
 		seed := s.seed + int64(i)
 		jobs[i] = func(ctx context.Context) (metrics.Report, error) {
-			cp := s.withProtocol(proto)
-			cp.parallelism = capParallelism(s.parallelism, budget)
-			return cp.runSeed(ctx, seed, false)
+			return s.withProtocol(proto).runSeed(ctx, seed, false)
 		}
 	}
 	return runner.Run(ctx, r.Workers, jobs)
-}
-
-// runnerShardBudget divides the machine between the Runner's replication
-// workers and each replication's shard pool: with w replications running
-// concurrently, each gets GOMAXPROCS/w shard workers (at least 1, i.e.
-// serial), so the combined goroutine count stays within GOMAXPROCS
-// instead of multiplying. Results are unaffected — per-run parallelism
-// is byte-identical at every setting — only the machine split changes.
-func runnerShardBudget(workers, jobs int) int {
-	procs := runtime.GOMAXPROCS(0)
-	w := workers
-	if w <= 0 {
-		w = procs
-	}
-	if jobs > 0 && jobs < w {
-		w = jobs
-	}
-	if b := procs / w; b > 1 {
-		return b
-	}
-	return 1
-}
-
-// capParallelism bounds a scenario's requested shard parallelism by the
-// runner's per-replication budget: automatic (0) takes the whole budget;
-// an explicit request is honored up to it.
-func capParallelism(p, budget int) int {
-	if p == 0 || p > budget {
-		return budget
-	}
-	return p
 }
 
 // withProtocol returns a shallow copy of the scenario pinned to proto.

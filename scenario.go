@@ -8,7 +8,6 @@ import (
 	"glr/internal/geom"
 	"glr/internal/metrics"
 	"glr/internal/mobility"
-	"glr/internal/shard"
 	"glr/internal/sim"
 )
 
@@ -31,78 +30,6 @@ type Scenario struct {
 	epiCfg    *EpidemicConfig
 	observers []*Observer
 	faults    []Fault // WithFaults: empty = fault-free
-
-	parallelism int // WithParallelism: 0 = auto, 1 = serial
-	engine      Engine
-}
-
-// Engine selects how a scenario's runs use the host's cores. Results
-// are byte-identical at every setting (equivalence tests in
-// internal/core and internal/sim assert it), so the engine only changes
-// wall clock, never outcomes. The zero value is the sharded engine with
-// calibrated fork thresholds.
-type Engine struct {
-	// DisableSharding pins runs to the fully serial engine regardless of
-	// WithParallelism: no worker pool, no parallel reception verdicts, no
-	// speculative spanner builds.
-	DisableSharding bool
-	// ForkThresholds pins the per-plane fork thresholds of a sharded run:
-	// a stepping plane forks its batch onto the worker pool only when the
-	// batch size reaches the plane's threshold, and runs inline otherwise.
-	// nil (the default) calibrates thresholds at world construction from a
-	// measured fork-cost model; pinning them makes fork decisions
-	// reproducible across hosts (useful for benchmarks and tests).
-	// Thresholds gate only whether work forks, never what it computes —
-	// results are byte-identical at every setting, including the
-	// pathological extremes 0 (always fork) and math.MaxInt (never fork).
-	// Ignored by serial runs.
-	ForkThresholds *ForkThresholds
-}
-
-// ForkThresholds carries the per-plane minimum batch sizes at which a
-// sharded run forks work onto the worker pool (see
-// Engine.ForkThresholds). A batch smaller than the plane's threshold
-// runs inline on the event goroutine; 0 forks always, math.MaxInt
-// never. All fields must be nonnegative.
-type ForkThresholds struct {
-	// RxMin gates reception-verdict batches: the candidate receivers of
-	// one ended airing.
-	RxMin int
-	// BeaconMin gates batched beacon construction: the due senders of
-	// one aggregated beacon event.
-	BeaconMin int
-	// MobilityMin gates the periodic bulk position reindex: the number
-	// of radios whose positions are re-extrapolated.
-	MobilityMin int
-	// DiffMin gates epidemic anti-entropy diffs: the number of summary
-	// ids screened against the local buffer.
-	DiffMin int
-}
-
-// WithEngine selects the execution engine (default: the zero Engine —
-// sharded stepping with calibrated fork thresholds). See Engine for the
-// settings.
-func WithEngine(e Engine) Option {
-	return func(s *Scenario) error {
-		s.engine = e
-		return nil
-	}
-}
-
-// WithParallelism bounds the per-run shard worker pool: n workers step
-// the world's sharded phases concurrently. 0 (the default) sizes the
-// pool automatically to GOMAXPROCS; 1 forces serial execution. Results
-// are byte-identical at every setting — parallelism only changes wall
-// clock. Runner caps each replication's pool so combined workers across
-// concurrent replications stay within GOMAXPROCS.
-func WithParallelism(n int) Option {
-	return func(s *Scenario) error {
-		if n < 0 {
-			return fmt.Errorf("glr: parallelism %d must be nonnegative", n)
-		}
-		s.parallelism = n
-		return nil
-	}
 }
 
 // Option configures a Scenario under construction.
@@ -335,16 +262,6 @@ func (s *Scenario) compile(seed int64) (sim.Scenario, sim.ProtocolFactory, error
 		scn.Region.W, scn.Region.H = s.width, s.height
 	}
 	scn.StorageLimit = s.storageLimit
-	scn.Parallelism = s.parallelism
-	scn.DisableSharding = s.engine.DisableSharding
-	if ft := s.engine.ForkThresholds; ft != nil {
-		scn.ForkThresholds = &shard.Thresholds{
-			RxMin:       ft.RxMin,
-			BeaconMin:   ft.BeaconMin,
-			MobilityMin: ft.MobilityMin,
-			DiffMin:     ft.DiffMin,
-		}
-	}
 
 	// Workload generators draw random pairs over scn.N; reject
 	// degenerate sizes before they schedule (a one-trajectory Trace can
