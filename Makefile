@@ -7,7 +7,7 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
 # Benchmarks under the CI regression gate (spanner construction + MAC
-# medium + dense node-state plane + beacon tick + the event-core
+# medium + node-state tables + beacon tick + the event-core
 # scheduler + the sequential/parallel Runner sweep pair + the
 # 1000-node world step with and without faults + the calibration probe
 # benchgate normalizes by). The gate covers ns/op (calibration-normalized) and,
@@ -16,7 +16,7 @@ BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkDelaunay|BenchmarkMedium|Benchma
 BENCH_GATE_PKGS := . ./internal/geom ./internal/ldt ./internal/mac ./internal/dtn ./internal/des ./internal/sim
 BENCH_GATE_FLAGS := -benchmem -count 5 -benchtime 0.3s -run '^$$'
 
-.PHONY: build test test-short bench bench-gate bench-baseline bench-check mem-gate api api-check doc-check atlas atlas-check atlas-golden fmt vet ci
+.PHONY: build test test-short fuzz-smoke bench bench-gate bench-baseline bench-check mem-gate api api-check doc-check atlas atlas-check atlas-golden fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ test:
 ## test-short is the CI test job: race detector on, slow suites skipped.
 test-short:
 	$(GO) test -race -short ./...
+
+## fuzz-smoke is the bounded fuzz step of CI's disruption-smoke job:
+## 15 s each for the fault-slug parser and the neighbor table.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 15s .
+	$(GO) test -run '^$$' -fuzz '^FuzzNeighborTable$$' -fuzztime 15s ./internal/dtn
 
 ## bench runs the gated benchmarks once, without the regression gate.
 bench:

@@ -162,6 +162,27 @@ func EncodeFaults(faults []Fault) string {
 	return strings.Join(parts, "+")
 }
 
+// splitModels splits a fault slug at the "+" that joins its models. A
+// "+" inside an argument list is a sign ("1e+21", "+Inf") and stays.
+func splitModels(s string) []string {
+	var parts []string
+	start, inArgs := 0, false
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '(':
+			inArgs = true
+		case ')':
+			inArgs = false
+		case '+':
+			if !inArgs {
+				parts = append(parts, s[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(parts, s[start:])
+}
+
 // ParseFaults parses the slug format EncodeFaults renders back into a
 // fault set. "" parses to nil (fault-free). Unknown kinds and field
 // keys are errors; range validation happens later, at scenario
@@ -171,7 +192,7 @@ func ParseFaults(s string) ([]Fault, error) {
 		return nil, nil
 	}
 	var out []Fault
-	for _, part := range strings.Split(s, "+") {
+	for _, part := range splitModels(s) {
 		kind := part
 		args := ""
 		if i := strings.IndexByte(part, '('); i >= 0 {

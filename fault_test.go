@@ -287,6 +287,57 @@ func TestEncodeParseFaults(t *testing.T) {
 	}
 }
 
+// FuzzParseFaults: no slug panics the parser or scenario construction,
+// and every accepted slug has a canonical encoding that parses back to
+// itself. Encodings are compared as strings because NaN fields defeat
+// DeepEqual.
+func FuzzParseFaults(f *testing.F) {
+	for _, slug := range []string{
+		// The committed atlas fault axis.
+		"",
+		"churn(rate=0.002,dur=30)+link-blackout(rate=0.15,period=20)",
+		"gps-noise(sigma=50)+byzantine(frac=0.2)",
+		"churn(rate=0.004,dur=30)+link-blackout(rate=0.3,period=20)+gps-noise(sigma=50)+byzantine(frac=0.2)",
+		// The slugs of TestNonFiniteFaultsRejected.
+		"churn(rate=0.01,dur=NaN)",
+		"churn(rate=NaN,dur=5)",
+		"churn(rate=0.01,dur=Inf)",
+		"churn(rate=Inf,dur=5)",
+		"gps-noise(sigma=NaN)",
+		"gps-noise(sigma=Inf)",
+		"link-blackout(rate=NaN)",
+		"link-blackout(rate=0.2,period=NaN)",
+		"link-blackout(rate=0.2,period=Inf)",
+		"byzantine(frac=NaN)",
+		"region-blackout(x=NaN,y=0,w=100,h=100,start=0,end=50)",
+		"region-blackout(x=0,y=0,w=100,h=100,start=0,end=Inf)",
+		"region-blackout(x=0,y=0,w=100,h=100,start=-Inf,end=50)",
+		// Exponents large enough to encode with a sign.
+		"churn(rate=1e21,dur=3e+30)",
+	} {
+		f.Add(slug)
+	}
+	base := []Option{WithNodes(30), WithWorkload(UniformWorkload{Messages: 40}), WithSimTime(150)}
+	f.Fuzz(func(t *testing.T, slug string) {
+		faults, err := ParseFaults(slug)
+		if err != nil {
+			return
+		}
+		enc := EncodeFaults(faults)
+		back, err := ParseFaults(enc)
+		if err != nil {
+			t.Fatalf("ParseFaults(%q) accepted, but its encoding %q fails: %v", slug, enc, err)
+		}
+		if again := EncodeFaults(back); again != enc {
+			t.Fatalf("ParseFaults(%q): encoding %q re-encodes to %q", slug, enc, again)
+		}
+		sc, err := NewScenario(append(base[:len(base):len(base)], WithFaults(faults...))...)
+		if (sc == nil) == (err == nil) {
+			t.Fatalf("NewScenario(%q) = %v, %v; want exactly one of a scenario and an error", slug, sc, err)
+		}
+	})
+}
+
 // TestMatrixFaultAxis: fault sets are a first-class matrix axis — they
 // appear in Axes, expand the cell cross-product, ride cell labels, and
 // stay invisible (for cache-key stability) on fault-free cells.

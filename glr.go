@@ -67,8 +67,8 @@
 //   - The wireless medium (internal/mac) resolves receptions, carrier
 //     sensing, and interference through uniform-grid spatial indexes,
 //     checked against all-pairs scans.
-//   - Per-node neighbor tables (internal/dtn) are dense id-indexed rows,
-//     or compact slot-mapped rows above 2048 nodes, checked against a
+//   - Per-node neighbor tables (internal/dtn) are rows sorted by id,
+//     O(neighborhood) per node at every world size, checked against a
 //     map-backed table.
 //   - The per-check k-LDTG spanner (internal/ldt) comes from a cache
 //     shared by a world's nodes, checked against the from-scratch

@@ -238,7 +238,7 @@ type GLR struct {
 
 	// Scratch buffers reused across route checks so the routing loop
 	// stops materializing intermediate slices and maps per tick.
-	thIDs   []int          // 2-hop ids (dense-table AppendTwoHop output)
+	thIDs   []int          // 2-hop ids (AppendTwoHop output)
 	thPts   []geom.Point   // 2-hop positions, parallel to thIDs
 	stored  []*dtn.Message // per-check snapshot of the Store
 	closer  []cand         // progress candidates for the message being routed

@@ -7,16 +7,16 @@ import (
 	"glr/internal/geom"
 )
 
-// BenchmarkNeighborTableDense measures the steady-state per-beacon table work of
+// BenchmarkNeighborTable measures the steady-state per-beacon table work of
 // one node: refresh a neighbor row (with its advertised list), expire,
 // and rebuild the 2-hop point set — the sequence the simulator runs for
-// every received beacon plus route check. The dense backend does this
+// every received beacon plus route check. The table does this
 // allocation-free once warm.
-func BenchmarkNeighborTableDense(b *testing.B) {
+func BenchmarkNeighborTable(b *testing.B) {
 	const n = 1000 // world size
 	const degree = 24
 	rng := rand.New(rand.NewSource(17))
-	t := NewDenseNeighborTable(n)
+	t := NewNeighborTable()
 
 	// Steady-state neighborhood: `degree` live neighbors, each
 	// advertising `degree` of its own.

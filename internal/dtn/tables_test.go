@@ -30,6 +30,20 @@ func TestLocationTableUpdate(t *testing.T) {
 	}
 }
 
+// merge adopts every entry of src that is fresher than dst's, returning
+// the number of rows updated: the full location-table exchange of two
+// meeting nodes ("location tables should be exchanged whenever two nodes
+// meet"), as the GLR table-exchange extension performs it row by row.
+func merge(dst, src *LocationTable) int {
+	n := 0
+	for _, id := range src.IDs() {
+		if e, _ := src.Get(id); dst.Update(id, e.Pos, e.Time) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestLocationTableMerge(t *testing.T) {
 	a := NewLocationTable()
 	b := NewLocationTable()
@@ -37,7 +51,7 @@ func TestLocationTableMerge(t *testing.T) {
 	a.Update(2, geom.Pt(2, 2), 10)
 	b.Update(1, geom.Pt(9, 9), 20) // fresher
 	b.Update(3, geom.Pt(3, 3), 5)  // new node
-	if n := a.Merge(b); n != 2 {
+	if n := merge(a, b); n != 2 {
 		t.Errorf("Merge updated %d rows, want 2", n)
 	}
 	if e, _ := a.Get(1); !e.Pos.Eq(geom.Pt(9, 9)) {
@@ -55,7 +69,7 @@ func TestLocationTableMerge(t *testing.T) {
 }
 
 func TestNeighborTableObserveExpire(t *testing.T) {
-	nt := NewDenseNeighborTable(4)
+	nt := NewNeighborTable()
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 0), LastSeen: 10})
 	nt.Observe(NeighborInfo{ID: 2, Pos: geom.Pt(2, 0), LastSeen: 20})
 	nt.Observe(NeighborInfo{ID: 3, Pos: geom.Pt(3, 0), LastSeen: 30})
@@ -72,14 +86,13 @@ func TestNeighborTableObserveExpire(t *testing.T) {
 	if _, ok := nt.Get(3); !ok {
 		t.Error("fresh row should survive")
 	}
-	nt.Remove(3)
-	if nt.Len() != 0 {
-		t.Error("Remove should drop the row")
+	if gone := nt.Expire(30); !reflect.DeepEqual(gone, []int{3}) || nt.Len() != 0 {
+		t.Errorf("expired %v, Len %d; want [3], 0", gone, nt.Len())
 	}
 }
 
 func TestNeighborTableRefresh(t *testing.T) {
-	nt := NewDenseNeighborTable(4)
+	nt := NewNeighborTable()
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 0), LastSeen: 10})
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(5, 0), LastSeen: 15})
 	r, _ := nt.Get(1)
@@ -92,18 +105,18 @@ func TestNeighborTableRefresh(t *testing.T) {
 }
 
 func TestNeighborTableSnapshotSorted(t *testing.T) {
-	nt := NewCompactNeighborTable()
+	nt := NewNeighborTable()
 	for _, id := range []int{5, 1, 3} {
 		nt.Observe(NeighborInfo{ID: id, LastSeen: 1})
 	}
-	snap := nt.Snapshot()
+	snap := snapshot(nt)
 	if len(snap) != 3 || snap[0].ID != 1 || snap[1].ID != 3 || snap[2].ID != 5 {
 		t.Errorf("snapshot not sorted: %+v", snap)
 	}
 }
 
 func TestTwoHopPoints(t *testing.T) {
-	nt := NewCompactNeighborTable()
+	nt := NewNeighborTable()
 	nt.Observe(NeighborInfo{
 		ID: 1, Pos: geom.Pt(10, 0), LastSeen: 1,
 		Neighbors: []NeighborNeighbor{
@@ -118,7 +131,7 @@ func TestTwoHopPoints(t *testing.T) {
 			{ID: 4, Pos: geom.Pt(0, 20)},
 		},
 	})
-	ids, pts := nt.TwoHopPoints(0, geom.Pt(0, 0))
+	ids, pts := nt.AppendTwoHop(nil, nil, 0, geom.Pt(0, 0))
 	if len(ids) != len(pts) {
 		t.Fatal("parallel slices must align")
 	}
@@ -139,8 +152,8 @@ func TestTwoHopPoints(t *testing.T) {
 }
 
 func TestTwoHopPointsEmpty(t *testing.T) {
-	nt := NewCompactNeighborTable()
-	ids, pts := nt.TwoHopPoints(7, geom.Pt(1, 2))
+	nt := NewNeighborTable()
+	ids, pts := nt.AppendTwoHop(nil, nil, 7, geom.Pt(1, 2))
 	if len(ids) != 1 || ids[0] != 7 || !pts[0].Eq(geom.Pt(1, 2)) {
 		t.Error("empty table should yield only self")
 	}

@@ -9,13 +9,12 @@ import (
 	"glr/internal/geom"
 )
 
-// benchMediumBroadcast measures the end-to-end cost of one broadcast
-// airing — carrier sense, transmission, and reception resolution — on a
-// 1000-radio medium at the paper's node density (50 nodes per
-// 1500×300 m). The naive variant scans every radio and every active
-// transmission; the grid variant touches only the sender's
+// BenchmarkMediumBroadcastGrid measures the end-to-end cost of one
+// broadcast airing — carrier sense, transmission, and reception
+// resolution — on a 1000-radio medium at the paper's node density (50
+// nodes per 1500×300 m); the grid indexes touch only the sender's
 // neighborhood.
-func benchMediumBroadcast(b *testing.B, newMedium func(*des.Scheduler, Config, int64) (*Medium, error)) {
+func BenchmarkMediumBroadcastGrid(b *testing.B) {
 	const n = 1000
 	cfg := DefaultConfig(100)
 
@@ -24,7 +23,7 @@ func benchMediumBroadcast(b *testing.B, newMedium func(*des.Scheduler, Config, i
 	side := math.Sqrt(area)
 
 	sched := des.NewScheduler()
-	m, err := newMedium(sched, cfg, 42)
+	m, err := NewMedium(sched, cfg, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +47,3 @@ func benchMediumBroadcast(b *testing.B, newMedium func(*des.Scheduler, Config, i
 	}
 	b.ReportMetric(float64(m.stats.Delivered)/float64(b.N), "recv/op")
 }
-
-func BenchmarkMediumBroadcastNaive(b *testing.B) { benchMediumBroadcast(b, newNaiveMedium) }
-
-func BenchmarkMediumBroadcastGrid(b *testing.B) { benchMediumBroadcast(b, NewMedium) }

@@ -153,9 +153,6 @@ type Stats struct {
 // unicast virtual carrier sensing). Reception resolution, carrier
 // sensing, and interference checks then touch only the 3×3 cell block
 // around a point instead of every radio and airing in the simulation.
-// The full scans over every radio and airing remain as the reference
-// the index is tested against; only the tests' naive constructor
-// (export_test.go) builds a medium without indexes.
 type Medium struct {
 	cfg      Config
 	sched    *des.Scheduler
@@ -166,9 +163,8 @@ type Medium struct {
 	inflight int             // airings not yet ended (end > now)
 	stats    Stats
 
-	// Spatial index state (nil only in the tests' naive reference medium).
-	// Transmission anchors are registered under small recycled handles
-	// so the handle table stays a dense slice.
+	// Spatial index state. Transmission anchors are registered under
+	// small recycled handles so the handle table stays a dense slice.
 	radioIdx    *spatial.Grid
 	txIdx       *spatial.Grid
 	txByHandle  []*transmission
@@ -256,10 +252,8 @@ func (m *Medium) AddRadio(id int, pos func() geom.Point, onRecv ReceiveFunc, onS
 		r.tryTransmit()
 	}
 	m.radios = append(m.radios, r)
-	if m.radioIdx != nil {
-		if err := m.radioIdx.Insert(id, pos()); err != nil {
-			return nil, err
-		}
+	if err := m.radioIdx.Insert(id, pos()); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -268,12 +262,8 @@ func (m *Medium) AddRadio(id int, pos func() geom.Point, onRecv ReceiveFunc, onS
 // callback. The simulator calls it periodically (once per beacon
 // interval) so that, together with the lazy per-observation refreshes,
 // no cached cell is ever staler than one reindex period — the drift
-// bound Config.IndexSlack must cover. It is a no-op on the tests' naive
-// reference medium.
+// bound Config.IndexSlack must cover.
 func (m *Medium) Reindex() {
-	if m.radioIdx == nil {
-		return
-	}
 	for _, r := range m.radios {
 		m.radioIdx.Update(r.id, r.pos())
 	}
@@ -336,17 +326,6 @@ func (m *Medium) busyFor(p geom.Point) (bool, des.Time) {
 	range2 := m.cfg.Range * m.cfg.Range
 	busy := false
 	var until des.Time
-	if m.txIdx == nil {
-		for _, t := range m.active[m.head:] {
-			if m.occupies(t, p, now, cs2, range2) {
-				busy = true
-				if t.end > until {
-					until = t.end
-				}
-			}
-		}
-		return busy, until
-	}
 	// Both anchor kinds are covered by one query of radius cs: a
 	// transmission occupying p has its sender anchor within cs, or its
 	// receiver anchor within Range ≤ cs. Anchors are positions frozen
@@ -399,10 +378,6 @@ func (m *Medium) releaseHandle(h int) {
 // the transmission is bucketed under its anchor cells, and the sender's
 // cached cell is refreshed from the position just observed.
 func (m *Medium) indexTransmission(t *transmission) {
-	if m.txIdx == nil {
-		t.h1 = -1
-		return
-	}
 	if m.cfg.IndexSlack > 0 {
 		m.radioIdx.Update(t.from.id, t.pos) // lazy refresh of the sender
 	}
@@ -433,11 +408,9 @@ func (m *Medium) pruneActive() {
 	now := m.sched.Now()
 	for m.head < len(m.active) && m.active[m.head].end+activeSlack <= now {
 		t := m.active[m.head]
-		if m.txIdx != nil {
-			m.releaseHandle(t.h0)
-			if t.h1 >= 0 {
-				m.releaseHandle(t.h1)
-			}
+		m.releaseHandle(t.h0)
+		if t.h1 >= 0 {
+			m.releaseHandle(t.h1)
 		}
 		m.active[m.head] = nil // allow collection
 		m.head++
@@ -457,16 +430,13 @@ func (m *Medium) pruneActive() {
 	}
 }
 
-// txCorrupts reports whether airing u destroys reception of t at
-// position p (receiver id rid). The capture effect lets a much stronger
-// wanted signal survive: with two-ray path loss, power ratio ≈
-// (d_interferer/d_sender)⁴.
-func (m *Medium) txCorrupts(u, t *transmission, rid int, p geom.Point, ir2, dWanted2 float64) bool {
+// txCorrupts reports whether airing u, from a sender other than the
+// receiver, destroys reception of t at position p. The capture effect
+// lets a much stronger wanted signal survive: with two-ray path loss,
+// power ratio ≈ (d_interferer/d_sender)⁴.
+func (m *Medium) txCorrupts(u, t *transmission, p geom.Point, ir2, dWanted2 float64) bool {
 	if u == t || !t.overlaps(u) {
 		return false
-	}
-	if u.from.id == rid {
-		return true // half-duplex: was transmitting during t
 	}
 	dInt2 := u.pos.Dist2(p)
 	if dInt2 > ir2 {
@@ -489,14 +459,6 @@ func (m *Medium) corruptedAt(t *transmission, rid int, p geom.Point) bool {
 	ir := m.cfg.Range * m.cfg.CSRangeFactor
 	ir2 := ir * ir
 	dWanted2 := t.pos.Dist2(p)
-	if m.txIdx == nil {
-		for _, u := range m.active[m.head:] {
-			if m.txCorrupts(u, t, rid, p, ir2, dWanted2) {
-				return true
-			}
-		}
-		return false
-	}
 	// Half-duplex first: the receiver's own overlapping airings corrupt
 	// regardless of distance, so they come from the per-radio history
 	// rather than the (distance-bounded) candidate set. t is never the
@@ -513,7 +475,7 @@ func (m *Medium) corruptedAt(t *transmission, rid int, p geom.Point) bool {
 	// exact predicate decides. Batch-mates are in the set and genuinely
 	// overlap each other; t itself is skipped by the u == t check.
 	for _, u := range m.txCand {
-		if u.from.id != rid && m.txCorrupts(u, t, rid, p, ir2, dWanted2) {
+		if u.from.id != rid && m.txCorrupts(u, t, p, ir2, dWanted2) {
 			return true
 		}
 	}
@@ -568,9 +530,7 @@ func (m *Medium) resolveEnds(t *transmission) {
 			m.batch = append(m.batch, u)
 		}
 	}
-	if m.txIdx != nil {
-		m.gatherInterferers()
-	}
+	m.gatherInterferers()
 	for _, u := range m.batch {
 		u.from.endTransmission(u)
 	}
@@ -590,21 +550,11 @@ func (m *Medium) finishTransmission(t *transmission) bool {
 		}
 		return m.deliverTo(t, m.radios[dst])
 	}
-	if m.radioIdx == nil {
-		for _, r := range m.radios {
-			if r.id != t.from.id {
-				m.deliverTo(t, r)
-			}
-		}
-		return false
-	}
 	// Candidate receivers are the radios indexed within reception range
 	// of the sender, widened by IndexSlack to cover movement since
 	// their cells were last refreshed. The ids are snapshotted (the
 	// deliveries below move entries between cells) and visited in index
-	// order, which is deterministic for a given seed but differs from
-	// the naive path's id order; the delivered frame set is identical
-	// either way.
+	// order, which is deterministic for a given seed.
 	m.scratch = m.radioIdx.NearIDs(t.pos, m.cfg.Range+m.cfg.IndexSlack, m.scratch[:0])
 	for _, id := range m.scratch {
 		if id != t.from.id {
@@ -622,7 +572,7 @@ func (m *Medium) deliverTo(t *transmission, r *Radio) bool {
 	if t.pos.Dist2(p) > m.cfg.Range*m.cfg.Range {
 		return false
 	}
-	if m.radioIdx != nil && m.cfg.IndexSlack > 0 {
+	if m.cfg.IndexSlack > 0 {
 		// Lazy refresh: the receiver's position was just observed.
 		// Out-of-range candidates are left to the periodic Reindex,
 		// which alone bounds staleness to what IndexSlack covers. Zero

@@ -299,8 +299,9 @@ func TestBeaconsPopulateNeighborTables(t *testing.T) {
 	// Two-hop info: at least one node must know a neighbor's neighbor.
 	twoHop := false
 	for i := 0; i < s.N && !twoHop; i++ {
-		for _, r := range w.Node(i).Neighbors().Snapshot() {
-			if len(r.Neighbors) > 0 {
+		nt := w.Node(i).Neighbors()
+		for _, nn := range nt.AppendAdvertised(nil) {
+			if r, _ := nt.Get(nn.ID); len(r.Neighbors) > 0 {
 				twoHop = true
 				break
 			}

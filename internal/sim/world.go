@@ -91,10 +91,6 @@ func (w *World) putFrame(f *mac.Frame) {
 // newRand builds a deterministic RNG stream from a seed.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// denseTableNodeLimit is the world size above which per-node dense
-// tables (O(n) each, O(n²) per world) give way to compact tables.
-const denseTableNodeLimit = 2048
-
 // NewWorld wires a scenario and a protocol factory into a runnable world.
 func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	if err := cfg.Validate(); err != nil {
@@ -141,22 +137,12 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 
 	for i := 0; i < cfg.N; i++ {
 		n := &Node{
-			id:    i,
-			world: w,
-			mob:   models[i],
-			rng:   newRand(cfg.Seed + int64(i)*104729 + 7),
-		}
-		if cfg.N > denseTableNodeLimit {
-			// Dense tables cost O(n) per node — O(n²) across the world,
-			// the memory wall for 10k+ nodes. Compact neighbor rows keep
-			// the dense hot paths at O(neighborhood); the map location
-			// table is O(knowledge). All backends are byte-identical, so
-			// the switch is invisible in reports.
-			n.neighbors = dtn.NewCompactNeighborTable()
-			n.locations = dtn.NewLocationTable()
-		} else {
-			n.neighbors = dtn.NewDenseNeighborTable(cfg.N)
-			n.locations = dtn.NewDenseLocationTable(cfg.N)
+			id:        i,
+			world:     w,
+			mob:       models[i],
+			rng:       newRand(cfg.Seed + int64(i)*104729 + 7),
+			neighbors: dtn.NewNeighborTable(),
+			locations: dtn.NewLocationTable(),
 		}
 		n.radio, err = w.medium.AddRadio(i, n.Pos, n.onReceive, n.onSent)
 		if err != nil {
