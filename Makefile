@@ -7,12 +7,12 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
 # Benchmarks under the CI regression gate (spanner construction + MAC
-# medium + node-state tables + beacon tick + the event-core
-# scheduler + the sequential/parallel Runner sweep pair + the
-# 1000-node world step with and without faults + the calibration probe
-# benchgate normalizes by). The gate covers ns/op (calibration-normalized) and,
+# medium + node-state tables + epidemic anti-entropy + beacon tick +
+# the event-core scheduler + the sequential/parallel Runner sweep pair
+# + the 1000-node world step with and without faults + the calibration
+# probe benchgate normalizes by). The gate covers ns/op (calibration-normalized) and,
 # from -benchmem, B/op and allocs/op (raw).
-BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkDelaunay|BenchmarkMedium|BenchmarkNeighborTable|BenchmarkBeaconTick|BenchmarkScheduler|BenchmarkRunner|BenchmarkWorldStep|BenchmarkCalibration
+BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkDelaunay|BenchmarkMedium|BenchmarkNeighborTable|BenchmarkAntiEntropy|BenchmarkBeaconTick|BenchmarkScheduler|BenchmarkRunner|BenchmarkWorldStep|BenchmarkCalibration
 BENCH_GATE_PKGS := . ./internal/geom ./internal/ldt ./internal/mac ./internal/dtn ./internal/des ./internal/sim
 BENCH_GATE_FLAGS := -benchmem -count 5 -benchtime 0.3s -run '^$$'
 
@@ -31,10 +31,12 @@ test-short:
 	$(GO) test -race -short ./...
 
 ## fuzz-smoke is the bounded fuzz step of CI's disruption-smoke job:
-## 15 s each for the fault-slug parser and the neighbor table.
+## 15 s each for the fault-slug parser, the neighbor table and the
+## buffer's summary vector.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborTable$$' -fuzztime 15s ./internal/dtn
+	$(GO) test -run '^$$' -fuzz '^FuzzBufferSummary$$' -fuzztime 15s ./internal/dtn
 
 ## bench runs the gated benchmarks once, without the regression gate.
 bench:

@@ -46,3 +46,34 @@ func BenchmarkNeighborTable(b *testing.B) {
 	_ = ids
 	_ = pts
 }
+
+// BenchmarkAntiEntropy measures one epidemic anti-entropy exchange at the
+// paper's 1180-message load: a buffer changes (one message leaves and
+// returns, as custody churn would), advertises its summary, and a peer
+// holding about 90% of the same messages diffs it against its own.
+func BenchmarkAntiEntropy(b *testing.B) {
+	const msgs, skew = 1180, 118 // the peer misses 118 of ours and holds 118 others
+	id := func(i int) MessageID { return MessageID{Src: i % 50, Seq: i / 50} }
+	self, peer := NewBuffer(0), NewBuffer(0)
+	held := make([]*Message, msgs)
+	for i := range held {
+		held[i] = &Message{ID: id(i)}
+		self.Add(held[i])
+		peer.Add(&Message{ID: id(i + skew)})
+	}
+	lacking := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := held[i%msgs]
+		self.Remove(m.ID)
+		self.Add(m)
+		lacking = 0
+		for range peer.Lacks(self.Summary()) {
+			lacking++
+		}
+	}
+	if lacking != skew {
+		b.Fatalf("peer lacks %d messages, want %d", lacking, skew)
+	}
+}

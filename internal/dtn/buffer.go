@@ -1,5 +1,10 @@
 package dtn
 
+import (
+	"iter"
+	"slices"
+)
+
 // Buffer is a bounded FIFO message store keyed by MessageID. It models the
 // paper's node storage: "When storage is limited and the storage space is
 // fully occupied, old messages are dropped when new messages come in."
@@ -8,6 +13,9 @@ type Buffer struct {
 	capacity int
 	order    []MessageID // insertion order (oldest first)
 	byID     map[MessageID]*Message
+	sorted   []MessageID    // held ids in canonical (Src, Seq) order
+	summary  SummaryVector  // immutable snapshot of sorted; stale when !fresh
+	fresh    bool           // summary equals sorted
 	version  uint64         // bumped on every new insertion
 	insLog   []insertRecord // insertion history for delta summaries; see compactLog
 }
@@ -59,6 +67,9 @@ func (b *Buffer) Add(m *Message) (evicted *Message, stored bool) {
 	}
 	b.order = append(b.order, m.ID)
 	b.byID[m.ID] = m
+	i, _ := slices.BinarySearchFunc(b.sorted, m.ID, MessageID.Compare)
+	b.sorted = slices.Insert(b.sorted, i, m.ID)
+	b.fresh = false
 	b.version++
 	b.insLog = append(b.insLog, insertRecord{ver: b.version, id: m.ID})
 	b.compactLog()
@@ -76,8 +87,8 @@ func (b *Buffer) Add(m *Message) (evicted *Message, stored bool) {
 // insertion is newer than v, and records of evicted/removed ids decide
 // nothing. The only observable difference is ordering across
 // re-insertions (a re-inserted id sorts by its latest insertion instead
-// of its first), which consumers cannot see: delta advertisements
-// aggregate the ids into a SummaryVector set.
+// of its first), which consumers cannot see: SummarySince sorts the ids
+// into canonical order.
 func (b *Buffer) compactLog() {
 	if len(b.insLog) <= 64 || len(b.insLog) <= 2*len(b.byID) {
 		return
@@ -145,6 +156,7 @@ func (b *Buffer) Remove(id MessageID) *Message {
 			break
 		}
 	}
+	b.unindex(id)
 	return m
 }
 
@@ -157,7 +169,15 @@ func (b *Buffer) popOldest() *Message {
 	b.order = b.order[1:]
 	m := b.byID[id]
 	delete(b.byID, id)
+	b.unindex(id)
 	return m
+}
+
+// unindex deletes a removed id from the sorted index.
+func (b *Buffer) unindex(id MessageID) {
+	i, _ := slices.BinarySearchFunc(b.sorted, id, MessageID.Compare)
+	b.sorted = slices.Delete(b.sorted, i, i+1)
+	b.fresh = false
 }
 
 // Messages returns the stored messages oldest-first. The slice is freshly
@@ -186,35 +206,49 @@ func (b *Buffer) IDs() []MessageID {
 }
 
 // SummaryVector is the set of message ids a node advertises during
-// epidemic anti-entropy exchange.
-type SummaryVector map[MessageID]struct{}
+// epidemic anti-entropy exchange, sorted in the canonical (Src, Seq) order
+// without duplicates. A vector may be shared by frames still queued in
+// the MAC, so it is never modified once built.
+type SummaryVector []MessageID
 
-// Summary returns the buffer's current summary vector.
+// Summary returns the buffer's current summary vector. The vector is a
+// snapshot shared by every call until the buffer next changes; it is
+// built at most once per change.
 func (b *Buffer) Summary() SummaryVector {
-	sv := make(SummaryVector, len(b.byID))
-	for id := range b.byID {
-		sv[id] = struct{}{}
+	if !b.fresh {
+		b.summary = slices.Clone(b.sorted)
+		b.fresh = true
 	}
-	return sv
+	return b.summary
 }
 
-// Has reports whether id is in the vector.
-func (sv SummaryVector) Has(id MessageID) bool {
-	_, ok := sv[id]
-	return ok
+// SummarySince returns the delta summary of the ids InsertedSince(ver)
+// lists, in canonical order.
+func (b *Buffer) SummarySince(ver uint64) SummaryVector {
+	ids := b.InsertedSince(ver)
+	slices.SortFunc(ids, MessageID.Compare)
+	return ids
 }
 
-// Add inserts id into the vector.
-func (sv SummaryVector) Add(id MessageID) { sv[id] = struct{}{} }
-
-// Missing returns the ids present in other but absent from sv — the
-// messages the peer should transfer to us.
-func (sv SummaryVector) Missing(other SummaryVector) []MessageID {
-	var out []MessageID
-	for id := range other {
-		if !sv.Has(id) {
-			out = append(out, id)
+// Lacks yields, in canonical order, the ids of sv the buffer does not
+// hold — the messages to request from the peer that advertised sv. It is
+// one merge walk over sv and the buffer's sorted index; the buffer must
+// not change while the walk runs.
+func (b *Buffer) Lacks(sv SummaryVector) iter.Seq[MessageID] {
+	return func(yield func(MessageID) bool) {
+		own := b.sorted
+		j := 0
+		for _, id := range sv {
+			for j < len(own) && own[j].Less(id) {
+				j++
+			}
+			if j < len(own) && own[j] == id {
+				j++ // sv holds id once
+				continue
+			}
+			if !yield(id) {
+				return
+			}
 		}
 	}
-	return out
 }

@@ -1,7 +1,9 @@
 package dtn
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -148,20 +150,159 @@ func TestBufferConservationProperty(t *testing.T) {
 
 func TestSummaryVector(t *testing.T) {
 	b := NewBuffer(0)
-	b.Add(msg(1, 1))
 	b.Add(msg(2, 2))
+	b.Add(msg(1, 1))
 	sv := b.Summary()
-	if !sv.Has(MessageID{1, 1}) || !sv.Has(MessageID{2, 2}) || sv.Has(MessageID{3, 3}) {
-		t.Error("summary vector content wrong")
+	if want := (SummaryVector{{1, 1}, {2, 2}}); !slices.Equal(sv, want) {
+		t.Errorf("Summary = %v, want %v", sv, want)
 	}
-	other := make(SummaryVector)
-	other.Add(MessageID{2, 2})
-	other.Add(MessageID{9, 9})
-	missing := sv.Missing(other)
-	if len(missing) != 1 || missing[0] != (MessageID{9, 9}) {
-		t.Errorf("Missing = %v, want [m9.9]", missing)
+	other := NewBuffer(0)
+	other.Add(msg(9, 9))
+	other.Add(msg(2, 2))
+	if got := slices.Collect(b.Lacks(other.Summary())); !slices.Equal(got, []MessageID{{9, 9}}) {
+		t.Errorf("Lacks = %v, want [m9.9]", got)
 	}
-	if got := other.Missing(sv); len(got) != 1 || got[0] != (MessageID{1, 1}) {
-		t.Errorf("reverse Missing = %v, want [m1.1]", got)
+	if got := slices.Collect(other.Lacks(sv)); !slices.Equal(got, []MessageID{{1, 1}}) {
+		t.Errorf("reverse Lacks = %v, want [m1.1]", got)
 	}
+	if again := b.Summary(); &again[0] != &sv[0] {
+		t.Error("an unchanged buffer must share its summary snapshot")
+	}
+}
+
+// refSummarySet is the map-set summary vector the sorted SummaryVector
+// replaced, kept as the oracle: a FIFO buffer's held ids as a set.
+type refSummarySet struct {
+	capacity int
+	order    []MessageID
+	set      map[MessageID]struct{}
+}
+
+func (r *refSummarySet) add(id MessageID) (evicted MessageID, ok bool) {
+	if _, held := r.set[id]; held {
+		return MessageID{}, false
+	}
+	if r.capacity > 0 && len(r.set) >= r.capacity {
+		evicted, ok = r.order[0], true
+		r.remove(evicted)
+	}
+	r.order = append(r.order, id)
+	r.set[id] = struct{}{}
+	return evicted, ok
+}
+
+func (r *refSummarySet) remove(id MessageID) {
+	delete(r.set, id)
+	r.order = slices.DeleteFunc(r.order, func(o MessageID) bool { return o == id })
+}
+
+// sorted returns the held ids in canonical order.
+func (r *refSummarySet) sorted() []MessageID {
+	out := make([]MessageID, 0, len(r.set))
+	for id := range r.set {
+		out = append(out, id)
+	}
+	slices.SortFunc(out, MessageID.Compare)
+	return out
+}
+
+// missing returns the ids of peer not held, in canonical order: the set
+// difference the map-era SummaryVector.Missing computed, sorted the way
+// the epidemic receiver sorted it.
+func (r *refSummarySet) missing(peer map[MessageID]struct{}) []MessageID {
+	var out []MessageID
+	for id := range peer {
+		if _, held := r.set[id]; !held {
+			out = append(out, id)
+		}
+	}
+	slices.SortFunc(out, MessageID.Compare)
+	return out
+}
+
+// checkBufferSummary decodes data into Add, Remove, snapshot and diff
+// operations on a buffer of the given capacity. After every step it
+// checks Summary and SummarySince(0) against the map-set reference and
+// every snapshot taken earlier against its contents when taken: frames
+// carrying a summary sit in MAC queues while the buffer keeps changing.
+func checkBufferSummary(t *testing.T, capacity int, data []byte) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		v := data[0]
+		data = data[1:]
+		return int(v)
+	}
+	// A small id space makes re-insertion after removal or eviction common.
+	nextID := func() MessageID { v := next(); return MessageID{Src: v % 3, Seq: v / 3 % 8} }
+	b := NewBuffer(capacity)
+	ref := &refSummarySet{capacity: capacity, set: make(map[MessageID]struct{})}
+	type snapshot struct{ sv, want SummaryVector }
+	var snaps []snapshot
+	for step := 0; len(data) > 0; step++ {
+		switch next() % 4 {
+		case 0, 1:
+			id := nextID()
+			wantEv, wantOK := ref.add(id)
+			ev, _ := b.Add(msg(id.Src, id.Seq))
+			if (ev != nil) != wantOK || ev != nil && ev.ID != wantEv {
+				t.Fatalf("step %d: Add(%v) evicted %v, want %v (%v)", step, id, ev, wantEv, wantOK)
+			}
+		case 2:
+			id := nextID()
+			ref.remove(id)
+			b.Remove(id)
+		case 3:
+			sv := b.Summary()
+			snaps = append(snaps, snapshot{sv, slices.Clone(sv)})
+			peer := make(map[MessageID]struct{})
+			for k := next() % 6; k > 0; k-- {
+				peer[nextID()] = struct{}{}
+			}
+			peerSV := SummaryVector(slices.SortedFunc(maps.Keys(peer), MessageID.Compare))
+			if got, want := slices.Collect(b.Lacks(peerSV)), ref.missing(peer); !slices.Equal(got, want) {
+				t.Fatalf("step %d: Lacks(%v) = %v, want %v", step, peerSV, got, want)
+			}
+		}
+		want := ref.sorted()
+		if got := b.Summary(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: Summary = %v, want %v", step, got, want)
+		}
+		if got := b.SummarySince(0); !slices.Equal(got, want) {
+			t.Fatalf("step %d: SummarySince(0) = %v, want %v", step, got, want)
+		}
+		for i, s := range snaps {
+			if !slices.Equal(s.sv, s.want) {
+				t.Fatalf("step %d: snapshot %d changed to %v, taken as %v", step, i, s.sv, s.want)
+			}
+		}
+	}
+}
+
+// TestBufferSummaryRefEquivalence runs random operation sequences through
+// checkBufferSummary, from capacity-1 churn to an unlimited buffer.
+func TestBufferSummaryRefEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, capacity := range []int{1, 2, 5, 0} {
+		for trial := 0; trial < 40; trial++ {
+			data := make([]byte, 300)
+			rng.Read(data)
+			checkBufferSummary(t, capacity, data)
+		}
+	}
+}
+
+// FuzzBufferSummary: the first byte picks the capacity (0 = unlimited),
+// the rest decode into checkBufferSummary's operations.
+func FuzzBufferSummary(f *testing.F) {
+	f.Add([]byte{1, 0, 4, 0, 7, 3, 2, 2, 4, 0, 4, 3, 3, 4, 7, 1})
+	f.Add([]byte{0, 0, 1, 1, 2, 0, 3, 3, 0, 2, 1, 3, 5, 0, 1, 2, 3, 4})
+	f.Add([]byte{3, 0, 9, 0, 10, 0, 11, 0, 12, 2, 10, 3, 2, 9, 12, 0, 10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		checkBufferSummary(t, int(data[0]%4), data[1:])
+	})
 }

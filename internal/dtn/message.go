@@ -7,6 +7,7 @@
 package dtn
 
 import (
+	"cmp"
 	"fmt"
 
 	"glr/internal/geom"
@@ -25,12 +26,20 @@ func (id MessageID) String() string { return fmt.Sprintf("m%d.%d", id.Src, id.Se
 // Less reports whether id orders before other in the canonical
 // (Src, Seq) order — the deterministic iteration order every sweep over
 // a map of message ids must sort into before acting (raw map order
-// would leak runtime randomization into frame sequences).
+// would leak runtime randomization into frame sequences), and the order
+// of summary vectors.
 func (id MessageID) Less(other MessageID) bool {
-	if id.Src != other.Src {
-		return id.Src < other.Src
+	return id.Src < other.Src || id.Src == other.Src && id.Seq < other.Seq
+}
+
+// Compare returns -1, 0 or +1 as id orders before, equal to or after
+// other in the canonical order (the comparison function for slices'
+// sorting and binary search).
+func (id MessageID) Compare(other MessageID) int {
+	if c := cmp.Compare(id.Src, other.Src); c != 0 {
+		return c
 	}
-	return id.Seq < other.Seq
+	return cmp.Compare(id.Seq, other.Seq)
 }
 
 // TreeFlags mark which source-to-destination tree(s) a message copy

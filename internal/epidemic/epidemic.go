@@ -9,6 +9,7 @@ package epidemic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -161,11 +162,6 @@ type Epidemic struct {
 	// Token bucket pacing outgoing data transfers.
 	tokens     float64
 	lastRefill float64
-
-	// Scratch for onSummary's diff: the advertised ids in (Src, Seq)
-	// order. Reused across exchanges; the request frame itself gets a
-	// fresh slice (it outlives the call).
-	diffIDs []dtn.MessageID
 }
 
 // receiptFrame is the active-receipt anti-packet: it names delivered
@@ -246,7 +242,7 @@ func (e *Epidemic) retrySweep(interval float64) {
 	for id := range e.wants {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	slices.SortFunc(ids, dtn.MessageID.Compare)
 	perPeer := make(map[int][]dtn.MessageID)
 	var peers []int
 	for _, id := range ids {
@@ -283,7 +279,7 @@ func (e *Epidemic) retrySweep(interval float64) {
 		batch := perPeer[peer]
 		e.n.Unicast(peer, sim.KindControl, reqFrame{Wanted: batch}, e.svBits(len(batch)), nil)
 	}
-	e.drainBacklogs(now, perPeer)
+	e.drainBacklogs(now)
 	e.n.After(interval, func() { e.retrySweep(interval) })
 }
 
@@ -291,28 +287,27 @@ func (e *Epidemic) retrySweep(interval float64) {
 // a peer advertised more messages than one batch could request and all
 // current wants toward it are settled, re-open the session so the next
 // batch flows. Rate-limited by ExchangeInterval.
-func (e *Epidemic) drainBacklogs(now float64, outstanding map[int][]dtn.MessageID) {
+func (e *Epidemic) drainBacklogs(now float64) {
+	if len(e.backlog) == 0 {
+		return
+	}
 	peers := make([]int, 0, len(e.backlog))
 	for peer := range e.backlog {
 		peers = append(peers, peer)
 	}
 	sort.Ints(peers)
+	// Peers with a want still unsettled, including the batches the
+	// retry sweep just sent.
+	busy := make(map[int]bool)
+	for _, w := range e.wants {
+		busy[w.peer] = true
+	}
 	for _, peer := range peers {
 		if heard, ok := e.lastHeard[peer]; !ok || now-heard > e.cfg.ContactGap {
 			delete(e.backlog, peer) // contact gone; a new contact restarts
 			continue
 		}
-		if len(outstanding[peer]) > 0 {
-			continue // current batch still in flight
-		}
-		busy := false
-		for _, w := range e.wants {
-			if w.peer == peer {
-				busy = true
-				break
-			}
-		}
-		if busy {
+		if busy[peer] {
 			continue
 		}
 		if last, ok := e.lastExchange[peer]; ok && now-last < e.cfg.ExchangeInterval {
@@ -354,14 +349,10 @@ func (e *Epidemic) armBroadcast() {
 
 func (e *Epidemic) broadcastDelta() {
 	e.bcastArmed = false
-	delta := e.buf.InsertedSince(e.lastBcastVer)
+	sv := e.buf.SummarySince(e.lastBcastVer)
 	e.lastBcastVer = e.buf.Version()
-	if len(delta) == 0 {
+	if len(sv) == 0 {
 		return
-	}
-	sv := make(dtn.SummaryVector, len(delta))
-	for _, id := range delta {
-		sv.Add(id)
 	}
 	e.n.Broadcast(sim.KindControl, svFrame{Summary: sv, Reply: true}, e.svBits(len(sv)))
 }
@@ -403,10 +394,7 @@ func (e *Epidemic) sendSummary(to int, reply, full bool) {
 	if full {
 		sv = e.buf.Summary()
 	} else {
-		sv = make(dtn.SummaryVector)
-		for _, id := range e.buf.InsertedSince(e.lastSentVer[to]) {
-			sv.Add(id)
-		}
+		sv = e.buf.SummarySince(e.lastSentVer[to])
 	}
 	e.lastSentVer[to] = e.buf.Version()
 	if len(sv) == 0 && !full {
@@ -458,27 +446,16 @@ func (e *Epidemic) onReceipt(f receiptFrame) {
 // summary opened a session, we reply with our own so the exchange is
 // bidirectional (the Vahdat–Becker handshake).
 //
-// The advertised ids are visited in the canonical (Src, Seq) order, so
-// request frames hit the medium in the same order on every run.
+// The ids we lack are visited in the summary's canonical (Src, Seq)
+// order, so request frames hit the medium in the same order on every run.
 func (e *Epidemic) onSummary(f svFrame, from int) {
 	now := e.n.Now()
 	var diffStart time.Time
 	if e.n.PhaseProfiled() {
 		diffStart = time.Now()
 	}
-	ids := e.diffIDs[:0]
-	for id := range f.Summary {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	e.diffIDs = ids
-	// The request frame owns a fresh slice: it stays queued in the MAC
-	// while later exchanges reuse the scratch.
 	var missing []dtn.MessageID
-	for _, id := range ids {
-		if e.buf.Has(id) {
-			continue
-		}
+	for id := range e.buf.Lacks(f.Summary) {
 		// Skip ids already requested recently from any peer, and ids
 		// purged by active receipts.
 		if w, ok := e.wants[id]; ok && now-w.at < e.cfg.RequestTimeout {

@@ -5,7 +5,7 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
 
 	"glr/internal/dtn"
 	"glr/internal/stats"
@@ -221,11 +221,6 @@ func (c *Collector) deliveredIDs() []dtn.MessageID {
 	for id := range c.delivered {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Src != ids[j].Src {
-			return ids[i].Src < ids[j].Src
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
+	slices.SortFunc(ids, dtn.MessageID.Compare)
 	return ids
 }
