@@ -14,8 +14,7 @@ type Buffer struct {
 	order    []MessageID // insertion order (oldest first)
 	byID     map[MessageID]*Message
 	sorted   []MessageID    // held ids in canonical (Src, Seq) order
-	summary  SummaryVector  // immutable snapshot of sorted; stale when !fresh
-	fresh    bool           // summary equals sorted
+	summary  SummaryVector  // immutable snapshot of sorted; nil when stale
 	version  uint64         // bumped on every new insertion
 	insLog   []insertRecord // insertion history for delta summaries; see compactLog
 }
@@ -69,7 +68,7 @@ func (b *Buffer) Add(m *Message) (evicted *Message, stored bool) {
 	b.byID[m.ID] = m
 	i, _ := slices.BinarySearchFunc(b.sorted, m.ID, MessageID.Compare)
 	b.sorted = slices.Insert(b.sorted, i, m.ID)
-	b.fresh = false
+	b.summary = nil
 	b.version++
 	b.insLog = append(b.insLog, insertRecord{ver: b.version, id: m.ID})
 	b.compactLog()
@@ -177,7 +176,7 @@ func (b *Buffer) popOldest() *Message {
 func (b *Buffer) unindex(id MessageID) {
 	i, _ := slices.BinarySearchFunc(b.sorted, id, MessageID.Compare)
 	b.sorted = slices.Delete(b.sorted, i, i+1)
-	b.fresh = false
+	b.summary = nil
 }
 
 // Messages returns the stored messages oldest-first. The slice is freshly
@@ -215,9 +214,8 @@ type SummaryVector []MessageID
 // snapshot shared by every call until the buffer next changes; it is
 // built at most once per change.
 func (b *Buffer) Summary() SummaryVector {
-	if !b.fresh {
+	if b.summary == nil {
 		b.summary = slices.Clone(b.sorted)
-		b.fresh = true
 	}
 	return b.summary
 }

@@ -29,7 +29,10 @@ func (id MessageID) String() string { return fmt.Sprintf("m%d.%d", id.Src, id.Se
 // would leak runtime randomization into frame sequences), and the order
 // of summary vectors.
 func (id MessageID) Less(other MessageID) bool {
-	return id.Src < other.Src || id.Src == other.Src && id.Seq < other.Seq
+	if id.Src != other.Src {
+		return id.Src < other.Src
+	}
+	return id.Seq < other.Seq
 }
 
 // Compare returns -1, 0 or +1 as id orders before, equal to or after

@@ -1,14 +1,10 @@
 package epidemic_test
 
 import (
-	"flag"
-	"fmt"
 	"testing"
 
 	"glr"
 )
-
-var printPinned = flag.Bool("print-pinned", false, "print the pinned epidemic results as Go literals instead of checking them")
 
 // pinnedScenarios are short seeded 50-node epidemic worlds covering each
 // anti-entropy path: full summaries with MaxBatch backlogs, FIFO
@@ -55,14 +51,10 @@ func runPinned(t *testing.T, opts []glr.Option) glr.Result {
 }
 
 // TestEpidemicPinnedResults checks pinnedScenarios against their pinned
-// results. Run with -print-pinned to print fresh literals.
+// results. A mismatch prints the fresh result as a Go literal.
 func TestEpidemicPinnedResults(t *testing.T) {
 	for _, ps := range pinnedScenarios {
 		got := runPinned(t, ps.opts)
-		if *printPinned {
-			fmt.Printf("\t%q: %#v,\n", ps.name, got)
-			continue
-		}
 		if want, ok := pinnedResults[ps.name]; !ok || got != want {
 			t.Errorf("%s:\n got  %#v\n want %#v", ps.name, got, want)
 		}
