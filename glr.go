@@ -70,9 +70,10 @@
 //   - Per-node neighbor tables (internal/dtn) are rows sorted by id,
 //     O(neighborhood) per node at every world size, checked against a
 //     map-backed table.
-//   - The per-check k-LDTG spanner (internal/ldt) comes from a cache
-//     shared by a world's nodes, checked against the from-scratch
-//     reference construction.
+//   - The per-check k-LDTG spanner (internal/ldt) is built from each
+//     node's two-hop view over witness triangulations cached for all of
+//     a world's nodes, checked, neighbor order included, against the
+//     from-scratch reference construction.
 //   - Beacons fire from one ring event in (time, id) order, checked
 //     against each node's phase + k·interval schedule.
 //

@@ -38,12 +38,13 @@ func (g *GLR) routeCheck() {
 
 // localSpanner constructs this node's current routing-graph incident
 // edges from 2-hop beacon knowledge (the LDTG by default; Gabriel or the
-// raw UDG under ablation), through the world's shared spanner cache. It
-// returns the view plus parallel id/position slices of the accepted
-// neighbors (global ids). The 2-hop point set is assembled in
-// per-instance scratch buffers (the neighbor table appends without
-// allocating); the Maintainer copies what it caches, so reuse across
-// checks is safe.
+// raw UDG under ablation), through the world's shared triangulation
+// cache. It returns the view plus parallel id/position slices of the
+// accepted neighbors (global ids, in view order), which are the
+// Maintainer's scratch and valid until any node's next query. The 2-hop
+// point set is assembled in per-instance scratch buffers (the neighbor
+// table appends without allocating); the Maintainer keeps no reference
+// to the view, so reuse across checks is safe.
 func (g *GLR) localSpanner() (*ldt.LocalView, []int, []geom.Point) {
 	g.thIDs, g.thPts = g.n.Neighbors().AppendTwoHop(g.thIDs[:0], g.thPts[:0], g.n.ID(), g.n.Pos())
 	view, err := ldt.NewLocalView(g.n.ID(), g.thIDs, g.thPts, g.n.Range())

@@ -114,19 +114,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// svFrame advertises buffer contents. A session-opening frame carries the
-// full summary vector; refresh frames on an ongoing contact carry only
-// the delta — ids inserted since the last exchange with that peer — a
-// standard anti-entropy optimisation (Bayou-style) without which
+// svFrame advertises buffer contents. A session-opening unicast and its
+// reply carry the full summary vector; broadcast refreshes to ongoing
+// contacts carry only the delta — ids inserted since the last broadcast —
+// a standard anti-entropy optimisation (Bayou-style) without which
 // steady-state summary traffic alone saturates dense topologies.
 type svFrame struct {
 	Summary dtn.SummaryVector
 	// Reply marks the responder's summary in a session (the initiator
 	// answers with requests only, avoiding infinite sv ping-pong).
 	Reply bool
-	// Full marks a session-opening full summary; the responder mirrors
-	// the fullness in its reply.
-	Full bool
 }
 
 // reqFrame asks the peer to transfer the listed messages.
@@ -147,7 +144,6 @@ type Epidemic struct {
 	buf           *dtn.Buffer
 	lastExchange  map[int]float64
 	lastHeard     map[int]float64 // contact tracking: detects NEW contacts
-	lastSentVer   map[int]uint64  // buffer version last advertised per peer
 	wants         map[dtn.MessageID]*want
 	backlog       map[int]bool // peer advertised more than one batch's worth
 	deliveredHere map[dtn.MessageID]bool
@@ -190,7 +186,6 @@ func New(cfg Config) (sim.ProtocolFactory, error) {
 			buf:           dtn.NewBuffer(n.StorageLimit()),
 			lastExchange:  make(map[int]float64),
 			lastHeard:     make(map[int]float64),
-			lastSentVer:   make(map[int]uint64),
 			wants:         make(map[dtn.MessageID]*want),
 			backlog:       make(map[int]bool),
 			immune:        make(map[dtn.MessageID]bool),
@@ -218,7 +213,6 @@ func (e *Epidemic) Restart() {
 	e.buf = dtn.NewBuffer(e.n.StorageLimit())
 	clear(e.lastExchange)
 	clear(e.lastHeard)
-	clear(e.lastSentVer)
 	clear(e.wants)
 	clear(e.backlog)
 	clear(e.immune)
@@ -315,7 +309,7 @@ func (e *Epidemic) drainBacklogs(now float64) {
 		}
 		delete(e.backlog, peer)
 		e.lastExchange[peer] = now
-		e.sendSummary(peer, false, true)
+		e.sendSummary(peer, false)
 	}
 }
 
@@ -372,7 +366,7 @@ func (e *Epidemic) OnBeacon(b sim.Beacon) {
 		return
 	}
 	e.lastExchange[b.From] = now
-	e.sendSummary(b.From, false, true)
+	e.sendSummary(b.From, false)
 }
 
 // svBits sizes a delta summary or request frame: an explicit id list.
@@ -389,22 +383,11 @@ func (e *Epidemic) svBitsFull(entries int) int {
 	return e.cfg.SVBaseBits + entries
 }
 
-func (e *Epidemic) sendSummary(to int, reply, full bool) {
-	var sv dtn.SummaryVector
-	if full {
-		sv = e.buf.Summary()
-	} else {
-		sv = e.buf.SummarySince(e.lastSentVer[to])
-	}
-	e.lastSentVer[to] = e.buf.Version()
-	if len(sv) == 0 && !full {
-		return // nothing new to advertise
-	}
-	bits := e.svBits(len(sv))
-	if full {
-		bits = e.svBitsFull(len(sv))
-	}
-	e.n.Unicast(to, sim.KindControl, svFrame{Summary: sv, Reply: reply, Full: full}, bits, nil)
+// sendSummary unicasts the full summary vector to a peer: a session
+// opener, or (reply) the responder's half of the handshake.
+func (e *Epidemic) sendSummary(to int, reply bool) {
+	sv := e.buf.Summary()
+	e.n.Unicast(to, sim.KindControl, svFrame{Summary: sv, Reply: reply}, e.svBitsFull(len(sv)), nil)
 }
 
 // OnFrame implements sim.Protocol.
@@ -482,7 +465,7 @@ func (e *Epidemic) onSummary(f svFrame, from int) {
 	if !f.Reply {
 		e.lastExchange[from] = e.n.Now()
 		e.lastHeard[from] = e.n.Now()
-		e.sendSummary(from, true, f.Full)
+		e.sendSummary(from, true)
 	}
 }
 

@@ -184,7 +184,8 @@ func (v *LocalView) UDGNeighbors() []int {
 // incident to self, applying the paper's acceptance rule over the
 // knowledge horizon: uv accepted iff uv ∈ A(Nk(self)) and uv ∈ A(Nk(w))
 // for every known 1-hop neighbor w whose (known) k-neighborhood contains
-// both endpoints. It returns local indices of accepted neighbors, sorted.
+// both endpoints. It returns local indices of accepted neighbors, sorted,
+// so the list follows the view's order.
 //
 // Boundary truncation (the node cannot see past its k-hop horizon) can
 // make this differ slightly from the oracle BuildLDTG — exactly the
@@ -193,15 +194,18 @@ func (v *LocalView) UDGNeighbors() []int {
 //
 // Every call rebuilds the witness triangulations from scratch (with a
 // per-call memo over shared witness neighborhoods). The protocol's hot
-// path goes through Maintainer instead, which keeps triangulations alive
-// across check intervals and across nodes.
+// path goes through Maintainer instead, which keeps witness
+// triangulations alive across check intervals and across nodes but
+// builds every answer from its view: the same neighbors in the same
+// order as this function, mapped to global ids.
 func (v *LocalView) LDTGNeighbors(k int) ([]int, error) {
 	return v.ldtgNeighbors(k, geom.DelaunayGraph)
 }
 
 // LDTGNeighborsRef is LDTGNeighbors over the reference (pre-mesh)
 // Delaunay construction: the oracle the Maintainer's cached path is
-// equivalence-tested and benchmarked against.
+// equivalence-tested against, list order included, and benchmarked
+// against.
 func (v *LocalView) LDTGNeighborsRef(k int) ([]int, error) {
 	return v.ldtgNeighbors(k, geom.DelaunayGraphRef)
 }

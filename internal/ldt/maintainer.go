@@ -24,15 +24,16 @@ const (
 // cost).
 type SpannerStats struct {
 	Queries    uint64 // Neighbors calls
-	ResultHits uint64 // whole-query (view-level) cache hits
+	ResultHits uint64 // always 0 (see below)
 	TriBuilds  uint64 // witness triangulations built
 	TriHits    uint64 // witness triangulations reused from the cache
 	Evictions  uint64 // cache entries dropped by the sweep
 	BuildTime  time.Duration
 
-	// SpecBuilds and SpecAdopted are always 0. Spanner builds run only
-	// on the query path; the fields stay because the repository
-	// benchmark reads them (see internal/sim/benchcompat.go).
+	// ResultHits, SpecBuilds and SpecAdopted are always 0. Every query
+	// builds its answer from the view, and spanner builds run only on
+	// the query path; the fields stay because the repository benchmark
+	// reads them (see internal/sim/benchcompat.go).
 	SpecBuilds, SpecAdopted uint64
 }
 
@@ -49,7 +50,6 @@ func (s SpannerStats) TriHitRate() float64 {
 // Add accumulates counters from another stats value.
 func (s *SpannerStats) Add(o SpannerStats) {
 	s.Queries += o.Queries
-	s.ResultHits += o.ResultHits
 	s.TriBuilds += o.TriBuilds
 	s.TriHits += o.TriHits
 	s.Evictions += o.Evictions
@@ -94,22 +94,9 @@ func (e *triEntry) hasEdge(a, b int) bool {
 	return ok
 }
 
-// resEntry caches one whole spanner query: the accepted neighbor set for
-// a (full view, self, variant, k, radius) tuple.
-type resEntry struct {
-	ids     []int
-	pts     []geom.Point
-	self    int
-	variant Variant
-	k       int
-	r       float64
-	accIDs  []int
-	accPts  []geom.Point
-	lastHit float64
-}
-
 // buildCtx is the scratch state one spanner build needs: the mesh
-// triangulator plus adjacency/BFS/sort buffers, reused across queries.
+// triangulator plus adjacency/BFS/sort buffers and the returned answer,
+// reused across queries.
 type buildCtx struct {
 	tr       *geom.Triangulator
 	order    []int
@@ -121,16 +108,19 @@ type buildCtx struct {
 	sub      []geom.Point
 	wit      []*triEntry
 	accepted []int
+	accIDs   []int
+	accPts   []geom.Point
 }
 
 func newBuildCtx() *buildCtx { return &buildCtx{tr: geom.NewTriangulator()} }
 
 // Maintainer is the persistent successor to per-call spanner
-// construction: it keys witness triangulations and whole accepted-
-// neighbor results by exact (member-id, position) signatures and reuses
-// them across check intervals, across witnesses, and across every node of
-// a world (one Maintainer is shared per simulation; it is single-threaded
-// like the event loop that owns it).
+// construction: it keys witness triangulations by exact (member-id,
+// position) signatures and reuses them across check intervals, across
+// witnesses, and across every node of a world (one Maintainer is shared
+// per simulation; it is single-threaded like the event loop that owns
+// it). Each query's answer is built from its view alone, so it never
+// depends on what the Maintainer saw before.
 //
 // Correctness never depends on invalidation: a signature covers the exact
 // positions that produced an entry, so changed inputs can only miss.
@@ -142,7 +132,6 @@ type Maintainer struct {
 	ctx *buildCtx // build scratch
 
 	tris    map[uint64][]*triEntry
-	results map[uint64][]*resEntry
 	lastPos map[int]geom.Point
 
 	lastSweep float64
@@ -155,7 +144,6 @@ func NewMaintainer() *Maintainer {
 	return &Maintainer{
 		ctx:     newBuildCtx(),
 		tris:    make(map[uint64][]*triEntry),
-		results: make(map[uint64][]*resEntry),
 		lastPos: make(map[int]geom.Point),
 	}
 }
@@ -163,13 +151,10 @@ func NewMaintainer() *Maintainer {
 // Stats returns the accumulated counters.
 func (m *Maintainer) Stats() SpannerStats { return m.stats }
 
-// Size returns the live entry counts (triangulations, results).
-func (m *Maintainer) Size() (tris, results int) {
+// Size returns the number of cached witness triangulations.
+func (m *Maintainer) Size() (tris int) {
 	for _, b := range m.tris {
 		tris += len(b)
-	}
-	for _, b := range m.results {
-		results += len(b)
 	}
 	return
 }
@@ -184,25 +169,18 @@ func (m *Maintainer) Observe(id int, pos geom.Point) {
 }
 
 // Neighbors returns the global ids and positions of the accepted spanner
-// neighbors of view's self node, per the requested variant (k applies to
-// the LDTG only). now is simulated time, used for cache retention.
+// neighbors of view's self node, in view order, per the requested variant
+// (k applies to the LDTG only). now is simulated time, used for cache
+// retention.
 //
-// The returned slices are cache-owned: callers may read them until the
-// next Neighbors call on this Maintainer but must not modify or retain
-// them (the routing loop reads them within one route check).
+// The returned slices are scratch storage: callers may read them until
+// the next Neighbors call on this Maintainer but must not modify or
+// retain them (the routing loop reads them within one route check).
 func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int, now float64) ([]int, []geom.Point, error) {
 	start := time.Now()
 	defer func() { m.stats.BuildTime += time.Since(start) }()
-	sig := sigViewQuery(view, variant, k)
 	m.stats.Queries++
 	m.maybeSweep(now)
-	for _, e := range m.results[sig] {
-		if e.matches(view, variant, k) {
-			e.lastHit = now
-			m.stats.ResultHits++
-			return e.accIDs, e.accPts, nil
-		}
-	}
 
 	var local []int
 	var err error
@@ -217,25 +195,13 @@ func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int, now floa
 			return nil, nil, err
 		}
 	}
-	accIDs := make([]int, len(local))
-	accPts := make([]geom.Point, len(local))
-	for i, li := range local {
-		accIDs[i] = view.IDs[li]
-		accPts[i] = view.Pts[li]
+	c := m.ctx
+	c.accIDs, c.accPts = c.accIDs[:0], c.accPts[:0]
+	for _, li := range local {
+		c.accIDs = append(c.accIDs, view.IDs[li])
+		c.accPts = append(c.accPts, view.Pts[li])
 	}
-	e := &resEntry{
-		ids:     append([]int(nil), view.IDs...),
-		pts:     append([]geom.Point(nil), view.Pts...),
-		self:    view.SelfID,
-		variant: variant,
-		k:       k,
-		r:       view.R,
-		accIDs:  accIDs,
-		accPts:  accPts,
-		lastHit: now,
-	}
-	m.results[sig] = append(m.results[sig], e)
-	return e.accIDs, e.accPts, nil
+	return c.accIDs, c.accPts, nil
 }
 
 // ldtgNeighbors is the cached engine behind the paper's acceptance rule.
@@ -453,7 +419,7 @@ func (m *Maintainer) maybeSweep(now float64) {
 	for sig, bucket := range m.tris {
 		keep := bucket[:0]
 		for _, e := range bucket {
-			if m.evictable(e.ids, e.pts, e.lastHit, now) {
+			if m.evictable(e, now) {
 				m.stats.Evictions++
 				continue
 			}
@@ -465,21 +431,6 @@ func (m *Maintainer) maybeSweep(now float64) {
 			m.tris[sig] = keep
 		}
 	}
-	for sig, bucket := range m.results {
-		keep := bucket[:0]
-		for _, e := range bucket {
-			if m.evictable(e.ids, e.pts, e.lastHit, now) {
-				m.stats.Evictions++
-				continue
-			}
-			keep = append(keep, e)
-		}
-		if len(keep) == 0 {
-			delete(m.results, sig)
-		} else {
-			m.results[sig] = keep
-		}
-	}
 }
 
 // evictable implements the retention policy: drop after cacheTTL idle
@@ -487,30 +438,19 @@ func (m *Maintainer) maybeSweep(now float64) {
 // soon as any member's recorded position is superseded by a fresher
 // beacon (stale 2-hop knowledge keeps hot entries alive until the
 // viewers catch up).
-func (m *Maintainer) evictable(ids []int, pts []geom.Point, lastHit, now float64) bool {
-	if now-lastHit > cacheTTL {
+func (m *Maintainer) evictable(e *triEntry, now float64) bool {
+	if now-e.lastHit > cacheTTL {
 		return true
 	}
-	if lastHit >= m.prevSweep {
+	if e.lastHit >= m.prevSweep {
 		return false
 	}
-	for i, id := range ids {
-		if lp, ok := m.lastPos[id]; ok && !lp.Eq(pts[i]) {
+	for i, id := range e.ids {
+		if lp, ok := m.lastPos[id]; ok && !lp.Eq(e.pts[i]) {
 			return true
 		}
 	}
 	return false
-}
-
-func (e *resEntry) matches(view *LocalView, variant Variant, k int) bool {
-	if e.self != view.SelfID || e.variant != variant || e.k != k ||
-		e.r != view.R || len(e.ids) != len(view.IDs) {
-		return false
-	}
-	// Views are keyed order-insensitively: same (id, position) multiset
-	// means the same query. Sorted comparison via the signature already
-	// filtered almost everything; verify exactly.
-	return sameIDPosSet(e.ids, e.pts, view.IDs, view.Pts)
 }
 
 func (e *triEntry) matchesMembers(view *LocalView, order []int) bool {
@@ -519,26 +459,6 @@ func (e *triEntry) matchesMembers(view *LocalView, order []int) bool {
 	}
 	for i, li := range order {
 		if e.ids[i] != view.IDs[li] || !e.pts[i].Eq(view.Pts[li]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameIDPosSet compares two (id, position) collections as sets. Both
-// sides have unique ids; a is sorted by id (entry storage order is the
-// view order of the first query, so sort-compare through index maps).
-func sameIDPosSet(aIDs []int, aPts []geom.Point, bIDs []int, bPts []geom.Point) bool {
-	if len(aIDs) != len(bIDs) {
-		return false
-	}
-	pos := make(map[int]geom.Point, len(aIDs))
-	for i, id := range aIDs {
-		pos[id] = aPts[i]
-	}
-	for i, id := range bIDs {
-		p, ok := pos[id]
-		if !ok || !p.Eq(bPts[i]) {
 			return false
 		}
 	}
@@ -565,26 +485,5 @@ func sigMembers(view *LocalView, order []int) uint64 {
 		h = fnvMix(h, math.Float64bits(view.Pts[li].X))
 		h = fnvMix(h, math.Float64bits(view.Pts[li].Y))
 	}
-	return h
-}
-
-// sigViewQuery hashes a whole spanner query: the view's (id, position)
-// multiset (order-insensitively, via a commutative fold) plus self,
-// variant, k, and radius.
-func sigViewQuery(view *LocalView, variant Variant, k int) uint64 {
-	var fold uint64
-	for i, id := range view.IDs {
-		h := uint64(fnvOffset64)
-		h = fnvMix(h, uint64(id)+1)
-		h = fnvMix(h, math.Float64bits(view.Pts[i].X))
-		h = fnvMix(h, math.Float64bits(view.Pts[i].Y))
-		fold += h // commutative: order-insensitive
-	}
-	h := uint64(fnvOffset64)
-	h = fnvMix(h, fold)
-	h = fnvMix(h, uint64(view.SelfID)+1)
-	h = fnvMix(h, uint64(variant)+1)
-	h = fnvMix(h, uint64(k)+1)
-	h = fnvMix(h, math.Float64bits(view.R))
 	return h
 }

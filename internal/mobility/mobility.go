@@ -258,14 +258,17 @@ type Trace struct {
 	pts []TracePoint
 }
 
-// NewTrace builds a trace model. Waypoints must have strictly increasing
-// times and there must be at least one.
+// NewTrace builds a trace model. Waypoints must have finite, strictly
+// increasing times and there must be at least one.
 func NewTrace(pts []TracePoint) (*Trace, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("mobility: trace needs at least one waypoint")
 	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].T <= pts[i-1].T {
+	for i, p := range pts {
+		if math.IsNaN(p.T) || math.IsInf(p.T, 0) {
+			return nil, fmt.Errorf("mobility: trace time %v is not finite (index %d)", p.T, i)
+		}
+		if i > 0 && p.T <= pts[i-1].T {
 			return nil, fmt.Errorf("mobility: trace times must be strictly increasing (index %d)", i)
 		}
 	}

@@ -230,6 +230,20 @@ func TestTraceValidation(t *testing.T) {
 	if _, err := NewTrace([]TracePoint{{T: 0}, {T: 0}}); err == nil {
 		t.Error("non-increasing trace accepted")
 	}
+	// Non-finite times: a NaN passes the ordering check, and a -Inf
+	// waypoint makes Position interpolate Inf/Inf into a NaN position.
+	for _, pts := range [][]TracePoint{
+		{{T: math.NaN()}},
+		{{T: 0}, {T: math.NaN()}},
+		{{T: math.NaN()}, {T: 1}},
+		{{T: math.Inf(-1)}, {T: 0}},
+		{{T: 0}, {T: math.Inf(1)}},
+		{{T: math.Inf(1)}},
+	} {
+		if _, err := NewTrace(pts); err == nil {
+			t.Errorf("trace with times %v accepted", pts)
+		}
+	}
 }
 
 func TestUniformStatic(t *testing.T) {

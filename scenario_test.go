@@ -2,6 +2,7 @@ package glr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -441,6 +442,47 @@ func TestWorkloadSeedVariation(t *testing.T) {
 			t.Fatal("same seed produced different Poisson schedules")
 		}
 	}
+}
+
+// FuzzTrace: any scripted trajectory either fails scenario construction
+// or the run with an error, or runs to its horizon without panicking.
+// The fuzzer drives one node's three waypoints; two static nodes give
+// the MAC and the router something to talk to.
+func FuzzTrace(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, seed := range [][9]float64{
+		{0, 100, 100, 30, 400, 200, 60, 100, 100},
+		// Non-finite times: a -Inf time makes Position interpolate
+		// Inf/Inf, and the NaN position panics the radio index.
+		{-inf, 100, 100, 0, 200, 150, 10, 250, 150},
+		{0, 100, 100, nan, 200, 150, 10, 250, 150},
+		{0, 100, 100, 5, 200, 150, inf, 250, 150},
+		// Near-instant jumps: an extreme segment speed.
+		{0, 0, 0, 1e-300, 500, 300, 1, 0, 0},
+		{0, 0, 0, 5e-324, 500, 300, 1, 0, 0},
+		// Positions outside the region, and NaN coordinates.
+		{0, -1, 100, 5, 200, 150, 10, 250, 150},
+		{0, nan, 100, 5, 200, nan, 10, 250, 150},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3], seed[4], seed[5], seed[6], seed[7], seed[8])
+	}
+	f.Fuzz(func(t *testing.T, t0, x0, y0, t1, x1, y1, t2, x2, y2 float64) {
+		paths := [][]TracePoint{
+			{{T: t0, X: x0, Y: y0}, {T: t1, X: x1, Y: y1}, {T: t2, X: x2, Y: y2}},
+			{{T: 0, X: 150, Y: 150}},
+			{{T: 0, X: 250, Y: 150}},
+		}
+		sc, err := NewScenario(
+			WithMobility(Trace{Paths: paths}),
+			WithRegion(500, 300),
+			WithWorkload(UniformWorkload{Messages: 3}),
+			WithSimTime(20),
+		)
+		if err != nil {
+			return
+		}
+		sc.Run() // an error is an answer; only a panic fails
+	})
 }
 
 // TestOptionValidation: malformed options fail at construction with
