@@ -32,12 +32,14 @@ test-short:
 
 ## fuzz-smoke is the bounded fuzz step of CI's disruption-smoke job:
 ## 15 s each for the fault-slug parser, the neighbor table, the
-## buffer's summary vector and scripted trace mobility.
+## buffer's summary vector, scripted trace mobility and the MAC
+## configuration.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborTable$$' -fuzztime 15s ./internal/dtn
 	$(GO) test -run '^$$' -fuzz '^FuzzBufferSummary$$' -fuzztime 15s ./internal/dtn
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime 15s .
+	$(GO) test -run '^$$' -fuzz '^FuzzMediumConfig$$' -fuzztime 15s ./internal/mac
 
 ## bench runs the gated benchmarks once, without the regression gate.
 bench:

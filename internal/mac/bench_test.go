@@ -9,21 +9,15 @@ import (
 	"glr/internal/geom"
 )
 
-// BenchmarkMediumBroadcastGrid measures the end-to-end cost of one
-// broadcast airing — carrier sense, transmission, and reception
-// resolution — on a 1000-radio medium at the paper's node density (50
-// nodes per 1500×300 m); the grid indexes touch only the sender's
-// neighborhood.
-func BenchmarkMediumBroadcastGrid(b *testing.B) {
-	const n = 1000
-	cfg := DefaultConfig(100)
-
-	// Fixed density: area grows linearly with the node count.
+// paperDensityMedium returns a medium of n static radios scattered at the
+// paper's node density (50 nodes per 1500×300 m): area grows linearly
+// with the node count.
+func paperDensityMedium(b *testing.B, n int) (*des.Scheduler, *Medium) {
+	b.Helper()
 	area := float64(n) / (50.0 / (1500 * 300))
 	side := math.Sqrt(area)
-
 	sched := des.NewScheduler()
-	m, err := NewMedium(sched, cfg, 42)
+	m, err := NewMedium(sched, DefaultConfig(100), 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,6 +28,16 @@ func BenchmarkMediumBroadcastGrid(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return sched, m
+}
+
+// BenchmarkMediumBroadcastGrid measures the end-to-end cost of one
+// broadcast airing — carrier sense, transmission, and reception
+// resolution — on a 1000-radio medium at the paper's node density; the
+// grid indexes touch only the sender's neighborhood.
+func BenchmarkMediumBroadcastGrid(b *testing.B) {
+	const n = 1000
+	sched, m := paperDensityMedium(b, n)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -46,4 +50,49 @@ func BenchmarkMediumBroadcastGrid(b *testing.B) {
 		sched.RunAll()
 	}
 	b.ReportMetric(float64(m.stats.Delivered)/float64(b.N), "recv/op")
+}
+
+// BenchmarkMediumRetainedAir measures one airing's cost on a 10k-radio
+// medium at the paper's density under steady load: a broadcast every
+// 200 µs of simulated time, so about 5000 ended airings stay retained
+// over activeSlack. Each op advances the clock by one send interval; the
+// cost per resolved airing should not grow with the retained air, which
+// is world-wide while an airing's batch and interferers are local.
+func BenchmarkMediumRetainedAir(b *testing.B) {
+	const (
+		n     = 10000
+		every = 200e-6 // simulated seconds between sends
+		warm  = int(2 * activeSlack / every)
+	)
+	sched, m := paperDensityMedium(b, n)
+	resolved := 0
+	frames := make([]Frame, n)
+	for i := range m.radios {
+		frames[i] = Frame{Dst: Broadcast, Bits: 8000}
+		m.radios[i].onSent = func(*Frame, bool) { resolved++ }
+	}
+	// A stride coprime to n visits the radios in a scattered order.
+	next := 0
+	des.NewTicker(sched, every, 0, func() {
+		m.radios[next].Send(&frames[next])
+		next = (next + 7919) % n
+	})
+	step := 0
+	run := func(k int) {
+		for range k {
+			step++
+			sched.Run(float64(step) * every)
+		}
+	}
+	run(warm) // fill the retained air to its steady state
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	resolved = 0
+	run(b.N)
+	b.StopTimer()
+	if resolved == 0 {
+		b.Fatal("no airing resolved")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(resolved), "ns/airing")
 }

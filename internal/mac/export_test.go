@@ -1,7 +1,9 @@
 package mac
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"glr/internal/des"
 	"glr/internal/spatial"
@@ -24,4 +26,39 @@ func newNaiveMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, erro
 		return nil, err
 	}
 	return m, nil
+}
+
+// checkEndIndex checks the end-tick index against a rescan of the
+// retained FIFO: the index must hold exactly the airings that have not
+// ended, {u ∈ active[head:] : u.end > now}, each under its own end tick
+// and in FIFO (start) order within a tick. Call it between events, at a
+// time no airing ends at.
+func (m *Medium) checkEndIndex() error {
+	now := m.sched.Now()
+	want := make(map[des.Time][]*transmission)
+	var ticks []des.Time // end ticks in first-seen FIFO order, for messages
+	for _, u := range m.active[m.head:] {
+		if u.end > now {
+			if _, ok := want[u.end]; !ok {
+				ticks = append(ticks, u.end)
+			}
+			want[u.end] = append(want[u.end], u)
+		}
+	}
+	for end := range m.ending {
+		if _, ok := want[end]; !ok {
+			return fmt.Errorf("t=%v: index holds end tick %v, which no unended airing has", now, end)
+		}
+	}
+	for _, end := range ticks {
+		got, ok := m.ending[end]
+		if !ok {
+			return fmt.Errorf("t=%v: end tick %v of %d airings is not indexed", now, end, len(want[end]))
+		}
+		if !slices.Equal(got, want[end]) {
+			return fmt.Errorf("t=%v: end tick %v indexes %d airings, the scan finds %d (or their order differs)",
+				now, end, len(got), len(want[end]))
+		}
+	}
+	return nil
 }

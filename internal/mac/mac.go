@@ -89,27 +89,45 @@ func DefaultConfig(rng float64) Config {
 	}
 }
 
-// Validate reports a descriptive error for nonsensical configurations.
+// Validate reports a descriptive error for nonsensical configurations:
+// every parameter must be finite and in range, and every duration and
+// query radius the medium derives from them must stay finite, so a valid
+// configuration never hands the scheduler or the spatial index an
+// infinite or NaN value.
 func (c Config) Validate() error {
+	finite := func(xs ...float64) bool {
+		for _, x := range xs {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return false
+			}
+		}
+		return true
+	}
 	switch {
-	case c.BitRate <= 0:
-		return fmt.Errorf("mac: bit rate %v must be positive", c.BitRate)
-	case c.Range <= 0:
-		return fmt.Errorf("mac: range %v must be positive", c.Range)
-	case c.CSRangeFactor < 1:
-		return fmt.Errorf("mac: carrier-sense factor %v must be ≥ 1", c.CSRangeFactor)
+	case !(c.BitRate >= 1) || !finite(c.BitRate):
+		return fmt.Errorf("mac: bit rate %v must be finite and at least 1 bit/s", c.BitRate)
+	case !(c.Range > 0) || !finite(c.Range):
+		return fmt.Errorf("mac: range %v must be positive and finite", c.Range)
+	case !(c.CSRangeFactor >= 1) || !finite(c.CSRangeFactor):
+		return fmt.Errorf("mac: carrier-sense factor %v must be finite and ≥ 1", c.CSRangeFactor)
 	case c.QueueLen <= 0:
 		return fmt.Errorf("mac: queue length %d must be positive", c.QueueLen)
-	case c.SlotTime <= 0 || c.DIFS < 0 || c.SIFS < 0:
+	case c.HeaderBits < 0:
+		return fmt.Errorf("mac: header bits %d must be nonnegative", c.HeaderBits)
+	case !(c.SlotTime > 0) || !(c.DIFS >= 0) || !(c.SIFS >= 0) || !finite(c.SlotTime, c.DIFS, c.SIFS):
 		return fmt.Errorf("mac: invalid timing parameters")
 	case c.CWMin <= 0 || c.CWMax < c.CWMin:
 		return fmt.Errorf("mac: invalid contention window [%d,%d]", c.CWMin, c.CWMax)
+	case !finite(c.DIFS + float64(c.CWMax)*c.SlotTime):
+		return fmt.Errorf("mac: a backoff of %d slots of %v s overflows", c.CWMax, c.SlotTime)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("mac: negative retry budget")
-	case c.CaptureRatio < 0:
-		return fmt.Errorf("mac: negative capture ratio")
-	case c.IndexSlack < 0 || math.IsNaN(c.IndexSlack):
-		return fmt.Errorf("mac: index slack %v must be nonnegative", c.IndexSlack)
+	case !(c.CaptureRatio >= 0) || !finite(c.CaptureRatio):
+		return fmt.Errorf("mac: capture ratio %v must be finite and nonnegative", c.CaptureRatio)
+	case !(c.IndexSlack >= 0) || !finite(c.IndexSlack):
+		return fmt.Errorf("mac: index slack %v must be finite and nonnegative", c.IndexSlack)
+	case !finite(c.Range*(1+c.CSRangeFactor), c.Range+c.IndexSlack):
+		return fmt.Errorf("mac: range %v overflows the index query radius", c.Range)
 	}
 	return nil
 }
@@ -149,19 +167,33 @@ type Stats struct {
 // carrier-sense range:
 // one over radios (cells refreshed lazily whenever a radio's position is
 // observed, and in bulk by Reindex) and one over the anchor points of
-// active transmissions (sender position, plus the receiver position for
+// retained transmissions (sender position, plus the receiver position for
 // unicast virtual carrier sensing). Reception resolution, carrier
 // sensing, and interference checks then touch only the 3×3 cell block
 // around a point instead of every radio and airing in the simulation.
+//
+// Unresolved airings are also indexed by end tick: ending maps each
+// pending end time to its airings in start order, and one scheduler
+// event per distinct end tick resolves that tick's batch. An end event
+// therefore costs the size of its own batch, not the world's retained
+// air. The active FIFO only decides when an airing is old enough to be
+// pruned.
 type Medium struct {
-	cfg      Config
-	sched    *des.Scheduler
-	rng      *rand.Rand
-	radios   []*Radio
-	active   []*transmission // FIFO of recent & in-flight transmissions
-	head     int             // index of the oldest retained entry in active
-	inflight int             // airings not yet ended (end > now)
-	stats    Stats
+	cfg    Config
+	sched  *des.Scheduler
+	rng    *rand.Rand
+	radios []*Radio
+	active []*transmission // FIFO, in start order, of retained transmissions
+	head   int             // index of the oldest retained entry in active
+	retain float64         // seconds an ended airing is kept; see pruneActive
+	stats  Stats
+
+	// End-tick index of unresolved airings. endFn is the one shared end
+	// event handler; endFree recycles the per-tick slices so a tick costs
+	// no allocation in steady state.
+	ending  map[des.Time][]*transmission
+	endFree [][]*transmission
+	endFn   des.Handler
 
 	// Spatial index state. Transmission anchors are registered under
 	// small recycled handles so the handle table stays a dense slice.
@@ -173,7 +205,6 @@ type Medium struct {
 	csScratch   []int           // carrier-sense / interferer-gather handle buffer
 	txCand      []*transmission // interferer candidates shared by the batch being resolved
 	candEpoch   uint64          // dedup stamp for txCand gathering
-	batch       []*transmission // airings ending at the tick being resolved
 	txFree      []*transmission // recycled transmission objects
 
 	// rxClock, when non-nil, receives the wall-clock duration of each
@@ -183,19 +214,17 @@ type Medium struct {
 
 // takeTx returns a recycled (or fresh) transmission object. Recycling is
 // safe because every reference to a transmission — the active FIFO, the
-// spatial handles, batch, and txCand — is dropped by the time pruneActive
-// releases it; radios keep only value copies of their own airings.
+// spatial handles, the end-tick index, and txCand — is dropped by the
+// time pruneActive releases it; radios keep only value copies of their
+// own airings.
 func (m *Medium) takeTx() *transmission {
 	if n := len(m.txFree); n > 0 {
 		t := m.txFree[n-1]
 		m.txFree = m.txFree[:n-1]
-		t.resolved = false
 		t.candMark = 0
 		return t
 	}
-	t := &transmission{}
-	t.onEnd = func() { t.from.medium.resolveEnds(t) }
-	return t
+	return &transmission{}
 }
 
 // NewMedium creates a medium. seed drives backoff jitter only.
@@ -204,10 +233,13 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
 		return nil, err
 	}
 	m := &Medium{
-		cfg:   cfg,
-		sched: sched,
-		rng:   rand.New(rand.NewSource(seed)),
+		cfg:    cfg,
+		sched:  sched,
+		rng:    rand.New(rand.NewSource(seed)),
+		retain: activeSlack,
+		ending: make(map[des.Time][]*transmission),
 	}
+	m.endFn = m.resolveEnds
 	// Cell sizes match each index's query radius so any disk query
 	// touches at most a 3×3 cell block: reception range for the radio
 	// index, carrier-sense range for transmission anchors.
@@ -270,8 +302,7 @@ func (m *Medium) Reindex() {
 }
 
 // transmission is one airing of a frame. Objects are pooled by the
-// medium (see takeTx/pruneActive); onEnd is the reusable end-of-airing
-// event handler, allocated once per pooled object.
+// medium (see takeTx/pruneActive).
 type transmission struct {
 	from       *Radio
 	frame      *Frame
@@ -279,9 +310,7 @@ type transmission struct {
 	pos        geom.Point // sender position at start of airing
 	rxPos      geom.Point // unicast receiver position (virtual CS anchor)
 	hasRx      bool
-	h0, h1     int // spatial-index handles for pos / rxPos (h1 = -1 if none)
-	onEnd      des.Handler
-	resolved   bool   // receptions resolved (by its own or a batch-mate's end event)
+	h0, h1     int    // spatial-index handles for pos / rxPos (h1 = -1 if none)
 	candMark   uint64 // dedup stamp against Medium.candEpoch during gathering
 }
 
@@ -296,9 +325,10 @@ func (t *transmission) overlaps(u *transmission) bool {
 	return t.start < u.end && u.start < t.end
 }
 
-// frameAirtime returns the seconds needed to serialize a frame.
+// frameAirtime returns the seconds needed to serialize a frame. The bit
+// counts are summed as floats so a huge header cannot overflow int.
 func (m *Medium) frameAirtime(f *Frame) float64 {
-	return float64(m.cfg.HeaderBits+f.Bits) / m.cfg.BitRate
+	return (float64(m.cfg.HeaderBits) + float64(f.Bits)) / m.cfg.BitRate
 }
 
 // occupies reports whether airing t keeps the channel busy at p now, per
@@ -317,8 +347,11 @@ func (m *Medium) occupies(t *transmission, p geom.Point, now des.Time, cs2, rang
 // busyFor reports whether the channel is sensed busy at p now, and if so,
 // the latest end time among the occupying transmissions.
 func (m *Medium) busyFor(p geom.Point) (bool, des.Time) {
-	if m.inflight == 0 {
-		return false, 0 // silent channel: nothing with end > now exists
+	if len(m.ending) == 0 {
+		// Silent channel: every airing with end > now is indexed under
+		// its end tick. The members of a batch being resolved are no
+		// longer indexed, and have end == now, so they occupy nothing.
+		return false, 0
 	}
 	now := m.sched.Now()
 	cs := m.cfg.Range * m.cfg.CSRangeFactor
@@ -346,9 +379,9 @@ func (m *Medium) busyFor(p geom.Point) (bool, des.Time) {
 	return busy, until
 }
 
-// activeSlack is how long a finished transmission is retained, in
-// seconds; far larger than any frame airtime, so every airing that could
-// still overlap an in-flight one is kept.
+// activeSlack is the least time a finished transmission is retained, in
+// seconds. It exceeds the airtime of every default-sized frame; longer
+// airings raise Medium.retain to their own airtime (see pruneActive).
 const activeSlack = 1.0
 
 // allocHandle registers t under a recycled spatial-index handle at
@@ -391,7 +424,7 @@ func (m *Medium) indexTransmission(t *transmission) {
 	now := m.sched.Now()
 	keep := t.from.recent[:0]
 	for _, u := range t.from.recent {
-		if u.end+activeSlack > now {
+		if u.end+m.retain > now {
 			keep = append(keep, u)
 		}
 	}
@@ -399,14 +432,18 @@ func (m *Medium) indexTransmission(t *transmission) {
 }
 
 // pruneActive drops transmissions old enough that they can no longer
-// overlap anything in flight. Airings expire in near-FIFO order (they
-// are appended in start order and airtimes are bounded by activeSlack),
-// so popping from the front is amortized O(1) per airing; the handful of
-// out-of-order stragglers a long frame keeps alive are filtered by the
-// overlap checks like any other retained entry.
+// overlap anything in flight. An airing is kept for m.retain after its
+// end: activeSlack, or the longest airtime started so far if that is
+// longer. An unresolved airing started at most m.retain before its end,
+// so it cannot overlap one that ended m.retain ago. Airings expire in
+// near-FIFO order (they are appended in start order and their airtimes
+// are bounded by m.retain), so popping from the front is amortized O(1)
+// per airing; the handful of out-of-order stragglers a long frame keeps
+// alive are filtered by the overlap checks like any other retained
+// entry. Unresolved airings are never pruned: they end at or after now.
 func (m *Medium) pruneActive() {
 	now := m.sched.Now()
-	for m.head < len(m.active) && m.active[m.head].end+activeSlack <= now {
+	for m.head < len(m.active) && m.active[m.head].end+m.retain <= now {
 		t := m.active[m.head]
 		m.releaseHandle(t.h0)
 		if t.h1 >= 0 {
@@ -490,11 +527,11 @@ func (m *Medium) corruptedAt(t *transmission, rid int, p geom.Point) bool {
 // are deduplicated across the batch (and across a unicast airing's two
 // anchors) with an epoch stamp on the transmission object, so the union
 // is gathered in a single pass over the affected grid cells.
-func (m *Medium) gatherInterferers() {
+func (m *Medium) gatherInterferers(batch []*transmission) {
 	m.txCand = m.txCand[:0]
 	m.candEpoch++
 	reach := m.cfg.Range * (1 + m.cfg.CSRangeFactor)
-	for _, t := range m.batch {
+	for _, t := range batch {
 		m.csScratch = m.txIdx.NearIDs(t.pos, reach, m.csScratch[:0])
 		for _, h := range m.csScratch {
 			if u := m.txByHandle[h]; u.candMark != m.candEpoch {
@@ -505,35 +542,43 @@ func (m *Medium) gatherInterferers() {
 	}
 }
 
-// resolveEnds is the end-of-airing event handler. Airings whose ends
-// coincide (same simulated tick) are resolved as one batch: the first
-// end event to fire prunes the FIFO once, gathers the batch's shared
-// interferer-candidate set in one pass over the affected grid cells,
-// and then resolves every batch member in scheduling order; the
-// remaining members' own end events become no-ops. Ordering is
-// preserved — batch members are resolved in active-FIFO order, which is
-// exactly the order their individual end events were scheduled in.
-func (m *Medium) resolveEnds(t *transmission) {
-	if t.resolved {
-		return
+// scheduleEnd indexes a fresh airing under its end tick. The first
+// airing to end at a tick creates the tick's entry and schedules the
+// tick's one end event; later airings ending in the same tick join the
+// entry in start order.
+func (m *Medium) scheduleEnd(t *transmission) {
+	batch, ok := m.ending[t.end]
+	if !ok {
+		if n := len(m.endFree); n > 0 {
+			batch = m.endFree[n-1]
+			m.endFree = m.endFree[:n-1]
+		}
+		m.sched.At(t.end, m.endFn)
 	}
+	m.ending[t.end] = append(batch, t)
+}
+
+// resolveEnds is the end event of one tick: it takes the tick's batch
+// from the end-tick index, prunes the FIFO once, gathers the batch's
+// shared interferer-candidate set in one pass over the affected grid
+// cells, and resolves every batch member in start order. Airings started
+// while the batch resolves (a zero-length frame could end in this very
+// tick) open a new entry with its own end event.
+func (m *Medium) resolveEnds() {
 	if m.rxClock != nil {
 		start := time.Now()
 		defer func() { m.rxClock(time.Since(start)) }()
 	}
 	now := m.sched.Now()
+	batch := m.ending[now]
+	delete(m.ending, now)
 	m.pruneActive()
-	m.batch = m.batch[:0]
-	for _, u := range m.active[m.head:] {
-		if !u.resolved && u.end == now {
-			u.resolved = true
-			m.batch = append(m.batch, u)
-		}
-	}
-	m.gatherInterferers()
-	for _, u := range m.batch {
+	m.gatherInterferers(batch)
+	for _, u := range batch {
 		u.from.endTransmission(u)
 	}
+	clear(batch)
+	m.endFree = append(m.endFree, batch[:0])
 }
 
 // finishTransmission resolves receptions at the end of an airing and

@@ -1,6 +1,8 @@
 package mac
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"glr/internal/des"
@@ -55,6 +57,28 @@ func TestConfigValidate(t *testing.T) {
 		{"zero slot", func(c *Config) { c.SlotTime = 0 }},
 		{"cw max below min", func(c *Config) { c.CWMax = 1 }},
 		{"negative retries", func(c *Config) { c.MaxRetries = -1 }},
+		{"NaN bitrate", func(c *Config) { c.BitRate = math.NaN() }},
+		{"infinite bitrate", func(c *Config) { c.BitRate = math.Inf(1) }},
+		{"bitrate below 1 bit/s", func(c *Config) { c.BitRate = 1e-310 }},
+		{"NaN range", func(c *Config) { c.Range = math.NaN() }},
+		{"infinite range", func(c *Config) { c.Range = math.Inf(1) }},
+		{"range overflows interference reach", func(c *Config) { c.Range = 1e308 }},
+		{"NaN cs factor", func(c *Config) { c.CSRangeFactor = math.NaN() }},
+		{"infinite cs factor", func(c *Config) { c.CSRangeFactor = math.Inf(1) }},
+		{"negative header bits", func(c *Config) { c.HeaderBits = -100000 }},
+		{"NaN slot", func(c *Config) { c.SlotTime = math.NaN() }},
+		{"infinite slot", func(c *Config) { c.SlotTime = math.Inf(1) }},
+		{"NaN DIFS", func(c *Config) { c.DIFS = math.NaN() }},
+		{"infinite DIFS", func(c *Config) { c.DIFS = math.Inf(1) }},
+		{"NaN SIFS", func(c *Config) { c.SIFS = math.NaN() }},
+		{"infinite SIFS", func(c *Config) { c.SIFS = math.Inf(1) }},
+		{"backoff window overflows", func(c *Config) { c.SlotTime, c.CWMax = 1e300, 1<<40 }},
+		{"NaN capture ratio", func(c *Config) { c.CaptureRatio = math.NaN() }},
+		{"infinite capture ratio", func(c *Config) { c.CaptureRatio = math.Inf(1) }},
+		{"negative index slack", func(c *Config) { c.IndexSlack = -1 }},
+		{"NaN index slack", func(c *Config) { c.IndexSlack = math.NaN() }},
+		{"infinite index slack", func(c *Config) { c.IndexSlack = math.Inf(1) }},
+		{"index slack overflows query radius", func(c *Config) { c.Range, c.IndexSlack = 5e307, math.MaxFloat64 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -408,5 +432,71 @@ func TestContentionIncreasesLatency(t *testing.T) {
 	busy := probeLatency(100)
 	if busy <= quiet*2 {
 		t.Errorf("contention should slow the probe: quiet=%v busy=%v", quiet, busy)
+	}
+}
+
+// TestLongAiringKeepsEarlyInterferer pins the retention bound: an airing
+// longer than activeSlack must still be corrupted by an interferer that
+// started before it, even after an unrelated end event has pruned the
+// FIFO while the long airing is still on the air.
+func TestLongAiringKeepsEarlyInterferer(t *testing.T) {
+	cfg := DefaultConfig(100)
+	cfg.CSRangeFactor = 1
+	cfg.CaptureRatio = 0
+	// Radios 0 and 2 are hidden from each other and radio 1 hears both;
+	// radio 3 is out of everyone's range.
+	n := newTestNet(t, cfg, []geom.Point{
+		geom.Pt(0, 0), geom.Pt(90, 0), geom.Pt(180, 0), geom.Pt(5000, 0),
+	})
+	n.sched.At(0, func() { n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
+	// About 3 s on the air, overlapping radio 2's frame at its start.
+	n.sched.At(0.001, func() { n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 3e6}) })
+	// Radio 3's end event prunes the FIFO before radio 0's frame ends.
+	n.sched.At(2, func() { n.radios[3].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
+	n.sched.Run(5)
+	if got := len(n.recv[1]); got != 0 {
+		t.Errorf("radio 1 received %d frames; both overlapping frames should collide there", got)
+	}
+	if got := n.medium.Stats().Collisions; got != 2 {
+		t.Errorf("Collisions = %d, want 2", got)
+	}
+}
+
+// TestCoincidentEndsOneEventPerTick pins the end-tick index: airings that
+// end in the same tick share one scheduler event, and their receptions
+// and completions run in start order.
+func TestCoincidentEndsOneEventPerTick(t *testing.T) {
+	cfg := DefaultConfig(100)
+	// Senders 0..3 sit 1 km apart, hidden from one another; receiver
+	// 4+i hears only sender i.
+	var positions []geom.Point
+	for _, dx := range []float64{0, 50} {
+		for i := 0; i < 4; i++ {
+			positions = append(positions, geom.Pt(float64(i)*1000+dx, 0))
+		}
+	}
+	n := newTestNet(t, cfg, positions)
+	var recvOrder, sentOrder []int
+	for i := 0; i < 4; i++ {
+		n.radios[4+i].onRecv = func(*Frame) { recvOrder = append(recvOrder, i) }
+		n.radios[i].onSent = func(*Frame, bool) { sentOrder = append(sentOrder, i) }
+	}
+	// All four start in tick 0, in the order 2, 0, 3, 1. Sender 3's
+	// shorter frame ends first; the other three end together.
+	bits := []int{8000, 8000, 8000, 4000}
+	for _, i := range []int{2, 0, 3, 1} {
+		n.sched.At(0, func() { n.radios[i].Send(&Frame{Dst: Broadcast, Bits: bits[i]}) })
+	}
+	n.sched.Run(1)
+	// Four send events plus one end event for each of the two end ticks.
+	if got := n.sched.Processed(); got != 4+2 {
+		t.Errorf("scheduler ran %d events, want 6 (4 sends, 2 end ticks)", got)
+	}
+	want := []int{3, 2, 0, 1}
+	if !slices.Equal(recvOrder, want) {
+		t.Errorf("receptions from senders %v, want %v", recvOrder, want)
+	}
+	if !slices.Equal(sentOrder, want) {
+		t.Errorf("completions of senders %v, want %v", sentOrder, want)
 	}
 }

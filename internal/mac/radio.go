@@ -21,8 +21,8 @@ type Radio struct {
 	cw           int         // current contention window in slots
 	retries      int         // retries consumed by the head-of-line frame
 	// recent holds this radio's own latest airing intervals for
-	// half-duplex checks (spatial-index mode only); pruned on each new
-	// airing.
+	// half-duplex checks; on each new airing it drops the entries that
+	// ended more than Medium.retain ago.
 	recent []airing
 
 	// Per-radio counters.
@@ -100,7 +100,11 @@ func (r *Radio) deferUntil(until des.Time) {
 // an exponentially grown contention window.
 func (r *Radio) backoffRetry() {
 	m := r.medium
-	r.cw = min(r.cw*2, m.cfg.CWMax)
+	if r.cw > m.cfg.CWMax/2 {
+		r.cw = m.cfg.CWMax // doubling would pass CWMax (or overflow int)
+	} else {
+		r.cw *= 2
+	}
 	r.armAttempt(m.cfg.DIFS + float64(1+m.rng.Intn(r.cw))*m.cfg.SlotTime)
 }
 
@@ -123,17 +127,18 @@ func (r *Radio) startTransmission() {
 		t.rxPos = m.radios[f.Dst].pos()
 		t.hasRx = true
 	}
+	if air := t.end - t.start; air > m.retain {
+		m.retain = air
+	}
 	m.active = append(m.active, t)
-	m.inflight++
 	m.indexTransmission(t)
 	m.stats.Transmissions++
-	m.sched.At(t.end, t.onEnd)
+	m.scheduleEnd(t)
 }
 
 // endTransmission resolves the airing outcome and advances the queue.
 func (r *Radio) endTransmission(t *transmission) {
 	m := r.medium
-	m.inflight--
 	r.transmitting = false
 	dstOK := m.finishTransmission(t)
 	f := t.frame
