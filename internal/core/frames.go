@@ -328,12 +328,8 @@ func (g *GLR) sendAck(to int, m *dtn.Message) {
 // OnBeacon implements sim.Protocol. Node-level bookkeeping (neighbor and
 // location tables) already ran; routing reacts at the next route check
 // ("when ... new path emerges in the locally constructed trees, it will
-// send the stored messages"). The beacon also drives spanner-cache
-// invalidation: a directly heard position is the freshest possible, so
-// cache entries built from superseded coordinates become eviction
-// candidates. With the §2.3.1 extension enabled, meeting a peer also
-// triggers a full location-table exchange.
+// send the stored messages"). With the §2.3.1 extension enabled,
+// meeting a peer triggers a full location-table exchange.
 func (g *GLR) OnBeacon(b sim.Beacon) {
-	g.maint.Observe(b.From, b.Pos)
 	g.maybeExchangeTable(b.From)
 }

@@ -219,12 +219,10 @@ type hopTarget struct {
 type GLR struct {
 	cfg Config
 	n   *sim.Node
-	// maint caches spanner state (witness triangulations and accepted
-	// neighbor sets) keyed by exact member positions. It is shared by
-	// every node of a world — the simulation is single-threaded, and
-	// overlapping neighborhoods make one node's construction the next
-	// node's cache hit. Invalidation rides the beacon path (OnBeacon →
-	// Observe).
+	// maint answers spanner queries with per-edge empty-circle tests.
+	// It keeps no state between queries; it is shared by every node of
+	// a world (the simulation is single-threaded) so its scratch
+	// buffers are reused and its counters cover the whole world.
 	maint *ldt.Maintainer
 	// frames pools dataFrame payload boxes across all nodes of the
 	// world (shared via the factory, like maint).
@@ -282,7 +280,8 @@ func New(cfg Config) (sim.ProtocolFactory, error) {
 }
 
 // NewInstrumented is New plus access to the world's shared spanner
-// cache, for experiments that report construction cost and hit rates.
+// Maintainer, for experiments that report its query count and
+// construction time.
 // Every node built by the returned factory shares the one Maintainer
 // (and one dataFrame pool).
 func NewInstrumented(cfg Config) (sim.ProtocolFactory, *ldt.Maintainer, error) {
@@ -315,9 +314,9 @@ func (g *GLR) Init(n *sim.Node) {
 // Restart implements sim.Restarter (fault-injected node churn): the
 // node reboots with empty custody storage, no per-message state — even
 // the delivered bits that suppress re-acceptance are gone — and no
-// table-sync history. The shared spanner cache (maint) survives: it is
-// world-level memoization keyed by exact positions, not node state. The
-// periodic route-check timer keeps its cadence across the restart.
+// table-sync history. The shared spanner Maintainer holds no node
+// state. The periodic route-check timer keeps its cadence across the
+// restart.
 func (g *GLR) Restart() {
 	g.store = dtn.NewCustodyStore(g.n.StorageLimit())
 	clear(g.msgs)

@@ -12,7 +12,7 @@ import (
 
 // TestRunRepeatEquivalence: across randomized mobile scenarios and all
 // three spanner variants, running the same scenario twice must produce
-// identical reports and identical spanner-cache activity. Every input
+// identical reports and identical spanner counters. Every input
 // of a run — mobility, beacon phases, MAC backoff, route-check phases,
 // traffic — is drawn from seeded streams, so any divergence means some
 // layer reads state that is not a function of the scenario (map
@@ -42,7 +42,7 @@ func TestRunRepeatEquivalence(t *testing.T) {
 				t.Fatalf("repeated run diverged:\n  first:  %+v\n  second: %+v", rep1, rep2)
 			}
 			if st1 != st2 {
-				t.Fatalf("spanner-cache activity diverged:\n  first:  %+v\n  second: %+v", st1, st2)
+				t.Fatalf("spanner activity diverged:\n  first:  %+v\n  second: %+v", st1, st2)
 			}
 			delivered += rep1.Delivered
 		})

@@ -38,27 +38,28 @@ func (g *GLR) routeCheck() {
 
 // localSpanner constructs this node's current routing-graph incident
 // edges from 2-hop beacon knowledge (the LDTG by default; Gabriel or the
-// raw UDG under ablation), through the world's shared triangulation
-// cache. It returns the view plus parallel id/position slices of the
-// accepted neighbors (global ids, in view order), which are the
-// Maintainer's scratch and valid until any node's next query. The 2-hop
-// point set is assembled in per-instance scratch buffers (the neighbor
-// table appends without allocating); the Maintainer keeps no reference
-// to the view, so reuse across checks is safe.
+// raw UDG under ablation), through the world's shared Maintainer, which
+// tests each candidate edge with empty-circle scans of the witness sets.
+// It returns the view plus parallel id/position slices of the accepted
+// neighbors (global ids, in view order), which are the Maintainer's
+// scratch and valid until any node's next query. The 2-hop point set is
+// assembled in per-instance scratch buffers (the neighbor table appends
+// without allocating); the Maintainer keeps no reference to the view, so
+// reuse across checks is safe.
 func (g *GLR) localSpanner() (*ldt.LocalView, []int, []geom.Point) {
 	g.thIDs, g.thPts = g.n.Neighbors().AppendTwoHop(g.thIDs[:0], g.thPts[:0], g.n.ID(), g.n.Pos())
 	view, err := ldt.NewLocalView(g.n.ID(), g.thIDs, g.thPts, g.n.Range())
 	if err != nil {
 		return nil, nil, nil
 	}
-	nbrIDs, nbrPts, err := g.maint.Neighbors(view, g.spannerVariant(), g.cfg.K, g.n.Now())
+	nbrIDs, nbrPts, err := g.maint.Neighbors(view, g.spannerVariant(), g.cfg.K)
 	if err != nil {
 		return view, nil, nil
 	}
 	return view, nbrIDs, nbrPts
 }
 
-// spannerVariant maps the config's spanner choice to the cache's.
+// spannerVariant maps the config's spanner choice to the Maintainer's.
 func (g *GLR) spannerVariant() ldt.Variant {
 	switch g.cfg.Spanner {
 	case SpannerGabriel:

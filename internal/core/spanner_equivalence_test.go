@@ -28,7 +28,7 @@ func equivScenario(trial int) sim.Scenario {
 }
 
 // equivConfig randomizes the spanner variant so the Gabriel and UDG
-// ablations go through the cache checks too.
+// ablations go through the oracle checks too.
 func equivConfig(trial int) Config {
 	cfg := DefaultConfig()
 	cfg.Spanner = SpannerKind(trial % 3)
@@ -36,7 +36,7 @@ func equivConfig(trial int) Config {
 }
 
 // checkSpannersAgainstReference freezes a running world and compares,
-// node by node, the cached accepted-neighbor list against the from-scratch
+// node by node, the Maintainer's accepted-neighbor list against the
 // reference construction over the same neighbor-table state: the
 // reference Delaunay LDTG (LDTGNeighborsRef), or the direct Gabriel/UDG
 // constructions under those ablations. Routing reads the list in order,
@@ -66,7 +66,7 @@ func checkSpannersAgainstReference(t *testing.T, instances []*GLR, label string)
 			want = append(want, view.IDs[li])
 		}
 		if !slices.Equal(nbrIDs, want) {
-			t.Fatalf("%s node %d: cached %v != from-scratch %v", label, g.n.ID(), nbrIDs, want)
+			t.Fatalf("%s node %d: maintainer %v != reference %v", label, g.n.ID(), nbrIDs, want)
 		}
 		compared++
 	}
@@ -94,10 +94,10 @@ func probedInstrumentedWorld(t *testing.T, s sim.Scenario, cfg Config) (*sim.Wor
 }
 
 // TestSpannerCacheRunEquivalence: across ≥20 randomized mobile scenarios
-// and all three spanner variants, the shared spanner cache must answer
-// every node exactly as the from-scratch reference construction would,
-// at checkpoints spread over the whole run. Any divergence means the
-// cache (or the mesh triangulator under it) changed a routing decision.
+// and all three spanner variants, the shared Maintainer must answer
+// every node exactly as the reference triangulation-based construction
+// would, at checkpoints spread over the whole run. Any divergence means
+// the per-edge empty-circle tests changed a routing decision.
 func TestSpannerCacheRunEquivalence(t *testing.T) {
 	const trials = 21
 	delivered := 0
@@ -122,7 +122,7 @@ func TestSpannerCacheRunEquivalence(t *testing.T) {
 }
 
 // TestSpannerCachePerNodeEquivalence freezes running LDTG worlds at
-// several checkpoints and compares, node by node, the cached
+// several checkpoints and compares, node by node, the Maintainer's
 // accepted-neighbor set against the reference construction.
 func TestSpannerCachePerNodeEquivalence(t *testing.T) {
 	compared := 0
@@ -138,27 +138,15 @@ func TestSpannerCachePerNodeEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpannerCacheStaticHits: an invalid zero config is rejected, and in
-// a static scenario — every view repeats after the first check
-// interval — the triangulation cache serves the steady state while every
-// query still builds its answer from its view.
+// TestSpannerCacheStaticHits: an invalid zero config is rejected before
+// any Maintainer is built.
 func TestSpannerCacheStaticHits(t *testing.T) {
 	if _, _, err := NewInstrumented(Config{}); err == nil {
 		t.Fatal("invalid zero config accepted")
 	}
-	s := sim.DefaultScenario(120)
-	s.N = 25
-	s.Mobility = sim.MobilityStatic
-	s.SimTime = 30
-	s.Traffic = sim.UniformTraffic(s.N, 8, 1.0, 3)
-	w, _, maint := probedInstrumentedWorld(t, s, DefaultConfig())
-	w.Run()
-	if st := maint.Stats(); st.TriHits <= st.TriBuilds || st.ResultHits != 0 {
-		t.Errorf("static scenario: want mostly triangulation hits and no result hits: %+v", st)
-	}
 }
 
-// stats sanity for ldt.Maintainer wiring: the shared cache must see
+// stats sanity for ldt.Maintainer wiring: the shared Maintainer must see
 // queries from many nodes of one world.
 func TestMaintainerSharedAcrossNodes(t *testing.T) {
 	factory, maint, err := NewInstrumented(DefaultConfig())
@@ -174,9 +162,6 @@ func TestMaintainerSharedAcrossNodes(t *testing.T) {
 	st := maint.Stats()
 	if st.Queries < uint64(s.N) {
 		t.Errorf("shared maintainer saw %d queries for %d nodes", st.Queries, s.N)
-	}
-	if st.TriBuilds+st.TriHits == 0 {
-		t.Error("no witness triangulations recorded")
 	}
 	var _ ldt.SpannerStats = st
 }

@@ -34,7 +34,6 @@ type NodeCountPoint struct {
 	WallSerial    time.Duration // mean wall clock per run
 	SpannerSerial time.Duration // mean spanner-construction time per run
 	Phases        sim.PhaseProf // mean per-phase wall clock per run
-	TriHitRate    float64       // witness-triangulation reuse
 	Allocs        uint64        // mean heap allocations per run
 	GC            uint32        // mean GC cycles per run
 }
@@ -131,7 +130,6 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 		msgs := o.messages(n)
 		point := NodeCountPoint{N: n}
 		delivery := make([]float64, runs)
-		var hitStats ldt.SpannerStats
 		var allocs uint64
 		var gc uint32
 		for r := 0; r < runs; r++ {
@@ -150,7 +148,6 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 			point.Phases.Mobility += ir.phases.Mobility
 			point.Phases.Rx += ir.phases.Rx
 			point.Phases.AntiEntropy += ir.phases.AntiEntropy
-			hitStats.Add(ir.spanner)
 			allocs += ir.mallocs
 			gc += ir.gc
 		}
@@ -161,14 +158,13 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 		point.Phases.Mobility /= time.Duration(runs)
 		point.Phases.Rx /= time.Duration(runs)
 		point.Phases.AntiEntropy /= time.Duration(runs)
-		point.TriHitRate = hitStats.TriHitRate()
 		point.Allocs = allocs / uint64(runs)
 		point.GC = gc / uint32(runs)
 		res.Points = append(res.Points, point)
 		res.msgs = append(res.msgs, msgs)
-		o.progress("scale: n=%d -> delivery %.2f, spanner %v (hit %.0f%%), wall %v, allocs %dM",
+		o.progress("scale: n=%d -> delivery %.2f, spanner %v, wall %v, allocs %dM",
 			n, point.Delivery.Mean,
-			point.SpannerSerial.Round(time.Millisecond), 100*point.TriHitRate,
+			point.SpannerSerial.Round(time.Millisecond),
 			point.WallSerial.Round(time.Millisecond),
 			point.Allocs/1e6)
 	}
@@ -185,7 +181,6 @@ func (r *NodeCountResult) Render() string {
 			fmt.Sprintf("%d", r.msgs[i]),
 			fmt.Sprintf("%.2f±%.2f", p.Delivery.Mean, p.Delivery.HalfWidth),
 			p.SpannerSerial.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f%%", 100*p.TriHitRate),
 			p.WallSerial.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0fM", float64(p.Allocs)/1e6),
 			fmt.Sprintf("%d", p.GC),
@@ -194,7 +189,7 @@ func (r *NodeCountResult) Render() string {
 	var sb strings.Builder
 	sb.WriteString(asciiplot.Table{
 		Title:   fmt.Sprintf("Node-count scaling sweep (fixed density, GLR, %d run(s)/point)", r.Runs),
-		Headers: []string{"Nodes", "Region", "Msgs", "Delivery", "Spanner", "Tri hits", "Wall", "Allocs", "GC"},
+		Headers: []string{"Nodes", "Region", "Msgs", "Delivery", "Spanner", "Wall", "Allocs", "GC"},
 		Rows:    rows,
 	}.Render())
 	sb.WriteString("\nPer-phase wall clock (share of the run's wall):\n")

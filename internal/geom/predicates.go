@@ -1,6 +1,9 @@
 package geom
 
-import "math/big"
+import (
+	"math"
+	"math/big"
+)
 
 // Robust geometric predicates.
 //
@@ -8,9 +11,10 @@ import "math/big"
 // the result when its magnitude exceeds a conservative forward error bound
 // (constants following Shewchuk, "Adaptive Precision Floating-Point
 // Arithmetic and Fast Robust Geometric Predicates"). When the result is too
-// close to zero to be trusted, we recompute exactly with math/big rationals;
-// every float64 is exactly representable as a big.Rat, so the slow path is
-// fully exact.
+// close to zero to be trusted, we recompute exactly with math/big integers:
+// every finite float64 is an integer times a power of two, so scaling all
+// inputs by the smallest such power makes them integers (scaleExact), and
+// the determinant's sign is unchanged by the positive scale.
 
 const (
 	// ccwErrBound bounds the rounding error of the 2x2 orientation
@@ -51,22 +55,14 @@ func Orient(a, b, c Point) float64 {
 }
 
 func orientExact(a, b, c Point) float64 {
-	ax := new(big.Rat).SetFloat64(a.X)
-	ay := new(big.Rat).SetFloat64(a.Y)
-	bx := new(big.Rat).SetFloat64(b.X)
-	by := new(big.Rat).SetFloat64(b.Y)
-	cx := new(big.Rat).SetFloat64(c.X)
-	cy := new(big.Rat).SetFloat64(c.Y)
-
-	acx := new(big.Rat).Sub(ax, cx)
-	bcy := new(big.Rat).Sub(by, cy)
-	acy := new(big.Rat).Sub(ay, cy)
-	bcx := new(big.Rat).Sub(bx, cx)
-
-	l := new(big.Rat).Mul(acx, bcy)
-	r := new(big.Rat).Mul(acy, bcx)
-	det := l.Sub(l, r)
-	return float64(det.Sign())
+	var v [6]big.Int
+	scaleExact(v[:], a.X, a.Y, b.X, b.Y, c.X, c.Y)
+	var acx, bcy, acy, bcx big.Int
+	acx.Sub(&v[0], &v[4])
+	bcy.Sub(&v[3], &v[5])
+	acy.Sub(&v[1], &v[5])
+	bcx.Sub(&v[2], &v[4])
+	return float64(minorExact(&acx, &acy, &bcx, &bcy).Sign())
 }
 
 // InCircle returns a value whose sign reports the position of d relative to
@@ -106,34 +102,59 @@ func InCircle(a, b, c, d Point) float64 {
 }
 
 func inCircleExact(a, b, c, d Point) float64 {
-	toRat := func(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
-	adx := new(big.Rat).Sub(toRat(a.X), toRat(d.X))
-	ady := new(big.Rat).Sub(toRat(a.Y), toRat(d.Y))
-	bdx := new(big.Rat).Sub(toRat(b.X), toRat(d.X))
-	bdy := new(big.Rat).Sub(toRat(b.Y), toRat(d.Y))
-	cdx := new(big.Rat).Sub(toRat(c.X), toRat(d.X))
-	cdy := new(big.Rat).Sub(toRat(c.Y), toRat(d.Y))
+	var v [8]big.Int
+	scaleExact(v[:], a.X, a.Y, b.X, b.Y, c.X, c.Y, d.X, d.Y)
+	var adx, ady, bdx, bdy, cdx, cdy big.Int
+	adx.Sub(&v[0], &v[6])
+	ady.Sub(&v[1], &v[7])
+	bdx.Sub(&v[2], &v[6])
+	bdy.Sub(&v[3], &v[7])
+	cdx.Sub(&v[4], &v[6])
+	cdy.Sub(&v[5], &v[7])
 
-	lift := func(x, y *big.Rat) *big.Rat {
-		xx := new(big.Rat).Mul(x, x)
-		yy := new(big.Rat).Mul(y, y)
-		return xx.Add(xx, yy)
+	lift := func(x, y *big.Int) *big.Int {
+		var xx, yy big.Int
+		xx.Mul(x, x)
+		yy.Mul(y, y)
+		return xx.Add(&xx, &yy)
 	}
-	alift := lift(adx, ady)
-	blift := lift(bdx, bdy)
-	clift := lift(cdx, cdy)
-
-	minor := func(px, py, qx, qy *big.Rat) *big.Rat {
-		l := new(big.Rat).Mul(px, qy)
-		r := new(big.Rat).Mul(qx, py)
-		return l.Sub(l, r)
-	}
-	det := new(big.Rat).Mul(alift, minor(bdx, bdy, cdx, cdy))
-	t := new(big.Rat).Mul(blift, minor(cdx, cdy, adx, ady))
-	det.Add(det, t)
-	t = new(big.Rat).Mul(clift, minor(adx, ady, bdx, bdy))
-	det.Add(det, t)
+	var det, t big.Int
+	det.Mul(lift(&adx, &ady), minorExact(&bdx, &bdy, &cdx, &cdy))
+	t.Mul(lift(&bdx, &bdy), minorExact(&cdx, &cdy, &adx, &ady))
+	det.Add(&det, &t)
+	t.Mul(lift(&cdx, &cdy), minorExact(&adx, &ady, &bdx, &bdy))
+	det.Add(&det, &t)
 	return float64(det.Sign())
+}
+
+// minorExact returns px·qy − qx·py.
+func minorExact(px, py, qx, qy *big.Int) *big.Int {
+	var l, r big.Int
+	l.Mul(px, qy)
+	r.Mul(qx, py)
+	return l.Sub(&l, &r)
+}
+
+// scaleExact sets out[i] = vals[i]·2^s for the one s that makes every
+// finite value an integer: each value's 53-bit mantissa, shifted by its
+// exponent's distance above the smallest exponent among the nonzero
+// values.
+func scaleExact(out []big.Int, vals ...float64) {
+	const mantBits = 53
+	minExp := math.MaxInt
+	for _, v := range vals {
+		if v != 0 {
+			_, e := math.Frexp(v)
+			minExp = min(minExp, e-mantBits)
+		}
+	}
+	for i, v := range vals {
+		frac, e := math.Frexp(v)
+		out[i].SetInt64(int64(math.Ldexp(frac, mantBits)))
+		if v != 0 {
+			out[i].Lsh(&out[i], uint(e-mantBits-minExp))
+		}
+	}
 }
 
 func abs(x float64) float64 {

@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -128,6 +130,59 @@ func TestInCircleMatchesCircumcenterRandom(t *testing.T) {
 		}
 		if got := sign(InCircle(a, b, c, d)); got != want {
 			t.Fatalf("InCircle disagrees with circumcenter distance: got %d want %d", got, want)
+		}
+	}
+}
+
+// ratDet returns the sign of the orientation (d == nil) or in-circle
+// determinant over exact rationals: the oracle for the scaled-integer
+// exact paths.
+func ratDet(a, b, c Point, d *Point) int {
+	q := func(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
+	sub := func(x, y float64) *big.Rat { return new(big.Rat).Sub(q(x), q(y)) }
+	minor := func(px, py, qx, qy *big.Rat) *big.Rat {
+		l := new(big.Rat).Mul(px, qy)
+		return l.Sub(l, new(big.Rat).Mul(qx, py))
+	}
+	if d == nil {
+		return minor(sub(a.X, c.X), sub(a.Y, c.Y), sub(b.X, c.X), sub(b.Y, c.Y)).Sign()
+	}
+	lift := func(x, y *big.Rat) *big.Rat {
+		xx := new(big.Rat).Mul(x, x)
+		return xx.Add(xx, new(big.Rat).Mul(y, y))
+	}
+	adx, ady := sub(a.X, d.X), sub(a.Y, d.Y)
+	bdx, bdy := sub(b.X, d.X), sub(b.Y, d.Y)
+	cdx, cdy := sub(c.X, d.X), sub(c.Y, d.Y)
+	det := new(big.Rat).Mul(lift(adx, ady), minor(bdx, bdy, cdx, cdy))
+	det.Add(det, new(big.Rat).Mul(lift(bdx, bdy), minor(cdx, cdy, adx, ady)))
+	det.Add(det, new(big.Rat).Mul(lift(cdx, cdy), minor(adx, ady, bdx, bdy)))
+	return det.Sign()
+}
+
+// TestExactPredicatesMatchRational: the scaled-integer exact paths agree
+// with rational arithmetic on ties, near-ties, signed zeros, subnormals
+// and coordinates hundreds of binary orders of magnitude apart.
+func TestExactPredicatesMatchRational(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	special := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 0.3, 3, 4, 5, 1e-300, 5e-324, -2.5e-310, 1e300, -1e280, 1 << 60}
+	coord := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return float64(rng.Intn(9) - 4)
+		}
+		return math.Ldexp(rng.Float64()-0.5, rng.Intn(200)-100)
+	}
+	pt := func() Point { return Pt(coord(), coord()) }
+	for i := 0; i < 3000; i++ {
+		a, b, c, d := pt(), pt(), pt(), pt()
+		if got, want := sign(orientExact(a, b, c)), ratDet(a, b, c, nil); got != want {
+			t.Fatalf("orientExact(%v, %v, %v) sign %d, rational %d", a, b, c, got, want)
+		}
+		if got, want := sign(inCircleExact(a, b, c, d)), ratDet(a, b, c, &d); got != want {
+			t.Fatalf("inCircleExact(%v, %v, %v, %v) sign %d, rational %d", a, b, c, d, got, want)
 		}
 	}
 }

@@ -9,14 +9,17 @@
 //   - BuildLDTG: the oracle construction over the full point set, used by
 //     analysis, tests, and figures.
 //   - LocalView.LDTGNeighbors: the construction a single node can perform
-//     from its own distance-k neighborhood knowledge (beacon-fed), which
-//     is what the GLR protocol actually runs. Because our connectivity
-//     model is a unit-disk graph, known positions imply known adjacency,
-//     so a node reconstructs the local topology from positions alone.
+//     from its own distance-k neighborhood knowledge (beacon-fed). Because
+//     our connectivity model is a unit-disk graph, known positions imply
+//     known adjacency, so a node reconstructs the local topology from
+//     positions alone. The GLR protocol runs the same rule through
+//     Maintainer, which tests each edge by empty-circle scans instead of
+//     triangulating.
 package ldt
 
 import (
 	"fmt"
+	"math"
 
 	"glr/internal/geom"
 )
@@ -155,8 +158,13 @@ func NewLocalView(selfID int, ids []int, pts []geom.Point, r float64) (*LocalVie
 	if len(ids) != len(pts) {
 		return nil, fmt.Errorf("ldt: ids/pts length mismatch %d != %d", len(ids), len(pts))
 	}
-	if r <= 0 {
-		return nil, fmt.Errorf("ldt: radius must be positive")
+	if !(r > 0) || math.IsInf(r, 1) {
+		return nil, fmt.Errorf("ldt: radius must be positive and finite, got %v", r)
+	}
+	for i, p := range pts {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return nil, fmt.Errorf("ldt: position %d of the view is not finite: %v", i, p)
+		}
 	}
 	return &LocalView{SelfID: selfID, IDs: ids, Pts: pts, R: r}, nil
 }
@@ -192,20 +200,22 @@ func (v *LocalView) UDGNeighbors() []int {
 // imprecision a real deployment has; greedy forwarding only requires each
 // node's own incident edge set.
 //
-// Every call rebuilds the witness triangulations from scratch (with a
-// per-call memo over shared witness neighborhoods). The protocol's hot
-// path goes through Maintainer instead, which keeps witness
-// triangulations alive across check intervals and across nodes but
-// builds every answer from its view: the same neighbors in the same
-// order as this function, mapped to global ids.
+// Every call triangulates the witness sets (with a per-call memo over
+// shared witness neighborhoods); it is the oracle for Maintainer, which
+// the protocol's hot path uses. Maintainer tests each candidate edge
+// with an empty-circle scan of each witness set instead, and returns the
+// same neighbors in the same order, mapped to global ids, whenever the
+// witness sets have no four cocircular points (their Delaunay
+// triangulations are then unique). On exact ties it follows a symbolic
+// perturbation, while this function takes whichever triangulation the
+// mesh builds.
 func (v *LocalView) LDTGNeighbors(k int) ([]int, error) {
 	return v.ldtgNeighbors(k, geom.DelaunayGraph)
 }
 
 // LDTGNeighborsRef is LDTGNeighbors over the reference (pre-mesh)
-// Delaunay construction: the oracle the Maintainer's cached path is
-// equivalence-tested against, list order included, and benchmarked
-// against.
+// Delaunay construction: the oracle the Maintainer is equivalence-tested
+// against, list order included, and benchmarked against.
 func (v *LocalView) LDTGNeighborsRef(k int) ([]int, error) {
 	return v.ldtgNeighbors(k, geom.DelaunayGraphRef)
 }

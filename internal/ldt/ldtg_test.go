@@ -1,6 +1,7 @@
 package ldt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -169,6 +170,31 @@ func TestNewLocalViewValidation(t *testing.T) {
 	}
 	if _, err := NewLocalView(4, []int{4, 6}, pts, 10); err != nil {
 		t.Errorf("valid view rejected: %v", err)
+	}
+
+	// A non-finite radius or coordinate is an error: the exact
+	// predicates are defined over finite values only, and ±Inf once
+	// panicked them.
+	ids := []int{0, 1, 2, 3}
+	good := []geom.Point{geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(20, 30), geom.Pt(40, 10)}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		last geom.Point // replaces good[3]
+		r    float64
+	}{
+		{"inf-x-inf-radius", geom.Pt(inf, 10), inf},
+		{"inf-radius", good[3], inf},
+		{"neg-inf-radius", good[3], -inf},
+		{"nan-radius", good[3], nan},
+		{"inf-x", geom.Pt(inf, 10), 100},
+		{"neg-inf-y", geom.Pt(10, -inf), 100},
+		{"nan-x", geom.Pt(nan, 10), 100},
+		{"nan-y", geom.Pt(10, nan), 100},
+	} {
+		if _, err := NewLocalView(0, ids, append(good[:3:3], tc.last), tc.r); err == nil {
+			t.Errorf("%s: view accepted", tc.name)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func referenceNeighbors(t *testing.T, view *LocalView, variant Variant, k int) [
 }
 
 // permutedView returns view with the points after self shuffled: the same
-// query in a different order, which must hit the same triangulations.
+// query in a different order, which must accept the same neighbors.
 func permutedView(t *testing.T, view *LocalView, rng *rand.Rand) *LocalView {
 	t.Helper()
 	ids := []int{view.IDs[0]}
@@ -85,39 +85,36 @@ func permutedView(t *testing.T, view *LocalView, rng *rand.Rand) *LocalView {
 }
 
 // TestMaintainerMatchesFromScratch: across evolving random topologies the
-// cached path must return exactly the accepted neighbors of the
-// from-scratch reference construction (LDTGNeighborsRef for the LDTG), in
-// the same view order, for every variant, on each view and then on a
-// permuted copy of it. Routing reads the list in order, so an answer that
-// kept the order of an earlier, differently ordered view is a defect.
+// Maintainer's per-edge tests must return exactly the accepted neighbors
+// of the reference triangulation-based construction (LDTGNeighborsRef for
+// the LDTG), in the same view order, for every variant, on each view and
+// then on a permuted copy of it. Routing reads the list in order, so an
+// answer that kept the order of an earlier, differently ordered view is a
+// defect.
 func TestMaintainerMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := NewMaintainer()
 	const r = 250
 	pts := randomPoints(rng, 40, 900, 900)
 	for epoch := 0; epoch < 12; epoch++ {
-		now := float64(epoch)
 		// Random-walk a subset of nodes between epochs so some witness
-		// neighborhoods stay identical (cache hits) and some change.
+		// neighborhoods stay identical and some change.
 		for i := range pts {
 			if rng.Intn(3) == 0 {
 				pts[i].X += rng.Float64()*40 - 20
 				pts[i].Y += rng.Float64()*40 - 20
 			}
 		}
-		for i := range pts {
-			m.Observe(i, pts[i])
-		}
 		for self := 0; self < len(pts); self += 3 {
 			base := buildView(t, pts, self, r, func(i int) int { return i })
 			for _, view := range []*LocalView{base, permutedView(t, base, rng)} {
 				for _, variant := range []Variant{VariantLDTG, VariantGabriel, VariantUDG} {
-					gotIDs, gotPts, err := m.Neighbors(view, variant, 2, now)
+					gotIDs, gotPts, err := m.Neighbors(view, variant, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if want := referenceNeighbors(t, view, variant, 2); !slices.Equal(gotIDs, want) {
-						t.Fatalf("epoch %d self %d variant %d: cached %v != from-scratch %v",
+						t.Fatalf("epoch %d self %d variant %d: maintainer %v != reference %v",
 							epoch, self, variant, gotIDs, want)
 					}
 					for i, id := range gotIDs {
@@ -136,21 +133,16 @@ func TestMaintainerMatchesFromScratch(t *testing.T) {
 			}
 		}
 	}
-	st := m.Stats()
-	if st.TriHits == 0 {
-		t.Errorf("evolving-topology run produced no cache hits: %+v", st)
-	}
-	if st.TriBuilds == 0 || st.Queries == 0 {
+	if st := m.Stats(); st.Queries == 0 {
 		t.Errorf("stats not collected: %+v", st)
 	}
 }
 
-// TestLDTGNeighborsPermutationInvariant is the keying property the cache
-// makes dangerous: the accepted set must be invariant under permuting the
-// view's point order and under relabeling global node ids, both for the
-// plain construction and — critically — when a permuted view hits
-// triangulations cached by the original one, where the answer must match
-// a fresh Maintainer's in order too.
+// TestLDTGNeighborsPermutationInvariant: the accepted set must be
+// invariant under permuting the view's point order and under relabeling
+// global node ids, and a permuted view asked after the original on one
+// Maintainer must be answered as a fresh Maintainer answers it, in the
+// reference's order.
 func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const r = 240
@@ -203,68 +195,23 @@ func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 		}
 
 		// History check: the shuffled view asked after the original on
-		// one Maintainer reuses its triangulations and must answer
-		// exactly as a fresh Maintainer does, in the same order.
+		// one Maintainer must answer exactly as a fresh Maintainer does,
+		// in the same order.
 		m := NewMaintainer()
-		if _, _, err := m.Neighbors(base, VariantLDTG, 2, 0); err != nil {
+		if _, _, err := m.Neighbors(base, VariantLDTG, 2); err != nil {
 			t.Fatal(err)
 		}
-		before := m.Stats()
-		got, _, err := m.Neighbors(shuffled, VariantLDTG, 2, 0)
+		got, _, err := m.Neighbors(shuffled, VariantLDTG, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Stats().TriHits == before.TriHits {
-			t.Fatalf("trial %d: permuted view reused no triangulation", trial)
-		}
-		fresh, _, err := NewMaintainer().Neighbors(shuffled, VariantLDTG, 2, 0)
+		fresh, _, err := NewMaintainer().Neighbors(shuffled, VariantLDTG, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, fresh) || !slices.Equal(got, viewIDs(shuffled, shuffledLocal)) {
 			t.Fatalf("trial %d: acceptance after the original view %v != fresh %v", trial, got, fresh)
 		}
-	}
-}
-
-// TestMaintainerSweepEvictsSupersededAndIdle exercises the retention
-// policy directly.
-func TestMaintainerSweepEvictsSupersededAndIdle(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	pts := randomPoints(rng, 25, 600, 600)
-	const r = 220
-	m := NewMaintainer()
-	view := buildView(t, pts, 0, r, func(i int) int { return i })
-	if _, _, err := m.Neighbors(view, VariantLDTG, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if m.Size() == 0 {
-		t.Fatal("cache empty after a query")
-	}
-
-	// A superseded member position evicts entries after one un-hit sweep.
-	moved := view.IDs[1]
-	m.Observe(moved, view.Pts[1].Add(geom.Pt(5, 5)))
-	if _, _, err := m.Neighbors(view, VariantUDG, 2, sweepEvery+0.1); err != nil {
-		t.Fatal(err) // first sweep: entries were hot, survive
-	}
-	if _, _, err := m.Neighbors(view, VariantUDG, 2, 2*sweepEvery+0.2); err != nil {
-		t.Fatal(err) // second sweep: superseded + cold → evicted
-	}
-	if m.Stats().Evictions == 0 {
-		t.Error("superseded entries were not evicted")
-	}
-
-	// Idle entries go after cacheTTL regardless of movement.
-	m2 := NewMaintainer()
-	if _, _, err := m2.Neighbors(view, VariantLDTG, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m2.Neighbors(view, VariantUDG, 2, cacheTTL+sweepEvery+1); err != nil {
-		t.Fatal(err)
-	}
-	if m2.Stats().Evictions == 0 {
-		t.Error("idle entries were not TTL-evicted")
 	}
 }
 
@@ -316,7 +263,7 @@ func spannerBenchView(b *testing.B, n int) *LocalView {
 
 // BenchmarkSpannerFromScratchRef is the cost of one routing-loop spanner
 // construction on the reference oracle (reference Delaunay, per-call
-// memo only), the baseline the cached path is measured against.
+// memo only), the baseline the Maintainer is measured against.
 func BenchmarkSpannerFromScratchRef(b *testing.B) {
 	view := spannerBenchView(b, 60)
 	b.ReportAllocs()
@@ -328,18 +275,17 @@ func BenchmarkSpannerFromScratchRef(b *testing.B) {
 	}
 }
 
-// BenchmarkSpannerColdCache measures the cached path on a view whose
-// positions change every query: every triangulation is a rebuild (mesh +
-// scratch reuse), the regime of fully mobile nodes.
-func BenchmarkSpannerColdCache(b *testing.B) {
+// BenchmarkSpannerNeighbors measures one routing-loop LDTG query on the
+// same view with one position moved before every query, the regime of
+// fully mobile nodes. It allocates nothing once the scratch has grown.
+func BenchmarkSpannerNeighbors(b *testing.B) {
 	view := spannerBenchView(b, 60)
 	m := NewMaintainer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Nudge one position so every signature misses.
 		view.Pts[len(view.Pts)-1].X += 1e-9
-		if _, _, err := m.Neighbors(view, VariantLDTG, 2, float64(i)); err != nil {
+		if _, _, err := m.Neighbors(view, VariantLDTG, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
