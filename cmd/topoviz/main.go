@@ -12,12 +12,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"glr/internal/asciiplot"
 	"glr/internal/geom"
 	"glr/internal/ldt"
+	"glr/internal/rng"
 )
 
 func main() {
@@ -32,11 +32,11 @@ func main() {
 	)
 	flag.Parse()
 
-	rng := rand.New(rand.NewSource(*seed))
+	r := rng.New(*seed)
 	pts := make([]geom.Point, *nodes)
 	pp := make([][2]float64, *nodes)
 	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()**width, rng.Float64()**height)
+		pts[i] = geom.Pt(r.Float64()**width, r.Float64()**height)
 		pp[i] = [2]float64{pts[i].X, pts[i].Y}
 	}
 
@@ -71,7 +71,7 @@ func main() {
 		connected, edgeSum, isoSum := 0, 0, 0
 		const trials = 100
 		for t := 0; t < trials; t++ {
-			r2 := rand.New(rand.NewSource(*seed + int64(t)))
+			r2 := rng.New(*seed + int64(t))
 			ps := make([]geom.Point, *nodes)
 			for i := range ps {
 				ps[i] = geom.Pt(r2.Float64()**width, r2.Float64()**height)

@@ -13,12 +13,12 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"glr"
 	"glr/internal/asciiplot"
 	"glr/internal/geom"
 	"glr/internal/ldt"
+	"glr/internal/rng"
 )
 
 func main() {
@@ -31,10 +31,10 @@ func main() {
 	// succeed.
 	var pts []geom.Point
 	for seed := int64(1); ; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		r := rng.New(seed)
 		pts = make([]geom.Point, n)
 		for i := range pts {
-			pts[i] = geom.Pt(rng.Float64()*w, rng.Float64()*h)
+			pts[i] = geom.Pt(r.Float64()*w, r.Float64()*h)
 		}
 		if geom.UnitDiskGraph(pts, radius).Connected() {
 			fmt.Printf("Connected topology found (seed %d)\n\n", seed)

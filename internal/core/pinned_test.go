@@ -29,10 +29,12 @@ var pinnedWorlds = []struct {
 // literal fails on any change to the frames a mobile world sends; the
 // static literals fail if a spanner answer depends on anything but the
 // view it was asked for, such as the order of an earlier query's view.
+// The static seeds and ranges were chosen under math/rand (v1) streams;
+// under rng.New streams they are not known to have that property.
 var pinnedReports = map[string]metrics.Report{
-	"waypoint":       {Generated: 200, Delivered: 200, DeliveryRatio: 1, AvgLatency: 12.256703692854778, AvgHops: 14.834999999999999, MaxPeakStorage: 14, AvgPeakStorage: 6.359999999999999, Duplicates: 0, ControlFrames: 15000, DataFrames: 5859, Acks: 5585},
-	"static":         {Generated: 200, Delivered: 25, DeliveryRatio: 0.125, AvgLatency: 0.9753874127837606, AvgHops: 2.12, MaxPeakStorage: 41, AvgPeakStorage: 7.079999999999999, Duplicates: 0, ControlFrames: 15000, DataFrames: 49005, Acks: 48792},
-	"static-gabriel": {Generated: 200, Delivered: 93, DeliveryRatio: 0.465, AvgLatency: 1.2399107276801098, AvgHops: 2.333333333333333, MaxPeakStorage: 37, AvgPeakStorage: 5.2200000000000015, Duplicates: 0, ControlFrames: 15000, DataFrames: 22758, Acks: 22692},
+	"waypoint":       {Generated: 200, Delivered: 197, DeliveryRatio: 0.985, AvgLatency: 14.68992622990871, AvgHops: 17.624365482233493, MaxPeakStorage: 25, AvgPeakStorage: 7.46, Duplicates: 0, ControlFrames: 15000, DataFrames: 7646, Acks: 7217},
+	"static":         {Generated: 200, Delivered: 31, DeliveryRatio: 0.155, AvgLatency: 0.9518381022142137, AvgHops: 2.4516129032258074, MaxPeakStorage: 31, AvgPeakStorage: 6.3, Duplicates: 0, ControlFrames: 15000, DataFrames: 42497, Acks: 42351},
+	"static-gabriel": {Generated: 200, Delivered: 185, DeliveryRatio: 0.925, AvgLatency: 2.6619673188427253, AvgHops: 5.799999999999997, MaxPeakStorage: 11, AvgPeakStorage: 1.5800000000000003, Duplicates: 0, ControlFrames: 15000, DataFrames: 4497, Acks: 4495},
 }
 
 func runPinned(t *testing.T, mob sim.MobilityKind, spanner SpannerKind, seed int64, rangeM float64) metrics.Report {

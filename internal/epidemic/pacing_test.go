@@ -17,8 +17,11 @@ func TestTokenBucketPacesTransfers(t *testing.T) {
 	s.Region = mobility.Region{W: 100, H: 100} // guaranteed in range
 	s.SimTime = 60
 	s.Traffic = nil
+	// Queue everything at t=0, before either node's first hello: summary
+	// vectors are exchanged only when a contact forms, so traffic queued
+	// after both first hellos would never be offered to the static peer.
 	for i := 0; i < 120; i++ {
-		s.Traffic = append(s.Traffic, sim.TrafficItem{Src: 0, Dst: 1, At: 0.1})
+		s.Traffic = append(s.Traffic, sim.TrafficItem{Src: 0, Dst: 1, At: 0})
 	}
 	cfg := DefaultConfig()
 	cfg.DataSendRate = 2 // 2 msgs/s
@@ -57,8 +60,9 @@ func TestUnpacedTransfersFaster(t *testing.T) {
 		s.Region = mobility.Region{W: 100, H: 100}
 		s.SimTime = 30
 		s.Traffic = nil
+		// At t=0, before any hello: see TestTokenBucketPacesTransfers.
 		for i := 0; i < 100; i++ {
-			s.Traffic = append(s.Traffic, sim.TrafficItem{Src: 0, Dst: 1, At: 0.1})
+			s.Traffic = append(s.Traffic, sim.TrafficItem{Src: 0, Dst: 1, At: 0})
 		}
 		cfg := DefaultConfig()
 		cfg.DataSendRate = rate

@@ -25,11 +25,11 @@ var pinnedScenarios = []struct {
 // literals fail on any change to the order or content of request,
 // summary or data frames.
 var pinnedResults = map[string]glr.Result{
-	"default":    {Generated: 200, Delivered: 199, DeliveryRatio: 0.995, AvgLatency: 38.09455650169862, AvgHops: 3.3517587939698488, MaxPeakStorage: 200, AvgPeakStorage: 199.20000000000002, Duplicates: 0, ControlFrames: 21235, DataFrames: 9776, Acks: 0},
-	"storage100": {Generated: 200, Delivered: 176, DeliveryRatio: 0.88, AvgLatency: 40.2925033434921, AvgHops: 3.6306818181818183, MaxPeakStorage: 100, AvgPeakStorage: 100, Duplicates: 0, ControlFrames: 28370, DataFrames: 24367, Acks: 0},
-	"deltas":     {Generated: 200, Delivered: 200, DeliveryRatio: 1, AvgLatency: 9.111745972762776, AvgHops: 6.6099999999999985, MaxPeakStorage: 200, AvgPeakStorage: 200, Duplicates: 0, ControlFrames: 27678, DataFrames: 9812, Acks: 0},
-	"receipts":   {Generated: 200, Delivered: 199, DeliveryRatio: 0.995, AvgLatency: 37.6278294139468, AvgHops: 3.4974874371859306, MaxPeakStorage: 116, AvgPeakStorage: 71.9, Duplicates: 0, ControlFrames: 26007, DataFrames: 6119, Acks: 0},
-	"churn":      {Generated: 200, Delivered: 193, DeliveryRatio: 0.965, AvgLatency: 40.12118569425116, AvgHops: 3.357512953367875, MaxPeakStorage: 193, AvgPeakStorage: 191.71999999999997, Duplicates: 80, ControlFrames: 20611, DataFrames: 13471, Acks: 0},
+	"default":    {Generated: 200, Delivered: 197, DeliveryRatio: 0.985, AvgLatency: 34.858321873429674, AvgHops: 3.3654822335025356, MaxPeakStorage: 200, AvgPeakStorage: 198.52, Duplicates: 0, ControlFrames: 21076, DataFrames: 9739, Acks: 0},
+	"storage100": {Generated: 200, Delivered: 169, DeliveryRatio: 0.845, AvgLatency: 29.966818991636803, AvgHops: 3.2721893491124256, MaxPeakStorage: 100, AvgPeakStorage: 100, Duplicates: 0, ControlFrames: 27593, DataFrames: 23688, Acks: 0},
+	"deltas":     {Generated: 200, Delivered: 200, DeliveryRatio: 1, AvgLatency: 7.856398536973023, AvgHops: 5.829999999999999, MaxPeakStorage: 200, AvgPeakStorage: 200, Duplicates: 0, ControlFrames: 27346, DataFrames: 9805, Acks: 0},
+	"receipts":   {Generated: 200, Delivered: 197, DeliveryRatio: 0.985, AvgLatency: 31.995839542906072, AvgHops: 3.299492385786803, MaxPeakStorage: 73, AvgPeakStorage: 46.900000000000006, Duplicates: 0, ControlFrames: 26486, DataFrames: 4857, Acks: 0},
+	"churn":      {Generated: 200, Delivered: 192, DeliveryRatio: 0.96, AvgLatency: 34.222469178785396, AvgHops: 3.234375, MaxPeakStorage: 195, AvgPeakStorage: 191.72, Duplicates: 68, ControlFrames: 20274, DataFrames: 15226, Acks: 0},
 }
 
 func runPinned(t *testing.T, opts []glr.Option) glr.Result {

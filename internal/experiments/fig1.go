@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"glr/internal/asciiplot"
 	"glr/internal/geom"
 	"glr/internal/mobility"
+	"glr/internal/rng"
 	"glr/internal/stats"
 )
 
@@ -40,10 +40,10 @@ func Fig1Connectivity(o Options) (*Fig1Result, error) {
 		connected := 0
 		var snapshot string
 		for t := 0; t < trials; t++ {
-			rng := rand.New(rand.NewSource(o.BaseSeed + int64(t)))
+			stream := rng.New(o.BaseSeed + int64(t))
 			pts := make([]geom.Point, n)
 			for i := range pts {
-				pts[i] = region.RandomPoint(rng)
+				pts[i] = region.RandomPoint(stream)
 			}
 			g := geom.UnitDiskGraph(pts, r)
 			edges = append(edges, float64(g.EdgeCount()))

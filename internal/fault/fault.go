@@ -9,22 +9,22 @@
 //
 // Determinism contract. Stochastic faults (link blackouts, GPS noise,
 // Byzantine membership) are stateless: each query hashes (seed, salt,
-// arguments) through a splitmix64 mixer, so the same question always
-// gets the same answer with no shared mutable state.
+// arguments) through rng.SplitMix64, so the same question always gets
+// the same answer with no shared mutable state.
 // Churn is precomputed: Compile draws every outage interval up front
-// from a dedicated rand stream (never the world's RNG, whose draw
-// sequence must stay byte-identical to a fault-free run), and Down is
+// from its own rng.New stream (never the world's streams, whose draw
+// sequences must stay byte-identical to a fault-free run), and Down is
 // a binary search over the sorted schedule.
 package fault
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"glr/internal/geom"
 	"glr/internal/mobility"
+	"glr/internal/rng"
 )
 
 // Kind identifies one disruption model.
@@ -198,33 +198,21 @@ const (
 	saltByz  = 0x62797a61 // "byza"
 )
 
-// splitmix64 is the finalizing mixer behind every stochastic fault
-// stream (Steele, Lea & Flood's SplittableRandom).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // u01 hashes (seed, salt, a, b, c) to a uniform float in [0,1).
 func (p *Plan) u01(salt, a, b, c uint64) float64 {
-	h := splitmix64(uint64(p.seed) ^ salt)
-	h = splitmix64(h ^ a)
-	h = splitmix64(h ^ b)
-	h = splitmix64(h ^ c)
+	h := rng.SplitMix64(uint64(p.seed) ^ salt)
+	h = rng.SplitMix64(h ^ a)
+	h = rng.SplitMix64(h ^ b)
+	h = rng.SplitMix64(h ^ c)
 	return float64(h>>11) / (1 << 53)
 }
 
 // Compile resolves a fault set for a run: it validates every spec,
-// draws the full churn schedule from a dedicated rand stream seeded by
-// the run seed, and fixes Byzantine membership. A nil plan (no specs)
-// means a fault-free run; callers must not touch the world's own RNGs
-// here, so fault-free runs stay byte-identical to a build without this
-// package.
+// draws the full churn schedule from an rng.New stream seeded by the
+// run seed under a salt of its own, and fixes Byzantine membership. A
+// nil plan (no specs) means a fault-free run; callers must not touch
+// the world's own streams here, so fault-free runs stay byte-identical
+// to a build without this package.
 func Compile(specs []Spec, n int, region mobility.Region, simTime float64, seed int64) (*Plan, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -233,7 +221,7 @@ func Compile(specs []Spec, n int, region mobility.Region, simTime float64, seed 
 	// The churn stream is independent of every world RNG: world seeds
 	// derive from cfg.Seed via documented offsets, so a distinct salt
 	// keeps the streams disjoint.
-	churnRNG := rand.New(rand.NewSource(seed ^ 0x6661756c74 /* "fault" */))
+	churnRNG := rng.New(seed ^ 0x6661756c74 /* "fault" */)
 	for _, s := range specs {
 		if err := s.Validate(region, simTime); err != nil {
 			return nil, err

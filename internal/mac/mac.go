@@ -16,11 +16,12 @@ package mac
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"glr/internal/des"
 	"glr/internal/geom"
+	"glr/internal/rng"
 	"glr/internal/spatial"
 )
 
@@ -227,7 +228,8 @@ func (m *Medium) takeTx() *transmission {
 	return &transmission{}
 }
 
-// NewMedium creates a medium. seed drives backoff jitter only.
+// NewMedium creates a medium. seed drives backoff jitter only, through
+// one rng.New stream shared by every radio of the medium.
 func NewMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -235,7 +237,7 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
 	m := &Medium{
 		cfg:    cfg,
 		sched:  sched,
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    rng.New(seed),
 		retain: activeSlack,
 		ending: make(map[des.Time][]*transmission),
 	}

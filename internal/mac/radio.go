@@ -93,7 +93,7 @@ func (r *Radio) armAttempt(wait float64) {
 // occupancy clears, plus DIFS and a random backoff.
 func (r *Radio) deferUntil(until des.Time) {
 	m := r.medium
-	r.armAttempt((until - m.sched.Now()) + m.cfg.DIFS + float64(m.rng.Intn(r.cw))*m.cfg.SlotTime)
+	r.armAttempt((until - m.sched.Now()) + m.cfg.DIFS + float64(m.rng.IntN(r.cw))*m.cfg.SlotTime)
 }
 
 // backoffRetry schedules a retransmission attempt after a collision, with
@@ -105,7 +105,7 @@ func (r *Radio) backoffRetry() {
 	} else {
 		r.cw *= 2
 	}
-	r.armAttempt(m.cfg.DIFS + float64(1+m.rng.Intn(r.cw))*m.cfg.SlotTime)
+	r.armAttempt(m.cfg.DIFS + float64(1+m.rng.IntN(r.cw))*m.cfg.SlotTime)
 }
 
 // startTransmission puts the head-of-line frame on the air.

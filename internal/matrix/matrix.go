@@ -35,7 +35,7 @@ import (
 // semantics change in a way that invalidates previously computed
 // results (protocol behavior, metric definitions, workload schedules);
 // every cell then misses and recomputes under the new version.
-const Version = "glr-atlas-v2"
+const Version = "glr-atlas-v3"
 
 // confidence is the two-sided confidence level for per-cell aggregates
 // (the paper's 90%). It is fixed so committed atlas artifacts are

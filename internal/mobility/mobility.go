@@ -18,9 +18,10 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"glr/internal/geom"
+	"glr/internal/rng"
 )
 
 // Model yields a node's position at any simulated time t ≥ 0.
@@ -42,8 +43,8 @@ func (r Region) Contains(p geom.Point) bool {
 func (r Region) Area() float64 { return r.W * r.H }
 
 // RandomPoint returns a uniform point in the region.
-func (r Region) RandomPoint(rng *rand.Rand) geom.Point {
-	return geom.Pt(rng.Float64()*r.W, rng.Float64()*r.H)
+func (r Region) RandomPoint(src *rand.Rand) geom.Point {
+	return geom.Pt(src.Float64()*r.W, src.Float64()*r.H)
 }
 
 // Static is a model that never moves.
@@ -114,14 +115,16 @@ type Waypoint struct {
 	legs []leg
 }
 
-// NewWaypoint creates a waypoint model with its own RNG stream (the model
-// consumes randomness lazily; sharing an rng across models would make
-// trajectories depend on query interleaving, destroying reproducibility).
+// NewWaypoint creates a waypoint model with its own rng.New stream for
+// seed (the model consumes randomness lazily; sharing a stream across
+// models would make trajectories depend on query interleaving,
+// destroying reproducibility). A stream is 32 bytes (the generator and
+// its PCG state), so a 10000-node field carries no per-node table.
 func NewWaypoint(cfg WaypointConfig, seed int64) (*Waypoint, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w := &Waypoint{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	w := &Waypoint{cfg: cfg, rng: rng.New(seed)}
 	start := cfg.Region.RandomPoint(w.rng)
 	w.legs = append(w.legs, w.nextLeg(0, start))
 	return w, nil
@@ -178,7 +181,8 @@ type RandomWalk struct {
 	legs []leg
 }
 
-// NewRandomWalk creates a random-walk model with its own RNG stream.
+// NewRandomWalk creates a random-walk model with its own rng.New stream
+// for seed, as NewWaypoint does.
 func NewRandomWalk(cfg RandomWalkConfig, seed int64) (*RandomWalk, error) {
 	if cfg.Region.W <= 0 || cfg.Region.H <= 0 {
 		return nil, fmt.Errorf("mobility: region %vx%v must be positive", cfg.Region.W, cfg.Region.H)
@@ -189,7 +193,7 @@ func NewRandomWalk(cfg RandomWalkConfig, seed int64) (*RandomWalk, error) {
 	if cfg.MaxSpeed <= 0 || cfg.MinSpeed > cfg.MaxSpeed {
 		return nil, fmt.Errorf("mobility: bad speed range [%v,%v]", cfg.MinSpeed, cfg.MaxSpeed)
 	}
-	w := &RandomWalk{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	w := &RandomWalk{cfg: cfg, rng: rng.New(seed)}
 	start := cfg.Region.RandomPoint(w.rng)
 	w.legs = append(w.legs, w.nextLeg(0, start))
 	return w, nil
@@ -293,13 +297,13 @@ func (tr *Trace) Position(t float64) geom.Point {
 	return pts[len(pts)-1].P
 }
 
-// UniformStatic places n static nodes uniformly at random in the region
-// using rng, returning one model per node. Used for Figure-1 style
+// UniformStatic places n static nodes at uniform points of the region,
+// drawn from src, returning one model per node. Used for Figure-1 style
 // connectivity studies.
-func UniformStatic(n int, r Region, rng *rand.Rand) []Model {
+func UniformStatic(n int, r Region, src *rand.Rand) []Model {
 	models := make([]Model, n)
 	for i := range models {
-		models[i] = Static{P: r.RandomPoint(rng)}
+		models[i] = Static{P: r.RandomPoint(src)}
 	}
 	return models
 }

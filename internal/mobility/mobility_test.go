@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"glr/internal/geom"
+	"glr/internal/rng"
 )
 
 var testRegion = Region{W: 1500, H: 300}
@@ -247,8 +248,7 @@ func TestTraceValidation(t *testing.T) {
 }
 
 func TestUniformStatic(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	models := UniformStatic(50, testRegion, rng)
+	models := UniformStatic(50, testRegion, rng.New(6))
 	if len(models) != 50 {
 		t.Fatalf("got %d models", len(models))
 	}
@@ -320,9 +320,9 @@ func TestRegionHelpers(t *testing.T) {
 	if r.Contains(geom.Pt(4.1, 1)) || r.Contains(geom.Pt(-0.1, 1)) {
 		t.Error("region should exclude outside points")
 	}
-	rng := rand.New(rand.NewSource(7))
+	stream := rng.New(7)
 	for i := 0; i < 100; i++ {
-		if p := r.RandomPoint(rng); !r.Contains(p) {
+		if p := r.RandomPoint(stream); !r.Contains(p) {
 			t.Fatalf("RandomPoint outside region: %v", p)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"glr/internal/des"
 	"glr/internal/metrics"
 	"glr/internal/mobility"
+	"glr/internal/rng"
 )
 
 // hello is one sent beacon in a logged schedule.
@@ -102,11 +103,11 @@ func TestPhasesCollide(t *testing.T) {
 	s.SimTime = 200 * math.SmallestNonzeroFloat64
 
 	// The world draws one phase per node, in id order, from its RNG.
-	rng := newRand(s.Seed)
+	stream := rng.New(s.Seed)
 	phases := make([]float64, s.N)
 	distinct := map[float64]bool{}
 	for i := range phases {
-		phases[i] = rng.Float64() * s.BeaconInterval
+		phases[i] = stream.Float64() * s.BeaconInterval
 		distinct[phases[i]] = true
 	}
 	if len(distinct) == len(phases) {

@@ -50,3 +50,26 @@ func BenchmarkBeaconTickAggregated(b *testing.B) {
 		w.Scheduler().Run(until)
 	}
 }
+
+// BenchmarkNewWorldGiant times only sim.NewWorld for a 10000-node
+// waypoint world at the paper's density on a 5:1 strip: building the
+// medium, the mobility models, every node's tables and random streams,
+// and the beacon phases. Its B/op fails the gate if set-up goes back to
+// a kilobyte-scale per-node table such as a math/rand (v1) source.
+func BenchmarkNewWorldGiant(b *testing.B) {
+	const n = 10000
+	area := float64(n) / (50.0 / (1500 * 300))
+	h := math.Sqrt(area / 5)
+
+	s := DefaultScenario(100)
+	s.N = n
+	s.Region = mobility.Region{W: 5 * h, H: h}
+	s.SimTime = 15
+
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewWorld(s, func(*Node) Protocol { return nopProtocol{} }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"glr/internal/des"
@@ -99,7 +99,8 @@ func (n *Node) NodeCount() int { return n.world.cfg.N }
 // StorageLimit returns the per-node storage bound (0 = unlimited).
 func (n *Node) StorageLimit() int { return n.world.cfg.StorageLimit }
 
-// Rand returns the node's private RNG stream.
+// Rand returns the node's private random stream: a 16-byte PCG
+// generator from rng.New, seeded from the run seed and the node id.
 func (n *Node) Rand() *rand.Rand { return n.rng }
 
 // Sched exposes the scheduler for protocol timers.

@@ -11,6 +11,7 @@ import (
 	"glr/internal/fault"
 	"glr/internal/mac"
 	"glr/internal/mobility"
+	"glr/internal/rng"
 )
 
 // MobilityKind selects the movement model for a scenario.
@@ -255,11 +256,11 @@ func PaperTrafficN(n, count int) []TrafficItem {
 // distinct pairs over n nodes at the given rate (messages/second),
 // deterministically from the seed. Useful for custom examples.
 func UniformTraffic(n, count int, rate float64, seed int64) []TrafficItem {
-	rng := newRand(seed)
+	r := rng.New(seed)
 	items := make([]TrafficItem, count)
 	for i := range items {
-		src := rng.Intn(n)
-		dst := rng.Intn(n - 1)
+		src := r.IntN(n)
+		dst := r.IntN(n - 1)
 		if dst >= src {
 			dst++
 		}
@@ -273,13 +274,13 @@ func UniformTraffic(n, count int, rate float64, seed int64) []TrafficItem {
 // (messages/second): inter-arrival gaps are exponential with mean
 // 1/rate, deterministically from the seed.
 func PoissonTraffic(n, count int, rate float64, seed int64) []TrafficItem {
-	rng := newRand(seed)
+	r := rng.New(seed)
 	items := make([]TrafficItem, count)
 	at := 0.0
 	for i := range items {
-		at += rng.ExpFloat64() / rate
-		src := rng.Intn(n)
-		dst := rng.Intn(n - 1)
+		at += r.ExpFloat64() / rate
+		src := r.IntN(n)
+		dst := r.IntN(n - 1)
 		if dst >= src {
 			dst++
 		}
@@ -295,11 +296,11 @@ func PoissonTraffic(n, count int, rate float64, seed int64) []TrafficItem {
 // generators it assumes a valid shape: 1 ≤ sinks ≤ n-1 (callers
 // validate; the public glr.HotspotWorkload rejects anything else).
 func HotspotTraffic(n, count, sinks int, rate float64, seed int64) []TrafficItem {
-	rng := newRand(seed)
+	r := rng.New(seed)
 	items := make([]TrafficItem, count)
 	for i := range items {
-		dst := rng.Intn(sinks)
-		src := sinks + rng.Intn(n-sinks)
+		dst := r.IntN(sinks)
+		src := sinks + r.IntN(n-sinks)
 		items[i] = TrafficItem{Src: src, Dst: dst, At: float64(i) / rate}
 	}
 	return items

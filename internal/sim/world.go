@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"glr/internal/des"
 	"glr/internal/dtn"
@@ -10,6 +10,7 @@ import (
 	"glr/internal/mac"
 	"glr/internal/metrics"
 	"glr/internal/mobility"
+	"glr/internal/rng"
 )
 
 // ProtocolFactory builds one protocol instance per node.
@@ -88,9 +89,6 @@ func (w *World) putFrame(f *mac.Frame) {
 	w.freeFrames = append(w.freeFrames, f)
 }
 
-// newRand builds a deterministic RNG stream from a seed.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 // NewWorld wires a scenario and a protocol factory into a runnable world.
 func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	if err := cfg.Validate(); err != nil {
@@ -99,11 +97,12 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	w := &World{
 		cfg:       cfg,
 		collector: metrics.NewCollector(cfg.N),
-		rng:       newRand(cfg.Seed),
+		rng:       rng.New(cfg.Seed),
 	}
-	// Compile the fault plan first: it draws from its own dedicated
-	// rand stream, never the world RNG seeded above, so a fault-free
-	// scenario's RNG draws — and everything downstream — are untouched.
+	// Compile the fault plan first: its churn schedule draws from its
+	// own rng.New stream, never the world stream seeded above, so a
+	// fault-free scenario's draws — and everything downstream — are
+	// untouched.
 	var err error
 	w.plan, err = fault.Compile(cfg.Faults, cfg.N, cfg.Region, cfg.SimTime, cfg.Seed)
 	if err != nil {
@@ -140,7 +139,7 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 			id:        i,
 			world:     w,
 			mob:       models[i],
-			rng:       newRand(cfg.Seed + int64(i)*104729 + 7),
+			rng:       rng.New(cfg.Seed + int64(i)*104729 + 7),
 			neighbors: dtn.NewNeighborTable(),
 			locations: dtn.NewLocationTable(),
 		}
@@ -246,7 +245,7 @@ func (w *World) buildMobility() ([]mobility.Model, error) {
 			Pause:    cfg.Pause,
 		}, cfg.Seed*31+17)
 	case MobilityStatic:
-		return mobility.UniformStatic(cfg.N, cfg.Region, newRand(cfg.Seed*31+17)), nil
+		return mobility.UniformStatic(cfg.N, cfg.Region, rng.New(cfg.Seed*31+17)), nil
 	case MobilityRandomWalk:
 		models := make([]mobility.Model, cfg.N)
 		for i := range models {
