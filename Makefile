@@ -6,14 +6,15 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-# Benchmarks under the CI regression gate (spanner construction + MAC
-# medium + node-state tables + epidemic anti-entropy + beacon tick +
-# the event-core scheduler + the sequential/parallel Runner sweep pair
-# + the 1000-node world step with and without faults + the 10000-node
-# world set-up + the calibration probe benchgate normalizes by). The
+# Benchmarks under the CI regression gate (the Maintainer's spanner
+# query + MAC medium + node-state tables + epidemic anti-entropy +
+# beacon tick + the event-core scheduler + the sequential/parallel
+# Runner sweep pair + the 1000-node world step with and without faults
+# + the 10000-node world set-up + the calibration probe benchgate
+# normalizes by, the only benchmark left in ./internal/geom). The
 # gate covers ns/op (calibration-normalized) and, from -benchmem, B/op
 # and allocs/op (raw).
-BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkDelaunay|BenchmarkMedium|BenchmarkNeighborTable|BenchmarkAntiEntropy|BenchmarkBeaconTick|BenchmarkScheduler|BenchmarkRunner|BenchmarkWorldStep|BenchmarkNewWorldGiant|BenchmarkCalibration
+BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkMedium|BenchmarkNeighborTable|BenchmarkAntiEntropy|BenchmarkBeaconTick|BenchmarkScheduler|BenchmarkRunner|BenchmarkWorldStep|BenchmarkNewWorldGiant|BenchmarkCalibration
 BENCH_GATE_PKGS := . ./internal/geom ./internal/ldt ./internal/mac ./internal/dtn ./internal/des ./internal/sim
 BENCH_GATE_FLAGS := -benchmem -count 5 -benchtime 0.3s -run '^$$'
 

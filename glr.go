@@ -71,9 +71,9 @@
 //     O(neighborhood) per node at every world size, checked against a
 //     map-backed table.
 //   - The per-check k-LDTG spanner (internal/ldt) is built from each
-//     node's two-hop view over witness triangulations cached for all of
-//     a world's nodes, checked, neighbor order included, against the
-//     from-scratch reference construction.
+//     node's two-hop view by one empty-circle scan per witness set and
+//     candidate edge, checked, neighbor order included, against a
+//     construction that triangulates every witness set.
 //   - Beacons fire from one ring event in (time, id) order, checked
 //     against each node's phase + k·interval schedule.
 //

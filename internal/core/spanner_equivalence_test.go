@@ -38,7 +38,7 @@ func equivConfig(trial int) Config {
 // checkSpannersAgainstReference freezes a running world and compares,
 // node by node, the Maintainer's accepted-neighbor list against the
 // reference construction over the same neighbor-table state: the
-// reference Delaunay LDTG (LDTGNeighborsRef), or the direct Gabriel/UDG
+// triangulating LDTG oracle (LDTGNeighbors), or the direct Gabriel/UDG
 // constructions under those ablations. Routing reads the list in order,
 // so the order must match too. It returns the number of nodes compared.
 func checkSpannersAgainstReference(t *testing.T, instances []*GLR, label string) int {
@@ -57,7 +57,7 @@ func checkSpannersAgainstReference(t *testing.T, instances []*GLR, label string)
 			local = view.UDGNeighbors()
 		default:
 			var err error
-			if local, err = view.LDTGNeighborsRef(g.cfg.K); err != nil {
+			if local, err = view.LDTGNeighbors(g.cfg.K); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,9 @@
 package geom
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkCalibration is a fixed, deterministic, CPU-bound workload with
 // an instruction mix close to the geometric hot paths (predicate
@@ -21,4 +24,15 @@ func BenchmarkCalibration(b *testing.B) {
 	if sink == 0 {
 		b.Fatal("degenerate calibration input")
 	}
+}
+
+// randomBenchPoints returns n points uniform in a 1500×300 m strip, the
+// paper's deployment region.
+func randomBenchPoints(n int, seed int64) []Point {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Pt(rng.Float64()*1500, rng.Float64()*300)
+	}
+	return pts
 }

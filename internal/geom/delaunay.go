@@ -18,36 +18,24 @@ type Triangulation struct {
 	Triangles []Triangle
 }
 
-// ErrDuplicatePoint is returned by Delaunay when the input contains two
-// points with identical coordinates. Callers that may hold co-located nodes
-// should deduplicate first (see DedupPoints).
+// ErrDuplicatePoint is returned by Delaunay and DelaunayGraph when the
+// input contains two points with identical coordinates. Callers that may
+// hold co-located nodes must coalesce them first.
 var ErrDuplicatePoint = errors.New("geom: duplicate point in Delaunay input")
 
-// Delaunay computes the Delaunay triangulation of pts with the
-// adjacency-based incremental Bowyer–Watson construction (see mesh.go):
-// triangle neighbor links, walk-based point location, and a BFS cavity
-// search make it O(n log n)-ish in practice instead of the reference
-// implementation's O(n²). Hot paths that triangulate repeatedly should
-// hold a Triangulator and call its Triangulate method to also reuse the
-// working storage.
+// Delaunay computes the Delaunay triangulation of pts with the incremental
+// Bowyer–Watson algorithm, without a super-triangle: points falling
+// outside the current convex hull are connected through the hull edges
+// they can see, which is the exact at-infinity semantics a finite
+// super-triangle only approximates (and gets wrong near the hull). It is
+// O(n²) in the worst case. Nothing on the protocol's path triangulates:
+// the spanner decides each edge by an empty-circle scan, and this
+// construction is the independent oracle tests check that rule against.
 //
 // Degenerate inputs are handled: fewer than 3 points, or all points
 // collinear, yield a triangulation with no triangles (use DelaunayGraph for
 // the limit graph, which connects collinear points in path order).
 func Delaunay(pts []Point) (*Triangulation, error) {
-	return NewTriangulator().Triangulate(pts)
-}
-
-// DelaunayRef computes the Delaunay triangulation of pts with the
-// reference incremental Bowyer–Watson algorithm that needs no
-// super-triangle: points falling outside the current convex hull are
-// connected through the hull edges they can see, which is the exact
-// at-infinity semantics a finite super-triangle only approximates (and
-// gets wrong near the hull). It is O(n²) in the worst case. It is kept as
-// the independently-verifiable baseline the mesh construction is
-// equivalence-tested against, and as the fallback for exact degeneracies
-// the linked mesh cannot express.
-func DelaunayRef(pts []Point) (*Triangulation, error) {
 	t := &Triangulation{Points: pts}
 	n := len(pts)
 	if hasDuplicates(pts) {
@@ -164,33 +152,10 @@ func (t *Triangulation) Edges() [][2]int {
 	return edges
 }
 
-// HasEdge reports whether the undirected edge uv occurs in any triangle.
-func (t *Triangulation) HasEdge(u, v int) bool {
-	for _, tr := range t.Triangles {
-		if triHasEdge(tr, u, v) {
-			return true
-		}
-	}
-	return false
-}
-
-func triHasEdge(tr Triangle, u, v int) bool {
-	has := func(a, b int) bool {
-		return (a == u && b == v) || (a == v && b == u)
-	}
-	return has(tr.A, tr.B) || has(tr.B, tr.C) || has(tr.C, tr.A)
-}
-
 // DelaunayGraph computes the Delaunay triangulation of pts and returns its
 // edge graph. Degenerate inputs (n < 3 or all collinear) produce the limit
 // graph: points connected in order along the common line.
 func DelaunayGraph(pts []Point) (*Graph, error) {
-	return NewTriangulator().Graph(pts)
-}
-
-// DelaunayGraphRef is DelaunayGraph over the reference construction
-// (DelaunayRef); see there for why it is kept.
-func DelaunayGraphRef(pts []Point) (*Graph, error) {
 	g := NewGraph(len(pts))
 	if len(pts) < 2 {
 		return g, nil
@@ -209,7 +174,7 @@ func DelaunayGraphRef(pts []Point) (*Graph, error) {
 		}
 		return g, nil
 	}
-	t, err := DelaunayRef(pts)
+	t, err := Delaunay(pts)
 	if err != nil {
 		return nil, err
 	}
@@ -217,22 +182,6 @@ func DelaunayGraphRef(pts []Point) (*Graph, error) {
 		g.AddEdge(e[0], e[1])
 	}
 	return g, nil
-}
-
-// DedupPoints returns the subset of pts with exact coordinate duplicates
-// removed (keeping the first occurrence) and a mapping from the deduped
-// index back to the original index.
-func DedupPoints(pts []Point) (uniq []Point, orig []int) {
-	seen := make(map[Point]struct{}, len(pts))
-	for i, p := range pts {
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
-		uniq = append(uniq, p)
-		orig = append(orig, i)
-	}
-	return uniq, orig
 }
 
 type edgeKey struct{ u, v int }

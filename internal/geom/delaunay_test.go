@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -30,6 +31,61 @@ func TestDelaunayCocircularSquareIsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertDelaunayValid(t, tri)
+}
+
+// TestMeshDegenerateInputs checks the triangle mesh Delaunay builds on
+// exact ties: a grid, collinear runs inside and beyond the hull, a point
+// on an edge, and inputs too small or too flat to hold a triangle.
+func TestMeshDegenerateInputs(t *testing.T) {
+	cases := map[string][]Point{
+		"grid3x3": {
+			Pt(0, 0), Pt(25, 0), Pt(50, 0),
+			Pt(0, 25), Pt(25, 25), Pt(50, 25),
+			Pt(0, 50), Pt(25, 50), Pt(50, 50),
+		},
+		"square": {Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)},
+		"collinear-run-then-apex": {
+			Pt(0, 0), Pt(10, 0), Pt(2, 0), Pt(7, 0), Pt(4, 0), Pt(5, 8),
+		},
+		"collinear-beyond-hull": {
+			Pt(0, 0), Pt(10, 0), Pt(5, 5), Pt(20, 0), Pt(-20, 0),
+		},
+		"point-on-edge": {Pt(0, 0), Pt(10, 0), Pt(5, 10), Pt(5, 0)},
+		"all-collinear": {Pt(0, 0), Pt(1, 0), Pt(2, 0), Pt(3, 0)},
+		"two-points":    {Pt(0, 0), Pt(1, 1)},
+	}
+	for name, pts := range cases {
+		t.Run(name, func(t *testing.T) {
+			tri, err := Delaunay(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertDelaunayValid(t, tri)
+		})
+	}
+}
+
+// TestSeedSearchGuardNearCollinear is the regression test for the seed
+// scan in Delaunay: ε-perturbed collinear inputs must neither panic nor
+// index past the slice, whichever side of the collinearity test the exact
+// predicates land on, and must still produce a valid triangulation (or
+// the degenerate empty one).
+func TestSeedSearchGuardNearCollinear(t *testing.T) {
+	base := []Point{Pt(0, 0), Pt(100, 0), Pt(200, 0), Pt(300, 0), Pt(400, 0)}
+	for _, eps := range []float64{0, 1e-300, 1e-18, 1e-12, 5e-9} {
+		for perturb := 0; perturb < len(base); perturb++ {
+			pts := slices.Clone(base)
+			pts[perturb].Y += eps
+			tri, err := Delaunay(pts)
+			if err != nil {
+				t.Fatalf("eps=%g@%d: %v", eps, perturb, err)
+			}
+			if eps == 0 && len(tri.Triangles) != 0 {
+				t.Fatalf("eps=0@%d: collinear input produced triangles", perturb)
+			}
+			assertDelaunayValid(t, tri)
+		}
+	}
 }
 
 func TestDelaunayDegenerate(t *testing.T) {
@@ -62,6 +118,18 @@ func TestDelaunayDuplicateDetection(t *testing.T) {
 	}
 }
 
+// TestMeshDuplicateRejected checks that a duplicate behind distinct points
+// is still found, by Delaunay and by DelaunayGraph.
+func TestMeshDuplicateRejected(t *testing.T) {
+	pts := []Point{Pt(0, 0), Pt(1, 1), Pt(0, 0), Pt(2, 0)}
+	if _, err := Delaunay(pts); err != ErrDuplicatePoint {
+		t.Errorf("Delaunay: got err %v, want ErrDuplicatePoint", err)
+	}
+	if _, err := DelaunayGraph(pts); err != ErrDuplicatePoint {
+		t.Errorf("DelaunayGraph: got err %v, want ErrDuplicatePoint", err)
+	}
+}
+
 func TestDelaunayGraphDegenerate(t *testing.T) {
 	// Collinear points must be connected in path order (the DT limit).
 	pts := []Point{Pt(3, 3), Pt(0, 0), Pt(2, 2), Pt(1, 1)}
@@ -89,13 +157,21 @@ func TestDelaunayGraphDegenerate(t *testing.T) {
 	}
 }
 
-// assertDelaunayValid checks the three defining properties on small inputs:
+// assertDelaunayValid checks the defining properties on small inputs:
 // every triangle is CCW, no point lies strictly inside any circumcircle,
-// and the triangulation covers the convex hull (checked via Euler's
-// relation for triangulations of point sets: T = 2n − h − 2).
+// the edges do not cross, and the triangulation covers the convex hull
+// (checked via Euler's relation for triangulations of point sets:
+// T = 2n − h − 2).
 func assertDelaunayValid(t *testing.T, tri *Triangulation) {
 	t.Helper()
 	pts := tri.Points
+	g := NewGraph(len(pts))
+	for _, e := range tri.Edges() {
+		g.AddEdge(e[0], e[1])
+	}
+	if !g.IsPlanarEmbedding(pts) {
+		t.Fatalf("edges cross")
+	}
 	for _, tr := range tri.Triangles {
 		if Orient(pts[tr.A], pts[tr.B], pts[tr.C]) <= 0 {
 			t.Fatalf("triangle %v not CCW", tr)
@@ -252,31 +328,6 @@ func TestDelaunayContainsNearestNeighborEdges(t *testing.T) {
 		}
 		if !g.HasEdge(i, best) {
 			t.Fatalf("nearest-neighbor edge (%d,%d) missing from Delaunay graph", i, best)
-		}
-	}
-}
-
-func TestDedupPoints(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(1, 1), Pt(0, 0), Pt(2, 2), Pt(1, 1)}
-	uniq, orig := DedupPoints(pts)
-	if len(uniq) != 3 {
-		t.Fatalf("got %d unique points, want 3", len(uniq))
-	}
-	want := []int{0, 1, 3}
-	for i, o := range orig {
-		if o != want[i] {
-			t.Errorf("orig[%d] = %d, want %d", i, o, want[i])
-		}
-	}
-}
-
-func BenchmarkDelaunay50(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	pts := randomPoints(rng, 50, 1500, 300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Delaunay(pts); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

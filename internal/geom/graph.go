@@ -30,12 +30,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[v][u] = struct{}{}
 }
 
-// RemoveEdge deletes the undirected edge uv if present.
-func (g *Graph) RemoveEdge(u, v int) {
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
-}
-
 // HasEdge reports whether the undirected edge uv is present.
 func (g *Graph) HasEdge(u, v int) bool {
 	_, ok := g.adj[u][v]
@@ -159,31 +153,6 @@ func (g *Graph) KHop(u, k int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// ShortestPathLen returns the hop count of the shortest path from u to v,
-// or -1 when v is unreachable from u.
-func (g *Graph) ShortestPathLen(u, v int) int {
-	if u == v {
-		return 0
-	}
-	dist := map[int]int{u: 0}
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(x) {
-			if _, ok := dist[w]; ok {
-				continue
-			}
-			dist[w] = dist[x] + 1
-			if w == v {
-				return dist[w]
-			}
-			queue = append(queue, w)
-		}
-	}
-	return -1
 }
 
 // IsPlanarEmbedding reports whether, with vertices embedded at pts, no two

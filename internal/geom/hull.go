@@ -55,26 +55,3 @@ func ConvexHull(pts []Point) []int {
 	}
 	return hull[:len(hull)-1]
 }
-
-// InConvexHull reports whether p lies inside or on the boundary of the
-// convex hull of pts.
-func InConvexHull(pts []Point, p Point) bool {
-	hull := ConvexHull(pts)
-	if len(hull) == 0 {
-		return false
-	}
-	if len(hull) == 1 {
-		return p.Eq(pts[hull[0]])
-	}
-	if len(hull) == 2 {
-		return PointOnSegment(p, pts[hull[0]], pts[hull[1]])
-	}
-	for i := range hull {
-		a := pts[hull[i]]
-		b := pts[hull[(i+1)%len(hull)]]
-		if Orient(a, b, p) < 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -109,16 +109,3 @@ func PointOnSegment(p, a, b Point) bool {
 	return math.Min(a.X, b.X) <= p.X && p.X <= math.Max(a.X, b.X) &&
 		math.Min(a.Y, b.Y) <= p.Y && p.Y <= math.Max(a.Y, b.Y)
 }
-
-// DistPointToSegment returns the Euclidean distance from p to the closed
-// segment ab.
-func DistPointToSegment(p, a, b Point) float64 {
-	ab := b.Sub(a)
-	l2 := ab.Norm2()
-	if l2 == 0 {
-		return p.Dist(a)
-	}
-	t := p.Sub(a).Dot(ab) / l2
-	t = math.Max(0, math.Min(1, t))
-	return p.Dist(a.Add(ab.Scale(t)))
-}

@@ -135,27 +135,6 @@ func TestPointOnSegment(t *testing.T) {
 	}
 }
 
-func TestDistPointToSegment(t *testing.T) {
-	tests := []struct {
-		name    string
-		p, a, b Point
-		want    float64
-	}{
-		{"perpendicular foot inside", Pt(1, 1), Pt(0, 0), Pt(2, 0), 1},
-		{"nearest is endpoint a", Pt(-2, 0), Pt(0, 0), Pt(2, 0), 2},
-		{"nearest is endpoint b", Pt(5, 4), Pt(0, 0), Pt(2, 0), 5},
-		{"degenerate segment", Pt(3, 4), Pt(0, 0), Pt(0, 0), 5},
-		{"on segment", Pt(1, 0), Pt(0, 0), Pt(2, 0), 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := DistPointToSegment(tt.p, tt.a, tt.b); math.Abs(got-tt.want) > 1e-12 {
-				t.Errorf("got %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestDistSymmetryQuick(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		if math.IsNaN(ax) || math.IsNaN(ay) || math.IsNaN(bx) || math.IsNaN(by) {

@@ -84,7 +84,7 @@ func TestConvexHullPropertyQuick(t *testing.T) {
 			}
 		}
 		for _, p := range pts {
-			if !InConvexHull(pts, p) {
+			if !insideHull(pts, hull, p) {
 				return false
 			}
 		}

@@ -128,26 +128,35 @@ func spannerUnion(t *testing.T, pts []geom.Point, r float64, k int) *geom.Graph 
 }
 
 // TestSpannerDegenerateSets: on point sets full of exact ties, the union
-// of every node's accepted edges is planar (face routing terminates only
-// on a planar graph) and contains every Gabriel edge of positive length
-// (so it stays connected). A coincident pair is a zero-length Gabriel
-// edge that no spanner can draw; the Maintainer treats coincident points
-// as one vertex.
+// of every node's accepted edges, and the whole graph BuildLDTG builds,
+// are planar (face routing terminates only on a planar graph) and
+// contain every Gabriel edge of positive length (so they stay
+// connected). A coincident pair is a zero-length Gabriel edge that no
+// spanner can draw; both constructions treat coincident points as one
+// vertex.
 func TestSpannerDegenerateSets(t *testing.T) {
 	for _, set := range degenerateSets() {
 		t.Run(set.name, func(t *testing.T) {
 			for _, r := range set.radii {
 				for _, k := range set.ks {
-					union := spannerUnion(t, set.pts, r, k)
-					if !union.IsPlanarEmbedding(set.pts) {
-						t.Errorf("r=%v k=%d: accepted edges cross", r, k)
+					whole, err := BuildLDTG(set.pts, r, k)
+					if err != nil {
+						t.Fatalf("r=%v k=%d: BuildLDTG: %v", r, k, err)
 					}
-					for _, e := range GabrielGraph(set.pts, r).Edges() {
-						if set.pts[e[0]].Eq(set.pts[e[1]]) {
-							continue
+					for _, c := range []struct {
+						name string
+						g    *geom.Graph
+					}{{"union", spannerUnion(t, set.pts, r, k)}, {"BuildLDTG", whole}} {
+						if !c.g.IsPlanarEmbedding(set.pts) {
+							t.Errorf("%s r=%v k=%d: accepted edges cross", c.name, r, k)
 						}
-						if !union.HasEdge(e[0], e[1]) {
-							t.Errorf("r=%v k=%d: Gabriel edge %v missing", r, k, e)
+						for _, e := range GabrielGraph(set.pts, r).Edges() {
+							if set.pts[e[0]].Eq(set.pts[e[1]]) {
+								continue
+							}
+							if !c.g.HasEdge(e[0], e[1]) {
+								t.Errorf("%s r=%v k=%d: Gabriel edge %v missing", c.name, r, k, e)
+							}
 						}
 					}
 				}

@@ -250,27 +250,14 @@ func TestLocalLDTGNeighborsAreUDGNeighbors(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	pts := randomPoints(rng, 30, 500, 500)
 	const r = 150
-	udg := geom.UnitDiskGraph(pts, r)
-	for u := 0; u < len(pts); u++ {
-		hood := udg.KHop(u, 2)
-		ids := []int{u}
-		vpts := []geom.Point{pts[u]}
-		for _, v := range hood {
-			if v != u {
-				ids = append(ids, v)
-				vpts = append(vpts, pts[v])
-			}
-		}
-		view, err := NewLocalView(u, ids, vpts, r)
+	m := NewMaintainer()
+	for u := range pts {
+		_, nbrPts, err := m.Neighbors(buildView(t, pts, u, r, func(i int) int { return i }), VariantLDTG, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		local, err := view.LDTGNeighbors(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, li := range local {
-			if pts[u].Dist(pts[ids[li]]) > r {
+		for _, p := range nbrPts {
+			if pts[u].Dist(p) > r {
 				t.Fatalf("local LDTG proposed an out-of-range neighbor")
 			}
 		}
@@ -285,7 +272,7 @@ func TestLocalLDTGHandlesCoincidentPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbrs, err := view.LDTGNeighbors(2)
+	nbrs, _, err := NewMaintainer().Neighbors(view, VariantLDTG, 2)
 	if err != nil {
 		t.Fatalf("coincident points broke LDTG: %v", err)
 	}
@@ -296,30 +283,7 @@ func TestLocalLDTGHandlesCoincidentPoints(t *testing.T) {
 
 func TestLocalLDTGRejectsBadK(t *testing.T) {
 	view, _ := NewLocalView(0, []int{0}, []geom.Point{geom.Pt(0, 0)}, 10)
-	if _, err := view.LDTGNeighbors(0); err == nil {
+	if _, _, err := NewMaintainer().Neighbors(view, VariantLDTG, 0); err == nil {
 		t.Error("k=0 should be rejected")
-	}
-}
-
-func BenchmarkLocalLDTG(b *testing.B) {
-	rng := rand.New(rand.NewSource(38))
-	pts := randomPoints(rng, 50, 1500, 300)
-	const r = 100
-	udg := geom.UnitDiskGraph(pts, r)
-	hood := udg.KHop(0, 2)
-	ids := []int{0}
-	vpts := []geom.Point{pts[0]}
-	for _, v := range hood {
-		if v != 0 {
-			ids = append(ids, v)
-			vpts = append(vpts, pts[v])
-		}
-	}
-	view, _ := NewLocalView(0, ids, vpts, r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := view.LDTGNeighbors(2); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -47,6 +47,9 @@ func (s SpannerStats) TriHitRate() float64 { return 0 }
 // and of each 1-hop neighbor. Each test is one allocation-free scan of a
 // witness set with the robust predicates (delaunayEdge), starting with
 // self's set, so later witnesses test only the candidates that survive.
+// The Gabriel and UDG ablations read the same unit-disk adjacency: UDG
+// answers self's row, and Gabriel keeps the row's entries whose closed
+// diametral disk with self is empty (gabrielEdge, as in GabrielGraph).
 type Maintainer struct {
 	adj      [][]int // unit-disk adjacency of the view, ascending local indices
 	seen     []uint32
@@ -79,13 +82,14 @@ func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int) ([]int, 
 	defer func() { m.stats.BuildTime += time.Since(start) }()
 	m.stats.Queries++
 
+	m.buildAdjacency(view)
 	var local []int
 	var err error
 	switch variant {
 	case VariantGabriel:
-		local = view.GabrielNeighbors()
+		local = m.gabrielNeighbors(view)
 	case VariantUDG:
-		local = view.UDGNeighbors()
+		local = m.adj[0]
 	default:
 		local, err = m.ldtgNeighbors(view, k)
 		if err != nil {
@@ -108,7 +112,6 @@ func (m *Maintainer) ldtgNeighbors(view *LocalView, k int) ([]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ldt: k must be ≥ 1, got %d", k)
 	}
-	m.buildAdjacency(view)
 	selfNbrs := m.adj[0]
 	acc := m.accepted[:0]
 	set := m.khop(0, k)
@@ -132,6 +135,20 @@ func (m *Maintainer) ldtgNeighbors(view *LocalView, k int) ([]int, error) {
 	}
 	m.accepted = acc
 	return acc, nil
+}
+
+// gabrielNeighbors returns self's unit-disk neighbors whose closed
+// diametral disk with self holds no other view point, in view order: the
+// row of GabrielGraph over the view that belongs to self.
+func (m *Maintainer) gabrielNeighbors(view *LocalView) []int {
+	acc := m.accepted[:0]
+	for _, nb := range m.adj[0] {
+		if gabrielEdge(view.Pts, 0, nb) {
+			acc = append(acc, nb)
+		}
+	}
+	m.accepted = acc
+	return acc
 }
 
 // buildAdjacency fills m.adj with the view's unit-disk adjacency lists

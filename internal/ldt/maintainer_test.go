@@ -47,9 +47,9 @@ func acceptedIDs(view *LocalView, local []int) []int {
 }
 
 // referenceNeighbors is the from-scratch oracle for a Maintainer query:
-// the reference Delaunay construction for the LDTG, and the direct
-// per-call constructions for the Gabriel and UDG variants, mapped to
-// global ids in view order.
+// the triangulating LDTGNeighbors for the LDTG, and the whole-view
+// Gabriel and unit-disk graphs for the other variants, mapped to global
+// ids in view order.
 func referenceNeighbors(t *testing.T, view *LocalView, variant Variant, k int) []int {
 	t.Helper()
 	var local []int
@@ -60,7 +60,7 @@ func referenceNeighbors(t *testing.T, view *LocalView, variant Variant, k int) [
 		local = view.UDGNeighbors()
 	default:
 		var err error
-		if local, err = view.LDTGNeighborsRef(k); err != nil {
+		if local, err = view.LDTGNeighbors(k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,8 +86,8 @@ func permutedView(t *testing.T, view *LocalView, rng *rand.Rand) *LocalView {
 
 // TestMaintainerMatchesFromScratch: across evolving random topologies the
 // Maintainer's per-edge tests must return exactly the accepted neighbors
-// of the reference triangulation-based construction (LDTGNeighborsRef for
-// the LDTG), in the same view order, for every variant, on each view and
+// of the from-scratch oracles (the triangulating LDTGNeighbors for the
+// LDTG), in the same view order, for every variant, on each view and
 // then on a permuted copy of it. Routing reads the list in order, so an
 // answer that kept the order of an earlier, differently ordered view is a
 // defect.
@@ -215,30 +215,6 @@ func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestLDTGNeighborsRefMatchesMesh: the reference and mesh-backed
-// from-scratch constructions agree on general-position views.
-func TestLDTGNeighborsRefMatchesMesh(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 10; trial++ {
-		pts := randomPoints(rng, 40, 900, 900)
-		const r = 230
-		for self := 0; self < len(pts); self += 5 {
-			view := buildView(t, pts, self, r, func(i int) int { return i })
-			a, err := view.LDTGNeighbors(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := view.LDTGNeighborsRef(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("trial %d self %d: mesh %v != ref %v", trial, self, a, b)
-			}
-		}
-	}
-}
-
 // spannerBenchView builds a dense 2-hop view comparable to the paper's
 // 100 m-range neighborhoods at scale.
 func spannerBenchView(b *testing.B, n int) *LocalView {
@@ -259,20 +235,6 @@ func spannerBenchView(b *testing.B, n int) *LocalView {
 		b.Fatal(err)
 	}
 	return view
-}
-
-// BenchmarkSpannerFromScratchRef is the cost of one routing-loop spanner
-// construction on the reference oracle (reference Delaunay, per-call
-// memo only), the baseline the Maintainer is measured against.
-func BenchmarkSpannerFromScratchRef(b *testing.B) {
-	view := spannerBenchView(b, 60)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := view.LDTGNeighborsRef(2); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSpannerNeighbors measures one routing-loop LDTG query on the
