@@ -34,15 +34,18 @@ test-short:
 
 ## fuzz-smoke is the bounded fuzz step of CI's disruption-smoke job:
 ## 15 s each for the fault-slug parser, the neighbor table, the
-## buffer's summary vector, scripted trace mobility, the MAC
-## configuration and the LDT spanner query.
+## buffer's summary vector, scripted trace mobility, the scenario
+## options, the MAC configuration, the LDT spanner query and the atlas
+## cache loader.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborTable$$' -fuzztime 15s ./internal/dtn
 	$(GO) test -run '^$$' -fuzz '^FuzzBufferSummary$$' -fuzztime 15s ./internal/dtn
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime 15s .
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioOptions$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzMediumConfig$$' -fuzztime 15s ./internal/mac
 	$(GO) test -run '^$$' -fuzz '^FuzzSpannerNeighbors$$' -fuzztime 15s ./internal/ldt
+	$(GO) test -run '^$$' -fuzz '^FuzzCellCache$$' -fuzztime 15s ./internal/matrix
 
 ## bench runs the gated benchmarks once, without the regression gate.
 bench:
@@ -74,12 +77,16 @@ bench-baseline:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## mem-gate is the CI memory-ceiling job: run the 10k-node giant scale
-## tier and fail if its sampled peak heap exceeds the committed
-## per-scenario ceiling in ci/mem_budget.json.
+## mem-gate is the CI memory-ceiling job: run the benchmark's 10k-node
+## giant10k-glr workload (bench/) for 1 s, keep its output in
+## mem-gate.txt, and check the JSON digest on its last stdout line with
+## ci/mem_gate.jq: the runs must be correct with none failed, and
+## peak_heap_mib must be a number at or under the workload's ceiling in
+## ci/mem_budget.json.
 mem-gate:
-	$(GO) run ./cmd/glrexp -exp scale -sizes 10000 -memreport memreport.json | tee scale-giant.txt
-	$(GO) run ./cmd/benchgate -gate-mem-ceiling memreport.json -mem-budget ci/mem_budget.json
+	bash bench/run.sh --workload giant10k-glr --seconds 1 | tee mem-gate.txt
+	tail -n 1 mem-gate.txt | jq -nr --arg w giant10k-glr \
+		--slurpfile budget ci/mem_budget.json -f ci/mem_gate.jq
 
 ## api regenerates the committed public-API surface (api/glr.txt). Run
 ## it — and commit the diff — whenever a public-API change is

@@ -35,22 +35,11 @@
 // depends on the host's core count in a way the single-threaded
 // calibration probe cannot normalize — are recorded in the baseline
 // for visibility but gate only on their (machine-independent) B/op and
-// allocs/op. -skip-mem does the same for the memory metrics: benchmarks
-// whose allocation profile legitimately varies with the host are
-// recorded but not gated on B/op or allocs/op.
+// allocs/op.
 //
-// A second, independent mode gates absolute memory ceilings instead of
-// benchmark regressions:
-//
-//	glrexp -exp scale -sizes 10000 -memreport mem.json
-//	benchgate -gate-mem-ceiling mem.json -mem-budget ci/mem_budget.json
-//
-// The budget file commits a peak-heap ceiling in bytes per giant-tier
-// scenario; the gate fails when a measured peak exceeds its ceiling or
-// a budgeted scenario is missing from the measurement. Peaks are
-// sampled HeapAlloc (see experiments.GiantSweep), so ceilings should
-// carry comfortable headroom over a healthy run — the gate exists to
-// catch the state plane regressing back toward O(n²), not GC jitter.
+// Absolute peak-heap ceilings are not gated here: `make mem-gate` checks
+// the peak heap of the benchmark's giant10k-glr workload (bench/) against
+// ci/mem_budget.json.
 package main
 
 import (
@@ -107,37 +96,14 @@ func main() {
 		out       = flag.String("out", "", "write the current digest (with verdicts in the note) to this path")
 		tolerance = flag.Float64("tolerance", 0.15, "allowed fractional regression per metric (ns/op normalized; B/op and allocs/op raw)")
 		skipNs    = flag.String("skip-ns", "", "regexp of benchmark names (sans Benchmark prefix) whose ns/op is informational only; memory metrics still gate")
-		skipMem   = flag.String("skip-mem", "", "regexp of benchmark names (sans Benchmark prefix) whose B/op and allocs/op are informational only (host-dependent allocation profiles)")
-		gateMem   = flag.String("gate-mem-ceiling", "", "measured memory report (from `glrexp -memreport`); gate its peaks against -mem-budget and exit")
-		memBudget = flag.String("mem-budget", "ci/mem_budget.json", "committed per-scenario peak-heap ceilings (bytes) for -gate-mem-ceiling")
 	)
 	flag.Parse()
 
-	if *gateMem != "" {
-		failures, report, err := gateMemCeiling(*gateMem, *memBudget)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(report)
-		if len(failures) > 0 {
-			fmt.Printf("benchgate: FAIL — %d scenario(s) over their memory ceiling\n", len(failures))
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: OK")
-		return
-	}
-
-	var skipNsRe, skipMemRe *regexp.Regexp
+	var skipNsRe *regexp.Regexp
 	if *skipNs != "" {
 		var err error
 		if skipNsRe, err = regexp.Compile(*skipNs); err != nil {
 			fatal(fmt.Errorf("bad -skip-ns regexp: %w", err))
-		}
-	}
-	if *skipMem != "" {
-		var err error
-		if skipMemRe, err = regexp.Compile(*skipMem); err != nil {
-			fatal(fmt.Errorf("bad -skip-mem regexp: %w", err))
 		}
 	}
 
@@ -165,7 +131,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	failures, report := compare(base, cur, *tolerance, skipNsRe, skipMemRe)
+	failures, report := compare(base, cur, *tolerance, skipNsRe)
 	cur.Note = report
 	if *out != "" {
 		if err := emit(*out, cur); err != nil {
@@ -269,9 +235,8 @@ func memVerdict(base, cur *float64, tolerance, slack float64) (regressed bool, d
 }
 
 // compare gates cur against base and renders a human-readable report.
-// Benchmarks matching skipNs gate on memory metrics only; benchmarks
-// matching skipMem gate on ns/op only (both ⇒ informational).
-func compare(base, cur File, tolerance float64, skipNs, skipMem *regexp.Regexp) (failures []string, report string) {
+// Benchmarks matching skipNs gate on memory metrics only.
+func compare(base, cur File, tolerance float64, skipNs *regexp.Regexp) (failures []string, report string) {
 	scale := 1.0
 	bc, okB := base.Benchmarks[calibrationName]
 	cc, okC := cur.Benchmarks[calibrationName]
@@ -301,17 +266,14 @@ func compare(base, cur File, tolerance float64, skipNs, skipMem *regexp.Regexp) 
 		ratio := (ce.NsPerOp / scale) / be.NsPerOp
 		var problems []string
 		nsInformational := skipNs != nil && skipNs.MatchString(name)
-		memInformational := skipMem != nil && skipMem.MatchString(name)
 		if ratio > 1+tolerance && !nsInformational {
 			problems = append(problems, "ns/op")
 		}
-		if !memInformational {
-			if bad, detail := memVerdict(be.BytesPerOp, ce.BytesPerOp, tolerance, bytesSlack); bad {
-				problems = append(problems, "B/op "+detail)
-			}
-			if bad, detail := memVerdict(be.AllocsPerOp, ce.AllocsPerOp, tolerance, allocSlack); bad {
-				problems = append(problems, "allocs/op "+detail)
-			}
+		if bad, detail := memVerdict(be.BytesPerOp, ce.BytesPerOp, tolerance, bytesSlack); bad {
+			problems = append(problems, "B/op "+detail)
+		}
+		if bad, detail := memVerdict(be.AllocsPerOp, ce.AllocsPerOp, tolerance, allocSlack); bad {
+			problems = append(problems, "allocs/op "+detail)
 		}
 		verdict := "ok"
 		if len(problems) > 0 {
@@ -329,9 +291,6 @@ func compare(base, cur File, tolerance float64, skipNs, skipMem *regexp.Regexp) 
 		if nsInformational {
 			note += " [ns/op informational]"
 		}
-		if memInformational {
-			note += " [mem informational]"
-		}
 		fmt.Fprintf(&b, "  %-10s %-28s %9.0f -> %9.0f ns/op (normalized %+.1f%%%s)%s\n",
 			verdict, name, be.NsPerOp, ce.NsPerOp, (ratio-1)*100, mem, note)
 	}
@@ -343,79 +302,6 @@ func compare(base, cur File, tolerance float64, skipNs, skipMem *regexp.Regexp) 
 	}
 	return failures, b.String()
 }
-
-// memMeasurement mirrors experiments.MemPoint: one scenario's measured
-// peak from a `glrexp -memreport` file.
-type memMeasurement struct {
-	N             int    `json:"n"`
-	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
-	WallMs        int64  `json:"wall_ms"`
-}
-
-// memBudgetFile is the committed ceiling schema (ci/mem_budget.json).
-type memBudgetFile struct {
-	Note     string            `json:"note,omitempty"`
-	Ceilings map[string]uint64 `json:"ceilings"`
-}
-
-// gateMemCeiling compares a measured memory report against committed
-// ceilings: every budgeted scenario must be present and at or under its
-// ceiling; unbudgeted measurements are reported but not gated.
-func gateMemCeiling(measuredPath, budgetPath string) (failures []string, report string, err error) {
-	data, err := os.ReadFile(measuredPath)
-	if err != nil {
-		return nil, "", err
-	}
-	var measured map[string]memMeasurement
-	if err := json.Unmarshal(data, &measured); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", measuredPath, err)
-	}
-	data, err = os.ReadFile(budgetPath)
-	if err != nil {
-		return nil, "", err
-	}
-	var budget memBudgetFile
-	if err := json.Unmarshal(data, &budget); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", budgetPath, err)
-	}
-	if len(budget.Ceilings) == 0 {
-		return nil, "", fmt.Errorf("%s: no ceilings", budgetPath)
-	}
-
-	names := make([]string, 0, len(budget.Ceilings))
-	for name := range budget.Ceilings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		ceiling := budget.Ceilings[name]
-		m, ok := measured[name]
-		if !ok {
-			failures = append(failures, name)
-			fmt.Fprintf(&b, "  MISSING    %-14s ceiling %s, absent from %s\n", name, fmtMiB(ceiling), measuredPath)
-			continue
-		}
-		verdict := "ok"
-		if m.PeakHeapBytes > ceiling {
-			verdict = "OVER"
-			failures = append(failures, name)
-		}
-		fmt.Fprintf(&b, "  %-10s %-14s peak %s of %s ceiling (%.0f%%), wall %d ms\n",
-			verdict, name, fmtMiB(m.PeakHeapBytes), fmtMiB(ceiling),
-			100*float64(m.PeakHeapBytes)/float64(ceiling), m.WallMs)
-	}
-	for name, m := range measured {
-		if _, ok := budget.Ceilings[name]; !ok {
-			fmt.Fprintf(&b, "  unbudgeted %-14s peak %s (not gated; add to the budget to track)\n",
-				name, fmtMiB(m.PeakHeapBytes))
-		}
-	}
-	return failures, b.String(), nil
-}
-
-// fmtMiB renders a byte count in MiB.
-func fmtMiB(b uint64) string { return fmt.Sprintf("%.0f MiB", float64(b)/(1<<20)) }
 
 func load(path string) (File, error) {
 	data, err := os.ReadFile(path)

@@ -8,29 +8,22 @@
 //	glrexp -exp fig7
 //	glrexp -exp tab6 -scale paper
 //	glrexp -all
-//	glrexp -exp scale -sizes 500 -runs 1 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	glrexp -exp scale -sizes 10000 -memreport mem.json
+//	glrexp -exp ablate -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// -sizes entries at or above experiments.GiantTierNodes run the reduced
-// giant-world protocol (GiantSweep): one run each, peak-heap sampling.
-// -memreport writes their machine-readable digest for cmd/benchgate's
-// -gate-mem-ceiling CI gate.
+// Engine cost (wall clock, per-layer split, peak heap) is measured by
+// the benchmark in bench/, not here.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"glr"
-	"glr/internal/experiments"
 )
 
 func main() {
@@ -52,15 +45,12 @@ var errUsage = fmt.Errorf("need -list, -exp, or -all")
 func run() error {
 	var (
 		list       = flag.Bool("list", false, "list available experiments")
-		exp        = flag.String("exp", "", "experiment id to run (fig1, fig3, fig4..7, tab2..6, ablate, scale)")
+		exp        = flag.String("exp", "", "experiment id to run (fig1, fig3, fig4..7, tab2..6, ablate, disruption)")
 		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.String("scale", "quick", `"quick" (3 runs, 20% load) or "paper" (10 runs, full load)`)
 		verbose    = flag.Bool("v", false, "print per-point progress")
-		sizes      = flag.String("sizes", "", "scale experiment only: comma-separated node counts (e.g. 500 or 250,1000)")
-		runs       = flag.Int("runs", 0, "scale experiment only: override replications per point (the sweep caps this at 3; see NodeCountSweep)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		memreport  = flag.String("memreport", "", "scale experiment only: write the giant-tier peak-heap/wall-clock digest (JSON) to this file")
 	)
 	flag.Parse()
 
@@ -106,7 +96,7 @@ func run() error {
 	defer stop()
 
 	runOne := func(id string) error {
-		out, err := runExperiment(ctx, id, sc, progress, *sizes, *runs, *memreport)
+		out, err := glr.RunExperimentContext(ctx, id, sc, progress)
 		if err != nil {
 			return err
 		}
@@ -128,80 +118,6 @@ func run() error {
 	default:
 		return errUsage
 	}
-}
-
-// runExperiment dispatches one artifact; the scale sweep honours the
-// -sizes/-runs/-memreport overrides (the CI profile job runs a single
-// 500-node point; the CI memory-ceiling job a single 10k-node giant
-// point). Sizes at or above experiments.GiantTierNodes route to the
-// reduced giant-world protocol.
-func runExperiment(ctx context.Context, id string, sc glr.Scale, progress func(string, ...any), sizes string, runs int, memreport string) (string, error) {
-	if id != "scale" || (sizes == "" && runs == 0 && memreport == "") {
-		return glr.RunExperimentContext(ctx, id, sc, progress)
-	}
-	o := experiments.QuickOptions()
-	if sc == glr.Paper {
-		o = experiments.PaperOptions()
-	}
-	o.Ctx = ctx
-	o.Progress = progress
-	if runs > 0 {
-		o.Runs = runs
-	}
-	sz, err := parseSizes(sizes)
-	if err != nil {
-		return "", err
-	}
-	var small, giant []int
-	for _, n := range sz {
-		if n >= experiments.GiantTierNodes {
-			giant = append(giant, n)
-		} else {
-			small = append(small, n)
-		}
-	}
-	var out strings.Builder
-	if len(small) > 0 || sizes == "" {
-		res, err := experiments.NodeCountSweep(o, small)
-		if err != nil {
-			return "", err
-		}
-		out.WriteString(res.Render())
-	}
-	gres := &experiments.GiantResult{}
-	if len(giant) > 0 {
-		if gres, err = experiments.GiantSweep(o, giant); err != nil {
-			return "", err
-		}
-		out.WriteString(gres.Render())
-	}
-	if memreport != "" {
-		data, err := json.MarshalIndent(gres.MemReport(), "", "  ")
-		if err != nil {
-			return "", err
-		}
-		if err := os.WriteFile(memreport, append(data, '\n'), 0o644); err != nil {
-			return "", err
-		}
-	}
-	return out.String(), nil
-}
-
-// parseSizes parses "500" or "250,1000" ("" means the default sweep).
-func parseSizes(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("glrexp: bad -sizes entry %q: %w", p, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // writeMemProfile records the post-GC heap at exit.

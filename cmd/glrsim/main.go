@@ -60,6 +60,9 @@ func run() error {
 		location  = flag.String("location", "source", `destination-location knowledge: "source", "all", or "none"`)
 	)
 	flag.Parse()
+	if *runs < 1 {
+		return fmt.Errorf("-runs %d must be at least 1", *runs)
+	}
 
 	// Ctrl-C abandons in-flight simulations cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -106,18 +109,20 @@ func run() error {
 			Location:       *location,
 		}),
 	}
-	if *simTime > 0 {
+	// Any value but the 0 default goes through its option, whose check
+	// rejects negative and non-finite values.
+	if *simTime != 0 {
 		opts = append(opts, glr.WithSimTime(*simTime))
 	}
-	if *storage > 0 {
+	if *storage != 0 {
 		opts = append(opts, glr.WithStorageLimit(*storage))
 	}
-	if *sample > 0 && (*runs > 1 || *compare) {
+	if *sample != 0 && (*runs > 1 || *compare) {
 		// Runner sweeps run replications concurrently and detach
 		// observers; refuse rather than silently dropping the request.
 		return fmt.Errorf("-sample needs a single plain run (drop -compare / -runs)")
 	}
-	if *sample > 0 {
+	if *sample != 0 {
 		opts = append(opts, glr.WithObserver(&glr.Observer{
 			SampleEvery: *sample,
 			OnSample: func(s glr.Sample) {

@@ -164,16 +164,6 @@ var experimentTable = map[string]struct {
 			return r.Render(), nil
 		},
 	},
-	"scale": {
-		ExperimentInfo{"scale", "Scaling", "Node-count sweep (100..1000 nodes, fixed density): delivery + wall-clock + spanner-construction time + per-phase wall clock"},
-		func(o experiments.Options) (string, error) {
-			r, err := experiments.NodeCountSweep(o, nil)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		},
-	},
 }
 
 // Experiments lists the reproducible paper artifacts in a stable order.

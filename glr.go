@@ -197,8 +197,8 @@ func (o *GLRConfig) validate() error {
 		return nil
 	}
 	switch {
-	case o.CheckInterval < 0:
-		return fmt.Errorf("glr: check interval %v must be nonnegative", o.CheckInterval)
+	case o.CheckInterval < 0 || !finite(o.CheckInterval):
+		return fmt.Errorf("glr: check interval %v must be nonnegative and finite", o.CheckInterval)
 	case o.Copies < 0:
 		return fmt.Errorf("glr: copy count %d must be nonnegative", o.Copies)
 	case o.K < 0:
@@ -219,10 +219,10 @@ func (o *EpidemicConfig) validate() error {
 		return nil
 	}
 	switch {
-	case o.ExchangeInterval < 0:
-		return fmt.Errorf("glr: exchange interval %v must be nonnegative", o.ExchangeInterval)
-	case o.DataSendRate < 0:
-		return fmt.Errorf("glr: data send rate %v must be nonnegative", o.DataSendRate)
+	case o.ExchangeInterval < 0 || !finite(o.ExchangeInterval):
+		return fmt.Errorf("glr: exchange interval %v must be nonnegative and finite", o.ExchangeInterval)
+	case o.DataSendRate < 0 || !finite(o.DataSendRate):
+		return fmt.Errorf("glr: data send rate %v must be nonnegative and finite", o.DataSendRate)
 	}
 	return nil
 }

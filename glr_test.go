@@ -84,10 +84,10 @@ func TestInvalidConfigRejected(t *testing.T) {
 
 func TestExperimentsRegistry(t *testing.T) {
 	infos := Experiments()
-	if len(infos) != 14 {
-		t.Fatalf("got %d experiments, want 14 (every table and figure + ablation + scaling + disruption)", len(infos))
+	if len(infos) != 13 {
+		t.Fatalf("got %d experiments, want 13 (every table and figure + ablation + disruption)", len(infos))
 	}
-	want := []string{"ablate", "disruption", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "scale", "tab2", "tab3", "tab4", "tab5", "tab6"}
+	want := []string{"ablate", "disruption", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "tab2", "tab3", "tab4", "tab5", "tab6"}
 	for i, id := range want {
 		if infos[i].ID != id {
 			t.Errorf("experiment[%d] = %q, want %q", i, infos[i].ID, id)

@@ -186,56 +186,6 @@ func TestTable4StorageSmoke(t *testing.T) {
 	}
 }
 
-func TestNodeCountSweepSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiment")
-	}
-	// Tiny sizes keep this a smoke test; the real sweep (100..1000
-	// nodes) runs through `glrexp -exp scale`.
-	res, err := NodeCountSweep(tinyOptions(), []int{20, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.WallSerial <= 0 {
-			t.Errorf("n=%d: wall-clock not measured", p.N)
-		}
-		if p.SpannerSerial <= 0 {
-			t.Errorf("n=%d: spanner time not measured", p.N)
-		}
-		if p.Phases.Rx <= 0 {
-			t.Errorf("n=%d: reception phase not attributed", p.N)
-		}
-		if p.Allocs == 0 {
-			t.Errorf("n=%d: allocation pressure not measured", p.N)
-		}
-		if p.Region.W <= p.Region.H {
-			t.Errorf("n=%d: region %v should keep the 5:1 aspect", p.N, p.Region)
-		}
-	}
-	// Density must stay fixed: region area scales linearly with n.
-	a0 := res.Points[0].Region.Area() / float64(res.Points[0].N)
-	a1 := res.Points[1].Region.Area() / float64(res.Points[1].N)
-	if a0 < a1*0.99 || a0 > a1*1.01 {
-		t.Errorf("per-node area drifts: %.1f vs %.1f", a0, a1)
-	}
-	out := res.Render()
-	for _, want := range []string{"scaling sweep", "Spanner", "Per-phase", "Allocs"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
-	}
-}
-
-func TestNodeCountSweepRejectsBadSizes(t *testing.T) {
-	if _, err := NodeCountSweep(tinyOptions(), []int{1}); err == nil {
-		t.Error("node count 1 accepted")
-	}
-}
-
 func TestAggregateConfidence(t *testing.T) {
 	// aggregate must produce zero halfwidth for single runs and sane CIs
 	// for multiple.

@@ -304,3 +304,54 @@ func TestMeanCurve(t *testing.T) {
 		t.Fatalf("means = %v", means)
 	}
 }
+
+// FuzzCellCache: loadCell reads cache files that may be truncated,
+// corrupted or hand-edited. Whatever the bytes, it must not panic, and
+// it may accept an entry only when the entry keys to the requested key,
+// its checksum covers its payload, and it holds one result and one
+// series per recorded run.
+func FuzzCellCache(f *testing.F) {
+	c := glr.Matrix{Nodes: []int{10}, Protocols: []glr.Protocol{glr.GLR}}.Normalized().Cells()[0]
+	key := cellKey(Version, c, 1, 2)
+	dir := f.TempDir()
+	valid := cacheEntry{
+		Key: key, Version: Version, Cell: c, BaseSeed: 1, Runs: 2,
+		Results: []glr.Result{{Generated: 6, Delivered: 4, DeliveryRatio: 4.0 / 6}, {Generated: 6}},
+		Series:  Series{Every: 30, Delivery: [][]float64{{0.5, 0.75}, {0, 0}}},
+	}
+	if err := storeCell(dir, valid); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(cachePath(dir, key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, ok := loadCell(dir, key); !ok {
+		f.Fatal("a freshly stored entry does not load")
+	}
+	s := string(raw)
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Add([]byte(strings.Replace(s, `"Runs": 2`, `"Runs": 3`, 1)))
+	f.Add([]byte(strings.Replace(s, `"Delivered": 4`, `"Delivered": 5`, 1)))
+	f.Add([]byte(strings.Replace(s, `"Checksum": "`, `"Checksum": "0`, 1)))
+	f.Add([]byte(`{"Key": "` + key + `", "Runs": -1, "Results": null}`))
+	f.Add([]byte("null"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(cachePath(dir, key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, ok := loadCell(dir, key)
+		if !ok {
+			return
+		}
+		switch {
+		case e.Key != key || cellKey(e.Version, e.Cell, e.BaseSeed, e.Runs) != key:
+			t.Fatalf("accepted an entry that keys to %s, not %s", cellKey(e.Version, e.Cell, e.BaseSeed, e.Runs), key)
+		case e.Checksum != e.checksum():
+			t.Fatalf("accepted an entry whose checksum %q does not cover its payload", e.Checksum)
+		case len(e.Results) != e.Runs || len(e.Series.Delivery) != e.Runs:
+			t.Fatalf("accepted %d results and %d series for %d runs", len(e.Results), len(e.Series.Delivery), e.Runs)
+		}
+	})
+}

@@ -3,8 +3,9 @@ package sim
 import "time"
 
 // PhaseProf accumulates the wall clock spent in each stepping plane of
-// a run — the attribution the scale sweep prints so each plane's cost is
-// visible rather than only the end-to-end wall clock. Profiling is
+// a run — the per-layer attribution the benchmark (bench/) reports so
+// each plane's cost is visible rather than only the end-to-end wall
+// clock. Profiling is
 // off by default (a run pays one nil check per phase dispatch);
 // EnablePhaseProfile switches it on for a world before Run.
 //

@@ -20,8 +20,10 @@
 package spatial
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"glr/internal/geom"
 )
@@ -83,6 +85,10 @@ type Grid struct {
 	// where maps id → locator, indexed directly (ids are small dense
 	// nonnegative integers).
 	where []locator
+
+	// hits is NearIDs' scratch for rectangles walked by entry (see
+	// entryScanIDs).
+	hits []entryHit
 }
 
 // NewGrid returns an empty index with the given cell edge length.
@@ -352,18 +358,84 @@ func (g *Grid) Near(p geom.Point, r float64, visit func(id int, q geom.Point) bo
 
 // NearIDs appends to buf the ids of every entry whose cell intersects
 // the bounding square of the disk of radius r around p and returns the
-// extended slice. Like Near it is a superset query with unspecified
-// order; callers sort and/or filter as needed. (Open-coded rather than
-// delegating to Near: this is the medium's per-reception hot path, and
-// the closure-free loop measurably beats the visitor.)
+// extended slice, in the order Near visits them. Like Near it is a
+// superset query; callers sort and/or filter as needed. (Open-coded
+// rather than delegating to Near: this is the medium's per-reception
+// hot path, and the closure-free loop measurably beats the visitor.)
+//
+// A radius far above the cell size makes the rectangle cover far more
+// cells than there are entries (a medium whose movement slack dwarfs
+// its range), and scanning it cell by cell would cost the square of
+// r/size per query. Such rectangles are answered by walking the entries
+// instead (entryScanIDs), in the same order.
 func (g *Grid) NearIDs(p geom.Point, r float64, buf []int) []int {
 	s := g.rect(p, r)
+	if s.cells() > float64(entryScanMin+entryScanFactor*len(g.where)) {
+		return g.entryScanIDs(s, buf)
+	}
 	for cy := s.y0; cy <= s.y1; cy++ {
 		for cx := s.x0; cx <= s.x1; cx++ {
 			for _, it := range g.bucketAt(cx, cy, s.clipped) {
 				buf = append(buf, it.id)
 			}
 		}
+	}
+	return buf
+}
+
+// A rectangle is walked by entry once it covers more than entryScanMin
+// plus entryScanFactor cells per id slot: the medium's usual 3×3 to
+// 4×4 blocks never are.
+const (
+	entryScanMin    = 64
+	entryScanFactor = 4
+)
+
+// cells returns the number of cells s covers, in float64 so that huge
+// rectangles cannot overflow.
+func (s scanRect) cells() float64 {
+	if s.x1 < s.x0 || s.y1 < s.y0 {
+		return 0
+	}
+	return (float64(s.x1) - float64(s.x0) + 1) * (float64(s.y1) - float64(s.y0) + 1)
+}
+
+// entryHit is one entry inside a rectangle walked by entry, keyed by
+// where the cell scan reaches it: the offsets of its cell from the
+// rectangle's corner, then its index within the bucket.
+type entryHit struct {
+	dx, dy uint32
+	idx    int
+	id     int
+}
+
+// entryScanIDs appends the ids the row-major cell scan of s would visit,
+// in the same order, by walking the indexed entries instead of the
+// cells. The cell scan fetches cell (cx, cy)'s bucket by its key, whose
+// coordinates are truncated to int32, so it meets an entry at the one
+// cell of each axis range congruent to the entry's cell modulo 2³²
+// (ranges that span 2³² cells or more visit entries once here, not once
+// per alias), and then at its index within the bucket.
+func (g *Grid) entryScanIDs(s scanRect, buf []int) []int {
+	// Unsigned spans: exact even where x1 - x0 overflows int.
+	spanX, spanY := uint64(s.x1-s.x0), uint64(s.y1-s.y0)
+	g.hits = g.hits[:0]
+	for id, loc := range g.where {
+		if loc.idx < 0 {
+			continue
+		}
+		c := cellOfKey(loc.key)
+		dx := uint32(int32(c.X) - int32(s.x0))
+		dy := uint32(int32(c.Y) - int32(s.y0))
+		if uint64(dx) <= spanX && uint64(dy) <= spanY {
+			g.hits = append(g.hits, entryHit{dx: dx, dy: dy, idx: loc.idx, id: id})
+		}
+	}
+	slices.SortFunc(g.hits, func(a, b entryHit) int {
+		return cmp.Or(cmp.Compare(a.dy, b.dy), cmp.Compare(a.dx, b.dx), cmp.Compare(a.idx, b.idx))
+	})
+	for _, h := range g.hits {
+		buf = append(buf, h.id)
 	}
 	return buf
 }

@@ -253,3 +253,86 @@ func TestNegativeRadiusTreatedAsZero(t *testing.T) {
 		t.Errorf("negative radius should still scan the containing cell, got %d visits", count)
 	}
 }
+
+// nearOrder is the oracle for NearIDs: the ids Near's row-major cell
+// scan visits, in visit order.
+func nearOrder(g *Grid, p geom.Point, r float64) []int {
+	var ids []int
+	g.Near(p, r, func(id int, _ geom.Point) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return ids
+}
+
+// TestNearIDsMatchesCellScan: after insert / update / remove churn, on
+// dense-window and overflow grids alike, NearIDs returns exactly the
+// ids of the cell scan in the same order, both for the medium's small
+// rectangles and for rectangles wide enough to be walked by entry.
+func TestNearIDsMatchesCellScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		g, err := NewGrid(1 + rng.Float64()*9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Half the trials spread entries past the dense window's
+		// maxDenseSpan cells, so the scan runs unclipped over overflow.
+		extent := 200.0
+		if trial%2 == 1 {
+			extent = 20000
+		}
+		randPt := func() geom.Point {
+			return geom.Pt(rng.Float64()*extent-extent/2, rng.Float64()*200-100)
+		}
+		n := 1 + rng.Intn(40)
+		for i := 0; i < n; i++ {
+			g.Update(i, randPt())
+		}
+		for k := 0; k < 100; k++ {
+			if id := rng.Intn(n); rng.Intn(4) == 0 {
+				g.Remove(id)
+			} else {
+				g.Update(id, randPt())
+			}
+		}
+		for q := 0; q < 30; q++ {
+			p := randPt()
+			r := rng.Float64() * 40 * g.CellSize()
+			want := nearOrder(g, p, r)
+			got := g.NearIDs(p, r, nil)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: NearIDs(%v, %.1f) = %v, cell scan %v", trial, p, r, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: NearIDs(%v, %.1f) = %v, cell scan %v", trial, p, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNearIDsHugeRadius: a radius a billion cells wide (a medium whose
+// movement slack dwarfs its range) answers at once, with every entry in
+// the order of any cell scan covering them all. Scanning its rectangle
+// cell by cell would take hours.
+func TestNearIDsHugeRadius(t *testing.T) {
+	g, err := NewGrid(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		g.Update(i, geom.Pt(float64(i*97%13), float64(i*30)))
+	}
+	want := nearOrder(g, geom.Pt(5, 150), 300)
+	got := g.NearIDs(geom.Pt(5, 150), 1e9, nil)
+	if len(want) != 10 || len(got) != len(want) {
+		t.Fatalf("NearIDs = %v, cell scan %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("NearIDs = %v, cell scan %v", got, want)
+		}
+	}
+}

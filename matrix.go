@@ -204,8 +204,8 @@ func (m Matrix) Validate() error {
 		}
 	}
 	for _, r := range n.Ranges {
-		if r <= 0 {
-			return fmt.Errorf("glr: matrix range %v must be positive", r)
+		if r <= 0 || !finite(r) {
+			return fmt.Errorf("glr: matrix range %v must be positive and finite", r)
 		}
 	}
 	for _, s := range n.StorageLimits {
@@ -227,8 +227,8 @@ func (m Matrix) Validate() error {
 	switch {
 	case n.Messages < 0:
 		return fmt.Errorf("glr: matrix message count %d must be nonnegative", n.Messages)
-	case n.SimTime <= 0:
-		return fmt.Errorf("glr: matrix sim time %v must be positive", n.SimTime)
+	case n.SimTime <= 0 || !finite(n.SimTime):
+		return fmt.Errorf("glr: matrix sim time %v must be positive and finite", n.SimTime)
 	case n.Seeds < 1:
 		return fmt.Errorf("glr: matrix seed count %d must be ≥ 1", n.Seeds)
 	}

@@ -3,6 +3,7 @@ package glr
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 
 	"glr/internal/geom"
@@ -83,8 +84,8 @@ func WithNodes(n int) Option {
 // WithRange sets the transmission range in metres (default 100).
 func WithRange(metres float64) Option {
 	return func(s *Scenario) error {
-		if metres <= 0 {
-			return fmt.Errorf("glr: range %v must be positive", metres)
+		if metres <= 0 || !finite(metres) {
+			return fmt.Errorf("glr: range %v must be positive and finite", metres)
 		}
 		s.rangeM = metres
 		return nil
@@ -95,8 +96,8 @@ func WithRange(metres float64) Option {
 // paper's 1500×300 strip).
 func WithRegion(width, height float64) Option {
 	return func(s *Scenario) error {
-		if width <= 0 || height <= 0 {
-			return fmt.Errorf("glr: region %vx%v must be positive", width, height)
+		if width <= 0 || height <= 0 || !finite(width, height) {
+			return fmt.Errorf("glr: region %vx%v must be positive and finite", width, height)
 		}
 		s.width, s.height = width, height
 		return nil
@@ -108,8 +109,8 @@ func WithRegion(width, height float64) Option {
 // slack.
 func WithSimTime(seconds float64) Option {
 	return func(s *Scenario) error {
-		if seconds <= 0 {
-			return fmt.Errorf("glr: sim time %v must be positive", seconds)
+		if seconds <= 0 || !finite(seconds) {
+			return fmt.Errorf("glr: sim time %v must be positive and finite", seconds)
 		}
 		s.simTime = seconds
 		return nil
@@ -193,8 +194,8 @@ func WithObserver(o *Observer) Option {
 		if o == nil {
 			return fmt.Errorf("glr: nil Observer")
 		}
-		if o.SampleEvery < 0 {
-			return fmt.Errorf("glr: Observer.SampleEvery %v must be nonnegative", o.SampleEvery)
+		if o.SampleEvery < 0 || !finite(o.SampleEvery) {
+			return fmt.Errorf("glr: Observer.SampleEvery %v must be nonnegative and finite", o.SampleEvery)
 		}
 		if o.SampleEvery > 0 && o.OnSample == nil {
 			return fmt.Errorf("glr: Observer.SampleEvery set without OnSample")
@@ -286,7 +287,10 @@ func (s *Scenario) compile(seed int64) (sim.Scenario, sim.ProtocolFactory, error
 	if err != nil {
 		return sim.Scenario{}, nil, err
 	}
-	for _, m := range msgs {
+	for i, m := range msgs {
+		if !finite(m.At) {
+			return sim.Scenario{}, nil, fmt.Errorf("glr: message %d time %v is not finite", i, m.At)
+		}
 		scn.Traffic = append(scn.Traffic, sim.TrafficItem{Src: m.Src, Dst: m.Dst, At: m.At})
 	}
 
@@ -366,8 +370,8 @@ func (m RandomWalk) apply(s *sim.Scenario) error {
 	if err := checkSpeeds(m.MinSpeed, m.MaxSpeed, 0); err != nil {
 		return err
 	}
-	if m.LegTime < 0 {
-		return fmt.Errorf("glr: random-walk leg time %v must be nonnegative", m.LegTime)
+	if m.LegTime < 0 || !finite(m.LegTime) {
+		return fmt.Errorf("glr: random-walk leg time %v must be nonnegative and finite", m.LegTime)
 	}
 	s.Mobility = sim.MobilityRandomWalk
 	s.MinSpeed = m.MinSpeed
@@ -406,6 +410,9 @@ func (m Trace) apply(s *sim.Scenario) error {
 	for i, path := range m.Paths {
 		pts := make([]mobility.TracePoint, len(path))
 		for j, tp := range path {
+			if !finite(tp.T, tp.X, tp.Y) {
+				return fmt.Errorf("glr: trace %d waypoint %d %+v is not finite", i, j, tp)
+			}
 			pts[j] = mobility.TracePoint{T: tp.T, P: geom.Pt(tp.X, tp.Y)}
 		}
 		s.Traces[i] = pts
@@ -430,8 +437,8 @@ func tracePaths(m Mobility) ([][]TracePoint, bool) {
 }
 
 func checkSpeeds(minSpeed, maxSpeed, pause float64) error {
-	if minSpeed < 0 || maxSpeed < 0 {
-		return fmt.Errorf("glr: speeds [%v,%v] must be nonnegative", minSpeed, maxSpeed)
+	if minSpeed < 0 || maxSpeed < 0 || !finite(minSpeed, maxSpeed) {
+		return fmt.Errorf("glr: speeds [%v,%v] must be nonnegative and finite", minSpeed, maxSpeed)
 	}
 	eff := maxSpeed
 	if eff == 0 {
@@ -440,10 +447,22 @@ func checkSpeeds(minSpeed, maxSpeed, pause float64) error {
 	if minSpeed > eff {
 		return fmt.Errorf("glr: min speed %v exceeds max %v", minSpeed, eff)
 	}
-	if pause < 0 {
-		return fmt.Errorf("glr: pause %v must be nonnegative", pause)
+	if pause < 0 || !finite(pause) {
+		return fmt.Errorf("glr: pause %v must be nonnegative and finite", pause)
 	}
 	return nil
+}
+
+// finite reports whether every x is a number other than ±Inf. NaN
+// fails every ordered comparison and +Inf passes "> 0", so each float
+// option, workload and mobility field checks it beside its range.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Workload is a pluggable traffic generator for WithWorkload. Schedule
@@ -565,8 +584,8 @@ func countRate(messages int, rate float64) (int, float64, error) {
 	if messages < 0 {
 		return 0, 0, fmt.Errorf("glr: message count %d must be nonnegative", messages)
 	}
-	if rate < 0 {
-		return 0, 0, fmt.Errorf("glr: rate %v must be nonnegative", rate)
+	if rate < 0 || !finite(rate) {
+		return 0, 0, fmt.Errorf("glr: rate %v must be nonnegative and finite", rate)
 	}
 	if messages == 0 {
 		messages = 200

@@ -546,3 +546,124 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteScenarioInputsRejected: NaN fails every ordered
+// comparison and ±Inf passes some, so a non-finite float option,
+// workload or mobility field must fail at NewScenario. Unchecked, such
+// a value panicked the scheduler or a slice index (an Inf sample
+// interval, a NaN leg time or rate), ran forever (an Inf horizon), or
+// was silently replaced by its default (a NaN region, speed or check
+// interval).
+func TestNonFiniteScenarioInputsRejected(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	onSample := func(Sample) {}
+	cases := map[string][]Option{
+		"sample every +Inf":        {WithObserver(&Observer{SampleEvery: inf, OnSample: onSample})},
+		"sample every NaN":         {WithObserver(&Observer{SampleEvery: nan, OnSample: onSample})},
+		"walk leg time NaN":        {WithMobility(RandomWalk{MaxSpeed: 10, LegTime: nan})},
+		"poisson rate NaN":         {WithWorkload(PoissonWorkload{Messages: 40, Rate: nan})},
+		"uniform rate NaN":         {WithWorkload(UniformWorkload{Messages: 40, Rate: nan})},
+		"sim time +Inf":            {WithSimTime(inf)},
+		"sim time NaN":             {WithSimTime(nan)},
+		"region width NaN":         {WithRegion(nan, 300)},
+		"waypoint max speed NaN":   {WithMobility(Waypoint{MaxSpeed: nan})},
+		"glr check interval NaN":   {WithGLR(GLRConfig{CheckInterval: nan})},
+		"range +Inf":               {WithRange(inf)},
+		"epidemic exchange NaN":    {WithEpidemic(EpidemicConfig{ExchangeInterval: nan})},
+		"epidemic send rate +Inf":  {WithEpidemic(EpidemicConfig{DataSendRate: inf})},
+		"scheduled message at NaN": {WithWorkload(ScheduleWorkload{{Src: 0, Dst: 1, At: 5}, {Src: 1, Dst: 2, At: nan}})},
+		"trace time NaN": {WithNodes(3), WithMobility(Trace{Paths: [][]TracePoint{
+			{{T: nan, X: 100, Y: 100}}, {{T: 0, X: 150, Y: 100}}, {{T: 0, X: 200, Y: 100}},
+		}})},
+	}
+	base := []Option{WithNodes(30), WithWorkload(UniformWorkload{Messages: 40}), WithSimTime(150)}
+	if _, err := NewScenario(base...); err != nil {
+		t.Fatalf("base scenario rejected: %v", err)
+	}
+	for name, opts := range cases {
+		t.Run(name, func(t *testing.T) {
+			sc, err := NewScenario(append(base[:len(base):len(base)], opts...)...)
+			if err == nil {
+				t.Fatal("NewScenario accepted it")
+			}
+			if sc != nil {
+				t.Fatalf("NewScenario returned a scenario alongside error %v", err)
+			}
+		})
+	}
+	for name, m := range map[string]Matrix{
+		"matrix range NaN":     {Ranges: []float64{100, nan}},
+		"matrix sim time +Inf": {SimTime: inf},
+	} {
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: Matrix.Validate accepted it", name)
+		}
+	}
+}
+
+// FuzzScenarioOptions: any range, region, horizon, speed, pause, leg
+// time, rate, check interval and sample interval either fails
+// NewScenario with an error or builds a scenario. Small accepted ones
+// also run, to an error or to their horizon; nothing may panic. Small
+// means 6 nodes, a horizon of at most 30 s, and at most about 1000
+// samples, route checks and mobility legs per node: a run asked for a
+// route check every nanosecond, or for a node crossing the region a
+// million times a second, is slow and large because it does what was
+// asked.
+func FuzzScenarioOptions(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, seed := range [][10]float64{
+		{100, 500, 300, 20, 20, 0, 20, 1, 0.9, 5},
+		{250, 1000, 1000, 30, 5, 2, 3, 0.5, 0, 0},
+		// The values that panicked, hung or were silently replaced
+		// before every float input was checked for finiteness.
+		{100, 500, 300, 20, 20, 0, 20, 1, 0.9, inf},
+		{100, 500, 300, 20, 10, 0, nan, 1, 0.9, 0},
+		{100, 500, 300, 20, 20, 0, 20, nan, 0.9, 0},
+		{100, 500, 300, inf, 20, 0, 20, 1, 0.9, 0},
+		{100, nan, 300, 20, 20, 0, 20, 1, 0.9, 0},
+		{100, 500, 300, 20, nan, 0, 20, 1, nan, nan},
+		{inf, 500, 300, 20, 20, 0, 20, 1, 0.9, 0},
+	} {
+		for _, walk := range []bool{false, true} {
+			f.Add(walk, seed[0], seed[1], seed[2], seed[3], seed[4], seed[5], seed[6], seed[7], seed[8], seed[9])
+		}
+	}
+	f.Fuzz(func(t *testing.T, walk bool, rangeM, width, height, simTime, speed, pause, leg, rate, check, every float64) {
+		var mob Mobility = Waypoint{MaxSpeed: speed, Pause: pause}
+		if walk {
+			mob = RandomWalk{MaxSpeed: speed, LegTime: leg}
+		}
+		opts := []Option{
+			WithNodes(6),
+			WithRange(rangeM),
+			WithRegion(width, height),
+			WithSimTime(simTime),
+			WithMobility(mob),
+			WithWorkload(PoissonWorkload{Messages: 4, Rate: rate}),
+			WithGLR(GLRConfig{CheckInterval: check}),
+		}
+		if every != 0 {
+			opts = append(opts, WithObserver(&Observer{SampleEvery: every, OnSample: func(Sample) {}}))
+		}
+		sc, err := NewScenario(opts...)
+		if (sc == nil) == (err == nil) {
+			t.Fatalf("NewScenario = %v, %v; want exactly one of a scenario and an error", sc, err)
+		}
+		orDefault := func(x, def float64) float64 {
+			if x == 0 {
+				return def
+			}
+			return x
+		}
+		legs := simTime * orDefault(speed, 20) / min(width, height)
+		if walk {
+			legs = simTime / orDefault(leg, 20)
+		}
+		if err != nil || simTime > 30 || legs > 1000 || simTime/orDefault(check, 0.9) > 1000 ||
+			(every > 0 && simTime/every > 1000) {
+			return
+		}
+		sc.Run() // an error is an answer; only a panic fails
+	})
+}
