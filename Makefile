@@ -32,17 +32,19 @@ test:
 test-short:
 	$(GO) test -race -short ./...
 
-## fuzz-smoke is the bounded fuzz step of CI's disruption-smoke job:
-## 15 s each for the fault-slug parser, the neighbor table, the
-## buffer's summary vector, scripted trace mobility, the scenario
-## options, the MAC configuration, the LDT spanner query and the atlas
-## cache loader.
+## fuzz-smoke is the bounded fuzz step of CI's disruption-smoke job,
+## which runs this target, so the list below is the only one: 15 s each
+## for the fault-slug parser, the neighbor table, the buffer's summary
+## vector, scripted trace mobility, the scenario options, the scenario
+## matrix's validation, the MAC configuration, the LDT spanner query
+## and the atlas cache loader.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborTable$$' -fuzztime 15s ./internal/dtn
 	$(GO) test -run '^$$' -fuzz '^FuzzBufferSummary$$' -fuzztime 15s ./internal/dtn
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioOptions$$' -fuzztime 15s .
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrix$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzMediumConfig$$' -fuzztime 15s ./internal/mac
 	$(GO) test -run '^$$' -fuzz '^FuzzSpannerNeighbors$$' -fuzztime 15s ./internal/ldt
 	$(GO) test -run '^$$' -fuzz '^FuzzCellCache$$' -fuzztime 15s ./internal/matrix

@@ -20,12 +20,9 @@ import (
 // benchmarks.
 func benchOptions() experiments.Options {
 	return experiments.Options{
-		Runs:       1,
-		MsgScale:   0.05,
-		TimeScale:  1,
-		Confidence: 0.90,
-		BaseSeed:   1,
-		Parallel:   true,
+		Runs:     1,
+		MsgScale: 0.05,
+		BaseSeed: 1,
 	}
 }
 

@@ -143,7 +143,8 @@ type EpidemicConfig struct {
 	// rate).
 	DataSendRate float64
 	// BroadcastDeltas enables the broadcast-advertisement enhancement
-	// (off = faithful Vahdat–Becker; see DESIGN.md).
+	// (off = faithful Vahdat–Becker, which exchanges summary vectors
+	// only when a contact forms).
 	BroadcastDeltas bool
 	// ActiveReceipts enables the delivery-receipt extension discussed in
 	// the paper's introduction: anti-packets purge delivered messages

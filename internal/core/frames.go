@@ -137,7 +137,7 @@ func (g *GLR) forward(m *dtn.Message, targets []hopTarget) {
 		f.Face = faceState
 		f.SenderPos = selfPos
 		f.SentAt = now
-		bits := m.PayloadBits + g.cfg.GeoHeaderBits
+		bits := m.PayloadBits + geoHeaderBits
 		g.n.Unicast(tgt.dst, sim.KindData, f, bits, f.onDone)
 	}
 
@@ -322,7 +322,7 @@ func (g *GLR) sendAck(to int, m *dtn.Message) {
 	} else if e, ok := g.n.Locations().Get(m.Dst); ok {
 		a.DstLoc, a.DstLocTime, a.DstKnown = e.Pos, e.Time, true
 	}
-	g.n.Unicast(to, sim.KindAck, a, g.cfg.AckBits, a.onDone)
+	g.n.Unicast(to, sim.KindAck, a, ackBits, a.onDone)
 }
 
 // OnBeacon implements sim.Protocol. Node-level bookkeeping (neighbor and

@@ -78,16 +78,9 @@ type Config struct {
 	// CheckInterval is the store-and-forward route re-check period
 	// (§3.2; the paper's default is 0.9 s, swept in Figure 3).
 	CheckInterval float64
-	// CacheTimeout is how long a sent message waits in the Cache for a
-	// custody ack before moving back to the Store (§2.3.2).
-	CacheTimeout float64
 	// Copies forces the number of identical copies (tree flags). 0 means
 	// decide per Algorithm 1 from network sparsity.
 	Copies int
-	// ConnectivityS is the s in the Georgiou et al. connectivity bound
-	// (connected w.p. ≥ 1−1/s); Algorithm 1 compares the node range
-	// against the resulting threshold radius.
-	ConnectivityS float64
 	// Custody enables custody transfer (§2.3.2). Table 3 compares off.
 	Custody bool
 	// Location selects the Table-2 knowledge regime.
@@ -102,12 +95,6 @@ type Config struct {
 	// swaps custody back and forth inside the pair, inflating hop counts
 	// without advancing the message.
 	ProgressHysteresis float64
-	// FaceRetryBackoff is the minimum wait after a failed face walk
-	// before the walk may be retried even if the local topology changed.
-	// In sparse mobile networks cluster membership churns every few
-	// seconds; unbounded retries circulate messages around disconnected
-	// clusters, burning transmissions without progress.
-	FaceRetryBackoff float64
 	// DisableFaceRouting makes local minima store-and-wait instead of
 	// walking faces — an ablation of the paper's §2.3 escape mechanism.
 	DisableFaceRouting bool
@@ -126,27 +113,39 @@ type Config struct {
 	FullTableExchange bool
 	// TableExchangeInterval rate-limits full table exchanges per pair.
 	TableExchangeInterval float64
-	// GeoHeaderBits/AckBits size the protocol's on-air overhead.
-	GeoHeaderBits int
-	AckBits       int
 }
+
+// Fixed protocol settings: the paper's evaluation never varies them.
+const (
+	// cacheTimeout is how long a sent message waits in the Cache for a
+	// custody ack before moving back to the Store (§2.3.2).
+	cacheTimeout = 4.5
+	// connectivityS is the s in the Georgiou et al. connectivity bound
+	// (connected w.p. ≥ 1−1/s); Algorithm 1 compares the node range
+	// against the resulting threshold radius.
+	connectivityS = 10
+	// faceRetryBackoff is the minimum wait after a failed face walk
+	// before the walk may be retried even if the local topology changed.
+	// In sparse mobile networks cluster membership churns every few
+	// seconds; unbounded retries circulate messages around disconnected
+	// clusters, burning transmissions without progress.
+	faceRetryBackoff = 15
+	// geoHeaderBits/ackBits size the protocol's on-air overhead.
+	geoHeaderBits = 40 * 8
+	ackBits       = 20 * 8
+)
 
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
 		K:                     2,
 		CheckInterval:         0.9,
-		CacheTimeout:          4.5,
 		Copies:                0,
-		ConnectivityS:         10,
 		Custody:               true,
 		Location:              LocSourceKnows,
 		StaleRelocateAfter:    30,
 		ProgressHysteresis:    0.2,
-		FaceRetryBackoff:      15,
 		TableExchangeInterval: 30,
-		GeoHeaderBits:         40 * 8,
-		AckBits:               20 * 8,
 	}
 }
 
@@ -157,22 +156,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: K %d must be ≥ 1", c.K)
 	case c.CheckInterval <= 0:
 		return fmt.Errorf("core: check interval %v must be positive", c.CheckInterval)
-	case c.CacheTimeout <= 0:
-		return fmt.Errorf("core: cache timeout %v must be positive", c.CacheTimeout)
 	case c.Copies < 0 || c.Copies > 5:
 		return fmt.Errorf("core: copies %d must be 0 (auto) or 1..5", c.Copies)
-	case c.ConnectivityS <= 1:
-		return fmt.Errorf("core: connectivity s %v must exceed 1", c.ConnectivityS)
 	case c.StaleRelocateAfter <= 0:
 		return fmt.Errorf("core: stale relocate threshold %v must be positive", c.StaleRelocateAfter)
 	case c.ProgressHysteresis < 0 || c.ProgressHysteresis >= 1:
 		return fmt.Errorf("core: progress hysteresis %v must be in [0,1)", c.ProgressHysteresis)
-	case c.FaceRetryBackoff < 0:
-		return fmt.Errorf("core: face retry backoff %v must be nonnegative", c.FaceRetryBackoff)
 	case c.FullTableExchange && c.TableExchangeInterval <= 0:
 		return fmt.Errorf("core: table exchange interval %v must be positive", c.TableExchangeInterval)
-	case c.GeoHeaderBits < 0 || c.AckBits <= 0:
-		return fmt.Errorf("core: invalid frame overhead sizes")
 	}
 	return nil
 }
@@ -335,7 +326,7 @@ func (g *GLR) CopyCount() int {
 	if g.cfg.Copies > 0 {
 		return g.cfg.Copies
 	}
-	rstar := geom.ConnectivityThreshold(g.n.NodeCount(), g.n.Region().Area(), g.cfg.ConnectivityS)
+	rstar := geom.ConnectivityThreshold(g.n.NodeCount(), g.n.Region().Area(), connectivityS)
 	r := g.n.Range()
 	switch {
 	case r >= rstar:

@@ -17,12 +17,9 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"k zero", func(c *Config) { c.K = 0 }},
 		{"check interval", func(c *Config) { c.CheckInterval = 0 }},
-		{"cache timeout", func(c *Config) { c.CacheTimeout = 0 }},
 		{"copies negative", func(c *Config) { c.Copies = -1 }},
 		{"copies too many", func(c *Config) { c.Copies = 6 }},
-		{"connectivity s", func(c *Config) { c.ConnectivityS = 1 }},
 		{"stale threshold", func(c *Config) { c.StaleRelocateAfter = 0 }},
-		{"ack bits", func(c *Config) { c.AckBits = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -14,7 +14,7 @@ func (g *GLR) routeCheck() {
 
 	// Custody timeouts: unacknowledged branches go back to the Store
 	// "for another round of transfer rescheduling".
-	for _, m := range g.store.ExpireCache(now - g.cfg.CacheTimeout) {
+	for _, m := range g.store.ExpireCache(now - cacheTimeout) {
 		g.stats.CustodyReturns++
 		if st := g.state(m.ID); st != nil {
 			if st.hasPending && st.pending != 0 {
@@ -238,7 +238,7 @@ func (g *GLR) tryFaceRoute(m *dtn.Message, nbrIDs []int, nbrPts []geom.Point, no
 			g.noteStuck(m, now)
 			return
 		}
-		if st.hasFailAt && now-st.failAt < g.cfg.FaceRetryBackoff {
+		if st.hasFailAt && now-st.failAt < faceRetryBackoff {
 			g.noteStuck(m, now)
 			return
 		}

@@ -210,39 +210,6 @@ func TestRandomCancellationQuick(t *testing.T) {
 	}
 }
 
-func TestTimerResetAndStop(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	tm := NewTimer(s, func() { count++ })
-	if tm.Armed() {
-		t.Error("new timer should be unarmed")
-	}
-	s.At(0, func() { tm.Reset(5) })
-	s.At(2, func() { tm.Reset(5) }) // postpone: fires at 7, not 5
-	s.Run(6)
-	if count != 0 {
-		t.Fatal("timer fired before reset deadline")
-	}
-	s.Run(8)
-	if count != 1 {
-		t.Fatalf("count = %d, want 1", count)
-	}
-	if tm.Armed() {
-		t.Error("fired timer should be unarmed")
-	}
-	tm.Reset(1)
-	if !tm.Stop() {
-		t.Error("Stop of armed timer should report true")
-	}
-	if tm.Stop() {
-		t.Error("Stop of unarmed timer should report false")
-	}
-	s.Run(20)
-	if count != 1 {
-		t.Error("stopped timer must not fire")
-	}
-}
-
 func TestTickerPeriodic(t *testing.T) {
 	s := NewScheduler()
 	var at []Time
@@ -266,24 +233,6 @@ func TestTickerStopIdempotent(t *testing.T) {
 	tk.Stop()
 	tk.Stop()
 	s.Run(5)
-}
-
-func TestTickerSetInterval(t *testing.T) {
-	s := NewScheduler()
-	var at []Time
-	var tk *Ticker
-	tk = NewTicker(s, 1, 0, func() {
-		at = append(at, s.Now())
-		tk.SetInterval(3)
-		if len(at) >= 3 {
-			tk.Stop()
-		}
-	})
-	s.Run(100)
-	want := []Time{0, 3, 6}
-	if !reflect.DeepEqual(at, want) {
-		t.Errorf("ticks at %v, want %v", at, want)
-	}
 }
 
 func TestTickerInvalidInterval(t *testing.T) {

@@ -93,9 +93,6 @@ func (c *CustodyStore) StoredMessages() []*Message { return c.store.Messages() }
 // buf[:0] to reuse a scratch slice on hot paths).
 func (c *CustodyStore) AppendStored(buf []*Message) []*Message { return c.store.AppendMessages(buf) }
 
-// CachedMessages returns the Cache contents oldest-first.
-func (c *CustodyStore) CachedMessages() []*Message { return c.cache.Messages() }
-
 // MarkSent moves a message from Store to Cache, recording the send time
 // for ack-timeout sweeps. It reports whether the message was in the Store.
 func (c *CustodyStore) MarkSent(id MessageID, now float64) bool {

@@ -10,7 +10,7 @@ import (
 // byte-identical within one process. Regression test for the retry
 // sweep iterating its wants/backlog maps in map order, which let batch
 // selection and frame order drift between runs — the scenario below is
-// dense enough to exercise MaxBatch-bounded retries, where the drift
+// dense enough to exercise maxBatch-bounded retries, where the drift
 // showed up as a few frames' difference.
 func TestEpidemicRepeatDeterminism(t *testing.T) {
 	if testing.Short() {

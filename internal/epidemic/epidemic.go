@@ -25,38 +25,8 @@ type Config struct {
 	// while the contact lasts so messages generated mid-contact still
 	// spread.
 	ExchangeInterval float64
-	// SVEntryBits is the per-message-id size of a summary vector entry.
-	SVEntryBits int
-	// SVBaseBits is the fixed summary/request frame overhead.
-	SVBaseBits int
-	// DataHeaderBits is the per-message transfer overhead.
-	DataHeaderBits int
-	// MaxBatch bounds how many messages are requested from (and served
-	// to) one peer per exchange round; larger diffs sync over multiple
-	// rounds paced by RequestTimeout. It also sets the token-bucket
-	// burst for DataSendRate.
-	MaxBatch int
-	// RequestTimeout suppresses re-requesting a message id that was
-	// already requested (from any peer) within this window, and paces
-	// the retry of requests whose transfers were lost. In dense
-	// topologies many neighbors advertise the same message near-
-	// simultaneously; requesting it from all of them multiplies data
-	// traffic several-fold for no benefit.
-	RequestTimeout float64
-	// RequestRetries bounds how many times a lost transfer is re-
-	// requested from its advertiser. Without retries a transfer lost to
-	// a collision on a long-lived contact is never healed (delta
-	// summaries will not re-advertise it); this is a small reliability
-	// addition over the 2000-era protocol, documented in DESIGN.md.
-	RequestRetries int
-	// ContactGap is the silence (no beacons heard) after which a peer
-	// counts as a NEW contact, triggering a full summary exchange. It
-	// must tolerate several lost beacons: under load, beacon collisions
-	// otherwise masquerade as contact churn and the resulting full
-	// re-syncs feed the congestion that killed the beacons.
-	ContactGap float64
 	// DataSendRate is a per-node token-bucket budget on outgoing message
-	// transfers (messages/second, burst MaxBatch). It calibrates the
+	// transfers (messages/second, burst maxBatch). It calibrates the
 	// pair-sync throughput to what the paper's stack (reliable IMEP
 	// delivery over 802.11 at 1 Mbps) actually sustained — far below
 	// raw link rate — and is the mechanism that reproduces epidemic's
@@ -78,17 +48,44 @@ type Config struct {
 	ActiveReceipts bool
 }
 
+// Fixed protocol settings: the paper's evaluation never varies them.
+const (
+	// svEntryBits is the per-message-id size of a summary vector entry.
+	svEntryBits = 6 * 8
+	// svBaseBits is the fixed summary/request frame overhead.
+	svBaseBits = 16 * 8
+	// dataHeaderBits is the per-message transfer overhead.
+	dataHeaderBits = 24 * 8
+	// maxBatch bounds how many messages are requested from (and served
+	// to) one peer per exchange round; larger diffs sync over multiple
+	// rounds paced by requestTimeout. It also sets the token-bucket
+	// burst for DataSendRate.
+	maxBatch = 30
+	// requestTimeout suppresses re-requesting a message id that was
+	// already requested (from any peer) within this window, and paces
+	// the retry of requests whose transfers were lost. In dense
+	// topologies many neighbors advertise the same message near-
+	// simultaneously; requesting it from all of them multiplies data
+	// traffic several-fold for no benefit.
+	requestTimeout = 3.0
+	// requestRetries bounds how many times a lost transfer is re-
+	// requested from its advertiser. Without retries a transfer lost to
+	// a collision on a long-lived contact is never healed (delta
+	// summaries will not re-advertise it); this is a small reliability
+	// addition over the 2000-era protocol.
+	requestRetries = 10
+	// contactGap is the silence (no beacons heard) after which a peer
+	// counts as a NEW contact, triggering a full summary exchange. It
+	// must tolerate several lost beacons: under load, beacon collisions
+	// otherwise masquerade as contact churn and the resulting full
+	// re-syncs feed the congestion that killed the beacons.
+	contactGap = 10.0
+)
+
 // DefaultConfig returns a faithful, paper-scale parameterisation.
 func DefaultConfig() Config {
 	return Config{
 		ExchangeInterval: 6.0,
-		SVEntryBits:      6 * 8,
-		SVBaseBits:       16 * 8,
-		DataHeaderBits:   24 * 8,
-		MaxBatch:         30,
-		RequestTimeout:   3.0,
-		RequestRetries:   10,
-		ContactGap:       10.0,
 		DataSendRate:     3.0,
 	}
 }
@@ -98,16 +95,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.ExchangeInterval <= 0:
 		return fmt.Errorf("epidemic: exchange interval %v must be positive", c.ExchangeInterval)
-	case c.SVEntryBits <= 0 || c.SVBaseBits <= 0 || c.DataHeaderBits < 0:
-		return fmt.Errorf("epidemic: invalid frame sizes")
-	case c.MaxBatch <= 0:
-		return fmt.Errorf("epidemic: max batch %d must be positive", c.MaxBatch)
-	case c.RequestTimeout < 0:
-		return fmt.Errorf("epidemic: request timeout %v must be nonnegative", c.RequestTimeout)
-	case c.RequestRetries < 0:
-		return fmt.Errorf("epidemic: request retries %d must be nonnegative", c.RequestRetries)
-	case c.ContactGap <= 0:
-		return fmt.Errorf("epidemic: contact gap %v must be positive", c.ContactGap)
 	case c.DataSendRate < 0:
 		return fmt.Errorf("epidemic: data send rate %v must be nonnegative", c.DataSendRate)
 	}
@@ -197,7 +184,7 @@ func New(cfg Config) (sim.ProtocolFactory, error) {
 // Init implements sim.Protocol: start the slow retry sweep for lost
 // transfers.
 func (e *Epidemic) Init(n *sim.Node) {
-	interval := e.cfg.RequestTimeout
+	interval := requestTimeout
 	phase := n.Rand().Float64() * interval
 	n.After(phase, func() { e.retrySweep(interval) })
 }
@@ -226,7 +213,7 @@ func (e *Epidemic) Restart() {
 // advertiser, then reschedules itself.
 //
 // Both sweeps iterate in sorted order, never raw map order: which ids
-// land in a MaxBatch-bounded batch and the order request frames hit the
+// land in a maxBatch-bounded batch and the order request frames hit the
 // medium must not depend on map iteration, or identical seeded runs
 // stop being byte-identical (the determinism the result cache and the
 // committed atlas rely on).
@@ -245,19 +232,19 @@ func (e *Epidemic) retrySweep(interval float64) {
 			delete(e.wants, id)
 			continue
 		}
-		if now-w.at < e.cfg.RequestTimeout {
+		if now-w.at < requestTimeout {
 			continue
 		}
-		if w.tries >= e.cfg.RequestRetries {
+		if w.tries >= requestRetries {
 			delete(e.wants, id)
 			continue
 		}
 		// Only retry toward peers we can still hear, pacing each batch.
-		if heard, ok := e.lastHeard[w.peer]; !ok || now-heard > e.cfg.ContactGap {
+		if heard, ok := e.lastHeard[w.peer]; !ok || now-heard > contactGap {
 			delete(e.wants, id)
 			continue
 		}
-		if len(perPeer[w.peer]) >= e.cfg.MaxBatch {
+		if len(perPeer[w.peer]) >= maxBatch {
 			continue
 		}
 		w.at = now
@@ -297,7 +284,7 @@ func (e *Epidemic) drainBacklogs(now float64) {
 		busy[w.peer] = true
 	}
 	for _, peer := range peers {
-		if heard, ok := e.lastHeard[peer]; !ok || now-heard > e.cfg.ContactGap {
+		if heard, ok := e.lastHeard[peer]; !ok || now-heard > contactGap {
 			delete(e.backlog, peer) // contact gone; a new contact restarts
 			continue
 		}
@@ -359,7 +346,7 @@ func (e *Epidemic) OnBeacon(b sim.Beacon) {
 	now := e.n.Now()
 	heardAt, known := e.lastHeard[b.From]
 	e.lastHeard[b.From] = now
-	if known && now-heardAt <= e.cfg.ContactGap {
+	if known && now-heardAt <= contactGap {
 		return
 	}
 	if last, ok := e.lastExchange[b.From]; ok && now-last < e.cfg.ExchangeInterval {
@@ -371,7 +358,7 @@ func (e *Epidemic) OnBeacon(b sim.Beacon) {
 
 // svBits sizes a delta summary or request frame: an explicit id list.
 func (e *Epidemic) svBits(entries int) int {
-	return e.cfg.SVBaseBits + entries*e.cfg.SVEntryBits
+	return svBaseBits + entries*svEntryBits
 }
 
 // svBitsFull sizes a full summary vector. Full vectors are bitmaps over
@@ -380,7 +367,7 @@ func (e *Epidemic) svBits(entries int) int {
 // list would be a 95 ms frame and contact formations alone would saturate
 // the channel.
 func (e *Epidemic) svBitsFull(entries int) int {
-	return e.cfg.SVBaseBits + entries
+	return svBaseBits + entries
 }
 
 // sendSummary unicasts the full summary vector to a peer: a session
@@ -441,13 +428,13 @@ func (e *Epidemic) onSummary(f svFrame, from int) {
 	for id := range e.buf.Lacks(f.Summary) {
 		// Skip ids already requested recently from any peer, and ids
 		// purged by active receipts.
-		if w, ok := e.wants[id]; ok && now-w.at < e.cfg.RequestTimeout {
+		if w, ok := e.wants[id]; ok && now-w.at < requestTimeout {
 			continue
 		}
 		if e.cfg.ActiveReceipts && e.immune[id] {
 			continue
 		}
-		if len(missing) == e.cfg.MaxBatch {
+		if len(missing) == maxBatch {
 			e.backlog[from] = true // more to pull once this batch settles
 			break
 		}
@@ -483,7 +470,7 @@ func (e *Epidemic) onRequest(f reqFrame, from int) {
 		if m == nil {
 			continue // dropped since we advertised it
 		}
-		if sent >= e.cfg.MaxBatch {
+		if sent >= maxBatch {
 			break
 		}
 		if e.cfg.DataSendRate > 0 {
@@ -494,7 +481,7 @@ func (e *Epidemic) onRequest(f reqFrame, from int) {
 		}
 		sent++
 		e.n.Unicast(from, sim.KindData, dataFrame{Msg: *m},
-			m.PayloadBits+e.cfg.DataHeaderBits, nil)
+			m.PayloadBits+dataHeaderBits, nil)
 	}
 }
 
@@ -506,7 +493,7 @@ func (e *Epidemic) refillTokens() {
 	now := e.n.Now()
 	e.tokens += (now - e.lastRefill) * e.cfg.DataSendRate
 	e.lastRefill = now
-	if burst := float64(e.cfg.MaxBatch); e.tokens > burst {
+	if burst := float64(maxBatch); e.tokens > burst {
 		e.tokens = burst
 	}
 }

@@ -13,10 +13,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	bad := []func(*Config){
 		func(c *Config) { c.ExchangeInterval = 0 },
-		func(c *Config) { c.SVEntryBits = 0 },
-		func(c *Config) { c.SVBaseBits = 0 },
-		func(c *Config) { c.DataHeaderBits = -1 },
-		func(c *Config) { c.MaxBatch = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

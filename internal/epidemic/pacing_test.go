@@ -39,10 +39,10 @@ func TestTokenBucketPacesTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := w.Run()
-	// 60 s at 2 msg/s + burst(MaxBatch) is the ceiling for node 1's
+	// 60 s at 2 msg/s + burst(maxBatch) is the ceiling for node 1's
 	// receptions; beacons and sv overhead make the practical number
 	// lower. All messages are distinct (Seq differs), dst is node 1.
-	maxExpected := int(cfg.DataSendRate*s.SimTime) + cfg.MaxBatch
+	maxExpected := int(cfg.DataSendRate*s.SimTime) + maxBatch
 	if r.Delivered > maxExpected {
 		t.Errorf("delivered %d messages; pacing ceiling is %d", r.Delivered, maxExpected)
 	}

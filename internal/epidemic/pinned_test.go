@@ -7,7 +7,7 @@ import (
 )
 
 // pinnedScenarios are short seeded 50-node epidemic worlds covering each
-// anti-entropy path: full summaries with MaxBatch backlogs, FIFO
+// anti-entropy path: full summaries with maxBatch backlogs, FIFO
 // eviction, broadcast deltas, active receipts and churn restarts.
 var pinnedScenarios = []struct {
 	name string

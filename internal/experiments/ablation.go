@@ -10,9 +10,9 @@ import (
 )
 
 // AblationResult measures the contribution of GLR's individual design
-// choices (the ones DESIGN.md calls out) on a sparse 100 m scenario:
-// the LDTG spanner vs simpler routing graphs, face routing, the progress
-// hysteresis, and the tree multiplicity chosen by Algorithm 1.
+// choices on a sparse 100 m scenario: the LDTG spanner vs simpler
+// routing graphs, face routing, the progress hysteresis, and the tree
+// multiplicity chosen by Algorithm 1.
 type AblationResult struct {
 	Rows     []AblationRow
 	Messages int

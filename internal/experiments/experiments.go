@@ -22,6 +22,10 @@ import (
 	"glr/internal/stats"
 )
 
+// confidence is the two-sided confidence level of every aggregate (the
+// paper's 90%).
+const confidence = 0.90
+
 // Options scales an experiment between quick smoke runs and full paper
 // fidelity.
 type Options struct {
@@ -31,15 +35,8 @@ type Options struct {
 	// per-node storage limits of Figure 7 scale along with it so the
 	// pressure regime is preserved.
 	MsgScale float64
-	// TimeScale multiplies simulation horizons (1.0 = paper scale).
-	// Horizons never drop below the traffic generation span + slack.
-	TimeScale float64
-	// Confidence is the two-sided confidence level (paper: 0.90).
-	Confidence float64
 	// BaseSeed seeds replication r with BaseSeed + r.
 	BaseSeed int64
-	// Parallel runs replications on all CPUs.
-	Parallel bool
 	// Ctx, when non-nil, cancels replication sweeps: once done, queued
 	// runs are abandoned and in-flight ones stop between event batches.
 	Ctx context.Context
@@ -50,13 +47,13 @@ type Options struct {
 // PaperOptions reproduces the paper's methodology at full scale. A full
 // pass over every experiment takes tens of CPU-minutes.
 func PaperOptions() Options {
-	return Options{Runs: 10, MsgScale: 1, TimeScale: 1, Confidence: 0.90, BaseSeed: 1, Parallel: true}
+	return Options{Runs: 10, MsgScale: 1, BaseSeed: 1}
 }
 
 // QuickOptions is a scaled-down configuration for tests, benchmarks, and
 // smoke runs: 3 replications at one-fifth the message load.
 func QuickOptions() Options {
-	return Options{Runs: 3, MsgScale: 0.2, TimeScale: 1, Confidence: 0.90, BaseSeed: 1, Parallel: true}
+	return Options{Runs: 3, MsgScale: 0.2, BaseSeed: 1}
 }
 
 // Validate reports a descriptive error for unusable options.
@@ -66,10 +63,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("experiments: runs %d must be ≥ 1", o.Runs)
 	case o.MsgScale <= 0 || o.MsgScale > 1:
 		return fmt.Errorf("experiments: message scale %v must be in (0,1]", o.MsgScale)
-	case o.TimeScale <= 0 || o.TimeScale > 1:
-		return fmt.Errorf("experiments: time scale %v must be in (0,1]", o.TimeScale)
-	case o.Confidence <= 0 || o.Confidence >= 1:
-		return fmt.Errorf("experiments: confidence %v must be in (0,1)", o.Confidence)
 	}
 	return nil
 }
@@ -83,15 +76,10 @@ func (o Options) messages(paperCount int) int {
 	return n
 }
 
-// horizon scales a paper simulation time, keeping enough room for the
-// scaled traffic (generated at 1 msg/s) plus delivery slack.
+// horizon is a paper simulation time, extended when needed to leave
+// room for the traffic (generated at 1 msg/s) plus delivery slack.
 func (o Options) horizon(paperTime float64, msgs int) float64 {
-	t := paperTime * o.TimeScale
-	floor := float64(msgs) + 600
-	if t < floor {
-		t = floor
-	}
-	return t
+	return max(paperTime, float64(msgs)+600)
 }
 
 func (o Options) progress(format string, args ...any) {
@@ -157,10 +145,6 @@ func (rs runSpec) execute(ctx context.Context) (metrics.Report, error) {
 // through the shared worker pool (internal/runner) and returns the
 // per-run reports in seed order.
 func (o Options) replicate(spec runSpec) ([]metrics.Report, error) {
-	workers := 1
-	if o.Parallel {
-		workers = 0 // runner.Run: GOMAXPROCS
-	}
 	jobs := make([]runner.Job[metrics.Report], o.Runs)
 	for r := 0; r < o.Runs; r++ {
 		s := spec
@@ -169,7 +153,7 @@ func (o Options) replicate(spec runSpec) ([]metrics.Report, error) {
 			return s.execute(ctx)
 		}
 	}
-	return runner.Run(o.Ctx, workers, jobs)
+	return runner.Run(o.Ctx, 0, jobs) // 0 workers: GOMAXPROCS
 }
 
 // Agg aggregates replications of one scenario point: mean ± CI for every
@@ -189,7 +173,7 @@ func (o Options) aggregate(reports []metrics.Report) Agg {
 		for i, r := range reports {
 			xs[i] = f(r)
 		}
-		return stats.ConfidenceInterval(xs, o.Confidence)
+		return stats.ConfidenceInterval(xs, confidence)
 	}
 	return Agg{
 		DeliveryRatio:  pull(func(r metrics.Report) float64 { return r.DeliveryRatio }),

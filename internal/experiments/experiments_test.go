@@ -7,7 +7,7 @@ import (
 
 // tinyOptions keeps experiment tests fast: one replication at 5% load.
 func tinyOptions() Options {
-	return Options{Runs: 1, MsgScale: 0.05, TimeScale: 1, Confidence: 0.90, BaseSeed: 7, Parallel: true}
+	return Options{Runs: 1, MsgScale: 0.05, BaseSeed: 7}
 }
 
 func TestOptionsValidate(t *testing.T) {
@@ -18,11 +18,9 @@ func TestOptionsValidate(t *testing.T) {
 		t.Errorf("quick options invalid: %v", err)
 	}
 	bad := []Options{
-		{Runs: 0, MsgScale: 1, TimeScale: 1, Confidence: 0.9},
-		{Runs: 1, MsgScale: 0, TimeScale: 1, Confidence: 0.9},
-		{Runs: 1, MsgScale: 2, TimeScale: 1, Confidence: 0.9},
-		{Runs: 1, MsgScale: 1, TimeScale: 0, Confidence: 0.9},
-		{Runs: 1, MsgScale: 1, TimeScale: 1, Confidence: 1},
+		{Runs: 0, MsgScale: 1},
+		{Runs: 1, MsgScale: 0},
+		{Runs: 1, MsgScale: 2},
 	}
 	for i, o := range bad {
 		if o.Validate() == nil {
@@ -32,7 +30,7 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestOptionsScaling(t *testing.T) {
-	o := Options{Runs: 1, MsgScale: 0.25, TimeScale: 0.5, Confidence: 0.9}
+	o := Options{Runs: 1, MsgScale: 0.25}
 	if got := o.messages(1980); got != 495 {
 		t.Errorf("messages = %d, want 495", got)
 	}
@@ -40,11 +38,11 @@ func TestOptionsScaling(t *testing.T) {
 		t.Errorf("messages floor = %d, want 1", got)
 	}
 	// Horizon never below generation span + slack.
-	if got := o.horizon(3800, 495); got < 495+600 {
-		t.Errorf("horizon = %v, too small", got)
+	if got := o.horizon(1000, 495); got != 495+600 {
+		t.Errorf("horizon = %v, want %v (extended)", got, 495+600)
 	}
-	if got := o.horizon(3800, 10); got != 1900 {
-		t.Errorf("horizon = %v, want 1900 (scaled)", got)
+	if got := o.horizon(3800, 10); got != 3800 {
+		t.Errorf("horizon = %v, want 3800 (paper)", got)
 	}
 }
 
@@ -189,7 +187,7 @@ func TestTable4StorageSmoke(t *testing.T) {
 func TestAggregateConfidence(t *testing.T) {
 	// aggregate must produce zero halfwidth for single runs and sane CIs
 	// for multiple.
-	o := Options{Runs: 1, MsgScale: 1, TimeScale: 1, Confidence: 0.9}
+	o := Options{Runs: 1, MsgScale: 1}
 	agg := o.aggregate(nil)
 	if agg.AvgLatency.Mean != 0 {
 		t.Error("empty aggregate should be zero")

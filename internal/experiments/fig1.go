@@ -73,9 +73,9 @@ func Fig1Connectivity(o Options) (*Fig1Result, error) {
 				}.Render()
 			}
 		}
-		res.EdgeCount = append(res.EdgeCount, stats.ConfidenceInterval(edges, o.Confidence))
-		res.ComponentCount = append(res.ComponentCount, stats.ConfidenceInterval(comps, o.Confidence))
-		res.IsolatedNodes = append(res.IsolatedNodes, stats.ConfidenceInterval(isolated, o.Confidence))
+		res.EdgeCount = append(res.EdgeCount, stats.ConfidenceInterval(edges, confidence))
+		res.ComponentCount = append(res.ComponentCount, stats.ConfidenceInterval(comps, confidence))
+		res.IsolatedNodes = append(res.IsolatedNodes, stats.ConfidenceInterval(isolated, confidence))
 		res.ConnectedFrac = append(res.ConnectedFrac, float64(connected)/float64(trials))
 		res.Snapshots = append(res.Snapshots, snapshot)
 		o.progress("fig1: radius %.0f m done (%d trials)", r, trials)

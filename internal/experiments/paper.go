@@ -1,9 +1,9 @@
 package experiments
 
 // The paper's reported numbers, embedded so every rendered artifact can
-// print "paper vs measured" side by side (EXPERIMENTS.md is generated from
-// these comparisons). Values are transcribed from the tables; figure
-// values are approximate readings noted as such where used.
+// print "paper vs measured" side by side (glrexp prints these
+// comparisons). Values are transcribed from the tables; figure values
+// are approximate readings noted as such where used.
 
 // PaperTable2Row holds one row of Table 2 (location-information
 // availability, 100 m, 1980 messages).

@@ -345,18 +345,6 @@ func (p *Plan) Down(node int, t float64) bool {
 	return i > 0 && t < ivls[i-1].Up
 }
 
-// DownCount reports how many nodes are crashed at time t (for
-// fault-intensity sampling; O(outages)).
-func (p *Plan) DownCount(t float64) int {
-	c := 0
-	for _, o := range p.outages {
-		if o.Down <= t && t < o.Up {
-			c++
-		}
-	}
-	return c
-}
-
 // Byzantine reports whether node is adversarial.
 func (p *Plan) Byzantine(node int) bool { return p.byzantine[node] }
 

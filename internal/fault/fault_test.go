@@ -234,18 +234,3 @@ func TestGPSNoisePerturbsWithinRegion(t *testing.T) {
 		t.Fatal("GPS noise never perturbed the advertised position")
 	}
 }
-
-func TestDownCount(t *testing.T) {
-	p := compile(t, []Spec{{Kind: Churn, Rate: 0.02, Duration: 25}}, 30, 3)
-	for _, tm := range []float64{0, 50, 150, 300, 599} {
-		want := 0
-		for node := 0; node < 30; node++ {
-			if p.Down(node, tm) {
-				want++
-			}
-		}
-		if got := p.DownCount(tm); got != want {
-			t.Fatalf("DownCount(%v) = %d, want %d", tm, got, want)
-		}
-	}
-}

@@ -35,10 +35,6 @@ type Radio struct {
 // ID returns the radio identifier.
 func (r *Radio) ID() int { return r.id }
 
-// QueueLen returns the number of frames waiting (excluding any frame
-// currently on the air).
-func (r *Radio) QueueLen() int { return len(r.queue) }
-
 // Counters returns (delivered-unicast, failed-unicast, queue-drops,
 // frames-received).
 func (r *Radio) Counters() (sentOK, sentFail, queueDrops, recv uint64) {

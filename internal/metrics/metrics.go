@@ -203,18 +203,6 @@ func (c *Collector) Report() Report {
 	return r
 }
 
-// Latencies returns the delivery latencies of all delivered messages in
-// deterministic (message-id) order, for distribution plots.
-func (c *Collector) Latencies() []float64 {
-	out := make([]float64, 0, len(c.delivered))
-	for _, id := range c.deliveredIDs() {
-		if created, ok := c.created[id]; ok {
-			out = append(out, c.delivered[id].at-created.at)
-		}
-	}
-	return out
-}
-
 // deliveredIDs returns delivered message ids sorted by (src, seq).
 func (c *Collector) deliveredIDs() []dtn.MessageID {
 	ids := make([]dtn.MessageID, 0, len(c.delivered))

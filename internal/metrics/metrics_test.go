@@ -71,22 +71,6 @@ func TestFrameCounters(t *testing.T) {
 	}
 }
 
-func TestLatencies(t *testing.T) {
-	c := NewCollector(1)
-	c.Created(id(0, 0), 0, 0)
-	c.Created(id(0, 1), 10, 0)
-	c.Delivered(id(0, 0), 7, 1)
-	c.Delivered(id(0, 1), 25, 1)
-	lats := c.Latencies()
-	if len(lats) != 2 {
-		t.Fatalf("got %d latencies", len(lats))
-	}
-	sum := lats[0] + lats[1]
-	if sum != 22 { // 7 + 15
-		t.Errorf("latencies = %v", lats)
-	}
-}
-
 func TestDeliveredWithoutCreated(t *testing.T) {
 	// Robustness: a delivery with no matching creation must not poison
 	// the averages.

@@ -106,13 +106,43 @@ func (l leg) at(t float64) geom.Point {
 	return l.from.Lerp(l.to, (t-l.t0)/(l.t1-l.t0))
 }
 
+// trajectory is the lazily drawn leg sequence of the random waypoint and
+// random walk models. It starts with one leg and keeps every leg drawn,
+// so a position never changes once answered.
+type trajectory []leg
+
+// at returns the position at time t (negative t reads as 0), first
+// appending legs drawn by next until the last one ends at or after t.
+func (tr *trajectory) at(t float64, next func(t0 float64, from geom.Point) leg) geom.Point {
+	if t < 0 {
+		t = 0
+	}
+	legs := *tr
+	for legs[len(legs)-1].end() < t {
+		last := legs[len(legs)-1]
+		legs = append(legs, next(last.end(), last.to))
+	}
+	*tr = legs
+	// Binary search for the covering leg.
+	lo, hi := 0, len(legs)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if legs[mid].end() < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return legs[lo].at(t)
+}
+
 // Waypoint is the random waypoint mobility model: pick a uniform
 // destination in the region, travel to it in a straight line at a uniform
 // random speed, pause, repeat.
 type Waypoint struct {
 	cfg  WaypointConfig
 	rng  *rand.Rand
-	legs []leg
+	legs trajectory
 }
 
 // NewWaypoint creates a waypoint model with its own rng.New stream for
@@ -144,26 +174,7 @@ func (w *Waypoint) nextLeg(t0 float64, from geom.Point) leg {
 }
 
 // Position implements Model.
-func (w *Waypoint) Position(t float64) geom.Point {
-	if t < 0 {
-		t = 0
-	}
-	for w.legs[len(w.legs)-1].end() < t {
-		last := w.legs[len(w.legs)-1]
-		w.legs = append(w.legs, w.nextLeg(last.end(), last.to))
-	}
-	// Binary search for the covering leg.
-	lo, hi := 0, len(w.legs)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.legs[mid].end() < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return w.legs[lo].at(t)
-}
+func (w *Waypoint) Position(t float64) geom.Point { return w.legs.at(t, w.nextLeg) }
 
 // RandomWalkConfig parameterises the reflecting random walk model.
 type RandomWalkConfig struct {
@@ -178,7 +189,7 @@ type RandomWalkConfig struct {
 type RandomWalk struct {
 	cfg  RandomWalkConfig
 	rng  *rand.Rand
-	legs []leg
+	legs trajectory
 }
 
 // NewRandomWalk creates a random-walk model with its own rng.New stream
@@ -230,25 +241,7 @@ func reflectInto(p geom.Point, r Region) geom.Point {
 }
 
 // Position implements Model.
-func (w *RandomWalk) Position(t float64) geom.Point {
-	if t < 0 {
-		t = 0
-	}
-	for w.legs[len(w.legs)-1].end() < t {
-		last := w.legs[len(w.legs)-1]
-		w.legs = append(w.legs, w.nextLeg(last.end(), last.to))
-	}
-	lo, hi := 0, len(w.legs)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.legs[mid].end() < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return w.legs[lo].at(t)
-}
+func (w *RandomWalk) Position(t float64) geom.Point { return w.legs.at(t, w.nextLeg) }
 
 // TracePoint is one scripted waypoint: be at P at time T.
 type TracePoint struct {

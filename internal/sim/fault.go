@@ -57,9 +57,6 @@ func (w *World) advertisedPos(id int, pos geom.Point) geom.Point {
 // occurrence takes effect and must not mutate the run. Call before Run.
 func (w *World) SetFaultHook(fn func(fault.Event)) { w.faultHook = fn }
 
-// NodesDown returns the number of currently crashed nodes.
-func (w *World) NodesDown() int { return w.downCount }
-
 func (w *World) notifyFault(e fault.Event) {
 	if w.faultHook != nil {
 		w.faultHook(e)

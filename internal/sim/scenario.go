@@ -170,7 +170,31 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("sim: faults[%d]: %w", i, err)
 		}
 	}
-	return nil
+	if legs := s.mobilityLegs(); legs > MaxLegsPerNode {
+		return fmt.Errorf("sim: %v mobility would draw about %.3g legs per node over %v s, more than %d",
+			s.Mobility, legs, s.SimTime, MaxLegsPerNode)
+	}
+	return s.MACConfig().Validate()
+}
+
+// MaxLegsPerNode caps the straight legs a random waypoint or random walk
+// trajectory may need over the horizon. Models remember every leg they
+// draw, and a leg shorter than the clock's float resolution would never
+// advance time, so an uncapped speed, region or leg time could exhaust
+// memory before the run starts. The paper's world needs about 250.
+const MaxLegsPerNode = 100_000
+
+// mobilityLegs estimates the legs per node the mobility model draws over
+// the horizon: one per LegTime for the random walk, and for the random
+// waypoint one per crossing of the region's short side at top speed.
+func (s Scenario) mobilityLegs() float64 {
+	switch s.Mobility {
+	case MobilityWaypoint:
+		return s.SimTime * s.MaxSpeed / min(s.Region.W, s.Region.H)
+	case MobilityRandomWalk:
+		return s.SimTime / s.WalkLegTime
+	}
+	return 0
 }
 
 // maxDriftSpeed returns the fastest any node can move, for sizing the
@@ -196,11 +220,22 @@ func (s Scenario) maxDriftSpeed() float64 {
 	return top
 }
 
-// MACConfig returns the MAC configuration for the scenario.
+// MACConfig returns the MAC configuration for the scenario: MACOverride,
+// or the default for Range, with a zero IndexSlack derived from the
+// mobility. Validate checks the result.
 func (s Scenario) MACConfig() mac.Config {
 	cfg := mac.DefaultConfig(s.Range)
 	if s.MACOverride != nil {
 		cfg = *s.MACOverride
+	}
+	if cfg.IndexSlack == 0 {
+		// The medium's radio index is refreshed once per beacon
+		// interval (see World.scheduleReindex), so cached cells can be
+		// stale by up to top-speed × BeaconInterval metres of movement;
+		// widen index queries by that drift bound plus a safety metre.
+		// The top speed comes from the mobility model — for traces it is
+		// the fastest scripted segment, which MaxSpeed does not bound.
+		cfg.IndexSlack = s.maxDriftSpeed()*s.BeaconInterval + 1
 	}
 	return cfg
 }

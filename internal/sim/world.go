@@ -111,15 +111,6 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	w.sched = des.NewScheduler()
 
 	macCfg := cfg.MACConfig()
-	if macCfg.IndexSlack == 0 {
-		// The medium's radio index is refreshed once per beacon
-		// interval (see scheduleReindex), so cached cells can be stale
-		// by up to top-speed × BeaconInterval metres of movement; widen
-		// index queries by that drift bound plus a safety metre. The
-		// top speed comes from the mobility model — for traces it is
-		// the fastest scripted segment, which MaxSpeed does not bound.
-		macCfg.IndexSlack = cfg.maxDriftSpeed()*cfg.BeaconInterval + 1
-	}
 	if w.plan != nil {
 		// Blackouts and crashed receivers gate reception inside the
 		// medium through a pure predicate of its arguments.

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample summarises a batch of observations.
@@ -192,28 +191,4 @@ func betacf(a, b, x float64) float64 {
 func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between order statistics. Empty input returns NaN.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

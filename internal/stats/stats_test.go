@@ -153,24 +153,6 @@ func TestCIShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {-5, 1}, {110, 5}, {62.5, 3.5},
-	}
-	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile should be NaN")
-	}
-}
-
 func TestAccumulatorMatchesSummarize(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"glr/internal/sim"
 )
 
 // MobilityKind names one of the built-in mobility models as a value a
@@ -176,61 +174,23 @@ func (m Matrix) Normalized() Matrix {
 	return m
 }
 
-// Validate reports a descriptive error for unusable matrices. It checks
-// the normalized form, so empty axes (which default) are fine but any
-// explicit value out of its domain is not.
+// Validate reports a descriptive error for unusable matrices: a seed
+// count below 1, or a cell that does not compile via Cell.Scenario with
+// one of the matrix's seeds (a seed changes the workload's schedule). It
+// checks the normalized form, so empty axes (which default) are fine but
+// any explicit value out of its domain is not.
 func (m Matrix) Validate() error {
 	n := m.Normalized()
-	for _, p := range n.Protocols {
-		switch p {
-		case GLR, Epidemic:
-		default:
-			return fmt.Errorf("glr: matrix protocol %q unknown", p)
-		}
+	if n.Seeds < 1 {
+		return fmt.Errorf("glr: matrix seed count %d must be ≥ 1", n.Seeds)
 	}
-	for _, k := range n.Mobilities {
-		if _, err := k.Mobility(); err != nil {
-			return err
-		}
-	}
-	for _, k := range n.Workloads {
-		if _, err := k.Workload(n.Messages); err != nil {
-			return err
-		}
-	}
-	for _, nodes := range n.Nodes {
-		if nodes < 2 {
-			return fmt.Errorf("glr: matrix node count %d must be ≥ 2", nodes)
-		}
-	}
-	for _, r := range n.Ranges {
-		if r <= 0 || !finite(r) {
-			return fmt.Errorf("glr: matrix range %v must be positive and finite", r)
-		}
-	}
-	for _, s := range n.StorageLimits {
-		if s < 0 {
-			return fmt.Errorf("glr: matrix storage limit %d must be nonnegative", s)
-		}
-	}
-	// Cells always compile onto the default deployment region, so fault
-	// rectangles validate against it here exactly as they will at
-	// scenario construction.
-	region := sim.DefaultScenario(100).Region
-	for fi, fs := range n.Faults {
-		for _, f := range fs {
-			if err := f.spec().Validate(region, n.SimTime); err != nil {
-				return fmt.Errorf("glr: matrix faults[%d]: %w", fi, err)
+	for _, c := range n.Cells() {
+		for r := 0; r < n.Seeds; r++ {
+			seed := n.BaseSeed + int64(r)
+			if _, err := c.Scenario(WithSeed(seed)); err != nil {
+				return fmt.Errorf("glr: matrix cell %s seed %d: %w", c.Label(), seed, err)
 			}
 		}
-	}
-	switch {
-	case n.Messages < 0:
-		return fmt.Errorf("glr: matrix message count %d must be nonnegative", n.Messages)
-	case n.SimTime <= 0 || !finite(n.SimTime):
-		return fmt.Errorf("glr: matrix sim time %v must be positive and finite", n.SimTime)
-	case n.Seeds < 1:
-		return fmt.Errorf("glr: matrix seed count %d must be ≥ 1", n.Seeds)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package glr
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,8 @@ func TestMatrixValidateRejectsBadValues(t *testing.T) {
 		{Nodes: []int{0}},
 		{Ranges: []float64{-1}},
 		{StorageLimits: []int{-2}},
+		{Ranges: []float64{1e308}},
+		{Seeds: -1},
 	}
 	for i, m := range bad {
 		if err := m.Normalized().Validate(); err == nil {
@@ -126,4 +129,87 @@ func TestKindExpansion(t *testing.T) {
 	if _, err := WorkloadKind("bursty").Workload(10); err == nil {
 		t.Error("unknown workload kind expanded")
 	}
+}
+
+// FuzzMatrix: Matrix.Validate never panics, and it accepts a small
+// matrix exactly when every cell compiles via Cell.Scenario with each of
+// the matrix's seeds, as the atlas driver compiles them. A selector of 0
+// leaves its axis empty (defaulted); an unparsable fault slug is not a
+// matrix.
+func FuzzMatrix(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	type input struct {
+		proto, mob, work uint8
+		nodes            int
+		rangeM           float64
+		storage          int
+		faults           string
+		messages         int
+		simTime          float64
+		seeds            int
+		baseSeed         int64
+	}
+	for _, in := range []input{
+		{},
+		{proto: 3, mob: 3, work: 3, nodes: 10, rangeM: 150, messages: 20, simTime: 90, seeds: 2, baseSeed: 7},
+		{proto: 1, mob: 2, work: 4, nodes: 8, storage: 5, faults: "churn(rate=0.002,dur=30)+gps-noise(sigma=50)", messages: 10, seeds: 1},
+		{faults: "region-blackout(x=2000,y=0,w=100,h=100,start=0,end=50)", messages: 10, seeds: 1},
+		{work: 3, messages: 200, simTime: 201, seeds: 5},
+		{proto: 5, messages: 10, seeds: 1},
+		{mob: 4, messages: 10, seeds: 1},
+		{work: 5, messages: 10, seeds: 1},
+		{nodes: 1, messages: 10, seeds: 1},
+		{rangeM: 1e308, messages: 10, seeds: 1},
+		{rangeM: nan, messages: 10, seeds: 1},
+		{simTime: inf, messages: 10, seeds: 1},
+		{storage: -2, messages: 10, seeds: 1},
+		{messages: -1, seeds: 1},
+		{messages: 10, seeds: -1},
+	} {
+		f.Add(in.proto, in.mob, in.work, in.nodes, in.rangeM, in.storage, in.faults, in.messages, in.simTime, in.seeds, in.baseSeed)
+	}
+	f.Fuzz(func(t *testing.T, proto, mob, work uint8, nodes int, rangeM float64, storage int,
+		faults string, messages int, simTime float64, seeds int, baseSeed int64) {
+		if messages > 2000 || seeds > 5 {
+			return // not small: Validate compiles every cell for every seed
+		}
+		fs, err := ParseFaults(faults)
+		if err != nil {
+			return
+		}
+		m := Matrix{
+			Protocols:  [][]Protocol{nil, {GLR}, {Epidemic}, {GLR, Epidemic}, {""}, {"carrier-pigeon"}}[int(proto)%6],
+			Mobilities: [][]MobilityKind{nil, {MobilityWaypoint}, {MobilityStatic}, {MobilityRandomWalk}, {"teleport"}}[int(mob)%5],
+			Workloads: [][]WorkloadKind{nil, {WorkloadPaper}, {WorkloadUniform}, {WorkloadPoisson},
+				{WorkloadHotspot}, {"bursty"}}[int(work)%6],
+			Messages: messages,
+			SimTime:  simTime,
+			Seeds:    seeds,
+			BaseSeed: baseSeed,
+		}
+		if nodes != 0 {
+			m.Nodes = []int{nodes}
+		}
+		if rangeM != 0 {
+			m.Ranges = []float64{rangeM}
+		}
+		if storage != 0 {
+			m.StorageLimits = []int{storage}
+		}
+		if len(fs) > 0 {
+			m.Faults = [][]Fault{fs}
+		}
+		got := m.Validate()
+		n := m.Normalized()
+		compiles := n.Seeds >= 1
+		for _, c := range n.Cells() {
+			for r := 0; compiles && r < n.Seeds; r++ {
+				_, err := c.Scenario(WithSeed(n.BaseSeed + int64(r)))
+				compiles = err == nil
+			}
+		}
+		if (got == nil) != compiles {
+			t.Fatalf("Validate = %v, but every cell compiles = %v (matrix %+v)", got, compiles, n)
+		}
+	})
 }

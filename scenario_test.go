@@ -601,6 +601,35 @@ func TestNonFiniteScenarioInputsRejected(t *testing.T) {
 	}
 }
 
+// TestNewScenarioRejectsUnrunnableWorlds: a mobility whose horizon needs
+// more waypoint or walk legs per node than sim.MaxLegsPerNode, and a range
+// whose MAC index query radius overflows, fail NewScenario. Before these
+// checks, the first three ran out of memory drawing legs in Run and the
+// range failed only in Run. Horizons just under the cap build.
+func TestNewScenarioRejectsUnrunnableWorlds(t *testing.T) {
+	const maxLegs = sim.MaxLegsPerNode
+	cases := []struct {
+		name string
+		opt  Option
+		ok   bool
+	}{
+		{"waypoint speed 1e300", WithMobility(Waypoint{MaxSpeed: 1e300}), false},
+		{"region 1e-300", WithRegion(1e-300, 1e-300), false},
+		{"walk leg 1e-9", WithMobility(RandomWalk{LegTime: 1e-9}), false},
+		{"range 1e308", WithRange(1e308), false},
+		{"walk just under the cap", WithMobility(RandomWalk{LegTime: 20 / (0.99 * maxLegs)}), true},
+		{"waypoint just under the cap", WithMobility(Waypoint{MaxSpeed: 0.99 * maxLegs * 300 / 20}), true},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := NewScenario(WithNodes(6), WithWorkload(PaperWorkload{Messages: 4}), WithSimTime(20), tt.opt)
+			if (err == nil) != tt.ok {
+				t.Fatalf("NewScenario error = %v, want ok = %v", err, tt.ok)
+			}
+		})
+	}
+}
+
 // FuzzScenarioOptions: any range, region, horizon, speed, pause, leg
 // time, rate, check interval and sample interval either fails
 // NewScenario with an error or builds a scenario. Small accepted ones
