@@ -36,8 +36,9 @@ test-short:
 ## which runs this target, so the list below is the only one: 15 s each
 ## for the fault-slug parser, the neighbor table, the buffer's summary
 ## vector, scripted trace mobility, the scenario options, the scenario
-## matrix's validation, the MAC configuration, the LDT spanner query
-## and the atlas cache loader.
+## matrix's validation, the MAC configuration, the MAC's retention rule
+## against a never-pruning medium, the LDT spanner query and the atlas
+## cache loader.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborTable$$' -fuzztime 15s ./internal/dtn
@@ -46,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioOptions$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzMatrix$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzMediumConfig$$' -fuzztime 15s ./internal/mac
+	$(GO) test -run '^$$' -fuzz '^FuzzMediumRetention$$' -fuzztime 15s ./internal/mac
 	$(GO) test -run '^$$' -fuzz '^FuzzSpannerNeighbors$$' -fuzztime 15s ./internal/ldt
 	$(GO) test -run '^$$' -fuzz '^FuzzCellCache$$' -fuzztime 15s ./internal/matrix
 

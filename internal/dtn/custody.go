@@ -142,13 +142,3 @@ func (c *CustodyStore) ExpireCache(deadline float64) []*Message {
 	}
 	return moved
 }
-
-// DropAll empties both areas (end-of-run cleanup), returning the count
-// dropped.
-func (c *CustodyStore) DropAll() int {
-	n := c.Total()
-	c.store = NewBuffer(0)
-	c.cache = NewBuffer(0)
-	c.sentAt = make(map[MessageID]float64)
-	return n
-}

@@ -36,9 +36,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return ok
 }
 
-// Degree returns the number of neighbors of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // Neighbors returns the neighbors of u in ascending order. The returned
 // slice is freshly allocated; callers may mutate it.
 func (g *Graph) Neighbors(u int) []int {

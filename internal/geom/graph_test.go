@@ -34,9 +34,6 @@ func TestGraphBasics(t *testing.T) {
 	if got := g.Neighbors(1); !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Errorf("Neighbors(1) = %v, want [0 2]", got)
 	}
-	if g.Degree(1) != 2 {
-		t.Errorf("Degree(1) = %d, want 2", g.Degree(1))
-	}
 }
 
 func TestGraphEdgesDeterministic(t *testing.T) {

@@ -31,17 +31,8 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Dot returns the dot product p·q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the z-component of the cross product p × q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
-// Norm2 returns the squared Euclidean length of p viewed as a vector.
-func (p Point) Norm2() float64 { return p.X*p.X + p.Y*p.Y }
 
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
@@ -52,9 +43,6 @@ func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return dx*dx + dy*dy
 }
-
-// Angle returns the polar angle of the vector p in (-π, π].
-func (p Point) Angle() float64 { return math.Atan2(p.Y, p.X) }
 
 // AngleTo returns the polar angle of the vector from p to q.
 func (p Point) AngleTo(q Point) float64 { return math.Atan2(q.Y-p.Y, q.X-p.X) }

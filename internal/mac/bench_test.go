@@ -12,7 +12,7 @@ import (
 // paperDensityMedium returns a medium of n static radios scattered at the
 // paper's node density (50 nodes per 1500×300 m): area grows linearly
 // with the node count.
-func paperDensityMedium(b *testing.B, n int) (*des.Scheduler, *Medium) {
+func paperDensityMedium(b testing.TB, n int) (*des.Scheduler, *Medium) {
 	b.Helper()
 	area := float64(n) / (50.0 / (1500 * 300))
 	side := math.Sqrt(area)
@@ -53,22 +53,28 @@ func BenchmarkMediumBroadcastGrid(b *testing.B) {
 }
 
 // BenchmarkMediumRetainedAir measures one airing's cost on a 10k-radio
-// medium at the paper's density under steady load: a broadcast every
-// 200 µs of simulated time, so about 5000 ended airings stay retained
-// over activeSlack. Each op advances the clock by one send interval; the
-// cost per resolved airing should not grow with the retained air, which
-// is world-wide while an airing's batch and interferers are local.
+// medium at the paper's density under steady load: an 8000-bit
+// broadcast every 200 µs of simulated time, about 42 sends per airtime.
+// The medium keeps an ended airing for one longest airtime plus a slot,
+// so a few airtimes' worth of airings (under 200) stay retained. Each op
+// advances the clock by one send interval; the cost per resolved airing
+// should not grow with the world, whose retained air is world-wide while
+// an airing's batch and interferers are local.
 func BenchmarkMediumRetainedAir(b *testing.B) {
 	const (
 		n     = 10000
 		every = 200e-6 // simulated seconds between sends
-		warm  = int(2 * activeSlack / every)
+		bits  = 8000
 	)
 	sched, m := paperDensityMedium(b, n)
+	// Warm up over four airtimes, past the first prunes, so the
+	// retained air has reached its steady state and every op resolves
+	// about one airing.
+	warm := int(4 * m.frameAirtime(&Frame{Bits: bits}) / every)
 	resolved := 0
 	frames := make([]Frame, n)
 	for i := range m.radios {
-		frames[i] = Frame{Dst: Broadcast, Bits: 8000}
+		frames[i] = Frame{Dst: Broadcast, Bits: bits}
 		m.radios[i].onSent = func(*Frame, bool) { resolved++ }
 	}
 	// A stride coprime to n visits the radios in a scattered order.

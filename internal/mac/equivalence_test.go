@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,7 +21,7 @@ type recvRecord struct {
 	payload int
 }
 
-// equivMedium is one of the two media under comparison, with its own
+// equivMedium is one of the media under comparison, with its own
 // scheduler and delivery log.
 type equivMedium struct {
 	sched  *des.Scheduler
@@ -28,24 +29,22 @@ type equivMedium struct {
 	log    []recvRecord
 }
 
+// mediumFunc builds a medium: NewMedium, or one of the test references
+// in export_test.go.
+type mediumFunc func(*des.Scheduler, Config, int64) (*Medium, error)
+
 // buildEquivMedium wires n radios with the given position functions onto
-// a fresh medium — grid-indexed, or the naive full-scan reference. pos
-// functions take the medium's own clock so moving topologies evolve
-// identically on both sides.
-func buildEquivMedium(t *testing.T, cfg Config, naive bool, n int, pos func(id int, now des.Time) geom.Point, seed int64) *equivMedium {
+// a fresh medium built by newMedium. pos functions take the medium's own
+// clock so moving topologies evolve identically on every side.
+func buildEquivMedium(t testing.TB, newMedium mediumFunc, cfg Config, n int, pos func(id int, now des.Time) geom.Point, seed int64) *equivMedium {
 	t.Helper()
 	sched := des.NewScheduler()
-	newMedium := NewMedium
-	if naive {
-		newMedium = newNaiveMedium
-	}
 	m, err := newMedium(sched, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	em := &equivMedium{sched: sched, medium: m}
 	for i := 0; i < n; i++ {
-		i := i
 		_, err := m.AddRadio(i,
 			func() geom.Point { return pos(i, sched.Now()) },
 			func(f *Frame) {
@@ -62,6 +61,113 @@ func buildEquivMedium(t *testing.T, cfg Config, naive bool, n int, pos func(id i
 	return em
 }
 
+// requireSameRun fails t unless both media delivered the same frames in
+// the same order and counted the same stats.
+func requireSameRun(t testing.TB, a, b *equivMedium, aName, bName string) {
+	t.Helper()
+	if len(a.log) != len(b.log) {
+		t.Fatalf("%s delivered %d frames, %s %d", aName, len(a.log), bName, len(b.log))
+	}
+	for i := range a.log {
+		if a.log[i] != b.log[i] {
+			t.Fatalf("delivery %d differs: %s %+v, %s %+v", i, aName, a.log[i], bName, b.log[i])
+		}
+	}
+	if a.medium.Stats() != b.medium.Stats() {
+		t.Fatalf("stats differ:\n %-6s %+v\n %-6s %+v", aName, a.medium.Stats(), bName, b.medium.Stats())
+	}
+}
+
+// sendSpec is one frame a test world hands to a radio at a given time.
+type sendSpec struct {
+	at       des.Time
+	src, dst int
+	bits     int
+}
+
+// equivWorld is a randomized topology (static or moving), MAC
+// configuration and traffic that every medium under comparison runs.
+type equivWorld struct {
+	n     int
+	cfg   Config
+	pos   func(id int, now des.Time) geom.Point
+	seed  int64
+	sends []sendSpec
+}
+
+// equivReindexEvery is the period of a world's Reindex ticker.
+const equivReindexEvery = 0.25
+
+// randomEquivWorld draws world number trial: 8–63 radios on a square of
+// side 300–1200 m, moving linearly in odd trials, and 10–49 broadcast
+// and unicast frames of 400–8399 bits sent over the first 5 seconds.
+func randomEquivWorld(trial int) equivWorld {
+	rng := rand.New(rand.NewSource(int64(trial)*7919 + 3))
+
+	n := 8 + rng.Intn(56)
+	side := 300 + rng.Float64()*900
+	moving := trial%2 == 1
+	maxSpeed := 0.0
+	if moving {
+		maxSpeed = 5 + rng.Float64()*25
+	}
+
+	// Per-node start positions and velocities; moving nodes drift
+	// linearly so every medium sees identical trajectories.
+	starts := make([]geom.Point, n)
+	vels := make([]geom.Point, n)
+	for i := range starts {
+		starts[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
+		if moving {
+			ang := rng.Float64() * 2 * math.Pi
+			sp := rng.Float64() * maxSpeed
+			vels[i] = geom.Pt(sp*math.Cos(ang), sp*math.Sin(ang))
+		}
+	}
+	pos := func(id int, now des.Time) geom.Point {
+		return starts[id].Add(vels[id].Scale(now))
+	}
+
+	cfg := DefaultConfig(60 + rng.Float64()*120)
+	cfg.CSRangeFactor = 1 + rng.Float64()*1.5
+	cfg.VirtualCS = rng.Intn(2) == 0
+	if rng.Intn(2) == 0 {
+		cfg.CaptureRatio = 0
+	}
+	cfg.IndexSlack = maxSpeed*equivReindexEvery + 1
+
+	w := equivWorld{n: n, cfg: cfg, pos: pos, seed: int64(trial)*31 + 11}
+	w.sends = make([]sendSpec, 10+rng.Intn(40))
+	for k := range w.sends {
+		sp := sendSpec{
+			at:   rng.Float64() * 5,
+			src:  rng.Intn(n),
+			dst:  Broadcast,
+			bits: 400 + rng.Intn(8000),
+		}
+		if rng.Intn(10) < 3 {
+			sp.dst = rng.Intn(n)
+		}
+		w.sends[k] = sp
+	}
+	return w
+}
+
+// run plays the world on a medium built by newMedium for 30 simulated
+// seconds. Frame k carries payload k.
+func (w equivWorld) run(t testing.TB, newMedium mediumFunc) *equivMedium {
+	t.Helper()
+	em := buildEquivMedium(t, newMedium, w.cfg, w.n, w.pos, w.seed)
+	for k, sp := range w.sends {
+		em.sched.At(sp.at, func() {
+			em.medium.radios[sp.src].Send(&Frame{Dst: sp.dst, Bits: sp.bits, Payload: k})
+		})
+	}
+	des.NewTicker(em.sched, equivReindexEvery, 0, em.medium.Reindex)
+	em.sched.Run(30)
+	return em
+}
+
 // TestGridNaiveEquivalence is the property test for the spatial index:
 // over randomized topologies (static and moving), MAC parameters, and
 // traffic, the grid-indexed medium and the naive full-scan medium must
@@ -70,83 +176,10 @@ func TestGridNaiveEquivalence(t *testing.T) {
 	const trials = 24
 	totalDelivered := 0
 	for trial := 0; trial < trials; trial++ {
-		trial := trial
 		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(trial)*7919 + 3))
-
-			n := 8 + rng.Intn(56)
-			side := 300 + rng.Float64()*900
-			moving := trial%2 == 1
-			const reindexEvery = 0.25
-			maxSpeed := 0.0
-			if moving {
-				maxSpeed = 5 + rng.Float64()*25
-			}
-
-			// Per-node start positions and velocities; moving nodes
-			// drift linearly so both media see identical trajectories.
-			starts := make([]geom.Point, n)
-			vels := make([]geom.Point, n)
-			for i := range starts {
-				starts[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
-				if moving {
-					ang := rng.Float64() * 2 * math.Pi
-					sp := rng.Float64() * maxSpeed
-					vels[i] = geom.Pt(sp*math.Cos(ang), sp*math.Sin(ang))
-				}
-			}
-			pos := func(id int, now des.Time) geom.Point {
-				return starts[id].Add(vels[id].Scale(now))
-			}
-
-			cfg := DefaultConfig(60 + rng.Float64()*120)
-			cfg.CSRangeFactor = 1 + rng.Float64()*1.5
-			cfg.VirtualCS = rng.Intn(2) == 0
-			if rng.Intn(2) == 0 {
-				cfg.CaptureRatio = 0
-			}
-			cfg.IndexSlack = maxSpeed*reindexEvery + 1
-
-			seed := int64(trial)*31 + 11
-			grid := buildEquivMedium(t, cfg, false, n, pos, seed)
-			naive := buildEquivMedium(t, cfg, true, n, pos, seed)
-
-			// Identical traffic on both media: a mix of broadcasts and
-			// unicasts from random sources over the first 5 seconds.
-			frames := 10 + rng.Intn(40)
-			type sendSpec struct {
-				at       des.Time
-				src, dst int
-				bits     int
-			}
-			specs := make([]sendSpec, frames)
-			for k := range specs {
-				sp := sendSpec{
-					at:   rng.Float64() * 5,
-					src:  rng.Intn(n),
-					dst:  Broadcast,
-					bits: 400 + rng.Intn(8000),
-				}
-				if rng.Intn(10) < 3 {
-					sp.dst = rng.Intn(n)
-				}
-				specs[k] = sp
-			}
-			for _, em := range []*equivMedium{grid, naive} {
-				em := em
-				for k, sp := range specs {
-					k, sp := k, sp
-					em.sched.At(sp.at, func() {
-						em.medium.radios[sp.src].Send(&Frame{Dst: sp.dst, Bits: sp.bits, Payload: k})
-					})
-				}
-				des.NewTicker(em.sched, reindexEvery, 0, em.medium.Reindex)
-				em.sched.Run(30)
-			}
-
-			if len(grid.log) != len(naive.log) {
-				t.Fatalf("grid delivered %d frames, naive %d", len(grid.log), len(naive.log))
-			}
+			w := randomEquivWorld(trial)
+			grid := w.run(t, NewMedium)
+			naive := w.run(t, newNaiveMedium)
 			// The two paths resolve one airing's receivers in different
 			// orders (id order vs grid-bucket order), so deliveries
 			// within the same instant may be permuted; canonicalize
@@ -168,14 +201,7 @@ func TestGridNaiveEquivalence(t *testing.T) {
 			}
 			canon(grid.log)
 			canon(naive.log)
-			for i := range grid.log {
-				if grid.log[i] != naive.log[i] {
-					t.Fatalf("delivery %d differs: grid %+v, naive %+v", i, grid.log[i], naive.log[i])
-				}
-			}
-			if grid.medium.Stats() != naive.medium.Stats() {
-				t.Fatalf("stats differ:\n grid  %+v\n naive %+v", grid.medium.Stats(), naive.medium.Stats())
-			}
+			requireSameRun(t, grid, naive, "grid", "naive")
 			totalDelivered += len(grid.log)
 		})
 	}
@@ -183,6 +209,59 @@ func TestGridNaiveEquivalence(t *testing.T) {
 	// actually exercise delivery, not just agree on silence.
 	if totalDelivered == 0 {
 		t.Fatal("no trial delivered any frame; the property test is vacuous")
+	}
+}
+
+// TestRetentionMatchesUnpruned is the property test for the retention
+// rule: on the worlds of TestGridNaiveEquivalence, and on the same
+// worlds with one frame stretched to a 1–4 s airing and four short
+// broadcasts sent in the 10 ms before it, the
+// production medium (which keeps an ended airing for one longest
+// airtime plus a slot) and the never-pruning reference deliver the same
+// frames in the same order and count the same stats.
+func TestRetentionMatchesUnpruned(t *testing.T) {
+	const trials = 24
+	pruned, collisions := 0, uint64(0)
+	for trial := 0; trial < trials; trial++ {
+		for _, long := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed=%d/long=%v", trial, long), func(t *testing.T) {
+				w := randomEquivWorld(trial)
+				if long {
+					rng := rand.New(rand.NewSource(int64(trial) + 101))
+					// One frame becomes a 1–4 s airing. Four short
+					// frames are sent in the 10 ms before it: those from
+					// senders hidden from its sender air on into it and
+					// end long before it, and must still corrupt it.
+					// (A second long airing on the air would keep them
+					// retained: the FIFO prunes only from its front.)
+					sends := slices.Clone(w.sends)
+					i := rng.Intn(len(sends))
+					sends[i].bits = 1e6 + rng.Intn(3e6)
+					for range 4 {
+						sends = append(sends, sendSpec{
+							at:   max(0, sends[i].at-0.01*rng.Float64()),
+							src:  rng.Intn(w.n),
+							dst:  Broadcast,
+							bits: 400 + rng.Intn(8000),
+						})
+					}
+					w.sends = sends
+				}
+				tight := w.run(t, NewMedium)
+				ref := w.run(t, newUnprunedMedium)
+				requireSameRun(t, tight, ref, "tight", "never-pruned")
+				if tight.medium.retained() < ref.medium.retained() {
+					pruned++
+				}
+				collisions += tight.medium.Stats().Collisions
+			})
+		}
+	}
+	// Guard against a vacuous pass: the production medium must have
+	// pruned airings the reference kept, and overlaps must have decided
+	// some receptions.
+	if pruned == 0 || collisions == 0 {
+		t.Fatalf("%d runs pruned, %d collisions; the property test is vacuous", pruned, collisions)
 	}
 }
 
@@ -213,7 +292,7 @@ func TestEndIndexInvariant(t *testing.T) {
 		cfg.CSRangeFactor = 1 + rng.Float64()*1.5
 		cfg.VirtualCS = rng.Intn(2) == 0
 		cfg.IndexSlack = maxSpeed*reindexEvery + 1
-		em := buildEquivMedium(t, cfg, false, n, pos, int64(trial)+1)
+		em := buildEquivMedium(t, NewMedium, cfg, n, pos, int64(trial)+1)
 
 		for k := 0; k < 40+rng.Intn(80); k++ {
 			at := float64(rng.Intn(40)) * 0.125

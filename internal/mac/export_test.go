@@ -28,6 +28,22 @@ func newNaiveMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, erro
 	return m, nil
 }
 
+// newUnprunedMedium returns the reference medium the retention rule is
+// checked against: a production medium that never prunes its FIFO or a
+// radio's half-duplex history (retain = +Inf), so every overlap check
+// sees every airing ever started.
+func newUnprunedMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
+	m, err := NewMedium(sched, cfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	m.retain = math.Inf(1)
+	return m, nil
+}
+
+// retained returns the number of airings the FIFO holds.
+func (m *Medium) retained() int { return len(m.active) - m.head }
+
 // checkEndIndex checks the end-tick index against a rescan of the
 // retained FIFO: the index must hold exactly the airings that have not
 // ended, {u ∈ active[head:] : u.end > now}, each under its own end tick

@@ -178,7 +178,10 @@ type Stats struct {
 // event per distinct end tick resolves that tick's batch. An end event
 // therefore costs the size of its own batch, not the world's retained
 // air. The active FIFO only decides when an airing is old enough to be
-// pruned.
+// pruned: an ended airing is kept for the longest airtime started so
+// far plus one SlotTime (retain), the least that still covers every
+// airing it can overlap, so interferer gathers and carrier sensing walk
+// only the last few airtimes of the channel (see pruneActive).
 type Medium struct {
 	cfg    Config
 	sched  *des.Scheduler
@@ -186,7 +189,7 @@ type Medium struct {
 	radios []*Radio
 	active []*transmission // FIFO, in start order, of retained transmissions
 	head   int             // index of the oldest retained entry in active
-	retain float64         // seconds an ended airing is kept; see pruneActive
+	retain float64         // seconds an ended airing is kept: longest airtime + SlotTime
 	stats  Stats
 
 	// End-tick index of unresolved airings. endFn is the one shared end
@@ -238,7 +241,7 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
 		cfg:    cfg,
 		sched:  sched,
 		rng:    rng.New(seed),
-		retain: activeSlack,
+		retain: cfg.SlotTime,
 		ending: make(map[des.Time][]*transmission),
 	}
 	m.endFn = m.resolveEnds
@@ -381,11 +384,6 @@ func (m *Medium) busyFor(p geom.Point) (bool, des.Time) {
 	return busy, until
 }
 
-// activeSlack is the least time a finished transmission is retained, in
-// seconds. It exceeds the airtime of every default-sized frame; longer
-// airings raise Medium.retain to their own airtime (see pruneActive).
-const activeSlack = 1.0
-
 // allocHandle registers t under a recycled spatial-index handle at
 // anchor p.
 func (m *Medium) allocHandle(t *transmission, p geom.Point) int {
@@ -435,14 +433,19 @@ func (m *Medium) indexTransmission(t *transmission) {
 
 // pruneActive drops transmissions old enough that they can no longer
 // overlap anything in flight. An airing is kept for m.retain after its
-// end: activeSlack, or the longest airtime started so far if that is
-// longer. An unresolved airing started at most m.retain before its end,
-// so it cannot overlap one that ended m.retain ago. Airings expire in
-// near-FIFO order (they are appended in start order and their airtimes
-// are bounded by m.retain), so popping from the front is amortized O(1)
-// per airing; the handful of out-of-order stragglers a long frame keeps
+// end: the longest airtime started so far plus one SlotTime. An
+// unresolved airing ends at or after now and started at most one
+// longest airtime before its end, so it cannot overlap an airing that
+// ended m.retain ago (an airing that starts in the tick another ends
+// does not overlap it). The SlotTime margin absorbs float rounding at
+// the u.end+m.retain <= now boundary, which stays far below a slot
+// while the clock can still resolve slots. Airings expire in near-FIFO
+// order (they are appended in start order and their airtimes are
+// bounded by m.retain), so popping from the front is amortized O(1) per
+// airing; the handful of out-of-order stragglers a long frame keeps
 // alive are filtered by the overlap checks like any other retained
-// entry. Unresolved airings are never pruned: they end at or after now.
+// entry. Unresolved airings are never pruned: m.retain is positive and
+// they end at or after now.
 func (m *Medium) pruneActive() {
 	now := m.sched.Now()
 	for m.head < len(m.active) && m.active[m.head].end+m.retain <= now {
@@ -636,7 +639,6 @@ func (m *Medium) deliverTo(t *transmission, r *Radio) bool {
 		return false
 	}
 	m.stats.Delivered++
-	r.recvCount++
 	if r.onRecv != nil {
 		r.onRecv(t.frame)
 	}

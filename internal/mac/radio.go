@@ -22,24 +22,13 @@ type Radio struct {
 	retries      int         // retries consumed by the head-of-line frame
 	// recent holds this radio's own latest airing intervals for
 	// half-duplex checks; on each new airing it drops the entries that
-	// ended more than Medium.retain ago.
+	// ended more than Medium.retain ago. A radio airs one frame at a
+	// time, so only a handful of entries remain.
 	recent []airing
-
-	// Per-radio counters.
-	sentOK     uint64
-	sentFail   uint64
-	queueDrops uint64
-	recvCount  uint64
 }
 
 // ID returns the radio identifier.
 func (r *Radio) ID() int { return r.id }
-
-// Counters returns (delivered-unicast, failed-unicast, queue-drops,
-// frames-received).
-func (r *Radio) Counters() (sentOK, sentFail, queueDrops, recv uint64) {
-	return r.sentOK, r.sentFail, r.queueDrops, r.recvCount
-}
 
 // Send enqueues a frame for transmission. It reports false when the
 // link-layer queue is full and the frame was dropped (the paper's queue
@@ -48,7 +37,6 @@ func (r *Radio) Send(f *Frame) bool {
 	m := r.medium
 	if len(r.queue) >= m.cfg.QueueLen {
 		m.stats.QueueDrops++
-		r.queueDrops++
 		if r.onSent != nil {
 			r.onSent(f, false)
 		}
@@ -123,8 +111,8 @@ func (r *Radio) startTransmission() {
 		t.rxPos = m.radios[f.Dst].pos()
 		t.hasRx = true
 	}
-	if air := t.end - t.start; air > m.retain {
-		m.retain = air
+	if keep := t.end - t.start + m.cfg.SlotTime; keep > m.retain {
+		m.retain = keep
 	}
 	m.active = append(m.active, t)
 	m.indexTransmission(t)
@@ -170,11 +158,6 @@ func (r *Radio) completeHead(f *Frame, ok bool) {
 	r.queue = r.queue[:n]
 	r.retries = 0
 	r.cw = m.cfg.CWMin
-	if ok {
-		r.sentOK++
-	} else {
-		r.sentFail++
-	}
 	if r.onSent != nil {
 		r.onSent(f, ok)
 	}

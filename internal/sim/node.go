@@ -103,9 +103,6 @@ func (n *Node) StorageLimit() int { return n.world.cfg.StorageLimit }
 // generator from rng.New, seeded from the run seed and the node id.
 func (n *Node) Rand() *rand.Rand { return n.rng }
 
-// Sched exposes the scheduler for protocol timers.
-func (n *Node) Sched() *des.Scheduler { return n.world.sched }
-
 // After schedules fn after d seconds.
 func (n *Node) After(d float64, fn func()) des.EventID {
 	return n.world.sched.After(d, fn)

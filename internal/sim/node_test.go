@@ -115,7 +115,7 @@ func TestNodeAccessors(t *testing.T) {
 	if n.StorageLimit() != s.StorageLimit {
 		t.Errorf("StorageLimit = %d", n.StorageLimit())
 	}
-	if n.Rand() == nil || n.Sched() == nil || n.Locations() == nil {
+	if n.Rand() == nil || n.Locations() == nil {
 		t.Error("accessors returned nil")
 	}
 	if !s.Region.Contains(n.Pos()) {

@@ -103,9 +103,6 @@ func NewGrid(cellSize float64) (*Grid, error) {
 	}, nil
 }
 
-// CellSize returns the cell edge length.
-func (g *Grid) CellSize() float64 { return g.size }
-
 // Len returns the number of indexed entries.
 func (g *Grid) Len() int {
 	n := 0

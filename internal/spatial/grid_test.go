@@ -272,7 +272,8 @@ func nearOrder(g *Grid, p geom.Point, r float64) []int {
 func TestNearIDsMatchesCellScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
-		g, err := NewGrid(1 + rng.Float64()*9)
+		cell := 1 + rng.Float64()*9
+		g, err := NewGrid(cell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +299,7 @@ func TestNearIDsMatchesCellScan(t *testing.T) {
 		}
 		for q := 0; q < 30; q++ {
 			p := randPt()
-			r := rng.Float64() * 40 * g.CellSize()
+			r := rng.Float64() * 40 * cell
 			want := nearOrder(g, p, r)
 			got := g.NearIDs(p, r, nil)
 			if len(got) != len(want) {
