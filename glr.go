@@ -19,6 +19,13 @@
 //	res, err := sc.Run()
 //	fmt.Println(res)
 //
+// WithProtocol(glr.Epidemic) runs the faithful Vahdat–Becker baseline,
+// which has no knobs; WithGLR tunes the paper's protocol:
+//
+//	sc, err := glr.NewScenario(
+//		glr.WithGLR(glr.GLRConfig{CheckInterval: 0.5, DisableCustody: true}),
+//	)
+//
 // Everything is pluggable. Mobility models (the paper's random
 // waypoint, static placement, a reflecting random walk, scripted
 // traces):
@@ -113,7 +120,11 @@ type Message struct {
 	At       float64
 }
 
-// GLRConfig exposes the protocol knobs of the paper's §2 mechanisms.
+// GLRConfig exposes the GLR knobs the paper's evaluation varies: the
+// route-check interval (Figure 3), the copy count (Algorithm 1), custody
+// transfer (Table 3) and location knowledge (Table 2). The zero value
+// and unset fields keep the paper's defaults; the LDTG depth is fixed at
+// the paper's two hops. The epidemic baseline has no knobs.
 type GLRConfig struct {
 	// CheckInterval is the store-and-forward route re-check period
 	// (paper default 0.9 s; Figure 3 sweeps it).
@@ -127,29 +138,6 @@ type GLRConfig struct {
 	// Location selects the Table-2 destination-knowledge regime:
 	// "source" (default), "all", or "none".
 	Location string
-	// K is the LDTG neighborhood depth (paper: 2).
-	K int
-	// FullTableExchange enables the §2.3.1 extension: whole location
-	// tables are exchanged when nodes meet (the paper describes but
-	// disables this for overhead reasons).
-	FullTableExchange bool
-}
-
-// EpidemicConfig exposes the baseline's anti-entropy knobs.
-type EpidemicConfig struct {
-	// ExchangeInterval rate-limits per-pair anti-entropy sessions.
-	ExchangeInterval float64
-	// DataSendRate paces per-node message transfers (msgs/s; 0 = line
-	// rate).
-	DataSendRate float64
-	// BroadcastDeltas enables the broadcast-advertisement enhancement
-	// (off = faithful Vahdat–Becker, which exchanges summary vectors
-	// only when a contact forms).
-	BroadcastDeltas bool
-	// ActiveReceipts enables the delivery-receipt extension discussed in
-	// the paper's introduction: anti-packets purge delivered messages
-	// from buffers network-wide.
-	ActiveReceipts bool
 }
 
 // Result digests one run.
@@ -202,8 +190,6 @@ func (o *GLRConfig) validate() error {
 		return fmt.Errorf("glr: check interval %v must be nonnegative and finite", o.CheckInterval)
 	case o.Copies < 0:
 		return fmt.Errorf("glr: copy count %d must be nonnegative", o.Copies)
-	case o.K < 0:
-		return fmt.Errorf("glr: LDTG depth K %d must be nonnegative", o.K)
 	}
 	switch o.Location {
 	case "", "source", "all", "none":
@@ -213,47 +199,18 @@ func (o *GLRConfig) validate() error {
 	return nil
 }
 
-// validate rejects knob values outside their domain (nil is valid:
-// faithful Vahdat–Becker defaults).
-func (o *EpidemicConfig) validate() error {
-	if o == nil {
-		return nil
-	}
-	switch {
-	case o.ExchangeInterval < 0 || !finite(o.ExchangeInterval):
-		return fmt.Errorf("glr: exchange interval %v must be nonnegative and finite", o.ExchangeInterval)
-	case o.DataSendRate < 0 || !finite(o.DataSendRate):
-		return fmt.Errorf("glr: data send rate %v must be nonnegative and finite", o.DataSendRate)
-	}
-	return nil
-}
-
 // buildFactory constructs the scenario's protocol factory, validating
 // every knob (invalid values error instead of passing through as
 // "unset").
-func buildFactory(p Protocol, g *GLRConfig, e *EpidemicConfig) (sim.ProtocolFactory, error) {
-	// Both knob sets validate regardless of the selected protocol:
+func buildFactory(p Protocol, g *GLRConfig) (sim.ProtocolFactory, error) {
+	// The GLR knobs validate regardless of the selected protocol:
 	// Runner.Compare runs the same scenario under either.
 	if err := g.validate(); err != nil {
 		return nil, err
 	}
-	if err := e.validate(); err != nil {
-		return nil, err
-	}
 	switch p {
 	case Epidemic:
-		ec := epidemic.DefaultConfig()
-		if o := e; o != nil {
-			if o.ExchangeInterval > 0 {
-				ec.ExchangeInterval = o.ExchangeInterval
-			}
-			if o.DataSendRate > 0 {
-				ec.DataSendRate = o.DataSendRate
-			}
-			ec.BroadcastDeltas = o.BroadcastDeltas
-			ec.ActiveReceipts = o.ActiveReceipts
-		}
-		return epidemic.New(ec)
+		return epidemic.New(epidemic.DefaultConfig())
 	case GLR, "":
 		gc := core.DefaultConfig()
 		if o := g; o != nil {
@@ -263,20 +220,12 @@ func buildFactory(p Protocol, g *GLRConfig, e *EpidemicConfig) (sim.ProtocolFact
 			if o.Copies > 0 {
 				gc.Copies = o.Copies
 			}
-			if o.K > 0 {
-				gc.K = o.K
-			}
 			gc.Custody = !o.DisableCustody
-			gc.FullTableExchange = o.FullTableExchange
 			switch o.Location {
-			case "", "source":
-				gc.Location = core.LocSourceKnows
 			case "all":
 				gc.Location = core.LocAllKnow
 			case "none":
 				gc.Location = core.LocNoneKnow
-			default:
-				return nil, fmt.Errorf("glr: unknown location regime %q", o.Location)
 			}
 		}
 		return core.New(gc)

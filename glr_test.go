@@ -50,12 +50,11 @@ func TestCompare(t *testing.T) {
 
 func TestConfigKnobs(t *testing.T) {
 	opts := []Option{WithWorkload(PaperWorkload{Messages: 10}), WithSimTime(100)}
-	smallRun(t, append(opts, WithGLR(GLRConfig{CheckInterval: 0.5, Copies: 2, Location: "all", K: 2}))...)
+	smallRun(t, append(opts, WithGLR(GLRConfig{CheckInterval: 0.5, Copies: 2, Location: "all"}))...)
 	if _, err := NewScenario(append(opts, WithGLR(GLRConfig{Location: "bogus"}))...); err == nil {
 		t.Error("bogus location regime accepted")
 	}
-	smallRun(t, append(opts, WithProtocol(Epidemic),
-		WithEpidemic(EpidemicConfig{ExchangeInterval: 2, DataSendRate: 5, BroadcastDeltas: true}))...)
+	smallRun(t, append(opts, WithProtocol(Epidemic))...)
 	if _, err := NewScenario(append(opts, WithProtocol("bogus"))...); err == nil {
 		t.Error("bogus protocol accepted")
 	}

@@ -180,18 +180,6 @@ func (g *GLR) onSendFailed(id dtn.MessageID, flags dtn.TreeFlags) {
 	}
 }
 
-// tableFrame carries a full location table for the §2.3.1 exchange
-// extension.
-type tableFrame struct {
-	Rows []tableRow
-}
-
-type tableRow struct {
-	ID   int
-	Pos  geom.Point
-	Time float64
-}
-
 // OnFrame implements sim.Protocol.
 func (g *GLR) OnFrame(payload any, from int) {
 	switch f := payload.(type) {
@@ -201,42 +189,7 @@ func (g *GLR) OnFrame(payload any, from int) {
 		g.onAck(f.ackFrame, from)
 	case ackFrame: // white-box tests construct bare acks
 		g.onAck(f, from)
-	case tableFrame:
-		g.onTable(f)
 	}
-}
-
-// onTable merges a peer's location table (fresher rows win).
-func (g *GLR) onTable(f tableFrame) {
-	for _, row := range f.Rows {
-		g.n.Locations().Update(row.ID, row.Pos, row.Time)
-	}
-}
-
-// maybeExchangeTable unicasts our full location table to a peer if the
-// extension is enabled and the pair has not synced recently.
-func (g *GLR) maybeExchangeTable(peer int) {
-	if !g.cfg.FullTableExchange {
-		return
-	}
-	now := g.n.Now()
-	if last, ok := g.lastTableSync[peer]; ok && now-last < g.cfg.TableExchangeInterval {
-		return
-	}
-	g.lastTableSync[peer] = now
-	loc := g.n.Locations()
-	ids := loc.IDs()
-	rows := make([]tableRow, 0, len(ids))
-	for _, id := range ids {
-		if e, ok := loc.Get(id); ok {
-			rows = append(rows, tableRow{ID: id, Pos: e.Pos, Time: e.Time})
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	bits := 8*8 + len(rows)*20*8 // header + 20 bytes per row
-	g.n.Unicast(peer, sim.KindControl, tableFrame{Rows: rows}, bits, nil)
 }
 
 // onData handles an arriving message copy. f is the sender's pooled
@@ -328,8 +281,5 @@ func (g *GLR) sendAck(to int, m *dtn.Message) {
 // OnBeacon implements sim.Protocol. Node-level bookkeeping (neighbor and
 // location tables) already ran; routing reacts at the next route check
 // ("when ... new path emerges in the locally constructed trees, it will
-// send the stored messages"). With the §2.3.1 extension enabled,
-// meeting a peer triggers a full location-table exchange.
-func (g *GLR) OnBeacon(b sim.Beacon) {
-	g.maybeExchangeTable(b.From)
-}
+// send the stored messages").
+func (g *GLR) OnBeacon(sim.Beacon) {}

@@ -72,9 +72,6 @@ const (
 
 // Config parameterises GLR. Start from DefaultConfig.
 type Config struct {
-	// K is the neighborhood radius (hops) used for LDTG construction;
-	// the paper's experiments use distance-2 information.
-	K int
 	// CheckInterval is the store-and-forward route re-check period
 	// (§3.2; the paper's default is 0.9 s, swept in Figure 3).
 	CheckInterval float64
@@ -103,20 +100,14 @@ type Config struct {
 	// graph (no planarization — face routing loses its guarantees).
 	// Ablation knob for the §2.1 design choice.
 	Spanner SpannerKind
-	// FullTableExchange implements the §2.3.1 extension the paper
-	// describes but leaves disabled: "for best location accuracy,
-	// location tables should be exchanged whenever two nodes meet each
-	// other. Since this will add extra overhead ... it is not used in
-	// the experimentation." When enabled, a node hearing a beacon from a
-	// peer it has not synced with recently unicasts its whole location
-	// table; the peer merges fresher rows.
-	FullTableExchange bool
-	// TableExchangeInterval rate-limits full table exchanges per pair.
-	TableExchangeInterval float64
 }
 
 // Fixed protocol settings: the paper's evaluation never varies them.
 const (
+	// ldtgK is the neighborhood radius (hops) of the k-LDTG; the paper's
+	// experiments use distance-2 information. Beacons carry two-hop
+	// views, so no larger k would see more.
+	ldtgK = 2
 	// cacheTimeout is how long a sent message waits in the Cache for a
 	// custody ack before moving back to the Store (§2.3.2).
 	cacheTimeout = 4.5
@@ -138,22 +129,18 @@ const (
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		K:                     2,
-		CheckInterval:         0.9,
-		Copies:                0,
-		Custody:               true,
-		Location:              LocSourceKnows,
-		StaleRelocateAfter:    30,
-		ProgressHysteresis:    0.2,
-		TableExchangeInterval: 30,
+		CheckInterval:      0.9,
+		Copies:             0,
+		Custody:            true,
+		Location:           LocSourceKnows,
+		StaleRelocateAfter: 30,
+		ProgressHysteresis: 0.2,
 	}
 }
 
 // Validate reports a descriptive error for unusable configurations.
 func (c Config) Validate() error {
 	switch {
-	case c.K < 1:
-		return fmt.Errorf("core: K %d must be ≥ 1", c.K)
 	case c.CheckInterval <= 0:
 		return fmt.Errorf("core: check interval %v must be positive", c.CheckInterval)
 	case c.Copies < 0 || c.Copies > 5:
@@ -162,8 +149,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: stale relocate threshold %v must be positive", c.StaleRelocateAfter)
 	case c.ProgressHysteresis < 0 || c.ProgressHysteresis >= 1:
 		return fmt.Errorf("core: progress hysteresis %v must be in [0,1)", c.ProgressHysteresis)
-	case c.FullTableExchange && c.TableExchangeInterval <= 0:
-		return fmt.Errorf("core: table exchange interval %v must be positive", c.TableExchangeInterval)
 	}
 	return nil
 }
@@ -222,8 +207,6 @@ type GLR struct {
 	store *dtn.CustodyStore
 	// msgs holds the consolidated per-message state; see msgState.
 	msgs map[dtn.MessageID]*msgState
-	// lastTableSync rate-limits §2.3.1 full table exchanges per peer.
-	lastTableSync map[int]float64
 
 	// Scratch buffers reused across route checks so the routing loop
 	// stops materializing intermediate slices and maps per tick.
@@ -283,13 +266,12 @@ func NewInstrumented(cfg Config) (sim.ProtocolFactory, *ldt.Maintainer, error) {
 	frames := &framePool{}
 	return func(n *sim.Node) sim.Protocol {
 		return &GLR{
-			cfg:           cfg,
-			n:             n,
-			maint:         maint,
-			frames:        frames,
-			store:         dtn.NewCustodyStore(n.StorageLimit()),
-			msgs:          make(map[dtn.MessageID]*msgState),
-			lastTableSync: make(map[int]float64),
+			cfg:    cfg,
+			n:      n,
+			maint:  maint,
+			frames: frames,
+			store:  dtn.NewCustodyStore(n.StorageLimit()),
+			msgs:   make(map[dtn.MessageID]*msgState),
 		}
 	}, maint, nil
 }
@@ -303,15 +285,13 @@ func (g *GLR) Init(n *sim.Node) {
 }
 
 // Restart implements sim.Restarter (fault-injected node churn): the
-// node reboots with empty custody storage, no per-message state — even
-// the delivered bits that suppress re-acceptance are gone — and no
-// table-sync history. The shared spanner Maintainer holds no node
-// state. The periodic route-check timer keeps its cadence across the
-// restart.
+// node reboots with empty custody storage and no per-message state —
+// even the delivered bits that suppress re-acceptance are gone. The
+// shared spanner Maintainer holds no node state. The periodic
+// route-check timer keeps its cadence across the restart.
 func (g *GLR) Restart() {
 	g.store = dtn.NewCustodyStore(g.n.StorageLimit())
 	clear(g.msgs)
-	clear(g.lastTableSync)
 }
 
 // StorageUsed implements sim.Protocol: Store + Cache occupancy.

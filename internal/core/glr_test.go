@@ -15,7 +15,6 @@ func TestConfigValidate(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"k zero", func(c *Config) { c.K = 0 }},
 		{"check interval", func(c *Config) { c.CheckInterval = 0 }},
 		{"copies negative", func(c *Config) { c.Copies = -1 }},
 		{"copies too many", func(c *Config) { c.Copies = 6 }},

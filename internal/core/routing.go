@@ -52,7 +52,7 @@ func (g *GLR) localSpanner() (*ldt.LocalView, []int, []geom.Point) {
 	if err != nil {
 		return nil, nil, nil
 	}
-	nbrIDs, nbrPts, err := g.maint.Neighbors(view, g.spannerVariant(), g.cfg.K)
+	nbrIDs, nbrPts, err := g.maint.Neighbors(view, g.spannerVariant(), ldtgK)
 	if err != nil {
 		return view, nil, nil
 	}

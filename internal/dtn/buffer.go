@@ -13,17 +13,8 @@ type Buffer struct {
 	capacity int
 	order    []MessageID // insertion order (oldest first)
 	byID     map[MessageID]*Message
-	sorted   []MessageID    // held ids in canonical (Src, Seq) order
-	summary  SummaryVector  // immutable snapshot of sorted; nil when stale
-	version  uint64         // bumped on every new insertion
-	insLog   []insertRecord // insertion history for delta summaries; see compactLog
-}
-
-// insertRecord is one insertion-log entry: the buffer version right after
-// id was inserted.
-type insertRecord struct {
-	ver uint64
-	id  MessageID
+	sorted   []MessageID   // held ids in canonical (Src, Seq) order
+	summary  SummaryVector // immutable snapshot of sorted; nil when stale
 }
 
 // NewBuffer returns an empty buffer. capacity ≤ 0 means unlimited.
@@ -33,9 +24,6 @@ func NewBuffer(capacity int) *Buffer {
 	}
 	return &Buffer{capacity: capacity, byID: make(map[MessageID]*Message)}
 }
-
-// Capacity returns the configured capacity (0 = unlimited).
-func (b *Buffer) Capacity() int { return b.capacity }
 
 // Len returns the number of stored messages.
 func (b *Buffer) Len() int { return len(b.byID) }
@@ -69,75 +57,7 @@ func (b *Buffer) Add(m *Message) (evicted *Message, stored bool) {
 	i, _ := slices.BinarySearchFunc(b.sorted, m.ID, MessageID.Compare)
 	b.sorted = slices.Insert(b.sorted, i, m.ID)
 	b.summary = nil
-	b.version++
-	b.insLog = append(b.insLog, insertRecord{ver: b.version, id: m.ID})
-	b.compactLog()
 	return evicted, true
-}
-
-// compactLog bounds the insertion log, which would otherwise grow with
-// every insertion for the lifetime of the buffer. When the log exceeds
-// twice the held-message count it is rewritten to the latest record of
-// each still-held id, preserving record order.
-//
-// This keeps InsertedSince exact for every version any delta-summary
-// consumer can still request — including ver 0 from a peer never synced
-// with: an id appears in InsertedSince(v) iff it is held and its latest
-// insertion is newer than v, and records of evicted/removed ids decide
-// nothing. The only observable difference is ordering across
-// re-insertions (a re-inserted id sorts by its latest insertion instead
-// of its first), which consumers cannot see: SummarySince sorts the ids
-// into canonical order.
-func (b *Buffer) compactLog() {
-	if len(b.insLog) <= 64 || len(b.insLog) <= 2*len(b.byID) {
-		return
-	}
-	latest := make(map[MessageID]int, len(b.byID)) // id -> index of latest record
-	for i, rec := range b.insLog {
-		if b.Has(rec.id) {
-			latest[rec.id] = i
-		}
-	}
-	kept := b.insLog[:0]
-	for i, rec := range b.insLog {
-		if latest[rec.id] == i && b.Has(rec.id) {
-			kept = append(kept, rec)
-		}
-	}
-	b.insLog = kept
-}
-
-// Version returns a counter that increments on every new insertion.
-// Anti-entropy peers use it to skip advertising an unchanged buffer.
-func (b *Buffer) Version() uint64 { return b.version }
-
-// InsertedSince returns the ids inserted after version ver that are still
-// held — the delta an anti-entropy refresh advertises — ordered by their
-// surviving log record (insertion order; an id re-inserted after removal
-// may sort by its latest insertion once the log has been compacted).
-func (b *Buffer) InsertedSince(ver uint64) []MessageID {
-	// Binary search the log for the first record newer than ver.
-	lo, hi := 0, len(b.insLog)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if b.insLog[mid].ver <= ver {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	var out []MessageID
-	seen := make(map[MessageID]struct{})
-	for _, rec := range b.insLog[lo:] {
-		if _, dup := seen[rec.id]; dup {
-			continue
-		}
-		seen[rec.id] = struct{}{}
-		if b.Has(rec.id) {
-			out = append(out, rec.id)
-		}
-	}
-	return out
 }
 
 // Remove deletes and returns the message with the given id, or nil. The
@@ -194,16 +114,6 @@ func (b *Buffer) AppendMessages(buf []*Message) []*Message {
 	return buf
 }
 
-// IDs returns the stored message ids oldest-first.
-func (b *Buffer) IDs() []MessageID {
-	msgs := b.Messages()
-	out := make([]MessageID, len(msgs))
-	for i, m := range msgs {
-		out[i] = m.ID
-	}
-	return out
-}
-
 // SummaryVector is the set of message ids a node advertises during
 // epidemic anti-entropy exchange, sorted in the canonical (Src, Seq) order
 // without duplicates. A vector may be shared by frames still queued in
@@ -218,14 +128,6 @@ func (b *Buffer) Summary() SummaryVector {
 		b.summary = slices.Clone(b.sorted)
 	}
 	return b.summary
-}
-
-// SummarySince returns the delta summary of the ids InsertedSince(ver)
-// lists, in canonical order.
-func (b *Buffer) SummarySince(ver uint64) SummaryVector {
-	ids := b.InsertedSince(ver)
-	slices.SortFunc(ids, MessageID.Compare)
-	return ids
 }
 
 // Lacks yields, in canonical order, the ids of sv the buffer does not

@@ -26,7 +26,7 @@ func TestBufferFIFOEviction(t *testing.T) {
 		t.Error("buffer should hold the 3 newest messages")
 	}
 	want := []MessageID{{0, 1}, {0, 2}, {0, 3}}
-	for i, id := range b.IDs() {
+	for i, id := range b.order {
 		if id != want[i] {
 			t.Errorf("order[%d] = %v, want %v", i, id, want[i])
 		}
@@ -43,7 +43,7 @@ func TestBufferUnlimited(t *testing.T) {
 	if b.Len() != 1000 {
 		t.Errorf("Len = %d, want 1000", b.Len())
 	}
-	if NewBuffer(-5).Capacity() != 0 {
+	if NewBuffer(-5).capacity != 0 {
 		t.Error("negative capacity should normalize to unlimited")
 	}
 }
@@ -222,8 +222,8 @@ func (r *refSummarySet) missing(peer map[MessageID]struct{}) []MessageID {
 
 // checkBufferSummary decodes data into Add, Remove, snapshot and diff
 // operations on a buffer of the given capacity. After every step it
-// checks Summary and SummarySince(0) against the map-set reference and
-// every snapshot taken earlier against its contents when taken: frames
+// checks Summary against the map-set reference and every snapshot taken
+// earlier against its contents when taken: frames
 // carrying a summary sit in MAC queues while the buffer keeps changing.
 func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 	next := func() int {
@@ -268,9 +268,6 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 		want := ref.sorted()
 		if got := b.Summary(); !slices.Equal(got, want) {
 			t.Fatalf("step %d: Summary = %v, want %v", step, got, want)
-		}
-		if got := b.SummarySince(0); !slices.Equal(got, want) {
-			t.Fatalf("step %d: SummarySince(0) = %v, want %v", step, got, want)
 		}
 		for i, s := range snaps {
 			if !slices.Equal(s.sv, s.want) {

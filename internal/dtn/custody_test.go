@@ -171,3 +171,25 @@ func TestCustodyInvariantsProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestCustodyReturnToStore(t *testing.T) {
+	c := NewCustodyStore(0)
+	m := msg(1, 1)
+	c.Add(m)
+	if c.ReturnToStore(m.ID) != nil {
+		t.Error("ReturnToStore of a non-cached message should be nil")
+	}
+	c.MarkSent(m.ID, 5)
+	got := c.ReturnToStore(m.ID)
+	if got != m {
+		t.Fatal("ReturnToStore should move the cached message back")
+	}
+	if c.StoreLen() != 1 || c.CacheLen() != 0 {
+		t.Error("message should be back in the Store")
+	}
+	// The old send timestamp must be gone: an immediate expire sweep
+	// with a late deadline must not double-move anything.
+	if moved := c.ExpireCache(100); len(moved) != 0 {
+		t.Error("nothing should remain cached")
+	}
+}

@@ -1,10 +1,6 @@
 package dtn
 
-import (
-	"sort"
-
-	"glr/internal/geom"
-)
+import "glr/internal/geom"
 
 // A node's state is two small tables, each sized by what the node knows
 // rather than by the world: the location table costs O(knowledge) and
@@ -58,16 +54,6 @@ func (t *LocationTable) Update(id int, pos geom.Point, time float64) bool {
 func (t *LocationTable) Get(id int) (LocationEntry, bool) {
 	e, ok := t.entries[id]
 	return e, ok
-}
-
-// IDs returns the known node ids in ascending order.
-func (t *LocationTable) IDs() []int {
-	out := make([]int, 0, len(t.entries))
-	for id := range t.entries {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // NeighborNeighbor is a (node, position) pair inside a beacon: one of the

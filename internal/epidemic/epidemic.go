@@ -19,11 +19,12 @@ import (
 
 // Config parameterises the epidemic baseline.
 type Config struct {
-	// ExchangeInterval is the anti-entropy refresh period for an ongoing
-	// contact: a session always starts when a peer first comes into
-	// range (the Vahdat–Becker trigger), and repeats at this interval
-	// while the contact lasts so messages generated mid-contact still
-	// spread.
+	// ExchangeInterval is the minimum time, per peer, from a session
+	// (opened or answered) to the next session this node opens with that
+	// peer. A session opens when a peer comes into range after no beacon
+	// from it for contactGap (the Vahdat–Becker trigger); an ongoing
+	// contact opens none, so this only rate-limits re-contacts and the
+	// backlog drain (drainBacklogs).
 	ExchangeInterval float64
 	// DataSendRate is a per-node token-bucket budget on outgoing message
 	// transfers (messages/second, burst maxBatch). It calibrates the
@@ -32,20 +33,6 @@ type Config struct {
 	// raw link rate — and is the mechanism that reproduces epidemic's
 	// load-dependent slowdown. 0 disables pacing.
 	DataSendRate float64
-	// BroadcastDeltas enables an ENHANCEMENT over Vahdat–Becker: fresh
-	// insertions are advertised to all neighbors in a debounced
-	// broadcast, instead of waiting for the next contact formation.
-	// Faithful epidemic (the paper's baseline) exchanges summary vectors
-	// only "when two nodes come into communication range of each other",
-	// so this is off by default; it exists for ablation studies.
-	BroadcastDeltas bool
-	// ActiveReceipts implements the active-receipt extension the paper
-	// discusses (§1, after Harras & Almeroth): when a destination
-	// receives its message it generates a receipt that spreads like an
-	// anti-packet, purging buffered copies and immunising nodes against
-	// re-infection — addressing "the messages are never cleared". Off by
-	// default (the paper's baseline does not clear).
-	ActiveReceipts bool
 }
 
 // Fixed protocol settings: the paper's evaluation never varies them.
@@ -70,9 +57,9 @@ const (
 	requestTimeout = 3.0
 	// requestRetries bounds how many times a lost transfer is re-
 	// requested from its advertiser. Without retries a transfer lost to
-	// a collision on a long-lived contact is never healed (delta
-	// summaries will not re-advertise it); this is a small reliability
-	// addition over the 2000-era protocol.
+	// a collision on a long-lived contact is never healed (an ongoing
+	// contact opens no new session to re-advertise it); this is a small
+	// reliability addition over the 2000-era protocol.
 	requestRetries = 10
 	// contactGap is the silence (no beacons heard) after which a peer
 	// counts as a NEW contact, triggering a full summary exchange. It
@@ -101,11 +88,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// svFrame advertises buffer contents. A session-opening unicast and its
-// reply carry the full summary vector; broadcast refreshes to ongoing
-// contacts carry only the delta — ids inserted since the last broadcast —
-// a standard anti-entropy optimisation (Bayou-style) without which
-// steady-state summary traffic alone saturates dense topologies.
+// svFrame advertises buffer contents: the full summary vector, unicast
+// by the node opening a session and by the responder in reply.
 type svFrame struct {
 	Summary dtn.SummaryVector
 	// Reply marks the responder's summary in a session (the initiator
@@ -135,22 +119,9 @@ type Epidemic struct {
 	backlog       map[int]bool // peer advertised more than one batch's worth
 	deliveredHere map[dtn.MessageID]bool
 
-	lastBcastVer uint64 // buffer version at the last broadcast delta
-	bcastArmed   bool   // a debounced broadcast is scheduled
-
-	// immune records message ids for which a receipt was seen (active
-	// receipts extension): copies are purged and never re-accepted.
-	immune map[dtn.MessageID]bool
-
 	// Token bucket pacing outgoing data transfers.
 	tokens     float64
 	lastRefill float64
-}
-
-// receiptFrame is the active-receipt anti-packet: it names delivered
-// messages so holders can purge them.
-type receiptFrame struct {
-	Delivered []dtn.MessageID
 }
 
 // want tracks an outstanding transfer request for retry.
@@ -175,7 +146,6 @@ func New(cfg Config) (sim.ProtocolFactory, error) {
 			lastHeard:     make(map[int]float64),
 			wants:         make(map[dtn.MessageID]*want),
 			backlog:       make(map[int]bool),
-			immune:        make(map[dtn.MessageID]bool),
 			deliveredHere: make(map[dtn.MessageID]bool),
 		}
 	}, nil
@@ -191,20 +161,16 @@ func (e *Epidemic) Init(n *sim.Node) {
 
 // Restart implements sim.Restarter (fault-injected node churn): the
 // node reboots with an empty buffer and no exchange state — contact
-// history, advertised versions, outstanding wants, receipt immunity,
-// and the delivered-here memory all reset, so previously seen copies
-// can be accepted (and delivered) again as duplicates. The debounce
-// flag is left alone: a pending delta broadcast fires on empty state,
-// which is harmless, and clears it. The token bucket restarts empty.
+// history, outstanding wants, pending backlogs and the delivered-here
+// memory all reset, so previously seen copies can be accepted (and
+// delivered) again as duplicates. The token bucket restarts empty.
 func (e *Epidemic) Restart() {
 	e.buf = dtn.NewBuffer(e.n.StorageLimit())
 	clear(e.lastExchange)
 	clear(e.lastHeard)
 	clear(e.wants)
 	clear(e.backlog)
-	clear(e.immune)
 	clear(e.deliveredHere)
-	e.lastBcastVer = e.buf.Version()
 	e.tokens = 0
 	e.lastRefill = e.n.Now()
 }
@@ -303,45 +269,22 @@ func (e *Epidemic) drainBacklogs(now float64) {
 // StorageUsed implements sim.Protocol.
 func (e *Epidemic) StorageUsed() int { return e.buf.Len() }
 
-// Buffer exposes the message buffer (tests and examples).
+// Buffer exposes the message buffer to white-box tests.
 func (e *Epidemic) Buffer() *dtn.Buffer { return e.buf }
 
 // OnMessageGenerated implements sim.Protocol: epidemic sources simply
 // buffer the message and let anti-entropy spread it.
 func (e *Epidemic) OnMessageGenerated(m *dtn.Message) {
 	e.buf.Add(m)
-	e.armBroadcast()
 }
 
-// armBroadcast schedules a debounced broadcast delta advertisement: at
-// most roughly one per second per node, carrying every id inserted since
-// the previous broadcast. One broadcast reaches every neighbor — the way
-// IMEP aggregates control traffic — where per-peer delta unicasts alone
-// would saturate dense topologies (each insertion re-advertised to ~49
-// peers individually).
-func (e *Epidemic) armBroadcast() {
-	if !e.cfg.BroadcastDeltas || e.bcastArmed {
-		return
-	}
-	e.bcastArmed = true
-	delay := 0.5 + e.n.Rand().Float64()*0.5
-	e.n.After(delay, e.broadcastDelta)
-}
-
-func (e *Epidemic) broadcastDelta() {
-	e.bcastArmed = false
-	sv := e.buf.SummarySince(e.lastBcastVer)
-	e.lastBcastVer = e.buf.Version()
-	if len(sv) == 0 {
-		return
-	}
-	e.n.Broadcast(sim.KindControl, svFrame{Summary: sv, Reply: true}, e.svBits(len(sv)))
-}
-
-// OnBeacon implements sim.Protocol: a beacon from a peer not heard
-// recently marks a NEW contact, which opens a full pairwise anti-entropy
-// session (the Vahdat–Becker trigger). Fresh insertions reach ongoing
-// contacts through the broadcast delta advertisements instead.
+// OnBeacon implements sim.Protocol: a beacon from a peer not heard for
+// contactGap marks a NEW contact, which opens a full pairwise
+// anti-entropy session (the Vahdat–Becker trigger) unless a session with
+// that peer opened within ExchangeInterval. Beacons from an ongoing
+// contact only refresh lastHeard: messages that arrive mid-contact wait
+// for the next contact, or for drainBacklogs when the last session left
+// a backlog.
 func (e *Epidemic) OnBeacon(b sim.Beacon) {
 	now := e.n.Now()
 	heardAt, known := e.lastHeard[b.From]
@@ -356,7 +299,7 @@ func (e *Epidemic) OnBeacon(b sim.Beacon) {
 	e.sendSummary(b.From, false)
 }
 
-// svBits sizes a delta summary or request frame: an explicit id list.
+// svBits sizes a request frame: an explicit id list.
 func (e *Epidemic) svBits(entries int) int {
 	return svBaseBits + entries*svEntryBits
 }
@@ -386,29 +329,6 @@ func (e *Epidemic) OnFrame(payload any, from int) {
 		e.onRequest(f, from)
 	case dataFrame:
 		e.onData(f, from)
-	case receiptFrame:
-		e.onReceipt(f)
-	}
-}
-
-// onReceipt purges delivered messages and spreads the anti-packet onward
-// (rebroadcast once per newly-learned id set).
-func (e *Epidemic) onReceipt(f receiptFrame) {
-	if !e.cfg.ActiveReceipts {
-		return
-	}
-	var fresh []dtn.MessageID
-	for _, id := range f.Delivered {
-		if e.immune[id] {
-			continue
-		}
-		e.immune[id] = true
-		e.buf.Remove(id)
-		delete(e.wants, id)
-		fresh = append(fresh, id)
-	}
-	if len(fresh) > 0 {
-		e.n.Broadcast(sim.KindControl, receiptFrame{Delivered: fresh}, e.svBits(len(fresh)))
 	}
 }
 
@@ -426,12 +346,8 @@ func (e *Epidemic) onSummary(f svFrame, from int) {
 	}
 	var missing []dtn.MessageID
 	for id := range e.buf.Lacks(f.Summary) {
-		// Skip ids already requested recently from any peer, and ids
-		// purged by active receipts.
+		// Skip ids already requested recently from any peer.
 		if w, ok := e.wants[id]; ok && now-w.at < requestTimeout {
-			continue
-		}
-		if e.cfg.ActiveReceipts && e.immune[id] {
 			continue
 		}
 		if len(missing) == maxBatch {
@@ -506,21 +422,9 @@ func (e *Epidemic) onData(f dataFrame, from int) {
 	m := f.Msg
 	m.Hops++
 	delete(e.wants, m.ID)
-	if e.cfg.ActiveReceipts && e.immune[m.ID] {
-		return // already purged network-wide; do not re-buffer
-	}
 	if m.Dst == e.n.ID() && !e.deliveredHere[m.ID] {
 		e.deliveredHere[m.ID] = true
 		e.n.ReportDelivered(&m)
-		if e.cfg.ActiveReceipts {
-			// Generate the anti-packet; we keep our own copy immune so
-			// later copies bounce off.
-			e.immune[m.ID] = true
-			e.n.Broadcast(sim.KindControl, receiptFrame{Delivered: []dtn.MessageID{m.ID}},
-				e.svBits(1))
-			return
-		}
 	}
 	e.buf.Add(&m)
-	e.armBroadcast()
 }

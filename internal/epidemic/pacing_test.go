@@ -83,40 +83,6 @@ func TestUnpacedTransfersFaster(t *testing.T) {
 	}
 }
 
-func TestBroadcastDeltasSpreadWithoutNewContacts(t *testing.T) {
-	// Static fully-connected cluster: after the initial contact
-	// formation, only broadcast deltas advertise later messages. With
-	// the enhancement on, late messages spread; with it off they rely
-	// on (absent) new contacts and mostly stay put.
-	run := func(broadcast bool) int {
-		s := denseScenario(33)
-		s.Mobility = sim.MobilityStatic
-		s.N = 8
-		s.Region = mobility.Region{W: 150, H: 150}
-		s.SimTime = 120
-		// One late burst well after contact formation.
-		s.Traffic = nil
-		for i := 0; i < 10; i++ {
-			s.Traffic = append(s.Traffic, sim.TrafficItem{Src: 0, Dst: 1 + i%7, At: 60})
-		}
-		cfg := DefaultConfig()
-		cfg.BroadcastDeltas = broadcast
-		factory, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := sim.NewWorld(s, factory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Run().Delivered
-	}
-	withB := run(true)
-	if withB < 9 {
-		t.Errorf("broadcast deltas should deliver the late burst, got %d/10", withB)
-	}
-}
-
 func TestRetrySweepGivesUpEventually(t *testing.T) {
 	// wants entries for unreachable peers must be garbage-collected.
 	s := denseScenario(34)

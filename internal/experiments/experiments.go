@@ -109,8 +109,7 @@ func (p ProtocolKind) String() string {
 type runSpec struct {
 	scenario sim.Scenario
 	proto    ProtocolKind
-	glrCfg   *core.Config     // nil = DefaultConfig
-	epiCfg   *epidemic.Config // nil = DefaultConfig
+	glrCfg   *core.Config // nil = DefaultConfig
 }
 
 // execute builds and runs one world under ctx.
@@ -119,11 +118,7 @@ func (rs runSpec) execute(ctx context.Context) (metrics.Report, error) {
 	var err error
 	switch rs.proto {
 	case ProtoEpidemic:
-		cfg := epidemic.DefaultConfig()
-		if rs.epiCfg != nil {
-			cfg = *rs.epiCfg
-		}
-		factory, err = epidemic.New(cfg)
+		factory, err = epidemic.New(epidemic.DefaultConfig())
 	default:
 		cfg := core.DefaultConfig()
 		if rs.glrCfg != nil {

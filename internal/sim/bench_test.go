@@ -32,7 +32,11 @@ func BenchmarkBeaconTickAggregated(b *testing.B) {
 	s := DefaultScenario(100)
 	s.N = n
 	s.Region = mobility.Region{W: 5 * h, H: h}
-	s.SimTime = 1e9 // horizon unused; the benchmark steps manually
+	// The horizon covers the warm-up plus b.N beacon intervals, which is
+	// all the benchmark steps; NewWorld rejects horizons whose waypoint
+	// legs exceed MaxLegsPerNode.
+	const warmup = 3
+	s.SimTime = float64(warmup+b.N) * s.BeaconInterval
 
 	w, err := NewWorld(s, func(*Node) Protocol { return nopProtocol{} })
 	if err != nil {
@@ -40,7 +44,7 @@ func BenchmarkBeaconTickAggregated(b *testing.B) {
 	}
 	// Warm up: let tables, pools, and the spatial index reach steady
 	// state before measuring.
-	until := 3 * s.BeaconInterval
+	until := warmup * s.BeaconInterval
 	w.Scheduler().Run(until)
 
 	b.ReportAllocs()

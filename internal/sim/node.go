@@ -141,20 +141,6 @@ func (n *Node) OraclePosition(id int) geom.Point {
 	return n.world.nodes[id].Pos()
 }
 
-// Broadcast queues a broadcast frame. It reports whether the frame was
-// accepted by the link-layer queue. The frame object is pooled; the
-// payload is released to the garbage collector when the MAC resolves
-// the frame.
-func (n *Node) Broadcast(kind FrameKind, payload any, bits int) bool {
-	if n.world.nodeDown(n.id) {
-		return false
-	}
-	n.countFrame(kind)
-	f := n.world.takeFrame()
-	f.Dst, f.Bits, f.Payload = mac.Broadcast, bits, payload
-	return n.radio.Send(f)
-}
-
 // Unicast queues a unicast frame; cb (may be nil) fires when the MAC
 // resolves the frame (delivered or abandoned). It reports whether the
 // frame was accepted by the link-layer queue; when it returns false, cb

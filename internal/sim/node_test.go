@@ -77,7 +77,7 @@ func TestFrameKindCounting(t *testing.T) {
 	w.Scheduler().At(1, func() {
 		n0.Unicast(1, KindData, "d", 80, nil)
 		n0.Unicast(1, KindAck, "a", 80, nil)
-		n0.Broadcast(KindControl, "c", 80)
+		n0.broadcast(KindControl, "c", 80)
 	})
 	w.Scheduler().Run(3)
 	rep := w.Collector().Report()

@@ -28,12 +28,25 @@ func (p *directProtocol) tick() {
 	kept := p.pending[:0]
 	for _, m := range p.pending {
 		if !p.n.Metrics().IsDelivered(m.ID) {
-			p.n.Broadcast(KindData, *m, m.PayloadBits)
+			p.n.broadcast(KindData, *m, m.PayloadBits)
 			kept = append(kept, m)
 		}
 	}
 	p.pending = kept
 	p.n.After(0.5, p.tick)
+}
+
+// broadcast queues a broadcast frame, counted under kind, as Unicast
+// queues a unicast one. The protocols only unicast (beacons are the
+// node's own); the test protocols here flood with it.
+func (n *Node) broadcast(kind FrameKind, payload any, bits int) bool {
+	if n.world.nodeDown(n.id) {
+		return false
+	}
+	n.countFrame(kind)
+	f := n.world.takeFrame()
+	f.Dst, f.Bits, f.Payload = mac.Broadcast, bits, payload
+	return n.radio.Send(f)
 }
 
 func (p *directProtocol) OnMessageGenerated(m *dtn.Message) {

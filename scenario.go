@@ -28,7 +28,6 @@ type Scenario struct {
 	mob       Mobility // nil = Waypoint{} (the paper's model)
 	work      Workload // nil = PaperWorkload{}
 	glrCfg    *GLRConfig
-	epiCfg    *EpidemicConfig
 	observers []*Observer
 	faults    []Fault // WithFaults: empty = fault-free
 }
@@ -175,15 +174,6 @@ func WithGLR(cfg GLRConfig) Option {
 	}
 }
 
-// WithEpidemic overrides the epidemic baseline knobs (see
-// EpidemicConfig).
-func WithEpidemic(cfg EpidemicConfig) Option {
-	return func(s *Scenario) error {
-		s.epiCfg = &cfg
-		return nil
-	}
-}
-
 // WithObserver attaches an observer to the scenario's runs. Several
 // observers may be attached; callbacks fire in attachment order.
 // Observers are read-only probes: an observed run produces exactly the
@@ -312,7 +302,7 @@ func (s *Scenario) compile(seed int64) (sim.Scenario, sim.ProtocolFactory, error
 	if err := scn.Validate(); err != nil {
 		return sim.Scenario{}, nil, err
 	}
-	factory, err := buildFactory(s.protocol, s.glrCfg, s.epiCfg)
+	factory, err := buildFactory(s.protocol, s.glrCfg)
 	if err != nil {
 		return sim.Scenario{}, nil, err
 	}

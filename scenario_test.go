@@ -28,7 +28,6 @@ type goldenSpec struct {
 	maxSpeed      float64 // waypoint top speed
 	seed          int64
 	glrCfg        *GLRConfig
-	epiCfg        *EpidemicConfig
 }
 
 // options lowers the spec onto the builder.
@@ -61,9 +60,6 @@ func (g goldenSpec) options() []Option {
 	}
 	if g.glrCfg != nil {
 		opts = append(opts, WithGLR(*g.glrCfg))
-	}
-	if g.epiCfg != nil {
-		opts = append(opts, WithEpidemic(*g.epiCfg))
 	}
 	return opts
 }
@@ -108,7 +104,7 @@ func (g goldenSpec) reference(t *testing.T) metrics.Report {
 		}
 		s.SimTime += 600
 	}
-	factory, err := buildFactory(g.protocol, g.glrCfg, g.epiCfg)
+	factory, err := buildFactory(g.protocol, g.glrCfg)
 	if err != nil {
 		t.Fatalf("reference factory: %v", err)
 	}
@@ -164,11 +160,6 @@ func randomGoldenSpec(rng *rand.Rand) goldenSpec {
 		}
 	case 1:
 		g.protocol = Epidemic
-		g.epiCfg = &EpidemicConfig{
-			ExchangeInterval: rng.Float64() * 3,
-			DataSendRate:     float64(rng.Intn(3)) * 5,
-			BroadcastDeltas:  rng.Intn(2) == 0,
-		}
 	}
 	return g
 }
@@ -515,7 +506,6 @@ func TestOptionValidation(t *testing.T) {
 		"too many sinks":    {WithNodes(5), WithWorkload(HotspotWorkload{Messages: 5, Sinks: 5})},
 		"bad glr knob":      {WithGLR(GLRConfig{Copies: -2})},
 		"bad glr location":  {WithGLR(GLRConfig{Location: "bogus"})},
-		"bad epidemic knob": {WithEpidemic(EpidemicConfig{DataSendRate: -1})},
 	}
 	for name, opts := range cases {
 		if _, err := NewScenario(opts...); err == nil {
@@ -524,16 +514,13 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestConfigValidation: invalid GLRConfig and EpidemicConfig knobs error
-// out at construction instead of silently passing through as "unset",
+// TestConfigValidation: invalid GLRConfig knobs error out at
+// construction instead of silently passing through as "unset",
 // whichever protocol the scenario runs.
 func TestConfigValidation(t *testing.T) {
 	for name, opt := range map[string]Option{
-		"negative copies":            WithGLR(GLRConfig{Copies: -1}),
-		"negative K":                 WithGLR(GLRConfig{K: -2}),
-		"negative check interval":    WithGLR(GLRConfig{CheckInterval: -0.5}),
-		"negative exchange interval": WithEpidemic(EpidemicConfig{ExchangeInterval: -1}),
-		"negative send rate":         WithEpidemic(EpidemicConfig{DataSendRate: -2}),
+		"negative copies":         WithGLR(GLRConfig{Copies: -1}),
+		"negative check interval": WithGLR(GLRConfig{CheckInterval: -0.5}),
 	} {
 		for _, p := range []Protocol{GLR, Epidemic} {
 			_, err := NewScenario(WithProtocol(p), WithWorkload(PaperWorkload{Messages: 5}), WithSimTime(50), opt)
@@ -569,8 +556,6 @@ func TestNonFiniteScenarioInputsRejected(t *testing.T) {
 		"waypoint max speed NaN":   {WithMobility(Waypoint{MaxSpeed: nan})},
 		"glr check interval NaN":   {WithGLR(GLRConfig{CheckInterval: nan})},
 		"range +Inf":               {WithRange(inf)},
-		"epidemic exchange NaN":    {WithEpidemic(EpidemicConfig{ExchangeInterval: nan})},
-		"epidemic send rate +Inf":  {WithEpidemic(EpidemicConfig{DataSendRate: inf})},
 		"scheduled message at NaN": {WithWorkload(ScheduleWorkload{{Src: 0, Dst: 1, At: 5}, {Src: 1, Dst: 2, At: nan}})},
 		"trace time NaN": {WithNodes(3), WithMobility(Trace{Paths: [][]TracePoint{
 			{{T: nan, X: 100, Y: 100}}, {{T: 0, X: 150, Y: 100}}, {{T: 0, X: 200, Y: 100}},
