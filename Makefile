@@ -37,8 +37,9 @@ test-short:
 ## for the fault-slug parser, the neighbor table, the buffer's summary
 ## vector, scripted trace mobility, the scenario options, the scenario
 ## matrix's validation, the MAC configuration, the MAC's retention rule
-## against a never-pruning medium, the LDT spanner query and the atlas
-## cache loader.
+## against a never-pruning medium, the LDT spanner query, the atlas
+## cache loader and the mobility models' cached segments against their
+## former position lookup.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborTable$$' -fuzztime 15s ./internal/dtn
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMediumRetention$$' -fuzztime 15s ./internal/mac
 	$(GO) test -run '^$$' -fuzz '^FuzzSpannerNeighbors$$' -fuzztime 15s ./internal/ldt
 	$(GO) test -run '^$$' -fuzz '^FuzzCellCache$$' -fuzztime 15s ./internal/matrix
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentPosition$$' -fuzztime 15s ./internal/mobility
 
 ## bench runs the gated benchmarks once, without the regression gate.
 bench:

@@ -104,10 +104,6 @@ type Config struct {
 
 // Fixed protocol settings: the paper's evaluation never varies them.
 const (
-	// ldtgK is the neighborhood radius (hops) of the k-LDTG; the paper's
-	// experiments use distance-2 information. Beacons carry two-hop
-	// views, so no larger k would see more.
-	ldtgK = 2
 	// cacheTimeout is how long a sent message waits in the Cache for a
 	// custody ack before moving back to the Store (§2.3.2).
 	cacheTimeout = 4.5
@@ -217,6 +213,13 @@ type GLR struct {
 	targets []hopTarget    // per-tree forwarding picks, sorted by dst
 	checkFn func()         // routeCheck bound once (rescheduling a method value would allocate)
 
+	// nextCheck is the node's next route-check cadence point: the time
+	// of the armed check or, while asleep (checkArmed false: Store and
+	// Cache were both empty when the last check ended), the point that
+	// check would have armed. See routeCheck and wake.
+	nextCheck  float64
+	checkArmed bool
+
 	stats Stats
 }
 
@@ -276,19 +279,43 @@ func NewInstrumented(cfg Config) (sim.ProtocolFactory, *ldt.Maintainer, error) {
 	}, maint, nil
 }
 
-// Init implements sim.Protocol: start the periodic route check with a
-// random phase so nodes do not check in lockstep.
+// Init implements sim.Protocol: the periodic route check gets a random
+// phase so nodes do not check in lockstep. The node starts asleep, with
+// empty storage; its first message arms the check (see wake).
 func (g *GLR) Init(n *sim.Node) {
 	g.checkFn = g.routeCheck
 	phase := n.Rand().Float64() * g.cfg.CheckInterval
-	n.After(phase, g.checkFn)
+	g.nextCheck = n.Now() + phase
+}
+
+// wake arms the route check of a sleeping node at its next cadence
+// point strictly after now, found by adding CheckInterval to the last
+// one exactly as the always-running check would have, and scheduled at
+// that absolute time (After(t-now) would round). The check therefore
+// fires at the instant it would have fired had it never slept, and what
+// it did at the skipped points was nothing: with Store and Cache empty a
+// check neither routes nor expires anything. Only an exact float tie
+// between the wake instant and a cadence point can order events
+// differently: the always-running check would have run at that instant
+// after or before the arrival, by event sequence, where the woken check
+// runs one interval later.
+func (g *GLR) wake() {
+	now := g.n.Now()
+	t := g.nextCheck
+	for t <= now {
+		t += g.cfg.CheckInterval
+	}
+	g.nextCheck = t
+	g.checkArmed = true
+	g.n.At(t, g.checkFn)
 }
 
 // Restart implements sim.Restarter (fault-injected node churn): the
 // node reboots with empty custody storage and no per-message state —
 // even the delivered bits that suppress re-acceptance are gone. The
-// shared spanner Maintainer holds no node state. The periodic
-// route-check timer keeps its cadence across the restart.
+// shared spanner Maintainer holds no node state. The route check keeps
+// its cadence across the restart: an armed check finds the store empty
+// and sleeps, and a sleeping node stays asleep.
 func (g *GLR) Restart() {
 	g.store = dtn.NewCustodyStore(g.n.StorageLimit())
 	clear(g.msgs)
@@ -341,11 +368,15 @@ func (g *GLR) OnMessageGenerated(m *dtn.Message) {
 }
 
 // addToStore inserts a message, cleaning up auxiliary state for anything
-// the bounded store dropped.
+// the bounded store dropped. It is the only way a message enters an
+// empty node, so it wakes a sleeping route check.
 func (g *GLR) addToStore(m *dtn.Message) {
 	dropped, _ := g.store.Add(m)
 	if dropped != nil {
 		g.forget(dropped.ID)
+	}
+	if !g.checkArmed {
+		g.wake()
 	}
 }
 

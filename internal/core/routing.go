@@ -8,7 +8,9 @@ import (
 
 // routeCheck is the periodic store-and-forward loop (Algorithm 2): expire
 // custody timeouts, refresh destination estimates, and attempt to forward
-// every stored message along its trees.
+// every stored message along its trees. A check that ends with Store and
+// Cache both empty does not rearm itself: the node sleeps until
+// addToStore wakes it on its cadence.
 func (g *GLR) routeCheck() {
 	now := g.n.Now()
 
@@ -33,7 +35,12 @@ func (g *GLR) routeCheck() {
 		}
 	}
 
-	g.n.After(g.cfg.CheckInterval, g.checkFn)
+	g.nextCheck = now + g.cfg.CheckInterval
+	if g.store.Total() == 0 {
+		g.checkArmed = false
+		return
+	}
+	g.n.At(g.nextCheck, g.checkFn)
 }
 
 // localSpanner constructs this node's current routing-graph incident
@@ -52,10 +59,7 @@ func (g *GLR) localSpanner() (*ldt.LocalView, []int, []geom.Point) {
 	if err != nil {
 		return nil, nil, nil
 	}
-	nbrIDs, nbrPts, err := g.maint.Neighbors(view, g.spannerVariant(), ldtgK)
-	if err != nil {
-		return view, nil, nil
-	}
+	nbrIDs, nbrPts := g.maint.Neighbors(view, g.spannerVariant())
 	return view, nbrIDs, nbrPts
 }
 

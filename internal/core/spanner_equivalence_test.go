@@ -57,7 +57,7 @@ func checkSpannersAgainstReference(t *testing.T, instances []*GLR, label string)
 			local = view.UDGNeighbors()
 		default:
 			var err error
-			if local, err = view.LDTGNeighbors(ldtgK); err != nil {
+			if local, err = view.LDTGNeighbors(ldt.K); err != nil {
 				t.Fatal(err)
 			}
 		}

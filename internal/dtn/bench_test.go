@@ -16,7 +16,7 @@ func BenchmarkNeighborTable(b *testing.B) {
 	const n = 1000 // world size
 	const degree = 24
 	rng := rand.New(rand.NewSource(17))
-	t := NewNeighborTable()
+	t := new(NeighborTable)
 
 	// Steady-state neighborhood: `degree` live neighbors, each
 	// advertising `degree` of its own.

@@ -24,9 +24,6 @@ type LocationTable struct {
 	entries map[int]LocationEntry
 }
 
-// NewLocationTable returns an empty table.
-func NewLocationTable() *LocationTable { return &LocationTable{} }
-
 // Len returns the number of known nodes.
 func (t *LocationTable) Len() int { return len(t.entries) }
 
@@ -92,9 +89,6 @@ type NeighborTable struct {
 	expired []int            // scratch Expire returns
 	seen    map[int]struct{} // AppendTwoHop's dedup set, cleared per call
 }
-
-// NewNeighborTable returns an empty table.
-func NewNeighborTable() *NeighborTable { return &NeighborTable{} }
 
 // find returns the index of id's row, or the index it would be inserted
 // at, and whether the row is live.

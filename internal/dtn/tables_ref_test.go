@@ -186,7 +186,7 @@ func TestNeighborTableRefEquivalenceChurn(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)*2671 + 9))
 		idSpace := 4 + rng.Intn(28)
 		m := newRefNeighborTable()
-		d := NewNeighborTable()
+		d := new(NeighborTable)
 		now := 0.0
 		for step := 0; step < 300; step++ {
 			now += rng.Float64()
@@ -239,7 +239,7 @@ func FuzzNeighborTable(f *testing.F) {
 			return int(b)
 		}
 		m := newRefNeighborTable()
-		d := NewNeighborTable()
+		d := new(NeighborTable)
 		var ids []int
 		var pts []geom.Point
 		now := 0.0
@@ -286,8 +286,8 @@ func TestNeighborTableRelabelInvariance(t *testing.T) {
 		n := 6 + rng.Intn(20)
 		perm := rng.Perm(n) // bijection id -> perm[id]
 
-		orig := NewNeighborTable()
-		rel := NewNeighborTable()
+		orig := new(NeighborTable)
+		rel := new(NeighborTable)
 		pos := make([]geom.Point, n)
 		for id := range pos {
 			pos[id] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
@@ -337,7 +337,7 @@ func TestLocationTableRefEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)*911 + 1))
 		idSpace := 4 + rng.Intn(28)
 		ref := map[int]LocationEntry{}
-		d := NewLocationTable()
+		d := new(LocationTable)
 		for step := 0; step < 300; step++ {
 			id := rng.Intn(idSpace+6) - 2
 			pos := geom.Pt(rng.Float64()*100, rng.Float64()*100)
@@ -383,7 +383,7 @@ func TestLocationTableRefEquivalence(t *testing.T) {
 // and id reuse afterwards (on recycled row storage) must behave like a
 // fresh table.
 func TestNeighborTableReset(t *testing.T) {
-	d := NewNeighborTable()
+	d := new(NeighborTable)
 	d.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 1), LastSeen: 5,
 		Neighbors: []NeighborNeighbor{{ID: 3, Pos: geom.Pt(3, 3)}}})
 	d.Observe(NeighborInfo{ID: 2, Pos: geom.Pt(2, 2), LastSeen: 5})
@@ -409,7 +409,7 @@ func TestNeighborTableReset(t *testing.T) {
 // them, and the two-hop view never emits one, however many rows
 // advertise it.
 func TestTablesIgnoreNegativeIDs(t *testing.T) {
-	lt := NewLocationTable()
+	lt := new(LocationTable)
 	if lt.Update(-1, geom.Pt(1, 1), 1) {
 		t.Error("Update(-1) reported a change")
 	}
@@ -420,7 +420,7 @@ func TestTablesIgnoreNegativeIDs(t *testing.T) {
 		t.Error("Get(-1) found a row")
 	}
 
-	nt := NewNeighborTable()
+	nt := new(NeighborTable)
 	nt.Observe(NeighborInfo{ID: -1, Pos: geom.Pt(1, 1), LastSeen: 1})
 	if nt.Len() != 0 {
 		t.Errorf("Observe(-1) stored a row")

@@ -10,7 +10,7 @@ import (
 )
 
 func TestLocationTableUpdate(t *testing.T) {
-	lt := NewLocationTable()
+	lt := new(LocationTable)
 	if !lt.Update(1, geom.Pt(5, 5), 10) {
 		t.Fatal("first update should succeed")
 	}
@@ -51,8 +51,8 @@ func merge(dst, src *LocationTable) int {
 }
 
 func TestLocationTableMerge(t *testing.T) {
-	a := NewLocationTable()
-	b := NewLocationTable()
+	a := new(LocationTable)
+	b := new(LocationTable)
 	a.Update(1, geom.Pt(1, 1), 10)
 	a.Update(2, geom.Pt(2, 2), 10)
 	b.Update(1, geom.Pt(9, 9), 20) // fresher
@@ -75,7 +75,7 @@ func TestLocationTableMerge(t *testing.T) {
 }
 
 func TestNeighborTableObserveExpire(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := new(NeighborTable)
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 0), LastSeen: 10})
 	nt.Observe(NeighborInfo{ID: 2, Pos: geom.Pt(2, 0), LastSeen: 20})
 	nt.Observe(NeighborInfo{ID: 3, Pos: geom.Pt(3, 0), LastSeen: 30})
@@ -98,7 +98,7 @@ func TestNeighborTableObserveExpire(t *testing.T) {
 }
 
 func TestNeighborTableRefresh(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := new(NeighborTable)
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 0), LastSeen: 10})
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(5, 0), LastSeen: 15})
 	r, _ := nt.Get(1)
@@ -111,7 +111,7 @@ func TestNeighborTableRefresh(t *testing.T) {
 }
 
 func TestNeighborTableSnapshotSorted(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := new(NeighborTable)
 	for _, id := range []int{5, 1, 3} {
 		nt.Observe(NeighborInfo{ID: id, LastSeen: 1})
 	}
@@ -122,7 +122,7 @@ func TestNeighborTableSnapshotSorted(t *testing.T) {
 }
 
 func TestTwoHopPoints(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := new(NeighborTable)
 	nt.Observe(NeighborInfo{
 		ID: 1, Pos: geom.Pt(10, 0), LastSeen: 1,
 		Neighbors: []NeighborNeighbor{
@@ -158,7 +158,7 @@ func TestTwoHopPoints(t *testing.T) {
 }
 
 func TestTwoHopPointsEmpty(t *testing.T) {
-	nt := NewNeighborTable()
+	nt := new(NeighborTable)
 	ids, pts := nt.AppendTwoHop(nil, nil, 7, geom.Pt(1, 2))
 	if len(ids) != 1 || ids[0] != 7 || !pts[0].Eq(geom.Pt(1, 2)) {
 		t.Error("empty table should yield only self")

@@ -47,7 +47,8 @@ func clampedPoints(rng *rand.Rand, n int, w, h, margin float64) []geom.Point {
 }
 
 // degenerateSet is a point set with exact ties, the transmission radii
-// that make them matter, and the hop counts k to build spanners with.
+// that make them matter, and the hop counts k to build whole spanners
+// with (BuildLDTG; the Maintainer always uses K).
 type degenerateSet struct {
 	name  string
 	pts   []geom.Point
@@ -88,19 +89,16 @@ func degenerateSets() []degenerateSet {
 }
 
 // spannerUnion asks the Maintainer for the LDTG neighbors of every node
-// of pts from its own k-hop view and returns the union of the accepted
-// edges. Each answer must be invariant under permuting the view and
-// under relabeling the ids.
-func spannerUnion(t *testing.T, pts []geom.Point, r float64, k int) *geom.Graph {
+// of pts from its own two-hop view and returns the union of the
+// accepted edges. Each answer must be invariant under permuting the view
+// and under relabeling the ids.
+func spannerUnion(t *testing.T, pts []geom.Point, r float64) *geom.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(len(pts))))
 	m := NewMaintainer()
 	union := geom.NewGraph(len(pts))
 	sortedAnswer := func(view *LocalView) []int {
-		ids, _, err := m.Neighbors(view, VariantLDTG, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ids, _ := m.Neighbors(view, VariantLDTG)
 		ids = slices.Clone(ids)
 		slices.Sort(ids)
 		return ids
@@ -128,37 +126,36 @@ func spannerUnion(t *testing.T, pts []geom.Point, r float64, k int) *geom.Graph 
 }
 
 // TestSpannerDegenerateSets: on point sets full of exact ties, the union
-// of every node's accepted edges, and the whole graph BuildLDTG builds,
-// are planar (face routing terminates only on a planar graph) and
-// contain every Gabriel edge of positive length (so they stay
-// connected). A coincident pair is a zero-length Gabriel edge that no
-// spanner can draw; both constructions treat coincident points as one
-// vertex.
+// of every node's accepted edges (the Maintainer's k = K), and the whole
+// graph BuildLDTG builds at each of the set's k, are planar (face
+// routing terminates only on a planar graph) and contain every Gabriel
+// edge of positive length (so they stay connected). A coincident pair
+// is a zero-length Gabriel edge that no spanner can draw; both
+// constructions treat coincident points as one vertex.
 func TestSpannerDegenerateSets(t *testing.T) {
 	for _, set := range degenerateSets() {
 		t.Run(set.name, func(t *testing.T) {
 			for _, r := range set.radii {
+				check := func(name string, k int, g *geom.Graph) {
+					if !g.IsPlanarEmbedding(set.pts) {
+						t.Errorf("%s r=%v k=%d: accepted edges cross", name, r, k)
+					}
+					for _, e := range GabrielGraph(set.pts, r).Edges() {
+						if set.pts[e[0]].Eq(set.pts[e[1]]) {
+							continue
+						}
+						if !g.HasEdge(e[0], e[1]) {
+							t.Errorf("%s r=%v k=%d: Gabriel edge %v missing", name, r, k, e)
+						}
+					}
+				}
+				check("union", K, spannerUnion(t, set.pts, r))
 				for _, k := range set.ks {
 					whole, err := BuildLDTG(set.pts, r, k)
 					if err != nil {
 						t.Fatalf("r=%v k=%d: BuildLDTG: %v", r, k, err)
 					}
-					for _, c := range []struct {
-						name string
-						g    *geom.Graph
-					}{{"union", spannerUnion(t, set.pts, r, k)}, {"BuildLDTG", whole}} {
-						if !c.g.IsPlanarEmbedding(set.pts) {
-							t.Errorf("%s r=%v k=%d: accepted edges cross", c.name, r, k)
-						}
-						for _, e := range GabrielGraph(set.pts, r).Edges() {
-							if set.pts[e[0]].Eq(set.pts[e[1]]) {
-								continue
-							}
-							if !c.g.HasEdge(e[0], e[1]) {
-								t.Errorf("%s r=%v k=%d: Gabriel edge %v missing", c.name, r, k, e)
-							}
-						}
-					}
+					check("BuildLDTG", k, whole)
 				}
 			}
 		})
@@ -181,7 +178,7 @@ func TestSpannerCocircularSquareDiagonal(t *testing.T) {
 		{"diamond", []geom.Point{geom.Pt(50, 0), geom.Pt(0, 50), geom.Pt(-50, 0), geom.Pt(0, -50)}, [2]int{1, 3}},
 		{"lattice-ring", []geom.Point{geom.Pt(30, 40), geom.Pt(-40, 30), geom.Pt(-30, -40), geom.Pt(40, -30)}, [2]int{0, 2}},
 	} {
-		union := spannerUnion(t, tc.pts, 200, 2)
+		union := spannerUnion(t, tc.pts, 200)
 		for u := range tc.pts {
 			for v := u + 1; v < len(tc.pts); v++ {
 				diag := (v-u)%2 == 0

@@ -74,12 +74,8 @@ func FuzzSpannerNeighbors(f *testing.F) {
 		if err != nil {
 			return
 		}
-		kk := 1 + int(k%3)
 		m := NewMaintainer()
-		got, _, err := m.Neighbors(view, VariantLDTG, kk)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := m.Neighbors(view, VariantLDTG)
 		got = slices.Clone(got)
 		udg := map[int]bool{}
 		for _, li := range view.UDGNeighbors() {
@@ -90,6 +86,17 @@ func FuzzSpannerNeighbors(f *testing.F) {
 				t.Fatalf("accepted %d, not a unit-disk neighbor of self (accepted %v)", id, got)
 			}
 		}
+		// Other hop depths are the oracle's alone: LDTGNeighbors at kk
+		// may reject a view it cannot triangulate, but must not panic or
+		// accept anything outside self's unit disk.
+		kk := 1 + int(k%3)
+		if local, err := view.LDTGNeighbors(kk); err == nil {
+			for _, li := range local {
+				if !udg[view.IDs[li]] {
+					t.Fatalf("oracle at k=%d accepted %d, not a unit-disk neighbor of self", kk, view.IDs[li])
+				}
+			}
+		}
 		rIDs, rPts := slices.Clone(ids), slices.Clone(pts)
 		slices.Reverse(rIDs[1:])
 		slices.Reverse(rPts[1:])
@@ -97,10 +104,7 @@ func FuzzSpannerNeighbors(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, _, err := m.Neighbors(rev, VariantLDTG, kk)
-		if err != nil {
-			t.Fatal(err)
-		}
+		again, _ := m.Neighbors(rev, VariantLDTG)
 		again = slices.Clone(again)
 		slices.Sort(got)
 		slices.Sort(again)

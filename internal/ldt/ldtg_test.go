@@ -252,10 +252,7 @@ func TestLocalLDTGNeighborsAreUDGNeighbors(t *testing.T) {
 	const r = 150
 	m := NewMaintainer()
 	for u := range pts {
-		_, nbrPts, err := m.Neighbors(buildView(t, pts, u, r, func(i int) int { return i }), VariantLDTG, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, nbrPts := m.Neighbors(buildView(t, pts, u, r, func(i int) int { return i }), VariantLDTG)
 		for _, p := range nbrPts {
 			if pts[u].Dist(p) > r {
 				t.Fatalf("local LDTG proposed an out-of-range neighbor")
@@ -272,18 +269,20 @@ func TestLocalLDTGHandlesCoincidentPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbrs, _, err := NewMaintainer().Neighbors(view, VariantLDTG, 2)
-	if err != nil {
-		t.Fatalf("coincident points broke LDTG: %v", err)
-	}
+	nbrs, _ := NewMaintainer().Neighbors(view, VariantLDTG)
 	if len(nbrs) == 0 {
 		t.Error("expected at least one accepted neighbor")
 	}
 }
 
+// TestLocalLDTGRejectsBadK: the oracles, the only constructions that
+// take a hop depth, reject k < 1.
 func TestLocalLDTGRejectsBadK(t *testing.T) {
 	view, _ := NewLocalView(0, []int{0}, []geom.Point{geom.Pt(0, 0)}, 10)
-	if _, _, err := NewMaintainer().Neighbors(view, VariantLDTG, 0); err == nil {
-		t.Error("k=0 should be rejected")
+	if _, err := view.LDTGNeighbors(0); err == nil {
+		t.Error("LDTGNeighbors: k=0 should be rejected")
+	}
+	if _, err := BuildLDTG([]geom.Point{geom.Pt(0, 0)}, 10, 0); err == nil {
+		t.Error("BuildLDTG: k=0 should be rejected")
 	}
 }

@@ -1,11 +1,15 @@
 package ldt
 
 import (
-	"fmt"
 	"time"
 
 	"glr/internal/geom"
 )
+
+// K is the hop depth of the witness sets an LDTG query uses: the paper's
+// experiments route on distance-2 information, and beacons carry
+// two-hop views, so no larger k would see more.
+const K = 2
 
 // Variant selects which local routing graph a Maintainer query builds.
 // It mirrors the protocol-level spanner choice without importing it.
@@ -43,7 +47,7 @@ func (s SpannerStats) TriHitRate() float64 { return 0 }
 // answer is a function of its view alone.
 //
 // An LDTG query accepts the edge (self, nb) iff it is a Delaunay edge of
-// every witness set that contains both endpoints: the k-hop sets of self
+// every witness set that contains both endpoints: the K-hop sets of self
 // and of each 1-hop neighbor. Each test is one allocation-free scan of a
 // witness set with the robust predicates (delaunayEdge), starting with
 // self's set, so later witnesses test only the candidates that survive.
@@ -69,52 +73,45 @@ func NewMaintainer() *Maintainer { return &Maintainer{} }
 func (m *Maintainer) Stats() SpannerStats { return m.stats }
 
 // Neighbors returns the global ids and positions of the accepted spanner
-// neighbors of view's self node, in view order, per the requested variant
-// (k applies to the LDTG only). The LDTG answer equals LDTGNeighbors' on
-// views in general position; on exact cocircular ties it follows the
-// symbolic perturbation of sosInside, which keeps the spanner planar.
+// neighbors of view's self node, in view order, per the requested
+// variant. The LDTG answer equals that of LDTGNeighbors(K) on views in general
+// position; on exact cocircular ties it follows the symbolic
+// perturbation of sosInside, which keeps the spanner planar.
 //
 // The returned slices are scratch storage: callers may read them until
 // the next Neighbors call on this Maintainer but must not modify or
 // retain them (the routing loop reads them within one route check).
-func (m *Maintainer) Neighbors(view *LocalView, variant Variant, k int) ([]int, []geom.Point, error) {
+func (m *Maintainer) Neighbors(view *LocalView, variant Variant) ([]int, []geom.Point) {
 	start := time.Now()
 	defer func() { m.stats.BuildTime += time.Since(start) }()
 	m.stats.Queries++
 
 	m.buildAdjacency(view)
 	var local []int
-	var err error
 	switch variant {
 	case VariantGabriel:
 		local = m.gabrielNeighbors(view)
 	case VariantUDG:
 		local = m.adj[0]
 	default:
-		local, err = m.ldtgNeighbors(view, k)
-		if err != nil {
-			return nil, nil, err
-		}
+		local = m.ldtgNeighbors(view)
 	}
 	m.accIDs, m.accPts = m.accIDs[:0], m.accPts[:0]
 	for _, li := range local {
 		m.accIDs = append(m.accIDs, view.IDs[li])
 		m.accPts = append(m.accPts, view.Pts[li])
 	}
-	return m.accIDs, m.accPts, nil
+	return m.accIDs, m.accPts
 }
 
 // ldtgNeighbors applies the paper's acceptance rule over the view and
 // returns the accepted local indices in view order. Self's witness set
 // contains every candidate, so it filters first; each neighbor's set
 // then re-tests the survivors it contains.
-func (m *Maintainer) ldtgNeighbors(view *LocalView, k int) ([]int, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("ldt: k must be ≥ 1, got %d", k)
-	}
+func (m *Maintainer) ldtgNeighbors(view *LocalView) []int {
 	selfNbrs := m.adj[0]
 	acc := m.accepted[:0]
-	set := m.khop(0, k)
+	set := m.khop(0)
 	for _, nb := range selfNbrs {
 		if delaunayEdge(view.Pts, set, 0, nb) {
 			acc = append(acc, nb)
@@ -124,7 +121,7 @@ func (m *Maintainer) ldtgNeighbors(view *LocalView, k int) ([]int, error) {
 		if len(acc) == 0 {
 			break
 		}
-		set := m.khop(w, k) // contains self: w is a neighbor and k ≥ 1
+		set := m.khop(w) // contains self: w is a neighbor and K ≥ 1
 		keep := acc[:0]
 		for _, nb := range acc {
 			if m.seen[nb] != m.seenGen || delaunayEdge(view.Pts, set, 0, nb) {
@@ -134,7 +131,7 @@ func (m *Maintainer) ldtgNeighbors(view *LocalView, k int) ([]int, error) {
 		acc = keep
 	}
 	m.accepted = acc
-	return acc, nil
+	return acc
 }
 
 // gabrielNeighbors returns self's unit-disk neighbors whose closed
@@ -172,10 +169,10 @@ func (m *Maintainer) buildAdjacency(view *LocalView) {
 	}
 }
 
-// khop returns the local indices within graph distance k of w over m.adj,
-// including w, in scratch storage valid until the next khop call. Until
-// then, v is a member iff m.seen[v] == m.seenGen.
-func (m *Maintainer) khop(w, k int) []int {
+// khop returns the local indices within graph distance K of w over
+// m.adj, including w, in scratch storage valid until the next khop call.
+// Until then, v is a member iff m.seen[v] == m.seenGen.
+func (m *Maintainer) khop(w int) []int {
 	n := len(m.adj)
 	for len(m.seen) < n {
 		m.seen = append(m.seen, 0)
@@ -187,7 +184,7 @@ func (m *Maintainer) khop(w, k int) []int {
 	m.seen[w] = gen
 	m.members = append(m.members, w)
 	m.queue = append(m.queue, w)
-	for depth := 0; depth < k && len(m.queue) > 0; depth++ {
+	for depth := 0; depth < K && len(m.queue) > 0; depth++ {
 		next := len(m.members)
 		for _, u := range m.queue {
 			for _, v := range m.adj[u] {

@@ -109,11 +109,8 @@ func TestMaintainerMatchesFromScratch(t *testing.T) {
 			base := buildView(t, pts, self, r, func(i int) int { return i })
 			for _, view := range []*LocalView{base, permutedView(t, base, rng)} {
 				for _, variant := range []Variant{VariantLDTG, VariantGabriel, VariantUDG} {
-					gotIDs, gotPts, err := m.Neighbors(view, variant, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := referenceNeighbors(t, view, variant, 2); !slices.Equal(gotIDs, want) {
+					gotIDs, gotPts := m.Neighbors(view, variant)
+					if want := referenceNeighbors(t, view, variant, K); !slices.Equal(gotIDs, want) {
 						t.Fatalf("epoch %d self %d variant %d: maintainer %v != reference %v",
 							epoch, self, variant, gotIDs, want)
 					}
@@ -198,17 +195,9 @@ func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 		// one Maintainer must answer exactly as a fresh Maintainer does,
 		// in the same order.
 		m := NewMaintainer()
-		if _, _, err := m.Neighbors(base, VariantLDTG, 2); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := m.Neighbors(shuffled, VariantLDTG, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, _, err := NewMaintainer().Neighbors(shuffled, VariantLDTG, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m.Neighbors(base, VariantLDTG)
+		got, _ := m.Neighbors(shuffled, VariantLDTG)
+		fresh, _ := NewMaintainer().Neighbors(shuffled, VariantLDTG)
 		if !slices.Equal(got, fresh) || !slices.Equal(got, viewIDs(shuffled, shuffledLocal)) {
 			t.Fatalf("trial %d: acceptance after the original view %v != fresh %v", trial, got, fresh)
 		}
@@ -247,8 +236,6 @@ func BenchmarkSpannerNeighbors(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		view.Pts[len(view.Pts)-1].X += 1e-9
-		if _, _, err := m.Neighbors(view, VariantLDTG, 2); err != nil {
-			b.Fatal(err)
-		}
+		m.Neighbors(view, VariantLDTG)
 	}
 }

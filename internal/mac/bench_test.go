@@ -17,14 +17,17 @@ func paperDensityMedium(b testing.TB, n int) (*des.Scheduler, *Medium) {
 	area := float64(n) / (50.0 / (1500 * 300))
 	side := math.Sqrt(area)
 	sched := des.NewScheduler()
-	m, err := NewMedium(sched, DefaultConfig(100), 42)
+	rng := rand.New(rand.NewSource(7))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
+	}
+	m, err := NewMedium(sched, DefaultConfig(100), 42, func(id int) geom.Point { return pts[id] })
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < n; i++ {
-		p := geom.Pt(rng.Float64()*side, rng.Float64()*side)
-		if _, err := m.AddRadio(i, func() geom.Point { return p }, nil, nil); err != nil {
+		if _, err := m.AddRadio(i, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ type equivMedium struct {
 
 // mediumFunc builds a medium: NewMedium, or one of the test references
 // in export_test.go.
-type mediumFunc func(*des.Scheduler, Config, int64) (*Medium, error)
+type mediumFunc func(*des.Scheduler, Config, int64, func(int) geom.Point) (*Medium, error)
 
 // buildEquivMedium wires n radios with the given position functions onto
 // a fresh medium built by newMedium. pos functions take the medium's own
@@ -39,14 +39,13 @@ type mediumFunc func(*des.Scheduler, Config, int64) (*Medium, error)
 func buildEquivMedium(t testing.TB, newMedium mediumFunc, cfg Config, n int, pos func(id int, now des.Time) geom.Point, seed int64) *equivMedium {
 	t.Helper()
 	sched := des.NewScheduler()
-	m, err := newMedium(sched, cfg, seed)
+	m, err := newMedium(sched, cfg, seed, func(id int) geom.Point { return pos(id, sched.Now()) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	em := &equivMedium{sched: sched, medium: m}
 	for i := 0; i < n; i++ {
 		_, err := m.AddRadio(i,
-			func() geom.Point { return pos(i, sched.Now()) },
 			func(f *Frame) {
 				em.log = append(em.log, recvRecord{
 					at: sched.Now(), radio: i, src: f.Src, payload: f.Payload.(int),

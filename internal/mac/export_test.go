@@ -6,34 +6,66 @@ import (
 	"slices"
 
 	"glr/internal/des"
-	"glr/internal/spatial"
+	"glr/internal/geom"
 )
 
 // newNaiveMedium returns the all-pairs reference medium the grid-indexed
-// medium is checked against. Its radio and transmission grids use cells
-// of the largest finite size, so the nonnegative quadrant is one cell
-// and every index query returns every radio and airing in it; a point
-// across an axis from a query's whole disk is the only entry skipped.
-func newNaiveMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
-	m, err := NewMedium(sched, cfg, seed)
+// medium is checked against: its radio and transmission indexes answer
+// every query with every indexed id, unfiltered, so reception, carrier
+// sensing and interference gathering rest on the exact predicates alone.
+func newNaiveMedium(sched *des.Scheduler, cfg Config, seed int64, pos func(int) geom.Point) (*Medium, error) {
+	m, err := NewMedium(sched, cfg, seed, pos)
 	if err != nil {
 		return nil, err
 	}
-	if m.radioIdx, err = spatial.NewGrid(math.MaxFloat64); err != nil {
-		return nil, err
-	}
-	if m.txIdx, err = spatial.NewGrid(math.MaxFloat64); err != nil {
-		return nil, err
-	}
+	m.radioIdx, m.txIdx = &allPairs{}, &allPairs{}
 	return m, nil
+}
+
+// allPairs is an index whose queries return every indexed id in
+// ascending order, whatever the disk.
+type allPairs struct {
+	in []bool // in[id]: id is indexed
+}
+
+func (a *allPairs) Insert(id int, _ geom.Point) error {
+	if id < len(a.in) && a.in[id] {
+		return fmt.Errorf("id %d already indexed", id)
+	}
+	a.Update(id, geom.Point{})
+	return nil
+}
+
+func (a *allPairs) Update(id int, _ geom.Point) {
+	for id >= len(a.in) {
+		a.in = append(a.in, false)
+	}
+	a.in[id] = true
+}
+
+func (a *allPairs) Remove(id int) bool {
+	had := id < len(a.in) && a.in[id]
+	if had {
+		a.in[id] = false
+	}
+	return had
+}
+
+func (a *allPairs) NearIDs(_ geom.Point, _ float64, buf []int) []int {
+	for id, ok := range a.in {
+		if ok {
+			buf = append(buf, id)
+		}
+	}
+	return buf
 }
 
 // newUnprunedMedium returns the reference medium the retention rule is
 // checked against: a production medium that never prunes its FIFO or a
 // radio's half-duplex history (retain = +Inf), so every overlap check
 // sees every airing ever started.
-func newUnprunedMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
-	m, err := NewMedium(sched, cfg, seed)
+func newUnprunedMedium(sched *des.Scheduler, cfg Config, seed int64, pos func(int) geom.Point) (*Medium, error) {
+	m, err := NewMedium(sched, cfg, seed, pos)
 	if err != nil {
 		return nil, err
 	}

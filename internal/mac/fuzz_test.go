@@ -48,22 +48,21 @@ func FuzzMediumConfig(f *testing.F) {
 			CaptureRatio: capture, VirtualCS: virtualCS, IndexSlack: slack,
 		}
 		sched := des.NewScheduler()
-		m, err := NewMedium(sched, cfg, 1)
+		const maxEvents = 20000
+		m, err := NewMedium(sched, cfg, 1, func(id int) geom.Point {
+			// Every attempt and every reception reads a position, so
+			// this is where the run is capped.
+			if sched.Processed() >= maxEvents {
+				sched.Stop()
+			}
+			return geom.Pt(0.9*rng*float64(id), 0)
+		})
 		if err != nil {
 			return
 		}
-		const maxEvents = 20000
 		radios := make([]*Radio, 3)
 		for i := range radios {
-			p := geom.Pt(0.9*rng*float64(i), 0)
-			r, err := m.AddRadio(i, func() geom.Point {
-				// Every attempt and every reception reads a position,
-				// so this is where the run is capped.
-				if sched.Processed() >= maxEvents {
-					sched.Stop()
-				}
-				return p
-			}, nil, nil)
+			r, err := m.AddRadio(i, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,10 +55,13 @@ type Config struct {
 	// the paper's stack.
 	VirtualCS bool
 	// IndexSlack widens spatial-index queries over radios by this many
-	// metres to tolerate movement between index refreshes. It must be
-	// at least the farthest any radio can drift between Reindex calls
-	// (the simulator sets MaxSpeed × reindex interval); zero is correct
-	// for static radios.
+	// metres to tolerate movement between index refreshes. The index
+	// returns exactly the radios whose indexed position lies within
+	// Range+IndexSlack of the sender, so the slack must exceed the
+	// farthest any radio can drift between Reindex calls by a margin for
+	// float rounding (the simulator sets MaxSpeed × reindex interval
+	// plus one metre); a radio that drifts farther is missed. Zero is
+	// correct for static radios, whose indexed positions are exact.
 	IndexSlack float64
 	// DropRx, when non-nil, vetoes individual receptions: a frame from
 	// src arriving at dst at time now (sender position at start of
@@ -186,6 +189,7 @@ type Medium struct {
 	cfg    Config
 	sched  *des.Scheduler
 	rng    *rand.Rand
+	pos    func(id int) geom.Point // current position of radio id
 	radios []*Radio
 	active []*transmission // FIFO, in start order, of retained transmissions
 	head   int             // index of the oldest retained entry in active
@@ -201,8 +205,8 @@ type Medium struct {
 
 	// Spatial index state. Transmission anchors are registered under
 	// small recycled handles so the handle table stays a dense slice.
-	radioIdx    *spatial.Grid
-	txIdx       *spatial.Grid
+	radioIdx    pointIndex
+	txIdx       pointIndex
 	txByHandle  []*transmission
 	freeHandles []int
 	scratch     []int           // receiver-candidate ids for the batch being resolved
@@ -231,9 +235,23 @@ func (m *Medium) takeTx() *transmission {
 	return &transmission{}
 }
 
+// pointIndex is the medium's spatial query surface: a disk query returns
+// exactly the ids whose indexed position lies in the closed disk, in a
+// deterministic order. spatial.Grid is its one implementation; the
+// medium's tests swap in an all-pairs index as their oracle.
+type pointIndex interface {
+	Insert(id int, p geom.Point) error
+	Update(id int, p geom.Point)
+	Remove(id int) bool
+	NearIDs(p geom.Point, r float64, buf []int) []int
+}
+
 // NewMedium creates a medium. seed drives backoff jitter only, through
-// one rng.New stream shared by every radio of the medium.
-func NewMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
+// one rng.New stream shared by every radio of the medium. pos reports
+// the current position of any attached radio by id; the medium reads it
+// whenever it needs a radio's position, so it must answer for every id
+// AddRadio will attach.
+func NewMedium(sched *des.Scheduler, cfg Config, seed int64, pos func(id int) geom.Point) (*Medium, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -241,6 +259,7 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64) (*Medium, error) {
 		cfg:    cfg,
 		sched:  sched,
 		rng:    rng.New(seed),
+		pos:    pos,
 		retain: cfg.SlotTime,
 		ending: make(map[des.Time][]*transmission),
 	}
@@ -271,15 +290,15 @@ func (m *Medium) Config() Config { return m.cfg }
 func (m *Medium) Stats() Stats { return m.stats }
 
 // AddRadio attaches a radio with the given id (must equal the insertion
-// index), position source, and callbacks. onSent may be nil.
-func (m *Medium) AddRadio(id int, pos func() geom.Point, onRecv ReceiveFunc, onSent SentFunc) (*Radio, error) {
+// index) and callbacks; its position is the medium's pos(id). onSent may
+// be nil.
+func (m *Medium) AddRadio(id int, onRecv ReceiveFunc, onSent SentFunc) (*Radio, error) {
 	if id != len(m.radios) {
 		return nil, fmt.Errorf("mac: radio id %d must be %d (insertion order)", id, len(m.radios))
 	}
 	r := &Radio{
 		id:     id,
 		medium: m,
-		pos:    pos,
 		onRecv: onRecv,
 		onSent: onSent,
 		cw:     m.cfg.CWMin,
@@ -289,20 +308,20 @@ func (m *Medium) AddRadio(id int, pos func() geom.Point, onRecv ReceiveFunc, onS
 		r.tryTransmit()
 	}
 	m.radios = append(m.radios, r)
-	if err := m.radioIdx.Insert(id, pos()); err != nil {
+	if err := m.radioIdx.Insert(id, m.pos(id)); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// Reindex refreshes every radio's cached grid cell from its position
-// callback. The simulator calls it periodically (once per beacon
-// interval) so that, together with the lazy per-observation refreshes,
-// no cached cell is ever staler than one reindex period — the drift
-// bound Config.IndexSlack must cover.
+// Reindex refreshes every radio's indexed position. The simulator calls
+// it periodically (once per beacon interval) so that, together with the
+// lazy per-observation refreshes, no indexed position is ever staler
+// than one reindex period — the drift bound Config.IndexSlack must
+// cover.
 func (m *Medium) Reindex() {
-	for _, r := range m.radios {
-		m.radioIdx.Update(r.id, r.pos())
+	for id := range m.radios {
+		m.radioIdx.Update(id, m.pos(id))
 	}
 }
 
@@ -527,15 +546,16 @@ func (m *Medium) corruptedAt(t *transmission, rid int, p geom.Point) bool {
 // gatherInterferers collects, once per end-of-tick batch, the active
 // transmissions that could interfere at any receiver of any batch
 // member. Every receiver lies within Range of its sender and an
-// interferer matters within ir of the receiver, so one index query of
-// radius Range+ir around each batch sender covers them all; candidates
-// are deduplicated across the batch (and across a unicast airing's two
-// anchors) with an epoch stamp on the transmission object, so the union
-// is gathered in a single pass over the affected grid cells.
+// interferer matters within ir of the receiver, so by the triangle
+// inequality one index query of radius Range+ir around each batch
+// sender covers them all; candidates are deduplicated across the batch
+// (and across a unicast airing's two anchors) with an epoch stamp on
+// the transmission object, so the union is gathered in a single pass
+// over the affected grid cells.
 func (m *Medium) gatherInterferers(batch []*transmission) {
 	m.txCand = m.txCand[:0]
 	m.candEpoch++
-	reach := m.cfg.Range * (1 + m.cfg.CSRangeFactor)
+	reach := m.interferenceReach()
 	for _, t := range batch {
 		m.csScratch = m.txIdx.NearIDs(t.pos, reach, m.csScratch[:0])
 		for _, h := range m.csScratch {
@@ -545,6 +565,19 @@ func (m *Medium) gatherInterferers(batch []*transmission) {
 			}
 		}
 	}
+}
+
+// interferenceReach is gatherInterferers' query radius: Range+ir, as
+// computed, widened by a relative 1e-9 plus 1e-100 m. The index filters
+// exactly, and the triangle inequality holds only up to rounding for the
+// distances txCorrupts and deliverTo compute, so the margin keeps every
+// interferer they would count: it dwarfs the few ulps of relative error
+// of each squared distance, and the additive term keeps the squared
+// radius a normal float for ranges so small that their squares lose
+// precision. Capped at the largest finite float.
+func (m *Medium) interferenceReach() float64 {
+	reach := m.cfg.Range * (1 + m.cfg.CSRangeFactor)
+	return min(reach+reach*1e-9+1e-100, math.MaxFloat64)
 }
 
 // scheduleEnd indexes a fresh airing under its end tick. The first
@@ -598,27 +631,28 @@ func (m *Medium) finishTransmission(t *transmission) bool {
 		if dst < 0 || dst >= len(m.radios) || dst == t.from.id {
 			return false
 		}
-		return m.deliverTo(t, m.radios[dst])
+		return m.deliverTo(t, dst)
 	}
 	// Candidate receivers are the radios indexed within reception range
 	// of the sender, widened by IndexSlack to cover movement since
-	// their cells were last refreshed. The ids are snapshotted (the
+	// their positions were last indexed. The ids are snapshotted (the
 	// deliveries below move entries between cells) and visited in index
 	// order, which is deterministic for a given seed.
 	m.scratch = m.radioIdx.NearIDs(t.pos, m.cfg.Range+m.cfg.IndexSlack, m.scratch[:0])
 	for _, id := range m.scratch {
 		if id != t.from.id {
-			m.deliverTo(t, m.radios[id])
+			m.deliverTo(t, id)
 		}
 	}
 	return false
 }
 
-// deliverTo attempts reception of t at radio r and reports success. As a
-// side effect it refreshes r's cached grid cell from the position just
-// observed.
-func (m *Medium) deliverTo(t *transmission, r *Radio) bool {
-	p := r.pos()
+// deliverTo attempts reception of t at radio id and reports success. As
+// a side effect it refreshes the radio's indexed position from the one
+// just observed. The Radio itself is loaded only for a receiver in
+// range.
+func (m *Medium) deliverTo(t *transmission, id int) bool {
+	p := m.pos(id)
 	if t.pos.Dist2(p) > m.cfg.Range*m.cfg.Range {
 		return false
 	}
@@ -628,18 +662,18 @@ func (m *Medium) deliverTo(t *transmission, r *Radio) bool {
 		// which alone bounds staleness to what IndexSlack covers. Zero
 		// slack promises static radios (see Config.IndexSlack), where
 		// no refresh is ever needed.
-		m.radioIdx.Update(r.id, p)
+		m.radioIdx.Update(id, p)
 	}
-	if m.cfg.DropRx != nil && m.cfg.DropRx(t.from.id, r.id, float64(m.sched.Now()), t.pos, p) {
+	if m.cfg.DropRx != nil && m.cfg.DropRx(t.from.id, id, float64(m.sched.Now()), t.pos, p) {
 		m.stats.FaultDrops++
 		return false
 	}
-	if m.corruptedAt(t, r.id, p) {
+	if m.corruptedAt(t, id, p) {
 		m.stats.Collisions++
 		return false
 	}
 	m.stats.Delivered++
-	if r.onRecv != nil {
+	if r := m.radios[id]; r.onRecv != nil {
 		r.onRecv(t.frame)
 	}
 	return true

@@ -22,18 +22,16 @@ type testNet struct {
 func newTestNet(t *testing.T, cfg Config, positions []geom.Point) *testNet {
 	t.Helper()
 	sched := des.NewScheduler()
-	m, err := NewMedium(sched, cfg, 99)
+	m, err := NewMedium(sched, cfg, 99, func(id int) geom.Point { return positions[id] })
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := &testNet{sched: sched, medium: m}
 	n.recv = make([][]*Frame, len(positions))
 	n.sent = make([]map[*Frame]bool, len(positions))
-	for i, p := range positions {
-		i, p := i, p
+	for i := range positions {
 		n.sent[i] = make(map[*Frame]bool)
 		r, err := m.AddRadio(i,
-			func() geom.Point { return p },
 			func(f *Frame) { n.recv[i] = append(n.recv[i], f) },
 			func(f *Frame, ok bool) { n.sent[i][f] = ok },
 		)
@@ -96,8 +94,8 @@ func TestConfigValidate(t *testing.T) {
 
 func TestAddRadioOrderEnforced(t *testing.T) {
 	sched := des.NewScheduler()
-	m, _ := NewMedium(sched, DefaultConfig(100), 1)
-	if _, err := m.AddRadio(3, func() geom.Point { return geom.Pt(0, 0) }, nil, nil); err == nil {
+	m, _ := NewMedium(sched, DefaultConfig(100), 1, func(int) geom.Point { return geom.Pt(0, 0) })
+	if _, err := m.AddRadio(3, nil, nil); err == nil {
 		t.Error("out-of-order radio id accepted")
 	}
 }
@@ -591,5 +589,92 @@ func TestCoincidentEndsOneEventPerTick(t *testing.T) {
 	}
 	if !slices.Equal(sentOrder, want) {
 		t.Errorf("completions of senders %v, want %v", sentOrder, want)
+	}
+}
+
+// TestDriftedRadioReceivedAtRange: the radio index returns exactly the
+// radios indexed within Range+IndexSlack of the sender, with no cell
+// rounding beyond that disk, so the slack alone must cover how far a
+// radio moved since its position was last indexed. A receiver that
+// approaches at top speed for a whole reindex interval, from about
+// Range + speed·interval at the last reindex to exactly Range when the
+// frame ends, is received under the simulator's slack (speed ×
+// interval + 1 m), as the all-pairs medium receives it, and missed under
+// a slack that covers only rounding.
+func TestDriftedRadioReceivedAtRange(t *testing.T) {
+	const (
+		speed    = 20.0
+		interval = 1.0
+	)
+	received := func(newMedium mediumFunc, slack float64) bool {
+		cfg := DefaultConfig(100)
+		cfg.IndexSlack = slack
+		airtime := (float64(cfg.HeaderBits) + 800) / cfg.BitRate
+		start := interval - airtime - 1e-6
+		end := start + airtime
+		sched := des.NewScheduler()
+		pos := func(id int) geom.Point {
+			if id == 0 {
+				return geom.Pt(0, 0)
+			}
+			return geom.Pt(cfg.Range+speed*(end-sched.Now()), 0)
+		}
+		m, err := newMedium(sched, cfg, 1, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := false
+		sender, err := m.AddRadio(0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.AddRadio(1, func(*Frame) {
+			got = true
+			if d := pos(0).Dist(pos(1)); d != cfg.Range {
+				t.Errorf("received at distance %v, want exactly Range %v", d, cfg.Range)
+			}
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if d := pos(1).X; d <= cfg.Range+speed*interval-0.01 {
+			t.Fatalf("receiver indexed at %v m, want about Range + %v m of drift", d, speed*interval)
+		}
+		des.NewTicker(sched, interval, 0, m.Reindex)
+		sched.At(start, func() { sender.Send(&Frame{Dst: Broadcast, Bits: 800}) })
+		sched.Run(interval)
+		return got
+	}
+	if !received(newNaiveMedium, 0) {
+		t.Fatal("the all-pairs medium missed a receiver at exactly Range")
+	}
+	if !received(NewMedium, speed*interval+1) {
+		t.Error("a receiver that drifted speed × interval since the last reindex was missed at Range")
+	}
+	if received(NewMedium, 1) {
+		t.Error("a receiver indexed about 20 m beyond Range+IndexSlack was received; the index query is not the exact disk")
+	}
+}
+
+// TestInterfererAtFullReachCorrupts: the interferer gather queries the
+// transmission index, which filters to the exact disk, at the radius
+// Range + ir around the sender (ir = Range·CSRangeFactor): a receiver at
+// Range from the sender and an interferer at ir beyond it, all on one
+// line, is the farthest an interferer can sit and still matter. Its
+// simultaneous airing, longer so that the sender's airing ends alone,
+// must corrupt the reception (capture disabled); the interferer is too
+// far from the sender to sense it and defer.
+func TestInterfererAtFullReachCorrupts(t *testing.T) {
+	cfg := DefaultConfig(100)
+	cfg.CaptureRatio = 0
+	ir := cfg.Range * cfg.CSRangeFactor
+	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(cfg.Range, 0), geom.Pt(cfg.Range+ir, 0)})
+	n.sched.At(0, func() {
+		n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 8000})
+		n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 16000})
+	})
+	n.sched.RunAll()
+	if len(n.recv[1]) != 0 || n.medium.Stats().Collisions != 1 {
+		t.Errorf("receiver got %d frames with %d collisions; want the sender's frame corrupted by the interferer %v m away",
+			len(n.recv[1]), n.medium.Stats().Collisions, cfg.Range+ir)
 	}
 }

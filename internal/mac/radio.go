@@ -2,7 +2,6 @@ package mac
 
 import (
 	"glr/internal/des"
-	"glr/internal/geom"
 )
 
 // Radio is one station on the medium. All methods must be called from the
@@ -10,7 +9,6 @@ import (
 type Radio struct {
 	id     int
 	medium *Medium
-	pos    func() geom.Point
 	onRecv ReceiveFunc
 	onSent SentFunc
 
@@ -56,7 +54,7 @@ func (r *Radio) tryTransmit() {
 	if r.transmitting || r.attemptArmed || len(r.queue) == 0 {
 		return
 	}
-	if busy, until := m.busyFor(r.pos()); busy {
+	if busy, until := m.busyFor(m.pos(r.id)); busy {
 		m.stats.BusyDeferrals++
 		r.deferUntil(until)
 		return
@@ -103,12 +101,12 @@ func (r *Radio) startTransmission() {
 	t.frame = f
 	t.start = now
 	t.end = now + m.frameAirtime(f)
-	t.pos = r.pos()
+	t.pos = m.pos(r.id)
 	t.hasRx = false
 	if f.Dst != Broadcast && f.Dst >= 0 && f.Dst < len(m.radios) {
 		// Virtual carrier sense (RTS/CTS): the receiver's surroundings
 		// also treat the channel as busy for this airing.
-		t.rxPos = m.radios[f.Dst].pos()
+		t.rxPos = m.pos(f.Dst)
 		t.hasRx = true
 	}
 	if keep := t.end - t.start + m.cfg.SlotTime; keep > m.retain {

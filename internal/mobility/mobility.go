@@ -2,11 +2,14 @@
 // random waypoint model used by the paper (NS-2 setdest equivalent), plus
 // static placements, a reflecting random walk, and scripted traces.
 //
-// Models expose an analytic Position(t): the discrete-event simulator never
-// steps positions forward tick by tick; it evaluates the trajectory exactly
-// at event times. Trajectories are generated lazily but remembered, so
-// Position may be queried at arbitrary (also non-monotone) times ≥ 0 and
-// always returns the same answer for the same t.
+// Every trajectory is piecewise linear. A model answers Segment(t): the
+// piece covering t, with the window of times it covers, so the
+// discrete-event simulator never steps positions forward tick by tick:
+// it keeps each node's current piece and evaluates it exactly at event
+// times, asking the model again only once the clock leaves the piece's
+// window. Trajectories are generated lazily but remembered, so Segment
+// may be queried at arbitrary (also non-monotone) times and always
+// returns the same piece for the same t.
 //
 // A single model instance is NOT safe for concurrent use (lazy trajectory
 // extension mutates internal state, and the randomized models each own a
@@ -19,14 +22,49 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 
 	"glr/internal/geom"
 	"glr/internal/rng"
 )
 
-// Model yields a node's position at any simulated time t ≥ 0.
+// Model yields the trajectory piece covering any simulated time t.
 type Model interface {
-	Position(t float64) geom.Point
+	Segment(t float64) Segment
+}
+
+// Segment is one linear piece of a trajectory, valid for the times
+// Lo < t ≤ Hi: the node stands at From until T0, moves in a straight
+// line to reach To at T1, and stands at To from Hold on. A random
+// waypoint or walk leg holds from its arrival (Hold = T1, then the
+// pause); a trace piece interpolates all the way to its closed end
+// (Hold = +Inf), which is where the piece's own arithmetic, not the
+// next waypoint, gives the position; a constant piece has T0 = +Inf.
+type Segment struct {
+	Lo, Hi   float64
+	T0, T1   float64
+	Hold     float64
+	From, To geom.Point
+}
+
+// constant returns the piece standing at p over (lo, hi].
+func constant(lo, hi float64, p geom.Point) Segment {
+	inf := math.Inf(1)
+	return Segment{Lo: lo, Hi: hi, T0: inf, T1: inf, Hold: inf, From: p, To: p}
+}
+
+// Covers reports whether t lies in the segment's window (Lo, Hi].
+func (s *Segment) Covers(t float64) bool { return s.Lo < t && t <= s.Hi }
+
+// At returns the position at time t, which must lie in the window.
+func (s *Segment) At(t float64) geom.Point {
+	switch {
+	case t >= s.Hold:
+		return s.To
+	case t <= s.T0:
+		return s.From
+	}
+	return s.From.Lerp(s.To, (t-s.T0)/(s.T1-s.T0))
 }
 
 // Region is an axis-aligned rectangle [0,W]×[0,H] in metres.
@@ -52,8 +90,8 @@ type Static struct {
 	P geom.Point
 }
 
-// Position implements Model.
-func (s Static) Position(float64) geom.Point { return s.P }
+// Segment implements Model: one piece covering all time.
+func (s Static) Segment(float64) Segment { return constant(math.Inf(-1), math.Inf(1), s.P) }
 
 // WaypointConfig parameterises the random waypoint model. The paper's
 // setting is MinSpeed≈0, MaxSpeed=20 m/s, Pause=0 on a 1500×300 m region.
@@ -96,27 +134,16 @@ type leg struct {
 
 func (l leg) end() float64 { return l.t1 + l.pause }
 
-func (l leg) at(t float64) geom.Point {
-	if t >= l.t1 {
-		return l.to
-	}
-	if t <= l.t0 {
-		return l.from
-	}
-	return l.from.Lerp(l.to, (t-l.t0)/(l.t1-l.t0))
-}
-
 // trajectory is the lazily drawn leg sequence of the random waypoint and
 // random walk models. It starts with one leg and keeps every leg drawn,
 // so a position never changes once answered.
 type trajectory []leg
 
-// at returns the position at time t (negative t reads as 0), first
-// appending legs drawn by next until the last one ends at or after t.
-func (tr *trajectory) at(t float64, next func(t0 float64, from geom.Point) leg) geom.Point {
-	if t < 0 {
-		t = 0
-	}
+// segment returns the leg covering time t as a Segment, first appending
+// legs drawn by next until the last one ends at or after t. Leg i covers
+// (end of leg i-1, end of leg i]; the first leg also covers every
+// negative t, where the node stands at its start point.
+func (tr *trajectory) segment(t float64, next func(t0 float64, from geom.Point) leg) Segment {
 	legs := *tr
 	for legs[len(legs)-1].end() < t {
 		last := legs[len(legs)-1]
@@ -133,7 +160,12 @@ func (tr *trajectory) at(t float64, next func(t0 float64, from geom.Point) leg) 
 			hi = mid
 		}
 	}
-	return legs[lo].at(t)
+	l := legs[lo]
+	prevEnd := math.Inf(-1)
+	if lo > 0 {
+		prevEnd = legs[lo-1].end()
+	}
+	return Segment{Lo: prevEnd, Hi: l.end(), T0: l.t0, T1: l.t1, Hold: l.t1, From: l.from, To: l.to}
 }
 
 // Waypoint is the random waypoint mobility model: pick a uniform
@@ -173,8 +205,8 @@ func (w *Waypoint) nextLeg(t0 float64, from geom.Point) leg {
 	return leg{t0: t0, t1: t0 + dur, from: from, to: to, pause: w.cfg.Pause}
 }
 
-// Position implements Model.
-func (w *Waypoint) Position(t float64) geom.Point { return w.legs.at(t, w.nextLeg) }
+// Segment implements Model: the leg covering t.
+func (w *Waypoint) Segment(t float64) Segment { return w.legs.segment(t, w.nextLeg) }
 
 // RandomWalkConfig parameterises the reflecting random walk model.
 type RandomWalkConfig struct {
@@ -240,8 +272,8 @@ func reflectInto(p geom.Point, r Region) geom.Point {
 	return geom.Pt(reflect1(p.X, r.W), reflect1(p.Y, r.H))
 }
 
-// Position implements Model.
-func (w *RandomWalk) Position(t float64) geom.Point { return w.legs.at(t, w.nextLeg) }
+// Segment implements Model: the leg covering t.
+func (w *RandomWalk) Segment(t float64) Segment { return w.legs.segment(t, w.nextLeg) }
 
 // TracePoint is one scripted waypoint: be at P at time T.
 type TracePoint struct {
@@ -274,20 +306,20 @@ func NewTrace(pts []TracePoint) (*Trace, error) {
 	return &Trace{pts: cp}, nil
 }
 
-// Position implements Model.
-func (tr *Trace) Position(t float64) geom.Point {
+// Segment implements Model: the piece between the last waypoint before t
+// and the first at or after it, found by binary search. The node stands
+// at the first waypoint until its time and at the last one after it.
+func (tr *Trace) Segment(t float64) Segment {
 	pts := tr.pts
-	if t <= pts[0].T {
-		return pts[0].P
+	i := sort.Search(len(pts), func(i int) bool { return t <= pts[i].T })
+	switch i {
+	case 0:
+		return constant(math.Inf(-1), pts[0].T, pts[0].P)
+	case len(pts):
+		return constant(pts[i-1].T, math.Inf(1), pts[i-1].P)
 	}
-	for i := 1; i < len(pts); i++ {
-		if t <= pts[i].T {
-			a, b := pts[i-1], pts[i]
-			frac := (t - a.T) / (b.T - a.T)
-			return a.P.Lerp(b.P, frac)
-		}
-	}
-	return pts[len(pts)-1].P
+	a, b := pts[i-1], pts[i]
+	return Segment{Lo: a.T, Hi: b.T, T0: a.T, T1: b.T, Hold: math.Inf(1), From: a.P, To: b.P}
 }
 
 // UniformStatic places n static nodes at uniform points of the region,

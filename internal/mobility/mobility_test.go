@@ -11,6 +11,12 @@ import (
 
 var testRegion = Region{W: 1500, H: 300}
 
+// pos is the production position read: the covering segment, evaluated.
+func pos(m Model, t float64) geom.Point {
+	s := m.Segment(t)
+	return s.At(t)
+}
+
 func testWaypointConfig() WaypointConfig {
 	return WaypointConfig{Region: testRegion, MinSpeed: 0, MaxSpeed: 20, Pause: 0}
 }
@@ -46,7 +52,7 @@ func TestWaypointStaysInRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ti := 0; ti <= 4000; ti++ {
-		p := w.Position(float64(ti))
+		p := pos(w, float64(ti))
 		if !testRegion.Contains(p) {
 			t.Fatalf("position %v at t=%d outside region", p, ti)
 		}
@@ -62,7 +68,7 @@ func TestWaypointSpeedBounded(t *testing.T) {
 	const dt = 0.1
 	for ti := 0; ti < 20000; ti++ {
 		t0 := float64(ti) * dt
-		d := w.Position(t0).Dist(w.Position(t0 + dt))
+		d := pos(w, t0).Dist(pos(w, t0+dt))
 		if d > cfg.MaxSpeed*dt*(1+1e-9) {
 			t.Fatalf("node moved %v m in %v s — exceeds max speed %v", d, dt, cfg.MaxSpeed)
 		}
@@ -77,12 +83,12 @@ func TestWaypointDeterministicAndStable(t *testing.T) {
 	times := []float64{10, 500, 3, 1200, 0, 999.5, 10}
 	mono := make([]geom.Point, 0, len(times))
 	for _, tt := range []float64{0, 3, 10, 500, 999.5, 1200} {
-		mono = append(mono, w1.Position(tt))
+		mono = append(mono, pos(w1, tt))
 	}
 	_ = mono
 	for _, tt := range times {
-		p1 := w1.Position(tt)
-		p2 := w2.Position(tt)
+		p1 := pos(w1, tt)
+		p2 := pos(w2, tt)
 		if !p1.Eq(p2) {
 			t.Fatalf("same seed diverged at t=%v: %v vs %v", tt, p1, p2)
 		}
@@ -94,7 +100,7 @@ func TestWaypointDifferentSeedsDiffer(t *testing.T) {
 	w2, _ := NewWaypoint(testWaypointConfig(), 2)
 	same := true
 	for _, tt := range []float64{0, 100, 200} {
-		if !w1.Position(tt).Eq(w2.Position(tt)) {
+		if !pos(w1, tt).Eq(pos(w2, tt)) {
 			same = false
 		}
 	}
@@ -116,8 +122,8 @@ func TestWaypointPause(t *testing.T) {
 	// least one long still period exists.
 	still := 0
 	for ti := 0; ti < 5000; ti++ {
-		a := w.Position(float64(ti))
-		b := w.Position(float64(ti) + 1)
+		a := pos(w, float64(ti))
+		b := pos(w, float64(ti)+1)
 		if a.Dist(b) == 0 {
 			still++
 		}
@@ -129,7 +135,7 @@ func TestWaypointPause(t *testing.T) {
 
 func TestWaypointNegativeTimeClamped(t *testing.T) {
 	w, _ := NewWaypoint(testWaypointConfig(), 4)
-	if !w.Position(-5).Eq(w.Position(0)) {
+	if !pos(w, -5).Eq(pos(w, 0)) {
 		t.Error("negative time should clamp to start position")
 	}
 }
@@ -137,7 +143,7 @@ func TestWaypointNegativeTimeClamped(t *testing.T) {
 func TestStatic(t *testing.T) {
 	s := Static{P: geom.Pt(5, 7)}
 	for _, tt := range []float64{0, 1, 1e6} {
-		if !s.Position(tt).Eq(geom.Pt(5, 7)) {
+		if !pos(s, tt).Eq(geom.Pt(5, 7)) {
 			t.Fatal("static node moved")
 		}
 	}
@@ -150,7 +156,7 @@ func TestRandomWalkStaysInRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ti := 0; ti <= 2000; ti++ {
-		p := w.Position(float64(ti) * 0.5)
+		p := pos(w, float64(ti)*0.5)
 		if !cfg.Region.Contains(p) {
 			t.Fatalf("random walk escaped region: %v", p)
 		}
@@ -218,8 +224,8 @@ func TestTrace(t *testing.T) {
 		{99, geom.Pt(10, 20)},
 	}
 	for _, tt := range tests {
-		if got := tr.Position(tt.at); got.Dist(tt.want) > 1e-9 {
-			t.Errorf("Position(%v) = %v, want %v", tt.at, got, tt.want)
+		if got := pos(tr, tt.at); got.Dist(tt.want) > 1e-9 {
+			t.Errorf("position at %v = %v, want %v", tt.at, got, tt.want)
 		}
 	}
 }
@@ -232,7 +238,7 @@ func TestTraceValidation(t *testing.T) {
 		t.Error("non-increasing trace accepted")
 	}
 	// Non-finite times: a NaN passes the ordering check, and a -Inf
-	// waypoint makes Position interpolate Inf/Inf into a NaN position.
+	// waypoint makes the trace interpolate Inf/Inf into a NaN position.
 	for _, pts := range [][]TracePoint{
 		{{T: math.NaN()}},
 		{{T: 0}, {T: math.NaN()}},
@@ -253,7 +259,7 @@ func TestUniformStatic(t *testing.T) {
 		t.Fatalf("got %d models", len(models))
 	}
 	for _, m := range models {
-		if !testRegion.Contains(m.Position(0)) {
+		if !testRegion.Contains(pos(m, 0)) {
 			t.Fatal("static node outside region")
 		}
 	}
@@ -270,7 +276,7 @@ func TestWaypointField(t *testing.T) {
 	// Node trajectories must be mutually distinct.
 	distinct := false
 	for i := 1; i < len(models); i++ {
-		if !models[0].Position(100).Eq(models[i].Position(100)) {
+		if !pos(models[0], 100).Eq(pos(models[i], 100)) {
 			distinct = true
 		}
 	}
@@ -280,7 +286,7 @@ func TestWaypointField(t *testing.T) {
 	// Reproducibility across constructions.
 	again, _ := WaypointField(10, testWaypointConfig(), 42)
 	for i := range models {
-		if !models[i].Position(500).Eq(again[i].Position(500)) {
+		if !pos(models[i], 500).Eq(pos(again[i], 500)) {
 			t.Fatal("field not reproducible for identical seed")
 		}
 	}
@@ -292,7 +298,7 @@ func TestWaypointCoversRegion(t *testing.T) {
 	w, _ := NewWaypoint(testWaypointConfig(), 9)
 	var q [4]bool
 	for ti := 0; ti < 40000; ti++ {
-		p := w.Position(float64(ti))
+		p := pos(w, float64(ti))
 		qi := 0
 		if p.X > testRegion.W/2 {
 			qi++
@@ -336,26 +342,26 @@ func TestWaypointLipschitzContinuity(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		t0 := rng.Float64() * 3800
 		h := rng.Float64() * 2
-		d := w.Position(t0).Dist(w.Position(t0 + h))
+		d := pos(w, t0).Dist(pos(w, t0+h))
 		if d > 20*h+1e-9 {
 			t.Fatalf("discontinuity: moved %v in %v s at t=%v", d, h, t0)
 		}
 	}
 }
 
-func BenchmarkWaypointPosition(b *testing.B) {
+func BenchmarkWaypointSegment(b *testing.B) {
 	w, _ := NewWaypoint(testWaypointConfig(), 12)
-	w.Position(3800) // pre-generate legs
+	w.Segment(3800) // pre-generate legs
 	rng := rand.New(rand.NewSource(13))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Position(rng.Float64() * 3800)
+		w.Segment(rng.Float64() * 3800)
 	}
 }
 
 func TestWaypointLegInvariants(t *testing.T) {
 	w, _ := NewWaypoint(testWaypointConfig(), 14)
-	w.Position(2000)
+	w.Segment(2000)
 	for i, l := range w.legs {
 		if l.t1 < l.t0 {
 			t.Fatalf("leg %d has negative duration", i)

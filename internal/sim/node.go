@@ -59,18 +59,18 @@ const (
 	KindAck
 )
 
-// Node is one mobile station: radio + mobility + protocol + the
-// node-level tables every DTN node keeps.
+// Node is one mobile station: radio + protocol + the node-level tables
+// every DTN node keeps. Its movement lives in the world's segment table
+// (see World.pos).
 type Node struct {
 	id    int
 	world *World
 	radio *mac.Radio
-	mob   mobility.Model
 	proto Protocol
 	rng   *rand.Rand
 
-	neighbors *dtn.NeighborTable
-	locations *dtn.LocationTable
+	neighbors dtn.NeighborTable
+	locations dtn.LocationTable
 
 	// sentCB is allocated lazily on the first Unicast with a callback:
 	// beacon-only nodes (and every node in a giant world before it
@@ -85,7 +85,7 @@ func (n *Node) ID() int { return n.id }
 func (n *Node) Now() float64 { return n.world.sched.Now() }
 
 // Pos returns the node's current true position.
-func (n *Node) Pos() geom.Point { return n.mob.Position(n.Now()) }
+func (n *Node) Pos() geom.Point { return n.world.pos(n.id) }
 
 // Range returns the transmission range.
 func (n *Node) Range() float64 { return n.world.cfg.Range }
@@ -108,6 +108,12 @@ func (n *Node) After(d float64, fn func()) des.EventID {
 	return n.world.sched.After(d, fn)
 }
 
+// At schedules fn at absolute simulated time t, which must not be in the
+// past.
+func (n *Node) At(t float64, fn func()) des.EventID {
+	return n.world.sched.At(t, fn)
+}
+
 // Metrics returns the run's collector.
 func (n *Node) Metrics() *metrics.Collector { return n.world.collector }
 
@@ -115,11 +121,11 @@ func (n *Node) Metrics() *metrics.Collector { return n.world.collector }
 // the scenario's expiry) already dropped.
 func (n *Node) Neighbors() *dtn.NeighborTable {
 	n.neighbors.Expire(n.Now() - n.world.cfg.NeighborExpiry)
-	return n.neighbors
+	return &n.neighbors
 }
 
 // Locations returns the node's location table (§2.3.1 diffusion state).
-func (n *Node) Locations() *dtn.LocationTable { return n.locations }
+func (n *Node) Locations() *dtn.LocationTable { return &n.locations }
 
 // PhaseProfiled reports whether the run collects per-phase wall-clock
 // attribution (see World.EnablePhaseProfile).
@@ -138,7 +144,7 @@ func (n *Node) AddAntiEntropyTime(d time.Duration) {
 // location" and the all-nodes-know regime of Table 2); protocols must not
 // use it outside those configured regimes.
 func (n *Node) OraclePosition(id int) geom.Point {
-	return n.world.nodes[id].Pos()
+	return n.world.pos(id)
 }
 
 // Unicast queues a unicast frame; cb (may be nil) fires when the MAC

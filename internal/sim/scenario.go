@@ -221,22 +221,22 @@ func (s Scenario) maxDriftSpeed() float64 {
 }
 
 // MACConfig returns the MAC configuration for the scenario: MACOverride,
-// or the default for Range, with a zero IndexSlack derived from the
-// mobility. Validate checks the result.
+// or the default for Range, with an IndexSlack of at least the drift
+// bound of the mobility. Validate checks the result.
 func (s Scenario) MACConfig() mac.Config {
 	cfg := mac.DefaultConfig(s.Range)
 	if s.MACOverride != nil {
 		cfg = *s.MACOverride
 	}
-	if cfg.IndexSlack == 0 {
-		// The medium's radio index is refreshed once per beacon
-		// interval (see World.scheduleReindex), so cached cells can be
-		// stale by up to top-speed × BeaconInterval metres of movement;
-		// widen index queries by that drift bound plus a safety metre.
-		// The top speed comes from the mobility model — for traces it is
-		// the fastest scripted segment, which MaxSpeed does not bound.
-		cfg.IndexSlack = s.maxDriftSpeed()*s.BeaconInterval + 1
-	}
+	// The medium's radio index is refreshed once per beacon interval
+	// (see World.scheduleReindex), so indexed positions can be stale by
+	// up to top-speed × BeaconInterval metres of movement, and its
+	// queries return exactly the radios within Range+IndexSlack: widen
+	// them by that drift bound plus a safety metre, or more if the
+	// override asks. The top speed comes from the mobility model — for
+	// traces it is the fastest scripted segment, which MaxSpeed does not
+	// bound.
+	cfg.IndexSlack = max(cfg.IndexSlack, s.maxDriftSpeed()*s.BeaconInterval+1)
 	return cfg
 }
 

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"glr/internal/des"
 	"glr/internal/dtn"
+	"glr/internal/geom"
 	"glr/internal/mac"
 	"glr/internal/metrics"
 	"glr/internal/mobility"
@@ -240,6 +242,20 @@ func TestWorldSetsIndexSlackForMobility(t *testing.T) {
 	if got := w2.Medium().Config().IndexSlack; got != 123 {
 		t.Errorf("override IndexSlack = %v, want 123", got)
 	}
+	// An override below the drift bound is raised to it: the index
+	// returns exactly the radios within Range+IndexSlack, so a smaller
+	// slack would lose receivers that moved since the last reindex.
+	s3 := smallScenario()
+	mc3 := s3.MACConfig()
+	mc3.IndexSlack = 0.5
+	s3.MACOverride = &mc3
+	w3, err := NewWorld(s3, directFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w3.Medium().Config().IndexSlack; got != want {
+		t.Errorf("override IndexSlack 0.5 became %v, want the drift bound %v", got, want)
+	}
 }
 
 // fullScanMAC returns s's MAC configuration with a radio-index slack
@@ -396,5 +412,55 @@ func TestStaticMobilityWorld(t *testing.T) {
 func TestNilProtocolFactoryRejected(t *testing.T) {
 	if _, err := NewWorld(smallScenario(), func(*Node) Protocol { return nil }); err == nil {
 		t.Error("nil protocol should be rejected")
+	}
+}
+
+// TestWorldPositionsFollowModels: the world reads positions from a
+// per-node segment table that it redraws only when the clock leaves a
+// segment's window. Sampled every 0.37 s over a whole run, alongside
+// the world's own reads (beacons, receptions, reindexing), every node's
+// position must equal what a fresh copy of its model answers at that
+// instant, for waypoint, random-walk and trace mobility.
+func TestWorldPositionsFollowModels(t *testing.T) {
+	waypoint := smallScenario()
+	waypoint.SimTime = 300
+	walk := waypoint
+	walk.Mobility = MobilityRandomWalk
+	walk.WalkLegTime = 3.3
+	trace := waypoint
+	trace.Mobility = MobilityTrace
+	trace.Traces = make([][]mobility.TracePoint, trace.N)
+	for i := range trace.Traces {
+		for k := 0; k < 40; k++ {
+			trace.Traces[i] = append(trace.Traces[i], mobility.TracePoint{
+				T: float64(k) * (5.1 + float64(i)/7),
+				P: geom.Pt(math.Mod(float64(37*i+113*k), trace.Region.W), math.Mod(float64(11*i+29*k), trace.Region.H)),
+			})
+		}
+	}
+	for _, s := range []Scenario{waypoint, walk, trace} {
+		w, err := NewWorld(s, directFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := w.buildMobility()
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := 0
+		des.NewTicker(w.Scheduler(), 0.37, 0.01, func() {
+			now := w.Scheduler().Now()
+			for i := range fresh {
+				seg := fresh[i].Segment(now)
+				if got, want := w.Node(i).Pos(), seg.At(now); !got.Eq(want) {
+					t.Fatalf("%v: node %d at t=%v is at %v, its model says %v", s.Mobility, i, now, got, want)
+				}
+			}
+			samples++
+		})
+		w.Run()
+		if samples < 800 {
+			t.Fatalf("%v: only %d samples", s.Mobility, samples)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"glr/internal/des"
 	"glr/internal/dtn"
 	"glr/internal/fault"
+	"glr/internal/geom"
 	"glr/internal/mac"
 	"glr/internal/metrics"
 	"glr/internal/mobility"
@@ -24,6 +25,13 @@ type World struct {
 	nodes     []*Node
 	collector *metrics.Collector
 	rng       *rand.Rand
+
+	// models holds each node's movement model and segs, indexed by node
+	// id alike, the trajectory piece last drawn from it: positions are
+	// read from segs, and an entry is redrawn only once the clock has
+	// left its window (see pos).
+	models []mobility.Model
+	segs   []mobility.Segment
 
 	// prof accumulates per-phase wall clock when EnablePhaseProfile was
 	// called (nil = off, the default; see phaseprof.go).
@@ -116,25 +124,23 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 		// medium through a pure predicate of its arguments.
 		macCfg.DropRx = w.plan.BlocksReception
 	}
-	w.medium, err = mac.NewMedium(w.sched, macCfg, cfg.Seed^0x5eed)
+	w.medium, err = mac.NewMedium(w.sched, macCfg, cfg.Seed^0x5eed, w.pos)
 	if err != nil {
 		return nil, err
 	}
-	models, err := w.buildMobility()
-	if err != nil {
+	if w.models, err = w.buildMobility(); err != nil {
 		return nil, err
 	}
+	// Zero segments cover no time, so each is drawn on its first read.
+	w.segs = make([]mobility.Segment, cfg.N)
 
 	for i := 0; i < cfg.N; i++ {
 		n := &Node{
-			id:        i,
-			world:     w,
-			mob:       models[i],
-			rng:       rng.New(cfg.Seed + int64(i)*104729 + 7),
-			neighbors: dtn.NewNeighborTable(),
-			locations: dtn.NewLocationTable(),
+			id:    i,
+			world: w,
+			rng:   rng.New(cfg.Seed + int64(i)*104729 + 7),
 		}
-		n.radio, err = w.medium.AddRadio(i, n.Pos, n.onReceive, n.onSent)
+		n.radio, err = w.medium.AddRadio(i, n.onReceive, n.onSent)
 		if err != nil {
 			return nil, err
 		}
@@ -156,6 +162,18 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	w.scheduleReindex()
 	w.scheduleFaults()
 	return w, nil
+}
+
+// pos returns node id's position now: its cached trajectory segment,
+// redrawn from the node's model only when the clock has left the
+// segment's window.
+func (w *World) pos(id int) geom.Point {
+	now := w.sched.Now()
+	s := &w.segs[id]
+	if !s.Covers(now) {
+		*s = w.models[id].Segment(now)
+	}
+	return s.At(now)
 }
 
 // scheduleReindex amortizes spatial-index maintenance over beacon ticks:

@@ -8,10 +8,10 @@
 // (the medium uses the carrier-sense range, so any disk query of that
 // radius touches at most a 3×3 block of cells). Entries are identified
 // by small dense nonnegative integer ids; positions are cached at
-// insert/update time, so a query reflects the positions last pushed
-// into the index — callers tracking moving points must refresh entries
-// (see Update) often enough that the staleness stays within whatever
-// slack they add to query radii.
+// insert/update time, and a disk query returns exactly the entries
+// whose cached position lies in the disk — callers tracking moving
+// points must refresh entries (see Update) often enough that the
+// staleness stays within whatever slack they add to query radii.
 //
 // Storage is a dense window of cell buckets covering the bounding box
 // of the cells in use (simulation regions are bounded, so the window is
@@ -175,15 +175,6 @@ func (g *Grid) Remove(id int) bool {
 	return true
 }
 
-// At returns the cached position of id and whether it is indexed.
-func (g *Grid) At(id int) (geom.Point, bool) {
-	loc := g.locOf(id)
-	if loc == nil || loc.idx < 0 {
-		return geom.Point{}, false
-	}
-	return g.bucketRef(loc.key)[loc.idx].p, true
-}
-
 // denseIndex returns the window slot of c and whether c lies inside the
 // window.
 func (g *Grid) denseIndex(c Cell) (int, bool) {
@@ -293,21 +284,15 @@ func (g *Grid) growWindow(c Cell) {
 }
 
 // scanRect bounds one disk query: the cell rectangle covering the disk.
-// Grid queries use radii close to the cell size (a 3×3 block), where a
-// per-cell circle test costs more than visiting the few extra corner
-// entries, so the whole rectangle is scanned and callers' exact
-// predicates do the filtering.
 type scanRect struct {
 	x0, x1, y0, y1 int
 	clipped        bool // scan fully inside the dense window
 }
 
 // rect computes the cell rectangle covering the disk (p, r), clipped to
-// the dense window when the overflow map is empty.
+// the dense window when the overflow map is empty. r must be
+// nonnegative.
 func (g *Grid) rect(p geom.Point, r float64) scanRect {
-	if r < 0 {
-		r = 0
-	}
 	s := scanRect{
 		x0: int(math.Floor((p.X - r) * g.inv)),
 		x1: int(math.Floor((p.X + r) * g.inv)),
@@ -334,31 +319,15 @@ func (g *Grid) bucketAt(cx, cy int, clipped bool) []item {
 	return g.overflow[Cell{X: cx, Y: cy}.key()]
 }
 
-// Near visits every entry whose cell intersects the bounding square of
-// the disk of radius r around p, in unspecified order, passing the
-// entry's cached position. It is a superset query: visited entries may
-// lie farther than r from p (their cell merely touches the square, and
-// cached positions may be stale), so callers must apply their own exact
-// predicate. Returning false from visit stops the walk.
-func (g *Grid) Near(p geom.Point, r float64, visit func(id int, q geom.Point) bool) {
-	s := g.rect(p, r)
-	for cy := s.y0; cy <= s.y1; cy++ {
-		for cx := s.x0; cx <= s.x1; cx++ {
-			for _, it := range g.bucketAt(cx, cy, s.clipped) {
-				if !visit(it.id, it.p) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// NearIDs appends to buf the ids of every entry whose cell intersects
-// the bounding square of the disk of radius r around p and returns the
-// extended slice, in the order Near visits them. Like Near it is a
-// superset query; callers sort and/or filter as needed. (Open-coded
-// rather than delegating to Near: this is the medium's per-reception
-// hot path, and the closure-free loop measurably beats the visitor.)
+// NearIDs appends to buf the ids of the entries whose cached position q
+// lies in the closed disk of radius r around p, q.Dist2(p) <= r*r (a
+// negative r counts as 0), and returns the extended slice. Ids come in
+// cell-scan order: row-major over the cells of the disk's bounding
+// rectangle, then in bucket order within a cell. A caller whose own
+// predicate is a disk test can therefore pass its radius with a margin
+// for float rounding and staleness, or, for a test of the same form
+// (Dist2 against the same r*r), the radius itself: the filter keeps
+// every entry that test accepts.
 //
 // A radius far above the cell size makes the rectangle cover far more
 // cells than there are entries (a medium whose movement slack dwarfs
@@ -366,14 +335,18 @@ func (g *Grid) Near(p geom.Point, r float64, visit func(id int, q geom.Point) bo
 // r/size per query. Such rectangles are answered by walking the entries
 // instead (entryScanIDs), in the same order.
 func (g *Grid) NearIDs(p geom.Point, r float64, buf []int) []int {
+	r = max(r, 0)
+	r2 := r * r
 	s := g.rect(p, r)
 	if s.cells() > float64(entryScanMin+entryScanFactor*len(g.where)) {
-		return g.entryScanIDs(s, buf)
+		return g.entryScanIDs(s, p, r2, buf)
 	}
 	for cy := s.y0; cy <= s.y1; cy++ {
 		for cx := s.x0; cx <= s.x1; cx++ {
 			for _, it := range g.bucketAt(cx, cy, s.clipped) {
-				buf = append(buf, it.id)
+				if it.p.Dist2(p) <= r2 {
+					buf = append(buf, it.id)
+				}
 			}
 		}
 	}
@@ -406,14 +379,15 @@ type entryHit struct {
 	id     int
 }
 
-// entryScanIDs appends the ids the row-major cell scan of s would visit,
-// in the same order, by walking the indexed entries instead of the
-// cells. The cell scan fetches cell (cx, cy)'s bucket by its key, whose
-// coordinates are truncated to int32, so it meets an entry at the one
-// cell of each axis range congruent to the entry's cell modulo 2³²
-// (ranges that span 2³² cells or more visit entries once here, not once
-// per alias), and then at its index within the bucket.
-func (g *Grid) entryScanIDs(s scanRect, buf []int) []int {
+// entryScanIDs appends the ids the row-major cell scan of s would keep
+// (cached position within r2 of p), in the same order, by walking the
+// indexed entries instead of the cells. The cell scan fetches cell
+// (cx, cy)'s bucket by its key, whose coordinates are truncated to
+// int32, so it meets an entry at the one cell of each axis range
+// congruent to the entry's cell modulo 2³² (ranges that span 2³² cells
+// or more visit entries once here, not once per alias), and then at its
+// index within the bucket.
+func (g *Grid) entryScanIDs(s scanRect, p geom.Point, r2 float64, buf []int) []int {
 	// Unsigned spans: exact even where x1 - x0 overflows int.
 	spanX, spanY := uint64(s.x1-s.x0), uint64(s.y1-s.y0)
 	g.hits = g.hits[:0]
@@ -424,7 +398,7 @@ func (g *Grid) entryScanIDs(s scanRect, buf []int) []int {
 		c := cellOfKey(loc.key)
 		dx := uint32(int32(c.X) - int32(s.x0))
 		dy := uint32(int32(c.Y) - int32(s.y0))
-		if uint64(dx) <= spanX && uint64(dy) <= spanY {
+		if uint64(dx) <= spanX && uint64(dy) <= spanY && g.bucketRef(loc.key)[loc.idx].p.Dist2(p) <= r2 {
 			g.hits = append(g.hits, entryHit{dx: dx, dy: dy, idx: loc.idx, id: id})
 		}
 	}

@@ -3,11 +3,39 @@ package spatial
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"glr/internal/geom"
 )
+
+// Near visits every entry in a bucket of the cell rectangle covering
+// the disk of radius r around p (a negative r counts as 0), in
+// row-major cell order and bucket order within a cell, passing the
+// entry's cached position. It is the unfiltered cell scan NearIDs
+// filters: visited entries may lie outside the disk. Returning false
+// from visit stops the walk.
+func (g *Grid) Near(p geom.Point, r float64, visit func(id int, q geom.Point) bool) {
+	s := g.rect(p, max(r, 0))
+	for cy := s.y0; cy <= s.y1; cy++ {
+		for cx := s.x0; cx <= s.x1; cx++ {
+			for _, it := range g.bucketAt(cx, cy, s.clipped) {
+				if !visit(it.id, it.p) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// At returns the cached position of id and whether it is indexed.
+func (g *Grid) At(id int) (geom.Point, bool) {
+	loc := g.locOf(id)
+	if loc == nil || loc.idx < 0 {
+		return geom.Point{}, false
+	}
+	return g.bucketRef(loc.key)[loc.idx].p, true
+}
 
 func TestNewGridRejectsBadCellSize(t *testing.T) {
 	for _, size := range []float64{0, -1} {
@@ -180,32 +208,36 @@ func TestNearSupersetAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestNearIDsAppendsAndMatchesNear: NearIDs appends to buf, and returns
+// the ids Near visits whose cached position is in the closed disk —
+// the same ids in the same order — and no others.
 func TestNearIDsAppendsAndMatchesNear(t *testing.T) {
 	g, _ := NewGrid(20)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
 		g.Insert(i, geom.Pt(rng.Float64()*200, rng.Float64()*200))
 	}
+	p := geom.Pt(100, 100)
 	var fromNear []int
-	g.Near(geom.Pt(100, 100), 60, func(id int, _ geom.Point) bool {
-		fromNear = append(fromNear, id)
+	visited := 0
+	g.Near(p, 60, func(id int, q geom.Point) bool {
+		visited++
+		if q.Dist(p) <= 60 {
+			fromNear = append(fromNear, id)
+		}
 		return true
 	})
 	buf := []int{-1}
-	ids := g.NearIDs(geom.Pt(100, 100), 60, buf)
+	ids := g.NearIDs(p, 60, buf)
 	if ids[0] != -1 {
 		t.Error("NearIDs must append to buf")
 	}
 	ids = ids[1:]
-	sort.Ints(fromNear)
-	sort.Ints(ids)
-	if len(ids) != len(fromNear) {
-		t.Fatalf("NearIDs %d entries, Near %d", len(ids), len(fromNear))
+	if !slices.Equal(ids, fromNear) {
+		t.Fatalf("NearIDs = %v, Near filtered to the disk = %v", ids, fromNear)
 	}
-	for i := range ids {
-		if ids[i] != fromNear[i] {
-			t.Fatalf("NearIDs mismatch at %d: %d vs %d", i, ids[i], fromNear[i])
-		}
+	if len(ids) == 0 || len(ids) == visited {
+		t.Fatalf("NearIDs kept %d of the %d scanned entries; the query must keep some and drop some", len(ids), visited)
 	}
 }
 
@@ -241,25 +273,36 @@ func TestGrowWindowClampKeepsOldEntries(t *testing.T) {
 	}
 }
 
+// TestNegativeRadiusTreatedAsZero: a negative radius is the closed
+// disk of radius 0, so NearIDs returns exactly the entries at p, while
+// Near still scans p's cell.
 func TestNegativeRadiusTreatedAsZero(t *testing.T) {
 	g, _ := NewGrid(10)
 	g.Insert(0, geom.Pt(5, 5))
+	g.Insert(1, geom.Pt(5, 6))
 	count := 0
 	g.Near(geom.Pt(5, 5), -3, func(int, geom.Point) bool {
 		count++
 		return true
 	})
-	if count != 1 {
+	if count != 2 {
 		t.Errorf("negative radius should still scan the containing cell, got %d visits", count)
+	}
+	if got := g.NearIDs(geom.Pt(5, 5), -3, nil); !slices.Equal(got, []int{0}) {
+		t.Errorf("NearIDs with a negative radius = %v, want [0]", got)
 	}
 }
 
 // nearOrder is the oracle for NearIDs: the ids Near's row-major cell
-// scan visits, in visit order.
+// scan visits, in visit order, filtered to the closed disk of radius r
+// (a negative r counts as 0) by the cached position.
 func nearOrder(g *Grid, p geom.Point, r float64) []int {
+	r = max(r, 0)
 	var ids []int
-	g.Near(p, r, func(id int, _ geom.Point) bool {
-		ids = append(ids, id)
+	g.Near(p, r, func(id int, q geom.Point) bool {
+		if q.Dist2(p) <= r*r {
+			ids = append(ids, id)
+		}
 		return true
 	})
 	return ids
@@ -267,8 +310,9 @@ func nearOrder(g *Grid, p geom.Point, r float64) []int {
 
 // TestNearIDsMatchesCellScan: after insert / update / remove churn, on
 // dense-window and overflow grids alike, NearIDs returns exactly the
-// ids of the cell scan in the same order, both for the medium's small
-// rectangles and for rectangles wide enough to be walked by entry.
+// ids of the cell scan filtered to the closed disk, in the same order,
+// both for the medium's small rectangles and for rectangles wide
+// enough to be walked by entry.
 func TestNearIDsMatchesCellScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -302,13 +346,8 @@ func TestNearIDsMatchesCellScan(t *testing.T) {
 			r := rng.Float64() * 40 * cell
 			want := nearOrder(g, p, r)
 			got := g.NearIDs(p, r, nil)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: NearIDs(%v, %.1f) = %v, cell scan %v", trial, p, r, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: NearIDs(%v, %.1f) = %v, cell scan %v", trial, p, r, got, want)
-				}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: NearIDs(%v, %.1f) = %v, filtered cell scan %v", trial, p, r, got, want)
 			}
 		}
 	}
@@ -316,8 +355,9 @@ func TestNearIDsMatchesCellScan(t *testing.T) {
 
 // TestNearIDsHugeRadius: a radius a billion cells wide (a medium whose
 // movement slack dwarfs its range) answers at once, with every entry in
-// the order of any cell scan covering them all. Scanning its rectangle
-// cell by cell would take hours.
+// the order of any cell scan covering them all, and a rectangle just as
+// wide around a far point filters to the entries in its disk. Scanning
+// either rectangle cell by cell would take hours.
 func TestNearIDsHugeRadius(t *testing.T) {
 	g, err := NewGrid(1)
 	if err != nil {
@@ -328,12 +368,20 @@ func TestNearIDsHugeRadius(t *testing.T) {
 	}
 	want := nearOrder(g, geom.Pt(5, 150), 300)
 	got := g.NearIDs(geom.Pt(5, 150), 1e9, nil)
-	if len(want) != 10 || len(got) != len(want) {
+	if len(want) != 10 || !slices.Equal(got, want) {
 		t.Fatalf("NearIDs = %v, cell scan %v", got, want)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("NearIDs = %v, cell scan %v", got, want)
+	// A disk of radius 1e9 centred 1e9 - 150 below the entries reaches
+	// only those with y ≤ 150 (x ≤ 12 adds under a micrometre).
+	far := geom.Pt(0, -1e9+150)
+	got = g.NearIDs(far, 1e9, nil)
+	var inDisk []int
+	for _, id := range want {
+		if q, _ := g.At(id); q.Dist2(far) <= 1e9*1e9 {
+			inDisk = append(inDisk, id)
 		}
+	}
+	if len(inDisk) == 0 || len(inDisk) == 10 || !slices.Equal(got, inDisk) {
+		t.Fatalf("NearIDs around %v = %v, want the in-disk entries %v in cell-scan order", far, got, inDisk)
 	}
 }
