@@ -191,10 +191,12 @@ type hopTarget struct {
 type GLR struct {
 	cfg Config
 	n   *sim.Node
-	// maint answers spanner queries with per-edge empty-circle tests.
-	// It keeps no state between queries; it is shared by every node of
-	// a world (the simulation is single-threaded) so its scratch
-	// buffers are reused and its counters cover the whole world.
+	// maint answers spanner queries with one empty-circle scan per edge
+	// over the node's 3-hop view set, scanning each neighbor's 2-hop set
+	// only for an edge the 3-hop points reject. It keeps no state between
+	// queries; it is shared by every node of a world (the simulation is
+	// single-threaded) so its scratch buffers are reused and its counters
+	// cover the whole world.
 	maint *ldt.Maintainer
 	// frames pools dataFrame payload boxes across all nodes of the
 	// world (shared via the factory, like maint).

@@ -46,7 +46,10 @@ func (g *GLR) routeCheck() {
 // localSpanner constructs this node's current routing-graph incident
 // edges from 2-hop beacon knowledge (the LDTG by default; Gabriel or the
 // raw UDG under ablation), through the world's shared Maintainer, which
-// tests each candidate edge with empty-circle scans of the witness sets.
+// tests each candidate edge with one empty-circle scan of the view's
+// points within 3 hops of the node: every witness set lies there. Only
+// an edge that the points beyond 2 hops reject is scanned against each
+// neighbor's 2-hop set.
 // It returns the view plus parallel id/position slices of the accepted
 // neighbors (global ids, in view order), which are the Maintainer's
 // scratch and valid until any node's next query. The 2-hop point set is

@@ -46,6 +46,8 @@ func rawPoints(pts ...geom.Point) []byte {
 // FuzzSpannerNeighbors: for any view, NewLocalView either rejects it
 // (exactly when the radius or a coordinate is not finite, or the radius
 // is not positive) or the LDTG query returns without panicking, accepts
+// exactly the neighbors of the per-witness rule in view order (on exact
+// ties too, where the triangulating oracle cannot be compared), accepts
 // only unit-disk neighbors of self, and gives the same answer when the
 // points after self are reversed.
 func FuzzSpannerNeighbors(f *testing.F) {
@@ -54,6 +56,9 @@ func FuzzSpannerNeighbors(f *testing.F) {
 	f.Add([]byte{0o00, 0o00, 0o03, 0o06, 0o33, 0o30}, false, 3.0, uint8(1))
 	f.Add(rawPoints(geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(20, 30), geom.Pt(math.Inf(1), 10)), true, math.Inf(1), uint8(2))
 	f.Add(rawPoints(geom.Pt(0, 0), geom.Pt(1e300, 1e300), geom.Pt(-1e300, 5e-324), geom.Pt(3, 4)), true, 1e200, uint8(2))
+	f.Add([]byte{0o67, 0o25, 0o51, 0o74, 0o32, 0o32, 0o75, 0o15}, false, 3.0, uint8(2)) // an edge only 3-hop points reject
+	keep, keepR := fallbackKeepView()
+	f.Add(rawPoints(keep...), true, keepR, uint8(2)) // the per-witness scans keep an edge 3-hop points reject
 	f.Fuzz(func(t *testing.T, data []byte, raw bool, r float64, k uint8) {
 		pts, r := fuzzView(data, raw, r)
 		if len(pts) == 0 {
@@ -77,6 +82,9 @@ func FuzzSpannerNeighbors(f *testing.F) {
 		m := NewMaintainer()
 		got, _ := m.Neighbors(view, VariantLDTG)
 		got = slices.Clone(got)
+		if want := perWitnessNeighbors(view); !slices.Equal(got, want) {
+			t.Fatalf("maintainer accepted %v, per-witness rule %v", got, want)
+		}
 		udg := map[int]bool{}
 		for _, li := range view.UDGNeighbors() {
 			udg[view.IDs[li]] = true

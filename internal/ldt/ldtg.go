@@ -15,10 +15,15 @@
 //     distance-k view (beacon-fed). Because our connectivity model is a
 //     unit-disk graph, known positions imply known adjacency, so a node
 //     reconstructs the local topology from positions alone. This is what
-//     the GLR protocol runs.
+//     the GLR protocol runs. Every witness set of a node's edges lies in
+//     its (k+1)-hop set, and an edge Delaunay there is Delaunay in every
+//     subset, so one scan of that set accepts nearly every edge; only an
+//     edge the points beyond k hops reject is scanned witness by witness.
 //
 // LocalView.LDTGNeighbors (oracle.go) is the triangulating oracle the
-// Maintainer is tested against; only tests call it.
+// Maintainer is tested against; only tests call it. On exact ties, where
+// triangulations differ, the tests compare the Maintainer with the
+// per-witness rule, each witness set scanned in turn.
 package ldt
 
 import (

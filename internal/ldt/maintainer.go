@@ -1,6 +1,7 @@
 package ldt
 
 import (
+	"slices"
 	"time"
 
 	"glr/internal/geom"
@@ -31,7 +32,7 @@ type SpannerStats struct {
 
 	// ResultHits, TriBuilds, TriHits, SpecBuilds and SpecAdopted are
 	// always 0. Every query decides each edge by empty-circle scans of
-	// its witness sets: nothing is triangulated, cached or built ahead
+	// the view's points: nothing is triangulated, cached or built ahead
 	// of a query. The fields stay because the repository benchmark reads
 	// them (see internal/sim/benchcompat.go).
 	ResultHits, TriBuilds, TriHits, SpecBuilds, SpecAdopted uint64
@@ -48,9 +49,17 @@ func (s SpannerStats) TriHitRate() float64 { return 0 }
 //
 // An LDTG query accepts the edge (self, nb) iff it is a Delaunay edge of
 // every witness set that contains both endpoints: the K-hop sets of self
-// and of each 1-hop neighbor. Each test is one allocation-free scan of a
-// witness set with the robust predicates (delaunayEdge), starting with
-// self's set, so later witnesses test only the candidates that survive.
+// and of each 1-hop neighbor. All of them lie in self's (K+1)-hop set,
+// and an edge that is Delaunay in a point set is Delaunay in every subset
+// holding both endpoints. So one allocation-free scan per candidate with
+// the robust predicates (edgeScan), over self's K-hop set and then on
+// over the points one hop beyond it, decides nearly every edge; only an
+// edge that those extra points reject is tested against each neighbor's
+// K-hop set. In exact arithmetic those tests confirm the rejection: of
+// the two points that reject an edge, one lies in the disk on the edge as
+// diameter, so it neighbors self and is in every witness set. They keep
+// the edge only where the rounding of the unit-disk test hides such a
+// point from self.
 // The Gabriel and UDG ablations read the same unit-disk adjacency: UDG
 // answers self's row, and Gabriel keeps the row's entries whose closed
 // diametral disk with self is empty (gabrielEdge, as in GabrielGraph).
@@ -61,6 +70,7 @@ type Maintainer struct {
 	queue    []int
 	members  []int
 	accepted []int
+	doubt    []int // accepted candidates the points beyond self's K-hop set reject
 	accIDs   []int
 	accPts   []geom.Point
 	stats    SpannerStats
@@ -105,32 +115,49 @@ func (m *Maintainer) Neighbors(view *LocalView, variant Variant) ([]int, []geom.
 }
 
 // ldtgNeighbors applies the paper's acceptance rule over the view and
-// returns the accepted local indices in view order. Self's witness set
-// contains every candidate, so it filters first; each neighbor's set
-// then re-tests the survivors it contains.
+// returns the accepted local indices in view order.
+//
+// Self's (K+1)-hop set T is listed with self's own K-hop set S first. A
+// candidate that fails the scan of S is rejected: self is a witness. One
+// that is still Delaunay after the scan goes on over the rest of T is
+// Delaunay in every witness set, and is accepted. A candidate that only
+// the points beyond S reject is decided by the K-hop set of each
+// neighbor.
 func (m *Maintainer) ldtgNeighbors(view *LocalView) []int {
-	selfNbrs := m.adj[0]
-	acc := m.accepted[:0]
-	set := m.khop(0)
-	for _, nb := range selfNbrs {
-		if delaunayEdge(view.Pts, set, 0, nb) {
-			acc = append(acc, nb)
+	pts := view.Pts
+	inner := len(m.khop(0))
+	all := m.grow()
+	set, extra := all[:inner], all[inner:]
+	acc, doubt := m.accepted[:0], m.doubt[:0]
+	for _, nb := range m.adj[0] {
+		s := newEdgeScan(pts, 0, nb)
+		if !s.scan(pts, set) || !s.holds(pts) {
+			continue
 		}
+		if !s.scan(pts, extra) || !s.holds(pts) {
+			doubt = append(doubt, nb)
+		}
+		acc = append(acc, nb)
 	}
-	for _, w := range selfNbrs {
-		if len(acc) == 0 {
+	for _, w := range m.adj[0] {
+		if len(doubt) == 0 {
 			break
 		}
-		set := m.khop(w) // contains self: w is a neighbor and K ≥ 1
-		keep := acc[:0]
-		for _, nb := range acc {
-			if m.seen[nb] != m.seenGen || delaunayEdge(view.Pts, set, 0, nb) {
-				keep = append(keep, nb)
+		// w's set holds self and each candidate: both neighbor self, and
+		// K ≥ 2.
+		set := m.khop(w)
+		for i := 0; i < len(doubt); {
+			nb := doubt[i]
+			if delaunayEdge(pts, set, 0, nb) {
+				i++
+				continue
 			}
+			doubt = slices.Delete(doubt, i, i+1)
+			j := slices.Index(acc, nb)
+			acc = slices.Delete(acc, j, j+1)
 		}
-		acc = keep
 	}
-	m.accepted = acc
+	m.accepted, m.doubt = acc, doubt
 	return acc
 }
 
@@ -170,32 +197,38 @@ func (m *Maintainer) buildAdjacency(view *LocalView) {
 }
 
 // khop returns the local indices within graph distance K of w over
-// m.adj, including w, in scratch storage valid until the next khop call.
-// Until then, v is a member iff m.seen[v] == m.seenGen.
+// m.adj, including w, nearer hops first, in scratch storage valid until
+// the next khop call. Until then, v is a member iff m.seen[v] == m.seenGen,
+// and grow extends the set.
 func (m *Maintainer) khop(w int) []int {
 	n := len(m.adj)
 	for len(m.seen) < n {
 		m.seen = append(m.seen, 0)
 	}
 	m.seenGen++
+	m.seen[w] = m.seenGen
+	m.members = append(m.members[:0], w)
+	m.queue = append(m.queue[:0], w)
+	for depth := 0; depth < K; depth++ {
+		m.grow()
+	}
+	return m.members
+}
+
+// grow adds to the set of the last khop call the points one hop beyond
+// it and returns the whole set, its earlier members first.
+func (m *Maintainer) grow() []int {
 	gen := m.seenGen
-	m.members = m.members[:0]
-	m.queue = m.queue[:0]
-	m.seen[w] = gen
-	m.members = append(m.members, w)
-	m.queue = append(m.queue, w)
-	for depth := 0; depth < K && len(m.queue) > 0; depth++ {
-		next := len(m.members)
-		for _, u := range m.queue {
-			for _, v := range m.adj[u] {
-				if m.seen[v] != gen {
-					m.seen[v] = gen
-					m.members = append(m.members, v)
-				}
+	next := len(m.members)
+	for _, u := range m.queue {
+		for _, v := range m.adj[u] {
+			if m.seen[v] != gen {
+				m.seen[v] = gen
+				m.members = append(m.members, v)
 			}
 		}
-		m.queue = append(m.queue[:0], m.members[next:]...)
 	}
+	m.queue = append(m.queue[:0], m.members[next:]...)
 	return m.members
 }
 
@@ -204,37 +237,64 @@ func (m *Maintainer) khop(w int) []int {
 // and b), under the symbolic perturbation of sosInside. Points that
 // coincide with an endpoint are one vertex with it, and coincident
 // endpoints make no edge, as when a triangulation coalesces duplicates.
+func delaunayEdge(pts []geom.Point, set []int, a, b int) bool {
+	s := newEdgeScan(pts, a, b)
+	return s.scan(pts, set) && s.holds(pts)
+}
+
+// edgeScan is delaunayEdge's test of the segment a→b, split so that one
+// scan can go on over more points.
 //
 // The edge is Delaunay iff some circle through both endpoints has no
 // point strictly inside. Such circles form a one-parameter family: a
 // point left of a→b bounds it from one side and a point to the right from
-// the other. One scan keeps the tightest bound on each side, the point
+// the other. The scan keeps the tightest bound on each side, the point
 // strictly inside the circles of all others on its side; the edge exists
 // unless the right winner is strictly inside the left winner's circle. A
 // point collinear with and strictly between the endpoints is inside every
-// such circle; collinear points beyond them are outside every one.
-func delaunayEdge(pts []geom.Point, set []int, a, b int) bool {
-	pa, pb := pts[a], pts[b]
+// such circle; collinear points beyond them are outside every one. More
+// points only tighten the bounds, so an edge of a point set is an edge of
+// every subset that holds both endpoints.
+type edgeScan struct {
+	pa, pb      geom.Point
+	left, right int // local indices of the winners, -1 before any
+}
+
+// newEdgeScan starts the test of a→b with no point scanned.
+func newEdgeScan(pts []geom.Point, a, b int) edgeScan {
+	return edgeScan{pa: pts[a], pb: pts[b], left: -1, right: -1}
+}
+
+// scan folds the points pts[i], i ∈ set, into the winners. It returns
+// false, and the edge is rejected in every superset too, if the
+// endpoints coincide or a point lies strictly between them.
+func (s *edgeScan) scan(pts []geom.Point, set []int) bool {
+	pa, pb := s.pa, s.pb
 	if pa.Eq(pb) {
 		return false
 	}
-	left, right := -1, -1
 	for _, i := range set {
 		p := pts[i]
 		switch o := geom.Orient(pa, pb, p); {
 		case o > 0:
-			if left < 0 || sosInside(pa, pb, pts[left], p) {
-				left = i
+			if s.left < 0 || sosInside(pa, pb, pts[s.left], p) {
+				s.left = i
 			}
 		case o < 0:
-			if right < 0 || sosInside(pb, pa, pts[right], p) {
-				right = i
+			if s.right < 0 || sosInside(pb, pa, pts[s.right], p) {
+				s.right = i
 			}
 		case geom.PointOnSegment(p, pa, pb) && !p.Eq(pa) && !p.Eq(pb):
 			return false
 		}
 	}
-	return left < 0 || right < 0 || !sosInside(pa, pb, pts[left], pts[right])
+	return true
+}
+
+// holds reports whether the edge is Delaunay in the points scanned so
+// far, given that scan has not rejected it.
+func (s *edgeScan) holds(pts []geom.Point) bool {
+	return s.left < 0 || s.right < 0 || !sosInside(s.pa, s.pb, pts[s.left], pts[s.right])
 }
 
 // sosInside reports whether d is strictly inside the circle through a, b

@@ -1,6 +1,7 @@
 package ldt
 
 import (
+	"math/big"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -65,6 +66,38 @@ func referenceNeighbors(t *testing.T, view *LocalView, variant Variant, k int) [
 		}
 	}
 	return viewIDs(view, local)
+}
+
+// perWitnessNeighbors is the LDTG rule applied one witness set at a
+// time: a candidate is accepted iff delaunayEdge finds it in self's K-hop
+// set and in the K-hop set of each neighbor of self that holds both
+// endpoints. It returns global ids in view order. The Maintainer ran this
+// for every candidate before it scanned self's (K+1)-hop set, and runs it
+// still for the candidates the points beyond K hops reject. It shares
+// sosInside's tie-break with the Maintainer, so unlike the triangulating
+// LDTGNeighbors it can be compared on exact ties.
+func perWitnessNeighbors(view *LocalView) []int {
+	m := NewMaintainer()
+	m.buildAdjacency(view)
+	selfNbrs := m.adj[0]
+	var acc []int
+	set := m.khop(0)
+	for _, nb := range selfNbrs {
+		if delaunayEdge(view.Pts, set, 0, nb) {
+			acc = append(acc, nb)
+		}
+	}
+	for _, w := range selfNbrs {
+		set := m.khop(w)
+		keep := acc[:0]
+		for _, nb := range acc {
+			if m.seen[nb] != m.seenGen || delaunayEdge(view.Pts, set, 0, nb) {
+				keep = append(keep, nb)
+			}
+		}
+		acc = keep
+	}
+	return viewIDs(view, acc)
 }
 
 // permutedView returns view with the points after self shuffled: the same
@@ -132,6 +165,150 @@ func TestMaintainerMatchesFromScratch(t *testing.T) {
 	}
 	if st := m.Stats(); st.Queries == 0 {
 		t.Errorf("stats not collected: %+v", st)
+	}
+}
+
+// beaconView assembles self's view as beacons deliver it: self and its
+// neighbors at their current positions cur, each neighbor followed by the
+// neighbors it advertised one beacon earlier at their positions old then,
+// in the order dtn.NeighborTable.AppendTwoHop emits them. Moved points
+// put some of the view beyond two hops of self in the view's own
+// unit-disk graph.
+func beaconView(t *testing.T, cur, old []geom.Point, self int, r float64) *LocalView {
+	t.Helper()
+	now, then := geom.UnitDiskGraph(cur, r), geom.UnitDiskGraph(old, r)
+	ids := []int{self}
+	pts := []geom.Point{cur[self]}
+	seen := map[int]bool{self: true}
+	for _, w := range now.Neighbors(self) {
+		if !seen[w] {
+			seen[w] = true
+			ids = append(ids, w)
+			pts = append(pts, cur[w])
+		}
+		for _, x := range then.Neighbors(w) {
+			if !seen[x] {
+				seen[x] = true
+				ids = append(ids, x)
+				pts = append(pts, old[x])
+			}
+		}
+	}
+	view, err := NewLocalView(self, ids, pts, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
+// extraRejects returns self's neighbors in view whose edge with self is
+// Delaunay in self's K-hop set but not in its (K+1)-hop set: the edges
+// the Maintainer decides one witness set at a time.
+func extraRejects(view *LocalView) []int {
+	g := view.KnownGraph()
+	inner, all := g.KHop(0, K), g.KHop(0, K+1)
+	var out []int
+	for _, nb := range g.Neighbors(0) {
+		if delaunayEdge(view.Pts, inner, 0, nb) && !delaunayEdge(view.Pts, all, 0, nb) {
+			out = append(out, nb)
+		}
+	}
+	return out
+}
+
+// TestMaintainerBeaconViews: on views with points beyond two hops of
+// self, as beacons one interval apart deliver them, the Maintainer
+// accepts exactly the neighbors of the triangulating LDTGNeighbors and of
+// the per-witness rule, in view order, and some views hold edges that
+// only the points beyond two hops reject.
+func TestMaintainerBeaconViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := NewMaintainer()
+	const r = 100
+	views, far, rejects := 0, 0, 0
+	for world := 0; world < 20; world++ {
+		old := randomPoints(rng, 120, 800, 800)
+		cur := slices.Clone(old)
+		for i := range cur {
+			cur[i].X += rng.Float64()*80 - 40
+			cur[i].Y += rng.Float64()*80 - 40
+		}
+		for self := range cur {
+			view := beaconView(t, cur, old, self, r)
+			if len(view.KnownGraph().KHop(0, K)) < len(view.Pts) {
+				far++
+			}
+			rejects += len(extraRejects(view))
+			views++
+			got, _ := m.Neighbors(view, VariantLDTG)
+			if want := referenceNeighbors(t, view, VariantLDTG, K); !slices.Equal(got, want) {
+				t.Fatalf("world %d self %d: maintainer %v != LDTGNeighbors %v", world, self, got, want)
+			}
+			if want := perWitnessNeighbors(view); !slices.Equal(got, want) {
+				t.Fatalf("world %d self %d: maintainer %v != per-witness rule %v", world, self, got, want)
+			}
+		}
+	}
+	t.Logf("%d views, %d with points beyond %d hops, %d edges rejected only beyond", views, far, K, rejects)
+	if far == 0 || rejects == 0 {
+		t.Fatalf("%d views with points beyond %d hops and %d edges rejected only there; want both > 0", far, K, rejects)
+	}
+}
+
+// fallbackKeepView is a view where the points beyond self's K-hop set
+// reject the edge (self, b) but every witness set accepts it, so only
+// the per-witness scans keep it. Local indices: 0 self, 1 b, 2 w, 3 y,
+// 4 v, 5 x.
+//
+// In exact arithmetic no such view exists. A left point and a right
+// point that reject an edge between them have one of the two in the
+// closed disk on the edge as diameter, so within the edge's length of
+// self: a neighbor of self, which is in every witness set. But the
+// unit-disk test rounds: y is nearer to self than b is (|self b| = r),
+// yet its squared distance is computed above r², so y is only b's
+// neighbor. x is 3 hops out (self, w, v, x) and its circle through self
+// and b holds y. Self's set holds y and not x, w's holds x and not y,
+// and b's holds y and not x: each accepts.
+func fallbackKeepView() ([]geom.Point, float64) {
+	return []geom.Point{
+		geom.Pt(-3, -4),
+		geom.Pt(2.2204457679839056e-16, -2.805716840207989e-19),
+		geom.Pt(-6.9, -6.7),
+		geom.Pt(2.2204470554471866e-16, -2.814729083174891e-19),
+		geom.Pt(-8.9, -2.3),
+		geom.Pt(-5.2, 0.7),
+	}, 5
+}
+
+// TestMaintainerFallbackKeepsEdge: an edge the points beyond K hops
+// reject is still accepted when every witness set accepts it.
+func TestMaintainerFallbackKeepsEdge(t *testing.T) {
+	pts, r := fallbackKeepView()
+	ids := []int{0, 1, 2, 3, 4, 5}
+	view, err := NewLocalView(0, ids, pts, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nbrs := view.KnownGraph().Neighbors(0); !slices.Equal(nbrs, []int{1, 2}) {
+		t.Fatalf("self's neighbors %v, want [1 2]", nbrs)
+	}
+	exactDist2 := func(p, q geom.Point) *big.Rat {
+		dx := new(big.Rat).Sub(new(big.Rat).SetFloat64(p.X), new(big.Rat).SetFloat64(q.X))
+		dy := new(big.Rat).Sub(new(big.Rat).SetFloat64(p.Y), new(big.Rat).SetFloat64(q.Y))
+		return dx.Add(dx.Mul(dx, dx), dy.Mul(dy, dy))
+	}
+	if exactDist2(pts[0], pts[3]).Cmp(exactDist2(pts[0], pts[1])) >= 0 || pts[0].Dist2(pts[3]) <= r*r {
+		t.Fatal("y must be nearer to self than b, with its squared distance computed above r²")
+	}
+	if got := extraRejects(view); !slices.Equal(got, []int{1}) {
+		t.Fatalf("edges rejected only beyond %d hops %v, want [1]", K, got)
+	}
+	got, _ := NewMaintainer().Neighbors(view, VariantLDTG)
+	if want := referenceNeighbors(t, view, VariantLDTG, K); !slices.Equal(got, want) || !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("maintainer %v, LDTGNeighbors %v; want both [1 2]", got, want)
+	}
+	if want := perWitnessNeighbors(view); !slices.Equal(got, want) {
+		t.Fatalf("maintainer %v != per-witness rule %v", got, want)
 	}
 }
 
