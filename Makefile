@@ -83,16 +83,23 @@ bench-baseline:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## mem-gate is the CI memory-ceiling job: run the benchmark's 10k-node
-## giant10k-glr workload (bench/) for 1 s, keep its output in
-## mem-gate.txt, and check the JSON digest on its last stdout line with
-## ci/mem_gate.jq: the runs must be correct with none failed, and
-## peak_heap_mib must be a number at or under the workload's ceiling in
-## ci/mem_budget.json.
+## mem-gate is the CI memory-ceiling job: run each benchmark (bench/)
+## workload that ci/mem_budget.json gives a ceiling — the 10k-node
+## giant10k-glr and the epidemic comparator paper50-epidemic — for 1 s,
+## keep their output in mem-gate.txt, and check the JSON digest on the
+## last stdout line of each run with ci/mem_gate.jq: the runs must be
+## correct with none failed, and peak_heap_mib must be a number at or
+## under the workload's ceiling.
 mem-gate:
-	bash bench/run.sh --workload giant10k-glr --seconds 1 | tee mem-gate.txt
-	tail -n 1 mem-gate.txt | jq -nr --arg w giant10k-glr \
-		--slurpfile budget ci/mem_budget.json -f ci/mem_gate.jq
+	@workloads=$$(jq -r '.ceilings_mib | keys[]' ci/mem_budget.json) && [ -n "$$workloads" ] || { \
+		echo "mem-gate: no workload ceilings in ci/mem_budget.json" >&2; exit 1; }; \
+	: > mem-gate.txt; \
+	for w in $$workloads; do \
+		echo "bash bench/run.sh --workload $$w --seconds 1"; \
+		bash bench/run.sh --workload $$w --seconds 1 | tee -a mem-gate.txt && \
+		tail -n 1 mem-gate.txt | jq -nr --arg w $$w \
+			--slurpfile budget ci/mem_budget.json -f ci/mem_gate.jq || exit 1; \
+	done
 
 ## api regenerates the committed public-API surface (api/glr.txt). Run
 ## it — and commit the diff — whenever a public-API change is

@@ -48,28 +48,34 @@ func BenchmarkNeighborTable(b *testing.B) {
 }
 
 // BenchmarkAntiEntropy measures one epidemic anti-entropy exchange at the
-// paper's 1180-message load: a buffer changes (one message leaves and
-// returns, as custody churn would), advertises its summary, and a peer
-// holding about 90% of the same messages diffs it against its own.
+// paper's 1180-message load: a node's held set changes (one message
+// leaves and returns, as custody churn would), it advertises its summary
+// vector, and a peer holding about 90% of the same messages diffs it
+// against its own and names each message it lacks.
 func BenchmarkAntiEntropy(b *testing.B) {
 	const msgs, skew = 1180, 118 // the peer misses 118 of ours and holds 118 others
-	id := func(i int) MessageID { return MessageID{Src: i % 50, Seq: i / 50} }
-	self, peer := NewBuffer(0), NewBuffer(0)
-	held := make([]*Message, msgs)
-	for i := range held {
-		held[i] = &Message{ID: id(i)}
-		self.Add(held[i])
-		peer.Add(&Message{ID: id(i + skew)})
+	const sources = 50
+	id := func(i int) MessageID { return MessageID{Src: i % sources, Seq: i / sources} }
+	count := make([]int, sources)
+	for i := 0; i < msgs+skew; i++ {
+		count[id(i).Src]++
+	}
+	ranks := NewMessageRanks(count)
+	var self, peer RankSet
+	for i := 0; i < msgs; i++ {
+		self.Add(ranks.Rank(id(i)))
+		peer.Add(ranks.Rank(id(i + skew)))
 	}
 	lacking := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := held[i%msgs]
-		self.Remove(m.ID)
-		self.Add(m)
+		r := ranks.Rank(id(i % msgs))
+		self.Remove(r)
+		self.Add(r)
 		lacking = 0
-		for range peer.Lacks(self.Summary()) {
+		for r := range peer.Lacks(self.Summary()) {
+			_ = ranks.ID(r) // the id a request would carry
 			lacking++
 		}
 	}

@@ -1,10 +1,5 @@
 package dtn
 
-import (
-	"iter"
-	"slices"
-)
-
 // Buffer is a bounded FIFO message store keyed by MessageID. It models the
 // paper's node storage: "When storage is limited and the storage space is
 // fully occupied, old messages are dropped when new messages come in."
@@ -13,8 +8,6 @@ type Buffer struct {
 	capacity int
 	order    []MessageID // insertion order (oldest first)
 	byID     map[MessageID]*Message
-	sorted   []MessageID   // held ids in canonical (Src, Seq) order
-	summary  SummaryVector // immutable snapshot of sorted; nil when stale
 }
 
 // NewBuffer returns an empty buffer. capacity ≤ 0 means unlimited.
@@ -54,9 +47,6 @@ func (b *Buffer) Add(m *Message) (evicted *Message, stored bool) {
 	}
 	b.order = append(b.order, m.ID)
 	b.byID[m.ID] = m
-	i, _ := slices.BinarySearchFunc(b.sorted, m.ID, MessageID.Compare)
-	b.sorted = slices.Insert(b.sorted, i, m.ID)
-	b.summary = nil
 	return evicted, true
 }
 
@@ -75,7 +65,6 @@ func (b *Buffer) Remove(id MessageID) *Message {
 			break
 		}
 	}
-	b.unindex(id)
 	return m
 }
 
@@ -88,15 +77,7 @@ func (b *Buffer) popOldest() *Message {
 	b.order = b.order[1:]
 	m := b.byID[id]
 	delete(b.byID, id)
-	b.unindex(id)
 	return m
-}
-
-// unindex deletes a removed id from the sorted index.
-func (b *Buffer) unindex(id MessageID) {
-	i, _ := slices.BinarySearchFunc(b.sorted, id, MessageID.Compare)
-	b.sorted = slices.Delete(b.sorted, i, i+1)
-	b.summary = nil
 }
 
 // Messages returns the stored messages oldest-first. The slice is freshly
@@ -112,43 +93,4 @@ func (b *Buffer) AppendMessages(buf []*Message) []*Message {
 		buf = append(buf, b.byID[id])
 	}
 	return buf
-}
-
-// SummaryVector is the set of message ids a node advertises during
-// epidemic anti-entropy exchange, sorted in the canonical (Src, Seq) order
-// without duplicates. A vector may be shared by frames still queued in
-// the MAC, so it is never modified once built.
-type SummaryVector []MessageID
-
-// Summary returns the buffer's current summary vector. The vector is a
-// snapshot shared by every call until the buffer next changes; it is
-// built at most once per change.
-func (b *Buffer) Summary() SummaryVector {
-	if b.summary == nil {
-		b.summary = slices.Clone(b.sorted)
-	}
-	return b.summary
-}
-
-// Lacks yields, in canonical order, the ids of sv the buffer does not
-// hold — the messages to request from the peer that advertised sv. It is
-// one merge walk over sv and the buffer's sorted index; the buffer must
-// not change while the walk runs.
-func (b *Buffer) Lacks(sv SummaryVector) iter.Seq[MessageID] {
-	return func(yield func(MessageID) bool) {
-		own := b.sorted
-		j := 0
-		for _, id := range sv {
-			for j < len(own) && own[j].Less(id) {
-				j++
-			}
-			if j < len(own) && own[j] == id {
-				j++ // sv holds id once
-				continue
-			}
-			if !yield(id) {
-				return
-			}
-		}
-	}
 }

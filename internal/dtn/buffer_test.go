@@ -1,7 +1,9 @@
 package dtn
 
 import (
+	"iter"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -149,29 +151,122 @@ func TestBufferConservationProperty(t *testing.T) {
 }
 
 func TestSummaryVector(t *testing.T) {
-	b := NewBuffer(0)
-	b.Add(msg(2, 2))
-	b.Add(msg(1, 1))
-	sv := b.Summary()
-	if want := (SummaryVector{{1, 1}, {2, 2}}); !slices.Equal(sv, want) {
-		t.Errorf("Summary = %v, want %v", sv, want)
+	ranks := NewMessageRanks([]int{0, 3, 3})
+	var s RankSet
+	s.Add(ranks.Rank(MessageID{2, 2}))
+	s.Add(ranks.Rank(MessageID{1, 1}))
+	sv := s.Summary()
+	if got, want := members(ranks, sv), []MessageID{{1, 1}, {2, 2}}; !slices.Equal(got, want) || sv.Len() != 2 {
+		t.Errorf("Summary = %v (Len %d), want %v", got, sv.Len(), want)
 	}
-	other := NewBuffer(0)
-	other.Add(msg(9, 9))
-	other.Add(msg(2, 2))
-	if got := slices.Collect(b.Lacks(other.Summary())); !slices.Equal(got, []MessageID{{9, 9}}) {
-		t.Errorf("Lacks = %v, want [m9.9]", got)
+	var other RankSet
+	other.Add(ranks.Rank(MessageID{2, 0}))
+	other.Add(ranks.Rank(MessageID{2, 2}))
+	if got := lacks(ranks, &s, other.Summary()); !slices.Equal(got, []MessageID{{2, 0}}) {
+		t.Errorf("Lacks = %v, want [m2.0]", got)
 	}
-	if got := slices.Collect(other.Lacks(sv)); !slices.Equal(got, []MessageID{{1, 1}}) {
+	if got := lacks(ranks, &other, sv); !slices.Equal(got, []MessageID{{1, 1}}) {
 		t.Errorf("reverse Lacks = %v, want [m1.1]", got)
 	}
-	if again := b.Summary(); &again[0] != &sv[0] {
-		t.Error("an unchanged buffer must share its summary snapshot")
+	if again := s.Summary(); &again.words[0] != &sv.words[0] {
+		t.Error("an unchanged set must share its summary snapshot")
+	}
+	s.Add(ranks.Rank(MessageID{1, 1}))
+	if &s.Summary().words[0] != &sv.words[0] {
+		t.Error("re-adding a held rank must keep the snapshot")
 	}
 }
 
-// refSummarySet is the map-set summary vector the sorted SummaryVector
-// replaced, kept as the oracle: a FIFO buffer's held ids as a set.
+func TestMessageRanks(t *testing.T) {
+	ranks := NewMessageRanks([]int{2, 0, 3})
+	want := []MessageID{{0, 0}, {0, 1}, {2, 0}, {2, 1}, {2, 2}}
+	for r, id := range want {
+		if got := ranks.Rank(id); got != r {
+			t.Errorf("Rank(%v) = %d, want %d", id, got, r)
+		}
+		if got := ranks.ID(r); got != id {
+			t.Errorf("ID(%d) = %v, want %v", r, got, id)
+		}
+	}
+	for _, id := range []MessageID{{0, 2}, {1, 0}, {2, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Rank(%v) of an unplanned message did not panic", id)
+				}
+			}()
+			ranks.Rank(id)
+		}()
+	}
+}
+
+// members decodes sv bit by bit into ids, in rank order.
+func members(ranks *MessageRanks, sv SummaryVector) []MessageID {
+	var out []MessageID
+	for w, word := range sv.words {
+		for b := 0; b < 64; b++ {
+			if word&(1<<b) != 0 {
+				out = append(out, ranks.ID(w*64+b))
+			}
+		}
+	}
+	return out
+}
+
+// lacks collects s.Lacks(sv) as ids.
+func lacks(ranks *MessageRanks, s *RankSet, sv SummaryVector) []MessageID {
+	var out []MessageID
+	for r := range s.Lacks(sv) {
+		out = append(out, ranks.ID(r))
+	}
+	return out
+}
+
+// sortedSummary is the summary vector the rank bitmap replaced, kept as
+// the oracle: the held ids sorted in the canonical (Src, Seq) order
+// without duplicates.
+type sortedSummary []MessageID
+
+// insert adds id, keeping the order.
+func (s sortedSummary) insert(id MessageID) sortedSummary {
+	i, found := slices.BinarySearchFunc(s, id, MessageID.Compare)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, id)
+}
+
+// delete removes id if held.
+func (s sortedSummary) delete(id MessageID) sortedSummary {
+	i, found := slices.BinarySearchFunc(s, id, MessageID.Compare)
+	if !found {
+		return s
+	}
+	return slices.Delete(s, i, i+1)
+}
+
+// lacks yields, in canonical order, the ids of sv that s does not
+// hold: one merge walk over the two sorted vectors.
+func (s sortedSummary) lacks(sv sortedSummary) iter.Seq[MessageID] {
+	return func(yield func(MessageID) bool) {
+		j := 0
+		for _, id := range sv {
+			for j < len(s) && s[j].Compare(id) < 0 {
+				j++
+			}
+			if j < len(s) && s[j] == id {
+				j++ // sv holds id once
+				continue
+			}
+			if !yield(id) {
+				return
+			}
+		}
+	}
+}
+
+// refSummarySet is the map-set summary vector the sorted summary
+// replaced, kept as a second oracle: a FIFO buffer's held ids as a set.
 type refSummarySet struct {
 	capacity int
 	order    []MessageID
@@ -220,11 +315,21 @@ func (r *refSummarySet) missing(peer map[MessageID]struct{}) []MessageID {
 	return out
 }
 
-// checkBufferSummary decodes data into Add, Remove, snapshot and diff
-// operations on a buffer of the given capacity. After every step it
-// checks Summary against the map-set reference and every snapshot taken
-// earlier against its contents when taken: frames
-// carrying a summary sit in MAC queues while the buffer keeps changing.
+// summaryRanks ranks the ids checkBufferSummary draws (Src 0–2, Seq
+// 0–7) over two bitmap words: source 1 plans 64 messages, so source 2's
+// ranks are 72–79.
+var summaryRanks = NewMessageRanks([]int{8, 64, 8})
+
+// checkBufferSummary decodes data into Add, Remove, snapshot-and-diff
+// and Restart operations on a buffer of the given capacity, with a rank
+// set kept in step with it the way the epidemic protocol keeps one: a
+// stored message's rank joins the set, an evicted or removed one's
+// leaves, a restart empties both. After every step it checks the set's
+// summary against the sorted-vector and map-set oracles and the buffer's
+// Len, and every snapshot taken earlier against its contents when taken:
+// frames carrying a summary sit in MAC queues while the buffer keeps
+// changing. Each diff is checked, in order, against the merge walk and
+// the map-set difference.
 func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 	next := func() int {
 		if len(data) == 0 {
@@ -236,12 +341,18 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 	}
 	// A small id space makes re-insertion after removal or eviction common.
 	nextID := func() MessageID { v := next(); return MessageID{Src: v % 3, Seq: v / 3 % 8} }
+	rank := summaryRanks.Rank
 	b := NewBuffer(capacity)
+	var have RankSet
+	var oracle sortedSummary
 	ref := &refSummarySet{capacity: capacity, set: make(map[MessageID]struct{})}
-	type snapshot struct{ sv, want SummaryVector }
+	type snapshot struct {
+		sv   SummaryVector
+		want []uint64 // sv's words when taken
+	}
 	var snaps []snapshot
 	for step := 0; len(data) > 0; step++ {
-		switch next() % 4 {
+		switch next() % 5 {
 		case 0, 1:
 			id := nextID()
 			wantEv, wantOK := ref.add(id)
@@ -249,29 +360,63 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 			if (ev != nil) != wantOK || ev != nil && ev.ID != wantEv {
 				t.Fatalf("step %d: Add(%v) evicted %v, want %v (%v)", step, id, ev, wantEv, wantOK)
 			}
+			if ev != nil {
+				have.Remove(rank(ev.ID))
+				oracle = oracle.delete(ev.ID)
+			}
+			have.Add(rank(id))
+			oracle = oracle.insert(id)
 		case 2:
 			id := nextID()
 			ref.remove(id)
-			b.Remove(id)
+			if b.Remove(id) != nil {
+				have.Remove(rank(id))
+				oracle = oracle.delete(id)
+			}
 		case 3:
-			sv := b.Summary()
-			snaps = append(snaps, snapshot{sv, slices.Clone(sv)})
+			sv := have.Summary()
+			snaps = append(snaps, snapshot{sv, slices.Clone(sv.words)})
 			peer := make(map[MessageID]struct{})
+			var peerSet RankSet
 			for k := next() % 6; k > 0; k-- {
-				peer[nextID()] = struct{}{}
+				id := nextID()
+				peer[id] = struct{}{}
+				peerSet.Add(rank(id))
 			}
-			peerSV := SummaryVector(slices.SortedFunc(maps.Keys(peer), MessageID.Compare))
-			if got, want := slices.Collect(b.Lacks(peerSV)), ref.missing(peer); !slices.Equal(got, want) {
-				t.Fatalf("step %d: Lacks(%v) = %v, want %v", step, peerSV, got, want)
+			peerSV := peerSet.Summary()
+			got := lacks(summaryRanks, &have, peerSV)
+			merged := slices.Collect(oracle.lacks(slices.SortedFunc(maps.Keys(peer), MessageID.Compare)))
+			if !slices.Equal(got, merged) {
+				t.Fatalf("step %d: Lacks(%v) = %v, merge walk %v", step, members(summaryRanks, peerSV), got, merged)
 			}
+			if want := ref.missing(peer); !slices.Equal(got, want) {
+				t.Fatalf("step %d: Lacks(%v) = %v, want %v", step, members(summaryRanks, peerSV), got, want)
+			}
+		case 4:
+			b = NewBuffer(capacity)
+			have.Clear()
+			oracle = nil
+			ref = &refSummarySet{capacity: capacity, set: make(map[MessageID]struct{})}
 		}
-		want := ref.sorted()
-		if got := b.Summary(); !slices.Equal(got, want) {
+		sv := have.Summary()
+		got := members(summaryRanks, sv)
+		if !slices.Equal(got, []MessageID(oracle)) {
+			t.Fatalf("step %d: Summary = %v, sorted oracle %v", step, got, oracle)
+		}
+		if want := ref.sorted(); !slices.Equal(got, want) {
 			t.Fatalf("step %d: Summary = %v, want %v", step, got, want)
 		}
+		pop := 0
+		for _, w := range sv.words {
+			pop += bits.OnesCount64(w)
+		}
+		if pop != sv.Len() || pop != have.Len() || pop != b.Len() {
+			t.Fatalf("step %d: summary popcount %d, Len %d, set Len %d, buffer Len %d",
+				step, pop, sv.Len(), have.Len(), b.Len())
+		}
 		for i, s := range snaps {
-			if !slices.Equal(s.sv, s.want) {
-				t.Fatalf("step %d: snapshot %d changed to %v, taken as %v", step, i, s.sv, s.want)
+			if !slices.Equal(s.sv.words, s.want) {
+				t.Fatalf("step %d: snapshot %d changed to %x, taken as %x", step, i, s.sv.words, s.want)
 			}
 		}
 	}
@@ -296,6 +441,7 @@ func FuzzBufferSummary(f *testing.F) {
 	f.Add([]byte{1, 0, 4, 0, 7, 3, 2, 2, 4, 0, 4, 3, 3, 4, 7, 1})
 	f.Add([]byte{0, 0, 1, 1, 2, 0, 3, 3, 0, 2, 1, 3, 5, 0, 1, 2, 3, 4})
 	f.Add([]byte{3, 0, 9, 0, 10, 0, 11, 0, 12, 2, 10, 3, 2, 9, 12, 0, 10})
+	f.Add([]byte{0, 0, 2, 1, 5, 3, 4, 2, 5, 4, 0, 8, 3, 3, 2, 5, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -23,21 +23,11 @@ type MessageID struct {
 // String implements fmt.Stringer.
 func (id MessageID) String() string { return fmt.Sprintf("m%d.%d", id.Src, id.Seq) }
 
-// Less reports whether id orders before other in the canonical
-// (Src, Seq) order — the deterministic iteration order every sweep over
-// a map of message ids must sort into before acting (raw map order
-// would leak runtime randomization into frame sequences), and the order
-// of summary vectors.
-func (id MessageID) Less(other MessageID) bool {
-	if id.Src != other.Src {
-		return id.Src < other.Src
-	}
-	return id.Seq < other.Seq
-}
-
 // Compare returns -1, 0 or +1 as id orders before, equal to or after
-// other in the canonical order (the comparison function for slices'
-// sorting and binary search).
+// other in the canonical (Src, Seq) order — the deterministic iteration
+// order every sweep over a map of message ids must sort into before
+// acting (raw map order would leak runtime randomization into frame
+// sequences), and the order of message ranks (MessageRanks).
 func (id MessageID) Compare(other MessageID) int {
 	if c := cmp.Compare(id.Src, other.Src); c != 0 {
 		return c

@@ -10,7 +10,6 @@ package epidemic
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"glr/internal/dtn"
@@ -88,8 +87,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// svFrame advertises buffer contents: the full summary vector, unicast
-// by the node opening a session and by the responder in reply.
+// svFrame advertises buffer contents: the full summary vector (a bitmap
+// over the world's message ranks), unicast by the node opening a session
+// and by the responder in reply.
 type svFrame struct {
 	Summary dtn.SummaryVector
 	// Reply marks the responder's summary in a session (the initiator
@@ -113,6 +113,7 @@ type Epidemic struct {
 	n   *sim.Node
 
 	buf           *dtn.Buffer
+	have          dtn.RankSet // the ranks of buf's messages, kept in step with it
 	lastExchange  map[int]float64
 	lastHeard     map[int]float64 // contact tracking: detects NEW contacts
 	wants         map[dtn.MessageID]*want
@@ -122,6 +123,14 @@ type Epidemic struct {
 	// Token bucket pacing outgoing data transfers.
 	tokens     float64
 	lastRefill float64
+
+	// Scratch of retrySweep and drainBacklogs, cleared on every call.
+	// perPeer's batches are not reused: each rides in a request frame
+	// until the peer reads it.
+	sweepIDs   []dtn.MessageID
+	sweepPeers []int
+	perPeer    map[int][]dtn.MessageID
+	busy       map[int]bool
 }
 
 // want tracks an outstanding transfer request for retry.
@@ -166,6 +175,7 @@ func (e *Epidemic) Init(n *sim.Node) {
 // delivered) again as duplicates. The token bucket restarts empty.
 func (e *Epidemic) Restart() {
 	e.buf = dtn.NewBuffer(e.n.StorageLimit())
+	e.have.Clear()
 	clear(e.lastExchange)
 	clear(e.lastHeard)
 	clear(e.wants)
@@ -185,13 +195,18 @@ func (e *Epidemic) Restart() {
 // committed atlas rely on).
 func (e *Epidemic) retrySweep(interval float64) {
 	now := e.n.Now()
-	ids := make([]dtn.MessageID, 0, len(e.wants))
+	ids := e.sweepIDs[:0]
 	for id := range e.wants {
 		ids = append(ids, id)
 	}
 	slices.SortFunc(ids, dtn.MessageID.Compare)
-	perPeer := make(map[int][]dtn.MessageID)
-	var peers []int
+	e.sweepIDs = ids
+	if e.perPeer == nil {
+		e.perPeer = make(map[int][]dtn.MessageID)
+	}
+	perPeer := e.perPeer
+	clear(perPeer)
+	peers := e.sweepPeers[:0]
 	for _, id := range ids {
 		w := e.wants[id]
 		if e.buf.Has(id) {
@@ -220,7 +235,8 @@ func (e *Epidemic) retrySweep(interval float64) {
 		}
 		perPeer[w.peer] = append(perPeer[w.peer], id)
 	}
-	sort.Ints(peers)
+	slices.Sort(peers)
+	e.sweepPeers = peers
 	for _, peer := range peers {
 		// Per-peer batches inherit the sorted (Src, Seq) sweep order.
 		batch := perPeer[peer]
@@ -238,14 +254,20 @@ func (e *Epidemic) drainBacklogs(now float64) {
 	if len(e.backlog) == 0 {
 		return
 	}
-	peers := make([]int, 0, len(e.backlog))
+	// retrySweep is done with sweepPeers when it calls here.
+	peers := e.sweepPeers[:0]
 	for peer := range e.backlog {
 		peers = append(peers, peer)
 	}
-	sort.Ints(peers)
+	slices.Sort(peers)
+	e.sweepPeers = peers
 	// Peers with a want still unsettled, including the batches the
 	// retry sweep just sent.
-	busy := make(map[int]bool)
+	if e.busy == nil {
+		e.busy = make(map[int]bool)
+	}
+	busy := e.busy
+	clear(busy)
 	for _, w := range e.wants {
 		busy[w.peer] = true
 	}
@@ -275,7 +297,17 @@ func (e *Epidemic) Buffer() *dtn.Buffer { return e.buf }
 // OnMessageGenerated implements sim.Protocol: epidemic sources simply
 // buffer the message and let anti-entropy spread it.
 func (e *Epidemic) OnMessageGenerated(m *dtn.Message) {
-	e.buf.Add(m)
+	e.store(m)
+}
+
+// store buffers m and keeps have in step with the buffer: m's rank
+// joins it and the rank of the message the buffer evicts for m leaves.
+func (e *Epidemic) store(m *dtn.Message) {
+	ranks := e.n.MessageRanks()
+	if evicted, _ := e.buf.Add(m); evicted != nil {
+		e.have.Remove(ranks.Rank(evicted.ID))
+	}
+	e.have.Add(ranks.Rank(m.ID))
 }
 
 // OnBeacon implements sim.Protocol: a beacon from a peer not heard for
@@ -304,11 +336,11 @@ func (e *Epidemic) svBits(entries int) int {
 	return svBaseBits + entries*svEntryBits
 }
 
-// svBitsFull sizes a full summary vector. Full vectors are bitmaps over
-// the message-id space (~1 bit per message, the canonical compact
-// representation), not explicit id lists — at 1980 messages an explicit
-// list would be a 95 ms frame and contact formations alone would saturate
-// the channel.
+// svBitsFull sizes a full summary vector on the air at one bit per held
+// message. Full vectors are bitmaps over the world's message ranks
+// (dtn.SummaryVector), not explicit id lists — at 1980 messages an
+// explicit list would be a 95 ms frame and contact formations alone
+// would saturate the channel.
 func (e *Epidemic) svBitsFull(entries int) int {
 	return svBaseBits + entries
 }
@@ -316,8 +348,8 @@ func (e *Epidemic) svBitsFull(entries int) int {
 // sendSummary unicasts the full summary vector to a peer: a session
 // opener, or (reply) the responder's half of the handshake.
 func (e *Epidemic) sendSummary(to int, reply bool) {
-	sv := e.buf.Summary()
-	e.n.Unicast(to, sim.KindControl, svFrame{Summary: sv, Reply: reply}, e.svBitsFull(len(sv)), nil)
+	sv := e.have.Summary()
+	e.n.Unicast(to, sim.KindControl, svFrame{Summary: sv, Reply: reply}, e.svBitsFull(sv.Len()), nil)
 }
 
 // OnFrame implements sim.Protocol.
@@ -336,16 +368,19 @@ func (e *Epidemic) OnFrame(payload any, from int) {
 // summary opened a session, we reply with our own so the exchange is
 // bidirectional (the Vahdat–Becker handshake).
 //
-// The ids we lack are visited in the summary's canonical (Src, Seq)
-// order, so request frames hit the medium in the same order on every run.
+// The ids we lack are visited in ascending rank, which is the canonical
+// (Src, Seq) order, so request frames hit the medium in the same order
+// on every run.
 func (e *Epidemic) onSummary(f svFrame, from int) {
 	now := e.n.Now()
 	var diffStart time.Time
 	if e.n.PhaseProfiled() {
 		diffStart = time.Now()
 	}
+	ranks := e.n.MessageRanks()
 	var missing []dtn.MessageID
-	for id := range e.buf.Lacks(f.Summary) {
+	for r := range e.have.Lacks(f.Summary) {
+		id := ranks.ID(r)
 		// Skip ids already requested recently from any peer.
 		if w, ok := e.wants[id]; ok && now-w.at < requestTimeout {
 			continue
@@ -426,5 +461,5 @@ func (e *Epidemic) onData(f dataFrame, from int) {
 		e.deliveredHere[m.ID] = true
 		e.n.ReportDelivered(&m)
 	}
-	e.buf.Add(&m)
+	e.store(&m)
 }

@@ -99,6 +99,11 @@ func (n *Node) NodeCount() int { return n.world.cfg.N }
 // StorageLimit returns the per-node storage bound (0 = unlimited).
 func (n *Node) StorageLimit() int { return n.world.cfg.StorageLimit }
 
+// MessageRanks returns the world's rank table of every message its
+// traffic generates, shared read-only by all nodes and built on the
+// first call in the world.
+func (n *Node) MessageRanks() *dtn.MessageRanks { return n.world.messageRanks() }
+
 // Rand returns the node's private random stream: a 16-byte PCG
 // generator from rng.New, seeded from the run seed and the node id.
 func (n *Node) Rand() *rand.Rand { return n.rng }

@@ -464,3 +464,48 @@ func TestWorldPositionsFollowModels(t *testing.T) {
 		}
 	}
 }
+
+// rankProtocol records the rank of every message its node generates.
+type rankProtocol struct {
+	nopProtocol
+	n     *Node
+	ranks map[dtn.MessageID]int
+}
+
+func (p *rankProtocol) OnMessageGenerated(m *dtn.Message) {
+	p.ranks[m.ID] = p.n.MessageRanks().Rank(m.ID)
+}
+
+// TestMessageRanksCoverGeneratedMessages: the world builds no rank table
+// until a protocol asks for one, and the table ranks the messages the
+// world actually generates densely in canonical (Src, Seq) order, also
+// when traffic items are listed out of time order.
+func TestMessageRanksCoverGeneratedMessages(t *testing.T) {
+	s := smallScenario()
+	s.Traffic = []TrafficItem{
+		{Src: 2, Dst: 3, At: 9}, {Src: 0, Dst: 1, At: 5}, {Src: 2, Dst: 0, At: 1},
+		{Src: 7, Dst: 1, At: 3}, {Src: 0, Dst: 4, At: 2}, {Src: 2, Dst: 5, At: 4},
+	}
+	ranks := make(map[dtn.MessageID]int)
+	w, err := NewWorld(s, func(n *Node) Protocol { return &rankProtocol{n: n, ranks: ranks} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.ranks != nil {
+		t.Fatal("NewWorld built the rank table before any protocol asked")
+	}
+	w.Run()
+	want := []dtn.MessageID{{Src: 0, Seq: 0}, {Src: 0, Seq: 1}, {Src: 2, Seq: 0},
+		{Src: 2, Seq: 1}, {Src: 2, Seq: 2}, {Src: 7, Seq: 0}}
+	if len(ranks) != len(want) {
+		t.Fatalf("generated %d messages, want %d", len(ranks), len(want))
+	}
+	for r, id := range want {
+		if got, ok := ranks[id]; !ok || got != r {
+			t.Errorf("rank of %v = %d (generated %v), want %d", id, got, ok, r)
+		}
+		if got := w.ranks.ID(r); got != id {
+			t.Errorf("ID(%d) = %v, want %v", r, got, id)
+		}
+	}
+}

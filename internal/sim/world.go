@@ -33,6 +33,11 @@ type World struct {
 	models []mobility.Model
 	segs   []mobility.Segment
 
+	// ranks numbers the messages cfg.Traffic generates (see
+	// messageRanks); nil until a protocol first asks for it, so worlds
+	// whose protocol never does pay nothing.
+	ranks *dtn.MessageRanks
+
 	// prof accumulates per-phase wall clock when EnablePhaseProfile was
 	// called (nil = off, the default; see phaseprof.go).
 	prof *PhaseProf
@@ -229,6 +234,21 @@ func (w *World) scheduleTraffic() {
 			src.proto.OnMessageGenerated(m)
 		})
 	}
+}
+
+// messageRanks returns the world's message rank table, built on first
+// use. scheduleTraffic numbers each source's messages 0, 1, 2, … in
+// generation order, so a source's count of traffic items is the size of
+// its Seq range, whatever the order in which the items fire.
+func (w *World) messageRanks() *dtn.MessageRanks {
+	if w.ranks == nil {
+		count := make([]int, w.cfg.N)
+		for _, ti := range w.cfg.Traffic {
+			count[ti.Src]++
+		}
+		w.ranks = dtn.NewMessageRanks(count)
+	}
+	return w.ranks
 }
 
 // scheduleStorageSampler folds each node's occupancy into its running
