@@ -99,7 +99,6 @@ import (
 
 	"glr/internal/core"
 	"glr/internal/epidemic"
-	"glr/internal/metrics"
 	"glr/internal/sim"
 )
 
@@ -160,23 +159,6 @@ func (r Result) String() string {
 	return fmt.Sprintf("delivered %d/%d (%.1f%%), latency %.2fs, hops %.2f, peak storage max %d avg %.1f",
 		r.Delivered, r.Generated, 100*r.DeliveryRatio, r.AvgLatency, r.AvgHops,
 		r.MaxPeakStorage, r.AvgPeakStorage)
-}
-
-// resultFromReport lowers the internal run digest onto the public type.
-func resultFromReport(rep metrics.Report) Result {
-	return Result{
-		Generated:      rep.Generated,
-		Delivered:      rep.Delivered,
-		DeliveryRatio:  rep.DeliveryRatio,
-		AvgLatency:     rep.AvgLatency,
-		AvgHops:        rep.AvgHops,
-		MaxPeakStorage: rep.MaxPeakStorage,
-		AvgPeakStorage: rep.AvgPeakStorage,
-		Duplicates:     rep.Duplicates,
-		ControlFrames:  rep.ControlFrames,
-		DataFrames:     rep.DataFrames,
-		Acks:           rep.Acks,
-	}
 }
 
 // validate rejects knob values outside their domain (nil is valid:

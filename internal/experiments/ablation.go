@@ -6,6 +6,7 @@ import (
 
 	"glr/internal/asciiplot"
 	"glr/internal/core"
+	"glr/internal/metrics"
 	"glr/internal/sim"
 )
 
@@ -22,7 +23,7 @@ type AblationResult struct {
 // AblationRow is one variant's outcome.
 type AblationRow struct {
 	Name string
-	Agg  Agg
+	Agg  metrics.Agg
 }
 
 // Ablation runs the design-choice study.
@@ -53,7 +54,7 @@ func Ablation(o Options) (*AblationResult, error) {
 		s := sim.DefaultScenario(radius)
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
-		agg, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR, glrCfg: &cfg})
+		agg, err := o.runGLR(s, cfg)
 		if err != nil {
 			return nil, err
 		}

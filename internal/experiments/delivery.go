@@ -6,14 +6,15 @@ import (
 
 	"glr/internal/asciiplot"
 	"glr/internal/core"
+	"glr/internal/metrics"
 	"glr/internal/sim"
 )
 
 // Table3Result reproduces Table 3: delivery ratio with and without custody
 // transfer (890 messages, 50 m, 1200 s).
 type Table3Result struct {
-	Without  Agg
-	With     Agg
+	Without  metrics.Agg
+	With     metrics.Agg
 	Messages int
 }
 
@@ -30,7 +31,7 @@ func Table3Custody(o Options) (*Table3Result, error) {
 		s := sim.DefaultScenario(50)
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(1200, msgs)
-		agg, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR, glrCfg: &cfg})
+		agg, err := o.runGLR(s, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -73,8 +74,8 @@ func (r *Table3Result) CustodyHelps() bool {
 // so the pressure regime matches the paper's.
 type Fig7Result struct {
 	Limits   []int
-	GLR      []Agg
-	Epidemic []Agg
+	GLR      []metrics.Agg
+	Epidemic []metrics.Agg
 	Messages int
 }
 
@@ -91,11 +92,7 @@ func Fig7StorageLimit(o Options) (*Fig7Result, error) {
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
 		s.StorageLimit = limit
-		glr, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR})
-		if err != nil {
-			return nil, err
-		}
-		epi, err := o.runPoint(runSpec{scenario: s, proto: ProtoEpidemic})
+		glr, epi, err := o.compare(s)
 		if err != nil {
 			return nil, err
 		}

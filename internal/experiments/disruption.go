@@ -6,6 +6,7 @@ import (
 
 	"glr/internal/asciiplot"
 	"glr/internal/fault"
+	"glr/internal/metrics"
 	"glr/internal/sim"
 )
 
@@ -34,8 +35,8 @@ func DisruptionFaults(x float64) []fault.Spec {
 // GLR and epidemic at each fault intensity.
 type DisruptionResult struct {
 	Intensity []float64
-	GLR       []Agg
-	Epidemic  []Agg
+	GLR       []metrics.Agg
+	Epidemic  []metrics.Agg
 	Messages  int
 }
 
@@ -54,11 +55,7 @@ func Disruption(o Options) (*DisruptionResult, error) {
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
 		s.Faults = DisruptionFaults(x)
-		glrAgg, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR})
-		if err != nil {
-			return nil, err
-		}
-		epiAgg, err := o.runPoint(runSpec{scenario: s, proto: ProtoEpidemic})
+		glrAgg, epiAgg, err := o.compare(s)
 		if err != nil {
 			return nil, err
 		}

@@ -19,12 +19,7 @@ import (
 	"glr/internal/metrics"
 	"glr/internal/runner"
 	"glr/internal/sim"
-	"glr/internal/stats"
 )
-
-// confidence is the two-sided confidence level of every aggregate (the
-// paper's 90%).
-const confidence = 0.90
 
 // Options scales an experiment between quick smoke runs and full paper
 // fidelity.
@@ -88,102 +83,60 @@ func (o Options) progress(format string, args ...any) {
 	}
 }
 
-// ProtocolKind selects a routing protocol for a scenario run.
-type ProtocolKind int
-
-// Protocols under comparison.
-const (
-	ProtoGLR ProtocolKind = iota
-	ProtoEpidemic
-)
-
-// String implements fmt.Stringer.
-func (p ProtocolKind) String() string {
-	if p == ProtoEpidemic {
-		return "Epidemic"
-	}
-	return "GLR"
-}
-
-// runSpec describes one scenario execution.
-type runSpec struct {
-	scenario sim.Scenario
-	proto    ProtocolKind
-	glrCfg   *core.Config // nil = DefaultConfig
-}
-
-// execute builds and runs one world under ctx.
-func (rs runSpec) execute(ctx context.Context) (metrics.Report, error) {
-	var factory sim.ProtocolFactory
-	var err error
-	switch rs.proto {
-	case ProtoEpidemic:
-		factory, err = epidemic.New(epidemic.DefaultConfig())
-	default:
-		cfg := core.DefaultConfig()
-		if rs.glrCfg != nil {
-			cfg = *rs.glrCfg
+// point is one scenario under one protocol, replicated o.Runs times:
+// GLR under cfg, or the epidemic baseline when cfg is nil.
+func (o Options) point(s sim.Scenario, cfg *core.Config) runner.Point[metrics.Report] {
+	return runner.Point[metrics.Report]{Base: o.BaseSeed, Runs: o.Runs, Run: func(ctx context.Context, seed int64) (metrics.Report, error) {
+		var factory sim.ProtocolFactory
+		var err error
+		if cfg == nil {
+			factory, err = epidemic.New(epidemic.DefaultConfig())
+		} else {
+			factory, err = core.New(*cfg)
 		}
-		factory, err = core.New(cfg)
-	}
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	w, err := sim.NewWorld(rs.scenario, factory)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	return w.RunContext(ctx)
-}
-
-// replicate runs spec o.Runs times with seeds BaseSeed..BaseSeed+Runs-1
-// through the shared worker pool (internal/runner) and returns the
-// per-run reports in seed order.
-func (o Options) replicate(spec runSpec) ([]metrics.Report, error) {
-	jobs := make([]runner.Job[metrics.Report], o.Runs)
-	for r := 0; r < o.Runs; r++ {
-		s := spec
-		s.scenario.Seed = o.BaseSeed + int64(r)
-		jobs[r] = func(ctx context.Context) (metrics.Report, error) {
-			return s.execute(ctx)
+		if err != nil {
+			return metrics.Report{}, err
 		}
-	}
-	return runner.Run(o.Ctx, 0, jobs) // 0 workers: GOMAXPROCS
-}
-
-// Agg aggregates replications of one scenario point: mean ± CI for every
-// metric the paper reports.
-type Agg struct {
-	DeliveryRatio  stats.MeanCI
-	AvgLatency     stats.MeanCI
-	AvgHops        stats.MeanCI
-	MaxPeakStorage stats.MeanCI
-	AvgPeakStorage stats.MeanCI
-}
-
-// aggregate folds replication reports at the configured confidence level.
-func (o Options) aggregate(reports []metrics.Report) Agg {
-	pull := func(f func(metrics.Report) float64) stats.MeanCI {
-		xs := make([]float64, len(reports))
-		for i, r := range reports {
-			xs[i] = f(r)
+		s := s
+		s.Seed = seed
+		w, err := sim.NewWorld(s, factory)
+		if err != nil {
+			return metrics.Report{}, err
 		}
-		return stats.ConfidenceInterval(xs, confidence)
-	}
-	return Agg{
-		DeliveryRatio:  pull(func(r metrics.Report) float64 { return r.DeliveryRatio }),
-		AvgLatency:     pull(func(r metrics.Report) float64 { return r.AvgLatency }),
-		AvgHops:        pull(func(r metrics.Report) float64 { return r.AvgHops }),
-		MaxPeakStorage: pull(func(r metrics.Report) float64 { return float64(r.MaxPeakStorage) }),
-		AvgPeakStorage: pull(func(r metrics.Report) float64 { return r.AvgPeakStorage }),
-	}
+		return w.RunContext(ctx)
+	}}
 }
 
-// runPoint is the common "replicate one scenario and aggregate" helper.
-func (o Options) runPoint(spec runSpec) (Agg, error) {
-	reports, err := o.replicate(spec)
+// sweep runs the points on one pool of GOMAXPROCS workers and folds
+// each point's reports.
+func (o Options) sweep(points ...runner.Point[metrics.Report]) ([]metrics.Agg, error) {
+	reports, err := runner.Sweep(o.Ctx, 0, points, nil)
 	if err != nil {
-		return Agg{}, err
+		return nil, err
 	}
-	return o.aggregate(reports), nil
+	aggs := make([]metrics.Agg, len(reports))
+	for i, r := range reports {
+		aggs[i] = metrics.Fold(r)
+	}
+	return aggs, nil
+}
+
+// runGLR replicates scenario s under GLR with cfg.
+func (o Options) runGLR(s sim.Scenario, cfg core.Config) (metrics.Agg, error) {
+	aggs, err := o.sweep(o.point(s, &cfg))
+	if err != nil {
+		return metrics.Agg{}, err
+	}
+	return aggs[0], nil
+}
+
+// compare replicates scenario s under default GLR and under epidemic,
+// with identical seeds, on one pool.
+func (o Options) compare(s sim.Scenario) (glr, epi metrics.Agg, err error) {
+	cfg := core.DefaultConfig()
+	aggs, err := o.sweep(o.point(s, &cfg), o.point(s, nil))
+	if err != nil {
+		return metrics.Agg{}, metrics.Agg{}, err
+	}
+	return aggs[0], aggs[1], nil
 }

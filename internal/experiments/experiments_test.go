@@ -183,19 +183,3 @@ func TestTable4StorageSmoke(t *testing.T) {
 		t.Error("render missing title")
 	}
 }
-
-func TestAggregateConfidence(t *testing.T) {
-	// aggregate must produce zero halfwidth for single runs and sane CIs
-	// for multiple.
-	o := Options{Runs: 1, MsgScale: 1}
-	agg := o.aggregate(nil)
-	if agg.AvgLatency.Mean != 0 {
-		t.Error("empty aggregate should be zero")
-	}
-}
-
-func TestProtocolKindString(t *testing.T) {
-	if ProtoGLR.String() != "GLR" || ProtoEpidemic.String() != "Epidemic" {
-		t.Error("protocol names wrong")
-	}
-}

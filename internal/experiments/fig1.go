@@ -6,6 +6,7 @@ import (
 
 	"glr/internal/asciiplot"
 	"glr/internal/geom"
+	"glr/internal/metrics"
 	"glr/internal/mobility"
 	"glr/internal/rng"
 	"glr/internal/stats"
@@ -73,9 +74,9 @@ func Fig1Connectivity(o Options) (*Fig1Result, error) {
 				}.Render()
 			}
 		}
-		res.EdgeCount = append(res.EdgeCount, stats.ConfidenceInterval(edges, confidence))
-		res.ComponentCount = append(res.ComponentCount, stats.ConfidenceInterval(comps, confidence))
-		res.IsolatedNodes = append(res.IsolatedNodes, stats.ConfidenceInterval(isolated, confidence))
+		res.EdgeCount = append(res.EdgeCount, stats.ConfidenceInterval(edges, metrics.Confidence))
+		res.ComponentCount = append(res.ComponentCount, stats.ConfidenceInterval(comps, metrics.Confidence))
+		res.IsolatedNodes = append(res.IsolatedNodes, stats.ConfidenceInterval(isolated, metrics.Confidence))
 		res.ConnectedFrac = append(res.ConnectedFrac, float64(connected)/float64(trials))
 		res.Snapshots = append(res.Snapshots, snapshot)
 		o.progress("fig1: radius %.0f m done (%d trials)", r, trials)

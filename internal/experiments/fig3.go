@@ -6,6 +6,7 @@ import (
 
 	"glr/internal/asciiplot"
 	"glr/internal/core"
+	"glr/internal/metrics"
 	"glr/internal/sim"
 )
 
@@ -13,7 +14,7 @@ import (
 // the route-check interval (0.6–1.6 s; 1980 messages, 100 m radius).
 type Fig3Result struct {
 	Intervals []float64
-	Latency   []Agg
+	Latency   []metrics.Agg
 	Messages  int
 }
 
@@ -33,7 +34,7 @@ func Fig3CheckInterval(o Options) (*Fig3Result, error) {
 		s := sim.DefaultScenario(100)
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
-		agg, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR, glrCfg: &cfg})
+		agg, err := o.runGLR(s, cfg)
 		if err != nil {
 			return nil, err
 		}

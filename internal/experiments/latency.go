@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"glr/internal/asciiplot"
+	"glr/internal/metrics"
 	"glr/internal/sim"
 )
 
@@ -13,8 +14,8 @@ import (
 type LatencySweepResult struct {
 	Radius   float64
 	Messages []int
-	GLR      []Agg
-	Epidemic []Agg
+	GLR      []metrics.Agg
+	Epidemic []metrics.Agg
 	Figure   string // "Figure 4" (50 m) or "Figure 5" (100 m)
 }
 
@@ -35,11 +36,7 @@ func Fig45Latency(o Options, radius float64) (*LatencySweepResult, error) {
 		s := sim.DefaultScenario(radius)
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
-		glr, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR})
-		if err != nil {
-			return nil, err
-		}
-		epi, err := o.runPoint(runSpec{scenario: s, proto: ProtoEpidemic})
+		glr, epi, err := o.compare(s)
 		if err != nil {
 			return nil, err
 		}
@@ -104,8 +101,8 @@ func (r *LatencySweepResult) EpidemicGrowsWithLoad() bool {
 // Algorithm 1).
 type Fig6Result struct {
 	Radius   []float64
-	GLR      []Agg
-	Epidemic []Agg
+	GLR      []metrics.Agg
+	Epidemic []metrics.Agg
 	Messages int
 }
 
@@ -120,11 +117,7 @@ func Fig6LatencyRadius(o Options) (*Fig6Result, error) {
 		s := sim.DefaultScenario(radius)
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
-		glr, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR})
-		if err != nil {
-			return nil, err
-		}
-		epi, err := o.runPoint(runSpec{scenario: s, proto: ProtoEpidemic})
+		glr, epi, err := o.compare(s)
 		if err != nil {
 			return nil, err
 		}

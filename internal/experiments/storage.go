@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"glr/internal/asciiplot"
+	"glr/internal/core"
+	"glr/internal/metrics"
 	"glr/internal/sim"
 )
 
@@ -12,7 +14,7 @@ import (
 // (50 m, 3 copies by Algorithm 1).
 type Table4Result struct {
 	Messages []int
-	Agg      []Agg
+	Agg      []metrics.Agg
 }
 
 // Table4StorageByMessages runs the Table-4 sweep.
@@ -26,7 +28,7 @@ func Table4StorageByMessages(o Options) (*Table4Result, error) {
 		s := sim.DefaultScenario(50)
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
-		agg, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR})
+		agg, err := o.runGLR(s, core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +74,7 @@ func (r *Table4Result) StorageGrowsWithMessages() bool {
 // messages; Algorithm 1 picks 3 copies at 50/100 m, 1 copy beyond).
 type Table5Result struct {
 	Radius   []float64
-	Agg      []Agg
+	Agg      []metrics.Agg
 	Messages int
 }
 
@@ -87,7 +89,7 @@ func Table5StorageByRadius(o Options) (*Table5Result, error) {
 		s := sim.DefaultScenario(radius)
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
-		agg, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR})
+		agg, err := o.runGLR(s, core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"glr/internal/asciiplot"
 	"glr/internal/core"
+	"glr/internal/metrics"
 	"glr/internal/sim"
 )
 
@@ -20,7 +21,7 @@ type Table2Result struct {
 type Table2Row struct {
 	Copies   int
 	Scenario string
-	Agg      Agg
+	Agg      metrics.Agg
 	Paper    PaperTable2Row
 }
 
@@ -48,7 +49,7 @@ func Table2LocationKnowledge(o Options) (*Table2Result, error) {
 		s := sim.DefaultScenario(100)
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
-		agg, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR, glrCfg: &cfg})
+		agg, err := o.runGLR(s, cfg)
 		if err != nil {
 			return nil, err
 		}

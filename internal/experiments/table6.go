@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"glr/internal/asciiplot"
+	"glr/internal/metrics"
 	"glr/internal/sim"
 )
 
@@ -12,8 +13,8 @@ import (
 // across radii (1980 messages).
 type Table6Result struct {
 	Radius   []float64
-	GLR      []Agg
-	Epidemic []Agg
+	GLR      []metrics.Agg
+	Epidemic []metrics.Agg
 	Messages int
 }
 
@@ -28,11 +29,7 @@ func Table6HopCounts(o Options) (*Table6Result, error) {
 		s := sim.DefaultScenario(radius)
 		s.Traffic = sim.PaperTraffic(msgs)
 		s.SimTime = o.horizon(3800, msgs)
-		glr, err := o.runPoint(runSpec{scenario: s, proto: ProtoGLR})
-		if err != nil {
-			return nil, err
-		}
-		epi, err := o.runPoint(runSpec{scenario: s, proto: ProtoEpidemic})
+		glr, epi, err := o.compare(s)
 		if err != nil {
 			return nil, err
 		}

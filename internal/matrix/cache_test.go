@@ -139,22 +139,6 @@ func TestDriverParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDriverVersionBumpMisses: a semantic version bump invalidates
-// every previously cached cell.
-func TestDriverVersionBumpMisses(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := (&Driver{Cache: dir, Workers: 1}).Run(context.Background(), tinySections()); err != nil {
-		t.Fatal(err)
-	}
-	bumped, err := (&Driver{Cache: dir, Workers: 1, Version: Version + "-v2"}).Run(context.Background(), tinySections())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bumped.CacheHits != 0 || bumped.Computed != 1 {
-		t.Fatalf("version bump: computed %d, hits %d; want recompute", bumped.Computed, bumped.CacheHits)
-	}
-}
-
 // TestDriverSeedPerturbationMisses: changing the seed range misses the
 // cache even though the cell spec is unchanged.
 func TestDriverSeedPerturbationMisses(t *testing.T) {

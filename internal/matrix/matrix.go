@@ -24,11 +24,10 @@ package matrix
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"glr"
+	"glr/internal/metrics"
 	"glr/internal/runner"
-	"glr/internal/stats"
 )
 
 // Version namespaces every cache key. Bump it whenever simulation
@@ -36,11 +35,6 @@ import (
 // results (protocol behavior, metric definitions, workload schedules);
 // every cell then misses and recomputes under the new version.
 const Version = "glr-atlas-v3"
-
-// confidence is the two-sided confidence level for per-cell aggregates
-// (the paper's 90%). It is fixed so committed atlas artifacts are
-// reproducible byte for byte.
-const confidence = 0.90
 
 // seriesPoints is the number of periodic delivery-ratio samples
 // collected per run: each run is observed every SimTime/seriesPoints
@@ -78,9 +72,6 @@ type Driver struct {
 	Cache string
 	// Workers bounds concurrent replications (0 = GOMAXPROCS).
 	Workers int
-	// Version overrides the cache namespace (default the package
-	// Version; tests use it to model semantic bumps).
-	Version string
 	// Progress, when non-nil, receives one line per completed run and
 	// per section summary.
 	Progress func(format string, args ...any)
@@ -119,39 +110,14 @@ func (s Series) MeanCurve() (times, means []float64) {
 	return times, means
 }
 
-// Agg is one cell's replication aggregate: mean ± confidence half-width
-// for every headline metric, plus total frames (control + data + acks)
-// as the overhead measure.
-type Agg struct {
-	DeliveryRatio  stats.MeanCI
-	AvgLatency     stats.MeanCI
-	AvgHops        stats.MeanCI
-	AvgPeakStorage stats.MeanCI
-	MaxPeakStorage stats.MeanCI
-	Duplicates     stats.MeanCI
-	Frames         stats.MeanCI
-}
-
-// aggregate folds per-seed results at the fixed confidence level.
-func aggregate(results []glr.Result) Agg {
-	pull := func(f func(glr.Result) float64) stats.MeanCI {
-		xs := make([]float64, len(results))
-		for i, r := range results {
-			xs[i] = f(r)
-		}
-		return stats.ConfidenceInterval(xs, confidence)
+// fold aggregates a cell's per-seed results through the one
+// replication fold.
+func fold(results []glr.Result) metrics.Agg {
+	reports := make([]metrics.Report, len(results))
+	for i, r := range results {
+		reports[i] = metrics.Report(r)
 	}
-	return Agg{
-		DeliveryRatio:  pull(func(r glr.Result) float64 { return r.DeliveryRatio }),
-		AvgLatency:     pull(func(r glr.Result) float64 { return r.AvgLatency }),
-		AvgHops:        pull(func(r glr.Result) float64 { return r.AvgHops }),
-		AvgPeakStorage: pull(func(r glr.Result) float64 { return r.AvgPeakStorage }),
-		MaxPeakStorage: pull(func(r glr.Result) float64 { return float64(r.MaxPeakStorage) }),
-		Duplicates:     pull(func(r glr.Result) float64 { return float64(r.Duplicates) }),
-		Frames: pull(func(r glr.Result) float64 {
-			return float64(r.ControlFrames + r.DataFrames + r.Acks)
-		}),
-	}
+	return metrics.Fold(reports)
 }
 
 // CellResult is one cell's accumulated outcome: the spec, its cache
@@ -162,7 +128,7 @@ type CellResult struct {
 	Seeds   []int64
 	Results []glr.Result
 	Series  Series
-	Agg     Agg
+	Agg     metrics.Agg
 	// Cached reports whether this run served the cell from the cache.
 	// It is runtime information, deliberately excluded from atlas.json
 	// so a fully cached regeneration is byte-identical to the run that
@@ -195,15 +161,6 @@ type Atlas struct {
 	CacheHits int `json:"-"`
 }
 
-// seedRange lists the seeds of a replication sweep: base..base+runs-1.
-func seedRange(base int64, runs int) []int64 {
-	seeds := make([]int64, runs)
-	for i := range seeds {
-		seeds[i] = base + int64(i)
-	}
-	return seeds
-}
-
 // seedOut is one replication's harvest.
 type seedOut struct {
 	res      glr.Result
@@ -215,10 +172,29 @@ type pending struct {
 	section, cell int // indices into the atlas
 	spec          glr.Cell
 	key           string
-	baseSeed      int64
-	runs          int
 	every         float64
-	firstJob      int // index of the cell's first job in the pool
+}
+
+// cellPoint is the sweep point of one cell's replications: each run
+// observes the cell's delivery ratio every `every` simulated seconds.
+func cellPoint(spec glr.Cell, base int64, runs int, every float64) runner.Point[seedOut] {
+	return runner.Point[seedOut]{Base: base, Runs: runs, Run: func(ctx context.Context, seed int64) (seedOut, error) {
+		var out seedOut
+		obs := &glr.Observer{
+			SampleEvery: every,
+			OnSample:    func(s glr.Sample) { out.delivery = append(out.delivery, s.DeliveryRatio) },
+		}
+		sc, err := spec.Scenario(glr.WithSeed(seed), glr.WithObserver(obs))
+		if err != nil {
+			return seedOut{}, fmt.Errorf("matrix: cell %s seed %d: %w", spec.Label(), seed, err)
+		}
+		res, err := sc.RunContext(ctx)
+		if err != nil {
+			return seedOut{}, fmt.Errorf("matrix: cell %s seed %d: %w", spec.Label(), seed, err)
+		}
+		out.res = res
+		return out, nil
+	}}
 }
 
 // Run executes the sections, serving every cell it can from the cache
@@ -227,12 +203,12 @@ type pending struct {
 // aggregated and deterministic: for fixed sections and version, a fully
 // cached run returns exactly what the computing run did.
 func (d *Driver) Run(ctx context.Context, sections []Section) (*Atlas, error) {
-	version := d.Version
-	if version == "" {
-		version = Version
-	}
-	atlas := &Atlas{Version: version}
-	var misses []pending
+	atlas := &Atlas{Version: Version}
+	var (
+		misses []pending
+		points []runner.Point[seedOut] // points[i] computes misses[i]
+		runs   int
+	)
 	for si, sec := range sections {
 		m := sec.Matrix.Normalized()
 		if err := m.Validate(); err != nil {
@@ -252,8 +228,8 @@ func (d *Driver) Run(ctx context.Context, sections []Section) (*Atlas, error) {
 			seriesChart: sec.SeriesChart,
 		}
 		for ci, c := range cells {
-			key := cellKey(version, c, m.BaseSeed, m.Seeds)
-			cr := CellResult{Cell: c, Key: key, Seeds: seedRange(m.BaseSeed, m.Seeds)}
+			key := cellKey(Version, c, m.BaseSeed, m.Seeds)
+			cr := CellResult{Cell: c, Key: key, Seeds: runner.Seeds(m.BaseSeed, m.Seeds)}
 			if d.Cache != "" {
 				if e, ok := loadCell(d.Cache, key); ok {
 					cr.Results, cr.Series, cr.Cached = e.Results, e.Series, true
@@ -261,12 +237,10 @@ func (d *Driver) Run(ctx context.Context, sections []Section) (*Atlas, error) {
 				}
 			}
 			if !cr.Cached {
-				misses = append(misses, pending{
-					section: si, cell: ci,
-					spec: c, key: key,
-					baseSeed: m.BaseSeed, runs: m.Seeds,
-					every: c.SimTime / seriesPoints,
-				})
+				p := pending{section: si, cell: ci, spec: c, key: key, every: c.SimTime / seriesPoints}
+				misses = append(misses, p)
+				points = append(points, cellPoint(c, m.BaseSeed, m.Seeds, p.every))
+				runs += m.Seeds
 			}
 			sr.Cells[ci] = cr
 		}
@@ -276,72 +250,39 @@ func (d *Driver) Run(ctx context.Context, sections []Section) (*Atlas, error) {
 	// One shared pool over every missing (cell, seed): a sweep with a
 	// few straggler cells still saturates the workers. Each run steps
 	// on its own goroutine.
-	var jobs []runner.Job[seedOut]
-	for mi := range misses {
-		p := &misses[mi]
-		p.firstJob = len(jobs)
-		for _, seed := range seedRange(p.baseSeed, p.runs) {
-			spec, every, seed := p.spec, p.every, seed
-			jobs = append(jobs, func(ctx context.Context) (seedOut, error) {
-				var out seedOut
-				obs := &glr.Observer{
-					SampleEvery: every,
-					OnSample:    func(s glr.Sample) { out.delivery = append(out.delivery, s.DeliveryRatio) },
-				}
-				sc, err := spec.Scenario(glr.WithSeed(seed), glr.WithObserver(obs))
-				if err != nil {
-					return seedOut{}, fmt.Errorf("matrix: cell %s seed %d: %w", spec.Label(), seed, err)
-				}
-				res, err := sc.RunContext(ctx)
-				if err != nil {
-					return seedOut{}, fmt.Errorf("matrix: cell %s seed %d: %w", spec.Label(), seed, err)
-				}
-				out.res = res
-				return out, nil
-			})
-		}
-	}
 	d.progress("atlas: %d cell(s) cached, %d to compute (%d run(s))",
-		atlas.CacheHits, len(misses), len(jobs))
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	outs, err := runner.RunNotify(ctx, d.Workers, jobs, func(int) {
-		mu.Lock()
-		done++
-		n := done
-		mu.Unlock()
-		d.progress("atlas: run %d/%d done", n, len(jobs))
+		atlas.CacheHits, len(misses), runs)
+	outs, err := runner.Sweep(ctx, d.Workers, points, func(done int) {
+		d.progress("atlas: run %d/%d done", done, runs)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	for _, p := range misses {
+	for mi, p := range misses {
 		cr := &atlas.Sections[p.section].Cells[p.cell]
-		cr.Results = make([]glr.Result, p.runs)
-		cr.Series = Series{Every: p.every, Delivery: make([][]float64, p.runs)}
-		for k := 0; k < p.runs; k++ {
-			cr.Results[k] = outs[p.firstJob+k].res
-			cr.Series.Delivery[k] = outs[p.firstJob+k].delivery
+		cr.Results = make([]glr.Result, len(outs[mi]))
+		cr.Series = Series{Every: p.every, Delivery: make([][]float64, len(outs[mi]))}
+		for k, out := range outs[mi] {
+			cr.Results[k] = out.res
+			cr.Series.Delivery[k] = out.delivery
 		}
 		atlas.Computed++
 		if d.Cache != "" {
 			if err := storeCell(d.Cache, cacheEntry{
-				Key: p.key, Version: version, Cell: p.spec,
-				BaseSeed: p.baseSeed, Runs: p.runs,
+				Key: p.key, Version: Version, Cell: p.spec,
+				BaseSeed: points[mi].Base, Runs: points[mi].Runs,
 				Results: cr.Results, Series: cr.Series,
 			}); err != nil {
 				return nil, err
 			}
 		}
-		d.progress("atlas: cell %s -> delivery %.3f", p.spec.Label(), aggregate(cr.Results).DeliveryRatio.Mean)
+		d.progress("atlas: cell %s -> delivery %.3f", p.spec.Label(), fold(cr.Results).DeliveryRatio.Mean)
 	}
 	for si := range atlas.Sections {
 		for ci := range atlas.Sections[si].Cells {
 			cr := &atlas.Sections[si].Cells[ci]
-			cr.Agg = aggregate(cr.Results)
+			cr.Agg = fold(cr.Results)
 		}
 	}
 	return atlas, nil

@@ -149,7 +149,9 @@ func (c *Collector) CountDataFrame() { c.dataFrames++ }
 // CountAck increments the custody-ack counter.
 func (c *Collector) CountAck() { c.acks++ }
 
-// Report is the digest of one run.
+// Report is the digest of one run. The public glr.Result has the same
+// fields in the same order, so each converts to the other directly;
+// change both together.
 type Report struct {
 	Generated      int
 	Delivered      int
@@ -211,4 +213,43 @@ func (c *Collector) deliveredIDs() []dtn.MessageID {
 	}
 	slices.SortFunc(ids, dtn.MessageID.Compare)
 	return ids
+}
+
+// Confidence is the two-sided confidence level of every replication
+// aggregate: the paper's 90%. It is fixed so committed artifacts are
+// reproducible byte for byte.
+const Confidence = 0.90
+
+// Agg aggregates the replications of one scenario point: mean ± Student-t
+// half-width at Confidence for every headline metric, plus total frames
+// (control + data + acks) as the overhead measure. The field order is
+// the atlas.json layout.
+type Agg struct {
+	DeliveryRatio  stats.MeanCI
+	AvgLatency     stats.MeanCI
+	AvgHops        stats.MeanCI
+	AvgPeakStorage stats.MeanCI
+	MaxPeakStorage stats.MeanCI
+	Duplicates     stats.MeanCI
+	Frames         stats.MeanCI
+}
+
+// Fold aggregates per-seed reports at Confidence.
+func Fold(reports []Report) Agg {
+	pull := func(f func(Report) float64) stats.MeanCI {
+		xs := make([]float64, len(reports))
+		for i, r := range reports {
+			xs[i] = f(r)
+		}
+		return stats.ConfidenceInterval(xs, Confidence)
+	}
+	return Agg{
+		DeliveryRatio:  pull(func(r Report) float64 { return r.DeliveryRatio }),
+		AvgLatency:     pull(func(r Report) float64 { return r.AvgLatency }),
+		AvgHops:        pull(func(r Report) float64 { return r.AvgHops }),
+		AvgPeakStorage: pull(func(r Report) float64 { return r.AvgPeakStorage }),
+		MaxPeakStorage: pull(func(r Report) float64 { return float64(r.MaxPeakStorage) }),
+		Duplicates:     pull(func(r Report) float64 { return float64(r.Duplicates) }),
+		Frames:         pull(func(r Report) float64 { return float64(r.ControlFrames + r.DataFrames + r.Acks) }),
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"glr/internal/dtn"
+	"glr/internal/stats"
 )
 
 func id(src, seq int) dtn.MessageID { return dtn.MessageID{Src: src, Seq: seq} }
@@ -81,5 +82,60 @@ func TestDeliveredWithoutCreated(t *testing.T) {
 	r := c.Report()
 	if r.AvgLatency != 8 || r.AvgHops != 4 {
 		t.Errorf("unknown-creation delivery should be excluded from averages: %+v", r)
+	}
+}
+
+// TestFold: the one replication fold gives zero for no reports, N = 1
+// and zero half-widths for one, and for several exactly the 90%
+// Student-t interval of each metric's column, with Frames the sum of
+// control, data and ack frames.
+func TestFold(t *testing.T) {
+	if got := Fold(nil); got != (Agg{}) {
+		t.Errorf("empty fold = %+v, want zero", got)
+	}
+	one := Report{DeliveryRatio: 0.5, AvgLatency: 12, AvgHops: 3, MaxPeakStorage: 7, AvgPeakStorage: 2.5,
+		Duplicates: 4, ControlFrames: 10, DataFrames: 5, Acks: 1}
+	got := Fold([]Report{one})
+	for name, ci := range map[string]stats.MeanCI{
+		"DeliveryRatio": got.DeliveryRatio, "AvgLatency": got.AvgLatency, "AvgHops": got.AvgHops,
+		"AvgPeakStorage": got.AvgPeakStorage, "MaxPeakStorage": got.MaxPeakStorage,
+		"Duplicates": got.Duplicates, "Frames": got.Frames,
+	} {
+		if ci.N != 1 || ci.HalfWidth != 0 {
+			t.Errorf("one report: %s = %+v, want N 1 and no half-width", name, ci)
+		}
+	}
+	if got.Frames.Mean != 16 || got.AvgLatency.Mean != 12 {
+		t.Errorf("one report: frames %v latency %v, want 16 and 12", got.Frames.Mean, got.AvgLatency.Mean)
+	}
+
+	reports := []Report{
+		one,
+		{DeliveryRatio: 0.9, AvgLatency: 30, AvgHops: 5, MaxPeakStorage: 11, AvgPeakStorage: 4,
+			Duplicates: 0, ControlFrames: 20, DataFrames: 8, Acks: 3},
+		{DeliveryRatio: 0.7, AvgLatency: 18, AvgHops: 4.5, MaxPeakStorage: 9, AvgPeakStorage: 3.25,
+			Duplicates: 2, ControlFrames: 14, DataFrames: 6, Acks: 0},
+	}
+	column := func(f func(Report) float64) stats.MeanCI {
+		xs := make([]float64, len(reports))
+		for i, r := range reports {
+			xs[i] = f(r)
+		}
+		return stats.ConfidenceInterval(xs, 0.90)
+	}
+	want := Agg{
+		DeliveryRatio:  column(func(r Report) float64 { return r.DeliveryRatio }),
+		AvgLatency:     column(func(r Report) float64 { return r.AvgLatency }),
+		AvgHops:        column(func(r Report) float64 { return r.AvgHops }),
+		AvgPeakStorage: column(func(r Report) float64 { return r.AvgPeakStorage }),
+		MaxPeakStorage: column(func(r Report) float64 { return float64(r.MaxPeakStorage) }),
+		Duplicates:     column(func(r Report) float64 { return float64(r.Duplicates) }),
+		Frames:         stats.ConfidenceInterval([]float64{16, 31, 20}, 0.90),
+	}
+	if got := Fold(reports); got != want {
+		t.Errorf("fold of three reports:\n got  %+v\n want %+v", got, want)
+	}
+	if want.Frames.N != 3 || want.Frames.HalfWidth == 0 {
+		t.Errorf("three-report frames interval %+v is degenerate", want.Frames)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"glr/internal/metrics"
 	"glr/internal/runner"
-	"glr/internal/stats"
 )
 
 // Runner executes multi-seed replications of a Scenario — and protocol
@@ -30,9 +29,6 @@ type Runner struct {
 	// Workers bounds concurrent replications (0 = GOMAXPROCS, 1 =
 	// sequential).
 	Workers int
-	// Confidence is the two-sided confidence level for the aggregate
-	// intervals (0 = the paper's 0.90).
-	Confidence float64
 }
 
 // MeanCI is a sample mean with its confidence half-width over N
@@ -81,106 +77,70 @@ type Comparison struct {
 // across the worker pool and aggregates the results. ctx cancels queued
 // and in-flight replications.
 func (r Runner) Replicate(ctx context.Context, s *Scenario, runs int) (Summary, error) {
-	if err := r.check(runs); err != nil {
-		return Summary{}, err
-	}
-	reports, err := r.replicate(ctx, s, s.protocol, runs)
+	sums, err := r.sweep(ctx, s, runs, s.protocol)
 	if err != nil {
 		return Summary{}, err
 	}
-	return r.summarize(s, s.protocol, reports, runs), nil
+	return sums[0], nil
 }
 
 // Compare runs the scenario under both GLR and the epidemic baseline,
 // `runs` replications each with identical seeds, across one shared
 // worker pool.
 func (r Runner) Compare(ctx context.Context, s *Scenario, runs int) (Comparison, error) {
-	if err := r.check(runs); err != nil {
-		return Comparison{}, err
-	}
-	jobs := make([]runner.Job[metrics.Report], 0, 2*runs)
-	for _, proto := range []Protocol{GLR, Epidemic} {
-		proto := proto
-		for i := 0; i < runs; i++ {
-			seed := s.seed + int64(i)
-			jobs = append(jobs, func(ctx context.Context) (metrics.Report, error) {
-				return s.withProtocol(proto).runSeed(ctx, seed, false)
-			})
-		}
-	}
-	reports, err := runner.Run(ctx, r.Workers, jobs)
+	sums, err := r.sweep(ctx, s, runs, GLR, Epidemic)
 	if err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{
-		GLR:      r.summarize(s, GLR, reports[:runs], runs),
-		Epidemic: r.summarize(s, Epidemic, reports[runs:], runs),
-	}, nil
+	return Comparison{GLR: sums[0], Epidemic: sums[1]}, nil
 }
 
-// replicate fans one protocol's replications over the pool.
-func (r Runner) replicate(ctx context.Context, s *Scenario, proto Protocol, runs int) ([]metrics.Report, error) {
-	jobs := make([]runner.Job[metrics.Report], runs)
-	for i := 0; i < runs; i++ {
-		seed := s.seed + int64(i)
-		jobs[i] = func(ctx context.Context) (metrics.Report, error) {
-			return s.withProtocol(proto).runSeed(ctx, seed, false)
+// sweep replicates the scenario under each protocol on one pool and
+// summarizes each protocol's replications.
+func (r Runner) sweep(ctx context.Context, s *Scenario, runs int, protos ...Protocol) ([]Summary, error) {
+	if runs < 1 {
+		return nil, fmt.Errorf("glr: replication count %d must be ≥ 1", runs)
+	}
+	points := make([]runner.Point[metrics.Report], len(protos))
+	for i, proto := range protos {
+		sp := *s
+		sp.protocol = proto
+		points[i] = runner.Point[metrics.Report]{Base: s.seed, Runs: runs, Run: func(ctx context.Context, seed int64) (metrics.Report, error) {
+			return sp.runSeed(ctx, seed, false)
+		}}
+	}
+	reports, err := runner.Sweep(ctx, r.Workers, points, nil)
+	if err != nil {
+		return nil, err
+	}
+	sums := make([]Summary, len(protos))
+	for i, proto := range protos {
+		if proto == "" {
+			proto = GLR
 		}
+		sums[i] = summarize(proto, s.seed, reports[i])
 	}
-	return runner.Run(ctx, r.Workers, jobs)
+	return sums, nil
 }
 
-// withProtocol returns a shallow copy of the scenario pinned to proto.
-func (s *Scenario) withProtocol(p Protocol) *Scenario {
-	cp := *s
-	cp.protocol = p
-	return &cp
-}
-
-// summarize aggregates per-seed reports at the runner's confidence.
-func (r Runner) summarize(s *Scenario, proto Protocol, reports []metrics.Report, runs int) Summary {
-	conf := r.Confidence
-	if conf == 0 {
-		conf = 0.90
-	}
+// summarize folds one protocol's per-seed reports (seeds base, base+1,
+// ...) into a Summary.
+func summarize(proto Protocol, base int64, reports []metrics.Report) Summary {
+	agg := metrics.Fold(reports)
 	sum := Summary{
 		Protocol: proto,
-		Seeds:    make([]int64, runs),
-		Results:  make([]Result, runs),
-	}
-	if sum.Protocol == "" {
-		sum.Protocol = GLR
+		Seeds:    runner.Seeds(base, len(reports)),
+		Results:  make([]Result, len(reports)),
+
+		DeliveryRatio:  MeanCI(agg.DeliveryRatio),
+		AvgLatency:     MeanCI(agg.AvgLatency),
+		AvgHops:        MeanCI(agg.AvgHops),
+		AvgPeakStorage: MeanCI(agg.AvgPeakStorage),
+		MaxPeakStorage: MeanCI(agg.MaxPeakStorage),
+		Duplicates:     MeanCI(agg.Duplicates),
 	}
 	for i, rep := range reports {
-		sum.Seeds[i] = s.seed + int64(i)
-		sum.Results[i] = resultFromReport(rep)
+		sum.Results[i] = Result(rep)
 	}
-	pull := func(f func(Result) float64) MeanCI {
-		xs := make([]float64, len(sum.Results))
-		for i, res := range sum.Results {
-			xs[i] = f(res)
-		}
-		ci := stats.ConfidenceInterval(xs, conf)
-		return MeanCI{Mean: ci.Mean, HalfWidth: ci.HalfWidth, N: ci.N}
-	}
-	sum.DeliveryRatio = pull(func(r Result) float64 { return r.DeliveryRatio })
-	sum.AvgLatency = pull(func(r Result) float64 { return r.AvgLatency })
-	sum.AvgHops = pull(func(r Result) float64 { return r.AvgHops })
-	sum.AvgPeakStorage = pull(func(r Result) float64 { return r.AvgPeakStorage })
-	sum.MaxPeakStorage = pull(func(r Result) float64 { return float64(r.MaxPeakStorage) })
-	sum.Duplicates = pull(func(r Result) float64 { return float64(r.Duplicates) })
 	return sum
-}
-
-// check validates the runner's knobs and the replication count.
-// Confidence is a fraction in (0,1); 0 means the default 0.90 — a
-// percentage like 95 would otherwise silently produce ±Inf intervals.
-func (r Runner) check(runs int) error {
-	if runs < 1 {
-		return fmt.Errorf("glr: replication count %d must be ≥ 1", runs)
-	}
-	if r.Confidence < 0 || r.Confidence >= 1 {
-		return fmt.Errorf("glr: confidence %v must be a fraction in [0,1) (0 = default 0.90)", r.Confidence)
-	}
-	return nil
 }

@@ -121,12 +121,6 @@ func TestRunnerRejectsBadRuns(t *testing.T) {
 	if _, err := (Runner{}).Compare(context.Background(), sc, -1); err == nil {
 		t.Error("negative replications accepted")
 	}
-	if _, err := (Runner{Confidence: 95}).Replicate(context.Background(), sc, 2); err == nil {
-		t.Error("percentage confidence accepted (must be a fraction)")
-	}
-	if _, err := (Runner{Confidence: -0.5}).Replicate(context.Background(), sc, 2); err == nil {
-		t.Error("negative confidence accepted")
-	}
 }
 
 // TestRunnerParallelSpeedup is the acceptance demonstration: on a

@@ -210,7 +210,7 @@ func (s *Scenario) RunContext(ctx context.Context) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return resultFromReport(rep), nil
+	return Result(rep), nil
 }
 
 // runSeed compiles and executes one replication. Observers attach only

@@ -197,7 +197,7 @@ func TestGoldenBuilderEquivalence(t *testing.T) {
 // RunContext must agree exactly with the hand-lowered reference.
 func TestGoldenRunAdapter(t *testing.T) {
 	g := goldenSpec{protocol: GLR, rangeM: 200, messages: 15, simTime: 150, seed: 1}
-	want := resultFromReport(g.reference(t))
+	want := Result(g.reference(t))
 	sc, err := NewScenario(g.options()...)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestScenarioDefaultsMatchLegacyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := resultFromReport(goldenSpec{protocol: GLR, seed: 1}.reference(t)); res != want {
+	if want := Result(goldenSpec{protocol: GLR, seed: 1}.reference(t)); res != want {
 		t.Errorf("builder defaults diverged from the Table-1 reference: %+v vs %+v", res, want)
 	}
 }
