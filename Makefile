@@ -141,7 +141,7 @@ atlas:
 ## recompute the whole atlas into an empty cache and compare it with
 ## the committed cache and artifacts (~40 s on 2 vCPUs: results that
 ## move without a matrix.Version bump fail here), then compute a small
-## uncached slice end to end (the -short path).
+## slice end to end (the -short path) into another empty cache.
 atlas-check:
 	$(GO) run ./cmd/glratlas
 	git diff --exit-code -- docs/ATLAS.md docs/atlas.json docs/atlas-cache ci/atlas_golden.json
@@ -151,7 +151,9 @@ atlas-check:
 	diff -r "$$tmp/cache" docs/atlas-cache && \
 	cmp "$$tmp/out/ATLAS.md" docs/ATLAS.md && \
 	cmp "$$tmp/out/atlas.json" docs/atlas.json
-	$(GO) run ./cmd/glratlas -short -cache $(or $(TMPDIR),/tmp)/glr-atlas-short-cache -out $(or $(TMPDIR),/tmp)/glr-atlas-short
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/cache" "$$tmp/out" && \
+	$(GO) run ./cmd/glratlas -short -cache "$$tmp/cache" -out "$$tmp/out"
 
 ## atlas-golden re-pins ci/atlas_golden.json from the current atlas.
 ## Run it — and commit the diff — only when the paper-figure numbers

@@ -17,7 +17,6 @@ func equivScenario(trial int) sim.Scenario {
 	rng := rand.New(rand.NewSource(int64(trial)*104729 + 11))
 	n := 20 + rng.Intn(20)
 	s := sim.DefaultScenario(80 + rng.Float64()*120)
-	s.Name = fmt.Sprintf("spanner-equiv-%d", trial)
 	s.Seed = int64(trial)*31 + 5
 	s.N = n
 	s.Region.W = 600 + rng.Float64()*600

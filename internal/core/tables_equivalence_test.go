@@ -140,7 +140,6 @@ func TestTablesFullStackEquivalence(t *testing.T) {
 	const n = 2100
 	h := math.Sqrt(n / (50.0 / (1500 * 300)) / 5)
 	s := sim.DefaultScenario(100)
-	s.Name = "full-stack-oracle"
 	s.N = n
 	s.Region = mobility.Region{W: 5 * h, H: h}
 	s.SimTime = 6

@@ -31,15 +31,16 @@ type equivMedium struct {
 
 // mediumFunc builds a medium: NewMedium, or one of the test references
 // in export_test.go.
-type mediumFunc func(*des.Scheduler, Config, int64, func(int) geom.Point) (*Medium, error)
+type mediumFunc func(sched *des.Scheduler, cfg Config, seed int64, w, h float64, n int, pos func(int) geom.Point) (*Medium, error)
 
 // buildEquivMedium wires n radios with the given position functions onto
-// a fresh medium built by newMedium. pos functions take the medium's own
-// clock so moving topologies evolve identically on every side.
-func buildEquivMedium(t testing.TB, newMedium mediumFunc, cfg Config, n int, pos func(id int, now des.Time) geom.Point, seed int64) *equivMedium {
+// a fresh medium built by newMedium for the region [0,side]². pos
+// functions take the medium's own clock so moving topologies evolve
+// identically on every side.
+func buildEquivMedium(t testing.TB, newMedium mediumFunc, cfg Config, n int, side float64, pos func(id int, now des.Time) geom.Point, seed int64) *equivMedium {
 	t.Helper()
 	sched := des.NewScheduler()
-	m, err := newMedium(sched, cfg, seed, func(id int) geom.Point { return pos(id, sched.Now()) })
+	m, err := newMedium(sched, cfg, seed, side, side, n, func(id int) geom.Point { return pos(id, sched.Now()) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +89,7 @@ type sendSpec struct {
 // configuration and traffic that every medium under comparison runs.
 type equivWorld struct {
 	n     int
+	side  float64 // the region [0,side]² the radios start in
 	cfg   Config
 	pos   func(id int, now des.Time) geom.Point
 	seed  int64
@@ -98,8 +100,10 @@ type equivWorld struct {
 const equivReindexEvery = 0.25
 
 // randomEquivWorld draws world number trial: 8–63 radios on a square of
-// side 300–1200 m, moving linearly in odd trials, and 10–49 broadcast
-// and unicast frames of 400–8399 bits sent over the first 5 seconds.
+// side 300–1200 m, the media's region, moving linearly in odd trials
+// (at up to 30 m/s, so some leave the square for its margin cells), and
+// 10–49 broadcast and unicast frames of 400–8399 bits sent over the
+// first 5 seconds.
 func randomEquivWorld(trial int) equivWorld {
 	rng := rand.New(rand.NewSource(int64(trial)*7919 + 3))
 
@@ -135,7 +139,7 @@ func randomEquivWorld(trial int) equivWorld {
 	}
 	cfg.IndexSlack = maxSpeed*equivReindexEvery + 1
 
-	w := equivWorld{n: n, cfg: cfg, pos: pos, seed: int64(trial)*31 + 11}
+	w := equivWorld{n: n, side: side, cfg: cfg, pos: pos, seed: int64(trial)*31 + 11}
 	w.sends = make([]sendSpec, 10+rng.Intn(40))
 	for k := range w.sends {
 		sp := sendSpec{
@@ -156,7 +160,7 @@ func randomEquivWorld(trial int) equivWorld {
 // seconds. Frame k carries payload k.
 func (w equivWorld) run(t testing.TB, newMedium mediumFunc) *equivMedium {
 	t.Helper()
-	em := buildEquivMedium(t, newMedium, w.cfg, w.n, w.pos, w.seed)
+	em := buildEquivMedium(t, newMedium, w.cfg, w.n, w.side, w.pos, w.seed)
 	for k, sp := range w.sends {
 		em.sched.At(sp.at, func() {
 			em.medium.radios[sp.src].Send(&Frame{Dst: sp.dst, Bits: sp.bits, Payload: k})
@@ -170,13 +174,22 @@ func (w equivWorld) run(t testing.TB, newMedium mediumFunc) *equivMedium {
 // TestGridNaiveEquivalence is the property test for the spatial index:
 // over randomized topologies (static and moving), MAC parameters, and
 // traffic, the grid-indexed medium and the naive full-scan medium must
-// deliver the exact same frame sequence and count the exact same stats.
+// deliver the exact same frame sequence and count the exact same stats,
+// on the world's square and on a region an eighth as wide, which leaves
+// most radios beyond the grid's margin cells, clamped into them.
 func TestGridNaiveEquivalence(t *testing.T) {
 	const trials = 24
 	totalDelivered := 0
-	for trial := 0; trial < trials; trial++ {
-		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			w := randomEquivWorld(trial)
+	for trial := 0; trial < 2*trials; trial++ {
+		name := fmt.Sprintf("seed=%d", trial)
+		if trial >= trials {
+			name = fmt.Sprintf("clamped_seed=%d", trial-trials)
+		}
+		t.Run(name, func(t *testing.T) {
+			w := randomEquivWorld(trial % trials)
+			if trial >= trials {
+				w.side /= 8
+			}
 			grid := w.run(t, NewMedium)
 			naive := w.run(t, newNaiveMedium)
 			// The two paths resolve one airing's receivers in different
@@ -291,7 +304,7 @@ func TestEndIndexInvariant(t *testing.T) {
 		cfg.CSRangeFactor = 1 + rng.Float64()*1.5
 		cfg.VirtualCS = rng.Intn(2) == 0
 		cfg.IndexSlack = maxSpeed*reindexEvery + 1
-		em := buildEquivMedium(t, NewMedium, cfg, n, pos, int64(trial)+1)
+		em := buildEquivMedium(t, NewMedium, cfg, n, side, pos, int64(trial)+1)
 
 		for k := 0; k < 40+rng.Intn(80); k++ {
 			at := float64(rng.Intn(40)) * 0.125

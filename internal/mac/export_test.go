@@ -13,8 +13,8 @@ import (
 // medium is checked against: its radio and transmission indexes answer
 // every query with every indexed id, unfiltered, so reception, carrier
 // sensing and interference gathering rest on the exact predicates alone.
-func newNaiveMedium(sched *des.Scheduler, cfg Config, seed int64, pos func(int) geom.Point) (*Medium, error) {
-	m, err := NewMedium(sched, cfg, seed, pos)
+func newNaiveMedium(sched *des.Scheduler, cfg Config, seed int64, w, h float64, n int, pos func(int) geom.Point) (*Medium, error) {
+	m, err := NewMedium(sched, cfg, seed, w, h, n, pos)
 	if err != nil {
 		return nil, err
 	}
@@ -64,8 +64,8 @@ func (a *allPairs) NearIDs(_ geom.Point, _ float64, buf []int) []int {
 // checked against: a production medium that never prunes its FIFO or a
 // radio's half-duplex history (retain = +Inf), so every overlap check
 // sees every airing ever started.
-func newUnprunedMedium(sched *des.Scheduler, cfg Config, seed int64, pos func(int) geom.Point) (*Medium, error) {
-	m, err := NewMedium(sched, cfg, seed, pos)
+func newUnprunedMedium(sched *des.Scheduler, cfg Config, seed int64, w, h float64, n int, pos func(int) geom.Point) (*Medium, error) {
+	m, err := NewMedium(sched, cfg, seed, w, h, n, pos)
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,7 @@ func FuzzMediumConfig(f *testing.F) {
 		}
 		sched := des.NewScheduler()
 		const maxEvents = 20000
-		m, err := NewMedium(sched, cfg, 1, func(id int) geom.Point {
+		m, err := NewMedium(sched, cfg, 1, rng, rng, 3, func(id int) geom.Point {
 			// Every attempt and every reception reads a position, so
 			// this is where the run is capped.
 			if sched.Processed() >= maxEvents {
@@ -147,7 +147,7 @@ func FuzzMediumRetention(f *testing.F) {
 		}
 		pos := func(id int, _ des.Time) geom.Point { return pts[id] }
 		run := func(newMedium mediumFunc) *equivMedium {
-			em := buildEquivMedium(t, newMedium, cfg, n, pos, 1)
+			em := buildEquivMedium(t, newMedium, cfg, n, 400, pos, 1)
 			for k, sp := range sends {
 				em.sched.At(sp.at, func() {
 					em.medium.radios[sp.src].Send(&Frame{Dst: sp.dst, Bits: sp.bits, Payload: k})

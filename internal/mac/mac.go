@@ -246,12 +246,14 @@ type pointIndex interface {
 	NearIDs(p geom.Point, r float64, buf []int) []int
 }
 
-// NewMedium creates a medium. seed drives backoff jitter only, through
+// NewMedium creates a medium for about n radios in the region
+// [0,w]×[0,h], which sizes its spatial indexes (radios outside it are
+// still resolved exactly). seed drives backoff jitter only, through
 // one rng.New stream shared by every radio of the medium. pos reports
 // the current position of any attached radio by id; the medium reads it
 // whenever it needs a radio's position, so it must answer for every id
 // AddRadio will attach.
-func NewMedium(sched *des.Scheduler, cfg Config, seed int64, pos func(id int) geom.Point) (*Medium, error) {
+func NewMedium(sched *des.Scheduler, cfg Config, seed int64, w, h float64, n int, pos func(id int) geom.Point) (*Medium, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -266,12 +268,13 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64, pos func(id int) ge
 	m.endFn = m.resolveEnds
 	// Cell sizes match each index's query radius so any disk query
 	// touches at most a 3×3 cell block: reception range for the radio
-	// index, carrier-sense range for transmission anchors.
+	// index, carrier-sense range for transmission anchors (a region too
+	// large for its radio count doubles them; see spatial.NewGrid).
 	var err error
-	if m.radioIdx, err = spatial.NewGrid(cfg.Range); err != nil {
+	if m.radioIdx, err = spatial.NewGrid(cfg.Range, w, h, n); err != nil {
 		return nil, err
 	}
-	if m.txIdx, err = spatial.NewGrid(cfg.Range * cfg.CSRangeFactor); err != nil {
+	if m.txIdx, err = spatial.NewGrid(cfg.Range*cfg.CSRangeFactor, w, h, n); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -22,7 +22,11 @@ type testNet struct {
 func newTestNet(t *testing.T, cfg Config, positions []geom.Point) *testNet {
 	t.Helper()
 	sched := des.NewScheduler()
-	m, err := NewMedium(sched, cfg, 99, func(id int) geom.Point { return positions[id] })
+	var w, h float64
+	for _, p := range positions {
+		w, h = max(w, p.X), max(h, p.Y)
+	}
+	m, err := NewMedium(sched, cfg, 99, w, h, len(positions), func(id int) geom.Point { return positions[id] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +98,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestAddRadioOrderEnforced(t *testing.T) {
 	sched := des.NewScheduler()
-	m, _ := NewMedium(sched, DefaultConfig(100), 1, func(int) geom.Point { return geom.Pt(0, 0) })
+	m, _ := NewMedium(sched, DefaultConfig(100), 1, 0, 0, 1, func(int) geom.Point { return geom.Pt(0, 0) })
 	if _, err := m.AddRadio(3, nil, nil); err == nil {
 		t.Error("out-of-order radio id accepted")
 	}
@@ -619,7 +623,7 @@ func TestDriftedRadioReceivedAtRange(t *testing.T) {
 			}
 			return geom.Pt(cfg.Range+speed*(end-sched.Now()), 0)
 		}
-		m, err := newMedium(sched, cfg, 1, pos)
+		m, err := newMedium(sched, cfg, 1, 2*cfg.Range, 0, 2, pos)
 		if err != nil {
 			t.Fatal(err)
 		}

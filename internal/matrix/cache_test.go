@@ -113,6 +113,38 @@ func TestDriverCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDriverSharedCellComputedOnce: a cell two sections declare (one
+// cache key) is computed and stored once, and both sections get the
+// results a run of either section alone computes.
+func TestDriverSharedCellComputedOnce(t *testing.T) {
+	dir := t.TempDir()
+	secs := []Section{
+		{Name: "a", Title: "A", Matrix: tinyMatrix()},
+		{Name: "b", Title: "B", Matrix: tinyMatrix()},
+	}
+	atlas, err := (&Driver{Cache: dir, Workers: 1}).Run(context.Background(), secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if atlas.Computed != 1 || atlas.CacheHits != 0 {
+		t.Fatalf("computed %d, hits %d; want the shared cell computed once", atlas.Computed, atlas.CacheHits)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 {
+		t.Fatalf("cache holds %d files, want 1", len(files))
+	}
+	alone, err := (&Driver{Workers: 1}).Run(context.Background(), secs[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := alone.Sections[0].Cells[0]
+	for _, sr := range atlas.Sections {
+		got := sr.Cells[0]
+		if !reflect.DeepEqual(got.Results, want.Results) || !reflect.DeepEqual(got.Series, want.Series) || got.Agg != want.Agg {
+			t.Fatalf("section %s: shared cell differs from a run of the section alone", sr.Name)
+		}
+	}
+}
+
 // TestDriverParallelMatchesSequential: each run steps its world on one
 // goroutine, so the driver's only concurrency is running replications
 // side by side. A four-worker sweep over several cells and seeds must

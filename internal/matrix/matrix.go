@@ -167,12 +167,13 @@ type seedOut struct {
 	delivery []float64
 }
 
-// pending identifies a cell awaiting computation.
+// pending identifies a cache key awaiting computation and the cells,
+// one per section that declares it, that take its result.
 type pending struct {
-	section, cell int // indices into the atlas
-	spec          glr.Cell
-	key           string
-	every         float64
+	at    [][2]int // (section, cell) indices into the atlas
+	spec  glr.Cell
+	key   string
+	every float64
 }
 
 // cellPoint is the sweep point of one cell's replications: each run
@@ -199,13 +200,15 @@ func cellPoint(spec glr.Cell, base int64, runs int, every float64) runner.Point[
 
 // Run executes the sections, serving every cell it can from the cache
 // and computing the rest across the worker pool, then persists newly
-// computed cells back to the cache. The returned atlas is fully
+// computed cells back to the cache. A cell several sections share (one
+// cache key) is computed once. The returned atlas is fully
 // aggregated and deterministic: for fixed sections and version, a fully
 // cached run returns exactly what the computing run did.
 func (d *Driver) Run(ctx context.Context, sections []Section) (*Atlas, error) {
 	atlas := &Atlas{Version: Version}
 	var (
 		misses []pending
+		missAt = map[string]int{}      // key → index into misses
 		points []runner.Point[seedOut] // points[i] computes misses[i]
 		runs   int
 	)
@@ -229,20 +232,24 @@ func (d *Driver) Run(ctx context.Context, sections []Section) (*Atlas, error) {
 		}
 		for ci, c := range cells {
 			key := cellKey(Version, c, m.BaseSeed, m.Seeds)
-			cr := CellResult{Cell: c, Key: key, Seeds: runner.Seeds(m.BaseSeed, m.Seeds)}
+			cr := &sr.Cells[ci]
+			*cr = CellResult{Cell: c, Key: key, Seeds: runner.Seeds(m.BaseSeed, m.Seeds)}
+			if mi, ok := missAt[key]; ok {
+				misses[mi].at = append(misses[mi].at, [2]int{si, ci})
+				continue
+			}
 			if d.Cache != "" {
 				if e, ok := loadCell(d.Cache, key); ok {
 					cr.Results, cr.Series, cr.Cached = e.Results, e.Series, true
 					atlas.CacheHits++
+					continue
 				}
 			}
-			if !cr.Cached {
-				p := pending{section: si, cell: ci, spec: c, key: key, every: c.SimTime / seriesPoints}
-				misses = append(misses, p)
-				points = append(points, cellPoint(c, m.BaseSeed, m.Seeds, p.every))
-				runs += m.Seeds
-			}
-			sr.Cells[ci] = cr
+			p := pending{at: [][2]int{{si, ci}}, spec: c, key: key, every: c.SimTime / seriesPoints}
+			missAt[key] = len(misses)
+			misses = append(misses, p)
+			points = append(points, cellPoint(c, m.BaseSeed, m.Seeds, p.every))
+			runs += m.Seeds
 		}
 		atlas.Sections = append(atlas.Sections, sr)
 	}
@@ -260,24 +267,27 @@ func (d *Driver) Run(ctx context.Context, sections []Section) (*Atlas, error) {
 	}
 
 	for mi, p := range misses {
-		cr := &atlas.Sections[p.section].Cells[p.cell]
-		cr.Results = make([]glr.Result, len(outs[mi]))
-		cr.Series = Series{Every: p.every, Delivery: make([][]float64, len(outs[mi]))}
+		results := make([]glr.Result, len(outs[mi]))
+		series := Series{Every: p.every, Delivery: make([][]float64, len(outs[mi]))}
 		for k, out := range outs[mi] {
-			cr.Results[k] = out.res
-			cr.Series.Delivery[k] = out.delivery
+			results[k] = out.res
+			series.Delivery[k] = out.delivery
+		}
+		for _, at := range p.at {
+			cr := &atlas.Sections[at[0]].Cells[at[1]]
+			cr.Results, cr.Series = results, series
 		}
 		atlas.Computed++
 		if d.Cache != "" {
 			if err := storeCell(d.Cache, cacheEntry{
 				Key: p.key, Version: Version, Cell: p.spec,
 				BaseSeed: points[mi].Base, Runs: points[mi].Runs,
-				Results: cr.Results, Series: cr.Series,
+				Results: results, Series: series,
 			}); err != nil {
 				return nil, err
 			}
 		}
-		d.progress("atlas: cell %s -> delivery %.3f", p.spec.Label(), fold(cr.Results).DeliveryRatio.Mean)
+		d.progress("atlas: cell %s -> delivery %.3f", p.spec.Label(), fold(results).DeliveryRatio.Mean)
 	}
 	for si := range atlas.Sections {
 		for ci := range atlas.Sections[si].Cells {

@@ -95,7 +95,6 @@ func TestBeaconAggregationEquivalence(t *testing.T) {
 // them; the horizon ends long before any frame finishes airing.
 func TestPhasesCollide(t *testing.T) {
 	s := DefaultScenario(250)
-	s.Name = "beacon-collide"
 	s.N = 40
 	s.Region = mobility.Region{W: 300, H: 300}
 	s.Mobility = MobilityStatic
@@ -145,7 +144,6 @@ func TestBeaconGroupRingOrder(t *testing.T) {
 	}
 
 	s := DefaultScenario(100)
-	s.Name = "beacon-ring"
 	s.N = 6
 	s.SimTime = 3.5
 	s.Mobility = MobilityStatic

@@ -68,7 +68,6 @@ func traceWorld(trial int) sim.Scenario {
 		traffic = append(traffic, sim.TrafficItem{Src: src, Dst: dst, At: 1 + rng.Float64()*(simTime-10)})
 	}
 	return sim.Scenario{
-		Name:           fmt.Sprintf("trace-world-%d", trial),
 		Seed:           int64(trial)*131 + 7,
 		N:              n,
 		Range:          60 + rng.Float64()*60,

@@ -46,7 +46,6 @@ func (k MobilityKind) String() string {
 // Scenario describes one simulation run. The zero value is not runnable;
 // start from DefaultScenario.
 type Scenario struct {
-	Name string
 	Seed int64
 
 	N       int     // number of nodes (paper: 50)
@@ -94,7 +93,6 @@ type Scenario struct {
 // transmission range.
 func DefaultScenario(rng float64) Scenario {
 	return Scenario{
-		Name:           fmt.Sprintf("paper-%.0fm", rng),
 		Seed:           1,
 		N:              50,
 		Range:          rng,

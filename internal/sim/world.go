@@ -129,7 +129,7 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 		// medium through a pure predicate of its arguments.
 		macCfg.DropRx = w.plan.BlocksReception
 	}
-	w.medium, err = mac.NewMedium(w.sched, macCfg, cfg.Seed^0x5eed, w.pos)
+	w.medium, err = mac.NewMedium(w.sched, macCfg, cfg.Seed^0x5eed, cfg.Region.W, cfg.Region.H, cfg.N, w.pos)
 	if err != nil {
 		return nil, err
 	}
