@@ -11,7 +11,7 @@ import (
 // the sender's position and timestamp, enabling §2.3.1 diffusion; the
 // message itself carries the destination-location estimate.
 //
-// Frames travel as pooled pointers (one world-shared framePool): the
+// Frames travel as pooled pointers (one world-shared boxPool): the
 // receiver copies Msg/Face out during reception, and the sender recycles
 // the frame when the MAC reports the unicast resolved — the only point
 // after which neither the medium nor any receiver reads it.
@@ -25,19 +25,31 @@ type dataFrame struct {
 	onDone func(ok bool) // persistent MAC callback (one alloc per pooled frame)
 }
 
-// framePool recycles dataFrame boxes on the internal/des free-list
-// pattern. It is shared by every node of a world (single-threaded like
-// the scheduler), so one node's completed send stocks the next node's.
-type framePool struct {
-	free     []*dataFrame
-	freeAcks []*ackBox
+// boxPool recycles the boxes GLR churns once per copy per hop: dataFrame
+// and ackBox payloads, the *dtn.Message a relay stores, and its
+// msgState. It follows the internal/des free-list pattern and is shared
+// by every node of a world (single-threaded like the scheduler), so one
+// node's released box stocks the next node's take. A message box goes
+// back when it leaves this node's custody (ack, fire-and-forget send,
+// eviction, arrival, merge into a held copy; see putMsg's callers), a
+// msgState when forget deletes it.
+type boxPool struct {
+	frames []*dataFrame
+	acks   []*ackBox
+	msgs   []*dtn.Message
+	states []*msgState
+	// poison, when set, takes every released message box or msgState
+	// instead of the free lists, which then never hand one out again.
+	// Only tests set it (export_test.go), to show that nothing reads a
+	// box after release.
+	poison func(*dtn.Message, *msgState)
 }
 
 // take returns a recycled (or fresh) frame.
-func (p *framePool) take() *dataFrame {
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free = p.free[:n-1]
+func (p *boxPool) take() *dataFrame {
+	if n := len(p.frames); n > 0 {
+		f := p.frames[n-1]
+		p.frames = p.frames[:n-1]
 		return f
 	}
 	f := &dataFrame{}
@@ -46,9 +58,49 @@ func (p *framePool) take() *dataFrame {
 }
 
 // put recycles f, dropping every reference but the persistent callback.
-func (p *framePool) put(f *dataFrame) {
+func (p *boxPool) put(f *dataFrame) {
 	*f = dataFrame{onDone: f.onDone}
-	p.free = append(p.free, f)
+	p.frames = append(p.frames, f)
+}
+
+// takeMsg returns a recycled (or fresh) message box; the caller
+// overwrites all of it.
+func (p *boxPool) takeMsg() *dtn.Message {
+	if n := len(p.msgs); n > 0 {
+		m := p.msgs[n-1]
+		p.msgs = p.msgs[:n-1]
+		return m
+	}
+	return &dtn.Message{}
+}
+
+// putMsg recycles a message box that no buffer, frame or caller holds.
+func (p *boxPool) putMsg(m *dtn.Message) {
+	if p.poison != nil {
+		p.poison(m, nil)
+		return
+	}
+	p.msgs = append(p.msgs, m)
+}
+
+// takeState returns a zeroed msgState.
+func (p *boxPool) takeState() *msgState {
+	if n := len(p.states); n > 0 {
+		st := p.states[n-1]
+		p.states = p.states[:n-1]
+		*st = msgState{}
+		return st
+	}
+	return &msgState{}
+}
+
+// putState recycles a msgState that no map holds.
+func (p *boxPool) putState(st *msgState) {
+	if p.poison != nil {
+		p.poison(nil, st)
+		return
+	}
+	p.states = append(p.states, st)
 }
 
 // dataFrameResolved is the MAC completion callback for a data frame:
@@ -57,7 +109,7 @@ func (g *GLR) dataFrameResolved(f *dataFrame, ok bool) {
 	if g.cfg.Custody && !ok {
 		g.onSendFailed(f.Msg.ID, f.Msg.Flags)
 	}
-	g.frames.put(f)
+	g.pool.put(f)
 }
 
 // ackFrame is the custody acknowledgment (§2.3.2): it identifies the
@@ -86,21 +138,21 @@ type ackBox struct {
 }
 
 // takeAck returns a recycled (or fresh) ack box.
-func (p *framePool) takeAck() *ackBox {
-	if n := len(p.freeAcks); n > 0 {
-		a := p.freeAcks[n-1]
-		p.freeAcks = p.freeAcks[:n-1]
+func (p *boxPool) takeAck() *ackBox {
+	if n := len(p.acks); n > 0 {
+		a := p.acks[n-1]
+		p.acks = p.acks[:n-1]
 		return a
 	}
 	a := &ackBox{}
-	a.onDone = func(bool) { a.owner.frames.putAck(a) }
+	a.onDone = func(bool) { a.owner.pool.putAck(a) }
 	return a
 }
 
 // putAck recycles a.
-func (p *framePool) putAck(a *ackBox) {
+func (p *boxPool) putAck(a *ackBox) {
 	*a = ackBox{onDone: a.onDone}
-	p.freeAcks = append(p.freeAcks, a)
+	p.acks = append(p.acks, a)
 }
 
 // forward transmits a stored message to its per-tree targets and performs
@@ -130,7 +182,7 @@ func (g *GLR) forward(m *dtn.Message, targets []hopTarget) {
 	}
 
 	for _, tgt := range targets {
-		f := g.frames.take()
+		f := g.pool.take()
 		f.owner = g
 		f.Msg = *m
 		f.Msg.Flags = tgt.flags
@@ -150,8 +202,11 @@ func (g *GLR) forward(m *dtn.Message, targets []hopTarget) {
 	// transit (collision, receiver moved away, queue overflow) is gone:
 	// "delivered with high probability but without any guarantee".
 	g.store.MarkSent(m.ID, now)
-	g.store.Ack(m.ID)
+	sent := g.store.Ack(m.ID)
 	g.forget(m.ID)
+	if sent != nil {
+		g.pool.putMsg(sent)
+	}
 }
 
 // onSendFailed reacts to a MAC-level unicast failure (no receiver after
@@ -193,9 +248,11 @@ func (g *GLR) OnFrame(payload any, from int) {
 }
 
 // onData handles an arriving message copy. f is the sender's pooled
-// frame: everything kept past this call is copied out here.
+// frame: everything kept past this call is copied out here, the message
+// into a box from the pool.
 func (g *GLR) onData(f *dataFrame, from int) {
-	m := f.Msg // independent copy
+	m := g.pool.takeMsg()
+	*m = f.Msg
 	m.Hops++
 
 	// Location diffusion (§2.3.1): the frame teaches us the sender's
@@ -213,26 +270,27 @@ func (g *GLR) onData(f *dataFrame, from int) {
 		// Arrived. Acknowledge so the sender clears its Cache (when
 		// custody is in use); report only the first copy.
 		if g.cfg.Custody {
-			g.sendAck(from, &m)
+			g.sendAck(from, m)
 		}
 		st := g.ensureState(m.ID)
 		if !st.delivered {
 			st.delivered = true
-			g.n.ReportDelivered(&m)
+			g.n.ReportDelivered(m)
 		}
+		g.pool.putMsg(m)
 		return
 	}
 
 	// Custody accept: store the copy and acknowledge this tree branch.
 	if g.cfg.Custody {
-		g.sendAck(from, &m)
+		g.sendAck(from, m)
 	}
 	if f.Face.Active {
 		st := g.ensureState(m.ID)
 		st.face = f.Face
 		st.hasFace = true
 	}
-	g.addToStore(&m)
+	g.addToStore(m)
 }
 
 // onAck completes custody transfer for the acknowledged tree branches.
@@ -252,15 +310,18 @@ func (g *GLR) onAck(f ackFrame, from int) {
 	}
 	st.pending = 0
 	st.hasPending = false
-	g.store.Ack(f.ID)
+	m := g.store.Ack(f.ID)
 	g.forget(f.ID)
+	if m != nil {
+		g.pool.putMsg(m)
+	}
 }
 
 // sendAck unicasts a custody/delivery acknowledgment for the received
 // copy from a pooled box, piggybacking our destination-location
 // knowledge.
 func (g *GLR) sendAck(to int, m *dtn.Message) {
-	a := g.frames.takeAck()
+	a := g.pool.takeAck()
 	a.owner = g
 	a.ackFrame = ackFrame{
 		ID:        m.ID,

@@ -198,19 +198,21 @@ type GLR struct {
 	// single-threaded) so its scratch buffers are reused and its counters
 	// cover the whole world.
 	maint *ldt.Maintainer
-	// frames pools dataFrame payload boxes across all nodes of the
-	// world (shared via the factory, like maint).
-	frames *framePool
+	// pool recycles frame, ack, message and msgState boxes across all
+	// nodes of the world (shared via the factory, like maint).
+	pool *boxPool
 
 	store *dtn.CustodyStore
-	// msgs holds the consolidated per-message state; see msgState.
+	// msgs holds the consolidated per-message state; see msgState. It is
+	// made on first write: most nodes of a large world never hold one.
 	msgs map[dtn.MessageID]*msgState
 
 	// Scratch buffers reused across route checks so the routing loop
 	// stops materializing intermediate slices and maps per tick.
 	thIDs   []int          // 2-hop ids (AppendTwoHop output)
 	thPts   []geom.Point   // 2-hop positions, parallel to thIDs
-	stored  []*dtn.Message // per-check snapshot of the Store
+	stored  []*dtn.Message // per-check snapshot of the Store (or of the expired Cache entries)
+	view    ldt.LocalView  // the route check's spanner view, refilled in place
 	closer  []cand         // progress candidates for the message being routed
 	targets []hopTarget    // per-tree forwarding picks, sorted by dst
 	checkFn func()         // routeCheck bound once (rescheduling a method value would allocate)
@@ -228,11 +230,15 @@ type GLR struct {
 // state returns the per-message record, or nil.
 func (g *GLR) state(id dtn.MessageID) *msgState { return g.msgs[id] }
 
-// ensureState returns the per-message record, creating it if absent.
+// ensureState returns the per-message record, taking a zeroed one from
+// the pool if absent.
 func (g *GLR) ensureState(id dtn.MessageID) *msgState {
 	st := g.msgs[id]
 	if st == nil {
-		st = &msgState{}
+		if g.msgs == nil {
+			g.msgs = make(map[dtn.MessageID]*msgState)
+		}
+		st = g.pool.takeState()
 		g.msgs[id] = st
 	}
 	return st
@@ -262,21 +268,24 @@ func New(cfg Config) (sim.ProtocolFactory, error) {
 // Maintainer, for experiments that report its query count and
 // construction time.
 // Every node built by the returned factory shares the one Maintainer
-// (and one dataFrame pool).
+// (and one boxPool).
 func NewInstrumented(cfg Config) (sim.ProtocolFactory, *ldt.Maintainer, error) {
+	return newFactory(cfg, &boxPool{})
+}
+
+// newFactory is NewInstrumented over a given pool.
+func newFactory(cfg Config, pool *boxPool) (sim.ProtocolFactory, *ldt.Maintainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	maint := ldt.NewMaintainer()
-	frames := &framePool{}
 	return func(n *sim.Node) sim.Protocol {
 		return &GLR{
-			cfg:    cfg,
-			n:      n,
-			maint:  maint,
-			frames: frames,
-			store:  dtn.NewCustodyStore(n.StorageLimit()),
-			msgs:   make(map[dtn.MessageID]*msgState),
+			cfg:   cfg,
+			n:     n,
+			maint: maint,
+			pool:  pool,
+			store: dtn.NewCustodyStore(n.StorageLimit()),
 		}
 	}, maint, nil
 }
@@ -317,9 +326,16 @@ func (g *GLR) wake() {
 // even the delivered bits that suppress re-acceptance are gone. The
 // shared spanner Maintainer holds no node state. The route check keeps
 // its cadence across the restart: an armed check finds the store empty
-// and sleeps, and a sleeping node stays asleep.
+// and sleeps, and a sleeping node stays asleep. The store is emptied in
+// place and every message box and msgState goes back to the pool.
 func (g *GLR) Restart() {
-	g.store = dtn.NewCustodyStore(g.n.StorageLimit())
+	g.stored = g.store.Drain(g.stored[:0])
+	for _, m := range g.stored {
+		g.pool.putMsg(m)
+	}
+	for _, st := range g.msgs {
+		g.pool.putState(st)
+	}
 	clear(g.msgs)
 }
 
@@ -370,12 +386,18 @@ func (g *GLR) OnMessageGenerated(m *dtn.Message) {
 }
 
 // addToStore inserts a message, cleaning up auxiliary state for anything
-// the bounded store dropped. It is the only way a message enters an
-// empty node, so it wakes a sleeping route check.
+// the bounded store dropped. The store takes custody of m's box unless m
+// merges into a copy already held; that box, and a dropped one, go back
+// to the pool. It is the only way a message enters an empty node, so it
+// wakes a sleeping route check.
 func (g *GLR) addToStore(m *dtn.Message) {
-	dropped, _ := g.store.Add(m)
+	dropped, merged := g.store.Add(m)
+	if merged {
+		g.pool.putMsg(m)
+	}
 	if dropped != nil {
 		g.forget(dropped.ID)
+		g.pool.putMsg(dropped)
 	}
 	if !g.checkArmed {
 		g.wake()
@@ -395,4 +417,5 @@ func (g *GLR) forget(id dtn.MessageID) {
 		return
 	}
 	delete(g.msgs, id)
+	g.pool.putState(st)
 }

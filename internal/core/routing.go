@@ -16,7 +16,8 @@ func (g *GLR) routeCheck() {
 
 	// Custody timeouts: unacknowledged branches go back to the Store
 	// "for another round of transfer rescheduling".
-	for _, m := range g.store.ExpireCache(now - cacheTimeout) {
+	g.stored = g.store.ExpireCache(now-cacheTimeout, g.stored[:0])
+	for _, m := range g.stored {
 		g.stats.CustodyReturns++
 		if st := g.state(m.ID); st != nil {
 			if st.hasPending && st.pending != 0 {
@@ -55,15 +56,15 @@ func (g *GLR) routeCheck() {
 // scratch and valid until any node's next query. The 2-hop point set is
 // assembled in per-instance scratch buffers (the neighbor table appends
 // without allocating); the Maintainer keeps no reference to the view, so
-// reuse across checks is safe.
+// reuse across checks is safe. The view itself is the instance's, filled
+// in place.
 func (g *GLR) localSpanner() (*ldt.LocalView, []int, []geom.Point) {
 	g.thIDs, g.thPts = g.n.Neighbors().AppendTwoHop(g.thIDs[:0], g.thPts[:0], g.n.ID(), g.n.Pos())
-	view, err := ldt.NewLocalView(g.n.ID(), g.thIDs, g.thPts, g.n.Range())
-	if err != nil {
+	if err := g.view.Set(g.n.ID(), g.thIDs, g.thPts, g.n.Range()); err != nil {
 		return nil, nil, nil
 	}
-	nbrIDs, nbrPts := g.maint.Neighbors(view, g.spannerVariant())
-	return view, nbrIDs, nbrPts
+	nbrIDs, nbrPts := g.maint.Neighbors(&g.view, g.spannerVariant())
+	return &g.view, nbrIDs, nbrPts
 }
 
 // spannerVariant maps the config's spanner choice to the Maintainer's.

@@ -10,12 +10,14 @@ type Buffer struct {
 	byID     map[MessageID]*Message
 }
 
-// NewBuffer returns an empty buffer. capacity ≤ 0 means unlimited.
+// NewBuffer returns an empty buffer. capacity ≤ 0 means unlimited. The
+// index map is made on the first Add: a nil map reads as empty, so an
+// idle node's buffer costs no map.
 func NewBuffer(capacity int) *Buffer {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Buffer{capacity: capacity, byID: make(map[MessageID]*Message)}
+	return &Buffer{capacity: capacity}
 }
 
 // Len returns the number of stored messages.
@@ -45,6 +47,9 @@ func (b *Buffer) Add(m *Message) (evicted *Message, stored bool) {
 	if b.capacity > 0 && len(b.byID) >= b.capacity {
 		evicted = b.popOldest()
 	}
+	if b.byID == nil {
+		b.byID = make(map[MessageID]*Message)
+	}
 	b.order = append(b.order, m.ID)
 	b.byID[m.ID] = m
 	return evicted, true
@@ -66,6 +71,15 @@ func (b *Buffer) Remove(id MessageID) *Message {
 		}
 	}
 	return m
+}
+
+// appendDrain appends the stored messages oldest-first to buf and empties
+// the buffer, keeping its map and order storage for reuse.
+func (b *Buffer) appendDrain(buf []*Message) []*Message {
+	buf = b.AppendMessages(buf)
+	b.order = b.order[:0]
+	clear(b.byID)
+	return buf
 }
 
 // popOldest removes and returns the oldest message.

@@ -13,23 +13,19 @@ package dtn
 // dropped first".
 type CustodyStore struct {
 	capacity int // total Store+Cache bound; 0 = unlimited
-	store    *Buffer
-	cache    *Buffer
+	store    Buffer
+	cache    Buffer
 	sentAt   map[MessageID]float64 // when each cached message was sent
 }
 
 // NewCustodyStore returns an empty custody store. capacity ≤ 0 means
-// unlimited.
+// unlimited. Its maps are made on first write, so a node that never
+// holds a message costs one small struct.
 func NewCustodyStore(capacity int) *CustodyStore {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &CustodyStore{
-		capacity: capacity,
-		store:    NewBuffer(0),
-		cache:    NewBuffer(0),
-		sentAt:   make(map[MessageID]float64),
-	}
+	return &CustodyStore{capacity: capacity}
 }
 
 // Total returns the number of messages held across Store and Cache — the
@@ -61,8 +57,10 @@ func (c *CustodyStore) Get(id MessageID) *Message {
 // Add places m into the Store. When the total capacity is exceeded, the
 // oldest Cache entry is dropped first; if the Cache is empty, the oldest
 // Store entry is dropped. It returns any dropped message and reports
-// whether m is now held (merging flags counts as held).
-func (c *CustodyStore) Add(m *Message) (dropped *Message, stored bool) {
+// whether m was merged into a copy of the same message already held (its
+// flags and a fresher destination estimate are folded in): the store
+// then keeps no reference to m, and the caller still owns it.
+func (c *CustodyStore) Add(m *Message) (dropped *Message, merged bool) {
 	if existing := c.Get(m.ID); existing != nil {
 		existing.Flags |= m.Flags
 		existing.UpdateDstLoc(m.DstLoc, m.DstLocTime, m.DstLocKnown)
@@ -75,14 +73,9 @@ func (c *CustodyStore) Add(m *Message) (dropped *Message, stored bool) {
 		} else {
 			dropped = c.store.popOldest()
 		}
-		if dropped != nil && dropped.ID == m.ID {
-			// Degenerate capacity-1 churn: we dropped the slot for the
-			// same id; fall through and insert fresh.
-			dropped = nil
-		}
 	}
 	c.store.Add(m)
-	return dropped, true
+	return dropped, false
 }
 
 // StoredMessages returns the Store contents oldest-first (the messages
@@ -101,6 +94,9 @@ func (c *CustodyStore) MarkSent(id MessageID, now float64) bool {
 		return false
 	}
 	c.cache.Add(m)
+	if c.sentAt == nil {
+		c.sentAt = make(map[MessageID]float64)
+	}
 	c.sentAt[id] = now
 	return true
 }
@@ -129,10 +125,13 @@ func (c *CustodyStore) ReturnToStore(id MessageID) *Message {
 }
 
 // ExpireCache moves every cache entry sent at or before deadline back to
-// the Store for rescheduling, returning the moved messages.
-func (c *CustodyStore) ExpireCache(deadline float64) []*Message {
-	var moved []*Message
-	for _, m := range c.cache.Messages() {
+// the Store for rescheduling, oldest-first, and appends the moved
+// messages to buf (pass buf[:0] to reuse a scratch slice on hot paths).
+func (c *CustodyStore) ExpireCache(deadline float64, buf []*Message) []*Message {
+	start := len(buf)
+	buf = c.cache.AppendMessages(buf)
+	moved := buf[:start] // filters the cache snapshot in place
+	for _, m := range buf[start:] {
 		if c.sentAt[m.ID] <= deadline {
 			c.cache.Remove(m.ID)
 			delete(c.sentAt, m.ID)
@@ -141,4 +140,13 @@ func (c *CustodyStore) ExpireCache(deadline float64) []*Message {
 		}
 	}
 	return moved
+}
+
+// Drain empties Store and Cache, appending every message they held to buf
+// (Store then Cache, each oldest-first) so the caller can reuse them.
+func (c *CustodyStore) Drain(buf []*Message) []*Message {
+	buf = c.store.appendDrain(buf)
+	buf = c.cache.appendDrain(buf)
+	clear(c.sentAt)
+	return buf
 }

@@ -8,8 +8,8 @@ import (
 func TestCustodyLifecycle(t *testing.T) {
 	c := NewCustodyStore(10)
 	m := msg(1, 1)
-	if dropped, ok := c.Add(m); dropped != nil || !ok {
-		t.Fatal("add should succeed without drops")
+	if dropped, merged := c.Add(m); dropped != nil || merged {
+		t.Fatal("add should store m without drops or a merge")
 	}
 	if c.StoreLen() != 1 || c.CacheLen() != 0 || c.Total() != 1 {
 		t.Fatalf("layout after add: store=%d cache=%d", c.StoreLen(), c.CacheLen())
@@ -45,7 +45,7 @@ func TestCustodyExpireCache(t *testing.T) {
 	c.Add(b)
 	c.MarkSent(a.ID, 1.0)
 	c.MarkSent(b.ID, 5.0)
-	moved := c.ExpireCache(2.0) // only a's send time ≤ 2
+	moved := c.ExpireCache(2.0, nil) // only a's send time ≤ 2
 	if len(moved) != 1 || moved[0] != a {
 		t.Fatalf("moved = %v, want [a]", moved)
 	}
@@ -54,7 +54,7 @@ func TestCustodyExpireCache(t *testing.T) {
 	}
 	// Re-send a and ack it: timeout bookkeeping must have been refreshed.
 	c.MarkSent(a.ID, 6.0)
-	if got := c.ExpireCache(2.0); len(got) != 0 {
+	if got := c.ExpireCache(2.0, nil); len(got) != 0 {
 		t.Fatal("resent message must not expire against its old send time")
 	}
 	if c.Ack(a.ID) != a {
@@ -96,9 +96,9 @@ func TestCustodyMergeDuplicates(t *testing.T) {
 	c.Add(m)
 	dup := msg(1, 1)
 	dup.Flags = FlagMid
-	dropped, ok := c.Add(dup)
-	if dropped != nil || !ok {
-		t.Fatal("duplicate merge must not drop anything")
+	dropped, merged := c.Add(dup)
+	if dropped != nil || !merged {
+		t.Fatal("a duplicate must merge without dropping anything")
 	}
 	if got := c.Get(m.ID).Flags; got != FlagMax|FlagMid {
 		t.Errorf("flags = %v, want max|mid", got)
@@ -152,7 +152,7 @@ func TestCustodyInvariantsProperty(t *testing.T) {
 					delete(live, id)
 				}
 			case 3:
-				c.ExpireCache(float64(op) - 10)
+				c.ExpireCache(float64(op)-10, nil)
 			}
 			if capn > 0 && c.Total() > capn {
 				t.Fatalf("capacity violated: %d > %d", c.Total(), capn)
@@ -189,7 +189,58 @@ func TestCustodyReturnToStore(t *testing.T) {
 	}
 	// The old send timestamp must be gone: an immediate expire sweep
 	// with a late deadline must not double-move anything.
-	if moved := c.ExpireCache(100); len(moved) != 0 {
+	if moved := c.ExpireCache(100, nil); len(moved) != 0 {
 		t.Error("nothing should remain cached")
+	}
+}
+
+// ExpireCache appends to the caller's scratch after what it already
+// holds, and reuses its storage: a warm sweep allocates nothing.
+func TestCustodyExpireCacheScratch(t *testing.T) {
+	c := NewCustodyStore(0)
+	msgs := []*Message{msg(1, 1), msg(1, 2), msg(1, 3)}
+	for i, m := range msgs {
+		c.Add(m)
+		c.MarkSent(m.ID, float64(i))
+	}
+	keep := msg(9, 9)
+	got := c.ExpireCache(1, []*Message{keep})
+	if len(got) != 3 || got[0] != keep || got[1] != msgs[0] || got[2] != msgs[1] {
+		t.Fatalf("ExpireCache = %v, want [keep m1.1 m1.2]", got)
+	}
+	if c.StoreLen() != 2 || c.CacheLen() != 1 {
+		t.Fatalf("store=%d cache=%d, want 2 and 1", c.StoreLen(), c.CacheLen())
+	}
+	scratch := make([]*Message, 0, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, m := range c.ExpireCache(10, scratch[:0]) {
+			c.MarkSent(m.ID, 0)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm ExpireCache allocates %v times per sweep, want 0", allocs)
+	}
+}
+
+// Drain hands back every held message, Store then Cache oldest-first,
+// and leaves an empty store that works as new.
+func TestCustodyDrain(t *testing.T) {
+	c := NewCustodyStore(2)
+	a, b := msg(1, 1), msg(1, 2)
+	c.Add(a)
+	c.Add(b)
+	c.MarkSent(a.ID, 1)
+	got := c.Drain(nil)
+	if len(got) != 2 || got[0] != b || got[1] != a {
+		t.Fatalf("Drain = %v, want [b a]", got)
+	}
+	if c.Total() != 0 || c.Has(a.ID) || c.Has(b.ID) {
+		t.Fatalf("store not empty after Drain: total %d", c.Total())
+	}
+	if moved := c.ExpireCache(100, nil); len(moved) != 0 {
+		t.Fatalf("drained cache still expires %v", moved)
+	}
+	if dropped, merged := c.Add(a); dropped != nil || merged {
+		t.Fatal("a drained store must take a fresh message")
 	}
 }

@@ -104,7 +104,11 @@ func AllTreeFlags(n int) []TreeFlags {
 
 // Message is a DTN bundle. Messages are carried by value through frames
 // and copied explicitly; a *Message is owned by exactly one buffer at a
-// time.
+// time. When it leaves that buffer for good (acknowledged, evicted,
+// sent without custody, or merged into a copy already held), the
+// protocol that owns the buffer may reuse the box for the next copy it
+// receives (GLR recycles boxes through its world's pool), so no one may
+// keep a *Message past its removal.
 type Message struct {
 	ID          MessageID
 	Dst         int

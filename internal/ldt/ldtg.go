@@ -121,19 +121,32 @@ type LocalView struct {
 
 // NewLocalView validates and builds a view. ids[0] must be selfID.
 func NewLocalView(selfID int, ids []int, pts []geom.Point, r float64) (*LocalView, error) {
+	v := &LocalView{}
+	if err := v.Set(selfID, ids, pts, r); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// Set validates the inputs exactly as NewLocalView does and, when they
+// pass, fills v with them, keeping ids and pts (not copies). On error v
+// is left unchanged. A caller that queries every tick refills one view
+// with Set instead of building a new one.
+func (v *LocalView) Set(selfID int, ids []int, pts []geom.Point, r float64) error {
 	if len(ids) == 0 || ids[0] != selfID {
-		return nil, fmt.Errorf("ldt: view must list self first")
+		return fmt.Errorf("ldt: view must list self first")
 	}
 	if len(ids) != len(pts) {
-		return nil, fmt.Errorf("ldt: ids/pts length mismatch %d != %d", len(ids), len(pts))
+		return fmt.Errorf("ldt: ids/pts length mismatch %d != %d", len(ids), len(pts))
 	}
 	if !(r > 0) || math.IsInf(r, 1) {
-		return nil, fmt.Errorf("ldt: radius must be positive and finite, got %v", r)
+		return fmt.Errorf("ldt: radius must be positive and finite, got %v", r)
 	}
 	for i, p := range pts {
 		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
-			return nil, fmt.Errorf("ldt: position %d of the view is not finite: %v", i, p)
+			return fmt.Errorf("ldt: position %d of the view is not finite: %v", i, p)
 		}
 	}
-	return &LocalView{SelfID: selfID, IDs: ids, Pts: pts, R: r}, nil
+	*v = LocalView{SelfID: selfID, IDs: ids, Pts: pts, R: r}
+	return nil
 }

@@ -157,6 +157,46 @@ func TestGabrielGraphBasic(t *testing.T) {
 	}
 }
 
+// Set refills a view in place: it accepts and rejects what
+// NewLocalView does, leaves the view unchanged on a rejection, and a
+// refill allocates nothing.
+func TestLocalViewSet(t *testing.T) {
+	ids := []int{4, 6}
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}
+	var v LocalView
+	if err := v.Set(4, ids, pts, 10); err != nil {
+		t.Fatalf("valid view rejected: %v", err)
+	}
+	want, _ := NewLocalView(4, ids, pts, 10)
+	if v.SelfID != want.SelfID || v.R != want.R || &v.IDs[0] != &ids[0] || &v.Pts[0] != &pts[0] {
+		t.Fatalf("Set filled %+v, want %+v over the caller's slices", v, *want)
+	}
+	bad := []struct {
+		self int
+		ids  []int
+		pts  []geom.Point
+		r    float64
+	}{
+		{5, ids, pts, 10},
+		{4, []int{4}, pts, 10},
+		{4, ids, pts, 0},
+		{4, ids, pts, math.Inf(1)},
+		{4, ids, []geom.Point{geom.Pt(0, 0), geom.Pt(math.NaN(), 0)}, 10},
+	}
+	for i, b := range bad {
+		_, nerr := NewLocalView(b.self, b.ids, b.pts, b.r)
+		if err := v.Set(b.self, b.ids, b.pts, b.r); err == nil || nerr == nil || err.Error() != nerr.Error() {
+			t.Errorf("case %d: Set error %v, NewLocalView error %v; want the same rejection", i, err, nerr)
+		}
+		if v.SelfID != 4 || v.R != 10 || len(v.IDs) != 2 {
+			t.Errorf("case %d: a rejected Set changed the view to %+v", i, v)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = v.Set(4, ids, pts, 10) }); allocs != 0 {
+		t.Errorf("Set allocates %v times per refill, want 0", allocs)
+	}
+}
+
 func TestNewLocalViewValidation(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}
 	if _, err := NewLocalView(5, []int{4, 6}, pts, 10); err == nil {
