@@ -18,7 +18,7 @@ BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkMedium|BenchmarkNeighborTable|Be
 BENCH_GATE_PKGS := . ./internal/geom ./internal/ldt ./internal/mac ./internal/dtn ./internal/des ./internal/sim
 BENCH_GATE_FLAGS := -benchmem -count 5 -benchtime 0.3s -run '^$$'
 
-.PHONY: build test test-short fuzz-smoke bench bench-gate bench-baseline bench-check mem-gate api api-check doc-check atlas atlas-check atlas-golden fmt vet ci
+.PHONY: build test test-short fuzz-smoke bench bench-gate bench-baseline bench-check mem-gate api api-check doc-check dead-check atlas atlas-check atlas-golden fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -129,6 +129,15 @@ api-check:
 doc-check:
 	$(GO) run ./cmd/doccheck . internal/matrix
 
+## dead-check is the reachability gate: every exported name in internal/
+## must be used by a non-test file of the module or of the bench/
+## module (a method that implements an interface counts as used), and
+## only _test.go files may import internal/oracle, which holds the
+## reference implementations tests compare against. Names that may stay
+## unused are listed, each with its reason, in ci/deadcheck_allow.txt.
+dead-check:
+	$(GO) run ./cmd/deadcheck
+
 ## atlas (re)builds the committed regime-map atlas: executes the
 ## declared scenario matrix against the result cache in
 ## docs/atlas-cache/ (only cells without a valid cache entry compute),
@@ -171,7 +180,7 @@ vet:
 	$(GO) vet ./...
 
 ## ci is the whole pipeline: build, formatting gate, vet, API-surface
-## gate, godoc audit, short tests, the atlas gate, the
+## gate, godoc audit, reachability gate, short tests, the atlas gate, the
 ## benchmark-regression and memory gates, and the bench-module check.
 ci: build
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -179,6 +188,7 @@ ci: build
 	$(GO) vet ./...
 	$(MAKE) api-check
 	$(MAKE) doc-check
+	$(MAKE) dead-check
 	$(GO) test -race -short ./...
 	$(MAKE) atlas-check
 	$(MAKE) bench-gate

@@ -1,0 +1,5 @@
+package main
+
+import "fix/internal/a"
+
+func main() { a.OnlyBench() }

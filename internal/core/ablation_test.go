@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 
 	"glr/internal/sim"
@@ -128,11 +129,11 @@ func TestFiveCopiesUseExtraMidTrees(t *testing.T) {
 	s.Traffic = []sim.TrafficItem{{Src: 0, Dst: 30, At: 1}}
 	w, instances := buildProbedWorld(t, s, cfg)
 	w.Scheduler().Run(1.01)
-	msgs := instances[0].store.StoredMessages()
+	msgs := instances[0].store.AppendStored(nil)
 	if len(msgs) != 1 {
 		t.Fatalf("source holds %d messages", len(msgs))
 	}
-	if got := msgs[0].Flags.Count(); got != 5 {
+	if got := bits.OnesCount8(uint8(msgs[0].Flags)); got != 5 {
 		t.Errorf("flag count = %d, want 5", got)
 	}
 	_ = w

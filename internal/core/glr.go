@@ -131,6 +131,7 @@ func DefaultConfig() Config {
 		Location:           LocSourceKnows,
 		StaleRelocateAfter: 30,
 		ProgressHysteresis: 0.2,
+		Spanner:            SpannerLDTG,
 	}
 }
 

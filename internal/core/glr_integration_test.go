@@ -48,8 +48,8 @@ func TestGLRNoCustodyFireAndForget(t *testing.T) {
 		t.Error("dense network should deliver even without custody")
 	}
 	for i, g := range instances {
-		if g.store.CacheLen() != 0 {
-			t.Errorf("node %d has %d cached messages without custody", i, g.store.CacheLen())
+		if cached := g.store.Total() - g.store.StoreLen(); cached != 0 {
+			t.Errorf("node %d has %d cached messages without custody", i, cached)
 		}
 	}
 }
@@ -168,7 +168,7 @@ func TestGLRTreeFlagSplitIntegrity(t *testing.T) {
 	s.Traffic = []sim.TrafficItem{{Src: 0, Dst: 10, At: 1}}
 	w, instances := buildProbedWorld(t, s, DefaultConfig())
 	w.Scheduler().Run(1.01)
-	msgs := instances[0].store.StoredMessages()
+	msgs := instances[0].store.AppendStored(nil)
 	if len(msgs) != 1 {
 		t.Fatalf("source holds %d messages", len(msgs))
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"glr/internal/ldt"
+	"glr/internal/oracle"
 	"glr/internal/sim"
 )
 
@@ -36,8 +37,8 @@ func equivConfig(trial int) Config {
 
 // checkSpannersAgainstReference freezes a running world and compares,
 // node by node, the Maintainer's accepted-neighbor list against the
-// reference construction over the same neighbor-table state: the
-// triangulating LDTG oracle (LDTGNeighbors), or the direct Gabriel/UDG
+// reference construction of internal/oracle over the same neighbor-table
+// state: the triangulating LDTGNeighbors, or the direct Gabriel and UDG
 // constructions under those ablations. Routing reads the list in order,
 // so the order must match too. It returns the number of nodes compared.
 func checkSpannersAgainstReference(t *testing.T, instances []*GLR, label string) int {
@@ -51,12 +52,12 @@ func checkSpannersAgainstReference(t *testing.T, instances []*GLR, label string)
 		var local []int
 		switch g.cfg.Spanner {
 		case SpannerGabriel:
-			local = view.GabrielNeighbors()
+			local = oracle.GabrielNeighbors(view)
 		case SpannerUDG:
-			local = view.UDGNeighbors()
+			local = oracle.UDGNeighbors(view)
 		default:
 			var err error
-			if local, err = view.LDTGNeighbors(ldt.K); err != nil {
+			if local, err = oracle.LDTGNeighbors(view, ldt.K); err != nil {
 				t.Fatal(err)
 			}
 		}

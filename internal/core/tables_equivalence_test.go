@@ -85,11 +85,12 @@ func loggedWorld(t *testing.T, s sim.Scenario, cfg Config) (*sim.World, []*beaco
 
 // checkTablesAgainstLog compares every node's table view at the current
 // instant — read through the same expire-then-assemble path a route
-// check takes — with the reference rebuilt from its beacon log,
+// check takes — with the reference rebuilt from its beacon log, whose
+// rows expire after expiry seconds (the world's NeighborExpiry),
 // returning the number of rows compared.
-func checkTablesAgainstLog(t *testing.T, w *sim.World, logs []*beaconLog, label string) int {
+func checkTablesAgainstLog(t *testing.T, w *sim.World, expiry float64, logs []*beaconLog, label string) int {
 	t.Helper()
-	now, expiry := w.Scheduler().Now(), w.Config().NeighborExpiry
+	now := w.Scheduler().Now()
 	rows := 0
 	for i, p := range logs {
 		n := w.Node(i)
@@ -120,7 +121,7 @@ func TestDenseTablesRunEquivalence(t *testing.T) {
 			rows := 0
 			for until := 5.0; until < s.SimTime; until += 5 {
 				w.Scheduler().Run(until)
-				rows += checkTablesAgainstLog(t, w, logs, fmt.Sprintf("t=%.0f", until))
+				rows += checkTablesAgainstLog(t, w, s.NeighborExpiry, logs, fmt.Sprintf("t=%.0f", until))
 			}
 			if rows == 0 {
 				t.Fatal("no table rows compared")
@@ -150,12 +151,12 @@ func TestTablesFullStackEquivalence(t *testing.T) {
 		instances[i] = p.GLR
 	}
 	w.Scheduler().Run(3)
-	if rows := checkTablesAgainstLog(t, w, logs, "t=3"); rows == 0 {
+	if rows := checkTablesAgainstLog(t, w, s.NeighborExpiry, logs, "t=3"); rows == 0 {
 		t.Fatal("no table rows compared")
 	}
 	if checkSpannersAgainstReference(t, instances, "t=3") == 0 {
 		t.Fatal("no node had a spanner view to compare")
 	}
 	w.Scheduler().Run(s.SimTime)
-	checkTablesAgainstLog(t, w, logs, "t=6")
+	checkTablesAgainstLog(t, w, s.NeighborExpiry, logs, "t=6")
 }

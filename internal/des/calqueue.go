@@ -174,32 +174,6 @@ func (q *calendarQueue) pop() *event {
 	return ev
 }
 
-// remove unlinks a resident event from its bucket chain: O(chain length),
-// which the width policy keeps at a few events. Backs eager Cancel.
-func (q *calendarQueue) remove(ev *event) {
-	b := int(q.vday(ev.at) & int64(q.mask))
-	if q.cached == ev {
-		q.cached = nil
-	}
-	if head := q.heads[b]; head == ev {
-		q.heads[b] = ev.next
-	} else {
-		cur := head
-		for cur.next != ev {
-			cur = cur.next
-		}
-		cur.next = ev.next
-		if q.tails[b] == ev {
-			q.tails[b] = cur
-		}
-	}
-	ev.next = nil
-	q.count--
-	if n := len(q.heads); n > calMinBuckets && q.count < n/2 {
-		q.resize(n / 2)
-	}
-}
-
 // resize rebuilds the calendar with n buckets and a day width re-fitted
 // to the current event density. O(count), amortized O(1) per operation by
 // the doubling/halving policy.

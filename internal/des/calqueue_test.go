@@ -5,121 +5,52 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 )
 
 // TestPendingCounter is the regression test for the O(1) Pending
-// counter: it must track schedule, cancel, and dispatch exactly.
+// counter: it must track scheduling and dispatch exactly.
 func TestPendingCounter(t *testing.T) {
 	t.Run("calendar", func(t *testing.T) {
 		s := NewScheduler()
 		if s.Pending() != 0 {
 			t.Fatalf("fresh scheduler Pending = %d, want 0", s.Pending())
 		}
-		ids := make([]EventID, 0, 100)
 		for i := 0; i < 100; i++ {
-			ids = append(ids, s.At(Time(i), func() {}))
+			s.At(Time(i), func() {})
 		}
 		if s.Pending() != 100 {
 			t.Fatalf("Pending = %d after 100 At, want 100", s.Pending())
 		}
-		for i := 0; i < 30; i++ {
-			s.Cancel(ids[i*3]) // cancel 30 distinct events
+		s.Run(49.5) // dispatches the events at 0..49
+		if s.Pending() != 50 {
+			t.Fatalf("Pending = %d after partial run, want 50", s.Pending())
 		}
-		if s.Pending() != 70 {
-			t.Fatalf("Pending = %d after 30 cancels, want 70", s.Pending())
-		}
-		s.Cancel(ids[0]) // double cancel: no-op
-		s.Cancel(0)      // zero id: no-op
-		if s.Pending() != 70 {
-			t.Fatalf("Pending = %d after no-op cancels, want 70", s.Pending())
-		}
-		s.Run(49.5) // dispatches the live events among ids[0..49]
-		live := 0
-		for i := 50; i < 100; i++ {
-			if i%3 != 0 || i/3 >= 30 {
-				live++
-			}
-		}
-		if s.Pending() != live {
-			t.Fatalf("Pending = %d after partial run, want %d", s.Pending(), live)
-		}
-		s.RunAll()
+		s.Run(math.Inf(1))
 		if s.Pending() != 0 {
-			t.Fatalf("Pending = %d after RunAll, want 0", s.Pending())
-		}
-	})
-}
-
-// TestCanceledReclamation is the schedule/cancel-churn stress test for
-// eager reclamation: a workload that cancels nearly everything it
-// schedules must not grow the queue, so after any churn the resident
-// queue holds exactly the live events — and the survivors must still
-// fire in order.
-func TestCanceledReclamation(t *testing.T) {
-	t.Run("calendar", func(t *testing.T) {
-		s := NewScheduler()
-		rng := rand.New(rand.NewSource(7))
-		var fired []Time
-		keepEvery := 100
-		kept := 0
-		for i := 0; i < 20000; i++ {
-			at := rng.Float64() * 1000
-			id := s.At(at, func() { fired = append(fired, s.Now()) })
-			if i%keepEvery == 0 {
-				kept++
-				continue
-			}
-			s.Cancel(id)
-		}
-		// 200 live events remain out of 20000 scheduled; eager
-		// reclamation means the resident queue holds exactly those.
-		if size := s.q.count; size != kept {
-			t.Fatalf("queue holds %d events after churn, want exactly %d live", size, kept)
-		}
-		s.RunAll()
-		if len(fired) != kept {
-			t.Fatalf("fired %d events, want %d survivors", len(fired), kept)
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				t.Fatalf("out-of-order dispatch after compaction: %v then %v", fired[i-1], fired[i])
-			}
+			t.Fatalf("Pending = %d after an unbounded Run, want 0", s.Pending())
 		}
 	})
 }
 
 // heapQueue is the reference event set the calendar queue is checked
-// against: a binary heap ordered by eventLess, with a position index so
-// resident events can be removed.
+// against: a binary heap ordered by eventLess.
 type heapQueue struct {
 	evs []*event
-	pos map[*event]int
 }
 
-func newHeapQueue() *heapQueue { return &heapQueue{pos: make(map[*event]int)} }
+func newHeapQueue() *heapQueue { return &heapQueue{} }
 
 func (h *heapQueue) Len() int           { return len(h.evs) }
 func (h *heapQueue) Less(i, j int) bool { return eventLess(h.evs[i], h.evs[j]) }
 
-func (h *heapQueue) Swap(i, j int) {
-	h.evs[i], h.evs[j] = h.evs[j], h.evs[i]
-	h.pos[h.evs[i]] = i
-	h.pos[h.evs[j]] = j
-}
-
-func (h *heapQueue) Push(x any) {
-	ev := x.(*event)
-	h.pos[ev] = len(h.evs)
-	h.evs = append(h.evs, ev)
-}
+func (h *heapQueue) Swap(i, j int) { h.evs[i], h.evs[j] = h.evs[j], h.evs[i] }
+func (h *heapQueue) Push(x any)    { h.evs = append(h.evs, x.(*event)) }
 
 func (h *heapQueue) Pop() any {
 	ev := h.evs[len(h.evs)-1]
 	h.evs = h.evs[:len(h.evs)-1]
-	delete(h.pos, ev)
 	return ev
 }
 
@@ -145,8 +76,8 @@ func keyOf(ev *event) queueKey {
 }
 
 // TestCalendarHeapDispatchEquality is the randomized oracle property of
-// the event set: one script of pushes, peeks, pops, and removals of
-// resident events drives the calendar queue and the reference heap, and
+// the event set: one script of pushes, peeks, and pops drives the
+// calendar queue and the reference heap, and
 // every peek and pop must return the same (time, seq) event. Pushes never
 // go below the last popped time — the Scheduler's invariant — but do land
 // below the calendar's cursor after a peek, and the time distributions
@@ -157,14 +88,11 @@ func TestCalendarHeapDispatchEquality(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cal, ref := newCalendarQueue(), newHeapQueue()
-		calEv := map[uint64]*event{}
-		refEv := map[uint64]*event{}
-		var resident []uint64
 		var seq uint64
 		now := Time(0)
 		pops := 0
 		for step := 0; step < 4000; step++ {
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(17); {
 			case op < 9: // push a small batch
 				for k := 1 + rng.Intn(3); k > 0; k-- {
 					var at Time
@@ -178,11 +106,8 @@ func TestCalendarHeapDispatchEquality(t *testing.T) {
 					default:
 						at = now + rng.Float64()*50
 					}
-					calEv[seq] = &event{at: at, seq: seq}
-					refEv[seq] = &event{at: at, seq: seq}
-					cal.push(calEv[seq])
-					heap.Push(ref, refEv[seq])
-					resident = append(resident, seq)
+					cal.push(&event{at: at, seq: seq})
+					heap.Push(ref, &event{at: at, seq: seq})
 					seq++
 				}
 			case op < 15: // pop the minimum
@@ -196,21 +121,11 @@ func TestCalendarHeapDispatchEquality(t *testing.T) {
 				if got != nil {
 					now = got.at
 					pops++
-					resident = slices.DeleteFunc(resident, func(s uint64) bool { return s == got.seq })
 				}
-			case op < 17: // peek (moves the calendar cursor)
+			default: // peek (moves the calendar cursor)
 				if got, want := cal.peek(), ref.peek(); keyOf(got) != keyOf(want) {
 					t.Fatalf("seed %d step %d: peek = %v, reference heap %v", seed, step, keyOf(got), keyOf(want))
 				}
-			default: // remove a random resident event
-				if len(resident) == 0 {
-					continue
-				}
-				i := rng.Intn(len(resident))
-				s := resident[i]
-				resident = slices.Delete(resident, i, i+1)
-				cal.remove(calEv[s])
-				heap.Remove(ref, ref.pos[refEv[s]])
 			}
 			if cal.count != ref.Len() {
 				t.Fatalf("seed %d step %d: calendar holds %d events, reference heap %d", seed, step, cal.count, ref.Len())
@@ -287,7 +202,7 @@ func TestCalendarResizeStress(t *testing.T) {
 				want = append(want, k)
 				s.At(at, func() { got = append(got, k) })
 			}
-			s.RunAll()
+			s.Run(math.Inf(1))
 			// Expected order: stable sort by time (stability = FIFO among
 			// simultaneous events, since want is in scheduling order).
 			sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
@@ -304,26 +219,21 @@ type dispatchKey struct {
 	seq int
 }
 
-// BenchmarkSchedulerCalendar measures a steady-state
-// schedule/cancel/dispatch mix at one million pending events: each
-// operation schedules two future events, cancels one live event, and
-// dispatches one event (handlers Stop the scheduler, so Run delivers
-// exactly one dispatch). Net queue change per operation is zero, so the
-// pending population holds at exactly 2^20 throughout — the regime where
-// a heap's O(log n) sift paths hurt and the calendar queue's O(1) shows.
-// Cancel targets come from a small ring of recently scheduled ids: the
-// ring entry being replaced was scheduled ~1024 operations earlier into a
-// 2^20-deep queue, so it is still pending when canceled.
+// BenchmarkSchedulerCalendar measures a steady-state schedule/dispatch
+// mix at one million pending events: each operation schedules one future
+// event and dispatches one (each Run's horizon is the earliest pending
+// event's time, and random times do not tie). Net queue change per
+// operation is zero, so the pending population holds at exactly 2^20
+// throughout — the regime where a heap's O(log n) sift paths hurt and
+// the calendar queue's O(1) shows.
 func BenchmarkSchedulerCalendar(b *testing.B) {
 	s := NewScheduler()
 	rng := rand.New(rand.NewSource(1))
 	const population = 1 << 20 // ~1e6 pending events
 	const span = 1000.0        // seconds of event spread
-	const ringSize = 1 << 10
-	stop := func() { s.Stop() }
-	var ring [ringSize]EventID
+	nop := func() {}
 	for i := 0; i < population; i++ {
-		ring[i&(ringSize-1)] = s.After(rng.Float64()*span, stop)
+		s.After(rng.Float64()*span, nop)
 	}
 	// Pre-draw the schedule offsets so the measured loop is scheduler
 	// operations, not rng arithmetic.
@@ -331,20 +241,16 @@ func BenchmarkSchedulerCalendar(b *testing.B) {
 	for i := range times {
 		times[i] = rng.Float64() * span
 	}
-	// One untimed operation first: its schedules take the population past
+	// One untimed operation first: its schedule takes the population past
 	// the calendar's doubling threshold, and the one-off O(n) resize of a
 	// 2^20-event calendar must not land inside the measured loop, where a
 	// small b.N would turn it into the whole result.
-	s.Cancel(ring[ringSize-1])
-	ring[ringSize-1] = s.After(times[len(times)-2], stop)
-	s.After(times[len(times)-1], stop)
-	s.Run(s.Now() + span)
+	s.After(times[len(times)-1], nop)
+	s.Run(s.q.peek().at)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Cancel(ring[i&(ringSize-1)])
-		ring[i&(ringSize-1)] = s.After(times[(2*i)&(len(times)-1)], stop)
-		s.After(times[(2*i+1)&(len(times)-1)], stop)
-		s.Run(s.Now() + span) // Stop fires after one dispatch
+		s.After(times[i&(len(times)-1)], nop)
+		s.Run(s.q.peek().at)
 	}
 }

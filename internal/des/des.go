@@ -1,7 +1,7 @@
 // Package des implements the discrete-event simulation core: a simulated
 // clock, a calendar-queue event core with deterministic tie-breaking, and
-// cancellable timers. It replaces the NS-2 scheduler the paper's
-// evaluation ran on.
+// periodic tickers. It replaces the NS-2 scheduler the paper's evaluation
+// ran on.
 //
 // Simulated time is a float64 number of seconds (des.Time). This is a
 // deliberate, documented deviation from the "use time.Duration" guideline:
@@ -26,28 +26,14 @@ import (
 type Time = float64
 
 // Handler is a callback invoked when its event fires. Handlers run on the
-// single simulation goroutine; they may schedule and cancel further events.
+// single simulation goroutine; they may schedule further events.
 type Handler func()
-
-// EventID identifies a scheduled event for cancellation. The zero EventID
-// is invalid and safe to Cancel (a no-op). IDs encode an arena slot and a
-// per-slot generation, so Cancel resolves its event with one array index —
-// no id→event map on the scheduling hot path.
-type EventID uint64
 
 type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among simultaneous events
 	fn   Handler
 	next *event // bucket-chain link
-	slot int32  // permanent index into Scheduler.slots
-	gen  uint32 // bumped on release, so stale EventIDs miss
-}
-
-// mkEventID packs an event's arena slot and generation. slot+1 keeps every
-// valid id nonzero even at generation zero.
-func mkEventID(slot int32, gen uint32) EventID {
-	return EventID(uint64(slot+1)<<32 | uint64(gen))
 }
 
 // eventLess is the dispatch order: strictly increasing (at, seq).
@@ -64,21 +50,17 @@ type Scheduler struct {
 	now Time
 	seq uint64
 	q   *calendarQueue
-	// slots is the event arena: every event object ever created, indexed
-	// by its permanent slot. Cancel decodes an EventID to (slot, gen) and
-	// resolves it with one bounds-checked array read.
-	slots []*event
-	free  []*event // recycled event objects (resident in slots too)
+	// free holds dispatched event objects for reuse.
+	free []*event
 	// slab is the tail of the current allocation block: events are carved
 	// from 1024-event slabs so a large pending set lives in a few
 	// contiguous blocks (fewer GC objects, better locality for bucket
 	// chains) instead of a million scattered allocations.
-	slab    []event
-	stopped bool
-	// processed counts events actually dispatched (excluding canceled).
+	slab []event
+	// processed counts events dispatched.
 	processed uint64
-	// live counts events scheduled and not yet fired or canceled, so
-	// Pending is O(1) instead of a queue scan.
+	// live counts events scheduled and not yet fired, so Pending is O(1)
+	// instead of a queue scan.
 	live int
 }
 
@@ -93,15 +75,15 @@ func (s *Scheduler) Now() Time { return s.now }
 // Processed returns the number of events dispatched so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// Pending returns the number of events scheduled and not yet fired or
-// canceled, in O(1).
+// Pending returns the number of events scheduled and not yet fired, in
+// O(1).
 func (s *Scheduler) Pending() int { return s.live }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
 // Now), at NaN, or at +Inf panics: each is a logic error in a
 // discrete-event model, and the calendar queue's time-to-day map is only
 // defined for finite times.
-func (s *Scheduler) At(t Time, fn Handler) EventID {
+func (s *Scheduler) At(t Time, fn Handler) {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
 	}
@@ -118,8 +100,6 @@ func (s *Scheduler) At(t Time, fn Handler) EventID {
 		}
 		ev = &s.slab[0]
 		s.slab = s.slab[1:]
-		ev.slot = int32(len(s.slots))
-		s.slots = append(s.slots, ev)
 	}
 	ev.at = t
 	ev.seq = s.seq
@@ -127,60 +107,27 @@ func (s *Scheduler) At(t Time, fn Handler) EventID {
 	s.seq++
 	s.q.push(ev)
 	s.live++
-	return mkEventID(ev.slot, ev.gen)
 }
 
 // release returns a popped event to the free list. Events are
-// single-use: once popped (dispatched or canceled) nothing else holds a
-// reference, so recycling them removes the dominant per-event
-// allocation from simulation hot loops. Bumping the generation
-// invalidates every EventID minted for the event's previous life, so a
-// stale Cancel misses instead of revoking the slot's next tenant.
+// single-use: once popped nothing else holds a reference, so recycling
+// them removes the dominant per-event allocation from simulation hot
+// loops.
 func (s *Scheduler) release(ev *event) {
 	ev.fn = nil // drop the closure reference while pooled
-	ev.gen++
 	s.free = append(s.free, ev)
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
-func (s *Scheduler) After(d float64, fn Handler) EventID {
-	return s.At(s.now+d, fn)
+func (s *Scheduler) After(d float64, fn Handler) {
+	s.At(s.now+d, fn)
 }
 
-// Cancel revokes a scheduled event. Canceling an already-fired, already-
-// canceled, or zero id is a no-op. It reports whether an event was actually
-// revoked.
-//
-// Canceled events are unlinked from the queue and reclaimed immediately
-// (they used to sit in the heap until dispatch reached them), so a
-// schedule/cancel churn workload cannot grow the queue at all: the
-// resident queue holds exactly the live events.
-func (s *Scheduler) Cancel(id EventID) bool {
-	slot := int(id>>32) - 1
-	if slot < 0 || slot >= len(s.slots) {
-		return false
-	}
-	ev := s.slots[slot]
-	// A generation mismatch means the id belongs to an earlier life of
-	// this slot: the event already fired or was already canceled.
-	if ev.gen != uint32(id) {
-		return false
-	}
-	s.q.remove(ev)
-	s.live--
-	s.release(ev)
-	return true
-}
-
-// Stop makes Run return after the current event's handler completes.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Run dispatches events in (time, seq) order until the queue empties, the
-// clock passes until, or Stop is called. Events scheduled exactly at until
-// still fire; the clock never exceeds until.
+// Run dispatches events in (time, seq) order until the queue empties or
+// the clock passes until. Events scheduled exactly at until still fire;
+// the clock never exceeds until.
 func (s *Scheduler) Run(until Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		ev := s.q.peek()
 		if ev == nil || ev.at > until {
 			break
@@ -193,14 +140,9 @@ func (s *Scheduler) Run(until Time) {
 		s.release(ev)
 		fn()
 	}
-	// Advance the clock to the horizon only on a natural finish; after
-	// Stop (or an unbounded RunAll) the clock stays at the last
-	// dispatched event.
-	if !s.stopped && s.now < until && !math.IsInf(until, 1) {
+	// Advance the clock to a finite horizon; after an unbounded run the
+	// clock stays at the last dispatched event.
+	if s.now < until && !math.IsInf(until, 1) {
 		s.now = until
 	}
 }
-
-// RunAll dispatches every remaining event regardless of time. Useful in
-// tests; simulations should prefer Run with a horizon.
-func (s *Scheduler) RunAll() { s.Run(math.Inf(1)) }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -32,7 +33,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		i := i
 		s.At(7, func() { order = append(order, i) })
 	}
-	s.RunAll()
+	s.Run(math.Inf(1))
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("simultaneous events out of scheduling order: %v", order)
@@ -46,7 +47,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	s.At(5, func() {
 		s.After(2.5, func() { at = s.Now() })
 	})
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if at != 7.5 {
 		t.Errorf("After fired at %v, want 7.5", at)
 	}
@@ -62,37 +63,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}
 	}()
 	s.At(5, func() {})
-}
-
-func TestCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	id := s.At(1, func() { fired = true })
-	if !s.Cancel(id) {
-		t.Error("Cancel should report success for a pending event")
-	}
-	if s.Cancel(id) {
-		t.Error("double Cancel should report false")
-	}
-	if s.Cancel(0) {
-		t.Error("Cancel of zero id should report false")
-	}
-	s.RunAll()
-	if fired {
-		t.Error("canceled event must not fire")
-	}
-}
-
-func TestCancelFromHandler(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	var id EventID
-	s.At(1, func() { s.Cancel(id) })
-	id = s.At(2, func() { fired = true })
-	s.RunAll()
-	if fired {
-		t.Error("event canceled by earlier handler must not fire")
-	}
 }
 
 func TestRunHorizonLeavesLaterEvents(t *testing.T) {
@@ -114,30 +84,14 @@ func TestRunHorizonLeavesLaterEvents(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	s.At(1, func() { count++; s.Stop() })
-	s.At(2, func() { count++ })
-	s.Run(10)
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (Stop after first event)", count)
-	}
-	if s.Now() != 1 {
-		t.Errorf("clock = %v, want 1 after Stop", s.Now())
-	}
-}
-
 func TestProcessedCount(t *testing.T) {
 	s := NewScheduler()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		s.At(Time(i), func() {})
 	}
-	id := s.At(6, func() {})
-	s.Cancel(id)
-	s.RunAll()
+	s.Run(4.5)
 	if s.Processed() != 5 {
-		t.Errorf("Processed = %d, want 5 (canceled events excluded)", s.Processed())
+		t.Errorf("Processed = %d, want 5 (events after the horizon excluded)", s.Processed())
 	}
 }
 
@@ -152,7 +106,7 @@ func TestHandlersCanScheduleRecursively(t *testing.T) {
 		}
 	}
 	s.At(0, recurse)
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if depth != 100 {
 		t.Errorf("depth = %d, want 100", depth)
 	}
@@ -169,7 +123,7 @@ func TestFireOrderSortedQuick(t *testing.T) {
 			at := times[i]
 			s.At(at, func() { fired = append(fired, at) })
 		}
-		s.RunAll()
+		s.Run(math.Inf(1))
 		sort.Float64s(times)
 		return reflect.DeepEqual(fired, times) || (len(fired) == 0 && len(times) == 0)
 	}
@@ -178,61 +132,15 @@ func TestFireOrderSortedQuick(t *testing.T) {
 	}
 }
 
-// Property: random cancellation never causes a canceled event to fire nor a
-// live event to be dropped.
-func TestRandomCancellationQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 100; trial++ {
-		s := NewScheduler()
-		n := 1 + rng.Intn(50)
-		firedSet := make(map[int]bool, n)
-		ids := make([]EventID, n)
-		for i := 0; i < n; i++ {
-			i := i
-			ids[i] = s.At(Time(rng.Intn(100)), func() { firedSet[i] = true })
-		}
-		canceled := make(map[int]bool)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				s.Cancel(ids[i])
-				canceled[i] = true
-			}
-		}
-		s.RunAll()
-		for i := 0; i < n; i++ {
-			if canceled[i] && firedSet[i] {
-				t.Fatal("canceled event fired")
-			}
-			if !canceled[i] && !firedSet[i] {
-				t.Fatal("live event did not fire")
-			}
-		}
-	}
-}
-
 func TestTickerPeriodic(t *testing.T) {
 	s := NewScheduler()
 	var at []Time
-	var tk *Ticker
-	tk = NewTicker(s, 2, 1, func() {
-		at = append(at, s.Now())
-		if len(at) == 4 {
-			tk.Stop()
-		}
-	})
-	s.Run(100)
+	NewTicker(s, 2, 1, func() { at = append(at, s.Now()) })
+	s.Run(7.5)
 	want := []Time{1, 3, 5, 7}
 	if !reflect.DeepEqual(at, want) {
 		t.Errorf("ticks at %v, want %v", at, want)
 	}
-}
-
-func TestTickerStopIdempotent(t *testing.T) {
-	s := NewScheduler()
-	tk := NewTicker(s, 1, 0, func() {})
-	tk.Stop()
-	tk.Stop()
-	s.Run(5)
 }
 
 func TestTickerInvalidInterval(t *testing.T) {

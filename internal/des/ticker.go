@@ -1,45 +1,28 @@
 package des
 
-// Ticker invokes fn every interval seconds until stopped, starting at
-// now + phase. It models periodic protocol behaviour (beaconing, periodic
-// route checks) with an optional phase offset so that nodes do not fire in
-// lockstep.
-type Ticker struct {
+// ticker invokes fn every interval seconds, starting at now + phase. It
+// models periodic protocol behaviour (beaconing, periodic route checks)
+// with an optional phase offset so that nodes do not fire in lockstep.
+type ticker struct {
 	sched    *Scheduler
 	fn       Handler
 	fire     Handler // persistent tick handler (one alloc per ticker)
 	interval float64
-	id       EventID
-	running  bool
 }
 
 // NewTicker schedules fn every interval seconds, first firing at
-// now + phase. A nonpositive interval panics.
-func NewTicker(sched *Scheduler, interval, phase float64, fn Handler) *Ticker {
+// now + phase, for as long as the scheduler runs. A nonpositive interval
+// panics.
+func NewTicker(sched *Scheduler, interval, phase float64, fn Handler) {
 	if interval <= 0 {
 		panic("des: ticker interval must be positive")
 	}
-	t := &Ticker{sched: sched, fn: fn, interval: interval, running: true}
+	t := &ticker{sched: sched, fn: fn, interval: interval}
 	t.fire = t.tick // bound once: rescheduling a method value per tick would allocate
-	t.id = sched.After(phase, t.fire)
-	return t
+	sched.After(phase, t.fire)
 }
 
-func (t *Ticker) tick() {
-	if !t.running {
-		return
-	}
+func (t *ticker) tick() {
 	t.fn()
-	if t.running { // fn may have stopped us
-		t.id = t.sched.After(t.interval, t.fire)
-	}
-}
-
-// Stop halts the ticker. Safe to call multiple times and from within fn.
-func (t *Ticker) Stop() {
-	if !t.running {
-		return
-	}
-	t.running = false
-	t.sched.Cancel(t.id)
+	t.sched.After(t.interval, t.fire)
 }

@@ -36,13 +36,12 @@ func (b *Buffer) Get(id MessageID) *Message { return b.byID[id] }
 // tree flags are merged into the existing copy (two copies of one message
 // meeting at a node coalesce) and no eviction happens. Otherwise, when the
 // buffer is full, the oldest message is evicted FIFO. It returns the
-// evicted message (nil if none) and reports whether m's content is now
-// stored (true also for merges).
-func (b *Buffer) Add(m *Message) (evicted *Message, stored bool) {
+// evicted message (nil if none).
+func (b *Buffer) Add(m *Message) (evicted *Message) {
 	if existing, ok := b.byID[m.ID]; ok {
 		existing.Flags |= m.Flags
 		existing.UpdateDstLoc(m.DstLoc, m.DstLocTime, m.DstLocKnown)
-		return nil, true
+		return nil
 	}
 	if b.capacity > 0 && len(b.byID) >= b.capacity {
 		evicted = b.popOldest()
@@ -52,7 +51,7 @@ func (b *Buffer) Add(m *Message) (evicted *Message, stored bool) {
 	}
 	b.order = append(b.order, m.ID)
 	b.byID[m.ID] = m
-	return evicted, true
+	return evicted
 }
 
 // Remove deletes and returns the message with the given id, or nil. The
@@ -92,12 +91,6 @@ func (b *Buffer) popOldest() *Message {
 	m := b.byID[id]
 	delete(b.byID, id)
 	return m
-}
-
-// Messages returns the stored messages oldest-first. The slice is freshly
-// allocated; the *Message values are the live stored messages.
-func (b *Buffer) Messages() []*Message {
-	return b.AppendMessages(make([]*Message, 0, len(b.order)))
 }
 
 // AppendMessages appends the stored messages oldest-first (pass buf[:0]

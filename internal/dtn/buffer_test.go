@@ -16,12 +16,12 @@ func msg(src, seq int) *Message {
 func TestBufferFIFOEviction(t *testing.T) {
 	b := NewBuffer(3)
 	for i := 0; i < 3; i++ {
-		if ev, ok := b.Add(msg(0, i)); ev != nil || !ok {
+		if ev := b.Add(msg(0, i)); ev != nil {
 			t.Fatalf("unexpected eviction at %d", i)
 		}
 	}
-	ev, ok := b.Add(msg(0, 3))
-	if !ok || ev == nil || ev.ID != (MessageID{0, 0}) {
+	ev := b.Add(msg(0, 3))
+	if ev == nil || ev.ID != (MessageID{0, 0}) {
 		t.Fatalf("expected eviction of oldest, got %v", ev)
 	}
 	if b.Len() != 3 || b.Has(MessageID{0, 0}) {
@@ -38,7 +38,7 @@ func TestBufferFIFOEviction(t *testing.T) {
 func TestBufferUnlimited(t *testing.T) {
 	b := NewBuffer(0)
 	for i := 0; i < 1000; i++ {
-		if ev, _ := b.Add(msg(0, i)); ev != nil {
+		if ev := b.Add(msg(0, i)); ev != nil {
 			t.Fatal("unlimited buffer must never evict")
 		}
 	}
@@ -57,8 +57,7 @@ func TestBufferMergeFlags(t *testing.T) {
 	b.Add(m1)
 	m2 := msg(1, 1)
 	m2.Flags = FlagMin
-	ev, ok := b.Add(m2)
-	if ev != nil || !ok {
+	if ev := b.Add(m2); ev != nil {
 		t.Fatal("merging a duplicate must not evict")
 	}
 	if b.Len() != 1 {
@@ -92,7 +91,7 @@ func TestBufferRemoveReAddKeepsFIFOExact(t *testing.T) {
 	// Re-adding 0 after removal makes it the NEWEST.
 	b.Remove(MessageID{0, 0})
 	b.Add(msg(0, 0))
-	ev, _ := b.Add(msg(0, 3))
+	ev := b.Add(msg(0, 3))
 	if ev == nil || ev.ID != (MessageID{0, 1}) {
 		t.Errorf("eviction order wrong after re-add: evicted %v, want m0.1", ev)
 	}
@@ -104,7 +103,7 @@ func TestBufferMessagesOrder(t *testing.T) {
 		b.Add(msg(0, i))
 	}
 	b.Remove(MessageID{0, 5})
-	msgs := b.Messages()
+	msgs := b.AppendMessages(nil)
 	if len(msgs) != 9 {
 		t.Fatalf("got %d messages", len(msgs))
 	}
@@ -133,7 +132,7 @@ func TestBufferConservationProperty(t *testing.T) {
 				} else {
 					added++
 				}
-				if ev, _ := b.Add(&Message{ID: id}); ev != nil {
+				if ev := b.Add(&Message{ID: id}); ev != nil {
 					evicted++
 				}
 			} else if b.Remove(id) != nil {
@@ -356,7 +355,7 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 		case 0, 1:
 			id := nextID()
 			wantEv, wantOK := ref.add(id)
-			ev, _ := b.Add(msg(id.Src, id.Seq))
+			ev := b.Add(msg(id.Src, id.Seq))
 			if (ev != nil) != wantOK || ev != nil && ev.ID != wantEv {
 				t.Fatalf("step %d: Add(%v) evicted %v, want %v (%v)", step, id, ev, wantEv, wantOK)
 			}
@@ -410,9 +409,9 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 		for _, w := range sv.words {
 			pop += bits.OnesCount64(w)
 		}
-		if pop != sv.Len() || pop != have.Len() || pop != b.Len() {
+		if pop != sv.Len() || pop != have.count || pop != b.Len() {
 			t.Fatalf("step %d: summary popcount %d, Len %d, set Len %d, buffer Len %d",
-				step, pop, sv.Len(), have.Len(), b.Len())
+				step, pop, sv.Len(), have.count, b.Len())
 		}
 		for i, s := range snaps {
 			if !slices.Equal(s.sv.words, s.want) {

@@ -35,17 +35,6 @@ func (c *CustodyStore) Total() int { return c.store.Len() + c.cache.Len() }
 // StoreLen returns the number of messages waiting to be sent.
 func (c *CustodyStore) StoreLen() int { return c.store.Len() }
 
-// CacheLen returns the number of messages awaiting acknowledgment.
-func (c *CustodyStore) CacheLen() int { return c.cache.Len() }
-
-// Capacity returns the configured total capacity (0 = unlimited).
-func (c *CustodyStore) Capacity() int { return c.capacity }
-
-// Has reports whether the message is held in either area.
-func (c *CustodyStore) Has(id MessageID) bool {
-	return c.store.Has(id) || c.cache.Has(id)
-}
-
 // Get returns the held message from either area, or nil.
 func (c *CustodyStore) Get(id MessageID) *Message {
 	if m := c.store.Get(id); m != nil {
@@ -77,10 +66,6 @@ func (c *CustodyStore) Add(m *Message) (dropped *Message, merged bool) {
 	c.store.Add(m)
 	return dropped, false
 }
-
-// StoredMessages returns the Store contents oldest-first (the messages
-// eligible for a routing attempt).
-func (c *CustodyStore) StoredMessages() []*Message { return c.store.Messages() }
 
 // AppendStored appends the Store contents oldest-first into buf (pass
 // buf[:0] to reuse a scratch slice on hot paths).

@@ -11,13 +11,13 @@ func TestCustodyLifecycle(t *testing.T) {
 	if dropped, merged := c.Add(m); dropped != nil || merged {
 		t.Fatal("add should store m without drops or a merge")
 	}
-	if c.StoreLen() != 1 || c.CacheLen() != 0 || c.Total() != 1 {
-		t.Fatalf("layout after add: store=%d cache=%d", c.StoreLen(), c.CacheLen())
+	if c.StoreLen() != 1 || c.cache.Len() != 0 || c.Total() != 1 {
+		t.Fatalf("layout after add: store=%d cache=%d", c.StoreLen(), c.cache.Len())
 	}
 	if !c.MarkSent(m.ID, 5.0) {
 		t.Fatal("MarkSent should find the stored message")
 	}
-	if c.StoreLen() != 0 || c.CacheLen() != 1 {
+	if c.StoreLen() != 0 || c.cache.Len() != 1 {
 		t.Fatal("message should have moved to cache")
 	}
 	if got := c.Ack(m.ID); got != m {
@@ -49,7 +49,7 @@ func TestCustodyExpireCache(t *testing.T) {
 	if len(moved) != 1 || moved[0] != a {
 		t.Fatalf("moved = %v, want [a]", moved)
 	}
-	if c.StoreLen() != 1 || c.CacheLen() != 1 {
+	if c.StoreLen() != 1 || c.cache.Len() != 1 {
 		t.Fatal("a back in store, b still cached")
 	}
 	// Re-send a and ack it: timeout bookkeeping must have been refreshed.
@@ -73,8 +73,8 @@ func TestCustodyCacheDroppedFirst(t *testing.T) {
 	if dropped == nil || dropped.ID != m2.ID {
 		t.Fatalf("cache entry should be dropped first, got %v", dropped)
 	}
-	if c.Total() != 3 || c.CacheLen() != 0 {
-		t.Fatalf("after drop: total=%d cache=%d", c.Total(), c.CacheLen())
+	if c.Total() != 3 || c.cache.Len() != 0 {
+		t.Fatalf("after drop: total=%d cache=%d", c.Total(), c.cache.Len())
 	}
 }
 
@@ -157,11 +157,11 @@ func TestCustodyInvariantsProperty(t *testing.T) {
 			if capn > 0 && c.Total() > capn {
 				t.Fatalf("capacity violated: %d > %d", c.Total(), capn)
 			}
-			if c.StoreLen()+c.CacheLen() != c.Total() {
+			if c.StoreLen()+c.cache.Len() != c.Total() {
 				t.Fatal("store/cache accounting inconsistent")
 			}
 			for id := range live {
-				if !c.Has(id) {
+				if c.Get(id) == nil {
 					t.Fatalf("live message %v lost", id)
 				}
 			}
@@ -184,7 +184,7 @@ func TestCustodyReturnToStore(t *testing.T) {
 	if got != m {
 		t.Fatal("ReturnToStore should move the cached message back")
 	}
-	if c.StoreLen() != 1 || c.CacheLen() != 0 {
+	if c.StoreLen() != 1 || c.cache.Len() != 0 {
 		t.Error("message should be back in the Store")
 	}
 	// The old send timestamp must be gone: an immediate expire sweep
@@ -208,8 +208,8 @@ func TestCustodyExpireCacheScratch(t *testing.T) {
 	if len(got) != 3 || got[0] != keep || got[1] != msgs[0] || got[2] != msgs[1] {
 		t.Fatalf("ExpireCache = %v, want [keep m1.1 m1.2]", got)
 	}
-	if c.StoreLen() != 2 || c.CacheLen() != 1 {
-		t.Fatalf("store=%d cache=%d, want 2 and 1", c.StoreLen(), c.CacheLen())
+	if c.StoreLen() != 2 || c.cache.Len() != 1 {
+		t.Fatalf("store=%d cache=%d, want 2 and 1", c.StoreLen(), c.cache.Len())
 	}
 	scratch := make([]*Message, 0, 8)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -234,7 +234,7 @@ func TestCustodyDrain(t *testing.T) {
 	if len(got) != 2 || got[0] != b || got[1] != a {
 		t.Fatalf("Drain = %v, want [b a]", got)
 	}
-	if c.Total() != 0 || c.Has(a.ID) || c.Has(b.ID) {
+	if c.Total() != 0 || c.Get(a.ID) != nil || c.Get(b.ID) != nil {
 		t.Fatalf("store not empty after Drain: total %d", c.Total())
 	}
 	if moved := c.ExpireCache(100, nil); len(moved) != 0 {

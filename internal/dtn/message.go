@@ -55,17 +55,6 @@ const (
 // Has reports whether all bits in q are set.
 func (f TreeFlags) Has(q TreeFlags) bool { return f&q == q }
 
-// Count returns the number of tree flags set.
-func (f TreeFlags) Count() int {
-	n := 0
-	for b := FlagMax; b <= FlagMid3; b <<= 1 {
-		if f&b != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // String implements fmt.Stringer.
 func (f TreeFlags) String() string {
 	if f == 0 {
@@ -125,12 +114,6 @@ type Message struct {
 	DstLoc      geom.Point
 	DstLocTime  float64
 	DstLocKnown bool
-}
-
-// Clone returns an independent copy of m.
-func (m *Message) Clone() *Message {
-	c := *m
-	return &c
 }
 
 // UpdateDstLoc adopts a fresher destination-location estimate. It reports

@@ -93,9 +93,6 @@ func (s *RankSet) Remove(rank int) {
 	s.summary = nil
 }
 
-// Len returns the number of ranks in the set.
-func (s *RankSet) Len() int { return s.count }
-
 // Clear empties the set. Snapshots taken earlier keep their contents.
 func (s *RankSet) Clear() {
 	clear(s.words)

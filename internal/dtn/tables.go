@@ -24,9 +24,6 @@ type LocationTable struct {
 	entries map[int]LocationEntry
 }
 
-// Len returns the number of known nodes.
-func (t *LocationTable) Len() int { return len(t.entries) }
-
 // Reset empties the table, keeping its storage for reuse.
 func (t *LocationTable) Reset() { clear(t.entries) }
 
@@ -104,9 +101,6 @@ func (t *NeighborTable) find(id int) (int, bool) {
 	}
 	return lo, lo < len(t.rows) && t.rows[lo].ID == id
 }
-
-// Len returns the number of live rows.
-func (t *NeighborTable) Len() int { return len(t.rows) }
 
 // Reset empties the table; row storage is kept for reuse.
 func (t *NeighborTable) Reset() { t.rows = t.rows[:0] }

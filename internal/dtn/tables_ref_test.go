@@ -109,8 +109,8 @@ func snapshot(t *NeighborTable) []NeighborInfo {
 // the reference for the current state.
 func checkTablesAgree(t *testing.T, m *refNeighborTable, d *NeighborTable, idSpace int) {
 	t.Helper()
-	if m.Len() != d.Len() {
-		t.Fatalf("Len: ref %d, table %d", m.Len(), d.Len())
+	if m.Len() != len(d.rows) {
+		t.Fatalf("Len: ref %d, table %d", m.Len(), len(d.rows))
 	}
 	if !neighborsEqual(m.Snapshot(), snapshot(d)) {
 		t.Fatalf("rows mismatch:\nref   %+v\ntable %+v", m.Snapshot(), snapshot(d))
@@ -269,8 +269,8 @@ func FuzzNeighborTable(f *testing.F) {
 					t.Fatalf("AppendTwoHop(%d): ref %v %v, table %v %v", self, wi, wp, ids, pts)
 				}
 			}
-			if m.Len() != d.Len() {
-				t.Fatalf("Len: ref %d, table %d", m.Len(), d.Len())
+			if m.Len() != len(d.rows) {
+				t.Fatalf("Len: ref %d, table %d", m.Len(), len(d.rows))
 			}
 		}
 		checkTablesAgree(t, m, d, 20)
@@ -351,8 +351,8 @@ func TestLocationTableRefEquivalence(t *testing.T) {
 				t.Fatalf("trial %d step %d: Update(%d) changed=%v, ref %v", trial, step, id, got, want)
 			}
 		}
-		if len(ref) != d.Len() {
-			t.Fatalf("Len: ref %d, table %d", len(ref), d.Len())
+		if len(ref) != len(d.entries) {
+			t.Fatalf("Len: ref %d, table %d", len(ref), len(d.entries))
 		}
 		wantIDs := make([]int, 0, len(ref))
 		for id := range ref {
@@ -370,7 +370,7 @@ func TestLocationTableRefEquivalence(t *testing.T) {
 			}
 		}
 		d.Reset()
-		if d.Len() != 0 {
+		if len(d.entries) != 0 {
 			t.Fatal("Reset should empty the table")
 		}
 		if _, ok := d.Get(wantIDs[0]); ok {
@@ -388,8 +388,8 @@ func TestNeighborTableReset(t *testing.T) {
 		Neighbors: []NeighborNeighbor{{ID: 3, Pos: geom.Pt(3, 3)}}})
 	d.Observe(NeighborInfo{ID: 2, Pos: geom.Pt(2, 2), LastSeen: 5})
 	d.Reset()
-	if d.Len() != 0 {
-		t.Fatalf("Len after reset = %d", d.Len())
+	if len(d.rows) != 0 {
+		t.Fatalf("Len after reset = %d", len(d.rows))
 	}
 	if _, ok := d.Get(1); ok {
 		t.Fatal("stale row visible after reset")
@@ -413,7 +413,7 @@ func TestTablesIgnoreNegativeIDs(t *testing.T) {
 	if lt.Update(-1, geom.Pt(1, 1), 1) {
 		t.Error("Update(-1) reported a change")
 	}
-	if lt.Len() != 0 || len(knownIDs(lt)) != 0 {
+	if len(lt.entries) != 0 || len(knownIDs(lt)) != 0 {
 		t.Errorf("table holds %v after Update(-1)", knownIDs(lt))
 	}
 	if _, ok := lt.Get(-1); ok {
@@ -422,7 +422,7 @@ func TestTablesIgnoreNegativeIDs(t *testing.T) {
 
 	nt := new(NeighborTable)
 	nt.Observe(NeighborInfo{ID: -1, Pos: geom.Pt(1, 1), LastSeen: 1})
-	if nt.Len() != 0 {
+	if len(nt.rows) != 0 {
 		t.Errorf("Observe(-1) stored a row")
 	}
 	bogus := []NeighborNeighbor{{ID: -1, Pos: geom.Pt(7, 7)}, {ID: 4, Pos: geom.Pt(4, 0)}}

@@ -69,8 +69,8 @@ func TestLocationTableMerge(t *testing.T) {
 	if got := knownIDs(a); !reflect.DeepEqual(got, []int{1, 2, 3}) {
 		t.Errorf("IDs = %v", got)
 	}
-	if a.Len() != 3 {
-		t.Errorf("Len = %d", a.Len())
+	if len(a.entries) != 3 {
+		t.Errorf("Len = %d", len(a.entries))
 	}
 }
 
@@ -79,21 +79,21 @@ func TestNeighborTableObserveExpire(t *testing.T) {
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 0), LastSeen: 10})
 	nt.Observe(NeighborInfo{ID: 2, Pos: geom.Pt(2, 0), LastSeen: 20})
 	nt.Observe(NeighborInfo{ID: 3, Pos: geom.Pt(3, 0), LastSeen: 30})
-	if nt.Len() != 3 {
-		t.Fatalf("Len = %d", nt.Len())
+	if len(nt.rows) != 3 {
+		t.Fatalf("Len = %d", len(nt.rows))
 	}
 	gone := nt.Expire(20) // rows with LastSeen ≤ 20
 	if !reflect.DeepEqual(gone, []int{1, 2}) {
 		t.Errorf("expired %v, want [1 2]", gone)
 	}
-	if nt.Len() != 1 {
-		t.Errorf("Len after expire = %d", nt.Len())
+	if len(nt.rows) != 1 {
+		t.Errorf("Len after expire = %d", len(nt.rows))
 	}
 	if _, ok := nt.Get(3); !ok {
 		t.Error("fresh row should survive")
 	}
-	if gone := nt.Expire(30); !reflect.DeepEqual(gone, []int{3}) || nt.Len() != 0 {
-		t.Errorf("expired %v, Len %d; want [3], 0", gone, nt.Len())
+	if gone := nt.Expire(30); !reflect.DeepEqual(gone, []int{3}) || len(nt.rows) != 0 {
+		t.Errorf("expired %v, Len %d; want [3], 0", gone, len(nt.rows))
 	}
 }
 
@@ -105,7 +105,7 @@ func TestNeighborTableRefresh(t *testing.T) {
 	if !r.Pos.Eq(geom.Pt(5, 0)) || r.LastSeen != 15 {
 		t.Errorf("row not refreshed: %+v", r)
 	}
-	if nt.Len() != 1 {
+	if len(nt.rows) != 1 {
 		t.Error("refresh must not duplicate rows")
 	}
 }

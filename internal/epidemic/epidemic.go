@@ -291,9 +291,6 @@ func (e *Epidemic) drainBacklogs(now float64) {
 // StorageUsed implements sim.Protocol.
 func (e *Epidemic) StorageUsed() int { return e.buf.Len() }
 
-// Buffer exposes the message buffer to white-box tests.
-func (e *Epidemic) Buffer() *dtn.Buffer { return e.buf }
-
 // OnMessageGenerated implements sim.Protocol: epidemic sources simply
 // buffer the message and let anti-entropy spread it.
 func (e *Epidemic) OnMessageGenerated(m *dtn.Message) {
@@ -304,7 +301,7 @@ func (e *Epidemic) OnMessageGenerated(m *dtn.Message) {
 // joins it and the rank of the message the buffer evicts for m leaves.
 func (e *Epidemic) store(m *dtn.Message) {
 	ranks := e.n.MessageRanks()
-	if evicted, _ := e.buf.Add(m); evicted != nil {
+	if evicted := e.buf.Add(m); evicted != nil {
 		e.have.Remove(ranks.Rank(evicted.ID))
 	}
 	e.have.Add(ranks.Rank(m.ID))

@@ -101,7 +101,7 @@ func TestEpidemicMessagesNeverCleared(t *testing.T) {
 	}
 	held := 0
 	for _, e := range instances {
-		held += e.Buffer().Len()
+		held += e.StorageUsed()
 	}
 	if held < r.Generated*5 {
 		t.Errorf("messages should replicate widely and never clear; only %d copies held", held)
@@ -122,8 +122,8 @@ func TestEpidemicBufferLimitEnforced(t *testing.T) {
 	w, instances := buildWorld(t, s)
 	r := w.Run()
 	for i, e := range instances {
-		if e.Buffer().Len() > 2 {
-			t.Errorf("node %d holds %d > limit 2", i, e.Buffer().Len())
+		if e.StorageUsed() > 2 {
+			t.Errorf("node %d holds %d > limit 2", i, e.StorageUsed())
 		}
 	}
 	if r.MaxPeakStorage > 2 {

@@ -1,15 +1,24 @@
-package geom
+// The tests in this file check the reference triangulation and convex
+// hull of internal/oracle against this package's predicates: the LDTG
+// tests trust those oracles only as far as these properties hold.
+package geom_test
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+	"testing/quick"
+
+	"glr/internal/geom"
+	"glr/internal/oracle"
 )
 
 func TestDelaunaySquare(t *testing.T) {
 	// Four corners of a square: two triangles, five edges (one diagonal).
-	pts := []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}
-	tri, err := Delaunay(pts)
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
+	tri, err := oracle.Delaunay(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +34,8 @@ func TestDelaunayCocircularSquareIsValid(t *testing.T) {
 	// All four square corners are cocircular; either diagonal is a valid
 	// Delaunay triangulation. Verify the result is a triangulation at all
 	// and satisfies the (non-strict) empty-circle property.
-	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
-	tri, err := Delaunay(pts)
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(2, 2), geom.Pt(0, 2)}
+	tri, err := oracle.Delaunay(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,26 +46,26 @@ func TestDelaunayCocircularSquareIsValid(t *testing.T) {
 // exact ties: a grid, collinear runs inside and beyond the hull, a point
 // on an edge, and inputs too small or too flat to hold a triangle.
 func TestMeshDegenerateInputs(t *testing.T) {
-	cases := map[string][]Point{
+	cases := map[string][]geom.Point{
 		"grid3x3": {
-			Pt(0, 0), Pt(25, 0), Pt(50, 0),
-			Pt(0, 25), Pt(25, 25), Pt(50, 25),
-			Pt(0, 50), Pt(25, 50), Pt(50, 50),
+			geom.Pt(0, 0), geom.Pt(25, 0), geom.Pt(50, 0),
+			geom.Pt(0, 25), geom.Pt(25, 25), geom.Pt(50, 25),
+			geom.Pt(0, 50), geom.Pt(25, 50), geom.Pt(50, 50),
 		},
-		"square": {Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)},
+		"square": {geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10), geom.Pt(0, 10)},
 		"collinear-run-then-apex": {
-			Pt(0, 0), Pt(10, 0), Pt(2, 0), Pt(7, 0), Pt(4, 0), Pt(5, 8),
+			geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(2, 0), geom.Pt(7, 0), geom.Pt(4, 0), geom.Pt(5, 8),
 		},
 		"collinear-beyond-hull": {
-			Pt(0, 0), Pt(10, 0), Pt(5, 5), Pt(20, 0), Pt(-20, 0),
+			geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 5), geom.Pt(20, 0), geom.Pt(-20, 0),
 		},
-		"point-on-edge": {Pt(0, 0), Pt(10, 0), Pt(5, 10), Pt(5, 0)},
-		"all-collinear": {Pt(0, 0), Pt(1, 0), Pt(2, 0), Pt(3, 0)},
-		"two-points":    {Pt(0, 0), Pt(1, 1)},
+		"point-on-edge": {geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 10), geom.Pt(5, 0)},
+		"all-collinear": {geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0)},
+		"two-points":    {geom.Pt(0, 0), geom.Pt(1, 1)},
 	}
 	for name, pts := range cases {
 		t.Run(name, func(t *testing.T) {
-			tri, err := Delaunay(pts)
+			tri, err := oracle.Delaunay(pts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,12 +80,12 @@ func TestMeshDegenerateInputs(t *testing.T) {
 // predicates land on, and must still produce a valid triangulation (or
 // the degenerate empty one).
 func TestSeedSearchGuardNearCollinear(t *testing.T) {
-	base := []Point{Pt(0, 0), Pt(100, 0), Pt(200, 0), Pt(300, 0), Pt(400, 0)}
+	base := []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(200, 0), geom.Pt(300, 0), geom.Pt(400, 0)}
 	for _, eps := range []float64{0, 1e-300, 1e-18, 1e-12, 5e-9} {
 		for perturb := 0; perturb < len(base); perturb++ {
 			pts := slices.Clone(base)
 			pts[perturb].Y += eps
-			tri, err := Delaunay(pts)
+			tri, err := oracle.Delaunay(pts)
 			if err != nil {
 				t.Fatalf("eps=%g@%d: %v", eps, perturb, err)
 			}
@@ -91,16 +100,16 @@ func TestSeedSearchGuardNearCollinear(t *testing.T) {
 func TestDelaunayDegenerate(t *testing.T) {
 	tests := []struct {
 		name string
-		pts  []Point
+		pts  []geom.Point
 	}{
 		{"empty", nil},
-		{"single", []Point{Pt(1, 2)}},
-		{"pair", []Point{Pt(0, 0), Pt(1, 0)}},
-		{"collinear", []Point{Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(3, 3)}},
+		{"single", []geom.Point{geom.Pt(1, 2)}},
+		{"pair", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}},
+		{"collinear", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(3, 3)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			tri, err := Delaunay(tt.pts)
+			tri, err := oracle.Delaunay(tt.pts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,28 +121,28 @@ func TestDelaunayDegenerate(t *testing.T) {
 }
 
 func TestDelaunayDuplicateDetection(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(1, 0), Pt(0, 0)}
-	if _, err := Delaunay(pts); err != ErrDuplicatePoint {
-		t.Errorf("got err %v, want ErrDuplicatePoint", err)
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 0)}
+	if _, err := oracle.Delaunay(pts); err != oracle.ErrDuplicatePoint {
+		t.Errorf("got err %v, want oracle.ErrDuplicatePoint", err)
 	}
 }
 
 // TestMeshDuplicateRejected checks that a duplicate behind distinct points
 // is still found, by Delaunay and by DelaunayGraph.
 func TestMeshDuplicateRejected(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(1, 1), Pt(0, 0), Pt(2, 0)}
-	if _, err := Delaunay(pts); err != ErrDuplicatePoint {
-		t.Errorf("Delaunay: got err %v, want ErrDuplicatePoint", err)
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(0, 0), geom.Pt(2, 0)}
+	if _, err := oracle.Delaunay(pts); err != oracle.ErrDuplicatePoint {
+		t.Errorf("Delaunay: got err %v, want oracle.ErrDuplicatePoint", err)
 	}
-	if _, err := DelaunayGraph(pts); err != ErrDuplicatePoint {
-		t.Errorf("DelaunayGraph: got err %v, want ErrDuplicatePoint", err)
+	if _, err := oracle.DelaunayGraph(pts); err != oracle.ErrDuplicatePoint {
+		t.Errorf("DelaunayGraph: got err %v, want oracle.ErrDuplicatePoint", err)
 	}
 }
 
 func TestDelaunayGraphDegenerate(t *testing.T) {
 	// Collinear points must be connected in path order (the DT limit).
-	pts := []Point{Pt(3, 3), Pt(0, 0), Pt(2, 2), Pt(1, 1)}
-	g, err := DelaunayGraph(pts)
+	pts := []geom.Point{geom.Pt(3, 3), geom.Pt(0, 0), geom.Pt(2, 2), geom.Pt(1, 1)}
+	g, err := oracle.DelaunayGraph(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +157,7 @@ func TestDelaunayGraphDegenerate(t *testing.T) {
 		}
 	}
 	// Two points.
-	g2, err := DelaunayGraph([]Point{Pt(0, 0), Pt(5, 5)})
+	g2, err := oracle.DelaunayGraph([]geom.Point{geom.Pt(0, 0), geom.Pt(5, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +171,10 @@ func TestDelaunayGraphDegenerate(t *testing.T) {
 // the edges do not cross, and the triangulation covers the convex hull
 // (checked via Euler's relation for triangulations of point sets:
 // T = 2n − h − 2).
-func assertDelaunayValid(t *testing.T, tri *Triangulation) {
+func assertDelaunayValid(t *testing.T, tri *oracle.Triangulation) {
 	t.Helper()
 	pts := tri.Points
-	g := NewGraph(len(pts))
+	g := geom.NewGraph(len(pts))
 	for _, e := range tri.Edges() {
 		g.AddEdge(e[0], e[1])
 	}
@@ -173,19 +182,19 @@ func assertDelaunayValid(t *testing.T, tri *Triangulation) {
 		t.Fatalf("edges cross")
 	}
 	for _, tr := range tri.Triangles {
-		if Orient(pts[tr.A], pts[tr.B], pts[tr.C]) <= 0 {
+		if geom.Orient(pts[tr.A], pts[tr.B], pts[tr.C]) <= 0 {
 			t.Fatalf("triangle %v not CCW", tr)
 		}
 		for i, p := range pts {
 			if i == tr.A || i == tr.B || i == tr.C {
 				continue
 			}
-			if InCircle(pts[tr.A], pts[tr.B], pts[tr.C], p) > 0 {
+			if geom.InCircle(pts[tr.A], pts[tr.B], pts[tr.C], p) > 0 {
 				t.Fatalf("point %d strictly inside circumcircle of %v", i, tr)
 			}
 		}
 	}
-	if len(pts) >= 3 && !allCollinear(pts) {
+	if len(pts) >= 3 && !collinear(pts) {
 		h := boundaryPointCount(pts)
 		wantTriangles := 2*len(pts) - h - 2
 		if len(tri.Triangles) != wantTriangles {
@@ -195,17 +204,28 @@ func assertDelaunayValid(t *testing.T, tri *Triangulation) {
 	}
 }
 
+// collinear reports whether every point lies on the line through the
+// first two.
+func collinear(pts []geom.Point) bool {
+	for _, p := range pts[2:] {
+		if geom.Orient(pts[0], pts[1], p) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // boundaryPointCount returns the number of input points lying on the convex
 // hull boundary (hull vertices plus points collinear on hull edges) — the h
 // in Euler's triangle-count relation T = 2n − h − 2.
-func boundaryPointCount(pts []Point) int {
-	hull := ConvexHull(pts)
+func boundaryPointCount(pts []geom.Point) int {
+	hull := oracle.ConvexHull(pts)
 	count := 0
 	for _, p := range pts {
 		for i := range hull {
 			a := pts[hull[i]]
 			b := pts[hull[(i+1)%len(hull)]]
-			if PointOnSegment(p, a, b) {
+			if geom.PointOnSegment(p, a, b) {
 				count++
 				break
 			}
@@ -218,8 +238,8 @@ func TestDelaunayRandomValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + rng.Intn(40)
-		pts := randomPoints(rng, n, 1000, 1000)
-		tri, err := Delaunay(pts)
+		pts := geom.RandomPoints(rng, n, 1000, 1000)
+		tri, err := oracle.Delaunay(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,17 +253,17 @@ func TestDelaunayClusteredValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		n := 10 + rng.Intn(20)
-		pts := make([]Point, 0, n)
-		seen := map[Point]struct{}{}
+		pts := make([]geom.Point, 0, n)
+		seen := map[geom.Point]struct{}{}
 		for len(pts) < n {
-			p := Pt(500+rng.Float64(), 500+rng.Float64())
+			p := geom.Pt(500+rng.Float64(), 500+rng.Float64())
 			if _, dup := seen[p]; dup {
 				continue
 			}
 			seen[p] = struct{}{}
 			pts = append(pts, p)
 		}
-		tri, err := Delaunay(pts)
+		tri, err := oracle.Delaunay(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,26 +274,26 @@ func TestDelaunayClusteredValid(t *testing.T) {
 func TestDelaunayGridNearlyCocircular(t *testing.T) {
 	// A perfect grid has many exactly-cocircular 4-point sets; the exact
 	// predicates must keep the triangulation consistent.
-	var pts []Point
+	var pts []geom.Point
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
-			pts = append(pts, Pt(float64(i), float64(j)))
+			pts = append(pts, geom.Pt(float64(i), float64(j)))
 		}
 	}
-	tri, err := Delaunay(pts)
+	tri, err := oracle.Delaunay(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts2 := tri.Points
 	for _, tr := range tri.Triangles {
-		if Orient(pts2[tr.A], pts2[tr.B], pts2[tr.C]) <= 0 {
+		if geom.Orient(pts2[tr.A], pts2[tr.B], pts2[tr.C]) <= 0 {
 			t.Fatalf("triangle %v not CCW", tr)
 		}
 		for i, p := range pts2 {
 			if i == tr.A || i == tr.B || i == tr.C {
 				continue
 			}
-			if InCircle(pts2[tr.A], pts2[tr.B], pts2[tr.C], p) > 0 {
+			if geom.InCircle(pts2[tr.A], pts2[tr.B], pts2[tr.C], p) > 0 {
 				t.Fatalf("grid: point %d strictly inside circumcircle of %v", i, tr)
 			}
 		}
@@ -292,8 +312,8 @@ func TestDelaunayGridNearlyCocircular(t *testing.T) {
 func TestDelaunayGraphPlanar(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 20; trial++ {
-		pts := randomPoints(rng, 30, 500, 500)
-		g, err := DelaunayGraph(pts)
+		pts := geom.RandomPoints(rng, 30, 500, 500)
+		g, err := oracle.DelaunayGraph(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,8 +330,8 @@ func TestDelaunayContainsNearestNeighborEdges(t *testing.T) {
 	// The nearest-neighbor graph is a subgraph of the Delaunay
 	// triangulation — a classical property, good end-to-end check.
 	rng := rand.New(rand.NewSource(7))
-	pts := randomPoints(rng, 60, 1000, 1000)
-	g, err := DelaunayGraph(pts)
+	pts := geom.RandomPoints(rng, 60, 1000, 1000)
+	g, err := oracle.DelaunayGraph(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +348,174 @@ func TestDelaunayContainsNearestNeighborEdges(t *testing.T) {
 		}
 		if !g.HasEdge(i, best) {
 			t.Fatalf("nearest-neighbor edge (%d,%d) missing from Delaunay graph", i, best)
+		}
+	}
+}
+
+// Property: the Delaunay triangulation is planar and satisfies the
+// empty-circumcircle condition on any distinct point set, including
+// grid-degenerate ones.
+func TestDelaunayPropertyQuick(t *testing.T) {
+	f := func(pts []geom.Point) bool {
+		tri, err := oracle.Delaunay(pts)
+		if err != nil {
+			return false
+		}
+		for _, tr := range tri.Triangles {
+			if geom.Orient(pts[tr.A], pts[tr.B], pts[tr.C]) <= 0 {
+				return false
+			}
+			for i, p := range pts {
+				if i == tr.A || i == tr.B || i == tr.C {
+					continue
+				}
+				if geom.InCircle(pts[tr.A], pts[tr.B], pts[tr.C], p) > 0 {
+					return false
+				}
+			}
+		}
+		g := geom.NewGraph(len(pts))
+		for _, e := range tri.Edges() {
+			g.AddEdge(e[0], e[1])
+		}
+		return g.IsPlanarEmbedding(pts)
+	}
+	cfg := &quick.Config{MaxCount: 60, Values: geom.PointSetGenerator(3, 24)}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: Delaunay edge lengths dominate the nearest-neighbor distance
+// (every vertex keeps an edge to its nearest neighbor), and the
+// triangulation's total edge count obeys the planar bound.
+func TestDelaunayEdgeBoundsQuick(t *testing.T) {
+	f := func(pts []geom.Point) bool {
+		g, err := oracle.DelaunayGraph(pts)
+		if err != nil {
+			return false
+		}
+		if g.EdgeCount() > 3*len(pts)-6 && len(pts) >= 3 {
+			return false
+		}
+		for i := range pts {
+			if len(pts) < 2 {
+				break
+			}
+			best, bestD := -1, math.Inf(1)
+			for j := range pts {
+				if i == j {
+					continue
+				}
+				if d := pts[i].Dist2(pts[j]); d < bestD {
+					best, bestD = j, d
+				}
+			}
+			// Nearest-neighbor edges belong to every Delaunay
+			// triangulation except in exact-tie degeneracies; accept
+			// either the edge or a tie.
+			if !g.HasEdge(i, best) {
+				ties := 0
+				for j := range pts {
+					if j != i && pts[i].Dist2(pts[j]) == bestD {
+						ties++
+					}
+				}
+				if ties <= 1 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 50, Values: geom.PointSetGenerator(2, 20)}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestConvexHull(t *testing.T) {
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(2, 2), geom.Pt(0, 2), geom.Pt(1, 1), geom.Pt(1, 0)}
+	hull := oracle.ConvexHull(pts)
+	want := []int{0, 1, 2, 3} // CCW from lexicographic min; interior and edge points excluded
+	if !reflect.DeepEqual(hull, want) {
+		t.Errorf("hull = %v, want %v", hull, want)
+	}
+}
+
+func TestConvexHullDegenerate(t *testing.T) {
+	if got := oracle.ConvexHull(nil); len(got) != 0 {
+		t.Errorf("empty hull = %v", got)
+	}
+	if got := oracle.ConvexHull([]geom.Point{geom.Pt(1, 1)}); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("single hull = %v", got)
+	}
+	got := oracle.ConvexHull([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(2, 2)})
+	if len(got) != 2 {
+		t.Errorf("collinear hull = %v, want two extreme points", got)
+	}
+	// Duplicates collapse.
+	got = oracle.ConvexHull([]geom.Point{geom.Pt(0, 0), geom.Pt(0, 0), geom.Pt(1, 0)})
+	if len(got) != 2 {
+		t.Errorf("duplicate hull = %v, want 2 points", got)
+	}
+}
+
+// Property: the convex hull contains every input point and its vertices
+// are in strictly counterclockwise order.
+func TestConvexHullPropertyQuick(t *testing.T) {
+	f := func(pts []geom.Point) bool {
+		hull := oracle.ConvexHull(pts)
+		if len(hull) >= 3 {
+			for i := range hull {
+				a := pts[hull[i]]
+				b := pts[hull[(i+1)%len(hull)]]
+				c := pts[hull[(i+2)%len(hull)]]
+				if geom.Orient(a, b, c) <= 0 {
+					return false
+				}
+			}
+		}
+		for _, p := range pts {
+			if !insideHull(pts, hull, p) {
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 80, Values: geom.PointSetGenerator(1, 30)}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// insideHull reports whether p lies in the closed convex polygon whose
+// vertices pts[hull[i]] are in counterclockwise order, or, for a hull of
+// one or two points, on that point or segment.
+func insideHull(pts []geom.Point, hull []int, p geom.Point) bool {
+	switch len(hull) {
+	case 1:
+		return p.Eq(pts[hull[0]])
+	case 2:
+		return geom.PointOnSegment(p, pts[hull[0]], pts[hull[1]])
+	}
+	for i := range hull {
+		if geom.Orient(pts[hull[i]], pts[hull[(i+1)%len(hull)]], p) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func TestHullContainsAllPointsRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		pts := geom.RandomPoints(rng, 40, 100, 100)
+		hull := oracle.ConvexHull(pts)
+		for _, p := range pts {
+			if !insideHull(pts, hull, p) {
+				t.Fatalf("hull must contain its own points: %v", p)
+			}
 		}
 	}
 }

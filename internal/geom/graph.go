@@ -3,8 +3,8 @@ package geom
 import "sort"
 
 // Graph is an undirected graph over vertices 0..n-1 with deterministic,
-// sorted adjacency lists. It is the common currency between the Delaunay
-// construction, the unit-disk model, and the LDTG spanner.
+// sorted adjacency lists. It is the common currency between the unit-disk
+// model and the LDTG spanner.
 type Graph struct {
 	adj []map[int]struct{}
 }
@@ -28,12 +28,6 @@ func (g *Graph) AddEdge(u, v int) {
 	}
 	g.adj[u][v] = struct{}{}
 	g.adj[v][u] = struct{}{}
-}
-
-// HasEdge reports whether the undirected edge uv is present.
-func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.adj[u][v]
-	return ok
 }
 
 // Neighbors returns the neighbors of u in ascending order. The returned
@@ -74,17 +68,6 @@ func (g *Graph) EdgeCount() int {
 		total += len(g.adj[u])
 	}
 	return total / 2
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.N())
-	for u := range g.adj {
-		for v := range g.adj[u] {
-			c.adj[u][v] = struct{}{}
-		}
-	}
-	return c
 }
 
 // Components returns the connected components of g, each sorted ascending,

@@ -95,18 +95,6 @@ func TestKHop(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := pathGraph(4)
-	c := g.Clone()
-	c.AddEdge(0, 3)
-	if g.HasEdge(0, 3) {
-		t.Error("mutating clone must not affect original")
-	}
-	if !c.HasEdge(1, 2) {
-		t.Error("clone must contain original edges")
-	}
-}
-
 func TestIsPlanarEmbedding(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(2, 2), Pt(0, 2), Pt(2, 0)}
 	g := NewGraph(4)
@@ -193,63 +181,5 @@ func TestConnectivityThresholdPredictsConnectivity(t *testing.T) {
 	}
 	if got := connAt(0.4 * rstar); got > trials/4 {
 		t.Errorf("at 0.4·r* %d/%d connected — too many", got, trials)
-	}
-}
-
-func TestConvexHull(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2), Pt(1, 1), Pt(1, 0)}
-	hull := ConvexHull(pts)
-	want := []int{0, 1, 2, 3} // CCW from lexicographic min; interior and edge points excluded
-	if !reflect.DeepEqual(hull, want) {
-		t.Errorf("hull = %v, want %v", hull, want)
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if got := ConvexHull(nil); len(got) != 0 {
-		t.Errorf("empty hull = %v", got)
-	}
-	if got := ConvexHull([]Point{Pt(1, 1)}); !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("single hull = %v", got)
-	}
-	got := ConvexHull([]Point{Pt(0, 0), Pt(1, 1), Pt(2, 2)})
-	if len(got) != 2 {
-		t.Errorf("collinear hull = %v, want two extreme points", got)
-	}
-	// Duplicates collapse.
-	got = ConvexHull([]Point{Pt(0, 0), Pt(0, 0), Pt(1, 0)})
-	if len(got) != 2 {
-		t.Errorf("duplicate hull = %v, want 2 points", got)
-	}
-}
-
-// insideHull reports whether p lies in the closed convex polygon whose
-// vertices pts[hull[i]] are in counterclockwise order, or, for a hull of
-// one or two points, on that point or segment.
-func insideHull(pts []Point, hull []int, p Point) bool {
-	switch len(hull) {
-	case 1:
-		return p.Eq(pts[hull[0]])
-	case 2:
-		return PointOnSegment(p, pts[hull[0]], pts[hull[1]])
-	}
-	for i := range hull {
-		if Orient(pts[hull[i]], pts[hull[(i+1)%len(hull)]], p) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func TestHullContainsAllPointsRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		pts := randomPoints(rng, 40, 100, 100)
-		hull := ConvexHull(pts)
-		for _, p := range pts {
-			if !insideHull(pts, hull, p) {
-				t.Fatalf("hull must contain its own points: %v", p)
-			}
-		}
 	}
 }

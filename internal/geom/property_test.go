@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -31,68 +30,6 @@ func pointSetGenerator(minN, maxN int) func([]reflect.Value, *rand.Rand) {
 			pts = append(pts, p)
 		}
 		args[0] = reflect.ValueOf(pts)
-	}
-}
-
-// Property: the Delaunay triangulation is planar and satisfies the
-// empty-circumcircle condition on any distinct point set, including
-// grid-degenerate ones.
-func TestDelaunayPropertyQuick(t *testing.T) {
-	f := func(pts []Point) bool {
-		tri, err := Delaunay(pts)
-		if err != nil {
-			return false
-		}
-		for _, tr := range tri.Triangles {
-			if Orient(pts[tr.A], pts[tr.B], pts[tr.C]) <= 0 {
-				return false
-			}
-			for i, p := range pts {
-				if i == tr.A || i == tr.B || i == tr.C {
-					continue
-				}
-				if InCircle(pts[tr.A], pts[tr.B], pts[tr.C], p) > 0 {
-					return false
-				}
-			}
-		}
-		g := NewGraph(len(pts))
-		for _, e := range tri.Edges() {
-			g.AddEdge(e[0], e[1])
-		}
-		return g.IsPlanarEmbedding(pts)
-	}
-	cfg := &quick.Config{MaxCount: 60, Values: pointSetGenerator(3, 24)}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the convex hull contains every input point and its vertices
-// are in strictly counterclockwise order.
-func TestConvexHullPropertyQuick(t *testing.T) {
-	f := func(pts []Point) bool {
-		hull := ConvexHull(pts)
-		if len(hull) >= 3 {
-			for i := range hull {
-				a := pts[hull[i]]
-				b := pts[hull[(i+1)%len(hull)]]
-				c := pts[hull[(i+2)%len(hull)]]
-				if Orient(a, b, c) <= 0 {
-					return false
-				}
-			}
-		}
-		for _, p := range pts {
-			if !insideHull(pts, hull, p) {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 80, Values: pointSetGenerator(1, 30)}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -127,52 +64,4 @@ func componentOf(g *Graph, v int) int {
 		}
 	}
 	return -1
-}
-
-// Property: Delaunay edge lengths dominate the nearest-neighbor distance
-// (every vertex keeps an edge to its nearest neighbor), and the
-// triangulation's total edge count obeys the planar bound.
-func TestDelaunayEdgeBoundsQuick(t *testing.T) {
-	f := func(pts []Point) bool {
-		g, err := DelaunayGraph(pts)
-		if err != nil {
-			return false
-		}
-		if g.EdgeCount() > 3*len(pts)-6 && len(pts) >= 3 {
-			return false
-		}
-		for i := range pts {
-			if len(pts) < 2 {
-				break
-			}
-			best, bestD := -1, math.Inf(1)
-			for j := range pts {
-				if i == j {
-					continue
-				}
-				if d := pts[i].Dist2(pts[j]); d < bestD {
-					best, bestD = j, d
-				}
-			}
-			// Nearest-neighbor edges belong to every Delaunay
-			// triangulation except in exact-tie degeneracies; accept
-			// either the edge or a tie.
-			if !g.HasEdge(i, best) {
-				ties := 0
-				for j := range pts {
-					if j != i && pts[i].Dist2(pts[j]) == bestD {
-						ties++
-					}
-				}
-				if ties <= 1 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 50, Values: pointSetGenerator(2, 20)}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
 }

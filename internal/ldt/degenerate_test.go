@@ -1,4 +1,4 @@
-package ldt
+package ldt_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"glr/internal/geom"
+	"glr/internal/ldt"
 )
 
 // gridPoints returns a cols×rows lattice at the given spacing.
@@ -64,7 +65,7 @@ func degenerateSets() []degenerateSet {
 	rng := rand.New(rand.NewSource(41))
 	dupGrid := gridPoints(4, 4, 40)
 	dupGrid = append(dupGrid, dupGrid[0], dupGrid[5], dupGrid[5], dupGrid[10], dupGrid[15])
-	randDup := randomPoints(rng, 30, 400, 400)
+	randDup := ldt.RandomPoints(rng, 30, 400, 400)
 	randDup = append(randDup, randDup[3], randDup[7], randDup[11])
 	rings := append(latticeRing(25, 4), latticeRing(5, 10)...)
 	var line, lineOff []geom.Point
@@ -95,10 +96,10 @@ func degenerateSets() []degenerateSet {
 func spannerUnion(t *testing.T, pts []geom.Point, r float64) *geom.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(len(pts))))
-	m := NewMaintainer()
+	m := ldt.NewMaintainer()
 	union := geom.NewGraph(len(pts))
-	sortedAnswer := func(view *LocalView) []int {
-		ids, _ := m.Neighbors(view, VariantLDTG)
+	sortedAnswer := func(view *ldt.LocalView) []int {
+		ids, _ := m.Neighbors(view, ldt.VariantLDTG)
 		ids = slices.Clone(ids)
 		slices.Sort(ids)
 		return ids
@@ -140,18 +141,18 @@ func TestSpannerDegenerateSets(t *testing.T) {
 					if !g.IsPlanarEmbedding(set.pts) {
 						t.Errorf("%s r=%v k=%d: accepted edges cross", name, r, k)
 					}
-					for _, e := range GabrielGraph(set.pts, r).Edges() {
+					for _, e := range ldt.GabrielGraph(set.pts, r).Edges() {
 						if set.pts[e[0]].Eq(set.pts[e[1]]) {
 							continue
 						}
-						if !g.HasEdge(e[0], e[1]) {
+						if !hasEdge(g, e[0], e[1]) {
 							t.Errorf("%s r=%v k=%d: Gabriel edge %v missing", name, r, k, e)
 						}
 					}
 				}
-				check("union", K, spannerUnion(t, set.pts, r))
+				check("union", ldt.K, spannerUnion(t, set.pts, r))
 				for _, k := range set.ks {
-					whole, err := BuildLDTG(set.pts, r, k)
+					whole, err := ldt.BuildLDTG(set.pts, r, k)
 					if err != nil {
 						t.Fatalf("r=%v k=%d: BuildLDTG: %v", r, k, err)
 					}
@@ -183,8 +184,8 @@ func TestSpannerCocircularSquareDiagonal(t *testing.T) {
 			for v := u + 1; v < len(tc.pts); v++ {
 				diag := (v-u)%2 == 0
 				kept := [2]int{u, v} == tc.diagonal
-				if want := !diag || kept; union.HasEdge(u, v) != want {
-					t.Errorf("%s: edge %d-%d accepted=%v, want %v", tc.name, u, v, union.HasEdge(u, v), want)
+				if want := !diag || kept; hasEdge(union, u, v) != want {
+					t.Errorf("%s: edge %d-%d accepted=%v, want %v", tc.name, u, v, hasEdge(union, u, v), want)
 				}
 			}
 		}

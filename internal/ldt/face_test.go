@@ -137,7 +137,7 @@ func TestFaceRoutingFullDeliveryOnPlanarSpanner(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	trials := 0
 	for trials < 12 {
-		pts := randomPoints(rng, 40, 1000, 1000)
+		pts := RandomPoints(rng, 40, 1000, 1000)
 		const r = 280
 		if !geom.UnitDiskGraph(pts, r).Connected() {
 			continue

@@ -1,4 +1,4 @@
-package ldt
+package ldt_test
 
 import (
 	"encoding/binary"
@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"glr/internal/geom"
+	"glr/internal/ldt"
+	"glr/internal/oracle"
 )
 
 // fuzzView decodes a fuzzed point set. On the lattice, each byte is a
 // point of an 8×8 integer grid, so coincident, collinear and cocircular
 // ties are common, and r is folded into [1, 7). Raw mode reads each 16
 // bytes as two IEEE-754 coordinates and keeps r as given, so non-finite
-// and extreme values reach NewLocalView.
+// and extreme values reach Set.
 func fuzzView(data []byte, raw bool, r float64) ([]geom.Point, float64) {
 	var pts []geom.Point
 	if raw {
@@ -43,7 +45,7 @@ func rawPoints(pts ...geom.Point) []byte {
 	return out
 }
 
-// FuzzSpannerNeighbors: for any view, NewLocalView either rejects it
+// FuzzSpannerNeighbors: for any view, Set either rejects it
 // (exactly when the radius or a coordinate is not finite, or the radius
 // is not positive) or the LDTG query returns without panicking, accepts
 // exactly the neighbors of the per-witness rule in view order (on exact
@@ -72,21 +74,21 @@ func FuzzSpannerNeighbors(f *testing.F) {
 		for _, p := range pts {
 			finite = finite && !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
 		}
-		view, err := NewLocalView(ids[0], ids, pts, r)
+		view, err := newView(ids[0], ids, pts, r)
 		if (err == nil) != finite {
-			t.Fatalf("NewLocalView(r=%v, %v) error %v, want an error iff not finite", r, pts, err)
+			t.Fatalf("Set(r=%v, %v) error %v, want an error iff not finite", r, pts, err)
 		}
 		if err != nil {
 			return
 		}
-		m := NewMaintainer()
-		got, _ := m.Neighbors(view, VariantLDTG)
+		m := ldt.NewMaintainer()
+		got, _ := m.Neighbors(view, ldt.VariantLDTG)
 		got = slices.Clone(got)
-		if want := perWitnessNeighbors(view); !slices.Equal(got, want) {
+		if want := ldt.PerWitnessNeighbors(view); !slices.Equal(got, want) {
 			t.Fatalf("maintainer accepted %v, per-witness rule %v", got, want)
 		}
 		udg := map[int]bool{}
-		for _, li := range view.UDGNeighbors() {
+		for _, li := range oracle.UDGNeighbors(view) {
 			udg[view.IDs[li]] = true
 		}
 		for _, id := range got {
@@ -98,7 +100,7 @@ func FuzzSpannerNeighbors(f *testing.F) {
 		// may reject a view it cannot triangulate, but must not panic or
 		// accept anything outside self's unit disk.
 		kk := 1 + int(k%3)
-		if local, err := view.LDTGNeighbors(kk); err == nil {
+		if local, err := oracle.LDTGNeighbors(view, kk); err == nil {
 			for _, li := range local {
 				if !udg[view.IDs[li]] {
 					t.Fatalf("oracle at k=%d accepted %d, not a unit-disk neighbor of self", kk, view.IDs[li])
@@ -108,11 +110,11 @@ func FuzzSpannerNeighbors(f *testing.F) {
 		rIDs, rPts := slices.Clone(ids), slices.Clone(pts)
 		slices.Reverse(rIDs[1:])
 		slices.Reverse(rPts[1:])
-		rev, err := NewLocalView(ids[0], rIDs, rPts, r)
+		rev, err := newView(ids[0], rIDs, rPts, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, _ := m.Neighbors(rev, VariantLDTG)
+		again, _ := m.Neighbors(rev, ldt.VariantLDTG)
 		again = slices.Clone(again)
 		slices.Sort(got)
 		slices.Sort(again)

@@ -20,9 +20,9 @@
 //     subset, so one scan of that set accepts nearly every edge; only an
 //     edge the points beyond k hops reject is scanned witness by witness.
 //
-// LocalView.LDTGNeighbors (oracle.go) is the triangulating oracle the
-// Maintainer is tested against; only tests call it. On exact ties, where
-// triangulations differ, the tests compare the Maintainer with the
+// The tests compare the Maintainer with the triangulating
+// LDTGNeighbors of internal/oracle, a package only tests import. On
+// exact ties, where triangulations differ, they compare it with the
 // per-witness rule, each witness set scanned in turn.
 package ldt
 
@@ -119,19 +119,11 @@ type LocalView struct {
 	R      float64      // transmission radius
 }
 
-// NewLocalView validates and builds a view. ids[0] must be selfID.
-func NewLocalView(selfID int, ids []int, pts []geom.Point, r float64) (*LocalView, error) {
-	v := &LocalView{}
-	if err := v.Set(selfID, ids, pts, r); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// Set validates the inputs exactly as NewLocalView does and, when they
-// pass, fills v with them, keeping ids and pts (not copies). On error v
-// is left unchanged. A caller that queries every tick refills one view
-// with Set instead of building a new one.
+// Set validates a view and, when it is valid, fills v with it, keeping
+// ids and pts (not copies). ids[0] must be selfID, ids and pts must be
+// parallel, and r and every coordinate must be finite, with r > 0. On
+// error v is left unchanged. A caller that queries every tick refills
+// one view.
 func (v *LocalView) Set(selfID int, ids []int, pts []geom.Point, r float64) error {
 	if len(ids) == 0 || ids[0] != selfID {
 		return fmt.Errorf("ldt: view must list self first")

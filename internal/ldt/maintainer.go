@@ -30,15 +30,16 @@ type SpannerStats struct {
 	Queries   uint64 // Neighbors calls
 	BuildTime time.Duration
 
-	// ResultHits, TriBuilds, TriHits, SpecBuilds and SpecAdopted are
-	// always 0. Every query decides each edge by empty-circle scans of
-	// the view's points: nothing is triangulated, cached or built ahead
-	// of a query. The fields stay because the repository benchmark reads
-	// them (see internal/sim/benchcompat.go).
-	ResultHits, TriBuilds, TriHits, SpecBuilds, SpecAdopted uint64
+	// ResultHits, TriBuilds, SpecBuilds and SpecAdopted are always 0.
+	// Every query decides each edge by empty-circle scans of the view's
+	// points: nothing is triangulated, cached or built ahead of a query.
+	// The fields stay because the repository benchmark reads them (see
+	// internal/sim/benchcompat.go).
+	ResultHits, TriBuilds, SpecBuilds, SpecAdopted uint64
 }
 
-// TriHitRate is always 0, like TriHits; the repository benchmark reads it.
+// TriHitRate is always 0: no query triangulates. The repository
+// benchmark reads it.
 func (s SpannerStats) TriHitRate() float64 { return 0 }
 
 // Maintainer answers spanner queries for the routing loop. One
@@ -84,9 +85,10 @@ func (m *Maintainer) Stats() SpannerStats { return m.stats }
 
 // Neighbors returns the global ids and positions of the accepted spanner
 // neighbors of view's self node, in view order, per the requested
-// variant. The LDTG answer equals that of LDTGNeighbors(K) on views in general
-// position; on exact cocircular ties it follows the symbolic
-// perturbation of sosInside, which keeps the spanner planar.
+// variant. The LDTG answer equals that of the test oracle's
+// LDTGNeighbors at K (internal/oracle) on views in general position; on
+// exact cocircular ties it follows the symbolic perturbation of
+// sosInside, which keeps the spanner planar.
 //
 // The returned slices are scratch storage: callers may read them until
 // the next Neighbors call on this Maintainer but must not modify or

@@ -1,4 +1,4 @@
-package ldt
+package ldt_test
 
 import (
 	"math/big"
@@ -9,11 +9,22 @@ import (
 	"testing"
 
 	"glr/internal/geom"
+	"glr/internal/ldt"
+	"glr/internal/oracle"
 )
+
+// newView returns a view filled by Set, or Set's error.
+func newView(self int, ids []int, pts []geom.Point, r float64) (*ldt.LocalView, error) {
+	v := new(ldt.LocalView)
+	if err := v.Set(self, ids, pts, r); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
 
 // buildView assembles the 2-hop view of node self over pts with arbitrary
 // global ids supplied by label.
-func buildView(t *testing.T, pts []geom.Point, self int, r float64, label func(int) int) *LocalView {
+func buildView(t *testing.T, pts []geom.Point, self int, r float64, label func(int) int) *ldt.LocalView {
 	t.Helper()
 	udg := geom.UnitDiskGraph(pts, r)
 	ids := []int{label(self)}
@@ -24,7 +35,7 @@ func buildView(t *testing.T, pts []geom.Point, self int, r float64, label func(i
 			vpts = append(vpts, pts[v])
 		}
 	}
-	view, err := NewLocalView(label(self), ids, vpts, r)
+	view, err := newView(label(self), ids, vpts, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +43,7 @@ func buildView(t *testing.T, pts []geom.Point, self int, r float64, label func(i
 }
 
 // viewIDs maps local acceptance indices to global ids, in view order.
-func viewIDs(view *LocalView, local []int) []int {
+func viewIDs(view *ldt.LocalView, local []int) []int {
 	out := make([]int, len(local))
 	for i, li := range local {
 		out[i] = view.IDs[li]
@@ -41,7 +52,7 @@ func viewIDs(view *LocalView, local []int) []int {
 }
 
 // acceptedIDs maps local acceptance indices to sorted global ids.
-func acceptedIDs(view *LocalView, local []int) []int {
+func acceptedIDs(view *ldt.LocalView, local []int) []int {
 	out := viewIDs(view, local)
 	sort.Ints(out)
 	return out
@@ -51,58 +62,26 @@ func acceptedIDs(view *LocalView, local []int) []int {
 // the triangulating LDTGNeighbors for the LDTG, and the whole-view
 // Gabriel and unit-disk graphs for the other variants, mapped to global
 // ids in view order.
-func referenceNeighbors(t *testing.T, view *LocalView, variant Variant, k int) []int {
+func referenceNeighbors(t *testing.T, view *ldt.LocalView, variant ldt.Variant, k int) []int {
 	t.Helper()
 	var local []int
 	switch variant {
-	case VariantGabriel:
-		local = view.GabrielNeighbors()
-	case VariantUDG:
-		local = view.UDGNeighbors()
+	case ldt.VariantGabriel:
+		local = oracle.GabrielNeighbors(view)
+	case ldt.VariantUDG:
+		local = oracle.UDGNeighbors(view)
 	default:
 		var err error
-		if local, err = view.LDTGNeighbors(k); err != nil {
+		if local, err = oracle.LDTGNeighbors(view, k); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return viewIDs(view, local)
 }
 
-// perWitnessNeighbors is the LDTG rule applied one witness set at a
-// time: a candidate is accepted iff delaunayEdge finds it in self's K-hop
-// set and in the K-hop set of each neighbor of self that holds both
-// endpoints. It returns global ids in view order. The Maintainer ran this
-// for every candidate before it scanned self's (K+1)-hop set, and runs it
-// still for the candidates the points beyond K hops reject. It shares
-// sosInside's tie-break with the Maintainer, so unlike the triangulating
-// LDTGNeighbors it can be compared on exact ties.
-func perWitnessNeighbors(view *LocalView) []int {
-	m := NewMaintainer()
-	m.buildAdjacency(view)
-	selfNbrs := m.adj[0]
-	var acc []int
-	set := m.khop(0)
-	for _, nb := range selfNbrs {
-		if delaunayEdge(view.Pts, set, 0, nb) {
-			acc = append(acc, nb)
-		}
-	}
-	for _, w := range selfNbrs {
-		set := m.khop(w)
-		keep := acc[:0]
-		for _, nb := range acc {
-			if m.seen[nb] != m.seenGen || delaunayEdge(view.Pts, set, 0, nb) {
-				keep = append(keep, nb)
-			}
-		}
-		acc = keep
-	}
-	return viewIDs(view, acc)
-}
-
 // permutedView returns view with the points after self shuffled: the same
 // query in a different order, which must accept the same neighbors.
-func permutedView(t *testing.T, view *LocalView, rng *rand.Rand) *LocalView {
+func permutedView(t *testing.T, view *ldt.LocalView, rng *rand.Rand) *ldt.LocalView {
 	t.Helper()
 	ids := []int{view.IDs[0]}
 	pts := []geom.Point{view.Pts[0]}
@@ -110,7 +89,7 @@ func permutedView(t *testing.T, view *LocalView, rng *rand.Rand) *LocalView {
 		ids = append(ids, view.IDs[j+1])
 		pts = append(pts, view.Pts[j+1])
 	}
-	pv, err := NewLocalView(view.SelfID, ids, pts, view.R)
+	pv, err := newView(view.SelfID, ids, pts, view.R)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +105,9 @@ func permutedView(t *testing.T, view *LocalView, rng *rand.Rand) *LocalView {
 // defect.
 func TestMaintainerMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := NewMaintainer()
+	m := ldt.NewMaintainer()
 	const r = 250
-	pts := randomPoints(rng, 40, 900, 900)
+	pts := ldt.RandomPoints(rng, 40, 900, 900)
 	for epoch := 0; epoch < 12; epoch++ {
 		// Random-walk a subset of nodes between epochs so some witness
 		// neighborhoods stay identical and some change.
@@ -140,10 +119,10 @@ func TestMaintainerMatchesFromScratch(t *testing.T) {
 		}
 		for self := 0; self < len(pts); self += 3 {
 			base := buildView(t, pts, self, r, func(i int) int { return i })
-			for _, view := range []*LocalView{base, permutedView(t, base, rng)} {
-				for _, variant := range []Variant{VariantLDTG, VariantGabriel, VariantUDG} {
+			for _, view := range []*ldt.LocalView{base, permutedView(t, base, rng)} {
+				for _, variant := range []ldt.Variant{ldt.VariantLDTG, ldt.VariantGabriel, ldt.VariantUDG} {
 					gotIDs, gotPts := m.Neighbors(view, variant)
-					if want := referenceNeighbors(t, view, variant, K); !slices.Equal(gotIDs, want) {
+					if want := referenceNeighbors(t, view, variant, ldt.K); !slices.Equal(gotIDs, want) {
 						t.Fatalf("epoch %d self %d variant %d: maintainer %v != reference %v",
 							epoch, self, variant, gotIDs, want)
 					}
@@ -174,7 +153,7 @@ func TestMaintainerMatchesFromScratch(t *testing.T) {
 // in the order dtn.NeighborTable.AppendTwoHop emits them. Moved points
 // put some of the view beyond two hops of self in the view's own
 // unit-disk graph.
-func beaconView(t *testing.T, cur, old []geom.Point, self int, r float64) *LocalView {
+func beaconView(t *testing.T, cur, old []geom.Point, self int, r float64) *ldt.LocalView {
 	t.Helper()
 	now, then := geom.UnitDiskGraph(cur, r), geom.UnitDiskGraph(old, r)
 	ids := []int{self}
@@ -194,7 +173,7 @@ func beaconView(t *testing.T, cur, old []geom.Point, self int, r float64) *Local
 			}
 		}
 	}
-	view, err := NewLocalView(self, ids, pts, r)
+	view, err := newView(self, ids, pts, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +183,12 @@ func beaconView(t *testing.T, cur, old []geom.Point, self int, r float64) *Local
 // extraRejects returns self's neighbors in view whose edge with self is
 // Delaunay in self's K-hop set but not in its (K+1)-hop set: the edges
 // the Maintainer decides one witness set at a time.
-func extraRejects(view *LocalView) []int {
-	g := view.KnownGraph()
-	inner, all := g.KHop(0, K), g.KHop(0, K+1)
+func extraRejects(view *ldt.LocalView) []int {
+	g := oracle.KnownGraph(view)
+	inner, all := g.KHop(0, ldt.K), g.KHop(0, ldt.K+1)
 	var out []int
 	for _, nb := range g.Neighbors(0) {
-		if delaunayEdge(view.Pts, inner, 0, nb) && !delaunayEdge(view.Pts, all, 0, nb) {
+		if ldt.DelaunayEdge(view.Pts, inner, 0, nb) && !ldt.DelaunayEdge(view.Pts, all, 0, nb) {
 			out = append(out, nb)
 		}
 	}
@@ -223,11 +202,11 @@ func extraRejects(view *LocalView) []int {
 // only the points beyond two hops reject.
 func TestMaintainerBeaconViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := NewMaintainer()
+	m := ldt.NewMaintainer()
 	const r = 100
 	views, far, rejects := 0, 0, 0
 	for world := 0; world < 20; world++ {
-		old := randomPoints(rng, 120, 800, 800)
+		old := ldt.RandomPoints(rng, 120, 800, 800)
 		cur := slices.Clone(old)
 		for i := range cur {
 			cur[i].X += rng.Float64()*80 - 40
@@ -235,23 +214,23 @@ func TestMaintainerBeaconViews(t *testing.T) {
 		}
 		for self := range cur {
 			view := beaconView(t, cur, old, self, r)
-			if len(view.KnownGraph().KHop(0, K)) < len(view.Pts) {
+			if len(oracle.KnownGraph(view).KHop(0, ldt.K)) < len(view.Pts) {
 				far++
 			}
 			rejects += len(extraRejects(view))
 			views++
-			got, _ := m.Neighbors(view, VariantLDTG)
-			if want := referenceNeighbors(t, view, VariantLDTG, K); !slices.Equal(got, want) {
+			got, _ := m.Neighbors(view, ldt.VariantLDTG)
+			if want := referenceNeighbors(t, view, ldt.VariantLDTG, ldt.K); !slices.Equal(got, want) {
 				t.Fatalf("world %d self %d: maintainer %v != LDTGNeighbors %v", world, self, got, want)
 			}
-			if want := perWitnessNeighbors(view); !slices.Equal(got, want) {
+			if want := ldt.PerWitnessNeighbors(view); !slices.Equal(got, want) {
 				t.Fatalf("world %d self %d: maintainer %v != per-witness rule %v", world, self, got, want)
 			}
 		}
 	}
-	t.Logf("%d views, %d with points beyond %d hops, %d edges rejected only beyond", views, far, K, rejects)
+	t.Logf("%d views, %d with points beyond %d hops, %d edges rejected only beyond", views, far, ldt.K, rejects)
 	if far == 0 || rejects == 0 {
-		t.Fatalf("%d views with points beyond %d hops and %d edges rejected only there; want both > 0", far, K, rejects)
+		t.Fatalf("%d views with points beyond %d hops and %d edges rejected only there; want both > 0", far, ldt.K, rejects)
 	}
 }
 
@@ -285,11 +264,11 @@ func fallbackKeepView() ([]geom.Point, float64) {
 func TestMaintainerFallbackKeepsEdge(t *testing.T) {
 	pts, r := fallbackKeepView()
 	ids := []int{0, 1, 2, 3, 4, 5}
-	view, err := NewLocalView(0, ids, pts, r)
+	view, err := newView(0, ids, pts, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nbrs := view.KnownGraph().Neighbors(0); !slices.Equal(nbrs, []int{1, 2}) {
+	if nbrs := oracle.KnownGraph(view).Neighbors(0); !slices.Equal(nbrs, []int{1, 2}) {
 		t.Fatalf("self's neighbors %v, want [1 2]", nbrs)
 	}
 	exactDist2 := func(p, q geom.Point) *big.Rat {
@@ -301,13 +280,13 @@ func TestMaintainerFallbackKeepsEdge(t *testing.T) {
 		t.Fatal("y must be nearer to self than b, with its squared distance computed above r²")
 	}
 	if got := extraRejects(view); !slices.Equal(got, []int{1}) {
-		t.Fatalf("edges rejected only beyond %d hops %v, want [1]", K, got)
+		t.Fatalf("edges rejected only beyond %d hops %v, want [1]", ldt.K, got)
 	}
-	got, _ := NewMaintainer().Neighbors(view, VariantLDTG)
-	if want := referenceNeighbors(t, view, VariantLDTG, K); !slices.Equal(got, want) || !slices.Equal(got, []int{1, 2}) {
+	got, _ := ldt.NewMaintainer().Neighbors(view, ldt.VariantLDTG)
+	if want := referenceNeighbors(t, view, ldt.VariantLDTG, ldt.K); !slices.Equal(got, want) || !slices.Equal(got, []int{1, 2}) {
 		t.Fatalf("maintainer %v, LDTGNeighbors %v; want both [1 2]", got, want)
 	}
-	if want := perWitnessNeighbors(view); !slices.Equal(got, want) {
+	if want := ldt.PerWitnessNeighbors(view); !slices.Equal(got, want) {
 		t.Fatalf("maintainer %v != per-witness rule %v", got, want)
 	}
 }
@@ -321,11 +300,11 @@ func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const r = 240
 	for trial := 0; trial < 20; trial++ {
-		pts := randomPoints(rng, 30, 700, 700)
+		pts := ldt.RandomPoints(rng, 30, 700, 700)
 		self := rng.Intn(len(pts))
 		base := buildView(t, pts, self, r, func(i int) int { return i })
 
-		baseLocal, err := base.LDTGNeighbors(2)
+		baseLocal, err := oracle.LDTGNeighbors(base, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,11 +319,11 @@ func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 			pIDs = append(pIDs, base.IDs[j+1])
 			pPts = append(pPts, base.Pts[j+1])
 		}
-		shuffled, err := NewLocalView(base.SelfID, pIDs, pPts, r)
+		shuffled, err := newView(base.SelfID, pIDs, pPts, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shuffledLocal, err := shuffled.LDTGNeighbors(2)
+		shuffledLocal, err := oracle.LDTGNeighbors(shuffled, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +334,7 @@ func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 		// Node-id relabeling: bijection σ, accepted(σ(view)) == σ(accepted).
 		sigma := func(i int) int { return 1000 + 7*i }
 		relabeled := buildView(t, pts, self, r, sigma)
-		relLocal, err := relabeled.LDTGNeighbors(2)
+		relLocal, err := oracle.LDTGNeighbors(relabeled, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,10 +350,10 @@ func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 		// History check: the shuffled view asked after the original on
 		// one Maintainer must answer exactly as a fresh Maintainer does,
 		// in the same order.
-		m := NewMaintainer()
-		m.Neighbors(base, VariantLDTG)
-		got, _ := m.Neighbors(shuffled, VariantLDTG)
-		fresh, _ := NewMaintainer().Neighbors(shuffled, VariantLDTG)
+		m := ldt.NewMaintainer()
+		m.Neighbors(base, ldt.VariantLDTG)
+		got, _ := m.Neighbors(shuffled, ldt.VariantLDTG)
+		fresh, _ := ldt.NewMaintainer().Neighbors(shuffled, ldt.VariantLDTG)
 		if !slices.Equal(got, fresh) || !slices.Equal(got, viewIDs(shuffled, shuffledLocal)) {
 			t.Fatalf("trial %d: acceptance after the original view %v != fresh %v", trial, got, fresh)
 		}
@@ -383,9 +362,9 @@ func TestLDTGNeighborsPermutationInvariant(t *testing.T) {
 
 // spannerBenchView builds a dense 2-hop view comparable to the paper's
 // 100 m-range neighborhoods at scale.
-func spannerBenchView(b *testing.B, n int) *LocalView {
+func spannerBenchView(b *testing.B, n int) *ldt.LocalView {
 	rng := rand.New(rand.NewSource(77))
-	pts := randomPoints(rng, n, 1200, 1200)
+	pts := ldt.RandomPoints(rng, n, 1200, 1200)
 	const r = 260
 	udg := geom.UnitDiskGraph(pts, r)
 	ids := []int{0}
@@ -396,7 +375,7 @@ func spannerBenchView(b *testing.B, n int) *LocalView {
 			vpts = append(vpts, pts[v])
 		}
 	}
-	view, err := NewLocalView(0, ids, vpts, r)
+	view, err := newView(0, ids, vpts, r)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,11 +387,11 @@ func spannerBenchView(b *testing.B, n int) *LocalView {
 // fully mobile nodes. It allocates nothing once the scratch has grown.
 func BenchmarkSpannerNeighbors(b *testing.B) {
 	view := spannerBenchView(b, 60)
-	m := NewMaintainer()
+	m := ldt.NewMaintainer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		view.Pts[len(view.Pts)-1].X += 1e-9
-		m.Neighbors(view, VariantLDTG)
+		m.Neighbors(view, ldt.VariantLDTG)
 	}
 }

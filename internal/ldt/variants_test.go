@@ -1,13 +1,15 @@
-package ldt
+package ldt_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"glr/internal/geom"
+	"glr/internal/ldt"
+	"glr/internal/oracle"
 )
 
-func viewAround(t *testing.T, pts []geom.Point, self int, r float64) *LocalView {
+func viewAround(t *testing.T, pts []geom.Point, self int, r float64) *ldt.LocalView {
 	t.Helper()
 	udg := geom.UnitDiskGraph(pts, r)
 	ids := []int{self}
@@ -18,7 +20,7 @@ func viewAround(t *testing.T, pts []geom.Point, self int, r float64) *LocalView 
 			vpts = append(vpts, pts[v])
 		}
 	}
-	view, err := NewLocalView(self, ids, vpts, r)
+	view, err := newView(self, ids, vpts, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,15 +29,15 @@ func viewAround(t *testing.T, pts []geom.Point, self int, r float64) *LocalView 
 
 func TestGabrielNeighborsSubsetOfUDG(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	pts := randomPoints(rng, 40, 800, 800)
+	pts := ldt.RandomPoints(rng, 40, 800, 800)
 	const r = 250
 	for self := 0; self < 10; self++ {
 		view := viewAround(t, pts, self, r)
 		udgSet := map[int]bool{}
-		for _, li := range view.UDGNeighbors() {
+		for _, li := range oracle.UDGNeighbors(view) {
 			udgSet[li] = true
 		}
-		for _, li := range view.GabrielNeighbors() {
+		for _, li := range oracle.GabrielNeighbors(view) {
 			if !udgSet[li] {
 				t.Fatal("Gabriel neighbor not a UDG neighbor")
 			}
@@ -45,10 +47,10 @@ func TestGabrielNeighborsSubsetOfUDG(t *testing.T) {
 
 func TestUDGNeighborsMatchRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	pts := randomPoints(rng, 30, 500, 500)
+	pts := ldt.RandomPoints(rng, 30, 500, 500)
 	const r = 200
 	view := viewAround(t, pts, 0, r)
-	for _, li := range view.UDGNeighbors() {
+	for _, li := range oracle.UDGNeighbors(view) {
 		if view.Pts[0].Dist(view.Pts[li]) > r {
 			t.Fatal("UDG neighbor out of range")
 		}
@@ -60,7 +62,7 @@ func TestUDGNeighborsMatchRange(t *testing.T) {
 			count++
 		}
 	}
-	if got := len(view.UDGNeighbors()); got != count {
+	if got := len(oracle.UDGNeighbors(view)); got != count {
 		t.Errorf("UDGNeighbors = %d, want %d", got, count)
 	}
 }
@@ -70,13 +72,13 @@ func TestSpannerNeighborCountsOrdered(t *testing.T) {
 	// hard as the Delaunay-based construction on incident edges is not
 	// guaranteed pointwise, but both must be ≤ UDG degree.
 	rng := rand.New(rand.NewSource(63))
-	pts := randomPoints(rng, 50, 600, 600)
+	pts := ldt.RandomPoints(rng, 50, 600, 600)
 	const r = 220
 	for self := 0; self < 8; self++ {
 		view := viewAround(t, pts, self, r)
-		udg := len(view.UDGNeighbors())
-		gg := len(view.GabrielNeighbors())
-		ld, err := view.LDTGNeighbors(2)
+		udg := len(oracle.UDGNeighbors(view))
+		gg := len(oracle.GabrielNeighbors(view))
+		ld, err := oracle.LDTGNeighbors(view, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,11 +92,11 @@ func TestGabrielEdgesSurviveInLDTGLocally(t *testing.T) {
 	// The node's incident Gabriel edges are Delaunay edges in every
 	// local triangulation, so the LDTG must accept them.
 	rng := rand.New(rand.NewSource(64))
-	pts := randomPoints(rng, 35, 700, 700)
+	pts := ldt.RandomPoints(rng, 35, 700, 700)
 	const r = 260
 	for self := 0; self < 8; self++ {
 		view := viewAround(t, pts, self, r)
-		ld, err := view.LDTGNeighbors(2)
+		ld, err := oracle.LDTGNeighbors(view, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +108,7 @@ func TestGabrielEdgesSurviveInLDTGLocally(t *testing.T) {
 		// a guaranteed subset; the view-local Gabriel can accept edges a
 		// hidden point would block. Use the global graph's incident
 		// edges mapped into the view.
-		gg := GabrielGraph(pts, r)
+		gg := ldt.GabrielGraph(pts, r)
 		for _, g := range gg.Neighbors(self) {
 			li := -1
 			for i, id := range view.IDs {

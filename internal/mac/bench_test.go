@@ -50,7 +50,7 @@ func BenchmarkMediumBroadcastGrid(b *testing.B) {
 	f := &Frame{Dst: Broadcast, Bits: 8000}
 	for i := 0; i < b.N; i++ {
 		m.radios[i%n].Send(f)
-		sched.RunAll()
+		sched.Run(math.Inf(1))
 	}
 	b.ReportMetric(float64(m.stats.Delivered)/float64(b.N), "recv/op")
 }

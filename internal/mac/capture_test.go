@@ -145,11 +145,3 @@ func TestSIFSPipelinesQueuedFrames(t *testing.T) {
 		t.Errorf("inter-frame gap %v, want ≈ %v", gap, want)
 	}
 }
-
-func TestMediumConfigAccessor(t *testing.T) {
-	cfg := DefaultConfig(123)
-	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)})
-	if got := n.medium.Config().Range; got != 123 {
-		t.Errorf("Config().Range = %v", got)
-	}
-}

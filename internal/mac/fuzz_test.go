@@ -49,11 +49,20 @@ func FuzzMediumConfig(f *testing.F) {
 		}
 		sched := des.NewScheduler()
 		const maxEvents = 20000
+		// Every attempt and every reception reads a position, so this is
+		// where the run is capped: the read panics with capped, which
+		// ends the run and nothing else.
+		type capped struct{}
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(capped); !ok {
+					panic(r)
+				}
+			}
+		}()
 		m, err := NewMedium(sched, cfg, 1, rng, rng, 3, func(id int) geom.Point {
-			// Every attempt and every reception reads a position, so
-			// this is where the run is capped.
 			if sched.Processed() >= maxEvents {
-				sched.Stop()
+				panic(capped{})
 			}
 			return geom.Pt(0.9*rng*float64(id), 0)
 		})
@@ -153,7 +162,7 @@ func FuzzMediumRetention(f *testing.F) {
 					em.medium.radios[sp.src].Send(&Frame{Dst: sp.dst, Bits: sp.bits, Payload: k})
 				})
 			}
-			em.sched.RunAll()
+			em.sched.Run(math.Inf(1))
 			return em
 		}
 		requireSameRun(t, run(NewMedium), run(newUnprunedMedium), "tight", "never-pruned")

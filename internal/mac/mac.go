@@ -286,9 +286,6 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64, w, h float64, n int
 // simulator's phase profiler installs it on demand.
 func (m *Medium) SetRxClock(fn func(time.Duration)) { m.rxClock = fn }
 
-// Config returns the medium configuration.
-func (m *Medium) Config() Config { return m.cfg }
-
 // Stats returns a snapshot of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 

@@ -676,7 +676,7 @@ func TestInterfererAtFullReachCorrupts(t *testing.T) {
 		n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 8000})
 		n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 16000})
 	})
-	n.sched.RunAll()
+	n.sched.Run(math.Inf(1))
 	if len(n.recv[1]) != 0 || n.medium.Stats().Collisions != 1 {
 		t.Errorf("receiver got %d frames with %d collisions; want the sender's frame corrupted by the interferer %v m away",
 			len(n.recv[1]), n.medium.Stats().Collisions, cfg.Range+ir)

@@ -25,9 +25,6 @@ type Radio struct {
 	recent []airing
 }
 
-// ID returns the radio identifier.
-func (r *Radio) ID() int { return r.id }
-
 // Send enqueues a frame for transmission. It reports false when the
 // link-layer queue is full and the frame was dropped (the paper's queue
 // length is 150 frames).

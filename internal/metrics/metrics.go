@@ -124,13 +124,6 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 }
 
-// IsDelivered reports whether the message has already reached its
-// destination (used by protocols to stop forwarding stale copies).
-func (c *Collector) IsDelivered(id dtn.MessageID) bool {
-	_, ok := c.delivered[id]
-	return ok
-}
-
 // SampleStorage folds a storage-occupancy observation for a node into its
 // running peak.
 func (c *Collector) SampleStorage(node, used int) {

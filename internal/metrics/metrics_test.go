@@ -20,8 +20,9 @@ func TestDeliveryAccounting(t *testing.T) {
 	if c.Delivered(id(0, 0), 16, 4) {
 		t.Error("duplicate delivery should report false")
 	}
-	if !c.IsDelivered(id(0, 0)) || c.IsDelivered(id(0, 1)) {
-		t.Error("IsDelivered wrong")
+	_, first := c.delivered[id(0, 0)]
+	if _, second := c.delivered[id(0, 1)]; !first || second {
+		t.Error("delivered set wrong")
 	}
 	r := c.Report()
 	if r.Generated != 2 || r.Delivered != 1 || r.Duplicates != 1 {

@@ -1,8 +1,11 @@
-package geom
+package oracle
 
 import (
 	"errors"
+	"math"
 	"sort"
+
+	"glr/internal/geom"
 )
 
 // Triangle holds indices into a point slice, stored in counterclockwise
@@ -14,14 +17,14 @@ type Triangle struct {
 // Triangulation is the result of a Delaunay construction over a fixed point
 // set. Triangles reference Points by index.
 type Triangulation struct {
-	Points    []Point
+	Points    []geom.Point
 	Triangles []Triangle
 }
 
 // ErrDuplicatePoint is returned by Delaunay and DelaunayGraph when the
 // input contains two points with identical coordinates. Callers that may
 // hold co-located nodes must coalesce them first.
-var ErrDuplicatePoint = errors.New("geom: duplicate point in Delaunay input")
+var ErrDuplicatePoint = errors.New("oracle: duplicate point in Delaunay input")
 
 // Delaunay computes the Delaunay triangulation of pts with the incremental
 // Bowyer–Watson algorithm, without a super-triangle: points falling
@@ -35,7 +38,7 @@ var ErrDuplicatePoint = errors.New("geom: duplicate point in Delaunay input")
 // Degenerate inputs are handled: fewer than 3 points, or all points
 // collinear, yield a triangulation with no triangles (use DelaunayGraph for
 // the limit graph, which connects collinear points in path order).
-func Delaunay(pts []Point) (*Triangulation, error) {
+func Delaunay(pts []geom.Point) (*Triangulation, error) {
 	t := &Triangulation{Points: pts}
 	n := len(pts)
 	if hasDuplicates(pts) {
@@ -51,7 +54,7 @@ func Delaunay(pts []Point) (*Triangulation, error) {
 	// no-triangle result rather than index past the slice if the
 	// predicates ever diverge on near-collinear input.
 	seed := 2
-	for seed < n && Orient(pts[0], pts[1], pts[seed]) == 0 {
+	for seed < n && geom.Orient(pts[0], pts[1], pts[seed]) == 0 {
 		seed++
 	}
 	if seed == n {
@@ -71,14 +74,14 @@ func Delaunay(pts []Point) (*Triangulation, error) {
 
 // insertPoint adds point index i to the triangulation tris and returns the
 // updated triangle list.
-func insertPoint(pts []Point, tris []Triangle, i int) []Triangle {
+func insertPoint(pts []geom.Point, tris []Triangle, i int) []Triangle {
 	p := pts[i]
 
 	// Cavity: every triangle whose circumcircle strictly contains p.
 	var bad []Triangle
 	keep := make([]Triangle, 0, len(tris))
 	for _, tr := range tris {
-		if InCircle(pts[tr.A], pts[tr.B], pts[tr.C], p) > 0 {
+		if geom.InCircle(pts[tr.A], pts[tr.B], pts[tr.C], p) > 0 {
 			bad = append(bad, tr)
 		} else {
 			keep = append(keep, tr)
@@ -106,7 +109,7 @@ func insertPoint(pts []Point, tris []Triangle, i int) []Triangle {
 		if dir[[2]int{de[1], de[0]}] {
 			continue // interior edge: reverse also present
 		}
-		if Orient(pts[de[0]], pts[de[1]], p) < 0 {
+		if geom.Orient(pts[de[0]], pts[de[1]], p) < 0 {
 			boundary[ek(de[0], de[1])]++ // visible hull edge
 		}
 	}
@@ -122,7 +125,7 @@ func insertPoint(pts []Point, tris []Triangle, i int) []Triangle {
 		if count != 1 {
 			continue
 		}
-		if Orient(pts[e.u], pts[e.v], p) == 0 {
+		if geom.Orient(pts[e.u], pts[e.v], p) == 0 {
 			continue
 		}
 		newTris = append(newTris, normalizeCCW(pts, Triangle{e.u, e.v, i}))
@@ -155,8 +158,8 @@ func (t *Triangulation) Edges() [][2]int {
 // DelaunayGraph computes the Delaunay triangulation of pts and returns its
 // edge graph. Degenerate inputs (n < 3 or all collinear) produce the limit
 // graph: points connected in order along the common line.
-func DelaunayGraph(pts []Point) (*Graph, error) {
-	g := NewGraph(len(pts))
+func DelaunayGraph(pts []geom.Point) (*geom.Graph, error) {
+	g := geom.NewGraph(len(pts))
 	if len(pts) < 2 {
 		return g, nil
 	}
@@ -193,15 +196,15 @@ func ek(u, v int) edgeKey {
 	return edgeKey{u, v}
 }
 
-func normalizeCCW(pts []Point, tr Triangle) Triangle {
-	if Orient(pts[tr.A], pts[tr.B], pts[tr.C]) < 0 {
+func normalizeCCW(pts []geom.Point, tr Triangle) Triangle {
+	if geom.Orient(pts[tr.A], pts[tr.B], pts[tr.C]) < 0 {
 		tr.B, tr.C = tr.C, tr.B
 	}
 	return tr
 }
 
-func hasDuplicates(pts []Point) bool {
-	seen := make(map[Point]struct{}, len(pts))
+func hasDuplicates(pts []geom.Point) bool {
+	seen := make(map[geom.Point]struct{}, len(pts))
 	for _, p := range pts {
 		if _, dup := seen[p]; dup {
 			return true
@@ -211,12 +214,12 @@ func hasDuplicates(pts []Point) bool {
 	return false
 }
 
-func allCollinear(pts []Point) bool {
+func allCollinear(pts []geom.Point) bool {
 	if len(pts) < 3 {
 		return true
 	}
 	for i := 2; i < len(pts); i++ {
-		if Orient(pts[0], pts[1], pts[i]) != 0 {
+		if geom.Orient(pts[0], pts[1], pts[i]) != 0 {
 			return false
 		}
 	}
@@ -225,14 +228,14 @@ func allCollinear(pts []Point) bool {
 
 // collinearOrder returns indices of collinear pts sorted along their common
 // line.
-func collinearOrder(pts []Point) []int {
+func collinearOrder(pts []geom.Point) []int {
 	idx := make([]int, len(pts))
 	for i := range idx {
 		idx[i] = i
 	}
 	// Project on the dominant axis of the direction vector.
 	dir := pts[1].Sub(pts[0])
-	useX := abs(dir.X) >= abs(dir.Y)
+	useX := math.Abs(dir.X) >= math.Abs(dir.Y)
 	sort.Slice(idx, func(i, j int) bool {
 		a, b := pts[idx[i]], pts[idx[j]]
 		if useX {

@@ -1,13 +1,17 @@
-package geom
+package oracle
 
-import "sort"
+import (
+	"sort"
+
+	"glr/internal/geom"
+)
 
 // ConvexHull returns the indices of the convex hull of pts in
 // counterclockwise order, starting from the lexicographically smallest
 // point. Collinear points on the hull boundary are excluded. Inputs with
 // fewer than three non-collinear points return all distinct points in
 // lexicographic order.
-func ConvexHull(pts []Point) []int {
+func ConvexHull(pts []geom.Point) []int {
 	n := len(pts)
 	idx := make([]int, n)
 	for i := range idx {
@@ -39,7 +43,7 @@ func ConvexHull(pts []Point) []int {
 	hull := make([]int, 0, 2*n)
 	// Lower hull.
 	for _, id := range idx {
-		for len(hull) >= 2 && Orient(pts[hull[len(hull)-2]], pts[hull[len(hull)-1]], pts[id]) <= 0 {
+		for len(hull) >= 2 && geom.Orient(pts[hull[len(hull)-2]], pts[hull[len(hull)-1]], pts[id]) <= 0 {
 			hull = hull[:len(hull)-1]
 		}
 		hull = append(hull, id)
@@ -48,7 +52,7 @@ func ConvexHull(pts []Point) []int {
 	lower := len(hull) + 1
 	for i := n - 2; i >= 0; i-- {
 		id := idx[i]
-		for len(hull) >= lower && Orient(pts[hull[len(hull)-2]], pts[hull[len(hull)-1]], pts[id]) <= 0 {
+		for len(hull) >= lower && geom.Orient(pts[hull[len(hull)-2]], pts[hull[len(hull)-1]], pts[id]) <= 0 {
 			hull = hull[:len(hull)-1]
 		}
 		hull = append(hull, id)

@@ -1,33 +1,35 @@
-package ldt
+package oracle
 
 import (
 	"fmt"
+	"slices"
 
 	"glr/internal/geom"
+	"glr/internal/ldt"
 )
 
-// The LocalView methods in this file are the from-scratch oracles the
-// Maintainer is tested against; only tests call them. They rebuild whole
-// graphs of the view per call. LDTGNeighbors triangulates every witness
-// set with geom.DelaunayGraph, so it shares no code with the Maintainer's
-// per-edge empty-circle scans.
+// The functions in this file are the from-scratch answers to an
+// ldt.Maintainer query on a view. They rebuild whole graphs of the view
+// per call. LDTGNeighbors triangulates every witness set with
+// DelaunayGraph, so it shares no code with the Maintainer's per-edge
+// empty-circle scans.
 
 // KnownGraph returns the unit-disk graph over the view's points (local
 // indices; 0 is self).
-func (v *LocalView) KnownGraph() *geom.Graph {
+func KnownGraph(v *ldt.LocalView) *geom.Graph {
 	return geom.UnitDiskGraph(v.Pts, v.R)
 }
 
 // GabrielNeighbors returns the local indices of this node's incident
 // Gabriel-graph edges within the view (ablation alternative to the LDTG).
-func (v *LocalView) GabrielNeighbors() []int {
-	return GabrielGraph(v.Pts, v.R).Neighbors(0)
+func GabrielNeighbors(v *ldt.LocalView) []int {
+	return ldt.GabrielGraph(v.Pts, v.R).Neighbors(0)
 }
 
 // UDGNeighbors returns the local indices of every known 1-hop neighbor
 // (greedy routing with no planarization; ablation alternative).
-func (v *LocalView) UDGNeighbors() []int {
-	return v.KnownGraph().Neighbors(0)
+func UDGNeighbors(v *ldt.LocalView) []int {
+	return KnownGraph(v).Neighbors(0)
 }
 
 // LDTGNeighbors computes, from this node's standpoint, the LDTG edges
@@ -38,7 +40,7 @@ func (v *LocalView) UDGNeighbors() []int {
 // so the list follows the view's order.
 //
 // Boundary truncation (the node cannot see past its k-hop horizon) can
-// make this differ slightly from BuildLDTG over the whole point set —
+// make this differ slightly from ldt.BuildLDTG over the whole point set —
 // exactly the imprecision a real deployment has; greedy forwarding only
 // requires each node's own incident edge set.
 //
@@ -46,12 +48,12 @@ func (v *LocalView) UDGNeighbors() []int {
 // global ids, whenever the witness sets have no four cocircular points
 // (their Delaunay triangulations are then unique). On exact ties it
 // follows a symbolic perturbation, while this function takes whichever
-// triangulation geom.Delaunay builds.
-func (v *LocalView) LDTGNeighbors(k int) ([]int, error) {
+// triangulation Delaunay builds.
+func LDTGNeighbors(v *ldt.LocalView, k int) ([]int, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("ldt: k must be ≥ 1, got %d", k)
+		return nil, fmt.Errorf("oracle: k must be ≥ 1, got %d", k)
 	}
-	known := v.KnownGraph()
+	known := KnownGraph(v)
 
 	// Triangulate each witness's k-neighborhood once. The witnesses are
 	// self and self's 1-hop neighbors. Coincident points are coalesced:
@@ -77,7 +79,7 @@ func (v *LocalView) LDTGNeighbors(k int) ([]int, error) {
 			}
 			idx[m] = si
 		}
-		dt, err := geom.DelaunayGraph(sub)
+		dt, err := DelaunayGraph(sub)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +93,7 @@ func (v *LocalView) LDTGNeighbors(k int) ([]int, error) {
 			ww := wit[w]
 			a, inA := ww.idx[0]
 			b, inB := ww.idx[nb]
-			if inA && inB && !ww.dt.HasEdge(a, b) {
+			if inA && inB && !slices.Contains(ww.dt.Neighbors(a), b) {
 				ok = false
 				break
 			}

@@ -10,7 +10,7 @@ import (
 // beaconRing drives every node's hello from a single pending event. Node
 // i fires at phase_i, phase_i+I, (phase_i+I)+I, and so on — each next
 // time computed as now + interval at the exact fire time, the float
-// accumulation a per-node des.Ticker would perform — and the hellos due
+// accumulation a per-node des.NewTicker would perform — and the hellos due
 // at one instant go out in ascending id order. The beacon schedule is
 // therefore the merge of the per-node sequences sorted by (time, id),
 // while the scheduler holds one beacon event instead of one per node.

@@ -4,11 +4,9 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"glr/internal/des"
 	"glr/internal/dtn"
 	"glr/internal/geom"
 	"glr/internal/mac"
-	"glr/internal/metrics"
 	"glr/internal/mobility"
 )
 
@@ -109,18 +107,15 @@ func (n *Node) MessageRanks() *dtn.MessageRanks { return n.world.messageRanks() 
 func (n *Node) Rand() *rand.Rand { return n.rng }
 
 // After schedules fn after d seconds.
-func (n *Node) After(d float64, fn func()) des.EventID {
-	return n.world.sched.After(d, fn)
+func (n *Node) After(d float64, fn func()) {
+	n.world.sched.After(d, fn)
 }
 
 // At schedules fn at absolute simulated time t, which must not be in the
 // past.
-func (n *Node) At(t float64, fn func()) des.EventID {
-	return n.world.sched.At(t, fn)
+func (n *Node) At(t float64, fn func()) {
+	n.world.sched.At(t, fn)
 }
-
-// Metrics returns the run's collector.
-func (n *Node) Metrics() *metrics.Collector { return n.world.collector }
 
 // Neighbors returns the node's neighbor table with stale rows (older than
 // the scenario's expiry) already dropped.

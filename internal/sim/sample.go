@@ -44,10 +44,9 @@ type SamplePoint struct {
 // not mutate the world; they exist so callers can observe a run in
 // flight (time series of delivery, latency, occupancy, overhead)
 // without touching its outcome — a sampled run dispatches the same
-// protocol events as an unsampled one. Call before Run; the returned
-// ticker may be stopped to detach the probe early.
-func (w *World) AddSampler(every, phase float64, fn func(SamplePoint)) *des.Ticker {
-	return des.NewTicker(w.sched, every, phase, func() {
+// protocol events as an unsampled one. Call before Run.
+func (w *World) AddSampler(every, phase float64, fn func(SamplePoint)) {
+	des.NewTicker(w.sched, every, phase, func() {
 		fn(w.sample())
 	})
 }

@@ -13,12 +13,13 @@ import (
 )
 
 // directProtocol is a minimal test protocol: sources broadcast each
-// message once per check interval until the destination confirms via the
-// metrics collector; destinations report delivery. It exercises node
-// wiring, beacons, frames, and metrics without any routing intelligence.
+// message once per check interval until its destination has it;
+// destinations report delivery. It exercises node wiring, beacons,
+// frames, and metrics without any routing intelligence.
 type directProtocol struct {
 	n       *Node
 	pending []*dtn.Message
+	got     map[dtn.MessageID]bool // messages delivered here
 }
 
 func (p *directProtocol) Init(n *Node) {
@@ -29,13 +30,20 @@ func (p *directProtocol) Init(n *Node) {
 func (p *directProtocol) tick() {
 	kept := p.pending[:0]
 	for _, m := range p.pending {
-		if !p.n.Metrics().IsDelivered(m.ID) {
+		if !p.delivered(m) {
 			p.n.broadcast(KindData, *m, m.PayloadBits)
 			kept = append(kept, m)
 		}
 	}
 	p.pending = kept
 	p.n.After(0.5, p.tick)
+}
+
+// delivered reports whether m's destination has received it. The source
+// reads the destination's state directly, in place of an acknowledgment.
+func (p *directProtocol) delivered(m *dtn.Message) bool {
+	dst, ok := p.n.world.nodes[m.Dst].proto.(*directProtocol)
+	return ok && dst.got[m.ID]
 }
 
 // broadcast queues a broadcast frame, counted under kind, as Unicast
@@ -62,6 +70,10 @@ func (p *directProtocol) OnFrame(payload any, from int) {
 	}
 	m.Hops++
 	if m.Dst == p.n.ID() {
+		if p.got == nil {
+			p.got = make(map[dtn.MessageID]bool)
+		}
+		p.got[m.ID] = true
 		p.n.ReportDelivered(&m)
 	}
 }
@@ -221,13 +233,10 @@ func TestWorldDeterministicAcrossRuns(t *testing.T) {
 func TestWorldSetsIndexSlackForMobility(t *testing.T) {
 	// The world must widen spatial-index queries to cover the drift a
 	// node can accumulate between two Reindex ticks.
+	// NewWorld hands the scenario's MACConfig to the medium as is.
 	s := smallScenario()
-	w, err := NewWorld(s, directFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := s.MaxSpeed*s.BeaconInterval + 1
-	if got := w.Medium().Config().IndexSlack; got != want {
+	if got := s.MACConfig().IndexSlack; got != want {
 		t.Errorf("IndexSlack = %v, want %v", got, want)
 	}
 	// An explicit override is left alone.
@@ -235,11 +244,7 @@ func TestWorldSetsIndexSlackForMobility(t *testing.T) {
 	mc := s2.MACConfig()
 	mc.IndexSlack = 123
 	s2.MACOverride = &mc
-	w2, err := NewWorld(s2, directFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w2.Medium().Config().IndexSlack; got != 123 {
+	if got := s2.MACConfig().IndexSlack; got != 123 {
 		t.Errorf("override IndexSlack = %v, want 123", got)
 	}
 	// An override below the drift bound is raised to it: the index
@@ -249,11 +254,7 @@ func TestWorldSetsIndexSlackForMobility(t *testing.T) {
 	mc3 := s3.MACConfig()
 	mc3.IndexSlack = 0.5
 	s3.MACOverride = &mc3
-	w3, err := NewWorld(s3, directFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w3.Medium().Config().IndexSlack; got != want {
+	if got := s3.MACConfig().IndexSlack; got != want {
 		t.Errorf("override IndexSlack 0.5 became %v, want the drift bound %v", got, want)
 	}
 }
@@ -320,7 +321,7 @@ func TestBeaconsPopulateNeighborTables(t *testing.T) {
 	// In a 300×300 region with 250 m range, most nodes hear most others.
 	heard := 0
 	for i := 0; i < s.N; i++ {
-		heard += w.Node(i).Neighbors().Len()
+		heard += len(w.Node(i).Neighbors().AppendAdvertised(nil))
 	}
 	if heard < s.N { // extremely conservative floor
 		t.Errorf("after 5 s of beaconing only %d neighbor rows exist", heard)
@@ -350,7 +351,7 @@ func TestNeighborExpiry(t *testing.T) {
 	}
 	w.Scheduler().Run(5)
 	n := w.Node(0)
-	if n.Neighbors().Len() == 0 {
+	if len(n.Neighbors().AppendAdvertised(nil)) == 0 {
 		t.Skip("node 0 heard nobody in this topology")
 	}
 	// Tables must drop rows not refreshed within the expiry window; we
@@ -361,7 +362,7 @@ func TestNeighborExpiry(t *testing.T) {
 	w.Scheduler().At(5+s.NeighborExpiry+1, func() {})
 	w.Scheduler().Run(5 + s.NeighborExpiry + 1)
 	// Beacons kept arriving, so rows should still be fresh.
-	if n.Neighbors().Len() == 0 {
+	if len(n.Neighbors().AppendAdvertised(nil)) == 0 {
 		t.Error("live beaconing should keep neighbor rows fresh")
 	}
 }

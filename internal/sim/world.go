@@ -317,9 +317,6 @@ func (w *World) Medium() *mac.Medium { return w.medium }
 // Collector returns the metrics collector.
 func (w *World) Collector() *metrics.Collector { return w.collector }
 
-// Config returns the scenario.
-func (w *World) Config() Scenario { return w.cfg }
-
 // Run executes the scenario to its horizon and returns the run report.
 // Beaconing, traffic, and sampling were armed at construction, so tests
 // may alternatively step the Scheduler directly for partial runs.

@@ -93,17 +93,6 @@ func NewGrid(cellSize, w, h float64, n int) (*Grid, error) {
 	return g, nil
 }
 
-// Len returns the number of indexed entries.
-func (g *Grid) Len() int {
-	n := 0
-	for _, loc := range g.where {
-		if loc.idx >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // column returns the array column (or row, with n = ny) of coordinate
 // v: its plane cell floor(v/size) shifted past the low margin, clamped
 // in float space into [0, n-1] so that far-off, infinite and NaN

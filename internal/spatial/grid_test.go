@@ -40,6 +40,17 @@ func (g *Grid) At(id int) (geom.Point, bool) {
 	return g.cells[loc.cell][loc.idx].p, true
 }
 
+// Len returns the number of indexed entries.
+func (g *Grid) Len() int {
+	n := 0
+	for _, loc := range g.where {
+		if loc.idx >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // newGrid is NewGrid for a test's valid arguments.
 func newGrid(t testing.TB, cellSize, w, h float64, n int) *Grid {
 	t.Helper()

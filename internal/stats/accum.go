@@ -1,55 +1,18 @@
 package stats
 
-import "math"
-
-// Accumulator is a streaming mean/variance/extrema tracker (Welford's
-// algorithm). The zero value is ready to use.
+// Accumulator is a streaming mean (Welford's update): the mean moves by
+// each observation's deviation over the count, so it never sums the
+// observations. The zero value is ready to use.
 type Accumulator struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		a.min = math.Min(a.min, x)
-		a.max = math.Max(a.max, x)
-	}
-	delta := x - a.mean
-	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
+	a.mean += (x - a.mean) / float64(a.n)
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the running mean, or 0 with no observations.
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Variance returns the unbiased sample variance, or 0 for n < 2.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Sample converts the accumulated state into a Sample.
-func (a *Accumulator) Sample() Sample {
-	return Sample{N: a.n, Mean: a.mean, StdDev: a.StdDev(), Min: a.min, Max: a.max}
-}
