@@ -78,9 +78,11 @@
 //     O(neighborhood) per node at every world size, checked against a
 //     map-backed table.
 //   - The per-check k-LDTG spanner (internal/ldt) is built from each
-//     node's two-hop view by one empty-circle scan per witness set and
-//     candidate edge, checked, neighbor order included, against a
-//     construction that triangulates every witness set.
+//     node's view by one empty-circle scan per candidate edge over the
+//     node's three-hop set, scanning the neighbors' two-hop witness sets
+//     only for an edge the three-hop points reject, and is checked,
+//     neighbor order included, against a construction that triangulates
+//     every witness set.
 //   - Beacons fire from one ring event in (time, id) order, checked
 //     against each node's phase + k·interval schedule.
 //

@@ -4,32 +4,24 @@ import (
 	"math/bits"
 	"testing"
 
+	"glr/internal/ldt"
 	"glr/internal/sim"
 )
-
-func TestSpannerKindString(t *testing.T) {
-	tests := []struct {
-		k    SpannerKind
-		want string
-	}{{SpannerLDTG, "ldtg"}, {SpannerGabriel, "gabriel"}, {SpannerUDG, "udg"}}
-	for _, tt := range tests {
-		if got := tt.k.String(); got != tt.want {
-			t.Errorf("String(%d) = %q, want %q", tt.k, got, tt.want)
-		}
-	}
-}
 
 func TestSpannerVariantsDeliver(t *testing.T) {
 	// Every routing-graph variant must still deliver in a dense mobile
 	// network — the ablation changes efficiency, not correctness.
-	for _, spanner := range []SpannerKind{SpannerLDTG, SpannerGabriel, SpannerUDG} {
-		t.Run(spanner.String(), func(t *testing.T) {
+	for _, v := range []struct {
+		name    string
+		spanner ldt.Variant
+	}{{"ldtg", ldt.VariantLDTG}, {"gabriel", ldt.VariantGabriel}, {"udg", ldt.VariantUDG}} {
+		t.Run(v.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Spanner = spanner
+			cfg.Spanner = v.spanner
 			w := buildWorld(t, denseScenario(21), cfg)
 			r := w.Run()
 			if r.Delivered != r.Generated {
-				t.Errorf("%v delivered %d/%d", spanner, r.Delivered, r.Generated)
+				t.Errorf("%s delivered %d/%d", v.name, r.Delivered, r.Generated)
 			}
 		})
 	}

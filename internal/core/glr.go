@@ -25,33 +25,6 @@ import (
 	"glr/internal/sim"
 )
 
-// SpannerKind selects the local routing graph construction.
-type SpannerKind int
-
-// Routing-graph choices.
-const (
-	// SpannerLDTG is the paper's k-localized Delaunay triangulation.
-	SpannerLDTG SpannerKind = iota
-	// SpannerGabriel uses the Gabriel graph restricted to unit-disk
-	// edges — planar and connected, but a worse spanner (unbounded
-	// stretch).
-	SpannerGabriel
-	// SpannerUDG routes greedily over all unit-disk neighbors with no
-	// planarization.
-	SpannerUDG
-)
-
-// String implements fmt.Stringer.
-func (s SpannerKind) String() string {
-	switch s {
-	case SpannerGabriel:
-		return "gabriel"
-	case SpannerUDG:
-		return "udg"
-	}
-	return "ldtg"
-}
-
 // LocationKnowledge selects the Table-2 location-availability regime.
 type LocationKnowledge int
 
@@ -96,10 +69,11 @@ type Config struct {
 	// walking faces — an ablation of the paper's §2.3 escape mechanism.
 	DisableFaceRouting bool
 	// Spanner selects the routing graph: the paper's LDTG (default),
-	// the Gabriel graph (a simpler planar spanner), or the raw unit-disk
-	// graph (no planarization — face routing loses its guarantees).
-	// Ablation knob for the §2.1 design choice.
-	Spanner SpannerKind
+	// the Gabriel graph (a simpler planar spanner, but with unbounded
+	// stretch), or the raw unit-disk graph (no planarization — face
+	// routing loses its guarantees). Ablation knob for the §2.1 design
+	// choice.
+	Spanner ldt.Variant
 }
 
 // Fixed protocol settings: the paper's evaluation never varies them.
@@ -131,7 +105,7 @@ func DefaultConfig() Config {
 		Location:           LocSourceKnows,
 		StaleRelocateAfter: 30,
 		ProgressHysteresis: 0.2,
-		Spanner:            SpannerLDTG,
+		Spanner:            ldt.VariantLDTG,
 	}
 }
 
@@ -146,6 +120,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: stale relocate threshold %v must be positive", c.StaleRelocateAfter)
 	case c.ProgressHysteresis < 0 || c.ProgressHysteresis >= 1:
 		return fmt.Errorf("core: progress hysteresis %v must be in [0,1)", c.ProgressHysteresis)
+	case c.Spanner != ldt.VariantLDTG && c.Spanner != ldt.VariantGabriel && c.Spanner != ldt.VariantUDG:
+		return fmt.Errorf("core: unknown spanner variant %d", int(c.Spanner))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"glr/internal/ldt"
 	"glr/internal/mobility"
 	"glr/internal/sim"
 )
@@ -19,6 +20,7 @@ func TestConfigValidate(t *testing.T) {
 		{"copies negative", func(c *Config) { c.Copies = -1 }},
 		{"copies too many", func(c *Config) { c.Copies = 6 }},
 		{"stale threshold", func(c *Config) { c.StaleRelocateAfter = 0 }},
+		{"unknown spanner", func(c *Config) { c.Spanner = ldt.Variant(7) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"glr/internal/ldt"
 	"glr/internal/metrics"
 	"glr/internal/sim"
 )
@@ -16,13 +17,13 @@ import (
 var pinnedWorlds = []struct {
 	name     string
 	mobility sim.MobilityKind
-	spanner  SpannerKind
+	spanner  ldt.Variant
 	seed     int64
 	rangeM   float64
 }{
-	{"waypoint", sim.MobilityWaypoint, SpannerLDTG, 2, 100},
-	{"static", sim.MobilityStatic, SpannerLDTG, 4, 100},
-	{"static-gabriel", sim.MobilityStatic, SpannerGabriel, 3, 200},
+	{"waypoint", sim.MobilityWaypoint, ldt.VariantLDTG, 2, 100},
+	{"static", sim.MobilityStatic, ldt.VariantLDTG, 4, 100},
+	{"static-gabriel", sim.MobilityStatic, ldt.VariantGabriel, 3, 200},
 }
 
 // pinnedReports are the exact reports of pinnedWorlds. The waypoint
@@ -37,7 +38,7 @@ var pinnedReports = map[string]metrics.Report{
 	"static-gabriel": {Generated: 200, Delivered: 185, DeliveryRatio: 0.925, AvgLatency: 2.6619673188427253, AvgHops: 5.799999999999997, MaxPeakStorage: 11, AvgPeakStorage: 1.5800000000000003, Duplicates: 0, ControlFrames: 15000, DataFrames: 4497, Acks: 4495},
 }
 
-func runPinned(t *testing.T, mob sim.MobilityKind, spanner SpannerKind, seed int64, rangeM float64) metrics.Report {
+func runPinned(t *testing.T, mob sim.MobilityKind, spanner ldt.Variant, seed int64, rangeM float64) metrics.Report {
 	t.Helper()
 	s := sim.DefaultScenario(rangeM)
 	s.Seed = seed

@@ -184,7 +184,7 @@ func TestWarmRelayCycleAllocatesNothing(t *testing.T) {
 	id := dtn.MessageID{Src: 0, Seq: 0}
 	cycle := func() {
 		f := relay.pool.take()
-		f.Msg = dtn.Message{ID: id, Dst: 3, Created: 5, PayloadBits: s.PayloadBits, Flags: dtn.FlagMax,
+		f.Msg = dtn.Message{ID: id, Dst: 3, Created: 5, PayloadBits: 8000, Flags: dtn.FlagMax,
 			DstLoc: geom.Pt(3*gap, 25), DstLocTime: sched.Now(), DstLocKnown: true}
 		f.SenderPos, f.SentAt = geom.Pt(0, 25), sched.Now()
 		relay.onData(f, 0)

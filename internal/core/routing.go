@@ -63,19 +63,8 @@ func (g *GLR) localSpanner() (*ldt.LocalView, []int, []geom.Point) {
 	if err := g.view.Set(g.n.ID(), g.thIDs, g.thPts, g.n.Range()); err != nil {
 		return nil, nil, nil
 	}
-	nbrIDs, nbrPts := g.maint.Neighbors(&g.view, g.spannerVariant())
+	nbrIDs, nbrPts := g.maint.Neighbors(&g.view, g.cfg.Spanner)
 	return &g.view, nbrIDs, nbrPts
-}
-
-// spannerVariant maps the config's spanner choice to the Maintainer's.
-func (g *GLR) spannerVariant() ldt.Variant {
-	switch g.cfg.Spanner {
-	case SpannerGabriel:
-		return ldt.VariantGabriel
-	case SpannerUDG:
-		return ldt.VariantUDG
-	}
-	return ldt.VariantLDTG
 }
 
 // refreshDstLoc updates a message's destination estimate before a routing

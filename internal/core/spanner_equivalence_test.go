@@ -31,7 +31,7 @@ func equivScenario(trial int) sim.Scenario {
 // ablations go through the oracle checks too.
 func equivConfig(trial int) Config {
 	cfg := DefaultConfig()
-	cfg.Spanner = SpannerKind(trial % 3)
+	cfg.Spanner = ldt.Variant(trial % 3)
 	return cfg
 }
 
@@ -51,9 +51,9 @@ func checkSpannersAgainstReference(t *testing.T, instances []*GLR, label string)
 		}
 		var local []int
 		switch g.cfg.Spanner {
-		case SpannerGabriel:
+		case ldt.VariantGabriel:
 			local = oracle.GabrielNeighbors(view)
-		case SpannerUDG:
+		case ldt.VariantUDG:
 			local = oracle.UDGNeighbors(view)
 		default:
 			var err error

@@ -6,8 +6,8 @@ import (
 
 	"glr/internal/asciiplot"
 	"glr/internal/core"
+	"glr/internal/ldt"
 	"glr/internal/metrics"
-	"glr/internal/sim"
 )
 
 // AblationResult measures the contribution of GLR's individual design
@@ -40,8 +40,8 @@ func Ablation(o Options) (*AblationResult, error) {
 		mutate func(*core.Config)
 	}{
 		{"baseline (LDTG, face, 3 trees)", func(*core.Config) {}},
-		{"gabriel spanner", func(c *core.Config) { c.Spanner = core.SpannerGabriel }},
-		{"raw UDG (no planarization)", func(c *core.Config) { c.Spanner = core.SpannerUDG }},
+		{"gabriel spanner", func(c *core.Config) { c.Spanner = ldt.VariantGabriel }},
+		{"raw UDG (no planarization)", func(c *core.Config) { c.Spanner = ldt.VariantUDG }},
 		{"no face routing", func(c *core.Config) { c.DisableFaceRouting = true }},
 		{"no progress hysteresis", func(c *core.Config) { c.ProgressHysteresis = 0 }},
 		{"single copy (MaxDSTD only)", func(c *core.Config) { c.Copies = 1 }},
@@ -51,9 +51,7 @@ func Ablation(o Options) (*AblationResult, error) {
 	for _, v := range variants {
 		cfg := core.DefaultConfig()
 		v.mutate(&cfg)
-		s := sim.DefaultScenario(radius)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(radius, 3800, msgs)
 		agg, err := o.runGLR(s, cfg)
 		if err != nil {
 			return nil, err

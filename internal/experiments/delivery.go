@@ -7,7 +7,6 @@ import (
 	"glr/internal/asciiplot"
 	"glr/internal/core"
 	"glr/internal/metrics"
-	"glr/internal/sim"
 )
 
 // Table3Result reproduces Table 3: delivery ratio with and without custody
@@ -28,9 +27,7 @@ func Table3Custody(o Options) (*Table3Result, error) {
 	for _, custody := range []bool{false, true} {
 		cfg := core.DefaultConfig()
 		cfg.Custody = custody
-		s := sim.DefaultScenario(50)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(1200, msgs)
+		s := paperWorld(50, 1200, msgs)
 		agg, err := o.runGLR(s, cfg)
 		if err != nil {
 			return nil, err
@@ -88,9 +85,7 @@ func Fig7StorageLimit(o Options) (*Fig7Result, error) {
 	res := &Fig7Result{Messages: msgs}
 	for _, paperLimit := range []int{25, 50, 100, 150, 200} {
 		limit := o.messages(paperLimit) // same scaling as message counts
-		s := sim.DefaultScenario(50)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(50, 3800, msgs)
 		s.StorageLimit = limit
 		glr, epi, err := o.compare(s)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"glr/internal/asciiplot"
 	"glr/internal/fault"
 	"glr/internal/metrics"
-	"glr/internal/sim"
 )
 
 // DisruptionIntensities are the fault-intensity knob positions the
@@ -51,9 +50,7 @@ func Disruption(o Options) (*DisruptionResult, error) {
 	msgs := o.messages(1980)
 	res := &DisruptionResult{Messages: msgs}
 	for _, x := range DisruptionIntensities {
-		s := sim.DefaultScenario(100)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(100, 3800, msgs)
 		s.Faults = DisruptionFaults(x)
 		glrAgg, epiAgg, err := o.compare(s)
 		if err != nil {

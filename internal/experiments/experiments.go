@@ -71,10 +71,15 @@ func (o Options) messages(paperCount int) int {
 	return n
 }
 
-// horizon is a paper simulation time, extended when needed to leave
-// room for the traffic (generated at 1 msg/s) plus delivery slack.
-func (o Options) horizon(paperTime float64, msgs int) float64 {
-	return max(paperTime, float64(msgs)+600)
+// paperWorld is the paper's Table-1 world at the given range carrying
+// the first msgs messages of its traffic pattern, run for the paper's
+// simulation time paperTime, extended when needed to leave room for the
+// traffic (generated at 1 msg/s) plus delivery slack.
+func paperWorld(radius, paperTime float64, msgs int) sim.Scenario {
+	s := sim.DefaultScenario(radius)
+	s.Traffic = sim.PaperTraffic(msgs)
+	s.SimTime = max(paperTime, float64(msgs)+600)
+	return s
 }
 
 func (o Options) progress(format string, args ...any) {

@@ -38,10 +38,10 @@ func TestOptionsScaling(t *testing.T) {
 		t.Errorf("messages floor = %d, want 1", got)
 	}
 	// Horizon never below generation span + slack.
-	if got := o.horizon(1000, 495); got != 495+600 {
+	if got := paperWorld(100, 1000, 495).SimTime; got != 495+600 {
 		t.Errorf("horizon = %v, want %v (extended)", got, 495+600)
 	}
-	if got := o.horizon(3800, 10); got != 3800 {
+	if got := paperWorld(100, 3800, 10).SimTime; got != 3800 {
 		t.Errorf("horizon = %v, want 3800 (paper)", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"glr/internal/asciiplot"
 	"glr/internal/core"
 	"glr/internal/metrics"
-	"glr/internal/sim"
 )
 
 // Fig3Result reproduces Figure 3: GLR delivery latency as a function of
@@ -31,9 +30,7 @@ func Fig3CheckInterval(o Options) (*Fig3Result, error) {
 	for _, iv := range res.Intervals {
 		cfg := core.DefaultConfig()
 		cfg.CheckInterval = iv
-		s := sim.DefaultScenario(100)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(100, 3800, msgs)
 		agg, err := o.runGLR(s, cfg)
 		if err != nil {
 			return nil, err

@@ -6,7 +6,6 @@ import (
 
 	"glr/internal/asciiplot"
 	"glr/internal/metrics"
-	"glr/internal/sim"
 )
 
 // LatencySweepResult reproduces Figures 4 and 5: GLR vs epidemic delivery
@@ -33,9 +32,7 @@ func Fig45Latency(o Options, radius float64) (*LatencySweepResult, error) {
 	for _, paperMsgs := range []int{400, 800, 1180, 1580, 1980} {
 		msgs := o.messages(paperMsgs)
 		res.Messages = append(res.Messages, msgs)
-		s := sim.DefaultScenario(radius)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(radius, 3800, msgs)
 		glr, epi, err := o.compare(s)
 		if err != nil {
 			return nil, err
@@ -114,9 +111,7 @@ func Fig6LatencyRadius(o Options) (*Fig6Result, error) {
 	msgs := o.messages(1980)
 	res := &Fig6Result{Messages: msgs}
 	for _, radius := range []float64{50, 100, 150, 200, 250} {
-		s := sim.DefaultScenario(radius)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(radius, 3800, msgs)
 		glr, epi, err := o.compare(s)
 		if err != nil {
 			return nil, err

@@ -7,7 +7,6 @@ import (
 	"glr/internal/asciiplot"
 	"glr/internal/core"
 	"glr/internal/metrics"
-	"glr/internal/sim"
 )
 
 // Table4Result reproduces Table 4: GLR peak storage vs message count
@@ -25,9 +24,7 @@ func Table4StorageByMessages(o Options) (*Table4Result, error) {
 	res := &Table4Result{}
 	for _, paperMsgs := range PaperTable4.Messages {
 		msgs := o.messages(paperMsgs)
-		s := sim.DefaultScenario(50)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(50, 3800, msgs)
 		agg, err := o.runGLR(s, core.DefaultConfig())
 		if err != nil {
 			return nil, err
@@ -86,9 +83,7 @@ func Table5StorageByRadius(o Options) (*Table5Result, error) {
 	msgs := o.messages(1980)
 	res := &Table5Result{Messages: msgs}
 	for _, radius := range PaperTable5.Radius {
-		s := sim.DefaultScenario(radius)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(radius, 3800, msgs)
 		agg, err := o.runGLR(s, core.DefaultConfig())
 		if err != nil {
 			return nil, err

@@ -7,7 +7,6 @@ import (
 	"glr/internal/asciiplot"
 	"glr/internal/core"
 	"glr/internal/metrics"
-	"glr/internal/sim"
 )
 
 // Table2Result reproduces Table 2: message delivery under four
@@ -46,9 +45,7 @@ func Table2LocationKnowledge(o Options) (*Table2Result, error) {
 		cfg := core.DefaultConfig()
 		cfg.Copies = reg.copies
 		cfg.Location = reg.loc
-		s := sim.DefaultScenario(100)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(100, 3800, msgs)
 		agg, err := o.runGLR(s, cfg)
 		if err != nil {
 			return nil, err

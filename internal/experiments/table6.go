@@ -6,7 +6,6 @@ import (
 
 	"glr/internal/asciiplot"
 	"glr/internal/metrics"
-	"glr/internal/sim"
 )
 
 // Table6Result reproduces Table 6: average hop counts of GLR vs epidemic
@@ -26,9 +25,7 @@ func Table6HopCounts(o Options) (*Table6Result, error) {
 	msgs := o.messages(1980)
 	res := &Table6Result{Messages: msgs}
 	for _, radius := range PaperTable6.Radius {
-		s := sim.DefaultScenario(radius)
-		s.Traffic = sim.PaperTraffic(msgs)
-		s.SimTime = o.horizon(3800, msgs)
+		s := paperWorld(radius, 3800, msgs)
 		glr, epi, err := o.compare(s)
 		if err != nil {
 			return nil, err

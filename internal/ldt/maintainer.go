@@ -12,14 +12,17 @@ import (
 // two-hop views, so no larger k would see more.
 const K = 2
 
-// Variant selects which local routing graph a Maintainer query builds.
-// It mirrors the protocol-level spanner choice without importing it.
+// Variant selects which local routing graph a Maintainer query builds;
+// GLR's Config.Spanner holds one.
 type Variant int
 
 // Spanner variants.
 const (
+	// VariantLDTG is the paper's k-localized Delaunay triangulation.
 	VariantLDTG Variant = iota
+	// VariantGabriel is the Gabriel graph restricted to unit-disk edges.
 	VariantGabriel
+	// VariantUDG is every unit-disk neighbor, with no planarization.
 	VariantUDG
 )
 

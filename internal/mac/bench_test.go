@@ -22,7 +22,7 @@ func paperDensityMedium(b testing.TB, n int) (*des.Scheduler, *Medium) {
 	for i := range pts {
 		pts[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
 	}
-	m, err := NewMedium(sched, DefaultConfig(100), 42, side, side, n, func(id int) geom.Point { return pts[id] })
+	m, err := NewMedium(sched, Config{Range: 100}, 42, side, side, n, func(id int) geom.Point { return pts[id] })
 	if err != nil {
 		b.Fatal(err)
 	}

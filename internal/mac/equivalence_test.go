@@ -85,8 +85,8 @@ type sendSpec struct {
 	bits     int
 }
 
-// equivWorld is a randomized topology (static or moving), MAC
-// configuration and traffic that every medium under comparison runs.
+// equivWorld is a randomized topology (static or moving), reception
+// range and traffic that every medium under comparison runs.
 type equivWorld struct {
 	n     int
 	side  float64 // the region [0,side]² the radios start in
@@ -101,8 +101,8 @@ const equivReindexEvery = 0.25
 
 // randomEquivWorld draws world number trial: 8–63 radios on a square of
 // side 300–1200 m, the media's region, moving linearly in odd trials
-// (at up to 30 m/s, so some leave the square for its margin cells), and
-// 10–49 broadcast and unicast frames of 400–8399 bits sent over the
+// (at up to 30 m/s, so some leave the square for its margin cells), a
+// reception range of 60–180 m, and 10–49 broadcast and unicast frames of 400–8399 bits sent over the
 // first 5 seconds.
 func randomEquivWorld(trial int) equivWorld {
 	rng := rand.New(rand.NewSource(int64(trial)*7919 + 3))
@@ -131,13 +131,7 @@ func randomEquivWorld(trial int) equivWorld {
 		return starts[id].Add(vels[id].Scale(now))
 	}
 
-	cfg := DefaultConfig(60 + rng.Float64()*120)
-	cfg.CSRangeFactor = 1 + rng.Float64()*1.5
-	cfg.VirtualCS = rng.Intn(2) == 0
-	if rng.Intn(2) == 0 {
-		cfg.CaptureRatio = 0
-	}
-	cfg.IndexSlack = maxSpeed*equivReindexEvery + 1
+	cfg := Config{Range: 60 + rng.Float64()*120, IndexSlack: maxSpeed*equivReindexEvery + 1}
 
 	w := equivWorld{n: n, side: side, cfg: cfg, pos: pos, seed: int64(trial)*31 + 11}
 	w.sends = make([]sendSpec, 10+rng.Intn(40))
@@ -172,8 +166,7 @@ func (w equivWorld) run(t testing.TB, newMedium mediumFunc) *equivMedium {
 }
 
 // TestGridNaiveEquivalence is the property test for the spatial index:
-// over randomized topologies (static and moving), MAC parameters, and
-// traffic, the grid-indexed medium and the naive full-scan medium must
+// over randomized topologies (static and moving), ranges, and traffic, the grid-indexed medium and the naive full-scan medium must
 // deliver the exact same frame sequence and count the exact same stats,
 // on the world's square and on a region an eighth as wide, which leaves
 // most radios beyond the grid's margin cells, clamped into them.
@@ -300,10 +293,7 @@ func TestEndIndexInvariant(t *testing.T) {
 		pos := func(id int, now des.Time) geom.Point {
 			return starts[id].Add(vels[id].Scale(now))
 		}
-		cfg := DefaultConfig(60 + rng.Float64()*120)
-		cfg.CSRangeFactor = 1 + rng.Float64()*1.5
-		cfg.VirtualCS = rng.Intn(2) == 0
-		cfg.IndexSlack = maxSpeed*reindexEvery + 1
+		cfg := Config{Range: 60 + rng.Float64()*120, IndexSlack: maxSpeed*reindexEvery + 1}
 		em := buildEquivMedium(t, NewMedium, cfg, n, side, pos, int64(trial)+1)
 
 		for k := 0; k < 40+rng.Intn(80); k++ {

@@ -1,16 +1,34 @@
 // Package mac simulates a CSMA/CA-flavoured wireless MAC over a shared
 // medium: carrier sensing, random backoff, finite-rate frame
 // serialization, receiver-side collision corruption, a bounded link-layer
-// queue (150 frames in the paper's Table 1), and bounded retransmission of
-// unicast frames.
+// queue, and bounded retransmission of unicast frames.
 //
-// It deliberately simplifies IEEE 802.11 (no RTS/CTS, no NAV, no
-// bit-level capture) while preserving the mechanisms the paper's analysis
-// rests on: "the increased contention is the reason why epidemic routing
-// slows down when messages increase" and "it is faster because contentions
-// are avoided by allowing only reasonable number of identical message
-// copies in transit". More traffic here means longer queues, more
+// It deliberately simplifies IEEE 802.11 (no bit-level capture, no
+// explicit RTS/CTS frames) while preserving the mechanisms the paper's
+// analysis rests on: "the increased contention is the reason why epidemic
+// routing slows down when messages increase" and "it is faster because
+// contentions are avoided by allowing only reasonable number of identical
+// message copies in transit". More traffic here means longer queues, more
 // deferrals, and more collisions — exactly those dynamics.
+//
+// The radio is the paper's Table 1, as NS-2's 802.11 ran it, and every
+// world uses it unchanged:
+//
+//   - bit rate 1 Mbps, and 464 header bits (58 bytes of MAC and PHY
+//     header) on every frame;
+//   - a link-layer queue of 150 frames;
+//   - carrier sense and interference reaching 2× the reception range;
+//   - slot 20 µs, DIFS 50 µs, SIFS 10 µs, and a contention window of 32
+//     slots doubling up to 1024 on each retry;
+//   - 4 retransmissions of a unicast frame;
+//   - capture ratio 10: a reception survives an interferer whose power at
+//     the receiver is at least 10× weaker (power falls as distance⁻⁴);
+//   - virtual carrier sense (RTS/CTS, NS-2's RTSThreshold 0) on every
+//     unicast frame: the channel is also busy within reception range of
+//     the receiver, so hidden terminals there defer.
+//
+// Only the reception range, the radio index's slack and the fault layer's
+// reception veto vary per world (Config).
 package mac
 
 import (
@@ -28,32 +46,26 @@ import (
 // Broadcast is the destination id addressing every radio in range.
 const Broadcast = -1
 
-// Config holds medium-wide MAC/PHY parameters.
+// The Table-1 radio of the package doc: rates in bits/s, sizes in bits
+// and frames, times in seconds, windows in slots, ratios dimensionless.
+const (
+	bitRate       = 1e6
+	headerBits    = 58 * 8
+	queueLen      = 150
+	csRangeFactor = 2
+	slotTime      = 20e-6
+	difs          = 50e-6
+	sifs          = 10e-6
+	cwMin         = 32
+	cwMax         = 1024
+	maxRetries    = 4
+	captureRatio  = 10
+)
+
+// Config holds what varies between worlds; the rest of the radio is
+// the Table-1 constants above.
 type Config struct {
-	BitRate       float64 // link speed in bits/s (paper: 1 Mbps)
-	Range         float64 // reception range in metres
-	CSRangeFactor float64 // carrier-sense & interference range as a multiple of Range
-	QueueLen      int     // link-layer queue capacity in frames (paper: 150)
-	HeaderBits    int     // per-frame PHY+MAC overhead in bits
-	SlotTime      float64 // backoff slot, seconds
-	DIFS          float64 // idle time required before transmitting, seconds
-	SIFS          float64 // turnaround before the implicit ack, seconds
-	CWMin         int     // initial contention window, slots
-	CWMax         int     // maximum contention window, slots
-	MaxRetries    int     // unicast retransmission budget
-	// CaptureRatio models the 802.11 capture effect: a reception
-	// survives interference when the wanted signal is at least this
-	// factor stronger than each interferer at the receiver. Power falls
-	// as distance^-4 (two-ray ground), so with ratio 10 an interferer
-	// must be within ~1.78× the sender's distance to corrupt the frame.
-	// 0 disables capture (any overlap corrupts).
-	CaptureRatio float64
-	// VirtualCS models RTS/CTS virtual carrier sensing for unicast
-	// frames: the channel is also reserved around the receiver, so
-	// hidden terminals defer instead of colliding. NS-2's 802.11 used
-	// RTS/CTS for all unicast data (RTSThreshold 0), so this matches
-	// the paper's stack.
-	VirtualCS bool
+	Range float64 // reception range in metres
 	// IndexSlack widens spatial-index queries over radios by this many
 	// metres to tolerate movement between index refreshes. The index
 	// returns exactly the radios whose indexed position lies within
@@ -74,30 +86,10 @@ type Config struct {
 	DropRx func(src, dst int, now float64, srcPos, dstPos geom.Point) bool
 }
 
-// DefaultConfig mirrors the paper's Table 1 at a given transmission range.
-func DefaultConfig(rng float64) Config {
-	return Config{
-		BitRate:       1e6,
-		Range:         rng,
-		CSRangeFactor: 2.0,
-		QueueLen:      150,
-		HeaderBits:    58 * 8, // MAC+PHY header bytes, 802.11-ish
-		SlotTime:      20e-6,
-		DIFS:          50e-6,
-		SIFS:          10e-6,
-		CWMin:         32,
-		CWMax:         1024,
-		MaxRetries:    4,
-		CaptureRatio:  10,
-		VirtualCS:     true,
-	}
-}
-
-// Validate reports a descriptive error for nonsensical configurations:
-// every parameter must be finite and in range, and every duration and
-// query radius the medium derives from them must stay finite, so a valid
-// configuration never hands the scheduler or the spatial index an
-// infinite or NaN value.
+// Validate reports a descriptive error for a range or index slack that
+// is not finite and in range, or whose query radii overflow, so a valid
+// configuration never hands the spatial index an infinite or NaN
+// radius.
 func (c Config) Validate() error {
 	finite := func(xs ...float64) bool {
 		for _, x := range xs {
@@ -108,29 +100,11 @@ func (c Config) Validate() error {
 		return true
 	}
 	switch {
-	case !(c.BitRate >= 1) || !finite(c.BitRate):
-		return fmt.Errorf("mac: bit rate %v must be finite and at least 1 bit/s", c.BitRate)
 	case !(c.Range > 0) || !finite(c.Range):
 		return fmt.Errorf("mac: range %v must be positive and finite", c.Range)
-	case !(c.CSRangeFactor >= 1) || !finite(c.CSRangeFactor):
-		return fmt.Errorf("mac: carrier-sense factor %v must be finite and ≥ 1", c.CSRangeFactor)
-	case c.QueueLen <= 0:
-		return fmt.Errorf("mac: queue length %d must be positive", c.QueueLen)
-	case c.HeaderBits < 0:
-		return fmt.Errorf("mac: header bits %d must be nonnegative", c.HeaderBits)
-	case !(c.SlotTime > 0) || !(c.DIFS >= 0) || !(c.SIFS >= 0) || !finite(c.SlotTime, c.DIFS, c.SIFS):
-		return fmt.Errorf("mac: invalid timing parameters")
-	case c.CWMin <= 0 || c.CWMax < c.CWMin:
-		return fmt.Errorf("mac: invalid contention window [%d,%d]", c.CWMin, c.CWMax)
-	case !finite(c.DIFS + float64(c.CWMax)*c.SlotTime):
-		return fmt.Errorf("mac: a backoff of %d slots of %v s overflows", c.CWMax, c.SlotTime)
-	case c.MaxRetries < 0:
-		return fmt.Errorf("mac: negative retry budget")
-	case !(c.CaptureRatio >= 0) || !finite(c.CaptureRatio):
-		return fmt.Errorf("mac: capture ratio %v must be finite and nonnegative", c.CaptureRatio)
 	case !(c.IndexSlack >= 0) || !finite(c.IndexSlack):
 		return fmt.Errorf("mac: index slack %v must be finite and nonnegative", c.IndexSlack)
-	case !finite(c.Range*(1+c.CSRangeFactor), c.Range+c.IndexSlack):
+	case !finite(c.Range*(1+csRangeFactor), c.Range+c.IndexSlack):
 		return fmt.Errorf("mac: range %v overflows the index query radius", c.Range)
 	}
 	return nil
@@ -158,7 +132,7 @@ type Stats struct {
 	QueueDrops      uint64
 	Transmissions   uint64 // individual airings, including retries
 	Collisions      uint64 // receiver-frame corruption events
-	UnicastFailures uint64 // frames abandoned after MaxRetries
+	UnicastFailures uint64 // frames abandoned after maxRetries retries
 	Delivered       uint64 // successful frame receptions
 	BusyDeferrals   uint64
 	FaultDrops      uint64 // receptions vetoed by Config.DropRx
@@ -182,7 +156,7 @@ type Stats struct {
 // therefore costs the size of its own batch, not the world's retained
 // air. The active FIFO only decides when an airing is old enough to be
 // pruned: an ended airing is kept for the longest airtime started so
-// far plus one SlotTime (retain), the least that still covers every
+// far plus one slot (retain), the least that still covers every
 // airing it can overlap, so interferer gathers and carrier sensing walk
 // only the last few airtimes of the channel (see pruneActive).
 type Medium struct {
@@ -193,7 +167,7 @@ type Medium struct {
 	radios []*Radio
 	active []*transmission // FIFO, in start order, of retained transmissions
 	head   int             // index of the oldest retained entry in active
-	retain float64         // seconds an ended airing is kept: longest airtime + SlotTime
+	retain float64         // seconds an ended airing is kept: longest airtime + slotTime
 	stats  Stats
 
 	// End-tick index of unresolved airings. endFn is the one shared end
@@ -262,7 +236,7 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64, w, h float64, n int
 		sched:  sched,
 		rng:    rng.New(seed),
 		pos:    pos,
-		retain: cfg.SlotTime,
+		retain: slotTime,
 		ending: make(map[des.Time][]*transmission),
 	}
 	m.endFn = m.resolveEnds
@@ -274,7 +248,7 @@ func NewMedium(sched *des.Scheduler, cfg Config, seed int64, w, h float64, n int
 	if m.radioIdx, err = spatial.NewGrid(cfg.Range, w, h, n); err != nil {
 		return nil, err
 	}
-	if m.txIdx, err = spatial.NewGrid(cfg.Range*cfg.CSRangeFactor, w, h, n); err != nil {
+	if m.txIdx, err = spatial.NewGrid(cfg.Range*csRangeFactor, w, h, n); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -301,7 +275,7 @@ func (m *Medium) AddRadio(id int, onRecv ReceiveFunc, onSent SentFunc) (*Radio, 
 		medium: m,
 		onRecv: onRecv,
 		onSent: onSent,
-		cw:     m.cfg.CWMin,
+		cw:     cwMin,
 	}
 	r.attemptFn = func() {
 		r.attemptArmed = false
@@ -350,22 +324,20 @@ func (t *transmission) overlaps(u *transmission) bool {
 }
 
 // frameAirtime returns the seconds needed to serialize a frame. The bit
-// counts are summed as floats so a huge header cannot overflow int.
+// counts are summed as floats so a huge payload cannot overflow int.
 func (m *Medium) frameAirtime(f *Frame) float64 {
-	return (float64(m.cfg.HeaderBits) + float64(f.Bits)) / m.cfg.BitRate
+	return (headerBits + float64(f.Bits)) / bitRate
 }
 
 // occupies reports whether airing t keeps the channel busy at p now, per
-// physical carrier sense around the sender and (when enabled) virtual
-// carrier sense around the unicast receiver — the RTS/CTS NAV only
-// reaches nodes that can decode the receiver's CTS, i.e. within
-// reception range of it.
-func (m *Medium) occupies(t *transmission, p geom.Point, now des.Time, cs2, range2 float64) bool {
+// physical carrier sense around the sender and virtual carrier sense
+// around the unicast receiver — the RTS/CTS NAV only reaches nodes that
+// can decode the receiver's CTS, i.e. within reception range of it.
+func (t *transmission) occupies(p geom.Point, now des.Time, cs2, range2 float64) bool {
 	if t.end <= now {
 		return false
 	}
-	return t.pos.Dist2(p) <= cs2 ||
-		(m.cfg.VirtualCS && t.hasRx && t.rxPos.Dist2(p) <= range2)
+	return t.pos.Dist2(p) <= cs2 || (t.hasRx && t.rxPos.Dist2(p) <= range2)
 }
 
 // busyFor reports whether the channel is sensed busy at p now, and if so,
@@ -378,7 +350,7 @@ func (m *Medium) busyFor(p geom.Point) (bool, des.Time) {
 		return false, 0
 	}
 	now := m.sched.Now()
-	cs := m.cfg.Range * m.cfg.CSRangeFactor
+	cs := m.cfg.Range * csRangeFactor
 	cs2 := cs * cs
 	range2 := m.cfg.Range * m.cfg.Range
 	busy := false
@@ -393,7 +365,7 @@ func (m *Medium) busyFor(p geom.Point) (bool, des.Time) {
 	// reception callbacks (receiver reacts by queueing a frame).
 	m.csScratch = m.txIdx.NearIDs(p, cs, m.csScratch[:0])
 	for _, h := range m.csScratch {
-		if t := m.txByHandle[h]; m.occupies(t, p, now, cs2, range2) {
+		if t := m.txByHandle[h]; t.occupies(p, now, cs2, range2) {
 			busy = true
 			if t.end > until {
 				until = t.end
@@ -452,11 +424,11 @@ func (m *Medium) indexTransmission(t *transmission) {
 
 // pruneActive drops transmissions old enough that they can no longer
 // overlap anything in flight. An airing is kept for m.retain after its
-// end: the longest airtime started so far plus one SlotTime. An
+// end: the longest airtime started so far plus one slot. An
 // unresolved airing ends at or after now and started at most one
 // longest airtime before its end, so it cannot overlap an airing that
 // ended m.retain ago (an airing that starts in the tick another ends
-// does not overlap it). The SlotTime margin absorbs float rounding at
+// does not overlap it). The slot margin absorbs float rounding at
 // the u.end+m.retain <= now boundary, which stays far below a slot
 // while the clock can still resolve slots. Airings expire in near-FIFO
 // order (they are appended in start order and their airtimes are
@@ -494,8 +466,9 @@ func (m *Medium) pruneActive() {
 // txCorrupts reports whether airing u, from a sender other than the
 // receiver, destroys reception of t at position p. The capture effect
 // lets a much stronger wanted signal survive: with two-ray path loss,
-// power ratio ≈ (d_interferer/d_sender)⁴.
-func (m *Medium) txCorrupts(u, t *transmission, p geom.Point, ir2, dWanted2 float64) bool {
+// power ratio ≈ (d_interferer/d_sender)⁴. A receiver at the sender's
+// very position has no ratio to compare, and any overlap corrupts there.
+func txCorrupts(u, t *transmission, p geom.Point, ir2, dWanted2 float64) bool {
 	if u == t || !t.overlaps(u) {
 		return false
 	}
@@ -503,9 +476,9 @@ func (m *Medium) txCorrupts(u, t *transmission, p geom.Point, ir2, dWanted2 floa
 	if dInt2 > ir2 {
 		return false // interferer too far to matter
 	}
-	if m.cfg.CaptureRatio > 0 && dWanted2 > 0 {
+	if dWanted2 > 0 {
 		ratio2 := dInt2 / dWanted2
-		if ratio2*ratio2 >= m.cfg.CaptureRatio {
+		if ratio2*ratio2 >= captureRatio {
 			return false // captured: wanted signal dominates
 		}
 	}
@@ -517,7 +490,7 @@ func (m *Medium) txCorrupts(u, t *transmission, p geom.Point, ir2, dWanted2 floa
 // within interference range, or by the receiver transmitting itself
 // (half-duplex).
 func (m *Medium) corruptedAt(t *transmission, rid int, p geom.Point) bool {
-	ir := m.cfg.Range * m.cfg.CSRangeFactor
+	ir := m.cfg.Range * csRangeFactor
 	ir2 := ir * ir
 	dWanted2 := t.pos.Dist2(p)
 	// Half-duplex first: the receiver's own overlapping airings corrupt
@@ -536,7 +509,7 @@ func (m *Medium) corruptedAt(t *transmission, rid int, p geom.Point) bool {
 	// exact predicate decides. Batch-mates are in the set and genuinely
 	// overlap each other; t itself is skipped by the u == t check.
 	for _, u := range m.txCand {
-		if u.from.id != rid && m.txCorrupts(u, t, p, ir2, dWanted2) {
+		if u.from.id != rid && txCorrupts(u, t, p, ir2, dWanted2) {
 			return true
 		}
 	}
@@ -576,7 +549,7 @@ func (m *Medium) gatherInterferers(batch []*transmission) {
 // radius a normal float for ranges so small that their squares lose
 // precision. Capped at the largest finite float.
 func (m *Medium) interferenceReach() float64 {
-	reach := m.cfg.Range * (1 + m.cfg.CSRangeFactor)
+	reach := m.cfg.Range * (1 + csRangeFactor)
 	return min(reach+reach*1e-9+1e-100, math.MaxFloat64)
 }
 

@@ -52,31 +52,10 @@ func TestConfigValidate(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"zero bitrate", func(c *Config) { c.BitRate = 0 }},
 		{"zero range", func(c *Config) { c.Range = 0 }},
-		{"cs factor below 1", func(c *Config) { c.CSRangeFactor = 0.5 }},
-		{"zero queue", func(c *Config) { c.QueueLen = 0 }},
-		{"zero slot", func(c *Config) { c.SlotTime = 0 }},
-		{"cw max below min", func(c *Config) { c.CWMax = 1 }},
-		{"negative retries", func(c *Config) { c.MaxRetries = -1 }},
-		{"NaN bitrate", func(c *Config) { c.BitRate = math.NaN() }},
-		{"infinite bitrate", func(c *Config) { c.BitRate = math.Inf(1) }},
-		{"bitrate below 1 bit/s", func(c *Config) { c.BitRate = 1e-310 }},
 		{"NaN range", func(c *Config) { c.Range = math.NaN() }},
 		{"infinite range", func(c *Config) { c.Range = math.Inf(1) }},
 		{"range overflows interference reach", func(c *Config) { c.Range = 1e308 }},
-		{"NaN cs factor", func(c *Config) { c.CSRangeFactor = math.NaN() }},
-		{"infinite cs factor", func(c *Config) { c.CSRangeFactor = math.Inf(1) }},
-		{"negative header bits", func(c *Config) { c.HeaderBits = -100000 }},
-		{"NaN slot", func(c *Config) { c.SlotTime = math.NaN() }},
-		{"infinite slot", func(c *Config) { c.SlotTime = math.Inf(1) }},
-		{"NaN DIFS", func(c *Config) { c.DIFS = math.NaN() }},
-		{"infinite DIFS", func(c *Config) { c.DIFS = math.Inf(1) }},
-		{"NaN SIFS", func(c *Config) { c.SIFS = math.NaN() }},
-		{"infinite SIFS", func(c *Config) { c.SIFS = math.Inf(1) }},
-		{"backoff window overflows", func(c *Config) { c.SlotTime, c.CWMax = 1e300, 1<<40 }},
-		{"NaN capture ratio", func(c *Config) { c.CaptureRatio = math.NaN() }},
-		{"infinite capture ratio", func(c *Config) { c.CaptureRatio = math.Inf(1) }},
 		{"negative index slack", func(c *Config) { c.IndexSlack = -1 }},
 		{"NaN index slack", func(c *Config) { c.IndexSlack = math.NaN() }},
 		{"infinite index slack", func(c *Config) { c.IndexSlack = math.Inf(1) }},
@@ -84,21 +63,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			cfg := DefaultConfig(100)
+			cfg := Config{Range: 100}
 			tt.mutate(&cfg)
 			if cfg.Validate() == nil {
 				t.Error("expected validation error")
 			}
 		})
 	}
-	if err := DefaultConfig(100).Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	if err := (Config{Range: 100}).Validate(); err != nil {
+		t.Errorf("a 100 m radio is invalid: %v", err)
 	}
 }
 
 func TestAddRadioOrderEnforced(t *testing.T) {
 	sched := des.NewScheduler()
-	m, _ := NewMedium(sched, DefaultConfig(100), 1, 0, 0, 1, func(int) geom.Point { return geom.Pt(0, 0) })
+	m, _ := NewMedium(sched, Config{Range: 100}, 1, 0, 0, 1, func(int) geom.Point { return geom.Pt(0, 0) })
 	if _, err := m.AddRadio(3, nil, nil); err == nil {
 		t.Error("out-of-order radio id accepted")
 	}
@@ -107,7 +86,7 @@ func TestAddRadioOrderEnforced(t *testing.T) {
 func TestBroadcastReachesAllInRange(t *testing.T) {
 	// Radios at 0, 80, 160, 400 m; range 100 m. A broadcast from radio 0
 	// reaches only radio 1.
-	cfg := DefaultConfig(100)
+	cfg := Config{Range: 100}
 	n := newTestNet(t, cfg, []geom.Point{
 		geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(160, 0), geom.Pt(400, 0),
 	})
@@ -126,7 +105,7 @@ func TestBroadcastReachesAllInRange(t *testing.T) {
 }
 
 func TestUnicastDeliveredOnlyToDestination(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := Config{Range: 100}
 	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(90, 0)})
 	f := &Frame{Dst: 2, Bits: 8000}
 	n.sched.At(0, func() { n.radios[0].Send(f) })
@@ -153,7 +132,7 @@ func TestUnicastFastPathMatchesBroadcastReachability(t *testing.T) {
 		geom.Pt(0, 0), geom.Pt(30, 0), geom.Pt(0, 30), geom.Pt(30, 30), geom.Pt(60, 0),
 	}
 	run := func(dst int) (*testNet, Stats) {
-		cfg := DefaultConfig(100)
+		cfg := Config{Range: 100}
 		n := newTestNet(t, cfg, positions)
 		n.sched.At(0, func() { n.radios[0].Send(&Frame{Dst: dst, Bits: 8000, Payload: "fp"}) })
 		n.sched.Run(1)
@@ -193,7 +172,7 @@ func TestUnicastFastPathMatchesBroadcastReachability(t *testing.T) {
 // addressed to its own sender is never delivered (the naive loop always
 // skipped the sender) and fails after the retry budget.
 func TestUnicastSelfAddressedFails(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := Config{Range: 100}
 	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)})
 	f := &Frame{Dst: 0, Bits: 800}
 	n.sched.At(0, func() { n.radios[0].Send(f) })
@@ -207,7 +186,7 @@ func TestUnicastSelfAddressedFails(t *testing.T) {
 }
 
 func TestUnicastOutOfRangeFailsAfterRetries(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := Config{Range: 100}
 	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(500, 0)})
 	f := &Frame{Dst: 1, Bits: 8000}
 	n.sched.At(0, func() { n.radios[0].Send(f) })
@@ -219,33 +198,31 @@ func TestUnicastOutOfRangeFailsAfterRetries(t *testing.T) {
 		t.Errorf("UnicastFailures = %d, want 1", got)
 	}
 	// Retries were attempted: transmissions > 1.
-	if got := n.medium.Stats().Transmissions; got != uint64(cfg.MaxRetries)+1 {
-		t.Errorf("Transmissions = %d, want %d", got, cfg.MaxRetries+1)
+	if got := n.medium.Stats().Transmissions; got != maxRetries+1 {
+		t.Errorf("Transmissions = %d, want %d", got, maxRetries+1)
 	}
 }
 
 func TestFrameAirtimeSerialization(t *testing.T) {
 	// A 1000-byte payload at 1 Mbps takes 8 ms plus header time; the
 	// receive event must land at exactly start + airtime.
-	cfg := DefaultConfig(100)
+	cfg := Config{Range: 100}
 	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)})
 	var recvAt des.Time = -1
 	n.medium.radios[1].onRecv = func(*Frame) { recvAt = n.sched.Now() }
 	n.sched.At(0, func() { n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
 	n.sched.Run(1)
-	want := float64(cfg.HeaderBits+8000) / cfg.BitRate
+	want := float64(headerBits+8000) / bitRate
 	if recvAt != want {
 		t.Errorf("received at %v, want %v", recvAt, want)
 	}
 }
 
 func TestQueueOverflowDrops(t *testing.T) {
-	cfg := DefaultConfig(100)
-	cfg.QueueLen = 3
-	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)})
+	n := newTestNet(t, Config{Range: 100}, []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)})
 	accepted := 0
 	n.sched.At(0, func() {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < queueLen+7; i++ {
 			if n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 8000}) {
 				accepted++
 			}
@@ -254,22 +231,22 @@ func TestQueueOverflowDrops(t *testing.T) {
 	n.sched.Run(10)
 	// First frame starts transmitting immediately (leaves the queue is
 	// not modelled — the head stays queued until completion), so only
-	// QueueLen frames are accepted.
-	if accepted != cfg.QueueLen {
-		t.Errorf("accepted %d frames, want %d", accepted, cfg.QueueLen)
+	// queueLen frames are accepted.
+	if accepted != queueLen {
+		t.Errorf("accepted %d frames, want %d", accepted, queueLen)
 	}
 	if drops := n.medium.Stats().QueueDrops; drops != 7 {
 		t.Errorf("QueueDrops = %d, want 7", drops)
 	}
-	if len(n.recv[1]) != cfg.QueueLen {
-		t.Errorf("receiver got %d frames, want %d", len(n.recv[1]), cfg.QueueLen)
+	if len(n.recv[1]) != queueLen {
+		t.Errorf("receiver got %d frames, want %d", len(n.recv[1]), queueLen)
 	}
 }
 
 func TestCarrierSenseSerializesNeighbors(t *testing.T) {
 	// Two senders in carrier-sense range both broadcast at t=0; the
 	// second must defer, so the common receiver gets both frames.
-	cfg := DefaultConfig(100)
+	cfg := Config{Range: 100}
 	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(40, 0), geom.Pt(20, 10)})
 	n.sched.At(0, func() { n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
 	n.sched.At(1e-9, func() { n.radios[1].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
@@ -283,12 +260,10 @@ func TestCarrierSenseSerializesNeighbors(t *testing.T) {
 }
 
 func TestHiddenTerminalCollision(t *testing.T) {
-	// With carrier-sense range equal to reception range, senders 0 and 2
-	// (180 m apart) cannot hear each other, but receiver 1 in the middle
-	// hears both: simultaneous broadcasts collide at 1.
-	cfg := DefaultConfig(100)
-	cfg.CSRangeFactor = 1.0
-	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(90, 0), geom.Pt(180, 0)})
+	// Senders 0 and 2 (255 m apart) cannot sense each other, and
+	// receiver 1 hears 0 while 2 is close enough to corrupt what it
+	// hears (hiddenLine): simultaneous broadcasts collide at 1.
+	n := newTestNet(t, Config{Range: 100}, hiddenLine)
 	n.sched.At(0, func() { n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
 	n.sched.At(0, func() { n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
 	n.sched.Run(1)
@@ -302,12 +277,10 @@ func TestHiddenTerminalCollision(t *testing.T) {
 
 func TestUnicastRetrySucceedsAfterCollision(t *testing.T) {
 	// Hidden terminal corrupts the first airing of a unicast, but the
-	// interferer sends only once; the retry must succeed. Virtual CS is
-	// disabled so the hidden terminal actually transmits concurrently.
-	cfg := DefaultConfig(100)
-	cfg.CSRangeFactor = 1.0
-	cfg.VirtualCS = false
-	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(90, 0), geom.Pt(180, 0)})
+	// interferer sends only once; the retry must succeed. The
+	// interferer is beyond reception range of the receiver, so the
+	// unicast's reservation does not reach it either (hiddenLine).
+	n := newTestNet(t, Config{Range: 100}, hiddenLine)
 	f := &Frame{Dst: 1, Bits: 8000}
 	n.sched.At(0, func() { n.radios[0].Send(f) })
 	n.sched.At(0, func() { n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
@@ -321,34 +294,33 @@ func TestUnicastRetrySucceedsAfterCollision(t *testing.T) {
 }
 
 func TestHalfDuplexCannotReceiveWhileSending(t *testing.T) {
-	// Radios 0 and 1 are out of carrier-sense range of each other but
-	// within... impossible: CS range ≥ RX range. Instead: radio 1
-	// transmits a long frame; radio 0's frame arriving mid-transmission
-	// must not be received by 1 (half-duplex), even though 0 is in range.
-	cfg := DefaultConfig(100)
-	cfg.CSRangeFactor = 1.0 // make CS range equal RX range
-	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(99, 0)})
-	// Radio 1 starts first with a long frame; radio 0 senses... at 99 m
-	// with factor 1.0 they DO sense each other. Put them at the edge so
-	// they are within RX range but start simultaneously: both transmit in
-	// the same instant — neither senses the other (sensing happens before
-	// the medium registers the peer's airing in the same tick only for
-	// the earlier-scheduled event). Use explicit ordering: 1 first.
+	// Radio 1 starts a long broadcast 250 m from radio 0, then moves next
+	// to it. Its airing stays anchored where it began, beyond radio 0's
+	// carrier sense, so radio 0 sends it a unicast while it is still on
+	// the air: every airing of that unicast reaches radio 1 in range and
+	// uncontested, and every one is lost because radio 1 is transmitting.
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(250, 0)}
+	n := newTestNet(t, Config{Range: 100}, pts)
+	f := &Frame{Dst: 1, Bits: 800}
 	n.sched.At(0, func() { n.radios[1].Send(&Frame{Dst: Broadcast, Bits: 80000}) })
-	n.sched.At(1e-8, func() {
-		// Radio 0 will sense busy and defer — forcing it NOT to defer
-		// requires being outside CS range; accept deferral here and just
-		// assert serialization works with factor 1.
-		n.radios[0].Send(&Frame{Dst: 1, Bits: 800})
+	n.sched.At(0.001, func() {
+		pts[1] = geom.Pt(50, 0)
+		n.radios[0].Send(f)
 	})
 	n.sched.Run(2)
-	if len(n.recv[1]) != 1 {
-		t.Errorf("radio 1 should receive the deferred unicast after finishing its own airing, got %d", len(n.recv[1]))
+	if ok, exists := n.sent[0][f]; !exists || ok {
+		t.Error("a unicast to a transmitting radio should fail")
+	}
+	if len(n.recv[1]) != 0 {
+		t.Errorf("radio 1 received %d frames while on the air", len(n.recv[1]))
+	}
+	if c := n.medium.Stats().Collisions; c != maxRetries+1 {
+		t.Errorf("Collisions = %d, want %d: every airing lands inside radio 1's own", c, maxRetries+1)
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := Config{Range: 100}
 	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(50, 0)})
 	n.sched.At(0, func() {
 		n.radios[0].Send(&Frame{Dst: 1, Bits: 8000})
@@ -387,7 +359,7 @@ func TestManyContendersAllFramesEventuallyDeliver(t *testing.T) {
 	// 40 airings without loss (broadcasts are not acked, but within CS
 	// range collisions can only happen on identical backoff expiry, which
 	// retries... broadcasts do not retry — so assert a high floor).
-	cfg := DefaultConfig(100)
+	cfg := Config{Range: 100}
 	positions := make([]geom.Point, 8)
 	for i := range positions {
 		positions[i] = geom.Pt(float64(i)*10, 0)
@@ -418,7 +390,7 @@ func TestContentionIncreasesLatency(t *testing.T) {
 	// longer to get through. Send 1 vs 100 background frames and compare
 	// the probe frame's completion time.
 	probeLatency := func(background int) des.Time {
-		cfg := DefaultConfig(100)
+		cfg := Config{Range: 100}
 		n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(50, 50)})
 		var doneAt des.Time = -1
 		probe := &Frame{Dst: 1, Bits: 8000}
@@ -453,14 +425,10 @@ func TestContentionIncreasesLatency(t *testing.T) {
 // after an unrelated end event has pruned the FIFO while the long airing
 // is still on the air.
 func TestLongAiringKeepsEarlyInterferer(t *testing.T) {
-	cfg := DefaultConfig(100)
-	cfg.CSRangeFactor = 1
-	cfg.CaptureRatio = 0
-	// Radios 0 and 2 are hidden from each other and radio 1 hears both;
-	// radio 3 is out of everyone's range.
-	n := newTestNet(t, cfg, []geom.Point{
-		geom.Pt(0, 0), geom.Pt(90, 0), geom.Pt(180, 0), geom.Pt(5000, 0),
-	})
+	// Radios 0 and 2 are hidden from each other, radio 1 hears radio 0
+	// and radio 2 corrupts what it hears (hiddenLine); radio 3 is out of
+	// everyone's range.
+	n := newTestNet(t, Config{Range: 100}, append(slices.Clone(hiddenLine), geom.Pt(5000, 0)))
 	n.sched.At(0, func() { n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
 	// About 3 s on the air, overlapping radio 2's frame at its start.
 	n.sched.At(0.001, func() { n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 3e6}) })
@@ -468,10 +436,10 @@ func TestLongAiringKeepsEarlyInterferer(t *testing.T) {
 	n.sched.At(2, func() { n.radios[3].Send(&Frame{Dst: Broadcast, Bits: 8000}) })
 	n.sched.Run(5)
 	if got := len(n.recv[1]); got != 0 {
-		t.Errorf("radio 1 received %d frames; both overlapping frames should collide there", got)
+		t.Errorf("radio 1 received %d frames; radio 2's early frame should corrupt the long one there", got)
 	}
-	if got := n.medium.Stats().Collisions; got != 2 {
-		t.Errorf("Collisions = %d, want 2", got)
+	if got := n.medium.Stats().Collisions; got != 1 {
+		t.Errorf("Collisions = %d, want 1", got)
 	}
 }
 
@@ -482,10 +450,7 @@ func TestLongAiringKeepsEarlyInterferer(t *testing.T) {
 // production rule keeps it for one airtime plus a slot) or was pruned
 // in that very tick (a retention of exactly one airtime).
 func TestAiringAtEndTickDoesNotOverlap(t *testing.T) {
-	cfg := DefaultConfig(100)
-	cfg.CSRangeFactor = 1
-	cfg.CaptureRatio = 0
-	air := float64(cfg.HeaderBits+8000) / cfg.BitRate
+	air := float64(headerBits+8000) / bitRate
 	for _, tc := range []struct {
 		name   string
 		retain float64 // overrides Medium.retain once both airings started; 0 keeps the rule
@@ -495,14 +460,18 @@ func TestAiringAtEndTickDoesNotOverlap(t *testing.T) {
 		{"pruned", air, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Radios 0 and 2 are hidden from each other and radio 1
-			// hears both, so any overlap would corrupt both frames.
-			n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(90, 0), geom.Pt(180, 0)})
+			// Radios 0 and 2 are hidden from each other; radio 1
+			// hears radio 0 and radio 3 hears radio 2, each 95 m from
+			// its sender and 160 m from the other, so any overlap
+			// would corrupt both frames (hiddenLine, both ways).
+			n := newTestNet(t, Config{Range: 100}, append(slices.Clone(hiddenLine), geom.Pt(160, 0)))
 			var got []string
 			var held []int
-			n.medium.radios[1].onRecv = func(f *Frame) {
-				got = append(got, f.Payload.(string))
-				held = append(held, n.medium.retained())
+			for _, rx := range []int{1, 3} {
+				n.medium.radios[rx].onRecv = func(f *Frame) {
+					got = append(got, f.Payload.(string))
+					held = append(held, n.medium.retained())
+				}
 			}
 			n.sched.At(0, func() { n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 8000, Payload: "first"}) })
 			// Scheduled before the first airing's end event, so the
@@ -515,7 +484,7 @@ func TestAiringAtEndTickDoesNotOverlap(t *testing.T) {
 			})
 			n.sched.Run(1)
 			if !slices.Equal(got, []string{"first", "second"}) {
-				t.Fatalf("radio 1 received %v, want [first second]", got)
+				t.Fatalf("radios 3 and 1 received %v, want [first second]", got)
 			}
 			if c := n.medium.Stats().Collisions; c != 0 {
 				t.Errorf("Collisions = %d, want 0", c)
@@ -561,7 +530,7 @@ func TestRetainedAirStaysWithinAirtimes(t *testing.T) {
 // end in the same tick share one scheduler event, and their receptions
 // and completions run in start order.
 func TestCoincidentEndsOneEventPerTick(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := Config{Range: 100}
 	// Senders 0..3 sit 1 km apart, hidden from one another; receiver
 	// 4+i hears only sender i.
 	var positions []geom.Point
@@ -611,9 +580,9 @@ func TestDriftedRadioReceivedAtRange(t *testing.T) {
 		interval = 1.0
 	)
 	received := func(newMedium mediumFunc, slack float64) bool {
-		cfg := DefaultConfig(100)
+		cfg := Config{Range: 100}
 		cfg.IndexSlack = slack
-		airtime := (float64(cfg.HeaderBits) + 800) / cfg.BitRate
+		airtime := (headerBits + 800) / bitRate
 		start := interval - airtime - 1e-6
 		end := start + airtime
 		sched := des.NewScheduler()
@@ -661,17 +630,18 @@ func TestDriftedRadioReceivedAtRange(t *testing.T) {
 
 // TestInterfererAtFullReachCorrupts: the interferer gather queries the
 // transmission index, which filters to the exact disk, at the radius
-// Range + ir around the sender (ir = Range·CSRangeFactor): a receiver at
-// Range from the sender and an interferer at ir beyond it, all on one
-// line, is the farthest an interferer can sit and still matter. Its
-// simultaneous airing, longer so that the sender's airing ends alone,
-// must corrupt the reception (capture disabled); the interferer is too
-// far from the sender to sense it and defer.
+// Range + ir around the sender (ir = 2·Range). An interferer matters
+// while it is within ir of the receiver and, by the capture ratio of 10,
+// closer than 10^¼ ≈ 1.778 times the receiver's distance from the
+// sender; so a receiver at Range from the sender and an interferer 177 m
+// beyond it, all on one line, is about the farthest an interferer can
+// sit and still matter. Its simultaneous airing, longer so that the
+// sender's airing ends alone, must corrupt the reception; the
+// interferer is too far from the sender to sense it and defer.
 func TestInterfererAtFullReachCorrupts(t *testing.T) {
-	cfg := DefaultConfig(100)
-	cfg.CaptureRatio = 0
-	ir := cfg.Range * cfg.CSRangeFactor
-	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(cfg.Range, 0), geom.Pt(cfg.Range+ir, 0)})
+	const far = 177.0
+	cfg := Config{Range: 100}
+	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(cfg.Range, 0), geom.Pt(cfg.Range+far, 0)})
 	n.sched.At(0, func() {
 		n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 8000})
 		n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 16000})
@@ -679,6 +649,6 @@ func TestInterfererAtFullReachCorrupts(t *testing.T) {
 	n.sched.Run(math.Inf(1))
 	if len(n.recv[1]) != 0 || n.medium.Stats().Collisions != 1 {
 		t.Errorf("receiver got %d frames with %d collisions; want the sender's frame corrupted by the interferer %v m away",
-			len(n.recv[1]), n.medium.Stats().Collisions, cfg.Range+ir)
+			len(n.recv[1]), n.medium.Stats().Collisions, cfg.Range+far)
 	}
 }

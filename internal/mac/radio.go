@@ -12,7 +12,7 @@ type Radio struct {
 	onRecv ReceiveFunc
 	onSent SentFunc
 
-	queue        []*Frame // FIFO, bounded by Config.QueueLen
+	queue        []*Frame // FIFO, bounded by queueLen
 	transmitting bool
 	attemptArmed bool        // a backoff/deferral attempt event is pending
 	attemptFn    des.Handler // shared disarm-and-retry handler (one alloc per radio)
@@ -30,7 +30,7 @@ type Radio struct {
 // length is 150 frames).
 func (r *Radio) Send(f *Frame) bool {
 	m := r.medium
-	if len(r.queue) >= m.cfg.QueueLen {
+	if len(r.queue) >= queueLen {
 		m.stats.QueueDrops++
 		if r.onSent != nil {
 			r.onSent(f, false)
@@ -72,19 +72,15 @@ func (r *Radio) armAttempt(wait float64) {
 // occupancy clears, plus DIFS and a random backoff.
 func (r *Radio) deferUntil(until des.Time) {
 	m := r.medium
-	r.armAttempt((until - m.sched.Now()) + m.cfg.DIFS + float64(m.rng.IntN(r.cw))*m.cfg.SlotTime)
+	r.armAttempt((until - m.sched.Now()) + difs + float64(m.rng.IntN(r.cw))*slotTime)
 }
 
 // backoffRetry schedules a retransmission attempt after a collision, with
 // an exponentially grown contention window.
 func (r *Radio) backoffRetry() {
 	m := r.medium
-	if r.cw > m.cfg.CWMax/2 {
-		r.cw = m.cfg.CWMax // doubling would pass CWMax (or overflow int)
-	} else {
-		r.cw *= 2
-	}
-	r.armAttempt(m.cfg.DIFS + float64(1+m.rng.IntN(r.cw))*m.cfg.SlotTime)
+	r.cw = min(2*r.cw, cwMax)
+	r.armAttempt(difs + float64(1+m.rng.IntN(r.cw))*slotTime)
 }
 
 // startTransmission puts the head-of-line frame on the air.
@@ -106,7 +102,7 @@ func (r *Radio) startTransmission() {
 		t.rxPos = m.pos(f.Dst)
 		t.hasRx = true
 	}
-	if keep := t.end - t.start + m.cfg.SlotTime; keep > m.retain {
+	if keep := t.end - t.start + slotTime; keep > m.retain {
 		m.retain = keep
 	}
 	m.active = append(m.active, t)
@@ -132,7 +128,7 @@ func (r *Radio) endTransmission(t *transmission) {
 		return
 	}
 	// Unicast failure: retry within budget.
-	if r.retries < m.cfg.MaxRetries {
+	if r.retries < maxRetries {
 		r.retries++
 		r.backoffRetry()
 		return
@@ -144,7 +140,6 @@ func (r *Radio) endTransmission(t *transmission) {
 // completeHead pops the head-of-line frame, reports its outcome, resets
 // contention state, and moves on — after SIFS, modelling ack turnaround.
 func (r *Radio) completeHead(f *Frame, ok bool) {
-	m := r.medium
 	// Shift rather than reslice so the queue's backing array keeps its
 	// capacity (queue[1:] would strand one slot per completed frame and
 	// force a reallocation on the next Send).
@@ -152,11 +147,11 @@ func (r *Radio) completeHead(f *Frame, ok bool) {
 	r.queue[n] = nil
 	r.queue = r.queue[:n]
 	r.retries = 0
-	r.cw = m.cfg.CWMin
+	r.cw = cwMin
 	if r.onSent != nil {
 		r.onSent(f, ok)
 	}
 	if len(r.queue) > 0 {
-		r.armAttempt(m.cfg.SIFS)
+		r.armAttempt(sifs)
 	}
 }

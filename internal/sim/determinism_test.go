@@ -75,7 +75,6 @@ func traceWorld(trial int) sim.Scenario {
 		Region:         region,
 		Mobility:       sim.MobilityTrace,
 		Traces:         traces,
-		PayloadBits:    1000 * 8,
 		BeaconInterval: 1,
 		NeighborExpiry: 2.5,
 		Traffic:        traffic,

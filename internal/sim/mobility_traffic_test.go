@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"glr/internal/geom"
+	"glr/internal/mac"
 	"glr/internal/mobility"
 )
 
@@ -135,44 +136,38 @@ func TestWalkAndTraceWorldsRun(t *testing.T) {
 // between pinned stations must produce reports identical to a full scan
 // (an index slack spanning the whole region).
 func TestFastTraceGridEquivalence(t *testing.T) {
-	build := func(fullScan bool) Scenario {
-		s := DefaultScenario(150)
-		s.N = 6
-		s.SimTime = 300
-		s.Region = mobility.Region{W: 1500, H: 300}
-		s.Mobility = MobilityTrace
-		stations := [][2]float64{{80, 150}, {430, 150}, {780, 150}, {1130, 150}, {1480, 150}}
-		s.Traces = make([][]mobility.TracePoint, s.N)
-		for i, st := range stations {
-			s.Traces[i] = []mobility.TracePoint{{T: 0, P: geom.Pt(st[0], st[1])}}
-		}
-		// The shuttle bounces across the whole strip nonstop at
-		// ~370 m/s — far beyond the 20 m/s the default MaxSpeed-based
-		// slack assumed.
-		var shuttle []mobility.TracePoint
-		for k := 0; float64(k)*4 <= s.SimTime+4; k++ {
-			x := 10.0
-			if k%2 == 1 {
-				x = 1490
-			}
-			shuttle = append(shuttle, mobility.TracePoint{T: float64(k) * 4, P: geom.Pt(x, 160)})
-		}
-		s.Traces[5] = shuttle
-		s.Traffic = UniformTraffic(s.N, 150, 1, 5)
-		if fullScan {
-			s.MACOverride = fullScanMAC(s)
-		}
-		return s
+	s := DefaultScenario(150)
+	s.N = 6
+	s.SimTime = 300
+	s.Region = mobility.Region{W: 1500, H: 300}
+	s.Mobility = MobilityTrace
+	stations := [][2]float64{{80, 150}, {430, 150}, {780, 150}, {1130, 150}, {1480, 150}}
+	s.Traces = make([][]mobility.TracePoint, s.N)
+	for i, st := range stations {
+		s.Traces[i] = []mobility.TracePoint{{T: 0, P: geom.Pt(st[0], st[1])}}
 	}
-	run := func(fullScan bool) interface{} {
-		w, err := NewWorld(build(fullScan), directFactory)
+	// The shuttle bounces across the whole strip nonstop at
+	// ~370 m/s — far beyond the 20 m/s the default MaxSpeed-based
+	// slack assumed.
+	var shuttle []mobility.TracePoint
+	for k := 0; float64(k)*4 <= s.SimTime+4; k++ {
+		x := 10.0
+		if k%2 == 1 {
+			x = 1490
+		}
+		shuttle = append(shuttle, mobility.TracePoint{T: float64(k) * 4, P: geom.Pt(x, 160)})
+	}
+	s.Traces[5] = shuttle
+	s.Traffic = UniformTraffic(s.N, 150, 1, 5)
+	run := func(macCfg mac.Config) any {
+		w, err := newWorld(s, directFactory, macCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return w.Run()
 	}
-	indexed := run(false)
-	full := run(true)
+	indexed := run(s.macConfig())
+	full := run(fullScanMAC(s))
 	if indexed != full {
 		t.Errorf("indexed medium diverged from the full scan on a fast trace:\nindexed: %+v\nfull:    %+v", indexed, full)
 	}

@@ -68,8 +68,6 @@ type Scenario struct {
 	// inside Region.
 	Traces [][]mobility.TracePoint
 
-	PayloadBits int // application payload per message (paper: 1000 bytes)
-
 	BeaconInterval float64 // IMEP-style neighborhood sensing period
 	NeighborExpiry float64 // drop neighbors unheard for this long
 
@@ -78,9 +76,6 @@ type Scenario struct {
 	// StorageLimit bounds per-node message storage (0 = unlimited); the
 	// Figure-7 experiment sweeps this.
 	StorageLimit int
-
-	// MACOverride, when non-nil, replaces the derived MAC configuration.
-	MACOverride *mac.Config
 
 	// Faults lists the disruption models injected into the run (see
 	// internal/fault). Empty means a fault-free run, byte-identical to
@@ -102,7 +97,6 @@ func DefaultScenario(rng float64) Scenario {
 		MinSpeed:       0,
 		MaxSpeed:       20,
 		Pause:          0,
-		PayloadBits:    1000 * 8,
 		BeaconInterval: 1.0,
 		NeighborExpiry: 2.5,
 	}
@@ -119,8 +113,6 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("sim: sim time %v must be positive", s.SimTime)
 	case s.Region.W <= 0 || s.Region.H <= 0:
 		return fmt.Errorf("sim: region %vx%v must be positive", s.Region.W, s.Region.H)
-	case s.PayloadBits <= 0:
-		return fmt.Errorf("sim: payload bits %d must be positive", s.PayloadBits)
 	case s.BeaconInterval <= 0:
 		return fmt.Errorf("sim: beacon interval %v must be positive", s.BeaconInterval)
 	case s.NeighborExpiry <= s.BeaconInterval:
@@ -172,7 +164,7 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("sim: %v mobility would draw about %.3g legs per node over %v s, more than %d",
 			s.Mobility, legs, s.SimTime, MaxLegsPerNode)
 	}
-	return s.MACConfig().Validate()
+	return s.macConfig().Validate()
 }
 
 // MaxLegsPerNode caps the straight legs a random waypoint or random walk
@@ -218,24 +210,16 @@ func (s Scenario) maxDriftSpeed() float64 {
 	return top
 }
 
-// MACConfig returns the MAC configuration for the scenario: MACOverride,
-// or the default for Range, with an IndexSlack of at least the drift
-// bound of the mobility. Validate checks the result.
-func (s Scenario) MACConfig() mac.Config {
-	cfg := mac.DefaultConfig(s.Range)
-	if s.MACOverride != nil {
-		cfg = *s.MACOverride
-	}
-	// The medium's radio index is refreshed once per beacon interval
-	// (see World.scheduleReindex), so indexed positions can be stale by
-	// up to top-speed × BeaconInterval metres of movement, and its
-	// queries return exactly the radios within Range+IndexSlack: widen
-	// them by that drift bound plus a safety metre, or more if the
-	// override asks. The top speed comes from the mobility model — for
-	// traces it is the fastest scripted segment, which MaxSpeed does not
-	// bound.
-	cfg.IndexSlack = max(cfg.IndexSlack, s.maxDriftSpeed()*s.BeaconInterval+1)
-	return cfg
+// macConfig returns the MAC configuration for the scenario. The
+// medium's radio index is refreshed once per beacon interval (see
+// World.scheduleReindex), so indexed positions can be stale by up to
+// top-speed × BeaconInterval metres of movement, and its queries return
+// exactly the radios within Range+IndexSlack: the slack is that drift
+// bound plus a safety metre. The top speed comes from the mobility
+// model — for traces it is the fastest scripted segment, which MaxSpeed
+// does not bound. Validate checks the result.
+func (s Scenario) macConfig() mac.Config {
+	return mac.Config{Range: s.Range, IndexSlack: s.maxDriftSpeed()*s.BeaconInterval + 1}
 }
 
 // TrafficItem schedules one message generation.

@@ -101,7 +101,6 @@ func TestScenarioValidate(t *testing.T) {
 		{"zero range", func(s *Scenario) { s.Range = 0 }},
 		{"zero time", func(s *Scenario) { s.SimTime = 0 }},
 		{"bad region", func(s *Scenario) { s.Region.W = 0 }},
-		{"bad payload", func(s *Scenario) { s.PayloadBits = 0 }},
 		{"bad beacon", func(s *Scenario) { s.BeaconInterval = 0 }},
 		{"expiry below beacon", func(s *Scenario) { s.NeighborExpiry = 0.5 }},
 		{"negative storage", func(s *Scenario) { s.StorageLimit = -1 }},
@@ -233,29 +232,11 @@ func TestWorldDeterministicAcrossRuns(t *testing.T) {
 func TestWorldSetsIndexSlackForMobility(t *testing.T) {
 	// The world must widen spatial-index queries to cover the drift a
 	// node can accumulate between two Reindex ticks.
-	// NewWorld hands the scenario's MACConfig to the medium as is.
+	// NewWorld hands the scenario's macConfig to the medium as is.
 	s := smallScenario()
 	want := s.MaxSpeed*s.BeaconInterval + 1
-	if got := s.MACConfig().IndexSlack; got != want {
+	if got := s.macConfig().IndexSlack; got != want {
 		t.Errorf("IndexSlack = %v, want %v", got, want)
-	}
-	// An explicit override is left alone.
-	s2 := smallScenario()
-	mc := s2.MACConfig()
-	mc.IndexSlack = 123
-	s2.MACOverride = &mc
-	if got := s2.MACConfig().IndexSlack; got != 123 {
-		t.Errorf("override IndexSlack = %v, want 123", got)
-	}
-	// An override below the drift bound is raised to it: the index
-	// returns exactly the radios within Range+IndexSlack, so a smaller
-	// slack would lose receivers that moved since the last reindex.
-	s3 := smallScenario()
-	mc3 := s3.MACConfig()
-	mc3.IndexSlack = 0.5
-	s3.MACOverride = &mc3
-	if got := s3.MACConfig().IndexSlack; got != want {
-		t.Errorf("override IndexSlack 0.5 became %v, want the drift bound %v", got, want)
 	}
 }
 
@@ -263,26 +244,25 @@ func TestWorldSetsIndexSlackForMobility(t *testing.T) {
 // spanning the whole region, so every index query returns every radio: a
 // full scan with the grid's candidate order. (The exact per-frame
 // equivalence of the grid and the naive medium lives in internal/mac.)
-func fullScanMAC(s Scenario) *mac.Config {
-	mc := s.MACConfig()
+func fullScanMAC(s Scenario) mac.Config {
+	mc := s.macConfig()
 	mc.IndexSlack = math.Hypot(s.Region.W, s.Region.H) + s.Range
-	return &mc
+	return mc
 }
 
 func TestWorldNaiveMediumMatchesGridDelivery(t *testing.T) {
 	// The world's derived index slack must reproduce the full-scan
 	// medium's run exactly, delivering all traffic.
-	run := func(s Scenario) metrics.Report {
-		w, err := NewWorld(s, directFactory)
+	run := func(s Scenario, macCfg mac.Config) metrics.Report {
+		w, err := newWorld(s, directFactory, macCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return w.Run()
 	}
-	grid := run(smallScenario())
 	s := smallScenario()
-	s.MACOverride = fullScanMAC(s)
-	if full := run(s); full != grid {
+	grid := run(s, s.macConfig())
+	if full := run(s, fullScanMAC(s)); full != grid {
 		t.Errorf("grid medium diverged from the full scan:\ngrid: %+v\nfull: %+v", grid, full)
 	}
 	if grid.Delivered != grid.Generated {

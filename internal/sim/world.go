@@ -14,6 +14,10 @@ import (
 	"glr/internal/rng"
 )
 
+// payloadBits is every message's application payload: the paper's 1000
+// bytes.
+const payloadBits = 1000 * 8
+
 // ProtocolFactory builds one protocol instance per node.
 type ProtocolFactory func(n *Node) Protocol
 
@@ -104,6 +108,12 @@ func (w *World) putFrame(f *mac.Frame) {
 
 // NewWorld wires a scenario and a protocol factory into a runnable world.
 func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
+	return newWorld(cfg, factory, cfg.macConfig())
+}
+
+// newWorld is NewWorld on the MAC configuration macCfg, which tests
+// widen into a full scan of the radios.
+func newWorld(cfg Scenario, factory ProtocolFactory, macCfg mac.Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -123,7 +133,6 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	}
 	w.sched = des.NewScheduler()
 
-	macCfg := cfg.MACConfig()
 	if w.plan != nil {
 		// Blackouts and crashed receivers gate reception inside the
 		// medium through a pure predicate of its arguments.
@@ -227,7 +236,7 @@ func (w *World) scheduleTraffic() {
 				ID:          dtn.MessageID{Src: ti.Src, Seq: seq[ti.Src]},
 				Dst:         ti.Dst,
 				Created:     w.sched.Now(),
-				PayloadBits: w.cfg.PayloadBits,
+				PayloadBits: payloadBits,
 			}
 			seq[ti.Src]++
 			w.collector.Created(m.ID, m.Created, m.Dst)
