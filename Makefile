@@ -28,7 +28,8 @@ build:
 test:
 	$(GO) test ./...
 
-## test-short is the CI test job: race detector on, slow suites skipped.
+## test-short is the CI test job's first step: race detector on, slow
+## suites skipped. The job then runs the full suite (make test).
 test-short:
 	$(GO) test -race -short ./...
 
@@ -180,7 +181,8 @@ vet:
 	$(GO) vet ./...
 
 ## ci is the whole pipeline: build, formatting gate, vet, API-surface
-## gate, godoc audit, reachability gate, short tests, the atlas gate, the
+## gate, godoc audit, reachability gate, short tests with the race
+## detector, the full test suite, the atlas gate, the
 ## benchmark-regression and memory gates, and the bench-module check.
 ci: build
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -190,6 +192,7 @@ ci: build
 	$(MAKE) doc-check
 	$(MAKE) dead-check
 	$(GO) test -race -short ./...
+	$(GO) test ./...
 	$(MAKE) atlas-check
 	$(MAKE) bench-gate
 	$(MAKE) mem-gate

@@ -41,18 +41,13 @@ func main() {
 	}
 
 	var g *geom.Graph
-	var err error
 	switch *graph {
 	case "udg":
 		g = geom.UnitDiskGraph(pts, *radius)
 	case "gabriel":
 		g = ldt.GabrielGraph(pts, *radius)
 	case "ldtg":
-		g, err = ldt.BuildLDTG(pts, *radius, 2)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "topoviz:", err)
-			os.Exit(1)
-		}
+		g = ldt.BuildLDTG(pts, *radius)
 	default:
 		fmt.Fprintf(os.Stderr, "topoviz: unknown graph %q\n", *graph)
 		os.Exit(2)

@@ -43,10 +43,7 @@ func main() {
 	}
 
 	udg := geom.UnitDiskGraph(pts, radius)
-	spanner, err := ldt.BuildLDTG(pts, radius, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
+	spanner := ldt.BuildLDTG(pts, radius)
 	fmt.Printf("Unit-disk graph: %d edges. 2-LDTG planar spanner: %d edges (planar: %v)\n",
 		udg.EdgeCount(), spanner.EdgeCount(), spanner.IsPlanarEmbedding(pts))
 

@@ -242,8 +242,6 @@ func (g *GLR) OnFrame(payload any, from int) {
 		g.onData(f, from)
 	case *ackBox:
 		g.onAck(f.ackFrame, from)
-	case ackFrame: // white-box tests construct bare acks
-		g.onAck(f, from)
 	}
 }
 

@@ -55,9 +55,6 @@ type Config struct {
 	Custody bool
 	// Location selects the Table-2 knowledge regime.
 	Location LocationKnowledge
-	// StaleRelocateAfter is the stuck time after which a carrier that is
-	// closest to the (stale) destination estimate re-draws it (§3.3).
-	StaleRelocateAfter float64
 	// ProgressHysteresis is the fraction of the transmission range by
 	// which a neighbor must be closer to the destination before a relay
 	// hands the message over. Mobile nodes travelling together jostle
@@ -81,6 +78,9 @@ const (
 	// cacheTimeout is how long a sent message waits in the Cache for a
 	// custody ack before moving back to the Store (§2.3.2).
 	cacheTimeout = 4.5
+	// staleRelocateAfter is the stuck time after which a carrier that is
+	// closest to the (stale) destination estimate re-draws it (§3.3).
+	staleRelocateAfter = 30
 	// connectivityS is the s in the Georgiou et al. connectivity bound
 	// (connected w.p. ≥ 1−1/s); Algorithm 1 compares the node range
 	// against the resulting threshold radius.
@@ -103,7 +103,6 @@ func DefaultConfig() Config {
 		Copies:             0,
 		Custody:            true,
 		Location:           LocSourceKnows,
-		StaleRelocateAfter: 30,
 		ProgressHysteresis: 0.2,
 		Spanner:            ldt.VariantLDTG,
 	}
@@ -116,8 +115,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: check interval %v must be positive", c.CheckInterval)
 	case c.Copies < 0 || c.Copies > 5:
 		return fmt.Errorf("core: copies %d must be 0 (auto) or 1..5", c.Copies)
-	case c.StaleRelocateAfter <= 0:
-		return fmt.Errorf("core: stale relocate threshold %v must be positive", c.StaleRelocateAfter)
 	case c.ProgressHysteresis < 0 || c.ProgressHysteresis >= 1:
 		return fmt.Errorf("core: progress hysteresis %v must be in [0,1)", c.ProgressHysteresis)
 	case c.Spanner != ldt.VariantLDTG && c.Spanner != ldt.VariantGabriel && c.Spanner != ldt.VariantUDG:

@@ -68,7 +68,6 @@ func TestGLRLocationRegimes(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Location = tt.loc
-			cfg.StaleRelocateAfter = 10
 			s := denseScenario(9)
 			s.SimTime = 300
 			w, _ := buildProbedWorld(t, s, cfg)

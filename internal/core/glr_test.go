@@ -19,7 +19,6 @@ func TestConfigValidate(t *testing.T) {
 		{"check interval", func(c *Config) { c.CheckInterval = 0 }},
 		{"copies negative", func(c *Config) { c.Copies = -1 }},
 		{"copies too many", func(c *Config) { c.Copies = 6 }},
-		{"stale threshold", func(c *Config) { c.StaleRelocateAfter = 0 }},
 		{"unknown spanner", func(c *Config) { c.Spanner = ldt.Variant(7) }},
 	}
 	for _, tt := range tests {

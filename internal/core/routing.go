@@ -288,7 +288,7 @@ func (g *GLR) noteStuck(m *dtn.Message, now float64) {
 		st.hasStuck = true
 		return
 	}
-	if now-st.stuckSince < g.cfg.StaleRelocateAfter {
+	if now-st.stuckSince < staleRelocateAfter {
 		return
 	}
 	if g.n.Pos().Dist(m.DstLoc) > g.n.Range() {

@@ -33,14 +33,14 @@ func (p *beaconLog) OnBeacon(b sim.Beacon) {
 }
 
 // twoHopAt is the reference two-hop view at now: self first, then the
-// rows heard after the expiry deadline in ascending id order, each
-// followed by its unseen advertised neighbors.
-func (p *beaconLog) twoHopAt(now, expiry float64) ([]int, []geom.Point) {
+// rows heard within neighborExpiry in ascending id order, each followed
+// by its unseen advertised neighbors.
+func (p *beaconLog) twoHopAt(now float64) ([]int, []geom.Point) {
 	ids := []int{p.n.ID()}
 	pts := []geom.Point{p.n.Pos()}
 	var live []int
 	for id, r := range p.rows {
-		if r.LastSeen > now-expiry {
+		if r.LastSeen > now-neighborExpiry {
 			live = append(live, id)
 		}
 	}
@@ -83,19 +83,22 @@ func loggedWorld(t *testing.T, s sim.Scenario, cfg Config) (*sim.World, []*beaco
 	return w, logs
 }
 
+// neighborExpiry is the simulator's fixed neighbor expiry: sim drops a
+// neighbor unheard for 2.5 s (see the sim package doc).
+const neighborExpiry = 2.5
+
 // checkTablesAgainstLog compares every node's table view at the current
 // instant — read through the same expire-then-assemble path a route
-// check takes — with the reference rebuilt from its beacon log, whose
-// rows expire after expiry seconds (the world's NeighborExpiry),
+// check takes — with the reference rebuilt from its beacon log,
 // returning the number of rows compared.
-func checkTablesAgainstLog(t *testing.T, w *sim.World, expiry float64, logs []*beaconLog, label string) int {
+func checkTablesAgainstLog(t *testing.T, w *sim.World, logs []*beaconLog, label string) int {
 	t.Helper()
 	now := w.Scheduler().Now()
 	rows := 0
 	for i, p := range logs {
 		n := w.Node(i)
 		gotIDs, gotPts := n.Neighbors().AppendTwoHop(nil, nil, i, n.Pos())
-		wantIDs, wantPts := p.twoHopAt(now, expiry)
+		wantIDs, wantPts := p.twoHopAt(now)
 		if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotPts, wantPts) {
 			t.Fatalf("%s node %d: table view %v != beacon-log reference %v", label, i, gotIDs, wantIDs)
 		}
@@ -121,7 +124,7 @@ func TestDenseTablesRunEquivalence(t *testing.T) {
 			rows := 0
 			for until := 5.0; until < s.SimTime; until += 5 {
 				w.Scheduler().Run(until)
-				rows += checkTablesAgainstLog(t, w, s.NeighborExpiry, logs, fmt.Sprintf("t=%.0f", until))
+				rows += checkTablesAgainstLog(t, w, logs, fmt.Sprintf("t=%.0f", until))
 			}
 			if rows == 0 {
 				t.Fatal("no table rows compared")
@@ -151,12 +154,12 @@ func TestTablesFullStackEquivalence(t *testing.T) {
 		instances[i] = p.GLR
 	}
 	w.Scheduler().Run(3)
-	if rows := checkTablesAgainstLog(t, w, s.NeighborExpiry, logs, "t=3"); rows == 0 {
+	if rows := checkTablesAgainstLog(t, w, logs, "t=3"); rows == 0 {
 		t.Fatal("no table rows compared")
 	}
 	if checkSpannersAgainstReference(t, instances, "t=3") == 0 {
 		t.Fatal("no node had a spanner view to compare")
 	}
 	w.Scheduler().Run(s.SimTime)
-	checkTablesAgainstLog(t, w, s.NeighborExpiry, logs, "t=6")
+	checkTablesAgainstLog(t, w, logs, "t=6")
 }

@@ -8,7 +8,6 @@
 package epidemic
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -16,26 +15,27 @@ import (
 	"glr/internal/sim"
 )
 
-// Config parameterises the epidemic baseline.
-type Config struct {
-	// ExchangeInterval is the minimum time, per peer, from a session
+// Config is empty: the baseline has no knobs, and every setting is one
+// of the constants below. It stays, with New's always-nil error, only
+// because the benchmark module calls New(DefaultConfig()).
+type Config struct{}
+
+// Fixed protocol settings: the paper's evaluation never varies them.
+const (
+	// exchangeInterval is the minimum time, per peer, from a session
 	// (opened or answered) to the next session this node opens with that
 	// peer. A session opens when a peer comes into range after no beacon
 	// from it for contactGap (the Vahdat–Becker trigger); an ongoing
 	// contact opens none, so this only rate-limits re-contacts and the
 	// backlog drain (drainBacklogs).
-	ExchangeInterval float64
-	// DataSendRate is a per-node token-bucket budget on outgoing message
+	exchangeInterval = 6.0
+	// dataSendRate is a per-node token-bucket budget on outgoing message
 	// transfers (messages/second, burst maxBatch). It calibrates the
 	// pair-sync throughput to what the paper's stack (reliable IMEP
 	// delivery over 802.11 at 1 Mbps) actually sustained — far below
 	// raw link rate — and is the mechanism that reproduces epidemic's
-	// load-dependent slowdown. 0 disables pacing.
-	DataSendRate float64
-}
-
-// Fixed protocol settings: the paper's evaluation never varies them.
-const (
+	// load-dependent slowdown.
+	dataSendRate = 3.0
 	// svEntryBits is the per-message-id size of a summary vector entry.
 	svEntryBits = 6 * 8
 	// svBaseBits is the fixed summary/request frame overhead.
@@ -45,7 +45,7 @@ const (
 	// maxBatch bounds how many messages are requested from (and served
 	// to) one peer per exchange round; larger diffs sync over multiple
 	// rounds paced by requestTimeout. It also sets the token-bucket
-	// burst for DataSendRate.
+	// burst for dataSendRate.
 	maxBatch = 30
 	// requestTimeout suppresses re-requesting a message id that was
 	// already requested (from any peer) within this window, and paces
@@ -68,24 +68,8 @@ const (
 	contactGap = 10.0
 )
 
-// DefaultConfig returns a faithful, paper-scale parameterisation.
-func DefaultConfig() Config {
-	return Config{
-		ExchangeInterval: 6.0,
-		DataSendRate:     3.0,
-	}
-}
-
-// Validate reports a descriptive error for unusable configurations.
-func (c Config) Validate() error {
-	switch {
-	case c.ExchangeInterval <= 0:
-		return fmt.Errorf("epidemic: exchange interval %v must be positive", c.ExchangeInterval)
-	case c.DataSendRate < 0:
-		return fmt.Errorf("epidemic: data send rate %v must be nonnegative", c.DataSendRate)
-	}
-	return nil
-}
+// DefaultConfig returns the empty Config.
+func DefaultConfig() Config { return Config{} }
 
 // svFrame advertises buffer contents: the full summary vector (a bitmap
 // over the world's message ranks), unicast by the node opening a session
@@ -109,8 +93,7 @@ type dataFrame struct {
 
 // Epidemic is one node's protocol instance.
 type Epidemic struct {
-	cfg Config
-	n   *sim.Node
+	n *sim.Node
 
 	buf           *dtn.Buffer
 	have          dtn.RankSet // the ranks of buf's messages, kept in step with it
@@ -141,14 +124,11 @@ type want struct {
 }
 
 // New builds an epidemic factory for sim.NewWorld. The per-node buffer
-// capacity comes from the scenario's StorageLimit.
-func New(cfg Config) (sim.ProtocolFactory, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// capacity comes from the scenario's StorageLimit. The error is always
+// nil.
+func New(Config) (sim.ProtocolFactory, error) {
 	return func(n *sim.Node) sim.Protocol {
 		return &Epidemic{
-			cfg:           cfg,
 			n:             n,
 			buf:           dtn.NewBuffer(n.StorageLimit()),
 			lastExchange:  make(map[int]float64),
@@ -249,7 +229,7 @@ func (e *Epidemic) retrySweep(interval float64) {
 // drainBacklogs continues multi-batch syncs on long-lived contacts: when
 // a peer advertised more messages than one batch could request and all
 // current wants toward it are settled, re-open the session so the next
-// batch flows. Rate-limited by ExchangeInterval.
+// batch flows. Rate-limited by exchangeInterval.
 func (e *Epidemic) drainBacklogs(now float64) {
 	if len(e.backlog) == 0 {
 		return
@@ -279,7 +259,7 @@ func (e *Epidemic) drainBacklogs(now float64) {
 		if busy[peer] {
 			continue
 		}
-		if last, ok := e.lastExchange[peer]; ok && now-last < e.cfg.ExchangeInterval {
+		if last, ok := e.lastExchange[peer]; ok && now-last < exchangeInterval {
 			continue
 		}
 		delete(e.backlog, peer)
@@ -310,7 +290,7 @@ func (e *Epidemic) store(m *dtn.Message) {
 // OnBeacon implements sim.Protocol: a beacon from a peer not heard for
 // contactGap marks a NEW contact, which opens a full pairwise
 // anti-entropy session (the Vahdat–Becker trigger) unless a session with
-// that peer opened within ExchangeInterval. Beacons from an ongoing
+// that peer opened within exchangeInterval. Beacons from an ongoing
 // contact only refresh lastHeard: messages that arrive mid-contact wait
 // for the next contact, or for drainBacklogs when the last session left
 // a backlog.
@@ -321,7 +301,7 @@ func (e *Epidemic) OnBeacon(b sim.Beacon) {
 	if known && now-heardAt <= contactGap {
 		return
 	}
-	if last, ok := e.lastExchange[b.From]; ok && now-last < e.cfg.ExchangeInterval {
+	if last, ok := e.lastExchange[b.From]; ok && now-last < exchangeInterval {
 		return
 	}
 	e.lastExchange[b.From] = now
@@ -421,12 +401,10 @@ func (e *Epidemic) onRequest(f reqFrame, from int) {
 		if sent >= maxBatch {
 			break
 		}
-		if e.cfg.DataSendRate > 0 {
-			if e.tokens < 1 {
-				break
-			}
-			e.tokens--
+		if e.tokens < 1 {
+			break
 		}
+		e.tokens--
 		sent++
 		e.n.Unicast(from, sim.KindData, dataFrame{Msg: *m},
 			m.PayloadBits+dataHeaderBits, nil)
@@ -435,11 +413,8 @@ func (e *Epidemic) onRequest(f reqFrame, from int) {
 
 // refillTokens tops up the data-rate bucket.
 func (e *Epidemic) refillTokens() {
-	if e.cfg.DataSendRate <= 0 {
-		return
-	}
 	now := e.n.Now()
-	e.tokens += (now - e.lastRefill) * e.cfg.DataSendRate
+	e.tokens += (now - e.lastRefill) * dataSendRate
 	e.lastRefill = now
 	if burst := float64(maxBatch); e.tokens > burst {
 		e.tokens = burst

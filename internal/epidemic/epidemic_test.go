@@ -7,25 +7,6 @@ import (
 	"glr/internal/sim"
 )
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	bad := []func(*Config){
-		func(c *Config) { c.ExchangeInterval = 0 },
-	}
-	for i, mutate := range bad {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		if cfg.Validate() == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-	if _, err := New(Config{}); err == nil {
-		t.Error("New must validate")
-	}
-}
-
 // buildWorld wires an epidemic world and returns per-node instances.
 func buildWorld(t *testing.T, s sim.Scenario) (*sim.World, []*Epidemic) {
 	t.Helper()

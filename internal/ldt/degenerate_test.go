@@ -47,20 +47,16 @@ func clampedPoints(rng *rand.Rand, n int, w, h, margin float64) []geom.Point {
 	return pts
 }
 
-// degenerateSet is a point set with exact ties, the transmission radii
-// that make them matter, and the hop counts k to build whole spanners
-// with (BuildLDTG; the Maintainer always uses K).
+// degenerateSet is a point set with exact ties and the transmission
+// radii that make them matter.
 type degenerateSet struct {
 	name  string
 	pts   []geom.Point
 	radii []float64
-	ks    []int
 }
 
 // degenerateSets are point sets with exact ties: cocircular lattices and
-// rings, duplicates, collinear runs and border-clamped positions. Ring
-// spanners are slow to test (nearly every in-circle test is an exact
-// tie), so they run at k = 2 only.
+// rings, duplicates, collinear runs and border-clamped positions.
 func degenerateSets() []degenerateSet {
 	rng := rand.New(rand.NewSource(41))
 	dupGrid := gridPoints(4, 4, 40)
@@ -74,18 +70,17 @@ func degenerateSets() []degenerateSet {
 		lineOff = append(lineOff, geom.Pt(x, x))
 	}
 	lineOff = append(lineOff, geom.Pt(30, 0), geom.Pt(0, 30), geom.Pt(60, 30), geom.Pt(30, 60), geom.Pt(45, 45))
-	k23 := []int{2, 3}
 	return []degenerateSet{
-		{"grid6x6", gridPoints(6, 6, 40), []float64{60, 90, 130}, k23},
-		{"squares2x7", gridPoints(7, 2, 50), []float64{75, 110}, k23},
-		{"ring20", latticeRing(25, 4), []float64{80, 210}, []int{2}},
-		{"ring20+center", append(latticeRing(25, 4), geom.Pt(0, 0)), []float64{105}, []int{2}},
-		{"concentric-rings", append(rings, geom.Pt(0, 0)), []float64{60, 110}, []int{2}},
-		{"grid-duplicates", dupGrid, []float64{60, 100}, k23},
-		{"random-duplicates", randDup, []float64{120}, k23},
-		{"collinear", line, []float64{35, 80, 1000}, k23},
-		{"collinear+off", lineOff, []float64{40, 70, 200}, k23},
-		{"border-clamped", clampedPoints(rng, 60, 300, 120, 25), []float64{60, 100}, k23},
+		{"grid6x6", gridPoints(6, 6, 40), []float64{60, 90, 130}},
+		{"squares2x7", gridPoints(7, 2, 50), []float64{75, 110}},
+		{"ring20", latticeRing(25, 4), []float64{80, 210}},
+		{"ring20+center", append(latticeRing(25, 4), geom.Pt(0, 0)), []float64{105}},
+		{"concentric-rings", append(rings, geom.Pt(0, 0)), []float64{60, 110}},
+		{"grid-duplicates", dupGrid, []float64{60, 100}},
+		{"random-duplicates", randDup, []float64{120}},
+		{"collinear", line, []float64{35, 80, 1000}},
+		{"collinear+off", lineOff, []float64{40, 70, 200}},
+		{"border-clamped", clampedPoints(rng, 60, 300, 120, 25), []float64{60, 100}},
 	}
 }
 
@@ -127,37 +122,31 @@ func spannerUnion(t *testing.T, pts []geom.Point, r float64) *geom.Graph {
 }
 
 // TestSpannerDegenerateSets: on point sets full of exact ties, the union
-// of every node's accepted edges (the Maintainer's k = K), and the whole
-// graph BuildLDTG builds at each of the set's k, are planar (face
-// routing terminates only on a planar graph) and contain every Gabriel
-// edge of positive length (so they stay connected). A coincident pair
-// is a zero-length Gabriel edge that no spanner can draw; both
-// constructions treat coincident points as one vertex.
+// of every node's accepted edges and the whole graph BuildLDTG builds,
+// both at depth K, are planar (face routing terminates only on a planar
+// graph) and contain every Gabriel edge of positive length (so they stay
+// connected). A coincident pair is a zero-length Gabriel edge that no
+// spanner can draw; both constructions treat coincident points as one
+// vertex.
 func TestSpannerDegenerateSets(t *testing.T) {
 	for _, set := range degenerateSets() {
 		t.Run(set.name, func(t *testing.T) {
 			for _, r := range set.radii {
-				check := func(name string, k int, g *geom.Graph) {
+				check := func(name string, g *geom.Graph) {
 					if !g.IsPlanarEmbedding(set.pts) {
-						t.Errorf("%s r=%v k=%d: accepted edges cross", name, r, k)
+						t.Errorf("%s r=%v: accepted edges cross", name, r)
 					}
 					for _, e := range ldt.GabrielGraph(set.pts, r).Edges() {
 						if set.pts[e[0]].Eq(set.pts[e[1]]) {
 							continue
 						}
 						if !hasEdge(g, e[0], e[1]) {
-							t.Errorf("%s r=%v k=%d: Gabriel edge %v missing", name, r, k, e)
+							t.Errorf("%s r=%v: Gabriel edge %v missing", name, r, e)
 						}
 					}
 				}
-				check("union", ldt.K, spannerUnion(t, set.pts, r))
-				for _, k := range set.ks {
-					whole, err := ldt.BuildLDTG(set.pts, r, k)
-					if err != nil {
-						t.Fatalf("r=%v k=%d: BuildLDTG: %v", r, k, err)
-					}
-					check("BuildLDTG", k, whole)
-				}
+				check("union", spannerUnion(t, set.pts, r))
+				check("BuildLDTG", ldt.BuildLDTG(set.pts, r))
 			}
 		})
 	}

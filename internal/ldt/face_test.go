@@ -143,10 +143,7 @@ func TestFaceRoutingFullDeliveryOnPlanarSpanner(t *testing.T) {
 			continue
 		}
 		trials++
-		g, err := BuildLDTG(pts, r, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := BuildLDTG(pts, r)
 		src, dst := 0, len(pts)-1
 		cur, prevMin := src, -1
 		var st FaceState

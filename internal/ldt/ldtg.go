@@ -34,26 +34,23 @@ import (
 	"glr/internal/geom"
 )
 
-// BuildLDTG computes the k-LDTG over pts with transmission radius r: an
+// BuildLDTG computes the K-LDTG over pts with transmission radius r: an
 // edge uv (necessarily a unit-disk edge) is accepted iff it is a Delaunay
-// edge of Nk(w) for every 1-hop neighbor w of u or v (u and v included)
-// whose k-neighborhood contains both u and v. This is the paper's
+// edge of N_K(w) for every 1-hop neighbor w of u or v (u and v included)
+// whose K-neighborhood contains both u and v. This is the paper's
 // acceptance rule ("we do this to obtain a planar graph directly,
 // avoiding the extra time incurred by the planar process"), applied
 // symmetrically from both endpoints. Coincident points are one vertex, so
 // an edge between them is never accepted.
 //
-// The result is planar for k ≥ 2 and contains the Gabriel graph restricted
+// The result is planar (K ≥ 2) and contains the Gabriel graph restricted
 // to unit-disk edges of positive length, hence is connected whenever the
 // unit-disk graph is and no two points coincide.
-func BuildLDTG(pts []geom.Point, r float64, k int) (*geom.Graph, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("ldt: k must be ≥ 1, got %d", k)
-	}
+func BuildLDTG(pts []geom.Point, r float64) *geom.Graph {
 	udg := geom.UnitDiskGraph(pts, r)
 	hood := make([][]int, len(pts)) // ascending, as KHop returns them
 	for u := range pts {
-		hood[u] = udg.KHop(u, k)
+		hood[u] = udg.KHop(u, K)
 	}
 	holds := func(w, x int) bool {
 		_, ok := slices.BinarySearch(hood[w], x)
@@ -73,7 +70,7 @@ func BuildLDTG(pts []geom.Point, r float64, k int) (*geom.Graph, error) {
 			out.AddEdge(u, v)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // GabrielGraph returns the Gabriel graph restricted to unit-disk edges:

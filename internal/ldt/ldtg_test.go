@@ -16,21 +16,12 @@ func hasEdge(g *geom.Graph, u, v int) bool {
 	return slices.Contains(g.Neighbors(u), v)
 }
 
-func TestBuildLDTGRejectsBadK(t *testing.T) {
-	if _, err := ldt.BuildLDTG(nil, 100, 0); err == nil {
-		t.Error("k=0 should be rejected")
-	}
-}
-
 func TestLDTGSubgraphOfUDG(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
 		pts := ldt.RandomPoints(rng, 40, 1000, 1000)
 		const r = 250
-		g, err := ldt.BuildLDTG(pts, r, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := ldt.BuildLDTG(pts, r)
 		for _, e := range g.Edges() {
 			if pts[e[0]].Dist(pts[e[1]]) > r {
 				t.Fatalf("LDTG edge %v longer than radius", e)
@@ -47,10 +38,7 @@ func TestLDTGPlanarK2(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		pts := ldt.RandomPoints(rng, 35, 800, 800)
 		for _, r := range []float64{150, 250, 400} {
-			g, err := ldt.BuildLDTG(pts, r, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := ldt.BuildLDTG(pts, r)
 			if !g.IsPlanarEmbedding(pts) {
 				t.Fatalf("2-LDTG not planar (trial %d, r=%v)", trial, r)
 			}
@@ -65,10 +53,7 @@ func TestLDTGContainsGabrielGraph(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		pts := ldt.RandomPoints(rng, 40, 1000, 1000)
 		const r = 300
-		g, err := ldt.BuildLDTG(pts, r, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := ldt.BuildLDTG(pts, r)
 		gg := ldt.GabrielGraph(pts, r)
 		for _, e := range gg.Edges() {
 			if !hasEdge(g, e[0], e[1]) {
@@ -88,10 +73,7 @@ func TestLDTGConnectedWhenUDGConnected(t *testing.T) {
 			continue
 		}
 		done++
-		g, err := ldt.BuildLDTG(pts, r, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := ldt.BuildLDTG(pts, r)
 		if !g.Connected() {
 			t.Fatal("LDTG must stay connected when the UDG is connected")
 		}
@@ -105,10 +87,7 @@ func TestLDTGSparseDenseTriangle(t *testing.T) {
 	// Three mutually-in-range nodes: the full triangle survives (it is
 	// its own Delaunay triangulation everywhere).
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 8)}
-	g, err := ldt.BuildLDTG(pts, 20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ldt.BuildLDTG(pts, 20)
 	if g.EdgeCount() != 3 {
 		t.Errorf("triangle LDTG has %d edges, want 3", g.EdgeCount())
 	}
@@ -121,10 +100,7 @@ func TestLDTGPrunesCrossingsOfDenseUDG(t *testing.T) {
 	pts := ldt.RandomPoints(rng, 50, 500, 500)
 	const r = 400
 	udg := geom.UnitDiskGraph(pts, r)
-	g, err := ldt.BuildLDTG(pts, r, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ldt.BuildLDTG(pts, r)
 	if g.EdgeCount() > 3*len(pts)-6 {
 		t.Errorf("LDTG edge count %d exceeds planar bound %d", g.EdgeCount(), 3*len(pts)-6)
 	}
@@ -239,10 +215,7 @@ func TestLocalLDTGMatchesOracleInterior(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		pts := ldt.RandomPoints(rng, 15, 200, 200)
 		const r = 300 // everyone within one hop of everyone
-		whole, err := ldt.BuildLDTG(pts, r, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		whole := ldt.BuildLDTG(pts, r)
 		for u := range pts {
 			ids := []int{u}
 			vpts := []geom.Point{pts[u]}
@@ -309,14 +282,11 @@ func TestLocalLDTGHandlesCoincidentPoints(t *testing.T) {
 	}
 }
 
-// TestLocalLDTGRejectsBadK: the oracle and BuildLDTG, the only
-// constructions that take a hop depth, reject k < 1.
+// TestLocalLDTGRejectsBadK: the oracle, the only construction that
+// takes a hop depth, rejects k < 1.
 func TestLocalLDTGRejectsBadK(t *testing.T) {
 	view, _ := newView(0, []int{0}, []geom.Point{geom.Pt(0, 0)}, 10)
 	if _, err := oracle.LDTGNeighbors(view, 0); err == nil {
 		t.Error("LDTGNeighbors: k=0 should be rejected")
-	}
-	if _, err := ldt.BuildLDTG([]geom.Point{geom.Pt(0, 0)}, 10, 0); err == nil {
-		t.Error("BuildLDTG: k=0 should be rejected")
 	}
 }

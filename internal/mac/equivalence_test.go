@@ -219,38 +219,45 @@ func TestGridNaiveEquivalence(t *testing.T) {
 
 // TestRetentionMatchesUnpruned is the property test for the retention
 // rule: on the worlds of TestGridNaiveEquivalence, and on the same
-// worlds with one frame stretched to a 1–4 s airing and four short
-// broadcasts sent in the 10 ms before it, the
-// production medium (which keeps an ended airing for one longest
-// airtime plus a slot) and the never-pruning reference deliver the same
-// frames in the same order and count the same stats.
+// worlds with one frame stretched to a 1–4 s broadcast airing and up to
+// four short broadcasts sent with it (shortFrames), the production medium
+// (which keeps an ended airing for one longest airtime plus a slot) and
+// the never-pruning reference deliver the same frames in the same order
+// and count the same stats. The short frames end within milliseconds of
+// the long airing's start, seconds before it ends and is resolved, so
+// only the retention rule keeps them for its overlap checks; the test
+// counts the receptions of the long airing they destroy, by comparing
+// with the same world without them, and requires some.
 func TestRetentionMatchesUnpruned(t *testing.T) {
 	const trials = 24
-	pruned, collisions := 0, uint64(0)
+	pruned, collisions, corruptions := 0, uint64(0), 0
 	for trial := 0; trial < trials; trial++ {
 		for _, long := range []bool{false, true} {
 			t.Run(fmt.Sprintf("seed=%d/long=%v", trial, long), func(t *testing.T) {
 				w := randomEquivWorld(trial)
+				var clean equivWorld
+				li := -1
 				if long {
 					rng := rand.New(rand.NewSource(int64(trial) + 101))
-					// One frame becomes a 1–4 s airing. Four short
-					// frames are sent in the 10 ms before it: those from
-					// senders hidden from its sender air on into it and
-					// end long before it, and must still corrupt it.
-					// (A second long airing on the air would keep them
-					// retained: the FIFO prunes only from its front.)
+					// One frame becomes a 1–4 s broadcast airing: the
+					// one whose sender has the most hidden senders
+					// around its receivers. (A second long airing on
+					// the air would keep the short frames retained: the
+					// FIFO prunes only from its front.)
 					sends := slices.Clone(w.sends)
-					i := rng.Intn(len(sends))
-					sends[i].bits = 1e6 + rng.Intn(3e6)
-					for range 4 {
-						sends = append(sends, sendSpec{
-							at:   max(0, sends[i].at-0.01*rng.Float64()),
-							src:  rng.Intn(w.n),
-							dst:  Broadcast,
-							bits: 400 + rng.Intn(8000),
-						})
+					bits := 1e6 + rng.Intn(3e6)
+					li = rng.Intn(len(sends))
+					var hidden []int
+					for k, l := range sends {
+						l.bits, l.dst = bits, Broadcast
+						if hs := w.hiddenSenders(l); len(hs) > len(hidden) {
+							li, hidden = k, hs
+						}
 					}
-					w.sends = sends
+					sends[li].bits, sends[li].dst = bits, Broadcast
+					clean = w
+					clean.sends = sends
+					w.sends = append(slices.Clone(sends), shortFrames(sends[li], hidden, w.n, rng)...)
 				}
 				tight := w.run(t, NewMedium)
 				ref := w.run(t, newUnprunedMedium)
@@ -259,15 +266,91 @@ func TestRetentionMatchesUnpruned(t *testing.T) {
 					pruned++
 				}
 				collisions += tight.medium.Stats().Collisions
+				if long {
+					corruptions += lostReceptions(clean.run(t, NewMedium).log, tight.log, li)
+				}
 			})
 		}
 	}
 	// Guard against a vacuous pass: the production medium must have
-	// pruned airings the reference kept, and overlaps must have decided
-	// some receptions.
-	if pruned == 0 || collisions == 0 {
-		t.Fatalf("%d runs pruned, %d collisions; the property test is vacuous", pruned, collisions)
+	// pruned airings the reference kept, overlaps must have decided
+	// some receptions, and short frames that ended long before the long
+	// airing must have destroyed some of its receptions.
+	if pruned == 0 || collisions == 0 || corruptions == 0 {
+		t.Fatalf("%d runs pruned, %d collisions, %d long-airing receptions lost to short frames; the property test is vacuous",
+			pruned, collisions, corruptions)
 	}
+	t.Logf("%d long-airing receptions lost to short frames", corruptions)
+}
+
+// hiddenSenders returns, in id order, the radios hidden from the long
+// airing l's sender (beyond carrier sense, so neither defers to the
+// other) and close enough to one of l's receivers to corrupt its
+// reception there: under 1.7 times the wanted distance, inside the
+// capture bound of captureRatio^¼ ≈ 1.78.
+func (w equivWorld) hiddenSenders(l sendSpec) []int {
+	end := l.at + float64(headerBits+l.bits)/bitRate
+	src := w.pos(l.src, l.at)
+	var hidden []int
+	for h := 0; h < w.n; h++ {
+		hp := w.pos(h, l.at)
+		if h == l.src || hp.Dist(src) <= 1.05*csRangeFactor*w.cfg.Range {
+			continue
+		}
+		for r := 0; r < w.n; r++ {
+			rp := w.pos(r, end)
+			if d := rp.Dist(src); r != h && r != l.src && d <= 0.95*w.cfg.Range && hp.Dist(rp) < 1.7*d {
+				hidden = append(hidden, h)
+				break
+			}
+		}
+	}
+	return hidden
+}
+
+// shortFrames returns the short broadcasts sent with the long airing l:
+// one from each of up to four hidden senders, sent 1 ms before l, or,
+// in a world with none, four from random senders in the 10 ms before
+// l. Whatever the backoffs (DIFS plus at most cwMin slots, under
+// 0.7 ms), a hidden sender's frame then starts before l, so it sits
+// ahead of l in the retained FIFO, where pruning reaches it, and with
+// at least 2000 bits (2.46 ms on the air) it is still airing when l
+// starts. No random frames join them: their contention would defer the
+// hidden senders past l's start.
+func shortFrames(l sendSpec, hidden []int, n int, rng *rand.Rand) []sendSpec {
+	var shorts []sendSpec
+	for _, k := range rng.Perm(len(hidden)) {
+		if len(shorts) < 4 {
+			shorts = append(shorts, sendSpec{at: max(0, l.at-0.001), src: hidden[k], dst: Broadcast, bits: 2000 + rng.Intn(6400)})
+		}
+	}
+	for len(hidden) == 0 && len(shorts) < 4 {
+		shorts = append(shorts, sendSpec{
+			at:   max(0, l.at-0.01*rng.Float64()),
+			src:  rng.Intn(n),
+			dst:  Broadcast,
+			bits: 400 + rng.Intn(8000),
+		})
+	}
+	return shorts
+}
+
+// lostReceptions counts the radios that received frame k in the log
+// clean and not in the log log.
+func lostReceptions(clean, log []recvRecord, k int) int {
+	got := map[int]bool{}
+	for _, r := range log {
+		if r.payload == k {
+			got[r.radio] = true
+		}
+	}
+	lost := 0
+	for _, r := range clean {
+		if r.payload == k && !got[r.radio] {
+			lost++
+		}
+	}
+	return lost
 }
 
 // TestEndIndexInvariant checks the end-tick index against a rescan of

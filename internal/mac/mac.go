@@ -540,16 +540,25 @@ func (m *Medium) gatherInterferers(batch []*transmission) {
 	}
 }
 
-// interferenceReach is gatherInterferers' query radius: Range+ir, as
-// computed, widened by a relative 1e-9 plus 1e-100 m. The index filters
-// exactly, and the triangle inequality holds only up to rounding for the
-// distances txCorrupts and deliverTo compute, so the margin keeps every
-// interferer they would count: it dwarfs the few ulps of relative error
-// of each squared distance, and the additive term keeps the squared
+// interferenceReach is gatherInterferers' query radius: Range plus the
+// farthest an interferer can be from a receiver and still corrupt it,
+// as computed, widened by a relative 1e-9 plus 1e-100 m. txCorrupts
+// counts an interferer only within ir = Range·csRangeFactor of the
+// receiver, and only under captureRatio^¼ times the receiver's distance
+// from its sender, at most Range (farther, the wanted signal is
+// captured; a receiver at its sender's position has no capture, but
+// then its interferers are within ir of the sender). With the Table-1
+// constants the capture bound is the smaller, so the reach is about
+// 2.78·Range. The index filters exactly, and the triangle inequality
+// holds only up to rounding for the distances txCorrupts and deliverTo
+// compute, so the margin keeps every interferer they would count: it
+// dwarfs the few ulps of relative error of each squared distance and of
+// the capture comparison, and the additive term keeps the squared
 // radius a normal float for ranges so small that their squares lose
 // precision. Capped at the largest finite float.
 func (m *Medium) interferenceReach() float64 {
-	reach := m.cfg.Range * (1 + csRangeFactor)
+	r := m.cfg.Range
+	reach := r + min(r*csRangeFactor, r*math.Sqrt(math.Sqrt(captureRatio)))
 	return min(reach+reach*1e-9+1e-100, math.MaxFloat64)
 }
 

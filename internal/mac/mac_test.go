@@ -629,26 +629,42 @@ func TestDriftedRadioReceivedAtRange(t *testing.T) {
 }
 
 // TestInterfererAtFullReachCorrupts: the interferer gather queries the
-// transmission index, which filters to the exact disk, at the radius
-// Range + ir around the sender (ir = 2·Range). An interferer matters
-// while it is within ir of the receiver and, by the capture ratio of 10,
-// closer than 10^¼ ≈ 1.778 times the receiver's distance from the
-// sender; so a receiver at Range from the sender and an interferer 177 m
-// beyond it, all on one line, is about the farthest an interferer can
-// sit and still matter. Its simultaneous airing, longer so that the
-// sender's airing ends alone, must corrupt the reception; the
+// transmission index, which filters to the exact disk, at the
+// interference reach around the sender. An interferer matters while it
+// is within ir = 2·Range of the receiver and, by the capture ratio of
+// 10, closer than 10^¼ ≈ 1.778 times the receiver's distance from the
+// sender; so with a receiver at Range from the sender and an interferer
+// beyond it, all on one line, 10^¼·Range beyond the receiver is the
+// farthest an interferer can sit and still matter, and the reach is
+// Range plus that. Just inside (a relative 1e-7), the interferer's
+// simultaneous airing, longer so that the sender's airing ends alone
+// and only the query around the sender can find it, must corrupt the
+// reception; just outside, the wanted frame is captured. The
 // interferer is too far from the sender to sense it and defer.
 func TestInterfererAtFullReachCorrupts(t *testing.T) {
-	const far = 177.0
 	cfg := Config{Range: 100}
-	n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(cfg.Range, 0), geom.Pt(cfg.Range+far, 0)})
-	n.sched.At(0, func() {
-		n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 8000})
-		n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 16000})
-	})
-	n.sched.Run(math.Inf(1))
-	if len(n.recv[1]) != 0 || n.medium.Stats().Collisions != 1 {
-		t.Errorf("receiver got %d frames with %d collisions; want the sender's frame corrupted by the interferer %v m away",
-			len(n.recv[1]), n.medium.Stats().Collisions, cfg.Range+far)
+	far := cfg.Range * math.Sqrt(math.Sqrt(captureRatio))
+	for _, tc := range []struct {
+		scale     float64
+		corrupted bool
+	}{{1 - 1e-7, true}, {1 + 1e-7, false}} {
+		at := cfg.Range + far*tc.scale
+		n := newTestNet(t, cfg, []geom.Point{geom.Pt(0, 0), geom.Pt(cfg.Range, 0), geom.Pt(at, 0)})
+		if inside := at < n.medium.interferenceReach(); inside != tc.corrupted {
+			t.Fatalf("interferer %v m from the sender: inside the interference reach %v, want %v", at, inside, tc.corrupted)
+		}
+		n.sched.At(0, func() {
+			n.radios[0].Send(&Frame{Dst: Broadcast, Bits: 8000})
+			n.radios[2].Send(&Frame{Dst: Broadcast, Bits: 16000})
+		})
+		n.sched.Run(math.Inf(1))
+		var want uint64
+		if tc.corrupted {
+			want = 1
+		}
+		if got := uint64(len(n.recv[1])); got != 1-want || n.medium.Stats().Collisions != want {
+			t.Errorf("interferer %v m from the sender: receiver got %d frames with %d collisions, corrupted should be %v",
+				at, got, n.medium.Stats().Collisions, tc.corrupted)
+		}
 	}
 }

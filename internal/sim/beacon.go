@@ -8,10 +8,10 @@ import (
 )
 
 // beaconRing drives every node's hello from a single pending event. Node
-// i fires at phase_i, phase_i+I, (phase_i+I)+I, and so on — each next
-// time computed as now + interval at the exact fire time, the float
-// accumulation a per-node des.NewTicker would perform — and the hellos due
-// at one instant go out in ascending id order. The beacon schedule is
+// i fires at phase_i, phase_i+I, (phase_i+I)+I, and so on, for I the
+// beaconInterval — each next time computed as now + I at the exact fire
+// time, the float accumulation a per-node des.NewTicker would perform —
+// and the hellos due at one instant go out in ascending id order. The beacon schedule is
 // therefore the merge of the per-node sequences sorted by (time, id),
 // while the scheduler holds one beacon event instead of one per node.
 //
@@ -23,25 +23,23 @@ import (
 // that rounding merges after many additions — are put in id order before
 // sending.
 type beaconRing struct {
-	sched    *des.Scheduler
-	interval float64
-	ids      []int      // member node ids, sorted by (phase, id)
-	nextAt   []des.Time // next fire time per member, parallel to ids
-	cursor   int        // index of the member that fires next
-	due      []int      // scratch: the ids due at the firing instant
-	send     func(due []int)
-	fireFn   des.Handler // fire bound once (rescheduling a method value would allocate)
+	sched  *des.Scheduler
+	ids    []int      // member node ids, sorted by (phase, id)
+	nextAt []des.Time // next fire time per member, parallel to ids
+	cursor int        // index of the member that fires next
+	due    []int      // scratch: the ids due at the firing instant
+	send   func(due []int)
+	fireFn des.Handler // fire bound once (rescheduling a method value would allocate)
 }
 
 // newBeaconRing returns a ring over nodes 0..len(phases)-1 with the given
 // first fire times; send receives the ids due at each firing instant.
-func newBeaconRing(sched *des.Scheduler, interval float64, phases []float64, send func(due []int)) *beaconRing {
+func newBeaconRing(sched *des.Scheduler, phases []float64, send func(due []int)) *beaconRing {
 	r := &beaconRing{
-		sched:    sched,
-		interval: interval,
-		ids:      make([]int, len(phases)),
-		nextAt:   make([]des.Time, len(phases)),
-		send:     send,
+		sched:  sched,
+		ids:    make([]int, len(phases)),
+		nextAt: make([]des.Time, len(phases)),
+		send:   send,
 	}
 	for i := range r.ids {
 		r.ids[i] = i
@@ -63,7 +61,7 @@ func (r *beaconRing) arm() {
 }
 
 // fire sends the hellos of every member due at the current instant,
-// advances their next fire times by one interval, and re-arms. The due
+// advances their next fire times by one beaconInterval, and re-arms. The due
 // members are collected before any hello is sent: sends never touch the
 // ring, so collect-then-send dispatches the identical sequence while
 // letting World.sendBeacons time the whole batch as one beacon phase.
@@ -72,7 +70,7 @@ func (r *beaconRing) fire() {
 	due := r.due[:0]
 	for r.nextAt[r.cursor] == t {
 		due = append(due, r.ids[r.cursor])
-		r.nextAt[r.cursor] = t + r.interval
+		r.nextAt[r.cursor] = t + beaconInterval
 		r.cursor++
 		if r.cursor == len(r.ids) {
 			r.cursor = 0

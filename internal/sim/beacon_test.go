@@ -8,9 +8,6 @@ import (
 	"testing"
 
 	"glr/internal/des"
-	"glr/internal/metrics"
-	"glr/internal/mobility"
-	"glr/internal/rng"
 )
 
 // hello is one sent beacon in a logged schedule.
@@ -21,9 +18,9 @@ type hello struct {
 
 // logRing runs a beacon ring over phases to horizon on a fresh scheduler
 // and logs every hello it sends, plus each firing's due batch.
-func logRing(phases []float64, interval, horizon float64) (log []hello, batches [][]int, sched *des.Scheduler) {
+func logRing(phases []float64, horizon float64) (log []hello, batches [][]int, sched *des.Scheduler) {
 	sched = des.NewScheduler()
-	newBeaconRing(sched, interval, phases, func(due []int) {
+	newBeaconRing(sched, phases, func(due []int) {
 		batches = append(batches, append([]int(nil), due...))
 		for _, id := range due {
 			log = append(log, hello{id, sched.Now()})
@@ -35,11 +32,11 @@ func logRing(phases []float64, interval, horizon float64) (log []hello, batches 
 
 // perNodeSchedule is the independent computation of the beacon schedule:
 // node i fires at phase_i, phase_i+I, (phase_i+I)+I, … up to horizon,
-// and all hellos are sorted by (time, id).
-func perNodeSchedule(phases []float64, interval, horizon float64) []hello {
+// for I the beaconInterval, and all hellos are sorted by (time, id).
+func perNodeSchedule(phases []float64, horizon float64) []hello {
 	var want []hello
 	for id, p := range phases {
-		for at := p; at <= horizon; at += interval {
+		for at := p; at <= horizon; at += beaconInterval {
 			want = append(want, hello{id, at})
 		}
 	}
@@ -58,7 +55,7 @@ func perNodeSchedule(phases []float64, interval, horizon float64) []hello {
 // earlier ones — distinct at first, merged by rounding once the interval
 // is added — so ties of both kinds occur, with ids in either order.
 func TestBeaconAggregationEquivalence(t *testing.T) {
-	const interval, horizon = 1.0, 40.0
+	const horizon = 40.0
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		phases := make([]float64, 5+rng.Intn(60))
@@ -69,11 +66,11 @@ func TestBeaconAggregationEquivalence(t *testing.T) {
 			case k == 1 && i > 0:
 				phases[i] = math.Nextafter(phases[rng.Intn(i)], 0)
 			default:
-				phases[i] = rng.Float64() * interval
+				phases[i] = rng.Float64() * beaconInterval
 			}
 		}
-		got, _, sched := logRing(phases, interval, horizon)
-		want := perNodeSchedule(phases, interval, horizon)
+		got, _, sched := logRing(phases, horizon)
+		want := perNodeSchedule(phases, horizon)
 		if !reflect.DeepEqual(got, want) {
 			i := 0
 			for i < len(got) && i < len(want) && got[i] == want[i] {
@@ -88,46 +85,47 @@ func TestBeaconAggregationEquivalence(t *testing.T) {
 	}
 }
 
-// TestPhasesCollide: a world forced to draw bit-equal phases replays
-// identically twice and sends exactly the hellos of the per-node
-// schedule. A beacon interval of eight subnormal ulps quantizes the
-// world's uniform phase draws onto nine values, so 40 nodes must share
-// them; the horizon ends long before any frame finishes airing.
+// TestPhasesCollide: on crafted phases the ring sends exactly the
+// per-node schedule. Nodes 0–7 come in interleaved groups of bit-equal
+// phases; nodes 8–15 come in two runs a few ulps apart, in descending
+// phase order, distinct at first and merged by rounding once enough
+// beacon intervals have been added. Both kinds of tie must show up in
+// the logged batches, and each batch must list its ids ascending.
 func TestPhasesCollide(t *testing.T) {
-	s := DefaultScenario(250)
-	s.N = 40
-	s.Region = mobility.Region{W: 300, H: 300}
-	s.Mobility = MobilityStatic
-	s.BeaconInterval = 8 * math.SmallestNonzeroFloat64
-	s.SimTime = 200 * math.SmallestNonzeroFloat64
-
-	// The world draws one phase per node, in id order, from its RNG.
-	stream := rng.New(s.Seed)
-	phases := make([]float64, s.N)
-	distinct := map[float64]bool{}
-	for i := range phases {
-		phases[i] = stream.Float64() * s.BeaconInterval
-		distinct[phases[i]] = true
+	phases := []float64{0.75, 0.25, 0.75, 0.25, 0.5, 0.25, 0.5, 0.75}
+	for _, p := range []float64{0.1, 0.3} {
+		phases = append(phases, p+0x1p-52, p+0x1p-53, p+0x1p-54, p)
 	}
-	if len(distinct) == len(phases) {
-		t.Fatal("phases did not collide; the test is vacuous")
-	}
-
-	run := func() (metrics.Report, any) {
-		w, err := NewWorld(s, func(*Node) Protocol { return nopProtocol{} })
-		if err != nil {
-			t.Fatal(err)
+	const horizon = 40.0
+	got, batches, _ := logRing(phases, horizon)
+	if want := perNodeSchedule(phases, horizon); !reflect.DeepEqual(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
 		}
-		rep := w.Run()
-		return rep, w.Medium().Stats()
+		t.Fatalf("ring schedule diverges from the per-node schedule at hello %d (%d vs %d hellos)", i, len(got), len(want))
 	}
-	rep1, mac1 := run()
-	rep2, mac2 := run()
-	if rep1 != rep2 || mac1 != mac2 {
-		t.Fatalf("replay diverged:\n%+v %+v\nvs\n%+v %+v", rep1, mac1, rep2, mac2)
+	bitEqual, merged := false, false
+	for _, b := range batches {
+		for _, id := range b[1:] {
+			if phases[id] == phases[b[0]] {
+				bitEqual = true
+			} else {
+				merged = true
+			}
+		}
 	}
-	if want := len(perNodeSchedule(phases, s.BeaconInterval, s.SimTime)); rep1.ControlFrames != uint64(want) {
-		t.Fatalf("world sent %d hellos, want %d", rep1.ControlFrames, want)
+	if !bitEqual || !merged {
+		t.Fatalf("bit-equal ties fired together: %v, distinct phases merged: %v; the test is vacuous", bitEqual, merged)
+	}
+}
+
+// TestNeighborExpiryOutlastsBeacon: a neighbor expires only after it has
+// missed at least one whole hello period, so a live neighbor is never
+// dropped between two of its hellos.
+func TestNeighborExpiryOutlastsBeacon(t *testing.T) {
+	if !(neighborExpiry > beaconInterval) {
+		t.Fatalf("neighborExpiry %v must exceed beaconInterval %v", neighborExpiry, beaconInterval)
 	}
 }
 
@@ -137,7 +135,7 @@ func TestPhasesCollide(t *testing.T) {
 // world sends one hello per node per interval.
 func TestBeaconGroupRingOrder(t *testing.T) {
 	phases := []float64{0.5, 0.25, 0.5, 0.875, 0.25}
-	_, batches, _ := logRing(phases, 1, 2.5)
+	_, batches, _ := logRing(phases, 2.5)
 	want := [][]int{{1, 4}, {0, 2}, {3}, {1, 4}, {0, 2}, {3}, {1, 4}, {0, 2}}
 	if !reflect.DeepEqual(batches, want) {
 		t.Fatalf("ring batches %v, want %v", batches, want)

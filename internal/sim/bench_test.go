@@ -36,7 +36,7 @@ func BenchmarkBeaconTickAggregated(b *testing.B) {
 	// all the benchmark steps; NewWorld rejects horizons whose waypoint
 	// legs exceed MaxLegsPerNode.
 	const warmup = 3
-	s.SimTime = float64(warmup+b.N) * s.BeaconInterval
+	s.SimTime = float64(warmup+b.N) * beaconInterval
 
 	w, err := NewWorld(s, func(*Node) Protocol { return nopProtocol{} })
 	if err != nil {
@@ -44,13 +44,13 @@ func BenchmarkBeaconTickAggregated(b *testing.B) {
 	}
 	// Warm up: let tables, pools, and the spatial index reach steady
 	// state before measuring.
-	until := warmup * s.BeaconInterval
+	until := warmup * beaconInterval
 	w.Scheduler().Run(until)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		until += s.BeaconInterval
+		until += beaconInterval
 		w.Scheduler().Run(until)
 	}
 }

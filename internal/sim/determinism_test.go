@@ -68,16 +68,14 @@ func traceWorld(trial int) sim.Scenario {
 		traffic = append(traffic, sim.TrafficItem{Src: src, Dst: dst, At: 1 + rng.Float64()*(simTime-10)})
 	}
 	return sim.Scenario{
-		Seed:           int64(trial)*131 + 7,
-		N:              n,
-		Range:          60 + rng.Float64()*60,
-		SimTime:        simTime,
-		Region:         region,
-		Mobility:       sim.MobilityTrace,
-		Traces:         traces,
-		BeaconInterval: 1,
-		NeighborExpiry: 2.5,
-		Traffic:        traffic,
+		Seed:     int64(trial)*131 + 7,
+		N:        n,
+		Range:    60 + rng.Float64()*60,
+		SimTime:  simTime,
+		Region:   region,
+		Mobility: sim.MobilityTrace,
+		Traces:   traces,
+		Traffic:  traffic,
 	}
 }
 

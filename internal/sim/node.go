@@ -117,10 +117,10 @@ func (n *Node) At(t float64, fn func()) {
 	n.world.sched.At(t, fn)
 }
 
-// Neighbors returns the node's neighbor table with stale rows (older than
-// the scenario's expiry) already dropped.
+// Neighbors returns the node's neighbor table with stale rows (unheard
+// for neighborExpiry) already dropped.
 func (n *Node) Neighbors() *dtn.NeighborTable {
-	n.neighbors.Expire(n.Now() - n.world.cfg.NeighborExpiry)
+	n.neighbors.Expire(n.Now() - neighborExpiry)
 	return &n.neighbors
 }
 

@@ -3,6 +3,12 @@
 // the paper's traffic pattern, and metric collection into a reproducible
 // discrete-event run. It replaces the NS-2 scenario scripts of the
 // evaluation.
+//
+// The hello timing is fixed, as in the paper's IMEP stack: every node
+// beacons once per second (beaconInterval), at a random phase drawn per
+// node, and drops a neighbor unheard for 2.5 s (neighborExpiry), which
+// tolerates one lost hello. The radio index is refreshed on the same
+// one-second period.
 package sim
 
 import (
@@ -43,6 +49,17 @@ func (k MobilityKind) String() string {
 	}
 }
 
+// The fixed hello timing of the package doc, in seconds.
+const (
+	// beaconInterval is the IMEP-style neighborhood sensing period: one
+	// hello per node per interval, and one radio-index refresh.
+	beaconInterval = 1.0
+	// neighborExpiry drops a neighbor unheard for this long. It must
+	// exceed beaconInterval, or live neighbors would expire between
+	// their hellos.
+	neighborExpiry = 2.5
+)
+
 // Scenario describes one simulation run. The zero value is not runnable;
 // start from DefaultScenario.
 type Scenario struct {
@@ -68,9 +85,6 @@ type Scenario struct {
 	// inside Region.
 	Traces [][]mobility.TracePoint
 
-	BeaconInterval float64 // IMEP-style neighborhood sensing period
-	NeighborExpiry float64 // drop neighbors unheard for this long
-
 	Traffic []TrafficItem
 
 	// StorageLimit bounds per-node message storage (0 = unlimited); the
@@ -88,17 +102,15 @@ type Scenario struct {
 // transmission range.
 func DefaultScenario(rng float64) Scenario {
 	return Scenario{
-		Seed:           1,
-		N:              50,
-		Range:          rng,
-		SimTime:        3800,
-		Region:         mobility.Region{W: 1500, H: 300},
-		Mobility:       MobilityWaypoint,
-		MinSpeed:       0,
-		MaxSpeed:       20,
-		Pause:          0,
-		BeaconInterval: 1.0,
-		NeighborExpiry: 2.5,
+		Seed:     1,
+		N:        50,
+		Range:    rng,
+		SimTime:  3800,
+		Region:   mobility.Region{W: 1500, H: 300},
+		Mobility: MobilityWaypoint,
+		MinSpeed: 0,
+		MaxSpeed: 20,
+		Pause:    0,
 	}
 }
 
@@ -113,11 +125,6 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("sim: sim time %v must be positive", s.SimTime)
 	case s.Region.W <= 0 || s.Region.H <= 0:
 		return fmt.Errorf("sim: region %vx%v must be positive", s.Region.W, s.Region.H)
-	case s.BeaconInterval <= 0:
-		return fmt.Errorf("sim: beacon interval %v must be positive", s.BeaconInterval)
-	case s.NeighborExpiry <= s.BeaconInterval:
-		return fmt.Errorf("sim: neighbor expiry %v must exceed beacon interval %v",
-			s.NeighborExpiry, s.BeaconInterval)
 	case s.StorageLimit < 0:
 		return fmt.Errorf("sim: storage limit %d must be nonnegative", s.StorageLimit)
 	}
@@ -213,13 +220,13 @@ func (s Scenario) maxDriftSpeed() float64 {
 // macConfig returns the MAC configuration for the scenario. The
 // medium's radio index is refreshed once per beacon interval (see
 // World.scheduleReindex), so indexed positions can be stale by up to
-// top-speed × BeaconInterval metres of movement, and its queries return
+// top-speed × beaconInterval metres of movement, and its queries return
 // exactly the radios within Range+IndexSlack: the slack is that drift
 // bound plus a safety metre. The top speed comes from the mobility
 // model — for traces it is the fastest scripted segment, which MaxSpeed
 // does not bound. Validate checks the result.
 func (s Scenario) macConfig() mac.Config {
-	return mac.Config{Range: s.Range, IndexSlack: s.maxDriftSpeed()*s.BeaconInterval + 1}
+	return mac.Config{Range: s.Range, IndexSlack: s.maxDriftSpeed()*beaconInterval + 1}
 }
 
 // TrafficItem schedules one message generation.

@@ -101,8 +101,6 @@ func TestScenarioValidate(t *testing.T) {
 		{"zero range", func(s *Scenario) { s.Range = 0 }},
 		{"zero time", func(s *Scenario) { s.SimTime = 0 }},
 		{"bad region", func(s *Scenario) { s.Region.W = 0 }},
-		{"bad beacon", func(s *Scenario) { s.BeaconInterval = 0 }},
-		{"expiry below beacon", func(s *Scenario) { s.NeighborExpiry = 0.5 }},
 		{"negative storage", func(s *Scenario) { s.StorageLimit = -1 }},
 		{"traffic self-loop", func(s *Scenario) { s.Traffic = []TrafficItem{{Src: 1, Dst: 1, At: 1}} }},
 		{"traffic out of range", func(s *Scenario) { s.Traffic = []TrafficItem{{Src: 0, Dst: 99, At: 1}} }},
@@ -234,7 +232,7 @@ func TestWorldSetsIndexSlackForMobility(t *testing.T) {
 	// node can accumulate between two Reindex ticks.
 	// NewWorld hands the scenario's macConfig to the medium as is.
 	s := smallScenario()
-	want := s.MaxSpeed*s.BeaconInterval + 1
+	want := s.MaxSpeed*beaconInterval + 1
 	if got := s.macConfig().IndexSlack; got != want {
 		t.Errorf("IndexSlack = %v, want %v", got, want)
 	}
@@ -339,8 +337,8 @@ func TestNeighborExpiry(t *testing.T) {
 	// beaconing by running a fresh world past its horizon: instead, query
 	// with a manual Expire through the accessor after advancing the
 	// clock with an empty event.
-	w.Scheduler().At(5+s.NeighborExpiry+1, func() {})
-	w.Scheduler().Run(5 + s.NeighborExpiry + 1)
+	w.Scheduler().At(5+neighborExpiry+1, func() {})
+	w.Scheduler().Run(5 + neighborExpiry + 1)
 	// Beacons kept arriving, so rows should still be fresh.
 	if len(n.Neighbors().AppendAdvertised(nil)) == 0 {
 		t.Error("live beaconing should keep neighbor rows fresh")

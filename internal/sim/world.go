@@ -194,7 +194,7 @@ func (w *World) pos(id int) geom.Point {
 // one bulk refresh of every radio's grid cell per beacon interval bounds
 // cell staleness to the drift the medium's IndexSlack covers.
 func (w *World) scheduleReindex() {
-	des.NewTicker(w.sched, w.cfg.BeaconInterval, 0, func() {
+	des.NewTicker(w.sched, beaconInterval, 0, func() {
 		if w.prof != nil {
 			defer w.prof.clock(&w.prof.Mobility)()
 		}
@@ -220,9 +220,9 @@ func (w *World) sendBeacons(due []int) {
 func (w *World) scheduleBeacons() {
 	phases := make([]float64, len(w.nodes))
 	for i := range phases {
-		phases[i] = w.rng.Float64() * w.cfg.BeaconInterval
+		phases[i] = w.rng.Float64() * beaconInterval
 	}
-	newBeaconRing(w.sched, w.cfg.BeaconInterval, phases, w.sendBeacons).arm()
+	newBeaconRing(w.sched, phases, w.sendBeacons).arm()
 }
 
 // scheduleTraffic arms one generation event per traffic item.
