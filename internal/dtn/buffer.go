@@ -72,9 +72,10 @@ func (b *Buffer) Remove(id MessageID) *Message {
 	return m
 }
 
-// appendDrain appends the stored messages oldest-first to buf and empties
-// the buffer, keeping its map and order storage for reuse.
-func (b *Buffer) appendDrain(buf []*Message) []*Message {
+// Drain appends the stored messages oldest-first to buf and empties the
+// buffer, keeping its map and order storage for reuse. The caller owns
+// the drained messages.
+func (b *Buffer) Drain(buf []*Message) []*Message {
 	buf = b.AppendMessages(buf)
 	b.order = b.order[:0]
 	clear(b.byID)
@@ -87,7 +88,10 @@ func (b *Buffer) popOldest() *Message {
 		return nil
 	}
 	id := b.order[0]
-	b.order = b.order[1:]
+	// Shift rather than reslice: the order array keeps its capacity, so
+	// a full buffer's evict-and-add cycle allocates nothing (order[1:]
+	// would strand a slot per eviction and regrow the array).
+	b.order = b.order[:copy(b.order, b.order[1:])]
 	m := b.byID[id]
 	delete(b.byID, id)
 	return m

@@ -323,11 +323,13 @@ var summaryRanks = NewMessageRanks([]int{8, 64, 8})
 // and Restart operations on a buffer of the given capacity, with a rank
 // set kept in step with it the way the epidemic protocol keeps one: a
 // stored message's rank joins the set, an evicted or removed one's
-// leaves, a restart empties both. After every step it checks the set's
-// summary against the sorted-vector and map-set oracles and the buffer's
-// Len, and every snapshot taken earlier against its contents when taken:
-// frames carrying a summary sit in MAC queues while the buffer keeps
-// changing. Each diff is checked, in order, against the merge walk and
+// leaves, a restart drains the buffer (oldest-first, checked against the
+// map-set oracle's order) and empties the set. After every step it
+// checks the set's summary against the sorted-vector and map-set
+// oracles, its Has against the buffer's for every drawable id, the
+// buffer's Len, and every snapshot taken earlier against its contents
+// when taken: frames carrying a summary sit in MAC queues while the
+// buffer keeps changing. Each diff is checked, in order, against the merge walk and
 // the map-set difference.
 func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 	next := func() int {
@@ -392,7 +394,13 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 				t.Fatalf("step %d: Lacks(%v) = %v, want %v", step, members(summaryRanks, peerSV), got, want)
 			}
 		case 4:
-			b = NewBuffer(capacity)
+			var drained []MessageID
+			for _, m := range b.Drain(nil) {
+				drained = append(drained, m.ID)
+			}
+			if !slices.Equal(drained, ref.order) {
+				t.Fatalf("step %d: Drain = %v, want oldest-first %v", step, drained, ref.order)
+			}
 			have.Clear()
 			oracle = nil
 			ref = &refSummarySet{capacity: capacity, set: make(map[MessageID]struct{})}
@@ -412,6 +420,12 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 		if pop != sv.Len() || pop != have.count || pop != b.Len() {
 			t.Fatalf("step %d: summary popcount %d, Len %d, set Len %d, buffer Len %d",
 				step, pop, sv.Len(), have.count, b.Len())
+		}
+		for v := range 3 * 8 {
+			id := MessageID{Src: v % 3, Seq: v / 3}
+			if have.Has(rank(id)) != b.Has(id) {
+				t.Fatalf("step %d: set Has(%v) = %v, buffer Has %v", step, id, have.Has(rank(id)), b.Has(id))
+			}
 		}
 		for i, s := range snaps {
 			if !slices.Equal(s.sv.words, s.want) {

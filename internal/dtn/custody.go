@@ -130,8 +130,8 @@ func (c *CustodyStore) ExpireCache(deadline float64, buf []*Message) []*Message 
 // Drain empties Store and Cache, appending every message they held to buf
 // (Store then Cache, each oldest-first) so the caller can reuse them.
 func (c *CustodyStore) Drain(buf []*Message) []*Message {
-	buf = c.store.appendDrain(buf)
-	buf = c.cache.appendDrain(buf)
+	buf = c.store.Drain(buf)
+	buf = c.cache.Drain(buf)
 	clear(c.sentAt)
 	return buf
 }

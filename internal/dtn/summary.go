@@ -82,6 +82,12 @@ func (s *RankSet) Add(rank int) {
 	s.summary = nil
 }
 
+// Has reports whether rank is in the set.
+func (s *RankSet) Has(rank int) bool {
+	w := rank / 64
+	return w < len(s.words) && s.words[w]&(uint64(1)<<(rank%64)) != 0
+}
+
 // Remove deletes rank if held.
 func (s *RankSet) Remove(rank int) {
 	w, bit := rank/64, uint64(1)<<(rank%64)

@@ -71,24 +71,41 @@ const (
 // DefaultConfig returns the empty Config.
 func DefaultConfig() Config { return Config{} }
 
+// The three frame types travel as pointers into the sending node's free
+// lists (boxes). Each box carries one persistent MAC callback, onDone,
+// that puts it back when the MAC resolves the unicast: sim.Node reports
+// a frame sent only after every reception of it has been delivered, so
+// no receiver reads a box after its release. Receivers copy out what
+// they keep.
+
 // svFrame advertises buffer contents: the full summary vector (a bitmap
 // over the world's message ranks), unicast by the node opening a session
 // and by the responder in reply.
 type svFrame struct {
+	// Summary is the sender's shared, immutable snapshot
+	// (RankSet.Summary); a released box only drops its reference.
 	Summary dtn.SummaryVector
 	// Reply marks the responder's summary in a session (the initiator
 	// answers with requests only, avoiding infinite sv ping-pong).
 	Reply bool
+
+	onDone func(ok bool)
 }
 
-// reqFrame asks the peer to transfer the listed messages.
+// reqFrame asks the peer to transfer the listed messages. The box owns
+// Wanted's backing array, which it keeps across reuses.
 type reqFrame struct {
 	Wanted []dtn.MessageID
+
+	onDone func(ok bool)
 }
 
-// dataFrame transfers one buffered message.
+// dataFrame transfers one buffered message, copied by value: the
+// sender's buffer keeps its own box.
 type dataFrame struct {
 	Msg dtn.Message
+
+	onDone func(ok bool)
 }
 
 // Epidemic is one node's protocol instance.
@@ -99,20 +116,23 @@ type Epidemic struct {
 	have          dtn.RankSet // the ranks of buf's messages, kept in step with it
 	lastExchange  map[int]float64
 	lastHeard     map[int]float64 // contact tracking: detects NEW contacts
-	wants         map[dtn.MessageID]*want
+	wants         map[dtn.MessageID]want
 	backlog       map[int]bool // peer advertised more than one batch's worth
-	deliveredHere map[dtn.MessageID]bool
+	deliveredHere dtn.RankSet  // the ranks of messages delivered to this node
 
 	// Token bucket pacing outgoing data transfers.
 	tokens     float64
 	lastRefill float64
 
+	boxes boxes
+	sweep func() // retrySweep, bound once in Init
+
 	// Scratch of retrySweep and drainBacklogs, cleared on every call.
-	// perPeer's batches are not reused: each rides in a request frame
-	// until the peer reads it.
+	// perPeer maps each advertiser to the pooled request box its batch
+	// collects in; the box rides to the peer and returns on its own.
 	sweepIDs   []dtn.MessageID
 	sweepPeers []int
-	perPeer    map[int][]dtn.MessageID
+	perPeer    map[int]*reqFrame
 	busy       map[int]bool
 }
 
@@ -123,19 +143,118 @@ type want struct {
 	tries int
 }
 
+// boxes are one node's free lists for the boxes anti-entropy churns per
+// frame: summary, request and data frames, and the *dtn.Message boxes
+// its buffer stores. They follow core's boxPool, but per node, not per
+// world: every box is taken and released by the node that owns it, so
+// concurrent worlds share nothing. A message box goes back when the
+// buffer evicts it, when it merges into a held copy, and on Restart.
+type boxes struct {
+	svs  []*svFrame
+	reqs []*reqFrame
+	data []*dataFrame
+	msgs []*dtn.Message
+	// chunk holds fresh message boxes not yet handed out, carved from
+	// arrays that double from msgChunkMin to msgChunkMax (carved is the
+	// last array's length), so a node that never receives pays nothing.
+	chunk  []dtn.Message
+	carved int
+	// poison, when set, takes every released box instead of the free
+	// lists, which then never hand one out again. Only tests set it, to
+	// show that nothing reads a box after release.
+	poison func(box any)
+}
+
+// Bounds of the arrays boxes carves fresh message boxes from.
+const (
+	msgChunkMin = 4
+	msgChunkMax = 128
+)
+
+// pop removes and returns the last box of a free list, or nil.
+func pop[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	x := (*list)[n-1]
+	*list = (*list)[:n-1]
+	return x
+}
+
+// release puts x on its free list, or hands it to the poison hook.
+func release[T any](b *boxes, list *[]*T, x *T) {
+	if b.poison != nil {
+		b.poison(x)
+		return
+	}
+	*list = append(*list, x)
+}
+
+// takeSV returns a recycled (or fresh) summary box.
+func (e *Epidemic) takeSV() *svFrame {
+	if f := pop(&e.boxes.svs); f != nil {
+		return f
+	}
+	f := &svFrame{}
+	f.onDone = func(bool) {
+		f.Summary = dtn.SummaryVector{}
+		release(&e.boxes, &e.boxes.svs, f)
+	}
+	return f
+}
+
+// takeReq returns a recycled (or fresh) request box with no ids.
+func (e *Epidemic) takeReq() *reqFrame {
+	if f := pop(&e.boxes.reqs); f != nil {
+		return f
+	}
+	f := &reqFrame{}
+	f.onDone = func(bool) {
+		f.Wanted = f.Wanted[:0]
+		release(&e.boxes, &e.boxes.reqs, f)
+	}
+	return f
+}
+
+// takeData returns a recycled (or fresh) data box.
+func (e *Epidemic) takeData() *dataFrame {
+	if f := pop(&e.boxes.data); f != nil {
+		return f
+	}
+	f := &dataFrame{}
+	f.onDone = func(bool) { release(&e.boxes, &e.boxes.data, f) }
+	return f
+}
+
+// takeMsg returns a recycled (or fresh) message box; the caller
+// overwrites all of it.
+func (e *Epidemic) takeMsg() *dtn.Message {
+	b := &e.boxes
+	if m := pop(&b.msgs); m != nil {
+		return m
+	}
+	if len(b.chunk) == 0 {
+		b.carved = min(max(2*b.carved, msgChunkMin), msgChunkMax)
+		b.chunk = make([]dtn.Message, b.carved)
+	}
+	m := &b.chunk[0]
+	b.chunk = b.chunk[1:]
+	return m
+}
+
 // New builds an epidemic factory for sim.NewWorld. The per-node buffer
 // capacity comes from the scenario's StorageLimit. The error is always
 // nil.
 func New(Config) (sim.ProtocolFactory, error) {
 	return func(n *sim.Node) sim.Protocol {
 		return &Epidemic{
-			n:             n,
-			buf:           dtn.NewBuffer(n.StorageLimit()),
-			lastExchange:  make(map[int]float64),
-			lastHeard:     make(map[int]float64),
-			wants:         make(map[dtn.MessageID]*want),
-			backlog:       make(map[int]bool),
-			deliveredHere: make(map[dtn.MessageID]bool),
+			n:            n,
+			buf:          dtn.NewBuffer(n.StorageLimit()),
+			lastExchange: make(map[int]float64),
+			lastHeard:    make(map[int]float64),
+			wants:        make(map[dtn.MessageID]want),
+			backlog:      make(map[int]bool),
 		}
 	}, nil
 }
@@ -143,37 +262,46 @@ func New(Config) (sim.ProtocolFactory, error) {
 // Init implements sim.Protocol: start the slow retry sweep for lost
 // transfers.
 func (e *Epidemic) Init(n *sim.Node) {
-	interval := requestTimeout
-	phase := n.Rand().Float64() * interval
-	n.After(phase, func() { e.retrySweep(interval) })
+	e.sweep = e.retrySweep
+	n.After(n.Rand().Float64()*requestTimeout, e.sweep)
 }
 
 // Restart implements sim.Restarter (fault-injected node churn): the
 // node reboots with an empty buffer and no exchange state — contact
 // history, outstanding wants, pending backlogs and the delivered-here
 // memory all reset, so previously seen copies can be accepted (and
-// delivered) again as duplicates. The token bucket restarts empty.
+// delivered) again as duplicates. The buffer empties in place and every
+// box it held goes back to the node's free list; frames already handed
+// to the MAC still return on their own. The token bucket restarts empty.
 func (e *Epidemic) Restart() {
-	e.buf = dtn.NewBuffer(e.n.StorageLimit())
+	b := &e.boxes
+	free := len(b.msgs)
+	b.msgs = e.buf.Drain(b.msgs)
+	if b.poison != nil {
+		for _, m := range b.msgs[free:] {
+			b.poison(m)
+		}
+		b.msgs = b.msgs[:free]
+	}
 	e.have.Clear()
+	e.deliveredHere.Clear()
 	clear(e.lastExchange)
 	clear(e.lastHeard)
 	clear(e.wants)
 	clear(e.backlog)
-	clear(e.deliveredHere)
 	e.tokens = 0
 	e.lastRefill = e.n.Now()
 }
 
 // retrySweep re-requests transfers that timed out, in one batch per
-// advertiser, then reschedules itself.
+// advertiser, then reschedules itself every requestTimeout.
 //
 // Both sweeps iterate in sorted order, never raw map order: which ids
 // land in a maxBatch-bounded batch and the order request frames hit the
 // medium must not depend on map iteration, or identical seeded runs
 // stop being byte-identical (the determinism the result cache and the
 // committed atlas rely on).
-func (e *Epidemic) retrySweep(interval float64) {
+func (e *Epidemic) retrySweep() {
 	now := e.n.Now()
 	ids := e.sweepIDs[:0]
 	for id := range e.wants {
@@ -182,10 +310,9 @@ func (e *Epidemic) retrySweep(interval float64) {
 	slices.SortFunc(ids, dtn.MessageID.Compare)
 	e.sweepIDs = ids
 	if e.perPeer == nil {
-		e.perPeer = make(map[int][]dtn.MessageID)
+		e.perPeer = make(map[int]*reqFrame)
 	}
 	perPeer := e.perPeer
-	clear(perPeer)
 	peers := e.sweepPeers[:0]
 	for _, id := range ids {
 		w := e.wants[id]
@@ -205,25 +332,30 @@ func (e *Epidemic) retrySweep(interval float64) {
 			delete(e.wants, id)
 			continue
 		}
-		if len(perPeer[w.peer]) >= maxBatch {
+		batch := perPeer[w.peer]
+		if batch != nil && len(batch.Wanted) >= maxBatch {
 			continue
 		}
 		w.at = now
 		w.tries++
-		if len(perPeer[w.peer]) == 0 {
+		e.wants[id] = w
+		if batch == nil {
+			batch = e.takeReq()
+			perPeer[w.peer] = batch
 			peers = append(peers, w.peer)
 		}
-		perPeer[w.peer] = append(perPeer[w.peer], id)
+		batch.Wanted = append(batch.Wanted, id)
 	}
 	slices.Sort(peers)
 	e.sweepPeers = peers
 	for _, peer := range peers {
 		// Per-peer batches inherit the sorted (Src, Seq) sweep order.
 		batch := perPeer[peer]
-		e.n.Unicast(peer, sim.KindControl, reqFrame{Wanted: batch}, e.svBits(len(batch)), nil)
+		e.n.Unicast(peer, sim.KindControl, batch, e.svBits(len(batch.Wanted)), batch.onDone)
 	}
+	clear(perPeer)
 	e.drainBacklogs(now)
-	e.n.After(interval, func() { e.retrySweep(interval) })
+	e.n.After(requestTimeout, e.sweep)
 }
 
 // drainBacklogs continues multi-batch syncs on long-lived contacts: when
@@ -279,10 +411,17 @@ func (e *Epidemic) OnMessageGenerated(m *dtn.Message) {
 
 // store buffers m and keeps have in step with the buffer: m's rank
 // joins it and the rank of the message the buffer evicts for m leaves.
+// The buffer takes m's box unless m merges into a copy already held;
+// that box, and an evicted one, go back to the free list.
 func (e *Epidemic) store(m *dtn.Message) {
 	ranks := e.n.MessageRanks()
+	held := e.buf.Len()
 	if evicted := e.buf.Add(m); evicted != nil {
 		e.have.Remove(ranks.Rank(evicted.ID))
+		release(&e.boxes, &e.boxes.msgs, evicted)
+	} else if e.buf.Len() == held {
+		release(&e.boxes, &e.boxes.msgs, m) // merged: have holds its rank
+		return
 	}
 	e.have.Add(ranks.Rank(m.ID))
 }
@@ -325,18 +464,19 @@ func (e *Epidemic) svBitsFull(entries int) int {
 // sendSummary unicasts the full summary vector to a peer: a session
 // opener, or (reply) the responder's half of the handshake.
 func (e *Epidemic) sendSummary(to int, reply bool) {
-	sv := e.have.Summary()
-	e.n.Unicast(to, sim.KindControl, svFrame{Summary: sv, Reply: reply}, e.svBitsFull(sv.Len()), nil)
+	f := e.takeSV()
+	f.Summary, f.Reply = e.have.Summary(), reply
+	e.n.Unicast(to, sim.KindControl, f, e.svBitsFull(f.Summary.Len()), f.onDone)
 }
 
 // OnFrame implements sim.Protocol.
 func (e *Epidemic) OnFrame(payload any, from int) {
 	switch f := payload.(type) {
-	case svFrame:
+	case *svFrame:
 		e.onSummary(f, from)
-	case reqFrame:
+	case *reqFrame:
 		e.onRequest(f, from)
-	case dataFrame:
+	case *dataFrame:
 		e.onData(f, from)
 	}
 }
@@ -348,34 +488,36 @@ func (e *Epidemic) OnFrame(payload any, from int) {
 // The ids we lack are visited in ascending rank, which is the canonical
 // (Src, Seq) order, so request frames hit the medium in the same order
 // on every run.
-func (e *Epidemic) onSummary(f svFrame, from int) {
+func (e *Epidemic) onSummary(f *svFrame, from int) {
 	now := e.n.Now()
 	var diffStart time.Time
 	if e.n.PhaseProfiled() {
 		diffStart = time.Now()
 	}
 	ranks := e.n.MessageRanks()
-	var missing []dtn.MessageID
+	var req *reqFrame
 	for r := range e.have.Lacks(f.Summary) {
 		id := ranks.ID(r)
 		// Skip ids already requested recently from any peer.
 		if w, ok := e.wants[id]; ok && now-w.at < requestTimeout {
 			continue
 		}
-		if len(missing) == maxBatch {
+		if req == nil {
+			req = e.takeReq()
+		} else if len(req.Wanted) == maxBatch {
 			e.backlog[from] = true // more to pull once this batch settles
 			break
 		}
-		missing = append(missing, id)
+		req.Wanted = append(req.Wanted, id)
 	}
 	if !diffStart.IsZero() {
 		e.n.AddAntiEntropyTime(time.Since(diffStart))
 	}
-	if len(missing) > 0 {
-		for _, id := range missing {
-			e.wants[id] = &want{peer: from, at: now}
+	if req != nil {
+		for _, id := range req.Wanted {
+			e.wants[id] = want{peer: from, at: now}
 		}
-		e.n.Unicast(from, sim.KindControl, reqFrame{Wanted: missing}, e.svBits(len(missing)), nil)
+		e.n.Unicast(from, sim.KindControl, req, e.svBits(len(req.Wanted)), req.onDone)
 	}
 	if !f.Reply {
 		e.lastExchange[from] = e.n.Now()
@@ -390,7 +532,7 @@ func (e *Epidemic) onSummary(f svFrame, from int) {
 // is paced over the contact — or cut short when the contact breaks, which
 // is exactly the bandwidth-bound behaviour behind the paper's epidemic
 // slowdown at high message counts.
-func (e *Epidemic) onRequest(f reqFrame, from int) {
+func (e *Epidemic) onRequest(f *reqFrame, from int) {
 	e.refillTokens()
 	sent := 0
 	for _, id := range f.Wanted {
@@ -406,8 +548,9 @@ func (e *Epidemic) onRequest(f reqFrame, from int) {
 		}
 		e.tokens--
 		sent++
-		e.n.Unicast(from, sim.KindData, dataFrame{Msg: *m},
-			m.PayloadBits+dataHeaderBits, nil)
+		d := e.takeData()
+		d.Msg = *m
+		e.n.Unicast(from, sim.KindData, d, m.PayloadBits+dataHeaderBits, d.onDone)
 	}
 }
 
@@ -425,13 +568,16 @@ func (e *Epidemic) refillTokens() {
 // destination. Delivered messages stay buffered — epidemic routing has no
 // acknowledgment machinery, so the destination keeps (and re-advertises)
 // the message like any relay.
-func (e *Epidemic) onData(f dataFrame, from int) {
-	m := f.Msg
+func (e *Epidemic) onData(f *dataFrame, from int) {
+	m := e.takeMsg()
+	*m = f.Msg
 	m.Hops++
 	delete(e.wants, m.ID)
-	if m.Dst == e.n.ID() && !e.deliveredHere[m.ID] {
-		e.deliveredHere[m.ID] = true
-		e.n.ReportDelivered(&m)
+	if m.Dst == e.n.ID() {
+		if r := e.n.MessageRanks().Rank(m.ID); !e.deliveredHere.Has(r) {
+			e.deliveredHere.Add(r)
+			e.n.ReportDelivered(m)
+		}
 	}
-	e.store(&m)
+	e.store(m)
 }

@@ -218,16 +218,21 @@ func TestGridNaiveEquivalence(t *testing.T) {
 }
 
 // TestRetentionMatchesUnpruned is the property test for the retention
-// rule: on the worlds of TestGridNaiveEquivalence, and on the same
-// worlds with one frame stretched to a 1–4 s broadcast airing and up to
-// four short broadcasts sent with it (shortFrames), the production medium
-// (which keeps an ended airing for one longest airtime plus a slot) and
-// the never-pruning reference deliver the same frames in the same order
-// and count the same stats. The short frames end within milliseconds of
-// the long airing's start, seconds before it ends and is resolved, so
-// only the retention rule keeps them for its overlap checks; the test
-// counts the receptions of the long airing they destroy, by comparing
-// with the same world without them, and requires some.
+// rule: on the worlds of TestGridNaiveEquivalence, on the same worlds
+// with one frame stretched to a 1–4 s broadcast airing and up to four
+// short broadcasts sent with it (shortFrames), and on placed long-airing
+// worlds (placedLongAiringWorld), the production medium (which keeps an
+// ended airing for one longest airtime plus a slot) and the never-pruning
+// reference deliver the same frames in the same order and count the same
+// stats. The short frames end within milliseconds of the long airing's
+// start, seconds before it ends and is resolved, so only the retention
+// rule keeps them for its overlap checks; the test counts the receptions
+// of the long airing they destroy, by comparing with the same world
+// without them, and requires some overall and in every placed world.
+// A random world need not have a hidden sender near the long airing's
+// receivers, nor one that starts before the long airing; a placed world
+// always has both, so a medium that drops the retention rule fails
+// every placed run.
 func TestRetentionMatchesUnpruned(t *testing.T) {
 	const trials = 24
 	pruned, collisions, corruptions := 0, uint64(0), 0
@@ -271,6 +276,23 @@ func TestRetentionMatchesUnpruned(t *testing.T) {
 				}
 			})
 		}
+		t.Run(fmt.Sprintf("seed=%d/placed", trial), func(t *testing.T) {
+			w := placedLongAiringWorld(trial)
+			clean := w
+			clean.sends = w.sends[:1]
+			tight := w.run(t, NewMedium)
+			ref := w.run(t, newUnprunedMedium)
+			requireSameRun(t, tight, ref, "tight", "never-pruned")
+			if tight.medium.retained() < ref.medium.retained() {
+				pruned++
+			}
+			collisions += tight.medium.Stats().Collisions
+			lost := lostReceptions(clean.run(t, NewMedium).log, tight.log, 0)
+			if lost == 0 {
+				t.Fatalf("no receiver of the long airing lost it to the %d hidden senders' short frames", len(w.sends)-1)
+			}
+			corruptions += lost
+		})
 	}
 	// Guard against a vacuous pass: the production medium must have
 	// pruned airings the reference kept, overlaps must have decided
@@ -306,6 +328,45 @@ func (w equivWorld) hiddenSenders(l sendSpec) []int {
 		}
 	}
 	return hidden
+}
+
+// placedLongAiringWorld builds placed world number trial: radio 0, in
+// the middle of a square of side 6·Range, sends one 1–4 s broadcast,
+// frame 0. One to four receivers sit 0.85–0.95·Range from it, a quarter
+// turn apart (±15°). Behind each receiver, on the ray from the sender,
+// a hidden sender sits 2.1·Range or more from the sender, beyond its
+// carrier sense, and at most 1.6 times the receiver's distance from the
+// receiver: inside the capture bound captureRatio^¼ ≈ 1.78 and within
+// interference range, so its frame corrupts the long airing there, and
+// out of reception range of every receiver. The hidden senders are at
+// least 60° apart, hence beyond carrier sense of each other, and each
+// sends a short broadcast (shortFrames) that starts before the long
+// airing and ends seconds before it.
+func placedLongAiringWorld(trial int) equivWorld {
+	rng := rand.New(rand.NewSource(int64(trial)*6007 + 17))
+	r := 60 + rng.Float64()*120
+	side := 6 * r
+	center := geom.Pt(side/2, side/2)
+	pts := []geom.Point{center}
+	var hidden []int
+	base := rng.Float64() * 2 * math.Pi
+	for k := range 1 + rng.Intn(4) {
+		ang := base + float64(k)*math.Pi/2 + (rng.Float64()-0.5)*math.Pi/6
+		dir := geom.Pt(math.Cos(ang), math.Sin(ang))
+		d := (0.85 + 0.1*rng.Float64()) * r
+		far := 2.1*r + rng.Float64()*(2.6*d-2.1*r)
+		pts = append(pts, center.Add(dir.Scale(d)), center.Add(dir.Scale(far)))
+		hidden = append(hidden, len(pts)-1)
+	}
+	long := sendSpec{at: 1 + rng.Float64(), src: 0, dst: Broadcast, bits: 1e6 + rng.Intn(3e6)}
+	return equivWorld{
+		n:     len(pts),
+		side:  side,
+		cfg:   Config{Range: r},
+		pos:   func(id int, _ des.Time) geom.Point { return pts[id] },
+		seed:  int64(trial)*37 + 5,
+		sends: append([]sendSpec{long}, shortFrames(long, hidden, len(pts), rng)...),
+	}
 }
 
 // shortFrames returns the short broadcasts sent with the long airing l:
