@@ -2,6 +2,7 @@ package core
 
 import (
 	"glr/internal/dtn"
+	"glr/internal/freelist"
 	"glr/internal/geom"
 	"glr/internal/ldt"
 	"glr/internal/sim"
@@ -13,103 +14,28 @@ import (
 //
 // Frames travel as pooled pointers (one world-shared boxPool): the
 // receiver copies Msg/Face out during reception, and the sender recycles
-// the frame when the MAC reports the unicast resolved — the only point
-// after which neither the medium nor any receiver reads it.
+// the frame in OnSent — the only point after which neither the medium
+// nor any receiver reads it.
 type dataFrame struct {
 	Msg       dtn.Message
 	Face      ldt.FaceState // face-mode state travels with the copy
 	SenderPos geom.Point
 	SentAt    float64
-
-	owner  *GLR          // sending instance, for the completion callback
-	onDone func(ok bool) // persistent MAC callback (one alloc per pooled frame)
 }
 
 // boxPool recycles the boxes GLR churns once per copy per hop: dataFrame
-// and ackBox payloads, the *dtn.Message a relay stores, and its
-// msgState. It follows the internal/des free-list pattern and is shared
-// by every node of a world (single-threaded like the scheduler), so one
-// node's released box stocks the next node's take. A message box goes
-// back when it leaves this node's custody (ack, fire-and-forget send,
-// eviction, arrival, merge into a held copy; see putMsg's callers), a
-// msgState when forget deletes it.
+// and ackFrame payloads, the *dtn.Message a relay stores, and its
+// msgState. It is shared by every node of a world (single-threaded like
+// the scheduler), so one node's released box stocks the next node's
+// take. A frame goes back in OnSent; a message box when it leaves this
+// node's custody (ack, fire-and-forget send, eviction, arrival, merge
+// into a held copy; see the callers of msgs.Put), a msgState when forget
+// deletes it. Every taker overwrites all of a box.
 type boxPool struct {
-	frames []*dataFrame
-	acks   []*ackBox
-	msgs   []*dtn.Message
-	states []*msgState
-	// poison, when set, takes every released message box or msgState
-	// instead of the free lists, which then never hand one out again.
-	// Only tests set it (export_test.go), to show that nothing reads a
-	// box after release.
-	poison func(*dtn.Message, *msgState)
-}
-
-// take returns a recycled (or fresh) frame.
-func (p *boxPool) take() *dataFrame {
-	if n := len(p.frames); n > 0 {
-		f := p.frames[n-1]
-		p.frames = p.frames[:n-1]
-		return f
-	}
-	f := &dataFrame{}
-	f.onDone = func(ok bool) { f.owner.dataFrameResolved(f, ok) }
-	return f
-}
-
-// put recycles f, dropping every reference but the persistent callback.
-func (p *boxPool) put(f *dataFrame) {
-	*f = dataFrame{onDone: f.onDone}
-	p.frames = append(p.frames, f)
-}
-
-// takeMsg returns a recycled (or fresh) message box; the caller
-// overwrites all of it.
-func (p *boxPool) takeMsg() *dtn.Message {
-	if n := len(p.msgs); n > 0 {
-		m := p.msgs[n-1]
-		p.msgs = p.msgs[:n-1]
-		return m
-	}
-	return &dtn.Message{}
-}
-
-// putMsg recycles a message box that no buffer, frame or caller holds.
-func (p *boxPool) putMsg(m *dtn.Message) {
-	if p.poison != nil {
-		p.poison(m, nil)
-		return
-	}
-	p.msgs = append(p.msgs, m)
-}
-
-// takeState returns a zeroed msgState.
-func (p *boxPool) takeState() *msgState {
-	if n := len(p.states); n > 0 {
-		st := p.states[n-1]
-		p.states = p.states[:n-1]
-		*st = msgState{}
-		return st
-	}
-	return &msgState{}
-}
-
-// putState recycles a msgState that no map holds.
-func (p *boxPool) putState(st *msgState) {
-	if p.poison != nil {
-		p.poison(nil, st)
-		return
-	}
-	p.states = append(p.states, st)
-}
-
-// dataFrameResolved is the MAC completion callback for a data frame:
-// custody bookkeeping for failed branches, then recycle.
-func (g *GLR) dataFrameResolved(f *dataFrame, ok bool) {
-	if g.cfg.Custody && !ok {
-		g.onSendFailed(f.Msg.ID, f.Msg.Flags)
-	}
-	g.pool.put(f)
+	frames freelist.List[dataFrame]
+	acks   freelist.List[ackFrame]
+	msgs   freelist.List[dtn.Message]
+	states freelist.List[msgState]
 }
 
 // ackFrame is the custody acknowledgment (§2.3.2): it identifies the
@@ -127,32 +53,6 @@ type ackFrame struct {
 	DstLoc     geom.Point
 	DstLocTime float64
 	DstKnown   bool
-}
-
-// ackBox is a pooled ackFrame: one ack is sent per received copy under
-// custody, so the payload boxes recycle exactly like dataFrames.
-type ackBox struct {
-	ackFrame
-	owner  *GLR
-	onDone func(ok bool)
-}
-
-// takeAck returns a recycled (or fresh) ack box.
-func (p *boxPool) takeAck() *ackBox {
-	if n := len(p.acks); n > 0 {
-		a := p.acks[n-1]
-		p.acks = p.acks[:n-1]
-		return a
-	}
-	a := &ackBox{}
-	a.onDone = func(bool) { a.owner.pool.putAck(a) }
-	return a
-}
-
-// putAck recycles a.
-func (p *boxPool) putAck(a *ackBox) {
-	*a = ackBox{onDone: a.onDone}
-	p.acks = append(p.acks, a)
 }
 
 // forward transmits a stored message to its per-tree targets and performs
@@ -182,15 +82,13 @@ func (g *GLR) forward(m *dtn.Message, targets []hopTarget) {
 	}
 
 	for _, tgt := range targets {
-		f := g.pool.take()
-		f.owner = g
+		f := g.pool.frames.Take()
 		f.Msg = *m
 		f.Msg.Flags = tgt.flags
 		f.Face = faceState
 		f.SenderPos = selfPos
 		f.SentAt = now
-		bits := m.PayloadBits + geoHeaderBits
-		g.n.Unicast(tgt.dst, sim.KindData, f, bits, f.onDone)
+		g.n.Unicast(tgt.dst, sim.KindData, f, m.PayloadBits+geoHeaderBits)
 	}
 
 	if g.cfg.Custody {
@@ -205,7 +103,7 @@ func (g *GLR) forward(m *dtn.Message, targets []hopTarget) {
 	sent := g.store.Ack(m.ID)
 	g.forget(m.ID)
 	if sent != nil {
-		g.pool.putMsg(sent)
+		g.pool.msgs.Put(sent)
 	}
 }
 
@@ -240,8 +138,22 @@ func (g *GLR) OnFrame(payload any, from int) {
 	switch f := payload.(type) {
 	case *dataFrame:
 		g.onData(f, from)
-	case *ackBox:
-		g.onAck(f.ackFrame, from)
+	case *ackFrame:
+		g.onAck(*f, from)
+	}
+}
+
+// OnSent implements sim.Protocol: a data frame the MAC abandoned
+// returns its branches to the Store, and every frame box recycles.
+func (g *GLR) OnSent(payload any, ok bool) {
+	switch f := payload.(type) {
+	case *dataFrame:
+		if !ok {
+			g.onSendFailed(f.Msg.ID, f.Msg.Flags)
+		}
+		g.pool.frames.Put(f)
+	case *ackFrame:
+		g.pool.acks.Put(f)
 	}
 }
 
@@ -249,7 +161,7 @@ func (g *GLR) OnFrame(payload any, from int) {
 // frame: everything kept past this call is copied out here, the message
 // into a box from the pool.
 func (g *GLR) onData(f *dataFrame, from int) {
-	m := g.pool.takeMsg()
+	m := g.pool.msgs.Take()
 	*m = f.Msg
 	m.Hops++
 
@@ -270,12 +182,11 @@ func (g *GLR) onData(f *dataFrame, from int) {
 		if g.cfg.Custody {
 			g.sendAck(from, m)
 		}
-		st := g.ensureState(m.ID)
-		if !st.delivered {
-			st.delivered = true
+		if r := g.n.MessageRanks().Rank(m.ID); !g.delivered.Has(r) {
+			g.delivered.Add(r)
 			g.n.ReportDelivered(m)
 		}
-		g.pool.putMsg(m)
+		g.pool.msgs.Put(m)
 		return
 	}
 
@@ -311,17 +222,16 @@ func (g *GLR) onAck(f ackFrame, from int) {
 	m := g.store.Ack(f.ID)
 	g.forget(f.ID)
 	if m != nil {
-		g.pool.putMsg(m)
+		g.pool.msgs.Put(m)
 	}
 }
 
 // sendAck unicasts a custody/delivery acknowledgment for the received
-// copy from a pooled box, piggybacking our destination-location
-// knowledge.
+// copy from a pooled box (back in OnSent), piggybacking our
+// destination-location knowledge.
 func (g *GLR) sendAck(to int, m *dtn.Message) {
-	a := g.pool.takeAck()
-	a.owner = g
-	a.ackFrame = ackFrame{
+	a := g.pool.acks.Take()
+	*a = ackFrame{
 		ID:        m.ID,
 		Dst:       m.Dst,
 		Flags:     m.Flags,
@@ -334,7 +244,7 @@ func (g *GLR) sendAck(to int, m *dtn.Message) {
 	} else if e, ok := g.n.Locations().Get(m.Dst); ok {
 		a.DstLoc, a.DstLocTime, a.DstKnown = e.Pos, e.Time, true
 	}
-	g.n.Unicast(to, sim.KindAck, a, ackBits, a.onDone)
+	g.n.Unicast(to, sim.KindAck, a, ackBits)
 }
 
 // OnBeacon implements sim.Protocol. Node-level bookkeeping (neighbor and

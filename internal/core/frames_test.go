@@ -61,13 +61,24 @@ func TestOnAckUnknownMessageIgnored(t *testing.T) {
 }
 
 func TestOnDataDeliversAndAcks(t *testing.T) {
-	w, instances := frameWorld(t, DefaultConfig())
+	s := sim.DefaultScenario(250)
+	s.Seed = 71
+	s.N = 4
+	s.SimTime = 100
+	s.Mobility = sim.MobilityStatic
+	// The world plans the message, so it has a rank, but generates it
+	// only after the test is done.
+	s.Traffic = []sim.TrafficItem{{Src: 0, Dst: 2, At: 90}}
+	w, instances := buildProbedWorld(t, s, DefaultConfig())
 	g := instances[2]
 	w.Scheduler().Run(0.1)
 	msg := dtn.Message{ID: dtn.MessageID{Src: 0, Seq: 0}, Dst: 2, PayloadBits: 800}
 	g.onData(&dataFrame{Msg: msg, SenderPos: geom.Pt(1, 1), SentAt: 0.05}, 0)
-	if st := g.state(msg.ID); st == nil || !st.delivered {
+	if !g.delivered.Has(g.n.MessageRanks().Rank(msg.ID)) {
 		t.Fatal("destination must record the delivery")
+	}
+	if g.state(msg.ID) != nil {
+		t.Fatal("a delivery must leave no per-message state")
 	}
 	// A duplicate copy must not double-report: GLR suppresses it at the
 	// protocol level, so the collector records exactly one delivery.

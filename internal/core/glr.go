@@ -149,9 +149,6 @@ type msgState struct {
 	// failAt rate-limits face-walk retries after failure.
 	failAt    float64
 	hasFailAt bool
-	// delivered dedupes arrivals when this node is the destination. It
-	// survives forget: a later duplicate copy must still be recognized.
-	delivered bool
 }
 
 // hopTarget is one forwarding decision: the tree flags the copy sent to
@@ -180,6 +177,9 @@ type GLR struct {
 	// msgs holds the consolidated per-message state; see msgState. It is
 	// made on first write: most nodes of a large world never hold one.
 	msgs map[dtn.MessageID]*msgState
+	// delivered holds the ranks of the messages delivered to this node,
+	// so a later duplicate copy is recognized.
+	delivered dtn.RankSet
 
 	// Scratch buffers reused across route checks so the routing loop
 	// stops materializing intermediate slices and maps per tick.
@@ -212,7 +212,8 @@ func (g *GLR) ensureState(id dtn.MessageID) *msgState {
 		if g.msgs == nil {
 			g.msgs = make(map[dtn.MessageID]*msgState)
 		}
-		st = g.pool.takeState()
+		st = g.pool.states.Take()
+		*st = msgState{}
 		g.msgs[id] = st
 	}
 	return st
@@ -297,7 +298,7 @@ func (g *GLR) wake() {
 
 // Restart implements sim.Restarter (fault-injected node churn): the
 // node reboots with empty custody storage and no per-message state —
-// even the delivered bits that suppress re-acceptance are gone. The
+// even the delivered memory that suppresses re-acceptance is gone. The
 // shared spanner Maintainer holds no node state. The route check keeps
 // its cadence across the restart: an armed check finds the store empty
 // and sleeps, and a sleeping node stays asleep. The store is emptied in
@@ -305,12 +306,13 @@ func (g *GLR) wake() {
 func (g *GLR) Restart() {
 	g.stored = g.store.Drain(g.stored[:0])
 	for _, m := range g.stored {
-		g.pool.putMsg(m)
+		g.pool.msgs.Put(m)
 	}
 	for _, st := range g.msgs {
-		g.pool.putState(st)
+		g.pool.states.Put(st)
 	}
 	clear(g.msgs)
+	g.delivered.Clear()
 }
 
 // StorageUsed implements sim.Protocol: Store + Cache occupancy.
@@ -367,11 +369,11 @@ func (g *GLR) OnMessageGenerated(m *dtn.Message) {
 func (g *GLR) addToStore(m *dtn.Message) {
 	dropped, merged := g.store.Add(m)
 	if merged {
-		g.pool.putMsg(m)
+		g.pool.msgs.Put(m)
 	}
 	if dropped != nil {
 		g.forget(dropped.ID)
-		g.pool.putMsg(dropped)
+		g.pool.msgs.Put(dropped)
 	}
 	if !g.checkArmed {
 		g.wake()
@@ -379,17 +381,12 @@ func (g *GLR) addToStore(m *dtn.Message) {
 }
 
 // forget clears auxiliary per-message state — the single cleanup path
-// for msgState. Only the delivery-dedup bit survives: a duplicate copy
-// arriving after cleanup must still be recognized as already delivered.
+// for msgState.
 func (g *GLR) forget(id dtn.MessageID) {
 	st, ok := g.msgs[id]
 	if !ok {
 		return
 	}
-	if st.delivered {
-		*st = msgState{delivered: true}
-		return
-	}
 	delete(g.msgs, id)
-	g.pool.putState(st)
+	g.pool.states.Put(st)
 }

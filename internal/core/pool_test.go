@@ -63,11 +63,13 @@ func runOverPool(t *testing.T, s sim.Scenario, cfg Config, pool *boxPool) poolRu
 // TestPoolOracle runs each world twice, over the reusing pool and over
 // a pool that never reuses a box and poisons each one it gets back, and
 // requires identical reports, per-node Stats and spanner activity. Any
-// read of a message box or msgState after its release reads poison in
-// the second run (or panics on it), so the runs part. Each world covers
-// one way a box leaves custody: the ack (every custody world), eviction
-// (a 5-message store), fire-and-forget sends (no custody), merges of
-// copies from several trees (five copies), and churn restarts.
+// read of a data frame, ack, message box or msgState after its release
+// reads poison in the second run (or panics on it), so the runs part.
+// Frames and acks go back when the MAC resolves them (OnSent), in every
+// world. Each world covers one way a message box leaves custody: the
+// ack (every custody world), eviction (a 5-message store),
+// fire-and-forget sends (no custody), merges of copies from several
+// trees (five copies), and churn restarts.
 func TestPoolOracle(t *testing.T) {
 	base := func(seed int64) sim.Scenario {
 		s := sim.DefaultScenario(100)
@@ -144,9 +146,10 @@ func TestPoolOracle(t *testing.T) {
 			if reuse.spanner != oracle.spanner {
 				t.Fatalf("spanner activity differs:\n  reusing pool: %+v\n  poison pool:  %+v", reuse.spanner, oracle.spanner)
 			}
-			if reuse.report.Delivered == 0 || poison.msgs == 0 || poison.states == 0 {
-				t.Fatalf("world too idle to test the pool: %d delivered, %d boxes and %d states released",
-					reuse.report.Delivered, poison.msgs, poison.states)
+			released := poison.released
+			if reuse.report.Delivered == 0 || released.frames == 0 || released.msgs == 0 || released.states == 0 ||
+				(cfg.Custody && released.acks == 0) {
+				t.Fatalf("world too idle to test the pool: %d delivered, released boxes %+v", reuse.report.Delivered, released)
 			}
 			if tc.check != nil {
 				tc.check(t, s, reuse)
@@ -183,12 +186,12 @@ func TestWarmRelayCycleAllocatesNothing(t *testing.T) {
 	relay := nodes[1]
 	id := dtn.MessageID{Src: 0, Seq: 0}
 	cycle := func() {
-		f := relay.pool.take()
+		f := relay.pool.frames.Take()
 		f.Msg = dtn.Message{ID: id, Dst: 3, Created: 5, PayloadBits: 8000, Flags: dtn.FlagMax,
 			DstLoc: geom.Pt(3*gap, 25), DstLocTime: sched.Now(), DstLocKnown: true}
 		f.SenderPos, f.SentAt = geom.Pt(0, 25), sched.Now()
 		relay.onData(f, 0)
-		relay.pool.put(f)
+		relay.pool.frames.Put(f)
 		sched.Run(sched.Now() + 3*relay.cfg.CheckInterval)
 	}
 	for range 20 {

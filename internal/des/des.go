@@ -20,6 +20,8 @@ package des
 import (
 	"fmt"
 	"math"
+
+	"glr/internal/freelist"
 )
 
 // Time is a simulated timestamp in seconds since the start of the run.
@@ -50,18 +52,16 @@ type Scheduler struct {
 	now Time
 	seq uint64
 	q   *calendarQueue
-	// free holds dispatched event objects for reuse.
-	free []*event
-	// slab is the tail of the current allocation block: events are carved
-	// from 1024-event slabs so a large pending set lives in a few
-	// contiguous blocks (fewer GC objects, better locality for bucket
-	// chains) instead of a million scattered allocations.
-	slab []event
 	// processed counts events dispatched.
 	processed uint64
 	// live counts events scheduled and not yet fired, so Pending is O(1)
 	// instead of a queue scan.
 	live int
+	// events recycles dispatched events. Fresh ones are carved from
+	// arrays, so a large pending set lives in a few contiguous blocks
+	// (fewer GC objects, better locality for bucket chains) instead of
+	// a million scattered allocations.
+	events freelist.List[event]
 }
 
 // NewScheduler returns a calendar-queue scheduler with the clock at 0.
@@ -90,32 +90,13 @@ func (s *Scheduler) At(t Time, fn Handler) {
 	if math.IsNaN(t) || math.IsInf(t, 1) {
 		panic(fmt.Sprintf("des: scheduling event at non-finite time %v", t))
 	}
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		if len(s.slab) == 0 {
-			s.slab = make([]event, 1024)
-		}
-		ev = &s.slab[0]
-		s.slab = s.slab[1:]
-	}
+	ev := s.events.Take()
 	ev.at = t
 	ev.seq = s.seq
 	ev.fn = fn
 	s.seq++
 	s.q.push(ev)
 	s.live++
-}
-
-// release returns a popped event to the free list. Events are
-// single-use: once popped nothing else holds a reference, so recycling
-// them removes the dominant per-event allocation from simulation hot
-// loops.
-func (s *Scheduler) release(ev *event) {
-	ev.fn = nil // drop the closure reference while pooled
-	s.free = append(s.free, ev)
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
@@ -136,8 +117,12 @@ func (s *Scheduler) Run(until Time) {
 		s.now = ev.at
 		s.processed++
 		s.live--
+		// Events are single-use: once popped nothing else holds a
+		// reference, so recycling them removes the dominant per-event
+		// allocation from simulation hot loops.
 		fn := ev.fn
-		s.release(ev)
+		ev.fn = nil // drop the closure reference while pooled
+		s.events.Put(ev)
 		fn()
 	}
 	// Advance the clock to a finite horizon; after an unbounded run the

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"glr/internal/dtn"
+	"glr/internal/freelist"
 	"glr/internal/sim"
 )
 
@@ -72,11 +73,10 @@ const (
 func DefaultConfig() Config { return Config{} }
 
 // The three frame types travel as pointers into the sending node's free
-// lists (boxes). Each box carries one persistent MAC callback, onDone,
-// that puts it back when the MAC resolves the unicast: sim.Node reports
-// a frame sent only after every reception of it has been delivered, so
-// no receiver reads a box after its release. Receivers copy out what
-// they keep.
+// lists (boxes). OnSent puts each box back when the MAC resolves the
+// unicast: sim.Node reports a frame sent only after every reception of
+// it has been delivered, so no receiver reads a box after its release.
+// Receivers copy out what they keep.
 
 // svFrame advertises buffer contents: the full summary vector (a bitmap
 // over the world's message ranks), unicast by the node opening a session
@@ -88,24 +88,18 @@ type svFrame struct {
 	// Reply marks the responder's summary in a session (the initiator
 	// answers with requests only, avoiding infinite sv ping-pong).
 	Reply bool
-
-	onDone func(ok bool)
 }
 
 // reqFrame asks the peer to transfer the listed messages. The box owns
 // Wanted's backing array, which it keeps across reuses.
 type reqFrame struct {
 	Wanted []dtn.MessageID
-
-	onDone func(ok bool)
 }
 
 // dataFrame transfers one buffered message, copied by value: the
 // sender's buffer keeps its own box.
 type dataFrame struct {
 	Msg dtn.Message
-
-	onDone func(ok bool)
 }
 
 // Epidemic is one node's protocol instance.
@@ -127,9 +121,10 @@ type Epidemic struct {
 	boxes boxes
 	sweep func() // retrySweep, bound once in Init
 
-	// Scratch of retrySweep and drainBacklogs, cleared on every call.
-	// perPeer maps each advertiser to the pooled request box its batch
-	// collects in; the box rides to the peer and returns on its own.
+	// Scratch of retrySweep, drainBacklogs and Restart, cleared on every
+	// call. perPeer maps each advertiser to the pooled request box its
+	// batch collects in; the box rides to the peer and returns in OnSent.
+	drained    []*dtn.Message
 	sweepIDs   []dtn.MessageID
 	sweepPeers []int
 	perPeer    map[int]*reqFrame
@@ -145,102 +140,16 @@ type want struct {
 
 // boxes are one node's free lists for the boxes anti-entropy churns per
 // frame: summary, request and data frames, and the *dtn.Message boxes
-// its buffer stores. They follow core's boxPool, but per node, not per
+// its buffer stores. They are per node, where core's boxPool is per
 // world: every box is taken and released by the node that owns it, so
-// concurrent worlds share nothing. A message box goes back when the
-// buffer evicts it, when it merges into a held copy, and on Restart.
+// concurrent worlds share nothing. A frame box goes back in OnSent; a
+// message box when the buffer evicts it, when it merges into a held
+// copy, and on Restart.
 type boxes struct {
-	svs  []*svFrame
-	reqs []*reqFrame
-	data []*dataFrame
-	msgs []*dtn.Message
-	// chunk holds fresh message boxes not yet handed out, carved from
-	// arrays that double from msgChunkMin to msgChunkMax (carved is the
-	// last array's length), so a node that never receives pays nothing.
-	chunk  []dtn.Message
-	carved int
-	// poison, when set, takes every released box instead of the free
-	// lists, which then never hand one out again. Only tests set it, to
-	// show that nothing reads a box after release.
-	poison func(box any)
-}
-
-// Bounds of the arrays boxes carves fresh message boxes from.
-const (
-	msgChunkMin = 4
-	msgChunkMax = 128
-)
-
-// pop removes and returns the last box of a free list, or nil.
-func pop[T any](list *[]*T) *T {
-	n := len(*list)
-	if n == 0 {
-		return nil
-	}
-	x := (*list)[n-1]
-	*list = (*list)[:n-1]
-	return x
-}
-
-// release puts x on its free list, or hands it to the poison hook.
-func release[T any](b *boxes, list *[]*T, x *T) {
-	if b.poison != nil {
-		b.poison(x)
-		return
-	}
-	*list = append(*list, x)
-}
-
-// takeSV returns a recycled (or fresh) summary box.
-func (e *Epidemic) takeSV() *svFrame {
-	if f := pop(&e.boxes.svs); f != nil {
-		return f
-	}
-	f := &svFrame{}
-	f.onDone = func(bool) {
-		f.Summary = dtn.SummaryVector{}
-		release(&e.boxes, &e.boxes.svs, f)
-	}
-	return f
-}
-
-// takeReq returns a recycled (or fresh) request box with no ids.
-func (e *Epidemic) takeReq() *reqFrame {
-	if f := pop(&e.boxes.reqs); f != nil {
-		return f
-	}
-	f := &reqFrame{}
-	f.onDone = func(bool) {
-		f.Wanted = f.Wanted[:0]
-		release(&e.boxes, &e.boxes.reqs, f)
-	}
-	return f
-}
-
-// takeData returns a recycled (or fresh) data box.
-func (e *Epidemic) takeData() *dataFrame {
-	if f := pop(&e.boxes.data); f != nil {
-		return f
-	}
-	f := &dataFrame{}
-	f.onDone = func(bool) { release(&e.boxes, &e.boxes.data, f) }
-	return f
-}
-
-// takeMsg returns a recycled (or fresh) message box; the caller
-// overwrites all of it.
-func (e *Epidemic) takeMsg() *dtn.Message {
-	b := &e.boxes
-	if m := pop(&b.msgs); m != nil {
-		return m
-	}
-	if len(b.chunk) == 0 {
-		b.carved = min(max(2*b.carved, msgChunkMin), msgChunkMax)
-		b.chunk = make([]dtn.Message, b.carved)
-	}
-	m := &b.chunk[0]
-	b.chunk = b.chunk[1:]
-	return m
+	svs  freelist.List[svFrame]
+	reqs freelist.List[reqFrame]
+	data freelist.List[dataFrame]
+	msgs freelist.List[dtn.Message]
 }
 
 // New builds an epidemic factory for sim.NewWorld. The per-node buffer
@@ -274,14 +183,9 @@ func (e *Epidemic) Init(n *sim.Node) {
 // box it held goes back to the node's free list; frames already handed
 // to the MAC still return on their own. The token bucket restarts empty.
 func (e *Epidemic) Restart() {
-	b := &e.boxes
-	free := len(b.msgs)
-	b.msgs = e.buf.Drain(b.msgs)
-	if b.poison != nil {
-		for _, m := range b.msgs[free:] {
-			b.poison(m)
-		}
-		b.msgs = b.msgs[:free]
+	e.drained = e.buf.Drain(e.drained[:0])
+	for _, m := range e.drained {
+		e.boxes.msgs.Put(m)
 	}
 	e.have.Clear()
 	e.deliveredHere.Clear()
@@ -340,7 +244,7 @@ func (e *Epidemic) retrySweep() {
 		w.tries++
 		e.wants[id] = w
 		if batch == nil {
-			batch = e.takeReq()
+			batch = e.boxes.reqs.Take()
 			perPeer[w.peer] = batch
 			peers = append(peers, w.peer)
 		}
@@ -351,7 +255,7 @@ func (e *Epidemic) retrySweep() {
 	for _, peer := range peers {
 		// Per-peer batches inherit the sorted (Src, Seq) sweep order.
 		batch := perPeer[peer]
-		e.n.Unicast(peer, sim.KindControl, batch, e.svBits(len(batch.Wanted)), batch.onDone)
+		e.n.Unicast(peer, sim.KindControl, batch, e.svBits(len(batch.Wanted)))
 	}
 	clear(perPeer)
 	e.drainBacklogs(now)
@@ -418,9 +322,9 @@ func (e *Epidemic) store(m *dtn.Message) {
 	held := e.buf.Len()
 	if evicted := e.buf.Add(m); evicted != nil {
 		e.have.Remove(ranks.Rank(evicted.ID))
-		release(&e.boxes, &e.boxes.msgs, evicted)
+		e.boxes.msgs.Put(evicted)
 	} else if e.buf.Len() == held {
-		release(&e.boxes, &e.boxes.msgs, m) // merged: have holds its rank
+		e.boxes.msgs.Put(m) // merged: have holds its rank
 		return
 	}
 	e.have.Add(ranks.Rank(m.ID))
@@ -464,9 +368,9 @@ func (e *Epidemic) svBitsFull(entries int) int {
 // sendSummary unicasts the full summary vector to a peer: a session
 // opener, or (reply) the responder's half of the handshake.
 func (e *Epidemic) sendSummary(to int, reply bool) {
-	f := e.takeSV()
+	f := e.boxes.svs.Take()
 	f.Summary, f.Reply = e.have.Summary(), reply
-	e.n.Unicast(to, sim.KindControl, f, e.svBitsFull(f.Summary.Len()), f.onDone)
+	e.n.Unicast(to, sim.KindControl, f, e.svBitsFull(f.Summary.Len()))
 }
 
 // OnFrame implements sim.Protocol.
@@ -478,6 +382,22 @@ func (e *Epidemic) OnFrame(payload any, from int) {
 		e.onRequest(f, from)
 	case *dataFrame:
 		e.onData(f, from)
+	}
+}
+
+// OnSent implements sim.Protocol: every frame box goes back to its free
+// list once the MAC resolves the unicast, whatever its outcome (a lost
+// transfer is re-requested by the retry sweep).
+func (e *Epidemic) OnSent(payload any, _ bool) {
+	switch f := payload.(type) {
+	case *svFrame:
+		f.Summary = dtn.SummaryVector{}
+		e.boxes.svs.Put(f)
+	case *reqFrame:
+		f.Wanted = f.Wanted[:0]
+		e.boxes.reqs.Put(f)
+	case *dataFrame:
+		e.boxes.data.Put(f)
 	}
 }
 
@@ -503,7 +423,7 @@ func (e *Epidemic) onSummary(f *svFrame, from int) {
 			continue
 		}
 		if req == nil {
-			req = e.takeReq()
+			req = e.boxes.reqs.Take()
 		} else if len(req.Wanted) == maxBatch {
 			e.backlog[from] = true // more to pull once this batch settles
 			break
@@ -517,7 +437,7 @@ func (e *Epidemic) onSummary(f *svFrame, from int) {
 		for _, id := range req.Wanted {
 			e.wants[id] = want{peer: from, at: now}
 		}
-		e.n.Unicast(from, sim.KindControl, req, e.svBits(len(req.Wanted)), req.onDone)
+		e.n.Unicast(from, sim.KindControl, req, e.svBits(len(req.Wanted)))
 	}
 	if !f.Reply {
 		e.lastExchange[from] = e.n.Now()
@@ -548,9 +468,9 @@ func (e *Epidemic) onRequest(f *reqFrame, from int) {
 		}
 		e.tokens--
 		sent++
-		d := e.takeData()
+		d := e.boxes.data.Take()
 		d.Msg = *m
-		e.n.Unicast(from, sim.KindData, d, m.PayloadBits+dataHeaderBits, d.onDone)
+		e.n.Unicast(from, sim.KindData, d, m.PayloadBits+dataHeaderBits)
 	}
 }
 
@@ -569,7 +489,7 @@ func (e *Epidemic) refillTokens() {
 // acknowledgment machinery, so the destination keeps (and re-advertises)
 // the message like any relay.
 func (e *Epidemic) onData(f *dataFrame, from int) {
-	m := e.takeMsg()
+	m := e.boxes.msgs.Take()
 	*m = f.Msg
 	m.Hops++
 	delete(e.wants, m.ID)

@@ -34,27 +34,27 @@ func poisonedMessage() dtn.Message {
 // poisonCounts counts the boxes a poisoning run released, by type.
 type poisonCounts struct{ svs, reqs, data, msgs int }
 
-// poison is a boxes.poison hook: it overwrites each released box with
-// poison and drops it, so no box is ever reused.
-func (c *poisonCounts) poison(box any) {
-	switch b := box.(type) {
-	case *svFrame:
+// poison sets every free list of b to overwrite each box it gets back
+// with poison and drop it, so no box is ever reused.
+func (c *poisonCounts) poison(b *boxes) {
+	b.svs.Poison = func(f *svFrame) {
 		c.svs++
-		*b = svFrame{Reply: true, onDone: b.onDone}
-	case *reqFrame:
+		*f = svFrame{Reply: true}
+	}
+	b.reqs.Poison = func(f *reqFrame) {
 		c.reqs++
-		b.Wanted = b.Wanted[:cap(b.Wanted)] // the release emptied it
-		for i := range b.Wanted {
-			b.Wanted[i] = dtn.MessageID{Src: -1, Seq: -1}
+		f.Wanted = f.Wanted[:cap(f.Wanted)] // the release emptied it
+		for i := range f.Wanted {
+			f.Wanted[i] = dtn.MessageID{Src: -1, Seq: -1}
 		}
-	case *dataFrame:
+	}
+	b.data.Poison = func(f *dataFrame) {
 		c.data++
-		b.Msg = poisonedMessage()
-	case *dtn.Message:
+		f.Msg = poisonedMessage()
+	}
+	b.msgs.Poison = func(m *dtn.Message) {
 		c.msgs++
-		*b = poisonedMessage()
-	default:
-		panic("poison: unknown box type")
+		*m = poisonedMessage()
 	}
 }
 
@@ -78,7 +78,7 @@ type poolRun struct {
 }
 
 // runOverPool runs s with every node's released boxes going to its free
-// lists (counts nil) or to counts' poison hook.
+// lists (counts nil) or to counts' poison hooks.
 func runOverPool(t *testing.T, s sim.Scenario, counts *poisonCounts) poolRun {
 	t.Helper()
 	factory, err := New(DefaultConfig())
@@ -90,7 +90,7 @@ func runOverPool(t *testing.T, s sim.Scenario, counts *poisonCounts) poolRun {
 	w, err := sim.NewWorld(s, func(n *sim.Node) sim.Protocol {
 		e := factory(n).(*Epidemic)
 		if counts != nil {
-			e.boxes.poison = counts.poison
+			counts.poison(&e.boxes)
 		}
 		nodes = append(nodes, e)
 		return restartProbe{Epidemic: e, held: &out.restart}

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"glr/internal/des"
+	"glr/internal/freelist"
 	"glr/internal/geom"
 	"glr/internal/rng"
 	"glr/internal/spatial"
@@ -183,30 +184,15 @@ type Medium struct {
 	txIdx       pointIndex
 	txByHandle  []*transmission
 	freeHandles []int
-	scratch     []int           // receiver-candidate ids for the batch being resolved
-	csScratch   []int           // carrier-sense / interferer-gather handle buffer
-	txCand      []*transmission // interferer candidates shared by the batch being resolved
-	candEpoch   uint64          // dedup stamp for txCand gathering
-	txFree      []*transmission // recycled transmission objects
+	scratch     []int                       // receiver-candidate ids for the batch being resolved
+	csScratch   []int                       // carrier-sense / interferer-gather handle buffer
+	txCand      []*transmission             // interferer candidates shared by the batch being resolved
+	candEpoch   uint64                      // dedup stamp for txCand gathering
+	txs         freelist.List[transmission] // recycled transmission objects
 
 	// rxClock, when non-nil, receives the wall-clock duration of each
 	// end-of-airing resolution batch (see SetRxClock).
 	rxClock func(time.Duration)
-}
-
-// takeTx returns a recycled (or fresh) transmission object. Recycling is
-// safe because every reference to a transmission — the active FIFO, the
-// spatial handles, the end-tick index, and txCand — is dropped by the
-// time pruneActive releases it; radios keep only value copies of their
-// own airings.
-func (m *Medium) takeTx() *transmission {
-	if n := len(m.txFree); n > 0 {
-		t := m.txFree[n-1]
-		m.txFree = m.txFree[:n-1]
-		t.candMark = 0
-		return t
-	}
-	return &transmission{}
 }
 
 // pointIndex is the medium's spatial query surface: a disk query returns
@@ -300,7 +286,10 @@ func (m *Medium) Reindex() {
 }
 
 // transmission is one airing of a frame. Objects are pooled by the
-// medium (see takeTx/pruneActive).
+// medium (Medium.txs): recycling is safe because every reference to a
+// transmission — the active FIFO, the spatial handles, the end-tick
+// index, and txCand — is dropped by the time pruneActive releases it;
+// radios keep only value copies of their own airings.
 type transmission struct {
 	from       *Radio
 	frame      *Frame
@@ -448,7 +437,7 @@ func (m *Medium) pruneActive() {
 		m.active[m.head] = nil // allow collection
 		m.head++
 		t.frame = nil // drop the payload reference while pooled
-		m.txFree = append(m.txFree, t)
+		m.txs.Put(t)
 	}
 	if m.head == len(m.active) {
 		m.active = m.active[:0]

@@ -89,13 +89,14 @@ func (r *Radio) startTransmission() {
 	f := r.queue[0]
 	r.transmitting = true
 	now := m.sched.Now()
-	t := m.takeTx()
+	t := m.txs.Take()
 	t.from = r
 	t.frame = f
 	t.start = now
 	t.end = now + m.frameAirtime(f)
 	t.pos = m.pos(r.id)
 	t.hasRx = false
+	t.candMark = 0
 	if f.Dst != Broadcast && f.Dst >= 0 && f.Dst < len(m.radios) {
 		// Virtual carrier sense (RTS/CTS): the receiver's surroundings
 		// also treat the channel as busy for this airing.

@@ -16,6 +16,7 @@ type nopProtocol struct{}
 func (nopProtocol) Init(*Node)                      {}
 func (nopProtocol) OnMessageGenerated(*dtn.Message) {}
 func (nopProtocol) OnFrame(any, int)                {}
+func (nopProtocol) OnSent(any, bool)                {}
 func (nopProtocol) OnBeacon(Beacon)                 {}
 func (nopProtocol) StorageUsed() int                { return 0 }
 

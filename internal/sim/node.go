@@ -22,6 +22,12 @@ type Protocol interface {
 	OnMessageGenerated(m *dtn.Message)
 	// OnFrame delivers a received protocol frame payload.
 	OnFrame(payload any, from int)
+	// OnSent reports the fate of a payload this node passed to Unicast:
+	// ok is false when the unicast was abandoned (no acknowledgment
+	// after the MAC's retries, a full link-layer queue, or a crashed
+	// sender). It runs once per Unicast, after every reception of the
+	// frame has been delivered, so the payload may be recycled here.
+	OnSent(payload any, ok bool)
 	// OnBeacon notifies the protocol that a beacon was heard (node-level
 	// neighbor/location bookkeeping has already run). b.Neighbors aliases
 	// a pooled buffer recycled after the airing resolves; implementations
@@ -69,11 +75,6 @@ type Node struct {
 
 	neighbors dtn.NeighborTable
 	locations dtn.LocationTable
-
-	// sentCB is allocated lazily on the first Unicast with a callback:
-	// beacon-only nodes (and every node in a giant world before it
-	// forwards data) never pay for the map.
-	sentCB map[*mac.Frame]func(ok bool)
 }
 
 // ID returns the node id (0-based, dense).
@@ -147,27 +148,19 @@ func (n *Node) OraclePosition(id int) geom.Point {
 	return n.world.pos(id)
 }
 
-// Unicast queues a unicast frame; cb (may be nil) fires when the MAC
-// resolves the frame (delivered or abandoned). It reports whether the
-// frame was accepted by the link-layer queue; when it returns false, cb
-// has already been invoked with ok=false.
-func (n *Node) Unicast(dst int, kind FrameKind, payload any, bits int, cb func(ok bool)) bool {
+// Unicast queues a unicast frame. The protocol learns its fate from
+// OnSent(payload, ok) once the MAC resolves it. Two cases resolve it
+// before Unicast returns, with ok false: a crashed sender, which sends
+// and counts no frame, and a full link-layer queue.
+func (n *Node) Unicast(dst int, kind FrameKind, payload any, bits int) {
 	if n.world.nodeDown(n.id) {
-		if cb != nil {
-			cb(false)
-		}
-		return false
+		n.proto.OnSent(payload, false)
+		return
 	}
-	f := n.world.takeFrame()
+	f := n.world.frames.Take()
 	f.Dst, f.Bits, f.Payload = dst, bits, payload
-	if cb != nil {
-		if n.sentCB == nil {
-			n.sentCB = make(map[*mac.Frame]func(ok bool))
-		}
-		n.sentCB[f] = cb
-	}
 	n.countFrame(kind)
-	return n.radio.Send(f)
+	n.radio.Send(f)
 }
 
 func (n *Node) countFrame(kind FrameKind) {
@@ -182,9 +175,9 @@ func (n *Node) countFrame(kind FrameKind) {
 }
 
 // ReportDelivered records a message arrival at this node (the
-// destination). It reports whether this was the first copy to arrive.
-func (n *Node) ReportDelivered(m *dtn.Message) bool {
-	return n.world.collector.Delivered(m.ID, n.Now(), m.Hops)
+// destination).
+func (n *Node) ReportDelivered(m *dtn.Message) {
+	n.world.collector.Delivered(m.ID, n.Now(), m.Hops)
 }
 
 // onReceive is the radio delivery callback.
@@ -199,17 +192,16 @@ func (n *Node) onReceive(f *mac.Frame) {
 // onSent is the radio completion callback. Every reception of the frame
 // has already been delivered (the MAC resolves receptions before
 // reporting the sender), so the frame — and, for hellos, the beacon
-// payload with its advertised-neighbor buffer — recycles here.
+// payload with its advertised-neighbor buffer — recycles here, after
+// the protocol has seen its payload's fate.
 func (n *Node) onSent(f *mac.Frame, ok bool) {
-	if cb, exists := n.sentCB[f]; exists {
-		delete(n.sentCB, f)
-		cb(ok)
-	}
 	if bf, isBeacon := f.Payload.(*beaconFrame); isBeacon {
 		n.world.putBeacon(bf)
 		return
 	}
-	n.world.putFrame(f)
+	n.proto.OnSent(f.Payload, ok)
+	*f = mac.Frame{}
+	n.world.frames.Put(f)
 }
 
 // handleBeacon performs the node-level bookkeeping every DTN node does on
@@ -237,7 +229,7 @@ func (n *Node) sendBeacon() {
 	if n.world.nodeDown(n.id) {
 		return
 	}
-	bf := n.world.takeBeacon()
+	bf := n.world.beacons.Take()
 	adv := n.Neighbors().AppendAdvertised(bf.b.Neighbors[:0])
 	bf.b = Beacon{From: n.id, Pos: n.world.advertisedPos(n.id, n.Pos()), Time: n.Now(), Neighbors: adv}
 	bf.frame = mac.Frame{Dst: mac.Broadcast, Bits: beaconBits(len(adv)), Payload: bf}

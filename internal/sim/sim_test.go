@@ -54,7 +54,7 @@ func (n *Node) broadcast(kind FrameKind, payload any, bits int) bool {
 		return false
 	}
 	n.countFrame(kind)
-	f := n.world.takeFrame()
+	f := n.world.frames.Take()
 	f.Dst, f.Bits, f.Payload = mac.Broadcast, bits, payload
 	return n.radio.Send(f)
 }
@@ -78,6 +78,7 @@ func (p *directProtocol) OnFrame(payload any, from int) {
 	}
 }
 
+func (p *directProtocol) OnSent(any, bool) {}
 func (p *directProtocol) OnBeacon(Beacon)  {}
 func (p *directProtocol) StorageUsed() int { return len(p.pending) }
 

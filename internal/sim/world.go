@@ -7,6 +7,7 @@ import (
 	"glr/internal/des"
 	"glr/internal/dtn"
 	"glr/internal/fault"
+	"glr/internal/freelist"
 	"glr/internal/geom"
 	"glr/internal/mac"
 	"glr/internal/metrics"
@@ -54,11 +55,12 @@ type World struct {
 	downCount int
 	faultHook func(fault.Event)
 
-	// Free lists (the internal/des pattern) for the per-send objects of
-	// the hot path: broadcast hellos with their payload buffers, and
-	// generic protocol frames. Single-threaded like the scheduler.
-	freeBeacons []*beaconFrame
-	freeFrames  []*mac.Frame
+	// Free lists for the per-send objects of the hot path: broadcast
+	// hellos with their payload buffers, and protocol frames. Both go
+	// back when the MAC reports the frame sent (Node.onSent), the only
+	// point after which neither the medium nor any receiver reads them.
+	beacons freelist.List[beaconFrame]
+	frames  freelist.List[mac.Frame]
 }
 
 // beaconFrame couples one pooled hello with its MAC frame so frame,
@@ -71,39 +73,12 @@ type beaconFrame struct {
 	b     Beacon
 }
 
-// takeBeacon returns a recycled (or fresh) pooled hello.
-func (w *World) takeBeacon() *beaconFrame {
-	if n := len(w.freeBeacons); n > 0 {
-		bf := w.freeBeacons[n-1]
-		w.freeBeacons = w.freeBeacons[:n-1]
-		return bf
-	}
-	return &beaconFrame{}
-}
-
 // putBeacon recycles bf, keeping its advertised-neighbor buffer.
 func (w *World) putBeacon(bf *beaconFrame) {
 	adv := bf.b.Neighbors[:0]
 	bf.frame = mac.Frame{}
 	bf.b = Beacon{Neighbors: adv}
-	w.freeBeacons = append(w.freeBeacons, bf)
-}
-
-// takeFrame returns a recycled (or fresh) MAC frame for a protocol send.
-func (w *World) takeFrame() *mac.Frame {
-	if n := len(w.freeFrames); n > 0 {
-		f := w.freeFrames[n-1]
-		w.freeFrames = w.freeFrames[:n-1]
-		return f
-	}
-	return &mac.Frame{}
-}
-
-// putFrame recycles f once the MAC has fully resolved it (onSent), the
-// only point after which neither the medium nor any receiver reads it.
-func (w *World) putFrame(f *mac.Frame) {
-	*f = mac.Frame{}
-	w.freeFrames = append(w.freeFrames, f)
+	w.beacons.Put(bf)
 }
 
 // NewWorld wires a scenario and a protocol factory into a runnable world.
