@@ -87,8 +87,9 @@ bench-check:
 ## mem-gate is the CI memory-ceiling job: run each benchmark (bench/)
 ## workload that ci/mem_budget.json gives a ceiling — peak heap for the
 ## 10k-node giant10k-glr and the epidemic comparator paper50-epidemic,
-## bytes allocated per world for paper50-glr, paper50-epidemic and
-## paper50-disrupted (churn restarts, crashed senders) — for
+## bytes allocated per world for paper50-glr, paper50-epidemic,
+## paper50-disrupted (churn restarts, crashed senders) and
+## dense1k-glr-1core (two-hop lists read in place, not copied) — for
 ## 1 s, keep their output in mem-gate.txt, and check the JSON digest on
 ## the last stdout line of each run with ci/mem_gate.jq: the runs must be
 ## correct with none failed, and peak_heap_mib (ceilings_mib) and

@@ -57,7 +57,7 @@ type ackFrame struct {
 
 // forward transmits a stored message to its per-tree targets and performs
 // the custody bookkeeping. targets lists next-hop picks sorted by node
-// id (deterministic transmission order); it may alias the instance's
+// id (deterministic transmission order); it may alias the world's
 // scratch and is not retained.
 func (g *GLR) forward(m *dtn.Message, targets []hopTarget) {
 	now := g.n.Now()

@@ -151,6 +151,22 @@ type msgState struct {
 	hasFailAt bool
 }
 
+// checkScratch holds the buffers a route check fills and drops, reused
+// across checks so the routing loop stops materializing intermediate
+// slices and maps per tick. One serves every node of a world (shared via
+// the factory, like maint and pool): a route check runs to completion
+// before any other node's check or handler runs, and nothing it calls
+// back into (OnSent after a synchronous unicast failure) touches them.
+type checkScratch struct {
+	seen    dtn.IDMarks    // AppendTwoHop's dedup set
+	thIDs   []int          // 2-hop ids (AppendTwoHop output)
+	thPts   []geom.Point   // 2-hop positions, parallel to thIDs
+	stored  []*dtn.Message // per-check snapshot of the Store (or of the expired Cache entries)
+	view    ldt.LocalView  // the route check's spanner view, refilled in place
+	closer  []cand         // progress candidates for the message being routed
+	targets []hopTarget    // per-tree forwarding picks, sorted by dst
+}
+
 // hopTarget is one forwarding decision: the tree flags the copy sent to
 // dst carries.
 type hopTarget struct {
@@ -181,15 +197,9 @@ type GLR struct {
 	// so a later duplicate copy is recognized.
 	delivered dtn.RankSet
 
-	// Scratch buffers reused across route checks so the routing loop
-	// stops materializing intermediate slices and maps per tick.
-	thIDs   []int          // 2-hop ids (AppendTwoHop output)
-	thPts   []geom.Point   // 2-hop positions, parallel to thIDs
-	stored  []*dtn.Message // per-check snapshot of the Store (or of the expired Cache entries)
-	view    ldt.LocalView  // the route check's spanner view, refilled in place
-	closer  []cand         // progress candidates for the message being routed
-	targets []hopTarget    // per-tree forwarding picks, sorted by dst
-	checkFn func()         // routeCheck bound once (rescheduling a method value would allocate)
+	// scr is the route check's scratch, shared like pool.
+	scr     *checkScratch
+	checkFn func() // routeCheck bound once (rescheduling a method value would allocate)
 
 	// nextCheck is the node's next route-check cadence point: the time
 	// of the armed check or, while asleep (checkArmed false: Store and
@@ -243,7 +253,7 @@ func New(cfg Config) (sim.ProtocolFactory, error) {
 // Maintainer, for experiments that report its query count and
 // construction time.
 // Every node built by the returned factory shares the one Maintainer
-// (and one boxPool).
+// (and one boxPool and checkScratch).
 func NewInstrumented(cfg Config) (sim.ProtocolFactory, *ldt.Maintainer, error) {
 	return newFactory(cfg, &boxPool{})
 }
@@ -254,12 +264,14 @@ func newFactory(cfg Config, pool *boxPool) (sim.ProtocolFactory, *ldt.Maintainer
 		return nil, nil, err
 	}
 	maint := ldt.NewMaintainer()
+	scr := &checkScratch{}
 	return func(n *sim.Node) sim.Protocol {
 		return &GLR{
 			cfg:   cfg,
 			n:     n,
 			maint: maint,
 			pool:  pool,
+			scr:   scr,
 			store: dtn.NewCustodyStore(n.StorageLimit()),
 		}
 	}, maint, nil
@@ -304,8 +316,8 @@ func (g *GLR) wake() {
 // and sleeps, and a sleeping node stays asleep. The store is emptied in
 // place and every message box and msgState goes back to the pool.
 func (g *GLR) Restart() {
-	g.stored = g.store.Drain(g.stored[:0])
-	for _, m := range g.stored {
+	g.scr.stored = g.store.Drain(g.scr.stored[:0])
+	for _, m := range g.scr.stored {
 		g.pool.msgs.Put(m)
 	}
 	for _, st := range g.msgs {

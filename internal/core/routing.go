@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"glr/internal/dtn"
 	"glr/internal/geom"
 	"glr/internal/ldt"
@@ -16,8 +18,9 @@ func (g *GLR) routeCheck() {
 
 	// Custody timeouts: unacknowledged branches go back to the Store
 	// "for another round of transfer rescheduling".
-	g.stored = g.store.ExpireCache(now-cacheTimeout, g.stored[:0])
-	for _, m := range g.stored {
+	scr := g.scr
+	scr.stored = g.store.ExpireCache(now-cacheTimeout, scr.stored[:0])
+	for _, m := range scr.stored {
 		g.stats.CustodyReturns++
 		if st := g.state(m.ID); st != nil {
 			if st.hasPending && st.pending != 0 {
@@ -30,8 +33,8 @@ func (g *GLR) routeCheck() {
 
 	if g.store.StoreLen() > 0 {
 		view, nbrIDs, nbrPts := g.localSpanner()
-		g.stored = g.store.AppendStored(g.stored[:0])
-		for _, m := range g.stored {
+		scr.stored = g.store.AppendStored(scr.stored[:0])
+		for _, m := range scr.stored {
 			g.routeMessage(m, view, nbrIDs, nbrPts)
 		}
 	}
@@ -53,18 +56,18 @@ func (g *GLR) routeCheck() {
 // neighbor's 2-hop set.
 // It returns the view plus parallel id/position slices of the accepted
 // neighbors (global ids, in view order), which are the Maintainer's
-// scratch and valid until any node's next query. The 2-hop point set is
-// assembled in per-instance scratch buffers (the neighbor table appends
-// without allocating); the Maintainer keeps no reference to the view, so
-// reuse across checks is safe. The view itself is the instance's, filled
-// in place.
+// scratch and valid until any node's next query. The 2-hop point set and
+// the view are assembled in the world's checkScratch (the neighbor table
+// appends without allocating); the Maintainer keeps no reference to the
+// view, so reuse across checks is safe.
 func (g *GLR) localSpanner() (*ldt.LocalView, []int, []geom.Point) {
-	g.thIDs, g.thPts = g.n.Neighbors().AppendTwoHop(g.thIDs[:0], g.thPts[:0], g.n.ID(), g.n.Pos())
-	if err := g.view.Set(g.n.ID(), g.thIDs, g.thPts, g.n.Range()); err != nil {
+	scr := g.scr
+	scr.thIDs, scr.thPts = g.n.Neighbors().AppendTwoHop(scr.thIDs[:0], scr.thPts[:0], g.n.ID(), g.n.Pos(), &scr.seen)
+	if err := scr.view.Set(g.n.ID(), scr.thIDs, scr.thPts, g.n.Range()); err != nil {
 		return nil, nil, nil
 	}
-	nbrIDs, nbrPts := g.maint.Neighbors(&g.view, g.cfg.Spanner)
-	return &g.view, nbrIDs, nbrPts
+	nbrIDs, nbrPts := g.maint.Neighbors(&scr.view, g.cfg.Spanner)
+	return &scr.view, nbrIDs, nbrPts
 }
 
 // refreshDstLoc updates a message's destination estimate before a routing
@@ -91,20 +94,18 @@ type cand struct {
 }
 
 // addTarget merges flags into the (sorted, ≤5-entry) scratch target list.
-func (g *GLR) addTarget(dst int, flags dtn.TreeFlags) {
-	for i := range g.targets {
-		if g.targets[i].dst == dst {
-			g.targets[i].flags |= flags
+func (s *checkScratch) addTarget(dst int, flags dtn.TreeFlags) {
+	for i := range s.targets {
+		if s.targets[i].dst == dst {
+			s.targets[i].flags |= flags
 			return
 		}
-		if g.targets[i].dst > dst {
-			g.targets = append(g.targets, hopTarget{})
-			copy(g.targets[i+1:], g.targets[i:])
-			g.targets[i] = hopTarget{dst: dst, flags: flags}
+		if s.targets[i].dst > dst {
+			s.targets = slices.Insert(s.targets, i, hopTarget{dst: dst, flags: flags})
 			return
 		}
 	}
-	g.targets = append(g.targets, hopTarget{dst: dst, flags: flags})
+	s.targets = append(s.targets, hopTarget{dst: dst, flags: flags})
 }
 
 // routeMessage attempts to forward one stored message (the per-message
@@ -116,8 +117,8 @@ func (g *GLR) routeMessage(m *dtn.Message, view *ldt.LocalView, nbrIDs []int, nb
 	// Direct delivery: the destination is an audible neighbor.
 	if nb, ok := g.n.Neighbors().Get(m.Dst); ok && nb.Pos.Dist(g.n.Pos()) <= g.n.Range() {
 		g.stats.DirectForwards++
-		g.targets = append(g.targets[:0], hopTarget{dst: m.Dst, flags: m.Flags})
-		g.forward(m, g.targets)
+		g.scr.targets = append(g.scr.targets[:0], hopTarget{dst: m.Dst, flags: m.Flags})
+		g.forward(m, g.scr.targets)
 		return
 	}
 	if view == nil || len(nbrIDs) == 0 {
@@ -130,7 +131,8 @@ func (g *GLR) routeMessage(m *dtn.Message, view *ldt.LocalView, nbrIDs []int, nb
 	// there are neighbors closer to destination"), with a small progress
 	// margin so pairs of nodes jostling past each other do not swap
 	// custody every check.
-	closer := g.closer[:0]
+	scr := g.scr
+	closer := scr.closer[:0]
 	selfD := selfPos.Dist(m.DstLoc)
 	needD := selfD - g.cfg.ProgressHysteresis*g.n.Range()
 	needD2 := needD * needD
@@ -142,7 +144,7 @@ func (g *GLR) routeMessage(m *dtn.Message, view *ldt.LocalView, nbrIDs []int, nb
 			closer = append(closer, cand{id: id, pos: nbrPts[i], d2: d2})
 		}
 	}
-	g.closer = closer
+	scr.closer = closer
 
 	if len(closer) == 0 {
 		if g.cfg.DisableFaceRouting {
@@ -184,13 +186,13 @@ func (g *GLR) routeMessage(m *dtn.Message, view *ldt.LocalView, nbrIDs []int, nb
 			return (3 * n) / 4
 		}
 	}
-	g.targets = g.targets[:0]
+	scr.targets = scr.targets[:0]
 	for _, f := range dtn.AllTreeFlags(5) {
 		if !m.Flags.Has(f) {
 			continue
 		}
 		c := closer[pick(f)]
-		g.addTarget(c.id, f)
+		scr.addTarget(c.id, f)
 	}
 	if st := g.state(m.ID); st != nil {
 		st.hasStuck = false
@@ -199,7 +201,7 @@ func (g *GLR) routeMessage(m *dtn.Message, view *ldt.LocalView, nbrIDs []int, nb
 		st.hasFailTopo = false
 	}
 	g.stats.GreedyForwards++
-	g.forward(m, g.targets)
+	g.forward(m, scr.targets)
 }
 
 // topoSignature hashes the current LDTG neighbor id set (FNV-1a), used to
@@ -247,8 +249,8 @@ func (g *GLR) tryFaceRoute(m *dtn.Message, nbrIDs []int, nbrPts []geom.Point, no
 	case ldt.FaceForward:
 		g.stats.FaceForwards++
 		st.hasFailTopo = false
-		g.targets = append(g.targets[:0], hopTarget{dst: nbrIDs[next], flags: m.Flags})
-		g.forward(m, g.targets)
+		g.scr.targets = append(g.scr.targets[:0], hopTarget{dst: nbrIDs[next], flags: m.Flags})
+		g.forward(m, g.scr.targets)
 	case ldt.FaceExitGreedy:
 		// We are closer than the face entry point; greedy will resume at
 		// the next check. Clear the face state and treat as waiting.

@@ -97,7 +97,7 @@ func checkTablesAgainstLog(t *testing.T, w *sim.World, logs []*beaconLog, label 
 	rows := 0
 	for i, p := range logs {
 		n := w.Node(i)
-		gotIDs, gotPts := n.Neighbors().AppendTwoHop(nil, nil, i, n.Pos())
+		gotIDs, gotPts := n.Neighbors().AppendTwoHop(nil, nil, i, n.Pos(), new(dtn.IDMarks))
 		wantIDs, wantPts := p.twoHopAt(now)
 		if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotPts, wantPts) {
 			t.Fatalf("%s node %d: table view %v != beacon-log reference %v", label, i, gotIDs, wantIDs)

@@ -84,19 +84,84 @@ func (s *Scheduler) Pending() int { return s.live }
 // discrete-event model, and the calendar queue's time-to-day map is only
 // defined for finite times.
 func (s *Scheduler) At(t Time, fn Handler) {
+	s.push(t, s.seq, fn)
+	s.seq++
+}
+
+// push checks t as At does and queues fn at (t, seq).
+func (s *Scheduler) push(t Time, seq uint64, fn Handler) {
+	s.check(t)
+	ev := s.events.Take()
+	ev.at = t
+	ev.seq = seq
+	ev.fn = fn
+	s.q.push(ev)
+	s.live++
+}
+
+// check panics unless t is a time an event may be scheduled at (see At).
+func (s *Scheduler) check(t Time) {
+	if !(t >= s.now && t <= math.MaxFloat64) { // NaN fails both
+		s.reject(t)
+	}
+}
+
+// reject panics with the reason t cannot be scheduled.
+func (s *Scheduler) reject(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
 	}
-	if math.IsNaN(t) || math.IsInf(t, 1) {
-		panic(fmt.Sprintf("des: scheduling event at non-finite time %v", t))
+	panic(fmt.Sprintf("des: scheduling event at non-finite time %v", t))
+}
+
+// Series schedules n events from one pending event: item i runs fn(i)
+// at time at(i), for at nondecreasing in i. It dispatches exactly as n
+// At calls in item order would: the series reserves their n sequence
+// numbers now, and when item i fires it queues item i+1 under the next
+// one. The items are sorted, so the pending item is always the earliest
+// outstanding one and no other event can fall between them differently.
+// Each time is checked as At checks it, and out-of-order times panic,
+// all before anything is queued. Pending counts the series as one event
+// until its last item fires.
+func (s *Scheduler) Series(n int, at func(int) Time, fn func(int)) {
+	prev := s.now
+	for i := range n {
+		t := at(i)
+		s.check(t)
+		if t < prev {
+			panic(fmt.Sprintf("des: series item %d at %v before item %d at %v", i, t, i-1, prev))
+		}
+		prev = t
 	}
-	ev := s.events.Take()
-	ev.at = t
-	ev.seq = s.seq
-	ev.fn = fn
-	s.seq++
-	s.q.push(ev)
-	s.live++
+	if n == 0 {
+		return
+	}
+	r := &series{s: s, at: at, fn: fn, n: n, base: s.seq}
+	r.fire = r.step
+	s.seq += uint64(n)
+	s.push(at(0), r.base, r.fire)
+}
+
+// series is the state of one Series: the next item to fire and the
+// sequence number reserved for item 0.
+type series struct {
+	s    *Scheduler
+	at   func(int) Time
+	fn   func(int)
+	fire Handler // step bound once (rescheduling a method value would allocate)
+	base uint64
+	next int
+	n    int
+}
+
+// step runs the next item after queueing the one after it.
+func (r *series) step() {
+	i := r.next
+	r.next++
+	if r.next < r.n {
+		r.s.push(r.at(r.next), r.base+uint64(r.next), r.fire)
+	}
+	r.fn(i)
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.

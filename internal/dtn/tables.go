@@ -1,6 +1,10 @@
 package dtn
 
-import "glr/internal/geom"
+import (
+	"slices"
+
+	"glr/internal/geom"
+)
 
 // A node's state is two small tables, each sized by what the node knows
 // rather than by the world: the location table costs O(knowledge) and
@@ -71,20 +75,17 @@ type NeighborInfo struct {
 // periodic beacons. The zero value is an empty table.
 //
 // Rows live in one slice sorted by id, found by binary search, so the
-// table costs O(neighborhood) and iterates in id order. Rows beyond the
-// slice length keep the Neighbors backing arrays of dead rows for reuse,
-// so a warm table allocates nothing.
+// table costs O(neighborhood) and iterates in id order.
 //
-// The table owns the Neighbors storage of its rows: Observe copies the
-// advertised list into a row-owned backing array (reused across
-// refreshes of the same neighbor), so callers may pool and recycle the
-// beacon payload the info came from. Conversely, rows handed out by Get
-// alias that row-owned storage and must not be retained across later
-// Observe calls for the same id.
+// A row's Neighbors is the advertised list exactly as Observe was given
+// it, read in place: every receiver of one beacon shares the sender's
+// list, and no row holds a copy.
+// The list must not be modified while a row may read it, that is until
+// Expire drops the row; a caller that keeps a row's list past that point
+// copies it.
 type NeighborTable struct {
-	rows    []NeighborInfo   // live rows in ascending id order
-	expired []int            // scratch Expire returns
-	seen    map[int]struct{} // AppendTwoHop's dedup set, cleared per call
+	rows    []NeighborInfo // live rows in ascending id order
+	expired []int          // scratch Expire returns
 }
 
 // find returns the index of id's row, or the index it would be inserted
@@ -103,37 +104,27 @@ func (t *NeighborTable) find(id int) (int, bool) {
 }
 
 // Reset empties the table; row storage is kept for reuse.
-func (t *NeighborTable) Reset() { t.rows = t.rows[:0] }
+func (t *NeighborTable) Reset() {
+	clear(t.rows)
+	t.rows = t.rows[:0]
+}
 
-// Observe inserts or refreshes a neighbor row. The advertised Neighbors
-// list is copied into row-owned storage; the caller keeps ownership of
-// info.Neighbors. Negative ids are not node ids and are ignored.
+// Observe inserts or refreshes a neighbor row. The row stores
+// info.Neighbors as given, without a copy (see the type doc). Negative
+// ids are not node ids and are ignored.
 func (t *NeighborTable) Observe(info NeighborInfo) {
 	if info.ID < 0 {
 		return
 	}
-	i, ok := t.find(info.ID)
-	if !ok {
-		// Open a slot at i, rotating the spare row past the end (and
-		// its Neighbors array) into it.
-		n := len(t.rows)
-		if n < cap(t.rows) {
-			t.rows = t.rows[:n+1]
-		} else {
-			t.rows = append(t.rows, NeighborInfo{})
-		}
-		spare := t.rows[n]
-		copy(t.rows[i+1:], t.rows[i:n])
-		t.rows[i] = spare
+	if i, ok := t.find(info.ID); ok {
+		t.rows[i] = info
+	} else {
+		t.rows = slices.Insert(t.rows, i, info)
 	}
-	row := &t.rows[i]
-	nbrs := append(row.Neighbors[:0], info.Neighbors...)
-	*row = info
-	row.Neighbors = nbrs
 }
 
-// Get returns the row for id. The row's Neighbors slice aliases table-
-// owned storage (see the type doc).
+// Get returns the row for id. The row's Neighbors is the list Observe
+// stored (see the type doc).
 func (t *NeighborTable) Get(id int) (NeighborInfo, bool) {
 	if i, ok := t.find(id); ok {
 		return t.rows[i], true
@@ -152,21 +143,23 @@ func (t *NeighborTable) Expire(deadline float64) []int {
 			t.expired = append(t.expired, t.rows[i].ID)
 			continue
 		}
-		if keep != i {
-			// Swap, not copy, so the dead row's Neighbors array
-			// survives past the end for reuse.
-			t.rows[keep], t.rows[i] = t.rows[i], t.rows[keep]
-		}
+		t.rows[keep] = t.rows[i]
 		keep++
 	}
-	t.rows = t.rows[:keep]
+	if keep < len(t.rows) {
+		// Drop the dead rows' lists so the table keeps no sender's
+		// array reachable.
+		clear(t.rows[keep:])
+		t.rows = t.rows[:keep]
+	}
 	return t.expired
 }
 
 // AppendAdvertised appends the (id, position) pair of every live row in
 // ascending id order — the list a beacon advertises — and returns the
-// extended slice. With a caller-reused buffer it allocates nothing.
+// extended slice, growing buf at most once.
 func (t *NeighborTable) AppendAdvertised(buf []NeighborNeighbor) []NeighborNeighbor {
+	buf = slices.Grow(buf, len(t.rows))
 	for i := range t.rows {
 		buf = append(buf, NeighborNeighbor{ID: t.rows[i].ID, Pos: t.rows[i].Pos})
 	}
@@ -179,33 +172,60 @@ func (t *NeighborTable) AppendAdvertised(buf []NeighborNeighbor) []NeighborNeigh
 // reuse) and returns them. Output order: self first, then rows in
 // ascending id order, each followed by its advertised neighbors not yet
 // emitted, in advertisement order. Advertised negative ids are not node
-// ids and are skipped. A warm call allocates nothing.
-func (t *NeighborTable) AppendTwoHop(ids []int, pts []geom.Point, selfID int, selfPos geom.Point) ([]int, []geom.Point) {
+// ids and are skipped. seen is the dedup scratch, emptied here; one set
+// may serve any number of tables. A warm call allocates nothing.
+func (t *NeighborTable) AppendTwoHop(ids []int, pts []geom.Point, selfID int, selfPos geom.Point, seen *IDMarks) ([]int, []geom.Point) {
 	ids = append(ids, selfID)
 	pts = append(pts, selfPos)
-	if t.seen == nil {
-		t.seen = make(map[int]struct{})
+	seen.Clear()
+	if selfID >= 0 {
+		seen.Mark(selfID)
 	}
-	clear(t.seen)
-	t.seen[selfID] = struct{}{}
 	for i := range t.rows {
 		r := &t.rows[i]
-		if _, ok := t.seen[r.ID]; !ok {
-			t.seen[r.ID] = struct{}{}
+		if seen.Mark(r.ID) {
 			ids = append(ids, r.ID)
 			pts = append(pts, r.Pos)
 		}
 		for _, nn := range r.Neighbors {
-			if nn.ID < 0 {
-				continue
+			if nn.ID >= 0 && seen.Mark(nn.ID) {
+				ids = append(ids, nn.ID)
+				pts = append(pts, nn.Pos)
 			}
-			if _, ok := t.seen[nn.ID]; ok {
-				continue
-			}
-			t.seen[nn.ID] = struct{}{}
-			ids = append(ids, nn.ID)
-			pts = append(pts, nn.Pos)
 		}
 	}
 	return ids, pts
+}
+
+// IDMarks is a set of nonnegative ids emptied in O(1): an id is in the
+// set while its stamp equals the current epoch, which Clear advances.
+// It grows to the largest id marked. The zero value is empty.
+type IDMarks struct {
+	stamp []uint32
+	epoch uint32
+}
+
+// Clear empties the set.
+func (s *IDMarks) Clear() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stamps of old epochs would read as current
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
+
+// Mark adds id, which must be nonnegative, and reports whether it was
+// absent.
+func (s *IDMarks) Mark(id int) bool {
+	if s.epoch == 0 { // zero value: no stamp is current yet
+		s.epoch = 1
+	}
+	if id >= len(s.stamp) {
+		s.stamp = append(s.stamp, make([]uint32, max(id+1, 2*len(s.stamp))-len(s.stamp))...)
+	}
+	if s.stamp[id] == s.epoch {
+		return false
+	}
+	s.stamp[id] = s.epoch
+	return true
 }

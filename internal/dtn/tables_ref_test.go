@@ -116,7 +116,7 @@ func checkTablesAgree(t *testing.T, m *refNeighborTable, d *NeighborTable, idSpa
 		t.Fatalf("rows mismatch:\nref   %+v\ntable %+v", m.Snapshot(), snapshot(d))
 	}
 	mi, mp := m.TwoHopPointsAt(idSpace, geom.Pt(1, 2), math.Inf(-1))
-	di, dp := d.AppendTwoHop(nil, nil, idSpace, geom.Pt(1, 2))
+	di, dp := d.AppendTwoHop(nil, nil, idSpace, geom.Pt(1, 2), new(IDMarks))
 	if !reflect.DeepEqual(mi, di) || !reflect.DeepEqual(mp, dp) {
 		t.Fatalf("AppendTwoHop mismatch:\nref   %v %v\ntable %v %v", mi, mp, di, dp)
 	}
@@ -242,6 +242,7 @@ func FuzzNeighborTable(f *testing.F) {
 		d := new(NeighborTable)
 		var ids []int
 		var pts []geom.Point
+		var seen IDMarks // one dedup set across every view of the run
 		now := 0.0
 		for len(data) > 0 {
 			switch next() % 4 {
@@ -264,7 +265,7 @@ func FuzzNeighborTable(f *testing.F) {
 			case 3: // two-hop view into reused buffers
 				self := int(int8(next())) % 24
 				wi, wp := m.TwoHopPointsAt(self, geom.Pt(0.5, 0.5), math.Inf(-1))
-				ids, pts = d.AppendTwoHop(ids[:0], pts[:0], self, geom.Pt(0.5, 0.5))
+				ids, pts = d.AppendTwoHop(ids[:0], pts[:0], self, geom.Pt(0.5, 0.5), &seen)
 				if !reflect.DeepEqual(wi, ids) || !reflect.DeepEqual(wp, pts) {
 					t.Fatalf("AppendTwoHop(%d): ref %v %v, table %v %v", self, wi, wp, ids, pts)
 				}
@@ -310,8 +311,9 @@ func TestNeighborTableRelabelInvariance(t *testing.T) {
 		}
 
 		self := n - 1
-		ids, pts := orig.AppendTwoHop(nil, nil, self, pos[self])
-		rids, rpts := rel.AppendTwoHop(nil, nil, perm[self], pos[self])
+		var seen IDMarks // shared by both tables, as core shares one per world
+		ids, pts := orig.AppendTwoHop(nil, nil, self, pos[self], &seen)
+		rids, rpts := rel.AppendTwoHop(nil, nil, perm[self], pos[self], &seen)
 		if len(ids) != len(rids) {
 			t.Fatalf("trial %d: size %d vs %d", trial, len(ids), len(rids))
 		}
@@ -428,7 +430,7 @@ func TestTablesIgnoreNegativeIDs(t *testing.T) {
 	bogus := []NeighborNeighbor{{ID: -1, Pos: geom.Pt(7, 7)}, {ID: 4, Pos: geom.Pt(4, 0)}}
 	nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 0), LastSeen: 1, Neighbors: bogus})
 	nt.Observe(NeighborInfo{ID: 2, Pos: geom.Pt(2, 0), LastSeen: 1, Neighbors: bogus})
-	ids, _ := nt.AppendTwoHop(nil, nil, 0, geom.Pt(0, 0))
+	ids, _ := nt.AppendTwoHop(nil, nil, 0, geom.Pt(0, 0), new(IDMarks))
 	if want := []int{0, 1, 4, 2}; !reflect.DeepEqual(ids, want) {
 		t.Errorf("two-hop ids = %v, want %v", ids, want)
 	}

@@ -2,6 +2,7 @@ package dtn
 
 import (
 	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -137,7 +138,7 @@ func TestTwoHopPoints(t *testing.T) {
 			{ID: 4, Pos: geom.Pt(0, 20)},
 		},
 	})
-	ids, pts := nt.AppendTwoHop(nil, nil, 0, geom.Pt(0, 0))
+	ids, pts := nt.AppendTwoHop(nil, nil, 0, geom.Pt(0, 0), new(IDMarks))
 	if len(ids) != len(pts) {
 		t.Fatal("parallel slices must align")
 	}
@@ -159,8 +160,61 @@ func TestTwoHopPoints(t *testing.T) {
 
 func TestTwoHopPointsEmpty(t *testing.T) {
 	nt := new(NeighborTable)
-	ids, pts := nt.AppendTwoHop(nil, nil, 7, geom.Pt(1, 2))
+	ids, pts := nt.AppendTwoHop(nil, nil, 7, geom.Pt(1, 2), new(IDMarks))
 	if len(ids) != 1 || ids[0] != 7 || !pts[0].Eq(geom.Pt(1, 2)) {
 		t.Error("empty table should yield only self")
+	}
+}
+
+// TestNeighborTableRowsReadListInPlace: a row reads the advertised list
+// it was given, so every table observing one beacon shares the sender's
+// array, and Expire lets go of a dropped row's list.
+func TestNeighborTableRowsReadListInPlace(t *testing.T) {
+	adv := []NeighborNeighbor{{ID: 7, Pos: geom.Pt(7, 0)}, {ID: 8, Pos: geom.Pt(8, 0)}}
+	a, b := new(NeighborTable), new(NeighborTable)
+	for _, nt := range []*NeighborTable{a, b} {
+		nt.Observe(NeighborInfo{ID: 1, Pos: geom.Pt(1, 0), LastSeen: 1, Neighbors: adv})
+		nt.Observe(NeighborInfo{ID: 2, Pos: geom.Pt(2, 0), LastSeen: 2})
+		r, _ := nt.Get(1)
+		if &r.Neighbors[0] != &adv[0] || len(r.Neighbors) != len(adv) {
+			t.Fatal("row 1 does not read the advertised list in place")
+		}
+	}
+	if gone := a.Expire(1); !reflect.DeepEqual(gone, []int{1}) {
+		t.Fatalf("expired %v, want [1]", gone)
+	}
+	for i, r := range a.rows[len(a.rows):cap(a.rows)] {
+		if r.Neighbors != nil {
+			t.Fatalf("dead row slot %d still holds list %v", len(a.rows)+i, r.Neighbors)
+		}
+	}
+	a.Reset()
+	if r := a.rows[:cap(a.rows)]; len(r) > 0 && r[0].Neighbors != nil {
+		t.Fatal("Reset kept a row's list reachable")
+	}
+}
+
+// TestIDMarks covers the dedup set AppendTwoHop shares across tables:
+// Mark reports first marks only, Clear empties the set in O(1), the set
+// grows past its length, and an epoch that wraps forgets every stamp.
+func TestIDMarks(t *testing.T) {
+	var s IDMarks
+	if !s.Mark(3) || s.Mark(3) || !s.Mark(0) {
+		t.Fatal("zero value: first Mark must report true, a repeat false")
+	}
+	if !s.Mark(100) || s.Mark(100) || s.Mark(3) {
+		t.Fatal("growing the set lost or invented a mark")
+	}
+	s.Clear()
+	if !s.Mark(3) || !s.Mark(100) || s.Mark(3) {
+		t.Fatal("Clear did not empty the set")
+	}
+	var w IDMarks
+	w.Mark(3) // stamped with epoch 1, which the wrap below returns to
+	w.epoch = math.MaxUint32
+	w.Mark(5)
+	w.Clear()
+	if w.epoch == 0 || !w.Mark(3) || !w.Mark(5) {
+		t.Fatalf("after the epoch wrapped (epoch %d) old stamps read as marked", w.epoch)
 	}
 }

@@ -160,7 +160,7 @@ func TestFastTraceGridEquivalence(t *testing.T) {
 	s.Traces[5] = shuttle
 	s.Traffic = UniformTraffic(s.N, 150, 1, 5)
 	run := func(macCfg mac.Config) any {
-		w, err := newWorld(s, directFactory, macCfg)
+		w, err := newWorld(s, directFactory, macCfg, (*World).scheduleTraffic)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,9 +29,10 @@ type Protocol interface {
 	// frame has been delivered, so the payload may be recycled here.
 	OnSent(payload any, ok bool)
 	// OnBeacon notifies the protocol that a beacon was heard (node-level
-	// neighbor/location bookkeeping has already run). b.Neighbors aliases
-	// a pooled buffer recycled after the airing resolves; implementations
-	// must copy it if they keep it.
+	// neighbor/location bookkeeping has already run). b.Neighbors is the
+	// sender's advertised list, which neighbor rows read in place (see
+	// Beacon): implementations must not modify it, and must copy it if
+	// they keep it.
 	OnBeacon(b Beacon)
 	// StorageUsed returns the number of messages currently held, the
 	// paper's storage metric.
@@ -40,6 +41,12 @@ type Protocol interface {
 
 // Beacon is the periodic IMEP-style hello: the sender's position and its
 // current 1-hop neighbor list (which gives listeners 2-hop knowledge).
+//
+// Neighbors is written once, into a slot of the sender's advRing, and
+// every receiver's neighbor row reads it in place: nobody may modify it
+// while a row may read it, which the ring guarantees by reusing a slot
+// only neighborExpiry after its hello. Anyone who keeps the list beyond
+// that copies it.
 type Beacon struct {
 	From      int
 	Pos       geom.Point
@@ -75,6 +82,30 @@ type Node struct {
 
 	neighbors dtn.NeighborTable
 	locations dtn.LocationTable
+	// adv holds the node's last advertised lists; nil until its first
+	// hello, so building a world allocates no rings.
+	adv *advRing
+}
+
+// advRing is a node's last advSlots advertised neighbor lists, each with
+// the time of the hello that carried it. Receivers' neighbor rows read
+// these arrays in place (dtn.NeighborTable.Observe keeps no copy), so a
+// list costs O(deg) once per hello instead of once per receiver.
+//
+// A row carrying a list has LastSeen equal to the slot's time, and every
+// read of a node's rows first drops those last seen at or before
+// now-neighborExpiry (Node.Neighbors). A slot whose time passes that
+// same test is therefore read by no row, and only then is its array
+// rewritten; a younger slot that comes round takes a fresh array and
+// leaves the old one to the readers and the garbage collector. With
+// advSlots·beaconInterval > neighborExpiry that happens only when a
+// node's hellos come closer together than usual.
+type advRing struct {
+	slots [advSlots]struct {
+		list []dtn.NeighborNeighbor
+		at   float64
+	}
+	next int
 }
 
 // ID returns the node id (0-based, dense).
@@ -192,8 +223,7 @@ func (n *Node) onReceive(f *mac.Frame) {
 // onSent is the radio completion callback. Every reception of the frame
 // has already been delivered (the MAC resolves receptions before
 // reporting the sender), so the frame — and, for hellos, the beacon
-// payload with its advertised-neighbor buffer — recycles here, after
-// the protocol has seen its payload's fate.
+// box — recycles here, after the protocol has seen its payload's fate.
 func (n *Node) onSent(f *mac.Frame, ok bool) {
 	if bf, isBeacon := f.Payload.(*beaconFrame); isBeacon {
 		n.world.putBeacon(bf)
@@ -219,20 +249,45 @@ func (n *Node) handleBeacon(b Beacon) {
 	n.proto.OnBeacon(b)
 }
 
-// sendBeacon broadcasts this node's current hello from a pooled frame:
-// the advertised-neighbor list is built in the pooled buffer, so a
-// steady-state beacon allocates nothing. The advertised position is the
-// true one in fault-free runs; under GPS noise or a Byzantine plan the
-// node claims somewhere else, and every receiver's tables trust the
-// claim.
+// sendBeacon broadcasts this node's current hello from a pooled frame,
+// its advertised-neighbor list written into the next slot of the node's
+// advRing, so a steady-state beacon allocates nothing. The advertised
+// position is the true one in fault-free runs; under GPS noise or a
+// Byzantine plan the node claims somewhere else, and every receiver's
+// tables trust the claim.
 func (n *Node) sendBeacon() {
 	if n.world.nodeDown(n.id) {
 		return
 	}
+	now := n.Now()
+	adv := n.advertise(now)
 	bf := n.world.beacons.Take()
-	adv := n.Neighbors().AppendAdvertised(bf.b.Neighbors[:0])
-	bf.b = Beacon{From: n.id, Pos: n.world.advertisedPos(n.id, n.Pos()), Time: n.Now(), Neighbors: adv}
+	bf.b = Beacon{From: n.id, Pos: n.world.advertisedPos(n.id, n.Pos()), Time: now, Neighbors: adv}
 	bf.frame = mac.Frame{Dst: mac.Broadcast, Bits: beaconBits(len(adv)), Payload: bf}
 	n.countFrame(KindControl)
 	n.radio.Send(&bf.frame)
+}
+
+// advertise writes the node's live neighbor list into the next ring slot,
+// stamped now, and returns it (see advRing for when the slot's array is
+// reused).
+func (n *Node) advertise(now float64) []dtn.NeighborNeighbor {
+	r := n.adv
+	if r == nil {
+		r = new(advRing)
+		n.adv = r
+	}
+	s := &r.slots[r.next]
+	r.next = (r.next + 1) % advSlots
+	var buf []dtn.NeighborNeighbor
+	if s.list != nil && s.at <= now-neighborExpiry {
+		if p := n.world.poisonAdv; p != nil {
+			p(s.list[:cap(s.list)])
+		} else {
+			buf = s.list[:0]
+		}
+	}
+	s.list = n.Neighbors().AppendAdvertised(buf)
+	s.at = now
+	return s.list
 }

@@ -233,42 +233,45 @@ func TestUnicastReachesOnSentOnce(t *testing.T) {
 }
 
 // TestFramePoolOracle runs the churn world of chatterProtocols twice,
-// once reusing released hello and frame boxes and once handing each to
-// a poison hook that overwrites it and never reuses it, and requires
-// identical reports, OnSent outcomes, and final neighbor and location
-// tables. A read of a hello or frame box after its release reads poison
-// in the second run (an advertised neighbor with id -1 and NaN
-// position, a frame addressed from and to -1), so the runs part.
+// once reusing released hello and frame boxes and advertised lists and
+// once handing each to a poison hook that overwrites it and never reuses
+// it, and requires identical reports, OnSent outcomes, and final
+// neighbor, two-hop and location tables. A read of a hello or frame box
+// after its release reads poison in the second run (a hello from -1 at a
+// NaN position, a frame addressed from and to -1), and so does a row
+// reading an advertised list after its ring slot came round (advertised
+// neighbors with id -1 at NaN positions), so the runs part.
 func TestFramePoolOracle(t *testing.T) {
 	type run struct {
 		report    metrics.Report
 		log       chatterLog
 		neighbors [][]dtn.NeighborNeighbor
+		twoHop    [][]geom.Point
 		locations [][]dtn.LocationEntry
 	}
-	var beacons, frames int
+	var beacons, frames, lists int
 	do := func(poison bool) run {
 		w, log := chatterWorld(t)
 		if poison {
 			nan := math.NaN()
 			w.beacons.Poison = func(bf *beaconFrame) {
 				beacons++
-				adv := bf.b.Neighbors[:cap(bf.b.Neighbors)]
-				for i := range adv {
-					adv[i] = dtn.NeighborNeighbor{ID: -1, Pos: geom.Point{X: nan, Y: nan}}
-				}
-				bf.b = Beacon{From: -1, Pos: geom.Point{X: nan, Y: nan}, Time: nan, Neighbors: adv}
+				bf.b = Beacon{From: -1, Pos: geom.Point{X: nan, Y: nan}, Time: nan}
 				bf.frame = mac.Frame{Src: -1, Dst: -1, Bits: -1, Payload: bf}
 			}
 			w.frames.Poison = func(f *mac.Frame) {
 				frames++
 				*f = mac.Frame{Src: -1, Dst: -1, Bits: -1, Payload: "poison"}
 			}
+			w.PoisonAdverts(func() { lists++ })
 		}
 		out := run{report: w.Run(), log: *log}
+		var seen dtn.IDMarks
 		for i := range w.cfg.N {
 			n := w.Node(i)
 			out.neighbors = append(out.neighbors, n.Neighbors().AppendAdvertised(nil))
+			_, pts := n.Neighbors().AppendTwoHop(nil, nil, i, n.Pos(), &seen)
+			out.twoHop = append(out.twoHop, pts)
 			var locs []dtn.LocationEntry
 			for j := range w.cfg.N {
 				if e, ok := n.Locations().Get(j); ok {
@@ -287,11 +290,13 @@ func TestFramePoolOracle(t *testing.T) {
 	if !reflect.DeepEqual(reuse.log, oracle.log) {
 		t.Fatal("OnSent outcomes differ between the reusing and the poisoning run")
 	}
-	if !reflect.DeepEqual(reuse.neighbors, oracle.neighbors) || !reflect.DeepEqual(reuse.locations, oracle.locations) {
-		t.Fatal("final neighbor or location tables differ between the reusing and the poisoning run")
+	if !reflect.DeepEqual(reuse.neighbors, oracle.neighbors) || !reflect.DeepEqual(reuse.twoHop, oracle.twoHop) ||
+		!reflect.DeepEqual(reuse.locations, oracle.locations) {
+		t.Fatal("final neighbor, two-hop or location tables differ between the reusing and the poisoning run")
 	}
-	if beacons == 0 || frames == 0 || reuse.report.Delivered == 0 {
-		t.Fatalf("world too idle to test the pools: %d hellos and %d frames released, %d delivered", beacons, frames, reuse.report.Delivered)
+	if beacons == 0 || frames == 0 || lists == 0 || reuse.report.Delivered == 0 {
+		t.Fatalf("world too idle to test the pools: %d hellos, %d frames and %d advertised lists released, %d delivered",
+			beacons, frames, lists, reuse.report.Delivered)
 	}
 }
 

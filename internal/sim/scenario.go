@@ -58,6 +58,11 @@ const (
 	// exceed beaconInterval, or live neighbors would expire between
 	// their hellos.
 	neighborExpiry = 2.5
+	// advSlots is the length of each node's ring of advertised lists
+	// (advRing). Receivers' rows read a list until neighborExpiry after
+	// its hello, so a slot comes round again only after
+	// advSlots·beaconInterval > neighborExpiry, when no row reads it.
+	advSlots = 4
 )
 
 // Scenario describes one simulation run. The zero value is not runnable;
@@ -158,7 +163,7 @@ func (s Scenario) Validate() error {
 		if ti.Src < 0 || ti.Src >= s.N || ti.Dst < 0 || ti.Dst >= s.N || ti.Src == ti.Dst {
 			return fmt.Errorf("sim: traffic[%d] endpoints (%d→%d) invalid", i, ti.Src, ti.Dst)
 		}
-		if ti.At < 0 || ti.At > s.SimTime {
+		if !(ti.At >= 0 && ti.At <= s.SimTime) { // NaN fails both
 			return fmt.Errorf("sim: traffic[%d] time %v outside run", i, ti.At)
 		}
 	}

@@ -106,6 +106,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"traffic self-loop", func(s *Scenario) { s.Traffic = []TrafficItem{{Src: 1, Dst: 1, At: 1}} }},
 		{"traffic out of range", func(s *Scenario) { s.Traffic = []TrafficItem{{Src: 0, Dst: 99, At: 1}} }},
 		{"traffic after horizon", func(s *Scenario) { s.Traffic = []TrafficItem{{Src: 0, Dst: 1, At: 1e9}} }},
+		{"traffic at NaN", func(s *Scenario) { s.Traffic = []TrafficItem{{Src: 0, Dst: 1, At: math.NaN()}} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -253,7 +254,7 @@ func TestWorldNaiveMediumMatchesGridDelivery(t *testing.T) {
 	// The world's derived index slack must reproduce the full-scan
 	// medium's run exactly, delivering all traffic.
 	run := func(s Scenario, macCfg mac.Config) metrics.Report {
-		w, err := newWorld(s, directFactory, macCfg)
+		w, err := newWorld(s, directFactory, macCfg, (*World).scheduleTraffic)
 		if err != nil {
 			t.Fatal(err)
 		}

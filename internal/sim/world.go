@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"glr/internal/des"
 	"glr/internal/dtn"
@@ -56,39 +58,43 @@ type World struct {
 	faultHook func(fault.Event)
 
 	// Free lists for the per-send objects of the hot path: broadcast
-	// hellos with their payload buffers, and protocol frames. Both go
-	// back when the MAC reports the frame sent (Node.onSent), the only
-	// point after which neither the medium nor any receiver reads them.
+	// hellos and protocol frames. Both go back when the MAC reports the
+	// frame sent (Node.onSent), the only point after which neither the
+	// medium nor any receiver reads them.
 	beacons freelist.List[beaconFrame]
 	frames  freelist.List[mac.Frame]
+
+	// poisonAdv, when set, takes every advertised list a node's ring
+	// would reuse, and the ring takes a fresh array instead. Only tests
+	// set it, to show that no neighbor row reads a list after its slot
+	// comes round (see advRing).
+	poisonAdv func([]dtn.NeighborNeighbor)
 }
 
-// beaconFrame couples one pooled hello with its MAC frame so frame,
-// payload box, and advertised-neighbor buffer all recycle together when
-// the MAC reports the broadcast sent. Receivers copy what they keep
-// (NeighborTable.Observe row-owned storage), so recycling at that point
-// is safe.
+// beaconFrame couples one pooled hello with its MAC frame so frame and
+// payload box recycle together when the MAC reports the broadcast sent.
+// The advertised list is not the box's: it is the sender's ring slot
+// (advRing), which receivers' rows read in place.
 type beaconFrame struct {
 	frame mac.Frame
 	b     Beacon
 }
 
-// putBeacon recycles bf, keeping its advertised-neighbor buffer.
+// putBeacon recycles bf, dropping its reference to the advertised list.
 func (w *World) putBeacon(bf *beaconFrame) {
-	adv := bf.b.Neighbors[:0]
-	bf.frame = mac.Frame{}
-	bf.b = Beacon{Neighbors: adv}
+	*bf = beaconFrame{}
 	w.beacons.Put(bf)
 }
 
 // NewWorld wires a scenario and a protocol factory into a runnable world.
 func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
-	return newWorld(cfg, factory, cfg.macConfig())
+	return newWorld(cfg, factory, cfg.macConfig(), (*World).scheduleTraffic)
 }
 
 // newWorld is NewWorld on the MAC configuration macCfg, which tests
-// widen into a full scan of the radios.
-func newWorld(cfg Scenario, factory ProtocolFactory, macCfg mac.Config) (*World, error) {
+// widen into a full scan of the radios, arming the traffic through
+// schedTraffic, which tests replace with their per-item oracle.
+func newWorld(cfg Scenario, factory ProtocolFactory, macCfg mac.Config, schedTraffic func(*World)) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -146,7 +152,7 @@ func newWorld(cfg Scenario, factory ProtocolFactory, macCfg mac.Config) (*World,
 		n.proto.Init(n)
 	}
 	w.scheduleBeacons()
-	w.scheduleTraffic()
+	schedTraffic(w)
 	w.scheduleStorageSampler()
 	w.scheduleReindex()
 	w.scheduleFaults()
@@ -200,24 +206,34 @@ func (w *World) scheduleBeacons() {
 	newBeaconRing(w.sched, phases, w.sendBeacons).arm()
 }
 
-// scheduleTraffic arms one generation event per traffic item.
+// scheduleTraffic arms the traffic as one des.Series: the scheduler
+// holds one pending generation event however many items there are. The
+// series takes the items in stable time order, which dispatches them
+// exactly as one At call per item in slice order would; every built-in
+// generator's traffic is already in that order, so it is used as is.
 func (w *World) scheduleTraffic() {
-	seq := make([]int, w.cfg.N)
-	for _, ti := range w.cfg.Traffic {
-		ti := ti
-		w.sched.At(ti.At, func() {
-			src := w.nodes[ti.Src]
-			m := &dtn.Message{
-				ID:          dtn.MessageID{Src: ti.Src, Seq: seq[ti.Src]},
-				Dst:         ti.Dst,
-				Created:     w.sched.Now(),
-				PayloadBits: payloadBits,
-			}
-			seq[ti.Src]++
-			w.collector.Created(m.ID, m.Created, m.Dst)
-			src.proto.OnMessageGenerated(m)
-		})
+	items := w.cfg.Traffic
+	if len(items) == 0 {
+		return
 	}
+	byTime := func(a, b TrafficItem) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(items, byTime) {
+		items = slices.Clone(items)
+		slices.SortStableFunc(items, byTime)
+	}
+	seq := make([]int, w.cfg.N)
+	w.sched.Series(len(items), func(i int) des.Time { return items[i].At }, func(i int) {
+		ti := items[i]
+		m := &dtn.Message{
+			ID:          dtn.MessageID{Src: ti.Src, Seq: seq[ti.Src]},
+			Dst:         ti.Dst,
+			Created:     w.sched.Now(),
+			PayloadBits: payloadBits,
+		}
+		seq[ti.Src]++
+		w.collector.Created(m.ID, m.Created, m.Dst)
+		w.nodes[ti.Src].proto.OnMessageGenerated(m)
+	})
 }
 
 // messageRanks returns the world's message rank table, built on first
