@@ -36,15 +36,17 @@ test-short:
 ## fuzz-smoke is the bounded fuzz step of CI's disruption-smoke job,
 ## which runs this target, so the list below is the only one: 15 s each
 ## for the fault-slug parser, the neighbor table, the buffer's summary
-## vector, scripted trace mobility, the scenario options, the scenario
-## matrix's validation, the MAC configuration, the MAC's retention rule
-## against a never-pruning medium, the LDT spanner query, the atlas
-## cache loader and the mobility models' cached segments against their
-## former position lookup.
+## vector, GLR's custody table against its reference store, scripted
+## trace mobility, the scenario options, the scenario matrix's
+## validation, the MAC configuration, the MAC's retention rule against a
+## never-pruning medium, the LDT spanner query, the atlas cache loader
+## and the mobility models' cached segments against their former
+## position lookup.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborTable$$' -fuzztime 15s ./internal/dtn
 	$(GO) test -run '^$$' -fuzz '^FuzzBufferSummary$$' -fuzztime 15s ./internal/dtn
+	$(GO) test -run '^$$' -fuzz '^FuzzCustodyTable$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioOptions$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzMatrix$$' -fuzztime 15s .

@@ -121,11 +121,11 @@ func TestFiveCopiesUseExtraMidTrees(t *testing.T) {
 	s.Traffic = []sim.TrafficItem{{Src: 0, Dst: 30, At: 1}}
 	w, instances := buildProbedWorld(t, s, cfg)
 	w.Scheduler().Run(1.01)
-	msgs := instances[0].store.AppendStored(nil)
+	msgs := instances[0].table.store
 	if len(msgs) != 1 {
 		t.Fatalf("source holds %d messages", len(msgs))
 	}
-	if got := bits.OnesCount8(uint8(msgs[0].Flags)); got != 5 {
+	if got := bits.OnesCount8(uint8(msgs[0].msg.Flags)); got != 5 {
 		t.Errorf("flag count = %d, want 5", got)
 	}
 	_ = w

@@ -9,17 +9,17 @@ import (
 )
 
 // poisonPool is a boxPool that never reuses a box: every data frame,
-// ack, message box and msgState it is handed back is overwritten with
-// values no live one can hold and then dropped. A run over it reads a
-// released box only by reading poison, so its reports differ from a run
-// over the reusing pool wherever a box is used after release.
+// ack and copy record it is handed back is overwritten with values no
+// live one can hold and then dropped. A run over it reads a released
+// box only by reading poison, so its reports differ from a run over the
+// reusing pool wherever a box is used after release.
 type poisonPool struct {
 	boxPool
-	released struct{ frames, acks, msgs, states int }
+	released struct{ frames, acks, recs int }
 }
 
-// poisonedMessage is what a released message box, or the copy in a
-// released data frame, is overwritten with.
+// poisonedMessage is what the copy in a released record or data frame
+// is overwritten with.
 func poisonedMessage() dtn.Message {
 	nan := math.NaN()
 	return dtn.Message{
@@ -35,15 +35,45 @@ func poisonedMessage() dtn.Message {
 	}
 }
 
+// poisonedFace is a face state no walk is in.
+func poisonedFace() ldt.FaceState {
+	nan := math.NaN()
+	nanPt := geom.Point{X: nan, Y: nan}
+	return ldt.FaceState{Active: true, EntryPos: nanPt, EntryDist: nan, CrossDist: nan, FirstFrom: -1, FirstTo: -1, HavePrev: true, PrevPos: nanPt}
+}
+
+// poisonedRec is what a released copy record is overwritten with: a
+// cached copy of poisonedMessage with every routing state set to values
+// no held copy's state has.
+func poisonedRec() copyRec {
+	nan := math.NaN()
+	return copyRec{
+		msg:    poisonedMessage(),
+		cached: true,
+		sentAt: nan,
+		msgState: msgState{
+			pending:     0xff,
+			hasPending:  true,
+			face:        poisonedFace(),
+			hasFace:     true,
+			stuckSince:  nan,
+			hasStuck:    true,
+			failTopo:    math.MaxUint64,
+			hasFailTopo: true,
+			failAt:      nan,
+			hasFailAt:   true,
+		},
+	}
+}
+
 // newPoisonPool returns an empty poisonPool.
 func newPoisonPool() *poisonPool {
 	p := &poisonPool{}
 	nan := math.NaN()
 	nanPt := geom.Point{X: nan, Y: nan}
-	face := ldt.FaceState{Active: true, EntryPos: nanPt, EntryDist: nan, CrossDist: nan, FirstFrom: -1, FirstTo: -1, HavePrev: true, PrevPos: nanPt}
 	p.frames.Poison = func(f *dataFrame) {
 		p.released.frames++
-		*f = dataFrame{Msg: poisonedMessage(), Face: face, SenderPos: nanPt, SentAt: nan}
+		*f = dataFrame{Msg: poisonedMessage(), Face: poisonedFace(), SenderPos: nanPt, SentAt: nan}
 	}
 	p.acks.Poison = func(a *ackFrame) {
 		p.released.acks++
@@ -57,24 +87,9 @@ func newPoisonPool() *poisonPool {
 			DstKnown:   true,
 		}
 	}
-	p.msgs.Poison = func(m *dtn.Message) {
-		p.released.msgs++
-		*m = poisonedMessage()
-	}
-	p.states.Poison = func(st *msgState) {
-		p.released.states++
-		*st = msgState{
-			pending:     0xff,
-			hasPending:  true,
-			face:        face,
-			hasFace:     true,
-			stuckSince:  nan,
-			hasStuck:    true,
-			failTopo:    math.MaxUint64,
-			hasFailTopo: true,
-			failAt:      nan,
-			hasFailAt:   true,
-		}
+	p.recs.Poison = func(r *copyRec) {
+		p.released.recs++
+		*r = poisonedRec()
 	}
 	return p
 }

@@ -24,18 +24,16 @@ type dataFrame struct {
 }
 
 // boxPool recycles the boxes GLR churns once per copy per hop: dataFrame
-// and ackFrame payloads, the *dtn.Message a relay stores, and its
-// msgState. It is shared by every node of a world (single-threaded like
-// the scheduler), so one node's released box stocks the next node's
-// take. A frame goes back in OnSent; a message box when it leaves this
-// node's custody (ack, fire-and-forget send, eviction, arrival, merge
-// into a held copy; see the callers of msgs.Put), a msgState when forget
-// deletes it. Every taker overwrites all of a box.
+// and ackFrame payloads and the record of each held copy. It is shared
+// by every node of a world (single-threaded like the scheduler), so one
+// node's released box stocks the next node's take. A frame goes back in
+// OnSent; a record when its copy leaves the node's custody table (ack,
+// fire-and-forget send, eviction, restart). Every taker overwrites all
+// of a box.
 type boxPool struct {
 	frames freelist.List[dataFrame]
 	acks   freelist.List[ackFrame]
-	msgs   freelist.List[dtn.Message]
-	states freelist.List[msgState]
+	recs   freelist.List[copyRec]
 }
 
 // ackFrame is the custody acknowledgment (§2.3.2): it identifies the
@@ -55,16 +53,17 @@ type ackFrame struct {
 	DstKnown   bool
 }
 
-// forward transmits a stored message to its per-tree targets and performs
+// forward transmits a stored copy to its per-tree targets and performs
 // the custody bookkeeping. targets lists next-hop picks sorted by node
 // id (deterministic transmission order); it may alias the world's
 // scratch and is not retained.
-func (g *GLR) forward(m *dtn.Message, targets []hopTarget) {
+func (g *GLR) forward(rec *copyRec, targets []hopTarget) {
 	now := g.n.Now()
 	selfPos := g.n.Pos()
+	m := &rec.msg
 	faceState := ldt.FaceState{}
-	if st := g.state(m.ID); st != nil && st.hasFace {
-		faceState = st.face
+	if rec.hasFace {
+		faceState = rec.face
 	}
 
 	if g.cfg.Custody {
@@ -73,12 +72,11 @@ func (g *GLR) forward(m *dtn.Message, targets []hopTarget) {
 		// frame synchronously inside Unicast, and onSendFailed must find
 		// the custody state in place to return the branch to the Store
 		// immediately rather than letting it ride out the cache timeout.
-		g.store.MarkSent(m.ID, now)
-		st := g.ensureState(m.ID)
+		g.table.markSent(rec, now)
 		for _, tgt := range targets {
-			st.pending |= tgt.flags
+			rec.pending |= tgt.flags
 		}
-		st.hasPending = true
+		rec.hasPending = true
 	}
 
 	for _, tgt := range targets {
@@ -99,12 +97,7 @@ func (g *GLR) forward(m *dtn.Message, targets []hopTarget) {
 	// or protocol confirmation is awaited, so any copy that dies in
 	// transit (collision, receiver moved away, queue overflow) is gone:
 	// "delivered with high probability but without any guarantee".
-	g.store.MarkSent(m.ID, now)
-	sent := g.store.Ack(m.ID)
-	g.forget(m.ID)
-	if sent != nil {
-		g.pool.msgs.Put(sent)
-	}
+	g.table.release(rec, &g.pool.recs)
 }
 
 // onSendFailed reacts to a MAC-level unicast failure (no receiver after
@@ -115,21 +108,22 @@ func (g *GLR) onSendFailed(id dtn.MessageID, flags dtn.TreeFlags) {
 	if !g.cfg.Custody {
 		return
 	}
-	st := g.state(id)
-	if st == nil || !st.hasPending {
+	rec := g.table.get(id)
+	if rec == nil || !rec.hasPending {
 		return
 	}
-	if remaining := st.pending &^ flags; remaining == 0 {
-		st.pending = 0
-		st.hasPending = false
+	if remaining := rec.pending &^ flags; remaining == 0 {
+		rec.pending = 0
+		rec.hasPending = false
 	} else {
-		st.pending = remaining
+		rec.pending = remaining
 	}
-	if m := g.store.ReturnToStore(id); m != nil {
+	if rec.cached {
+		g.table.returnToStore(rec)
 		g.stats.CustodyReturns++
-		m.Flags = flags // only the failed branches reroute
-	} else if m := g.store.Get(id); m != nil {
-		m.Flags |= flags // an earlier failure already returned it
+		rec.msg.Flags = flags // only the failed branches reroute
+	} else {
+		rec.msg.Flags |= flags // an earlier failure already returned it
 	}
 }
 
@@ -158,11 +152,10 @@ func (g *GLR) OnSent(payload any, ok bool) {
 }
 
 // onData handles an arriving message copy. f is the sender's pooled
-// frame: everything kept past this call is copied out here, the message
-// into a box from the pool.
+// frame: everything kept past this call is copied out of it, the
+// message into the custody table.
 func (g *GLR) onData(f *dataFrame, from int) {
-	m := g.pool.msgs.Take()
-	*m = f.Msg
+	m := f.Msg
 	m.Hops++
 
 	// Location diffusion (§2.3.1): the frame teaches us the sender's
@@ -180,26 +173,24 @@ func (g *GLR) onData(f *dataFrame, from int) {
 		// Arrived. Acknowledge so the sender clears its Cache (when
 		// custody is in use); report only the first copy.
 		if g.cfg.Custody {
-			g.sendAck(from, m)
+			g.sendAck(from, &m)
 		}
 		if r := g.n.MessageRanks().Rank(m.ID); !g.delivered.Has(r) {
 			g.delivered.Add(r)
-			g.n.ReportDelivered(m)
+			g.n.ReportDelivered(&m)
 		}
-		g.pool.msgs.Put(m)
 		return
 	}
 
 	// Custody accept: store the copy and acknowledge this tree branch.
 	if g.cfg.Custody {
-		g.sendAck(from, m)
+		g.sendAck(from, &m)
 	}
+	rec := g.addToStore(&m)
 	if f.Face.Active {
-		st := g.ensureState(m.ID)
-		st.face = f.Face
-		st.hasFace = true
+		rec.face = f.Face
+		rec.hasFace = true
 	}
-	g.addToStore(m)
 }
 
 // onAck completes custody transfer for the acknowledged tree branches.
@@ -208,22 +199,22 @@ func (g *GLR) onAck(f ackFrame, from int) {
 	if f.DstKnown {
 		g.n.Locations().Update(f.Dst, f.DstLoc, f.DstLocTime)
 	}
-	st := g.state(f.ID)
-	if st == nil || !st.hasPending {
+	rec := g.table.get(f.ID)
+	if rec == nil || !rec.hasPending {
 		return
 	}
-	remaining := st.pending &^ f.Flags
+	remaining := rec.pending &^ f.Flags
 	if remaining != 0 {
-		st.pending = remaining
+		rec.pending = remaining
 		return
 	}
-	st.pending = 0
-	st.hasPending = false
-	m := g.store.Ack(f.ID)
-	g.forget(f.ID)
-	if m != nil {
-		g.pool.msgs.Put(m)
+	if rec.cached {
+		g.table.release(rec, &g.pool.recs)
+		return
 	}
+	// A failed branch returned the copy to the Store before this ack
+	// came: the copy stays, and its routing state starts afresh.
+	rec.msgState = msgState{}
 }
 
 // sendAck unicasts a custody/delivery acknowledgment for the received

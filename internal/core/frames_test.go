@@ -27,27 +27,46 @@ func TestOnAckPartialBranches(t *testing.T) {
 	w.Scheduler().Run(0.1)
 
 	m := &dtn.Message{ID: dtn.MessageID{Src: 0, Seq: 0}, Dst: 3, Flags: dtn.FlagMax | dtn.FlagMin}
-	g.store.Add(m)
-	g.store.MarkSent(m.ID, 0)
-	st := g.ensureState(m.ID)
-	st.pending = dtn.FlagMax | dtn.FlagMin
-	st.hasPending = true
+	rec := g.table.add(m, &g.pool.recs)
+	g.table.markSent(rec, 0)
+	rec.pending = dtn.FlagMax | dtn.FlagMin
+	rec.hasPending = true
 
 	// Ack for just the Max branch: message stays cached awaiting Min.
 	g.onAck(ackFrame{ID: m.ID, Dst: 3, Flags: dtn.FlagMax, SenderPos: geom.Pt(0, 0)}, 1)
-	if g.store.Total()-g.store.StoreLen() != 1 {
+	if len(g.table.cache) != 1 {
 		t.Fatal("message must stay cached until every branch acks")
 	}
-	if st.pending != dtn.FlagMin {
-		t.Fatalf("pending = %v, want min", st.pending)
+	if rec.pending != dtn.FlagMin {
+		t.Fatalf("pending = %v, want min", rec.pending)
 	}
-	// Ack for the remaining branch releases it.
+	// Ack for the remaining branch releases it, state and all.
 	g.onAck(ackFrame{ID: m.ID, Dst: 3, Flags: dtn.FlagMin, SenderPos: geom.Pt(0, 0)}, 2)
-	if g.store.Total() != 0 {
+	if g.table.total() != 0 || g.table.get(m.ID) != nil {
 		t.Fatal("fully-acked message must leave custody")
 	}
-	if st := g.state(m.ID); st != nil && st.hasPending {
-		t.Fatal("pending-ack state must clear")
+}
+
+// An ack completing the branches of a copy that a failed branch already
+// returned to the Store keeps the copy and clears its routing state.
+func TestOnAckAfterReturnKeepsCopy(t *testing.T) {
+	w, instances := frameWorld(t, DefaultConfig())
+	g := instances[0]
+	w.Scheduler().Run(0.1)
+	m := &dtn.Message{ID: dtn.MessageID{Src: 0, Seq: 3}, Dst: 3, Flags: dtn.FlagMax | dtn.FlagMin}
+	rec := g.table.add(m, &g.pool.recs)
+	g.table.markSent(rec, 0)
+	rec.pending = dtn.FlagMax | dtn.FlagMin
+	rec.hasPending = true
+	rec.hasStuck, rec.stuckSince = true, 0.05
+
+	g.onSendFailed(m.ID, dtn.FlagMax)
+	g.onAck(ackFrame{ID: m.ID, Dst: 3, Flags: dtn.FlagMin, SenderPos: geom.Pt(0, 0)}, 2)
+	if g.table.get(m.ID) != rec || len(g.table.store) != 1 {
+		t.Fatal("the returned copy must stay in the Store")
+	}
+	if rec.msgState != (msgState{}) || rec.msg.Flags != dtn.FlagMax {
+		t.Fatalf("state %+v flags %v, want zero state and the failed max branch", rec.msgState, rec.msg.Flags)
 	}
 }
 
@@ -55,7 +74,7 @@ func TestOnAckUnknownMessageIgnored(t *testing.T) {
 	_, instances := frameWorld(t, DefaultConfig())
 	g := instances[0]
 	g.onAck(ackFrame{ID: dtn.MessageID{Src: 9, Seq: 9}, Flags: dtn.FlagMax}, 1)
-	if g.store.Total() != 0 {
+	if g.table.total() != 0 {
 		t.Fatal("stray ack must not create state")
 	}
 }
@@ -77,7 +96,7 @@ func TestOnDataDeliversAndAcks(t *testing.T) {
 	if !g.delivered.Has(g.n.MessageRanks().Rank(msg.ID)) {
 		t.Fatal("destination must record the delivery")
 	}
-	if g.state(msg.ID) != nil {
+	if g.table.get(msg.ID) != nil {
 		t.Fatal("a delivery must leave no per-message state")
 	}
 	// A duplicate copy must not double-report: GLR suppresses it at the
@@ -87,7 +106,7 @@ func TestOnDataDeliversAndAcks(t *testing.T) {
 	if rep.Delivered != 1 {
 		t.Errorf("delivered = %d, want 1", rep.Delivered)
 	}
-	if g.store.Total() != 0 {
+	if g.table.total() != 0 {
 		t.Error("the destination must not store copies of its own messages")
 	}
 }
@@ -101,7 +120,7 @@ func TestOnDataRelayStoresAndLearnsLocations(t *testing.T) {
 		DstLoc: geom.Pt(42, 7), DstLocTime: 0.04, DstLocKnown: true,
 	}
 	g.onData(&dataFrame{Msg: msg, SenderPos: geom.Pt(9, 9), SentAt: 0.05}, 0)
-	if g.store.Total() != 1 {
+	if g.table.total() != 1 {
 		t.Fatal("relay must store the copy")
 	}
 	// Diffusion: the relay learned both the sender's position and the
@@ -119,25 +138,24 @@ func TestOnSendFailedReturnsBranchToStore(t *testing.T) {
 	g := instances[0]
 	w.Scheduler().Run(0.1)
 	m := &dtn.Message{ID: dtn.MessageID{Src: 0, Seq: 2}, Dst: 3, Flags: dtn.FlagMax | dtn.FlagMin}
-	g.store.Add(m)
-	g.store.MarkSent(m.ID, 0)
-	st := g.ensureState(m.ID)
-	st.pending = dtn.FlagMax | dtn.FlagMin
-	st.hasPending = true
+	rec := g.table.add(m, &g.pool.recs)
+	g.table.markSent(rec, 0)
+	rec.pending = dtn.FlagMax | dtn.FlagMin
+	rec.hasPending = true
 
 	g.onSendFailed(m.ID, dtn.FlagMin)
-	if g.store.StoreLen() != 1 {
+	if len(g.table.store) != 1 {
 		t.Fatal("failed branch must return to the Store")
 	}
-	if got := g.store.Get(m.ID).Flags; got != dtn.FlagMin {
+	if got := rec.msg.Flags; got != dtn.FlagMin {
 		t.Errorf("returned flags = %v, want min only", got)
 	}
-	if st.pending != dtn.FlagMax {
-		t.Errorf("pending = %v, want max", st.pending)
+	if rec.pending != dtn.FlagMax {
+		t.Errorf("pending = %v, want max", rec.pending)
 	}
 	// The other branch fails too: flags merge on the stored copy.
 	g.onSendFailed(m.ID, dtn.FlagMax)
-	if got := g.store.Get(m.ID).Flags; got != dtn.FlagMax|dtn.FlagMin {
+	if got := rec.msg.Flags; got != dtn.FlagMax|dtn.FlagMin {
 		t.Errorf("merged flags = %v", got)
 	}
 }

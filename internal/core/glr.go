@@ -1,13 +1,11 @@
 // Package core implements GLR — the Geometric Localized Routing protocol
-// that is the paper's contribution (§2). Per node it maintains:
-//
-//   - a custody Store/Cache pair (§2.3.2) holding message copies;
-//   - one consolidated msgState record per message, carrying the
-//     pending-ack flag set (acks identify the tree branch), the
-//     face-routing state (§2.3, local-minimum escape), the
-//     stale-location stuck timer (§3.3 remedy), and the face-failure
-//     backoff — with a single cleanup path (forget) so per-message state
-//     cannot half-leak.
+// that is the paper's contribution (§2). Per node it keeps one custody
+// table (§2.3.2) of held copies, each copy one record with the message,
+// its Store or Cache area and the routing state kept for it: the
+// pending-ack flag set (acks identify the tree branch), the face-routing
+// state (§2.3, local-minimum escape), the stale-location stuck timer
+// (§3.3 remedy) and the face-failure backoff. A copy's state leaves with
+// the copy, so per-message state cannot outlive what it describes.
 //
 // The routing loop (Algorithm 2) runs every checkinterval: construct the
 // LDTG from 2-hop beacon knowledge, pick MaxDSTD/MinDSTD/MidDSTD next hops
@@ -123,10 +121,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// msgState consolidates every piece of per-message auxiliary state a
-// node keeps besides the stored copy itself. One record per message
-// replaces the six parallel maps an earlier revision kept, so cleanup
-// is a single delete (forget) that cannot half-leak.
+// msgState is the routing state a node keeps for one held copy besides
+// the message itself, part of the copy's record (copyRec). A new copy's
+// state is zero.
 type msgState struct {
 	// pending tracks the tree-branch flags that were sent and not yet
 	// acknowledged ("this notification contains ... the extracted tree
@@ -158,13 +155,13 @@ type msgState struct {
 // before any other node's check or handler runs, and nothing it calls
 // back into (OnSent after a synchronous unicast failure) touches them.
 type checkScratch struct {
-	seen    dtn.IDMarks    // AppendTwoHop's dedup set
-	thIDs   []int          // 2-hop ids (AppendTwoHop output)
-	thPts   []geom.Point   // 2-hop positions, parallel to thIDs
-	stored  []*dtn.Message // per-check snapshot of the Store (or of the expired Cache entries)
-	view    ldt.LocalView  // the route check's spanner view, refilled in place
-	closer  []cand         // progress candidates for the message being routed
-	targets []hopTarget    // per-tree forwarding picks, sorted by dst
+	seen    dtn.IDMarks   // AppendTwoHop's dedup set
+	thIDs   []int         // 2-hop ids (AppendTwoHop output)
+	thPts   []geom.Point  // 2-hop positions, parallel to thIDs
+	stored  []*copyRec    // per-check snapshot of the Store (or of the expired Cache copies)
+	view    ldt.LocalView // the route check's spanner view, refilled in place
+	closer  []cand        // progress candidates for the message being routed
+	targets []hopTarget   // per-tree forwarding picks, sorted by dst
 }
 
 // hopTarget is one forwarding decision: the tree flags the copy sent to
@@ -185,14 +182,13 @@ type GLR struct {
 	// single-threaded) so its scratch buffers are reused and its counters
 	// cover the whole world.
 	maint *ldt.Maintainer
-	// pool recycles frame, ack, message and msgState boxes across all
-	// nodes of the world (shared via the factory, like maint).
+	// pool recycles frame, ack and copy-record boxes across all nodes of
+	// the world (shared via the factory, like maint).
 	pool *boxPool
 
-	store *dtn.CustodyStore
-	// msgs holds the consolidated per-message state; see msgState. It is
-	// made on first write: most nodes of a large world never hold one.
-	msgs map[dtn.MessageID]*msgState
+	// table holds the node's copies, Store and Cache, each with its
+	// routing state; see custodyTable.
+	table custodyTable
 	// delivered holds the ranks of the messages delivered to this node,
 	// so a later duplicate copy is recognized.
 	delivered dtn.RankSet
@@ -209,24 +205,6 @@ type GLR struct {
 	checkArmed bool
 
 	stats Stats
-}
-
-// state returns the per-message record, or nil.
-func (g *GLR) state(id dtn.MessageID) *msgState { return g.msgs[id] }
-
-// ensureState returns the per-message record, taking a zeroed one from
-// the pool if absent.
-func (g *GLR) ensureState(id dtn.MessageID) *msgState {
-	st := g.msgs[id]
-	if st == nil {
-		if g.msgs == nil {
-			g.msgs = make(map[dtn.MessageID]*msgState)
-		}
-		st = g.pool.states.Take()
-		*st = msgState{}
-		g.msgs[id] = st
-	}
-	return st
 }
 
 // Stats counts forwarding decisions, exposed for ablation benchmarks and
@@ -272,7 +250,7 @@ func newFactory(cfg Config, pool *boxPool) (sim.ProtocolFactory, *ldt.Maintainer
 			maint: maint,
 			pool:  pool,
 			scr:   scr,
-			store: dtn.NewCustodyStore(n.StorageLimit()),
+			table: custodyTable{capacity: n.StorageLimit()},
 		}
 	}, maint, nil
 }
@@ -312,23 +290,16 @@ func (g *GLR) wake() {
 // node reboots with empty custody storage and no per-message state —
 // even the delivered memory that suppresses re-acceptance is gone. The
 // shared spanner Maintainer holds no node state. The route check keeps
-// its cadence across the restart: an armed check finds the store empty
-// and sleeps, and a sleeping node stays asleep. The store is emptied in
-// place and every message box and msgState goes back to the pool.
+// its cadence across the restart: an armed check finds the table empty
+// and sleeps, and a sleeping node stays asleep. The table is emptied in
+// place and every record goes back to the pool.
 func (g *GLR) Restart() {
-	g.scr.stored = g.store.Drain(g.scr.stored[:0])
-	for _, m := range g.scr.stored {
-		g.pool.msgs.Put(m)
-	}
-	for _, st := range g.msgs {
-		g.pool.states.Put(st)
-	}
-	clear(g.msgs)
+	g.table.drain(&g.pool.recs)
 	g.delivered.Clear()
 }
 
 // StorageUsed implements sim.Protocol: Store + Cache occupancy.
-func (g *GLR) StorageUsed() int { return g.store.Total() }
+func (g *GLR) StorageUsed() int { return g.table.total() }
 
 // CopyCount implements Algorithm 1: single copy when the transmission
 // range exceeds the connectivity-threshold radius (the network is likely
@@ -352,7 +323,8 @@ func (g *GLR) CopyCount() int {
 }
 
 // OnMessageGenerated implements sim.Protocol (the source-side half of
-// Algorithm 2).
+// Algorithm 2). The table copies m in, so the world's box is free again
+// when the call returns.
 func (g *GLR) OnMessageGenerated(m *dtn.Message) {
 	now := g.n.Now()
 	switch g.cfg.Location {
@@ -373,32 +345,14 @@ func (g *GLR) OnMessageGenerated(m *dtn.Message) {
 	g.addToStore(m)
 }
 
-// addToStore inserts a message, cleaning up auxiliary state for anything
-// the bounded store dropped. The store takes custody of m's box unless m
-// merges into a copy already held; that box, and a dropped one, go back
-// to the pool. It is the only way a message enters an empty node, so it
-// wakes a sleeping route check.
-func (g *GLR) addToStore(m *dtn.Message) {
-	dropped, merged := g.store.Add(m)
-	if merged {
-		g.pool.msgs.Put(m)
-	}
-	if dropped != nil {
-		g.forget(dropped.ID)
-		g.pool.msgs.Put(dropped)
-	}
+// addToStore copies m into the custody table and returns the record of
+// the held copy (a new one, or the copy m merged into). It is the only
+// way a message enters an empty node, so it wakes a sleeping route
+// check.
+func (g *GLR) addToStore(m *dtn.Message) *copyRec {
+	rec := g.table.add(m, &g.pool.recs)
 	if !g.checkArmed {
 		g.wake()
 	}
-}
-
-// forget clears auxiliary per-message state — the single cleanup path
-// for msgState.
-func (g *GLR) forget(id dtn.MessageID) {
-	st, ok := g.msgs[id]
-	if !ok {
-		return
-	}
-	delete(g.msgs, id)
-	g.pool.states.Put(st)
+	return rec
 }

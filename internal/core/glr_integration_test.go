@@ -17,8 +17,8 @@ func TestGLRCustodyKeepsMessagesUntilAck(t *testing.T) {
 	sched := w.Scheduler()
 	sched.Run(5.05) // message generated, routing not yet run
 	src := instances[0]
-	if src.store.Total() != 1 {
-		t.Fatalf("source should hold the fresh message, has %d", src.store.Total())
+	if src.table.total() != 1 {
+		t.Fatalf("source should hold the fresh message, has %d", src.table.total())
 	}
 	r := w.Run()
 	if r.Delivered != 1 {
@@ -28,7 +28,7 @@ func TestGLRCustodyKeepsMessagesUntilAck(t *testing.T) {
 	// (custody clears hop by hop; copies die at the destination).
 	total := 0
 	for _, g := range instances {
-		total += g.store.Total()
+		total += g.table.total()
 	}
 	if total != 0 {
 		t.Errorf("custody left %d copies behind", total)
@@ -48,7 +48,7 @@ func TestGLRNoCustodyFireAndForget(t *testing.T) {
 		t.Error("dense network should deliver even without custody")
 	}
 	for i, g := range instances {
-		if cached := g.store.Total() - g.store.StoreLen(); cached != 0 {
+		if cached := len(g.table.cache); cached != 0 {
 			t.Errorf("node %d has %d cached messages without custody", i, cached)
 		}
 	}
@@ -111,8 +111,8 @@ func TestGLRStorageLimitRespected(t *testing.T) {
 		ti := ti
 		w.Scheduler().At(ti, func() {
 			for i, g := range instances {
-				if g.store.Total() > 5 {
-					t.Errorf("node %d exceeds storage limit at t=%v: %d", i, ti, g.store.Total())
+				if g.table.total() > 5 {
+					t.Errorf("node %d exceeds storage limit at t=%v: %d", i, ti, g.table.total())
 				}
 			}
 		})
@@ -167,13 +167,13 @@ func TestGLRTreeFlagSplitIntegrity(t *testing.T) {
 	s.Traffic = []sim.TrafficItem{{Src: 0, Dst: 10, At: 1}}
 	w, instances := buildProbedWorld(t, s, DefaultConfig())
 	w.Scheduler().Run(1.01)
-	msgs := instances[0].store.AppendStored(nil)
+	msgs := instances[0].table.store
 	if len(msgs) != 1 {
 		t.Fatalf("source holds %d messages", len(msgs))
 	}
 	want := dtn.FlagMax | dtn.FlagMin | dtn.FlagMid
-	if msgs[0].Flags != want {
-		t.Errorf("flags = %v, want %v", msgs[0].Flags, want)
+	if msgs[0].msg.Flags != want {
+		t.Errorf("flags = %v, want %v", msgs[0].msg.Flags, want)
 	}
 	_ = w
 }

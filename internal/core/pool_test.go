@@ -63,13 +63,13 @@ func runOverPool(t *testing.T, s sim.Scenario, cfg Config, pool *boxPool) poolRu
 // TestPoolOracle runs each world twice, over the reusing pool and over
 // a pool that never reuses a box and poisons each one it gets back, and
 // requires identical reports, per-node Stats and spanner activity. Any
-// read of a data frame, ack, message box or msgState after its release
-// reads poison in the second run (or panics on it), so the runs part.
-// Frames and acks go back when the MAC resolves them (OnSent), in every
-// world. Each world covers one way a message box leaves custody: the
-// ack (every custody world), eviction (a 5-message store),
-// fire-and-forget sends (no custody), merges of copies from several
-// trees (five copies), and churn restarts.
+// read of a data frame, ack or copy record after its release reads
+// poison in the second run (or panics on it), so the runs part. Frames
+// and acks go back when the MAC resolves them (OnSent), in every world.
+// Each world covers one way a record leaves the custody table: the ack
+// (every custody world), eviction (a 5-message store), fire-and-forget
+// sends (no custody), and churn restarts; copies from several trees
+// merge into held records (five copies).
 func TestPoolOracle(t *testing.T) {
 	base := func(seed int64) sim.Scenario {
 		s := sim.DefaultScenario(100)
@@ -147,7 +147,7 @@ func TestPoolOracle(t *testing.T) {
 				t.Fatalf("spanner activity differs:\n  reusing pool: %+v\n  poison pool:  %+v", reuse.spanner, oracle.spanner)
 			}
 			released := poison.released
-			if reuse.report.Delivered == 0 || released.frames == 0 || released.msgs == 0 || released.states == 0 ||
+			if reuse.report.Delivered == 0 || released.frames == 0 || released.recs == 0 ||
 				(cfg.Custody && released.acks == 0) {
 				t.Fatalf("world too idle to test the pool: %d delivered, released boxes %+v", reuse.report.Delivered, released)
 			}

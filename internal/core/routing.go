@@ -19,28 +19,26 @@ func (g *GLR) routeCheck() {
 	// Custody timeouts: unacknowledged branches go back to the Store
 	// "for another round of transfer rescheduling".
 	scr := g.scr
-	scr.stored = g.store.ExpireCache(now-cacheTimeout, scr.stored[:0])
-	for _, m := range scr.stored {
+	scr.stored = g.table.expire(now-cacheTimeout, scr.stored[:0])
+	for _, rec := range scr.stored {
 		g.stats.CustodyReturns++
-		if st := g.state(m.ID); st != nil {
-			if st.hasPending && st.pending != 0 {
-				m.Flags = st.pending
-			}
-			st.pending = 0
-			st.hasPending = false
+		if rec.hasPending && rec.pending != 0 {
+			rec.msg.Flags = rec.pending
 		}
+		rec.pending = 0
+		rec.hasPending = false
 	}
 
-	if g.store.StoreLen() > 0 {
+	if len(g.table.store) > 0 {
 		view, nbrIDs, nbrPts := g.localSpanner()
-		scr.stored = g.store.AppendStored(scr.stored[:0])
-		for _, m := range scr.stored {
-			g.routeMessage(m, view, nbrIDs, nbrPts)
+		scr.stored = append(scr.stored[:0], g.table.store...)
+		for _, rec := range scr.stored {
+			g.routeMessage(rec, view, nbrIDs, nbrPts)
 		}
 	}
 
 	g.nextCheck = now + g.cfg.CheckInterval
-	if g.store.Total() == 0 {
+	if g.table.total() == 0 {
 		g.checkArmed = false
 		return
 	}
@@ -108,9 +106,10 @@ func (s *checkScratch) addTarget(dst int, flags dtn.TreeFlags) {
 	s.targets = append(s.targets, hopTarget{dst: dst, flags: flags})
 }
 
-// routeMessage attempts to forward one stored message (the per-message
+// routeMessage attempts to forward one stored copy (the per-message
 // body of Algorithm 2).
-func (g *GLR) routeMessage(m *dtn.Message, view *ldt.LocalView, nbrIDs []int, nbrPts []geom.Point) {
+func (g *GLR) routeMessage(rec *copyRec, view *ldt.LocalView, nbrIDs []int, nbrPts []geom.Point) {
+	m := &rec.msg
 	g.refreshDstLoc(m)
 	now := g.n.Now()
 
@@ -118,11 +117,11 @@ func (g *GLR) routeMessage(m *dtn.Message, view *ldt.LocalView, nbrIDs []int, nb
 	if nb, ok := g.n.Neighbors().Get(m.Dst); ok && nb.Pos.Dist(g.n.Pos()) <= g.n.Range() {
 		g.stats.DirectForwards++
 		g.scr.targets = append(g.scr.targets[:0], hopTarget{dst: m.Dst, flags: m.Flags})
-		g.forward(m, g.scr.targets)
+		g.forward(rec, g.scr.targets)
 		return
 	}
 	if view == nil || len(nbrIDs) == 0 {
-		g.noteStuck(m, now)
+		g.noteStuck(rec, now)
 		return
 	}
 
@@ -148,10 +147,10 @@ func (g *GLR) routeMessage(m *dtn.Message, view *ldt.LocalView, nbrIDs []int, nb
 
 	if len(closer) == 0 {
 		if g.cfg.DisableFaceRouting {
-			g.noteStuck(m, now)
+			g.noteStuck(rec, now)
 			return
 		}
-		g.tryFaceRoute(m, nbrIDs, nbrPts, now)
+		g.tryFaceRoute(rec, nbrIDs, nbrPts, now)
 		return
 	}
 	// Insertion sort by progress: candidate sets are small (spanner
@@ -194,14 +193,12 @@ func (g *GLR) routeMessage(m *dtn.Message, view *ldt.LocalView, nbrIDs []int, nb
 		c := closer[pick(f)]
 		scr.addTarget(c.id, f)
 	}
-	if st := g.state(m.ID); st != nil {
-		st.hasStuck = false
-		st.hasFace = false
-		st.face = ldt.FaceState{}
-		st.hasFailTopo = false
-	}
+	rec.hasStuck = false
+	rec.hasFace = false
+	rec.face = ldt.FaceState{}
+	rec.hasFailTopo = false
 	g.stats.GreedyForwards++
-	g.forward(m, scr.targets)
+	g.forward(rec, scr.targets)
 }
 
 // topoSignature hashes the current LDTG neighbor id set (FNV-1a), used to
@@ -224,55 +221,42 @@ func topoSignature(nbrIDs []int) uint64 {
 // (mobility will change the topology before the next check). A failed
 // walk is not retried until the local neighbor set changes — re-walking
 // the same dead loop every check would burn transmissions for nothing.
-func (g *GLR) tryFaceRoute(m *dtn.Message, nbrIDs []int, nbrPts []geom.Point, now float64) {
+func (g *GLR) tryFaceRoute(rec *copyRec, nbrIDs []int, nbrPts []geom.Point, now float64) {
 	// A single-neighbor local minimum is a dead end, not a face: handing
 	// the message over just swaps the carrier inside an isolated pair.
-	if len(nbrIDs) < 2 && !g.faceActive(m.ID) {
-		g.noteStuck(m, now)
+	if len(nbrIDs) < 2 && !(rec.hasFace && rec.face.Active) {
+		g.noteStuck(rec, now)
 		return
 	}
 	sig := topoSignature(nbrIDs)
-	if st := g.state(m.ID); st != nil {
-		if st.hasFailTopo && st.failTopo == sig {
-			g.noteStuck(m, now)
-			return
-		}
-		if st.hasFailAt && now-st.failAt < faceRetryBackoff {
-			g.noteStuck(m, now)
-			return
-		}
+	if rec.hasFailTopo && rec.failTopo == sig || rec.hasFailAt && now-rec.failAt < faceRetryBackoff {
+		g.noteStuck(rec, now)
+		return
 	}
-	st := g.ensureState(m.ID)
-	st.hasFace = true
-	next, dec := st.face.Step(g.n.ID(), g.n.Pos(), nbrIDs, nbrPts, m.DstLoc)
+	rec.hasFace = true
+	next, dec := rec.face.Step(g.n.ID(), g.n.Pos(), nbrIDs, nbrPts, rec.msg.DstLoc)
 	switch dec {
 	case ldt.FaceForward:
 		g.stats.FaceForwards++
-		st.hasFailTopo = false
-		g.scr.targets = append(g.scr.targets[:0], hopTarget{dst: nbrIDs[next], flags: m.Flags})
-		g.forward(m, g.scr.targets)
+		rec.hasFailTopo = false
+		g.scr.targets = append(g.scr.targets[:0], hopTarget{dst: nbrIDs[next], flags: rec.msg.Flags})
+		g.forward(rec, g.scr.targets)
 	case ldt.FaceExitGreedy:
 		// We are closer than the face entry point; greedy will resume at
 		// the next check. Clear the face state and treat as waiting.
-		st.hasFace = false
-		st.face = ldt.FaceState{}
-		g.noteStuck(m, now)
+		rec.hasFace = false
+		rec.face = ldt.FaceState{}
+		g.noteStuck(rec, now)
 	case ldt.FaceFail:
 		g.stats.FaceFailures++
-		st.hasFace = false
-		st.face = ldt.FaceState{}
-		st.failTopo = sig
-		st.hasFailTopo = true
-		st.failAt = now
-		st.hasFailAt = true
-		g.noteStuck(m, now)
+		rec.hasFace = false
+		rec.face = ldt.FaceState{}
+		rec.failTopo = sig
+		rec.hasFailTopo = true
+		rec.failAt = now
+		rec.hasFailAt = true
+		g.noteStuck(rec, now)
 	}
-}
-
-// faceActive reports whether a face walk is in progress for the message.
-func (g *GLR) faceActive(id dtn.MessageID) bool {
-	st := g.state(id)
-	return st != nil && st.hasFace && st.face.Active
 }
 
 // noteStuck starts (or checks) the stale-location stuck timer (§3.3).
@@ -283,16 +267,16 @@ func (g *GLR) faceActive(id dtn.MessageID) bool {
 // re-drawn so the closest node "could deliver it out to another node to
 // increase the delivery probability". A carrier merely far away from the
 // estimate keeps waiting: mobility, not relocation, is the cure there.
-func (g *GLR) noteStuck(m *dtn.Message, now float64) {
-	st := g.ensureState(m.ID)
-	if !st.hasStuck {
-		st.stuckSince = now
-		st.hasStuck = true
+func (g *GLR) noteStuck(rec *copyRec, now float64) {
+	if !rec.hasStuck {
+		rec.stuckSince = now
+		rec.hasStuck = true
 		return
 	}
-	if now-st.stuckSince < staleRelocateAfter {
+	if now-rec.stuckSince < staleRelocateAfter {
 		return
 	}
+	m := &rec.msg
 	if g.n.Pos().Dist(m.DstLoc) > g.n.Range() {
 		return // not at the claimed location: keep store-and-waiting
 	}
@@ -300,5 +284,5 @@ func (g *GLR) noteStuck(m *dtn.Message, now float64) {
 	m.DstLoc = g.n.Region().RandomPoint(g.n.Rand())
 	m.DstLocTime = now
 	m.DstLocKnown = false
-	st.stuckSince = now
+	rec.stuckSince = now
 }

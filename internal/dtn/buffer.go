@@ -1,13 +1,21 @@
 package dtn
 
+import "glr/internal/freelist"
+
 // Buffer is a bounded FIFO message store keyed by MessageID. It models the
 // paper's node storage: "When storage is limited and the storage space is
 // fully occupied, old messages are dropped when new messages come in."
 // A capacity of 0 means unlimited.
+//
+// Add copies each message into a box of the buffer's own, which goes
+// back to the buffer's free list when the buffer evicts or drains the
+// copy: a *Message from Get is valid only until the buffer's next Add or
+// Drain.
 type Buffer struct {
 	capacity int
-	order    []MessageID // insertion order (oldest first)
+	order    []*Message // held copies, oldest first
 	byID     map[MessageID]*Message
+	boxes    freelist.List[Message]
 }
 
 // NewBuffer returns an empty buffer. capacity ≤ 0 means unlimited. The
@@ -29,79 +37,52 @@ func (b *Buffer) Has(id MessageID) bool {
 	return ok
 }
 
-// Get returns the stored message with the given id, or nil.
+// Get returns the stored copy with the given id, or nil.
 func (b *Buffer) Get(id MessageID) *Message { return b.byID[id] }
 
-// Add inserts m. If a message with the same ID is already present, the
-// tree flags are merged into the existing copy (two copies of one message
-// meeting at a node coalesce) and no eviction happens. Otherwise, when the
-// buffer is full, the oldest message is evicted FIFO. It returns the
-// evicted message (nil if none).
-func (b *Buffer) Add(m *Message) (evicted *Message) {
-	if existing, ok := b.byID[m.ID]; ok {
-		existing.Flags |= m.Flags
-		existing.UpdateDstLoc(m.DstLoc, m.DstLocTime, m.DstLocKnown)
-		return nil
+// Add stores a copy of m. If a message with the same ID is already
+// present, the tree flags and a fresher destination estimate are merged
+// into the held copy (two copies of one message meeting at a node
+// coalesce) and no eviction happens. Otherwise, when the buffer is full,
+// the oldest message is evicted FIFO; Add returns its id and true.
+func (b *Buffer) Add(m *Message) (evicted MessageID, ok bool) {
+	if held := b.byID[m.ID]; held != nil {
+		held.Flags |= m.Flags
+		held.UpdateDstLoc(m.DstLoc, m.DstLocTime, m.DstLocKnown)
+		return MessageID{}, false
 	}
 	if b.capacity > 0 && len(b.byID) >= b.capacity {
-		evicted = b.popOldest()
+		evicted, ok = b.popOldest(), true
 	}
 	if b.byID == nil {
 		b.byID = make(map[MessageID]*Message)
 	}
-	b.order = append(b.order, m.ID)
-	b.byID[m.ID] = m
-	return evicted
+	c := b.boxes.Take()
+	*c = *m
+	b.order = append(b.order, c)
+	b.byID[c.ID] = c
+	return evicted, ok
 }
 
-// Remove deletes and returns the message with the given id, or nil. The
-// deletion is O(n) in the buffer size, which is bounded by the paper's
-// storage limits (≤ a few hundred messages).
-func (b *Buffer) Remove(id MessageID) *Message {
-	m, ok := b.byID[id]
-	if !ok {
-		return nil
+// Drain empties the buffer, keeping its map and order storage for reuse
+// and every copy's box for the next Add.
+func (b *Buffer) Drain() {
+	for _, m := range b.order {
+		b.boxes.Put(m)
 	}
-	delete(b.byID, id)
-	for i, o := range b.order {
-		if o == id {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
-	}
-	return m
-}
-
-// Drain appends the stored messages oldest-first to buf and empties the
-// buffer, keeping its map and order storage for reuse. The caller owns
-// the drained messages.
-func (b *Buffer) Drain(buf []*Message) []*Message {
-	buf = b.AppendMessages(buf)
 	b.order = b.order[:0]
 	clear(b.byID)
-	return buf
 }
 
-// popOldest removes and returns the oldest message.
-func (b *Buffer) popOldest() *Message {
-	if len(b.order) == 0 {
-		return nil
-	}
-	id := b.order[0]
+// popOldest removes the oldest copy, releases its box and returns its id.
+func (b *Buffer) popOldest() MessageID {
+	m := b.order[0]
 	// Shift rather than reslice: the order array keeps its capacity, so
 	// a full buffer's evict-and-add cycle allocates nothing (order[1:]
 	// would strand a slot per eviction and regrow the array).
 	b.order = b.order[:copy(b.order, b.order[1:])]
-	m := b.byID[id]
+	id := m.ID
 	delete(b.byID, id)
-	return m
-}
-
-// AppendMessages appends the stored messages oldest-first (pass buf[:0]
-// to reuse a scratch slice on hot paths).
-func (b *Buffer) AppendMessages(buf []*Message) []*Message {
-	for _, id := range b.order {
-		buf = append(buf, b.byID[id])
-	}
-	return buf
+	b.boxes.Put(m)
+	return id
 }

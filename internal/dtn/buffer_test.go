@@ -3,6 +3,7 @@ package dtn
 import (
 	"iter"
 	"maps"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -16,21 +17,21 @@ func msg(src, seq int) *Message {
 func TestBufferFIFOEviction(t *testing.T) {
 	b := NewBuffer(3)
 	for i := 0; i < 3; i++ {
-		if ev := b.Add(msg(0, i)); ev != nil {
+		if _, ok := b.Add(msg(0, i)); ok {
 			t.Fatalf("unexpected eviction at %d", i)
 		}
 	}
-	ev := b.Add(msg(0, 3))
-	if ev == nil || ev.ID != (MessageID{0, 0}) {
-		t.Fatalf("expected eviction of oldest, got %v", ev)
+	ev, ok := b.Add(msg(0, 3))
+	if !ok || ev != (MessageID{0, 0}) {
+		t.Fatalf("expected eviction of oldest, got %v (%v)", ev, ok)
 	}
 	if b.Len() != 3 || b.Has(MessageID{0, 0}) {
 		t.Error("buffer should hold the 3 newest messages")
 	}
 	want := []MessageID{{0, 1}, {0, 2}, {0, 3}}
-	for i, id := range b.order {
-		if id != want[i] {
-			t.Errorf("order[%d] = %v, want %v", i, id, want[i])
+	for i, m := range b.order {
+		if m.ID != want[i] {
+			t.Errorf("order[%d] = %v, want %v", i, m.ID, want[i])
 		}
 	}
 }
@@ -38,7 +39,7 @@ func TestBufferFIFOEviction(t *testing.T) {
 func TestBufferUnlimited(t *testing.T) {
 	b := NewBuffer(0)
 	for i := 0; i < 1000; i++ {
-		if ev := b.Add(msg(0, i)); ev != nil {
+		if _, ok := b.Add(msg(0, i)); ok {
 			t.Fatal("unlimited buffer must never evict")
 		}
 	}
@@ -57,7 +58,7 @@ func TestBufferMergeFlags(t *testing.T) {
 	b.Add(m1)
 	m2 := msg(1, 1)
 	m2.Flags = FlagMin
-	if ev := b.Add(m2); ev != nil {
+	if _, ok := b.Add(m2); ok {
 		t.Fatal("merging a duplicate must not evict")
 	}
 	if b.Len() != 1 {
@@ -68,18 +69,28 @@ func TestBufferMergeFlags(t *testing.T) {
 	}
 }
 
-func TestBufferRemove(t *testing.T) {
-	b := NewBuffer(5)
-	b.Add(msg(0, 0))
-	b.Add(msg(0, 1))
-	if m := b.Remove(MessageID{0, 0}); m == nil {
-		t.Fatal("remove should return the message")
+// Add keeps a copy of its own: the caller's message stays the caller's,
+// and the box of an evicted or drained copy holds the next copy added.
+func TestBufferAddCopiesIn(t *testing.T) {
+	b := NewBuffer(1)
+	m := msg(0, 0)
+	b.Add(m)
+	m.Hops = 7
+	held := b.Get(m.ID)
+	if held == m || held.Hops != 0 {
+		t.Fatalf("the buffer holds the caller's box or sees its change (hops %d)", held.Hops)
 	}
-	if b.Remove(MessageID{0, 0}) != nil {
-		t.Error("double remove should return nil")
+	b.Add(msg(0, 1)) // evicts m0.0
+	if b.Get(MessageID{0, 1}) != held {
+		t.Error("the evicted copy's box was not reused by the next Add")
 	}
-	if b.Len() != 1 {
-		t.Errorf("Len = %d, want 1", b.Len())
+	b.Drain()
+	if b.Len() != 0 || b.Has(MessageID{0, 1}) {
+		t.Fatalf("drained buffer holds %d messages", b.Len())
+	}
+	b.Add(msg(0, 2))
+	if b.Get(MessageID{0, 2}) != held {
+		t.Error("the drained copy's box was not reused by the next Add")
 	}
 }
 
@@ -88,63 +99,64 @@ func TestBufferRemoveReAddKeepsFIFOExact(t *testing.T) {
 	b.Add(msg(0, 0))
 	b.Add(msg(0, 1))
 	b.Add(msg(0, 2))
-	// Re-adding 0 after removal makes it the NEWEST.
-	b.Remove(MessageID{0, 0})
-	b.Add(msg(0, 0))
-	ev := b.Add(msg(0, 3))
-	if ev == nil || ev.ID != (MessageID{0, 1}) {
-		t.Errorf("eviction order wrong after re-add: evicted %v, want m0.1", ev)
+	// Eviction removes 0; re-adding it makes it the NEWEST.
+	steps := []struct{ add, evicted MessageID }{
+		{MessageID{0, 3}, MessageID{0, 0}},
+		{MessageID{0, 0}, MessageID{0, 1}},
+		{MessageID{0, 4}, MessageID{0, 2}},
+		{MessageID{0, 5}, MessageID{0, 3}},
+		{MessageID{0, 6}, MessageID{0, 0}},
+	}
+	for _, st := range steps {
+		if ev, ok := b.Add(&Message{ID: st.add}); !ok || ev != st.evicted {
+			t.Fatalf("Add(%v) evicted %v (%v), want %v", st.add, ev, ok, st.evicted)
+		}
 	}
 }
 
 func TestBufferMessagesOrder(t *testing.T) {
-	b := NewBuffer(0)
+	b := NewBuffer(5)
 	for i := 0; i < 10; i++ {
 		b.Add(msg(0, i))
 	}
-	b.Remove(MessageID{0, 5})
-	msgs := b.AppendMessages(nil)
-	if len(msgs) != 9 {
-		t.Fatalf("got %d messages", len(msgs))
+	if len(b.order) != 5 {
+		t.Fatalf("got %d messages", len(b.order))
 	}
-	prev := -1
-	for _, m := range msgs {
-		if m.ID.Seq <= prev {
-			t.Fatal("messages not in insertion order")
+	for i, m := range b.order {
+		if m.ID.Seq != 5+i {
+			t.Fatalf("order[%d] = %v: messages not in insertion order", i, m.ID)
 		}
-		prev = m.ID.Seq
 	}
 }
 
 // Property: buffer never exceeds capacity, and total added = held +
-// evicted + removed.
+// evicted + drained.
 func TestBufferConservationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 50; trial++ {
 		capn := 1 + rng.Intn(10)
 		b := NewBuffer(capn)
-		added, evicted, removed, merged := 0, 0, 0, 0
+		added, evicted, drained := 0, 0, 0
 		for op := 0; op < 200; op++ {
 			id := MessageID{Src: 0, Seq: rng.Intn(30)}
-			if rng.Intn(2) == 0 {
-				if b.Has(id) {
-					merged++
-				} else {
+			if rng.Intn(20) > 0 {
+				if !b.Has(id) {
 					added++
 				}
-				if ev := b.Add(&Message{ID: id}); ev != nil {
+				if _, ok := b.Add(&Message{ID: id}); ok {
 					evicted++
 				}
-			} else if b.Remove(id) != nil {
-				removed++
+			} else {
+				drained += b.Len()
+				b.Drain()
 			}
 			if b.Len() > capn {
 				t.Fatalf("buffer exceeded capacity: %d > %d", b.Len(), capn)
 			}
 		}
-		if added != b.Len()+evicted+removed {
-			t.Fatalf("conservation violated: added=%d held=%d evicted=%d removed=%d",
-				added, b.Len(), evicted, removed)
+		if added != b.Len()+evicted+drained {
+			t.Fatalf("conservation violated: added=%d held=%d evicted=%d drained=%d",
+				added, b.Len(), evicted, drained)
 		}
 	}
 }
@@ -314,23 +326,42 @@ func (r *refSummarySet) missing(peer map[MessageID]struct{}) []MessageID {
 	return out
 }
 
+// poisonedMessage is what the poisoned free list of checkBufferSummary's
+// buffer overwrites a released box with: values no held copy has.
+func poisonedMessage() Message {
+	nan := math.NaN()
+	return Message{
+		ID:          MessageID{Src: -1, Seq: -1},
+		Dst:         -1,
+		Created:     nan,
+		PayloadBits: -1,
+		Hops:        -1,
+		Flags:       0xff,
+		DstLocTime:  nan,
+		DstLocKnown: true,
+	}
+}
+
 // summaryRanks ranks the ids checkBufferSummary draws (Src 0–2, Seq
 // 0–7) over two bitmap words: source 1 plans 64 messages, so source 2's
 // ranks are 72–79.
 var summaryRanks = NewMessageRanks([]int{8, 64, 8})
 
-// checkBufferSummary decodes data into Add, Remove, snapshot-and-diff
-// and Restart operations on a buffer of the given capacity, with a rank
-// set kept in step with it the way the epidemic protocol keeps one: a
-// stored message's rank joins the set, an evicted or removed one's
-// leaves, a restart drains the buffer (oldest-first, checked against the
-// map-set oracle's order) and empties the set. After every step it
-// checks the set's summary against the sorted-vector and map-set
-// oracles, its Has against the buffer's for every drawable id, the
-// buffer's Len, and every snapshot taken earlier against its contents
-// when taken: frames carrying a summary sit in MAC queues while the
-// buffer keeps changing. Each diff is checked, in order, against the merge walk and
-// the map-set difference.
+// checkBufferSummary decodes data into Add, Get, snapshot-and-diff and
+// Restart operations on a buffer of the given capacity, with a rank set
+// kept in step with it the way the epidemic protocol keeps one: a
+// stored message's rank joins the set, an evicted one's leaves, a
+// restart drains the buffer (its copies oldest-first, checked against
+// the map-set oracle's order) and empties the set. The buffer's free
+// list never reuses a box: it overwrites each one released with
+// poisonedMessage, so a copy read after its eviction or drain reads
+// poison, and a Get that still finds one fails the check. After every
+// step it checks the set's summary against the sorted-vector and
+// map-set oracles, its Has against the buffer's for every drawable id,
+// the buffer's Len, and every snapshot taken earlier against its
+// contents when taken: frames carrying a summary sit in MAC queues
+// while the buffer keeps changing. Each diff is checked, in order,
+// against the merge walk and the map-set difference.
 func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 	next := func() int {
 		if len(data) == 0 {
@@ -344,6 +375,7 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 	nextID := func() MessageID { v := next(); return MessageID{Src: v % 3, Seq: v / 3 % 8} }
 	rank := summaryRanks.Rank
 	b := NewBuffer(capacity)
+	b.boxes.Poison = func(m *Message) { *m = poisonedMessage() }
 	var have RankSet
 	var oracle sortedSummary
 	ref := &refSummarySet{capacity: capacity, set: make(map[MessageID]struct{})}
@@ -357,22 +389,21 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 		case 0, 1:
 			id := nextID()
 			wantEv, wantOK := ref.add(id)
-			ev := b.Add(msg(id.Src, id.Seq))
-			if (ev != nil) != wantOK || ev != nil && ev.ID != wantEv {
-				t.Fatalf("step %d: Add(%v) evicted %v, want %v (%v)", step, id, ev, wantEv, wantOK)
+			ev, ok := b.Add(msg(id.Src, id.Seq))
+			if ok != wantOK || ok && ev != wantEv {
+				t.Fatalf("step %d: Add(%v) evicted %v (%v), want %v (%v)", step, id, ev, ok, wantEv, wantOK)
 			}
-			if ev != nil {
-				have.Remove(rank(ev.ID))
-				oracle = oracle.delete(ev.ID)
+			if ok {
+				have.Remove(rank(ev))
+				oracle = oracle.delete(ev)
 			}
 			have.Add(rank(id))
 			oracle = oracle.insert(id)
 		case 2:
 			id := nextID()
-			ref.remove(id)
-			if b.Remove(id) != nil {
-				have.Remove(rank(id))
-				oracle = oracle.delete(id)
+			_, held := ref.set[id]
+			if m := b.Get(id); (m != nil) != held || m != nil && m.ID != id {
+				t.Fatalf("step %d: Get(%v) = %v, held %v", step, id, m, held)
 			}
 		case 3:
 			sv := have.Summary()
@@ -395,9 +426,10 @@ func checkBufferSummary(t *testing.T, capacity int, data []byte) {
 			}
 		case 4:
 			var drained []MessageID
-			for _, m := range b.Drain(nil) {
+			for _, m := range b.order {
 				drained = append(drained, m.ID)
 			}
+			b.Drain()
 			if !slices.Equal(drained, ref.order) {
 				t.Fatalf("step %d: Drain = %v, want oldest-first %v", step, drained, ref.order)
 			}

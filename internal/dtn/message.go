@@ -1,9 +1,10 @@
 // Package dtn provides the store-carry-forward substrate shared by the GLR
-// protocol and the epidemic baseline: bundle messages, bounded FIFO
-// buffers, the custody-transfer Store/Cache pair of §2.3.2, summary
+// protocol and the epidemic baseline: bundle messages and their world
+// ranks, the bounded FIFO buffer epidemic stores copies in, summary
 // vectors (epidemic routing's anti-entropy state), timestamped location
 // tables (§2.3.1 location diffusion), and beacon-fed neighbor tables (the
-// IMEP link/connection status substitute).
+// IMEP link/connection status substitute). GLR's custody Store/Cache
+// pair of §2.3.2 is its own (internal/core).
 package dtn
 
 import (
@@ -92,12 +93,13 @@ func AllTreeFlags(n int) []TreeFlags {
 }
 
 // Message is a DTN bundle. Messages are carried by value through frames
-// and copied explicitly; a *Message is owned by exactly one buffer at a
-// time. When it leaves that buffer for good (acknowledged, evicted,
-// sent without custody, or merged into a copy already held), the
-// protocol that owns the buffer may reuse the box for the next copy it
-// receives (GLR recycles boxes through its world's pool), so no one may
-// keep a *Message past its removal.
+// and copied explicitly: a store copies a message in when it takes it
+// (Buffer.Add, GLR's custody table), so a *Message handed to a store,
+// or to a protocol by sim's OnMessageGenerated, stays its owner's. A
+// store recycles the box of a copy that leaves it (evicted, drained,
+// acknowledged, sent without custody) for the next copy it takes, so no
+// one may keep a *Message a store handed out past the store's next
+// change.
 type Message struct {
 	ID          MessageID
 	Dst         int

@@ -42,6 +42,9 @@ func (r *MessageRanks) Rank(id MessageID) int {
 	return r.base[id.Src] + id.Seq
 }
 
+// Len returns the number of ranked messages.
+func (r *MessageRanks) Len() int { return len(r.ids) }
+
 // ID returns the message of the given rank.
 func (r *MessageRanks) ID(rank int) MessageID { return r.ids[rank] }
 

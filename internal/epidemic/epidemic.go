@@ -97,7 +97,7 @@ type reqFrame struct {
 }
 
 // dataFrame transfers one buffered message, copied by value: the
-// sender's buffer keeps its own box.
+// sender's buffer keeps its own copy.
 type dataFrame struct {
 	Msg dtn.Message
 }
@@ -121,10 +121,9 @@ type Epidemic struct {
 	boxes boxes
 	sweep func() // retrySweep, bound once in Init
 
-	// Scratch of retrySweep, drainBacklogs and Restart, cleared on every
-	// call. perPeer maps each advertiser to the pooled request box its
-	// batch collects in; the box rides to the peer and returns in OnSent.
-	drained    []*dtn.Message
+	// Scratch of retrySweep and drainBacklogs, cleared on every call.
+	// perPeer maps each advertiser to the pooled request box its batch
+	// collects in; the box rides to the peer and returns in OnSent.
 	sweepIDs   []dtn.MessageID
 	sweepPeers []int
 	perPeer    map[int]*reqFrame
@@ -138,18 +137,15 @@ type want struct {
 	tries int
 }
 
-// boxes are one node's free lists for the boxes anti-entropy churns per
-// frame: summary, request and data frames, and the *dtn.Message boxes
-// its buffer stores. They are per node, where core's boxPool is per
-// world: every box is taken and released by the node that owns it, so
-// concurrent worlds share nothing. A frame box goes back in OnSent; a
-// message box when the buffer evicts it, when it merges into a held
-// copy, and on Restart.
+// boxes are one node's free lists for the frames anti-entropy churns:
+// summary, request and data frames, each back in OnSent. They are per
+// node, where core's boxPool is per world: every box is taken and
+// released by the node that owns it, so concurrent worlds share nothing.
+// The buffer keeps its own copies of the messages it stores.
 type boxes struct {
 	svs  freelist.List[svFrame]
 	reqs freelist.List[reqFrame]
 	data freelist.List[dataFrame]
-	msgs freelist.List[dtn.Message]
 }
 
 // New builds an epidemic factory for sim.NewWorld. The per-node buffer
@@ -179,14 +175,11 @@ func (e *Epidemic) Init(n *sim.Node) {
 // node reboots with an empty buffer and no exchange state — contact
 // history, outstanding wants, pending backlogs and the delivered-here
 // memory all reset, so previously seen copies can be accepted (and
-// delivered) again as duplicates. The buffer empties in place and every
-// box it held goes back to the node's free list; frames already handed
-// to the MAC still return on their own. The token bucket restarts empty.
+// delivered) again as duplicates. The buffer empties in place; frames
+// already handed to the MAC still return on their own. The token bucket
+// restarts empty.
 func (e *Epidemic) Restart() {
-	e.drained = e.buf.Drain(e.drained[:0])
-	for _, m := range e.drained {
-		e.boxes.msgs.Put(m)
-	}
+	e.buf.Drain()
 	e.have.Clear()
 	e.deliveredHere.Clear()
 	clear(e.lastExchange)
@@ -308,24 +301,19 @@ func (e *Epidemic) drainBacklogs(now float64) {
 func (e *Epidemic) StorageUsed() int { return e.buf.Len() }
 
 // OnMessageGenerated implements sim.Protocol: epidemic sources simply
-// buffer the message and let anti-entropy spread it.
+// buffer the message (the buffer copies it in) and let anti-entropy
+// spread it.
 func (e *Epidemic) OnMessageGenerated(m *dtn.Message) {
 	e.store(m)
 }
 
-// store buffers m and keeps have in step with the buffer: m's rank
-// joins it and the rank of the message the buffer evicts for m leaves.
-// The buffer takes m's box unless m merges into a copy already held;
-// that box, and an evicted one, go back to the free list.
+// store buffers a copy of m and keeps have in step with the buffer:
+// m's rank joins it and the rank of the message the buffer evicts for m
+// leaves.
 func (e *Epidemic) store(m *dtn.Message) {
 	ranks := e.n.MessageRanks()
-	held := e.buf.Len()
-	if evicted := e.buf.Add(m); evicted != nil {
-		e.have.Remove(ranks.Rank(evicted.ID))
-		e.boxes.msgs.Put(evicted)
-	} else if e.buf.Len() == held {
-		e.boxes.msgs.Put(m) // merged: have holds its rank
-		return
+	if evicted, ok := e.buf.Add(m); ok {
+		e.have.Remove(ranks.Rank(evicted))
 	}
 	e.have.Add(ranks.Rank(m.ID))
 }
@@ -489,15 +477,14 @@ func (e *Epidemic) refillTokens() {
 // acknowledgment machinery, so the destination keeps (and re-advertises)
 // the message like any relay.
 func (e *Epidemic) onData(f *dataFrame, from int) {
-	m := e.boxes.msgs.Take()
-	*m = f.Msg
+	m := f.Msg
 	m.Hops++
 	delete(e.wants, m.ID)
 	if m.Dst == e.n.ID() {
 		if r := e.n.MessageRanks().Rank(m.ID); !e.deliveredHere.Has(r) {
 			e.deliveredHere.Add(r)
-			e.n.ReportDelivered(m)
+			e.n.ReportDelivered(&m)
 		}
 	}
-	e.store(m)
+	e.store(&m)
 }

@@ -1,6 +1,6 @@
 // Package freelist recycles the simulator's per-send and per-event
 // boxes: scheduler events, MAC airings, hello and protocol frames,
-// custody message boxes. A List is single-threaded, like the scheduler
+// held message copies. A List is single-threaded, like the scheduler
 // whose events release its boxes, and a released box keeps whatever
 // its last user left in it: each caller resets what it reads.
 package freelist

@@ -32,11 +32,11 @@ func TestHooksFire(t *testing.T) {
 		},
 	})
 	id := dtn.MessageID{Src: 0, Seq: 7}
-	c.Created(id, 1.5, 3)
-	if !c.Delivered(id, 4.0, 2) {
+	c.Created(ranks, id, 1.5, 3)
+	if !c.Delivered(ranks, id, 4.0, 2) {
 		t.Error("first delivery not reported as first")
 	}
-	if c.Delivered(id, 5.0, 4) {
+	if c.Delivered(ranks, id, 5.0, 4) {
 		t.Error("duplicate reported as first")
 	}
 	if len(createdIDs) != 1 || createdIDs[0] != id {
@@ -51,9 +51,9 @@ func TestSnapshotTracksReport(t *testing.T) {
 	c := NewCollector(2)
 	a := dtn.MessageID{Src: 0, Seq: 0}
 	b := dtn.MessageID{Src: 1, Seq: 0}
-	c.Created(a, 1, 1)
-	c.Created(b, 2, 0)
-	c.Delivered(a, 3, 1)
+	c.Created(ranks, a, 1, 1)
+	c.Created(ranks, b, 2, 0)
+	c.Delivered(ranks, a, 3, 1)
 	c.CountControlFrame()
 	c.CountDataFrame()
 	c.CountAck()
@@ -69,8 +69,8 @@ func TestSnapshotTracksReport(t *testing.T) {
 		t.Errorf("frame counters %+v", snap)
 	}
 
-	c.Delivered(b, 6, 3)
-	c.Delivered(b, 7, 4) // duplicate
+	c.Delivered(ranks, b, 6, 3)
+	c.Delivered(ranks, b, 7, 4) // duplicate
 	snap = c.Snapshot()
 	if snap.Delivered != 2 || snap.Duplicates != 1 {
 		t.Errorf("snapshot after dup %+v", snap)
@@ -92,9 +92,9 @@ func TestSnapshotTracksReport(t *testing.T) {
 func TestNoHooksIsSafe(t *testing.T) {
 	c := NewCollector(1)
 	id := dtn.MessageID{Src: 0, Seq: 0}
-	c.Created(id, 0, 0)
-	c.Delivered(id, 1, 1)
-	c.Delivered(id, 2, 2)
+	c.Created(ranks, id, 0, 0)
+	c.Delivered(ranks, id, 1, 1)
+	c.Delivered(ranks, id, 2, 2)
 	if got := c.Snapshot().Duplicates; got != 1 {
 		t.Errorf("duplicates %d, want 1", got)
 	}

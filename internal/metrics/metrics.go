@@ -5,8 +5,6 @@
 package metrics
 
 import (
-	"slices"
-
 	"glr/internal/dtn"
 	"glr/internal/stats"
 )
@@ -14,12 +12,15 @@ import (
 // Collector accumulates one simulation run's observables. It is not
 // goroutine-safe; each run owns its collector.
 type Collector struct {
-	created    map[dtn.MessageID]createdInfo
-	delivered  map[dtn.MessageID]deliveredInfo
+	// msgs holds one record per message rank, sized from the world's
+	// rank table at the first Created or Delivered.
+	msgs       []msgRecord
+	generated  int
+	delivered  int
 	duplicates int
 	// latencySum accumulates first-copy latencies in delivery order so
-	// Snapshot can report a running mean without walking the maps. The
-	// final Report still sums in sorted-id order (see Report).
+	// Snapshot can report a running mean without walking the records.
+	// The final Report still sums in rank order (see Report).
 	latencySum float64
 
 	peakStorage []int // per node
@@ -47,50 +48,62 @@ type Hooks struct {
 // SetHooks installs per-event callbacks (replacing any previous set).
 func (c *Collector) SetHooks(h Hooks) { c.hooks = h }
 
-type createdInfo struct {
-	at  float64
-	dst int
-}
-
-type deliveredInfo struct {
-	at   float64
-	hops int
+// msgRecord is what the collector knows of one message: its generation
+// and its first arrival.
+type msgRecord struct {
+	createdAt   float64
+	dst         int
+	deliveredAt float64
+	hops        int
+	created     bool
+	delivered   bool
 }
 
 // NewCollector returns a collector for n nodes.
 func NewCollector(n int) *Collector {
-	return &Collector{
-		created:     make(map[dtn.MessageID]createdInfo),
-		delivered:   make(map[dtn.MessageID]deliveredInfo),
-		peakStorage: make([]int, n),
-	}
+	return &Collector{peakStorage: make([]int, n)}
 }
 
-// Created records a message generation.
-func (c *Collector) Created(id dtn.MessageID, at float64, dst int) {
-	c.created[id] = createdInfo{at: at, dst: dst}
+// record returns id's record. ranks is the world's message rank table,
+// the same on every call: the first call sizes the records from it.
+func (c *Collector) record(ranks *dtn.MessageRanks, id dtn.MessageID) *msgRecord {
+	if c.msgs == nil {
+		c.msgs = make([]msgRecord, ranks.Len())
+	}
+	return &c.msgs[ranks.Rank(id)]
+}
+
+// Created records a message generation; ranks is the world's message
+// rank table.
+func (c *Collector) Created(ranks *dtn.MessageRanks, id dtn.MessageID, at float64, dst int) {
+	rec := c.record(ranks, id)
+	if !rec.created {
+		c.generated++
+	}
+	rec.created, rec.createdAt, rec.dst = true, at, dst
 	if c.hooks.Created != nil {
 		c.hooks.Created(id, at, dst)
 	}
 }
 
-// Delivered records an arrival at the destination. Only the first copy
-// counts for latency/hops; later copies increment the duplicate counter.
-// It reports whether this was the first arrival.
-func (c *Collector) Delivered(id dtn.MessageID, at float64, hops int) bool {
-	first := true
-	if _, dup := c.delivered[id]; dup {
-		c.duplicates++
-		first = false
-	} else {
-		c.delivered[id] = deliveredInfo{at: at, hops: hops}
-		if created, ok := c.created[id]; ok {
-			c.latencySum += at - created.at
+// Delivered records an arrival at the destination; ranks is the world's
+// message rank table. Only the first copy counts for latency/hops;
+// later copies increment the duplicate counter. It reports whether this
+// was the first arrival.
+func (c *Collector) Delivered(ranks *dtn.MessageRanks, id dtn.MessageID, at float64, hops int) bool {
+	rec := c.record(ranks, id)
+	first := !rec.delivered
+	if first {
+		c.delivered++
+		rec.delivered, rec.deliveredAt, rec.hops = true, at, hops
+		if rec.created {
+			c.latencySum += at - rec.createdAt
 		}
+	} else {
+		c.duplicates++
 	}
 	if c.hooks.Delivered != nil {
-		ci := c.created[id]
-		c.hooks.Delivered(id, ci.at, at, ci.dst, hops, first)
+		c.hooks.Delivered(id, rec.createdAt, at, rec.dst, hops, first)
 	}
 	return first
 }
@@ -103,7 +116,7 @@ type Snapshot struct {
 	Duplicates int
 	// LatencySum is the sum of first-copy latencies of the Delivered
 	// messages (accumulated in delivery order; the end-of-run Report
-	// recomputes means in sorted-id order).
+	// recomputes means in rank order).
 	LatencySum    float64
 	ControlFrames uint64
 	DataFrames    uint64
@@ -114,8 +127,8 @@ type Snapshot struct {
 // mid-run from the simulation goroutine.
 func (c *Collector) Snapshot() Snapshot {
 	return Snapshot{
-		Generated:     len(c.created),
-		Delivered:     len(c.delivered),
+		Generated:     c.generated,
+		Delivered:     c.delivered,
 		Duplicates:    c.duplicates,
 		LatencySum:    c.latencySum,
 		ControlFrames: c.controlFrames,
@@ -162,8 +175,8 @@ type Report struct {
 // Report digests the collector.
 func (c *Collector) Report() Report {
 	r := Report{
-		Generated:     len(c.created),
-		Delivered:     len(c.delivered),
+		Generated:     c.generated,
+		Delivered:     c.delivered,
 		Duplicates:    c.duplicates,
 		ControlFrames: c.controlFrames,
 		DataFrames:    c.dataFrames,
@@ -172,18 +185,16 @@ func (c *Collector) Report() Report {
 	if r.Generated > 0 {
 		r.DeliveryRatio = float64(r.Delivered) / float64(r.Generated)
 	}
-	// Accumulate in sorted id order: float summation order must not
-	// depend on map iteration, or identical runs would differ in the
-	// last bits of their means.
+	// Accumulate in rank order, the canonical (Src, Seq) order: float
+	// summation order must not depend on delivery order, or runs that
+	// deliver the same copies in another order would differ in the last
+	// bits of their means.
 	var lat, hops stats.Accumulator
-	for _, id := range c.deliveredIDs() {
-		created, ok := c.created[id]
-		if !ok {
-			continue
+	for _, rec := range c.msgs {
+		if rec.created && rec.delivered {
+			lat.Add(rec.deliveredAt - rec.createdAt)
+			hops.Add(float64(rec.hops))
 		}
-		d := c.delivered[id]
-		lat.Add(d.at - created.at)
-		hops.Add(float64(d.hops))
 	}
 	r.AvgLatency = lat.Mean()
 	r.AvgHops = hops.Mean()
@@ -196,16 +207,6 @@ func (c *Collector) Report() Report {
 	}
 	r.AvgPeakStorage = peak.Mean()
 	return r
-}
-
-// deliveredIDs returns delivered message ids sorted by (src, seq).
-func (c *Collector) deliveredIDs() []dtn.MessageID {
-	ids := make([]dtn.MessageID, 0, len(c.delivered))
-	for id := range c.delivered {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, dtn.MessageID.Compare)
-	return ids
 }
 
 // Confidence is the two-sided confidence level of every replication

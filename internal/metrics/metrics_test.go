@@ -10,18 +10,21 @@ import (
 
 func id(src, seq int) dtn.MessageID { return dtn.MessageID{Src: src, Seq: seq} }
 
+// ranks ranks ten messages from each of ten sources, the ids these
+// tests draw.
+var ranks = dtn.NewMessageRanks([]int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10})
+
 func TestDeliveryAccounting(t *testing.T) {
 	c := NewCollector(3)
-	c.Created(id(0, 0), 10, 1)
-	c.Created(id(0, 1), 20, 2)
-	if !c.Delivered(id(0, 0), 15, 3) {
+	c.Created(ranks, id(0, 0), 10, 1)
+	c.Created(ranks, id(0, 1), 20, 2)
+	if !c.Delivered(ranks, id(0, 0), 15, 3) {
 		t.Error("first delivery should report true")
 	}
-	if c.Delivered(id(0, 0), 16, 4) {
+	if c.Delivered(ranks, id(0, 0), 16, 4) {
 		t.Error("duplicate delivery should report false")
 	}
-	_, first := c.delivered[id(0, 0)]
-	if _, second := c.delivered[id(0, 1)]; !first || second {
+	if !c.msgs[ranks.Rank(id(0, 0))].delivered || c.msgs[ranks.Rank(id(0, 1))].delivered {
 		t.Error("delivered set wrong")
 	}
 	r := c.Report()
@@ -77,9 +80,9 @@ func TestDeliveredWithoutCreated(t *testing.T) {
 	// Robustness: a delivery with no matching creation must not poison
 	// the averages.
 	c := NewCollector(1)
-	c.Created(id(0, 0), 0, 0)
-	c.Delivered(id(9, 9), 5, 2) // unknown creation
-	c.Delivered(id(0, 0), 8, 4)
+	c.Created(ranks, id(0, 0), 0, 0)
+	c.Delivered(ranks, id(9, 9), 5, 2) // unknown creation
+	c.Delivered(ranks, id(0, 0), 8, 4)
 	r := c.Report()
 	if r.AvgLatency != 8 || r.AvgHops != 4 {
 		t.Errorf("unknown-creation delivery should be excluded from averages: %+v", r)
@@ -138,5 +141,40 @@ func TestFold(t *testing.T) {
 	}
 	if want.Frames.N != 3 || want.Frames.HalfWidth == 0 {
 		t.Errorf("three-report frames interval %+v is degenerate", want.Frames)
+	}
+}
+
+// The collector sizes its per-rank records at the first Created, not
+// when it is built, and Report averages latencies in rank order
+// whatever the delivery order: the running mean of 0.1, 0.1 and 0.2
+// rounds differently in ascending and descending order.
+func TestReportSumsInRankOrder(t *testing.T) {
+	latency := []float64{0.1, 0.1, 0.2}
+	report := func(order []int) Report {
+		c := NewCollector(1)
+		if c.msgs != nil {
+			t.Fatal("NewCollector allocated per-message records")
+		}
+		for seq := range latency {
+			c.Created(ranks, id(0, seq), 0, 1)
+		}
+		if len(c.msgs) != ranks.Len() {
+			t.Fatalf("%d records for %d ranks", len(c.msgs), ranks.Len())
+		}
+		for _, seq := range order {
+			c.Delivered(ranks, id(0, seq), latency[seq], 1)
+		}
+		return c.Report()
+	}
+	if up, down := report([]int{0, 1, 2}), report([]int{2, 1, 0}); up != down {
+		t.Errorf("delivery order moved the report:\n  ascending:  %+v\n  descending: %+v", up, down)
+	}
+	var up, down stats.Accumulator
+	for i := range latency {
+		up.Add(latency[i])
+		down.Add(latency[len(latency)-1-i])
+	}
+	if up.Mean() == down.Mean() {
+		t.Fatal("the latencies average to the same float in either order: the check shows nothing")
 	}
 }

@@ -26,3 +26,25 @@ func poisonList(adv []dtn.NeighborNeighbor) {
 		adv[i] = dtn.NeighborNeighbor{ID: -1, Pos: geom.Point{X: nan, Y: nan}}
 	}
 }
+
+// PoisonGenerated makes the world overwrite its generation box after
+// every OnMessageGenerated call with a message no world generates (ids,
+// destination and sizes -1, times NaN), and call f. A protocol that
+// reads the box after the call reads poison.
+func (w *World) PoisonGenerated(f func()) {
+	w.poisonGen = func(m *dtn.Message) {
+		f()
+		nan := math.NaN()
+		*m = dtn.Message{
+			ID:          dtn.MessageID{Src: -1, Seq: -1},
+			Dst:         -1,
+			Created:     nan,
+			PayloadBits: -1,
+			Hops:        -1,
+			Flags:       0xff,
+			DstLoc:      geom.Point{X: nan, Y: nan},
+			DstLocTime:  nan,
+			DstLocKnown: true,
+		}
+	}
+}

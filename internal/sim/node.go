@@ -18,7 +18,9 @@ type Protocol interface {
 	// event fires.
 	Init(n *Node)
 	// OnMessageGenerated hands the protocol a freshly created message for
-	// which this node is the source.
+	// which this node is the source. The box is the world's and is valid
+	// only during the call: the world refills it for the next message,
+	// so a protocol that keeps the message copies it.
 	OnMessageGenerated(m *dtn.Message)
 	// OnFrame delivers a received protocol frame payload.
 	OnFrame(payload any, from int)
@@ -208,7 +210,7 @@ func (n *Node) countFrame(kind FrameKind) {
 // ReportDelivered records a message arrival at this node (the
 // destination).
 func (n *Node) ReportDelivered(m *dtn.Message) {
-	n.world.collector.Delivered(m.ID, n.Now(), m.Hops)
+	n.world.collector.Delivered(n.world.messageRanks(), m.ID, n.Now(), m.Hops)
 }
 
 // onReceive is the radio delivery callback.

@@ -18,7 +18,7 @@ import (
 // frames, and metrics without any routing intelligence.
 type directProtocol struct {
 	n       *Node
-	pending []*dtn.Message
+	pending []dtn.Message
 	got     map[dtn.MessageID]bool // messages delivered here
 }
 
@@ -30,8 +30,8 @@ func (p *directProtocol) Init(n *Node) {
 func (p *directProtocol) tick() {
 	kept := p.pending[:0]
 	for _, m := range p.pending {
-		if !p.delivered(m) {
-			p.n.broadcast(KindData, *m, m.PayloadBits)
+		if !p.delivered(&m) {
+			p.n.broadcast(KindData, m, m.PayloadBits)
 			kept = append(kept, m)
 		}
 	}
@@ -60,7 +60,7 @@ func (n *Node) broadcast(kind FrameKind, payload any, bits int) bool {
 }
 
 func (p *directProtocol) OnMessageGenerated(m *dtn.Message) {
-	p.pending = append(p.pending, m)
+	p.pending = append(p.pending, *m)
 }
 
 func (p *directProtocol) OnFrame(payload any, from int) {

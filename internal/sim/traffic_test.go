@@ -24,7 +24,7 @@ func scheduleTrafficPerItem(w *World) {
 				PayloadBits: payloadBits,
 			}
 			seq[ti.Src]++
-			w.collector.Created(m.ID, m.Created, m.Dst)
+			w.collector.Created(w.messageRanks(), m.ID, m.Created, m.Dst)
 			w.nodes[ti.Src].proto.OnMessageGenerated(m)
 		})
 	}

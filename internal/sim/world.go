@@ -64,11 +64,19 @@ type World struct {
 	beacons freelist.List[beaconFrame]
 	frames  freelist.List[mac.Frame]
 
+	// gen is the box every OnMessageGenerated call is handed, refilled
+	// for each message.
+	gen dtn.Message
+
 	// poisonAdv, when set, takes every advertised list a node's ring
 	// would reuse, and the ring takes a fresh array instead. Only tests
 	// set it, to show that no neighbor row reads a list after its slot
 	// comes round (see advRing).
 	poisonAdv func([]dtn.NeighborNeighbor)
+	// poisonGen, when set, is handed gen after each OnMessageGenerated
+	// call. Only tests set it, to show that no protocol reads the box
+	// after the call.
+	poisonGen func(*dtn.Message)
 }
 
 // beaconFrame couples one pooled hello with its MAC frame so frame and
@@ -224,15 +232,19 @@ func (w *World) scheduleTraffic() {
 	seq := make([]int, w.cfg.N)
 	w.sched.Series(len(items), func(i int) des.Time { return items[i].At }, func(i int) {
 		ti := items[i]
-		m := &dtn.Message{
+		m := &w.gen
+		*m = dtn.Message{
 			ID:          dtn.MessageID{Src: ti.Src, Seq: seq[ti.Src]},
 			Dst:         ti.Dst,
 			Created:     w.sched.Now(),
 			PayloadBits: payloadBits,
 		}
 		seq[ti.Src]++
-		w.collector.Created(m.ID, m.Created, m.Dst)
+		w.collector.Created(w.messageRanks(), m.ID, m.Created, m.Dst)
 		w.nodes[ti.Src].proto.OnMessageGenerated(m)
+		if w.poisonGen != nil {
+			w.poisonGen(m)
+		}
 	})
 }
 
