@@ -18,7 +18,7 @@ BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkMedium|BenchmarkNeighborTable|Be
 BENCH_GATE_PKGS := . ./internal/geom ./internal/ldt ./internal/mac ./internal/dtn ./internal/des ./internal/sim
 BENCH_GATE_FLAGS := -benchmem -count 5 -benchtime 0.3s -run '^$$'
 
-.PHONY: build test test-short fuzz-smoke bench bench-gate bench-baseline bench-check mem-gate api api-check doc-check dead-check atlas atlas-check atlas-golden fmt vet ci
+.PHONY: build test test-short fuzz-smoke bench bench-gate bench-baseline bench-check mem-gate api api-check doc-check dead-check atlas atlas-check atlas-golden exp-check fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -171,6 +171,21 @@ atlas-check:
 	mkdir "$$tmp/cache" "$$tmp/out" && \
 	$(GO) run ./cmd/glratlas -short -cache "$$tmp/cache" -out "$$tmp/out"
 
+## exp-check is the paper-experiment cache gate: run `glrexp -exp tab3`
+## twice against one empty cache directory. The second run must compute
+## no cell (glrexp reports the count on stderr) and print exactly the
+## bytes the first run printed.
+exp-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/glrexp" ./cmd/glrexp && \
+	"$$tmp/glrexp" -exp tab3 -cache "$$tmp/cache" > "$$tmp/cold.txt" && \
+	"$$tmp/glrexp" -exp tab3 -cache "$$tmp/cache" > "$$tmp/warm.txt" 2> "$$tmp/warm.err" && \
+	cat "$$tmp/warm.err" && \
+	{ grep -q '^glrexp: 0 cell(s) computed' "$$tmp/warm.err" || { \
+		echo "exp-check: the warm run computed cells" >&2; exit 1; }; } && \
+	{ cmp "$$tmp/cold.txt" "$$tmp/warm.txt" || { \
+		echo "exp-check: the warm run printed different bytes" >&2; exit 1; }; }
+
 ## atlas-golden re-pins ci/atlas_golden.json from the current atlas.
 ## Run it — and commit the diff — only when the paper-figure numbers
 ## move intentionally (bump internal/matrix.Version alongside semantic
@@ -186,8 +201,8 @@ vet:
 
 ## ci is the whole pipeline: build, formatting gate, vet, API-surface
 ## gate, godoc audit, reachability gate, short tests with the race
-## detector, the full test suite, the atlas gate, the
-## benchmark-regression and memory gates, and the bench-module check.
+## detector, the full test suite, the atlas and experiment-cache gates,
+## the benchmark-regression and memory gates, and the bench-module check.
 ci: build
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
@@ -198,6 +213,7 @@ ci: build
 	$(GO) test -race -short ./...
 	$(GO) test ./...
 	$(MAKE) atlas-check
+	$(MAKE) exp-check
 	$(MAKE) bench-gate
 	$(MAKE) mem-gate
 	$(MAKE) bench-check

@@ -1,167 +1,18 @@
 package glr
 
-// One benchmark per table and figure of the paper's evaluation (§3). Each
-// iteration regenerates the artifact end to end at a reduced scale (one
-// replication, 5% of the paper's message load) so that a default `go test
-// -bench=. -benchmem` pass self-limits to roughly one iteration per
-// artifact. Headline metrics are attached via b.ReportMetric so trends
-// are visible straight from the bench output; `cmd/glrexp -scale paper`
-// runs the full-fidelity versions.
+// Benchmarks of the public surface: one end-to-end run per protocol,
+// the Runner's sequential and parallel sweeps, and the world step with
+// and without faults. The paper's artifacts are benchmarked in
+// internal/experiments.
 
 import (
 	"context"
 	"runtime"
 	"testing"
-
-	"glr/internal/experiments"
 )
 
-// benchOptions is the reduced-scale configuration used by the artifact
-// benchmarks.
-func benchOptions() experiments.Options {
-	return experiments.Options{
-		Runs:     1,
-		MsgScale: 0.05,
-		BaseSeed: 1,
-	}
-}
-
-func BenchmarkFig1Connectivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1Connectivity(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ConnectedFrac[0], "connected-frac-250m")
-		b.ReportMetric(res.ConnectedFrac[1], "connected-frac-100m")
-	}
-}
-
-func BenchmarkFig3CheckInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3CheckInterval(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Latency[0].AvgLatency.Mean, "lat-0.6s")
-		b.ReportMetric(res.Latency[len(res.Latency)-1].AvgLatency.Mean, "lat-1.6s")
-	}
-}
-
-func BenchmarkTable2LocationKnowledge(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table2LocationKnowledge(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].Agg.AvgLatency.Mean, "lat-allknow")
-		b.ReportMetric(res.Rows[3].Agg.AvgLatency.Mean, "lat-noneknow")
-	}
-}
-
-func BenchmarkFig4Latency50m(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig45Latency(benchOptions(), 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(res.GLR) - 1
-		b.ReportMetric(res.GLR[last].AvgLatency.Mean, "glr-lat-s")
-		b.ReportMetric(res.Epidemic[last].AvgLatency.Mean, "epidemic-lat-s")
-	}
-}
-
-func BenchmarkFig5Latency100m(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig45Latency(benchOptions(), 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(res.GLR) - 1
-		b.ReportMetric(res.GLR[last].AvgLatency.Mean, "glr-lat-s")
-		b.ReportMetric(res.Epidemic[last].AvgLatency.Mean, "epidemic-lat-s")
-	}
-}
-
-func BenchmarkFig6LatencyRadius(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6LatencyRadius(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.GLR[0].AvgLatency.Mean, "glr-lat-50m")
-		b.ReportMetric(res.GLR[len(res.GLR)-1].AvgLatency.Mean, "glr-lat-250m")
-	}
-}
-
-func BenchmarkTable3Custody(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table3Custody(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.With.DeliveryRatio.Mean, "ratio-custody")
-		b.ReportMetric(res.Without.DeliveryRatio.Mean, "ratio-no-custody")
-	}
-}
-
-func BenchmarkFig7StorageLimit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7StorageLimit(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.GLR[0].DeliveryRatio.Mean, "glr-ratio-tight")
-		b.ReportMetric(res.Epidemic[0].DeliveryRatio.Mean, "epidemic-ratio-tight")
-	}
-}
-
-func BenchmarkTable4StorageByMessages(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table4StorageByMessages(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Agg[len(res.Agg)-1].AvgPeakStorage.Mean, "avg-peak-max-load")
-	}
-}
-
-func BenchmarkTable5StorageByRadius(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table5StorageByRadius(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Agg[0].AvgPeakStorage.Mean, "avg-peak-250m")
-		b.ReportMetric(res.Agg[len(res.Agg)-1].AvgPeakStorage.Mean, "avg-peak-50m")
-	}
-}
-
-func BenchmarkTable6HopCounts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table6HopCounts(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(res.GLR) - 1
-		b.ReportMetric(res.GLR[last].AvgHops.Mean, "glr-hops-50m")
-		b.ReportMetric(res.Epidemic[last].AvgHops.Mean, "epidemic-hops-50m")
-	}
-}
-
-func BenchmarkAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Ablation(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].Agg.DeliveryRatio.Mean, "ratio-baseline")
-		b.ReportMetric(res.Rows[len(res.Rows)-1].Agg.DeliveryRatio.Mean, "ratio-no-custody")
-	}
-}
-
 // BenchmarkSingleRunGLR measures one end-to-end GLR scenario (the unit of
-// every experiment above), for profiling the simulator itself.
+// every paper experiment), for profiling the simulator itself.
 func BenchmarkSingleRunGLR(b *testing.B) { benchmarkSingleRun(b, GLR) }
 
 // benchmarkSingleRun runs the paper's Table-1 world with 100 messages

@@ -1,13 +1,16 @@
 // Command glrexp regenerates the paper's evaluation artifacts — every
 // table and figure of §3 — and prints them with paper-vs-measured
-// comparisons.
+// comparisons. Each artifact is a set of scenario-matrix sections
+// (internal/experiments) that the matrix driver runs; with -cache DIR
+// every computed cell is kept in DIR, as glratlas keeps the atlas's, and
+// a later run serves it from there instead of simulating it again.
 //
 // Examples:
 //
 //	glrexp -list
 //	glrexp -exp fig7
 //	glrexp -exp tab6 -scale paper
-//	glrexp -all
+//	glrexp -all -cache exp-cache
 //	glrexp -exp ablate -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Engine cost (wall clock, per-layer split, peak heap) is measured by
@@ -23,7 +26,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"glr"
+	"glr/internal/experiments"
+	"glr/internal/matrix"
 )
 
 func main() {
@@ -48,26 +52,41 @@ func run() error {
 		exp        = flag.String("exp", "", "experiment id to run (fig1, fig3, fig4..7, tab2..6, ablate, disruption)")
 		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.String("scale", "quick", `"quick" (3 runs, 20% load) or "paper" (10 runs, full load)`)
-		verbose    = flag.Bool("v", false, "print per-point progress")
+		cacheDir   = flag.String("cache", "", "result cache directory (empty disables caching)")
+		verbose    = flag.Bool("v", false, "print per-run progress")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 
-	sc := glr.Quick
+	o := experiments.QuickOptions()
 	switch *scale {
 	case "quick":
 	case "paper":
-		sc = glr.Paper
+		o = experiments.PaperOptions()
 	default:
 		return fmt.Errorf("unknown scale %q", *scale)
 	}
 
 	if *list {
-		for _, info := range glr.Experiments() {
-			fmt.Printf("%-5s %-9s %s\n", info.ID, info.Title, info.Description)
+		for _, e := range experiments.All() {
+			fmt.Printf("%-5s %-9s %s\n", e.ID, e.Title, e.Description)
 		}
 		return nil
+	}
+
+	var exps []experiments.Experiment
+	switch {
+	case *all:
+		exps = experiments.All()
+	case *exp != "":
+		e, err := experiments.Lookup(*exp)
+		if err != nil {
+			return err
+		}
+		exps = append(exps, e)
+	default:
+		return errUsage
 	}
 
 	if *cpuprofile != "" {
@@ -83,9 +102,9 @@ func run() error {
 	}
 	defer writeMemProfile(*memprofile)
 
-	var progress func(string, ...any)
+	d := &matrix.Driver{Cache: *cacheDir}
 	if *verbose {
-		progress = func(format string, args ...any) {
+		d.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
 		}
 	}
@@ -95,29 +114,21 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	runOne := func(id string) error {
-		out, err := glr.RunExperimentContext(ctx, id, sc, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(out)
-		return nil
+	arts, atlas, err := experiments.Run(ctx, d, o, exps...)
+	if err != nil {
+		return err
 	}
-
-	switch {
-	case *all:
-		for _, info := range glr.Experiments() {
-			fmt.Printf("=== %s: %s ===\n", info.Title, info.Description)
-			if err := runOne(info.ID); err != nil {
-				return err
-			}
+	for i, a := range arts {
+		if *all {
+			fmt.Printf("=== %s: %s ===\n", exps[i].Title, exps[i].Description)
 		}
-		return nil
-	case *exp != "":
-		return runOne(*exp)
-	default:
-		return errUsage
+		fmt.Println(a.Render())
 	}
+	if *cacheDir != "" {
+		fmt.Fprintf(os.Stderr, "glrexp: %d cell(s) computed, %d served from %s\n",
+			atlas.Computed, atlas.CacheHits, *cacheDir)
+	}
+	return nil
 }
 
 // writeMemProfile records the post-GC heap at exit.

@@ -59,10 +59,10 @@
 //	cmp, err := r.Compare(ctx, sc, 10)
 //	fmt.Println(cmp.GLR.DeliveryRatio, cmp.Epidemic.DeliveryRatio)
 //
-// Regenerate a paper artifact:
+// Regenerate a paper artifact from the command line (cmd/glrexp runs
+// each table and figure as matrix sections; -cache reuses results):
 //
-//	out, err := glr.RunExperiment("fig7", glr.Quick)
-//	fmt.Println(out)
+//	glrexp -exp fig7
 //
 // # Performance & scaling
 //
@@ -101,6 +101,7 @@ import (
 
 	"glr/internal/core"
 	"glr/internal/epidemic"
+	"glr/internal/ldt"
 	"glr/internal/sim"
 )
 
@@ -123,9 +124,11 @@ type Message struct {
 
 // GLRConfig exposes the GLR knobs the paper's evaluation varies: the
 // route-check interval (Figure 3), the copy count (Algorithm 1), custody
-// transfer (Table 3) and location knowledge (Table 2). The zero value
-// and unset fields keep the paper's defaults; the LDTG depth is fixed at
-// the paper's two hops. The epidemic baseline has no knobs.
+// transfer (Table 3) and location knowledge (Table 2), plus the three
+// design choices the ablation study switches off: the LDTG spanner, face
+// routing and the progress hysteresis. The zero value and unset fields
+// keep the paper's defaults; the LDTG depth is fixed at the paper's two
+// hops. The epidemic baseline has no knobs.
 type GLRConfig struct {
 	// CheckInterval is the store-and-forward route re-check period
 	// (paper default 0.9 s; Figure 3 sweeps it).
@@ -139,6 +142,16 @@ type GLRConfig struct {
 	// Location selects the Table-2 destination-knowledge regime:
 	// "source" (default), "all", or "none".
 	Location string
+	// Spanner selects the routing graph: "ldtg" (default, the paper's
+	// localized Delaunay triangulation), "gabriel" (a simpler planar
+	// spanner) or "udg" (every unit-disk neighbor, no planarization).
+	Spanner string
+	// DisableFaceRouting makes a local minimum store and wait instead of
+	// walking faces (§2.3).
+	DisableFaceRouting bool
+	// DisableHysteresis hands a message to any neighbor closer to the
+	// destination, without the default margin of 0.2 × range.
+	DisableHysteresis bool
 }
 
 // Result digests one run.
@@ -180,7 +193,18 @@ func (o *GLRConfig) validate() error {
 	default:
 		return fmt.Errorf("glr: unknown location regime %q", o.Location)
 	}
+	if _, ok := spanners[o.Spanner]; !ok {
+		return fmt.Errorf("glr: unknown spanner %q", o.Spanner)
+	}
 	return nil
+}
+
+// spanners maps each GLRConfig.Spanner name onto its routing graph.
+var spanners = map[string]ldt.Variant{
+	"":        ldt.VariantLDTG,
+	"ldtg":    ldt.VariantLDTG,
+	"gabriel": ldt.VariantGabriel,
+	"udg":     ldt.VariantUDG,
 }
 
 // buildFactory constructs the scenario's protocol factory, validating
@@ -210,6 +234,11 @@ func buildFactory(p Protocol, g *GLRConfig) (sim.ProtocolFactory, error) {
 				gc.Location = core.LocAllKnow
 			case "none":
 				gc.Location = core.LocNoneKnow
+			}
+			gc.Spanner = spanners[o.Spanner]
+			gc.DisableFaceRouting = o.DisableFaceRouting
+			if o.DisableHysteresis {
+				gc.ProgressHysteresis = 0
 			}
 		}
 		return core.New(gc)

@@ -51,6 +51,7 @@ func TestCompare(t *testing.T) {
 func TestConfigKnobs(t *testing.T) {
 	opts := []Option{WithWorkload(PaperWorkload{Messages: 10}), WithSimTime(100)}
 	smallRun(t, append(opts, WithGLR(GLRConfig{CheckInterval: 0.5, Copies: 2, Location: "all"}))...)
+	smallRun(t, append(opts, WithGLR(GLRConfig{Spanner: "udg", DisableFaceRouting: true, DisableHysteresis: true}))...)
 	if _, err := NewScenario(append(opts, WithGLR(GLRConfig{Location: "bogus"}))...); err == nil {
 		t.Error("bogus location regime accepted")
 	}
@@ -78,35 +79,6 @@ func TestInvalidConfigRejected(t *testing.T) {
 	}
 	if _, err := NewScenario(WithWorkload(ScheduleWorkload{{Src: 0, Dst: 0, At: 1}})); err == nil {
 		t.Error("self-loop traffic accepted")
-	}
-}
-
-func TestExperimentsRegistry(t *testing.T) {
-	infos := Experiments()
-	if len(infos) != 13 {
-		t.Fatalf("got %d experiments, want 13 (every table and figure + ablation + disruption)", len(infos))
-	}
-	want := []string{"ablate", "disruption", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "tab2", "tab3", "tab4", "tab5", "tab6"}
-	for i, id := range want {
-		if infos[i].ID != id {
-			t.Errorf("experiment[%d] = %q, want %q", i, infos[i].ID, id)
-		}
-		if infos[i].Title == "" || infos[i].Description == "" {
-			t.Errorf("experiment %q lacks documentation", id)
-		}
-	}
-	if _, err := RunExperiment("nope", Quick); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
-func TestRunExperimentFig1(t *testing.T) {
-	out, err := RunExperiment("fig1", Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Figure 1") {
-		t.Error("fig1 output missing title")
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"glr"
 	"glr/internal/asciiplot"
-	"glr/internal/core"
-	"glr/internal/ldt"
+	"glr/internal/matrix"
 	"glr/internal/metrics"
 )
 
@@ -26,41 +26,34 @@ type AblationRow struct {
 	Agg  metrics.Agg
 }
 
-// Ablation runs the design-choice study.
-func Ablation(o Options) (*AblationResult, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	msgs := o.messages(1180)
-	const radius = 100.0
-	res := &AblationResult{Messages: msgs, Radius: radius}
-
+// ablation runs every variant at 100 m.
+func ablation(o Options) ([]matrix.Section, reader) {
 	variants := []struct {
-		name   string
-		mutate func(*core.Config)
+		name string
+		cfg  glr.GLRConfig
 	}{
-		{"baseline (LDTG, face, 3 trees)", func(*core.Config) {}},
-		{"gabriel spanner", func(c *core.Config) { c.Spanner = ldt.VariantGabriel }},
-		{"raw UDG (no planarization)", func(c *core.Config) { c.Spanner = ldt.VariantUDG }},
-		{"no face routing", func(c *core.Config) { c.DisableFaceRouting = true }},
-		{"no progress hysteresis", func(c *core.Config) { c.ProgressHysteresis = 0 }},
-		{"single copy (MaxDSTD only)", func(c *core.Config) { c.Copies = 1 }},
-		{"five copies (extra Mid trees)", func(c *core.Config) { c.Copies = 5 }},
-		{"no custody transfer", func(c *core.Config) { c.Custody = false }},
+		{"baseline (LDTG, face, 3 trees)", glr.GLRConfig{}},
+		{"gabriel spanner", glr.GLRConfig{Spanner: "gabriel"}},
+		{"raw UDG (no planarization)", glr.GLRConfig{Spanner: "udg"}},
+		{"no face routing", glr.GLRConfig{DisableFaceRouting: true}},
+		{"no progress hysteresis", glr.GLRConfig{DisableHysteresis: true}},
+		{"single copy (MaxDSTD only)", glr.GLRConfig{Copies: 1}},
+		{"five copies (extra Mid trees)", glr.GLRConfig{Copies: 5}},
+		{"no custody transfer", glr.GLRConfig{DisableCustody: true}},
 	}
+	var cfgs []glr.GLRConfig
 	for _, v := range variants {
-		cfg := core.DefaultConfig()
-		v.mutate(&cfg)
-		s := paperWorld(radius, 3800, msgs)
-		agg, err := o.runGLR(s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, AblationRow{Name: v.name, Agg: agg})
-		o.progress("ablation: %s -> ratio %.3f latency %s", v.name,
-			agg.DeliveryRatio.Mean, agg.AvgLatency)
+		cfgs = append(cfgs, v.cfg)
 	}
-	return res, nil
+	res := &AblationResult{Messages: o.messages(1180), Radius: 100}
+	return []matrix.Section{o.section("ablate", 3800, res.Messages,
+			glr.Matrix{Protocols: glrOnly, Ranges: []float64{res.Radius}, GLR: cfgs})},
+		func(secs []matrix.SectionResult) Artifact {
+			for i, agg := range aggs(secs[0]) {
+				res.Rows = append(res.Rows, AblationRow{Name: variants[i].name, Agg: agg})
+			}
+			return res
+		}
 }
 
 // Render prints the ablation table.

@@ -4,49 +4,40 @@ import (
 	"fmt"
 	"strings"
 
+	"glr"
 	"glr/internal/asciiplot"
-	"glr/internal/core"
+	"glr/internal/matrix"
 	"glr/internal/metrics"
 )
 
 // Table3Result reproduces Table 3: delivery ratio with and without custody
-// transfer (890 messages, 50 m, 1200 s).
+// transfer (890 messages, 50 m, 1200 s; the horizon grows when the
+// traffic needs longer, to 1490 s at full load).
 type Table3Result struct {
 	Without  metrics.Agg
 	With     metrics.Agg
 	Messages int
+	SimTime  float64 // seconds
 }
 
-// Table3Custody runs the Table-3 comparison.
-func Table3Custody(o Options) (*Table3Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	msgs := o.messages(890)
-	res := &Table3Result{Messages: msgs}
-	for _, custody := range []bool{false, true} {
-		cfg := core.DefaultConfig()
-		cfg.Custody = custody
-		s := paperWorld(50, 1200, msgs)
-		agg, err := o.runGLR(s, cfg)
-		if err != nil {
-			return nil, err
+// table3 runs GLR without and with custody transfer at 50 m.
+func table3(o Options) ([]matrix.Section, reader) {
+	return []matrix.Section{o.section("tab3", 1200, o.messages(890), glr.Matrix{
+			Protocols: glrOnly,
+			Ranges:    []float64{50},
+			GLR:       []glr.GLRConfig{{DisableCustody: true}, {}},
+		})}, func(secs []matrix.SectionResult) Artifact {
+			cells := secs[0].Cells
+			return &Table3Result{Without: cells[0].Agg, With: cells[1].Agg,
+				Messages: cells[0].Cell.Messages, SimTime: cells[0].Cell.SimTime}
 		}
-		if custody {
-			res.With = agg
-		} else {
-			res.Without = agg
-		}
-		o.progress("table3: custody=%v -> ratio %.3f", custody, agg.DeliveryRatio.Mean)
-	}
-	return res, nil
 }
 
 // Render prints measured-vs-paper rows.
 func (r *Table3Result) Render() string {
 	var sb strings.Builder
 	sb.WriteString(asciiplot.Table{
-		Title:   fmt.Sprintf("Table 3: delivery ratio with/without custody transfer (%d msgs, 50 m, 1200 s)", r.Messages),
+		Title:   fmt.Sprintf("Table 3: delivery ratio with/without custody transfer (%d msgs, 50 m, %.0f s)", r.Messages, r.SimTime),
 		Headers: []string{"Scenario", "Measured", "Paper"},
 		Rows: [][]string{
 			{"without custody transfer",
@@ -76,28 +67,20 @@ type Fig7Result struct {
 	Messages int
 }
 
-// Fig7StorageLimit runs the Figure-7 sweep.
-func Fig7StorageLimit(o Options) (*Fig7Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
+// fig7 sweeps the per-node storage limit at 50 m, scaling the paper's
+// limits like the message counts.
+func fig7(o Options) ([]matrix.Section, reader) {
+	var limits []int
+	for _, paperLimit := range []int{25, 50, 100, 150, 200} {
+		limits = append(limits, o.messages(paperLimit))
 	}
 	msgs := o.messages(1980)
-	res := &Fig7Result{Messages: msgs}
-	for _, paperLimit := range []int{25, 50, 100, 150, 200} {
-		limit := o.messages(paperLimit) // same scaling as message counts
-		s := paperWorld(50, 3800, msgs)
-		s.StorageLimit = limit
-		glr, epi, err := o.compare(s)
-		if err != nil {
-			return nil, err
+	return []matrix.Section{o.section("fig7", 3800, msgs, glr.Matrix{Ranges: []float64{50}, StorageLimits: limits})},
+		func(secs []matrix.SectionResult) Artifact {
+			res := &Fig7Result{Limits: limits, Messages: msgs}
+			res.GLR, res.Epidemic = pairs(secs[0])
+			return res
 		}
-		res.Limits = append(res.Limits, limit)
-		res.GLR = append(res.GLR, glr)
-		res.Epidemic = append(res.Epidemic, epi)
-		o.progress("fig7: limit %d -> GLR %.3f, epidemic %.3f", limit,
-			glr.DeliveryRatio.Mean, epi.DeliveryRatio.Mean)
-	}
-	return res, nil
 }
 
 // Render prints the figure.

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"glr"
 	"glr/internal/asciiplot"
-	"glr/internal/fault"
+	"glr/internal/matrix"
 	"glr/internal/metrics"
 )
 
@@ -18,15 +19,15 @@ var DisruptionIntensities = []float64{0, 0.25, 0.5, 0.75, 1.0}
 // scale together so one knob moves the network from pristine to
 // heavily disrupted. Intensity 0 is the empty set — the byte-identical
 // fault-free fast path.
-func DisruptionFaults(x float64) []fault.Spec {
+func DisruptionFaults(x float64) []glr.Fault {
 	if x == 0 {
 		return nil
 	}
-	return []fault.Spec{
-		{Kind: fault.Churn, Rate: 0.004 * x, Duration: 30},
-		{Kind: fault.LinkBlackout, Rate: 0.3 * x, Period: 20},
-		{Kind: fault.GPSNoise, Sigma: 50 * x},
-		{Kind: fault.Byzantine, Fraction: 0.2 * x},
+	return []glr.Fault{
+		{Kind: glr.FaultChurn, Rate: 0.004 * x, Duration: 30},
+		{Kind: glr.FaultLinkBlackout, Rate: 0.3 * x, Period: 20},
+		{Kind: glr.FaultGPSNoise, Sigma: 50 * x},
+		{Kind: glr.FaultByzantine, Fraction: 0.2 * x},
 	}
 }
 
@@ -39,30 +40,21 @@ type DisruptionResult struct {
 	Messages  int
 }
 
-// Disruption runs the robustness sweep: both protocols across the
-// composite fault ramp at the paper's baseline scenario (100 m range).
-// The same seeds replay the same fault schedules for both protocols, so
-// the curves differ only in routing behavior.
-func Disruption(o Options) (*DisruptionResult, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	msgs := o.messages(1980)
-	res := &DisruptionResult{Messages: msgs}
+// disruption compares both protocols across the composite fault ramp at
+// the paper's baseline scenario (100 m range). The same seeds replay the
+// same fault schedules for both protocols, so the curves differ only in
+// routing behavior.
+func disruption(o Options) ([]matrix.Section, reader) {
+	var faults [][]glr.Fault
 	for _, x := range DisruptionIntensities {
-		s := paperWorld(100, 3800, msgs)
-		s.Faults = DisruptionFaults(x)
-		glrAgg, epiAgg, err := o.compare(s)
-		if err != nil {
-			return nil, err
-		}
-		res.Intensity = append(res.Intensity, x)
-		res.GLR = append(res.GLR, glrAgg)
-		res.Epidemic = append(res.Epidemic, epiAgg)
-		o.progress("disruption: intensity %.2f -> GLR %s, epidemic %s",
-			x, glrAgg.DeliveryRatio, epiAgg.DeliveryRatio)
+		faults = append(faults, DisruptionFaults(x))
 	}
-	return res, nil
+	res := &DisruptionResult{Intensity: DisruptionIntensities, Messages: o.messages(1980)}
+	return []matrix.Section{o.section("disruption", 3800, res.Messages, glr.Matrix{Ranges: []float64{100}, Faults: faults})},
+		func(secs []matrix.SectionResult) Artifact {
+			res.GLR, res.Epidemic = pairs(secs[0])
+			return res
+		}
 }
 
 // Render prints the robustness table and the delivery-vs-intensity

@@ -1,13 +1,84 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"glr/internal/matrix"
 )
 
 // tinyOptions keeps experiment tests fast: one replication at 5% load.
 func tinyOptions() Options {
 	return Options{Runs: 1, MsgScale: 0.05, BaseSeed: 7}
+}
+
+// runExp runs one registered experiment uncached and returns its
+// result.
+func runExp(t *testing.T, id string, o Options) Artifact {
+	t.Helper()
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts, _, err := Run(context.Background(), &matrix.Driver{}, o, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arts[0]
+}
+
+func TestExperimentsRegistry(t *testing.T) {
+	exps := All()
+	want := []string{"ablate", "disruption", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "tab2", "tab3", "tab4", "tab5", "tab6"}
+	if len(exps) != len(want) {
+		t.Fatalf("got %d experiments, want %d (every table and figure + ablation + disruption)", len(exps), len(want))
+	}
+	for i, id := range want {
+		if exps[i].ID != id {
+			t.Errorf("experiment[%d] = %q, want %q", i, exps[i].ID, id)
+		}
+		if exps[i].Title == "" || exps[i].Description == "" {
+			t.Errorf("experiment %q lacks documentation", id)
+		}
+		if e, err := Lookup(id); err != nil || e.ID != id {
+			t.Errorf("Lookup(%q) = %q, %v", id, e.ID, err)
+		}
+	}
+	if _, err := Lookup("nope"); err == nil {
+		t.Error("unknown experiment accepted")
+	}
+}
+
+func TestRunExperimentFig1(t *testing.T) {
+	if out := runExp(t, "fig1", QuickOptions()).Render(); !strings.Contains(out, "Figure 1") {
+		t.Error("fig1 output missing title")
+	}
+}
+
+// TestExperimentSections checks every declaration at paper scale without
+// running it: each section validates, GLR-vs-epidemic sections alternate
+// the two protocols, and epidemic cells carry no GLR configuration.
+func TestExperimentSections(t *testing.T) {
+	o := PaperOptions()
+	for _, e := range All() {
+		secs, _ := e.declare(o)
+		for _, sec := range secs {
+			m := sec.Matrix
+			if err := m.Validate(); err != nil {
+				t.Errorf("%s: section %s: %v", e.ID, sec.Name, err)
+			}
+			if m.Seeds != o.Runs || m.BaseSeed != o.BaseSeed {
+				t.Errorf("%s: section %s replicates %d from %d, want %d from %d",
+					e.ID, sec.Name, m.Seeds, m.BaseSeed, o.Runs, o.BaseSeed)
+			}
+			for _, c := range m.Cells() {
+				if c.Protocol == "epidemic" && c.GLR != nil {
+					t.Errorf("%s: epidemic cell %s carries a GLR configuration", e.ID, c.Label())
+				}
+			}
+		}
+	}
 }
 
 func TestOptionsValidate(t *testing.T) {
@@ -21,6 +92,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Runs: 0, MsgScale: 1},
 		{Runs: 1, MsgScale: 0},
 		{Runs: 1, MsgScale: 2},
+		{Runs: 1, MsgScale: 1},
 	}
 	for i, o := range bad {
 		if o.Validate() == nil {
@@ -38,20 +110,20 @@ func TestOptionsScaling(t *testing.T) {
 		t.Errorf("messages floor = %d, want 1", got)
 	}
 	// Horizon never below generation span + slack.
-	if got := paperWorld(100, 1000, 495).SimTime; got != 495+600 {
+	if got := horizon(1000, 495); got != 495+600 {
 		t.Errorf("horizon = %v, want %v (extended)", got, 495+600)
 	}
-	if got := paperWorld(100, 3800, 10).SimTime; got != 3800 {
+	if got := horizon(3800, 10); got != 3800 {
 		t.Errorf("horizon = %v, want 3800 (paper)", got)
+	}
+	// Table 3 at full load runs past the paper's 1200 s.
+	if secs, _ := table3(PaperOptions()); secs[0].Matrix.SimTime != 1490 {
+		t.Errorf("paper-scale Table 3 horizon = %v, want 1490", secs[0].Matrix.SimTime)
 	}
 }
 
 func TestFig1Connectivity(t *testing.T) {
-	o := tinyOptions()
-	res, err := Fig1Connectivity(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fig1(tinyOptions())
 	// The paper's qualitative claim must reproduce: 250 m mostly
 	// connected (few components), 100 m essentially never connected.
 	if res.ConnectedFrac[0] < 0.5 {
@@ -75,10 +147,7 @@ func TestFig3CheckInterval(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := Fig3CheckInterval(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExp(t, "fig3", tinyOptions()).(*Fig3Result)
 	if len(res.Latency) != len(res.Intervals) {
 		t.Fatalf("got %d points", len(res.Latency))
 	}
@@ -96,10 +165,7 @@ func TestTable3Custody(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := Table3Custody(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExp(t, "tab3", tinyOptions()).(*Table3Result)
 	if res.With.DeliveryRatio.Mean <= 0 {
 		t.Fatal("custody run delivered nothing")
 	}
@@ -113,11 +179,7 @@ func TestFig45LatencySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	o := tinyOptions()
-	res, err := Fig45Latency(o, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExp(t, "fig5", tinyOptions()).(*LatencySweepResult)
 	if res.Figure != "Figure 5" {
 		t.Errorf("figure label = %q", res.Figure)
 	}
@@ -133,10 +195,7 @@ func TestDisruptionSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := Disruption(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExp(t, "disruption", tinyOptions()).(*DisruptionResult)
 	if len(res.Intensity) != len(DisruptionIntensities) {
 		t.Fatalf("want %d sweep points, got %d", len(DisruptionIntensities), len(res.Intensity))
 	}
@@ -172,10 +231,7 @@ func TestTable4StorageSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := Table4StorageByMessages(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExp(t, "tab4", tinyOptions()).(*Table4Result)
 	if !res.StorageGrowsWithMessages() {
 		t.Error("storage should grow with message count")
 	}

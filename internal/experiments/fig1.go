@@ -27,11 +27,9 @@ type Fig1Result struct {
 	Snapshots      []string // one rendered topology per radius
 }
 
-// Fig1Connectivity runs the Figure-1 study.
-func Fig1Connectivity(o Options) (*Fig1Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
+// fig1 runs the Figure-1 study: a static study of random point sets,
+// not a protocol run, so it reads no matrix section.
+func fig1(o Options) *Fig1Result {
 	const n = 50
 	region := mobility.Region{W: 1000, H: 1000}
 	trials := o.Runs * 10 // cheap static study: use more seeds
@@ -79,9 +77,8 @@ func Fig1Connectivity(o Options) (*Fig1Result, error) {
 		res.IsolatedNodes = append(res.IsolatedNodes, stats.ConfidenceInterval(isolated, metrics.Confidence))
 		res.ConnectedFrac = append(res.ConnectedFrac, float64(connected)/float64(trials))
 		res.Snapshots = append(res.Snapshots, snapshot)
-		o.progress("fig1: radius %.0f m done (%d trials)", r, trials)
 	}
-	return res, nil
+	return res
 }
 
 // Render prints the figure and the quantified connectivity claim.

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"glr"
 	"glr/internal/asciiplot"
-	"glr/internal/core"
+	"glr/internal/matrix"
 	"glr/internal/metrics"
 )
 
@@ -17,28 +18,19 @@ type Fig3Result struct {
 	Messages  int
 }
 
-// Fig3CheckInterval runs the Figure-3 sweep.
-func Fig3CheckInterval(o Options) (*Fig3Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	msgs := o.messages(1980)
-	res := &Fig3Result{
-		Intervals: []float64{0.6, 0.8, 0.9, 1.0, 1.2, 1.4, 1.6},
-		Messages:  msgs,
-	}
+// fig3 sweeps GLR's route-check interval at 100 m.
+func fig3(o Options) ([]matrix.Section, reader) {
+	res := &Fig3Result{Intervals: []float64{0.6, 0.8, 0.9, 1.0, 1.2, 1.4, 1.6}, Messages: o.messages(1980)}
+	var cfgs []glr.GLRConfig
 	for _, iv := range res.Intervals {
-		cfg := core.DefaultConfig()
-		cfg.CheckInterval = iv
-		s := paperWorld(100, 3800, msgs)
-		agg, err := o.runGLR(s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Latency = append(res.Latency, agg)
-		o.progress("fig3: interval %.1f s -> latency %s", iv, agg.AvgLatency)
+		cfgs = append(cfgs, glr.GLRConfig{CheckInterval: iv})
 	}
-	return res, nil
+	return []matrix.Section{o.section("fig3", 3800, res.Messages,
+			glr.Matrix{Protocols: glrOnly, Ranges: []float64{100}, GLR: cfgs})},
+		func(secs []matrix.SectionResult) Artifact {
+			res.Latency = aggs(secs[0])
+			return res
+		}
 }
 
 // Render prints the figure.

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"glr"
 	"glr/internal/asciiplot"
+	"glr/internal/matrix"
 	"glr/internal/metrics"
 )
 
@@ -18,30 +20,26 @@ type LatencySweepResult struct {
 	Figure   string // "Figure 4" (50 m) or "Figure 5" (100 m)
 }
 
-// Fig45Latency runs the Figure-4 (radius 50) or Figure-5 (radius 100)
-// sweep.
-func Fig45Latency(o Options, radius float64) (*LatencySweepResult, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	figure := "Figure 4"
-	if radius >= 100 {
-		figure = "Figure 5"
-	}
-	res := &LatencySweepResult{Radius: radius, Figure: figure}
-	for _, paperMsgs := range []int{400, 800, 1180, 1580, 1980} {
-		msgs := o.messages(paperMsgs)
-		res.Messages = append(res.Messages, msgs)
-		s := paperWorld(radius, 3800, msgs)
-		glr, epi, err := o.compare(s)
-		if err != nil {
-			return nil, err
+// latency declares Figure 4 (radius 50) or Figure 5 (radius 100): one
+// GLR-vs-epidemic section per message count.
+func latency(figure string, radius float64) func(Options) ([]matrix.Section, reader) {
+	return func(o Options) ([]matrix.Section, reader) {
+		res := &LatencySweepResult{Radius: radius, Figure: figure}
+		var secs []matrix.Section
+		for _, paperMsgs := range []int{400, 800, 1180, 1580, 1980} {
+			msgs := o.messages(paperMsgs)
+			res.Messages = append(res.Messages, msgs)
+			secs = append(secs, o.section(fmt.Sprintf("%s-m%d", figure, msgs), 3800, msgs,
+				glr.Matrix{Ranges: []float64{radius}}))
 		}
-		res.GLR = append(res.GLR, glr)
-		res.Epidemic = append(res.Epidemic, epi)
-		o.progress("%s: %d msgs -> GLR %s, epidemic %s", figure, msgs, glr.AvgLatency, epi.AvgLatency)
+		return secs, func(secs []matrix.SectionResult) Artifact {
+			for _, sec := range secs {
+				res.GLR = append(res.GLR, sec.Cells[0].Agg)
+				res.Epidemic = append(res.Epidemic, sec.Cells[1].Agg)
+			}
+			return res
+		}
 	}
-	return res, nil
 }
 
 // Render prints the figure.
@@ -103,25 +101,14 @@ type Fig6Result struct {
 	Messages int
 }
 
-// Fig6LatencyRadius runs the Figure-6 sweep.
-func Fig6LatencyRadius(o Options) (*Fig6Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	msgs := o.messages(1980)
-	res := &Fig6Result{Messages: msgs}
-	for _, radius := range []float64{50, 100, 150, 200, 250} {
-		s := paperWorld(radius, 3800, msgs)
-		glr, epi, err := o.compare(s)
-		if err != nil {
-			return nil, err
+// fig6 compares GLR and epidemic across the radii.
+func fig6(o Options) ([]matrix.Section, reader) {
+	res := &Fig6Result{Radius: []float64{50, 100, 150, 200, 250}, Messages: o.messages(1980)}
+	return []matrix.Section{o.section("fig6", 3800, res.Messages, glr.Matrix{Ranges: res.Radius})},
+		func(secs []matrix.SectionResult) Artifact {
+			res.GLR, res.Epidemic = pairs(secs[0])
+			return res
 		}
-		res.Radius = append(res.Radius, radius)
-		res.GLR = append(res.GLR, glr)
-		res.Epidemic = append(res.Epidemic, epi)
-		o.progress("fig6: %.0f m -> GLR %s, epidemic %s", radius, glr.AvgLatency, epi.AvgLatency)
-	}
-	return res, nil
 }
 
 // Render prints the figure.

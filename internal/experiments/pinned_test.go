@@ -6,8 +6,8 @@ import "testing"
 // at 5% load from seed 1.
 var pinnedOptions = Options{Runs: 2, MsgScale: 0.05, BaseSeed: 1}
 
-// pinnedTable3 and pinnedFig4 are what Table3Custody and
-// Fig45Latency(·, 50) render at pinnedOptions. They pin the whole path
+// pinnedTable3 and pinnedFig4 are what the tab3 and fig4 experiments
+// render at pinnedOptions. They pin the whole path
 // from scenario lowering through the seed sweep to the 90% fold and the
 // table layout; a change that moves them changes what glrexp prints.
 const pinnedTable3 = `Table 3: delivery ratio with/without custody transfer (45 msgs, 50 m, 1200 s)
@@ -61,14 +61,10 @@ func checkPinned(t *testing.T, name, got, want string) {
 	}
 }
 
-// TestTable3PinnedRendering pins a GLR run with a core.Config knob
+// TestTable3PinnedRendering pins a GLR run with a GLR configuration
 // (custody off and on).
 func TestTable3PinnedRendering(t *testing.T) {
-	res, err := Table3Custody(pinnedOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPinned(t, "Table 3", res.Render(), pinnedTable3)
+	checkPinned(t, "Table 3", runExp(t, "tab3", pinnedOptions).Render(), pinnedTable3)
 }
 
 // TestFig4PinnedRendering pins GLR and epidemic replicated side by side.
@@ -76,9 +72,5 @@ func TestFig4PinnedRendering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten replication sweeps; skipped in -short")
 	}
-	res, err := Fig45Latency(pinnedOptions, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPinned(t, "Figure 4", res.Render(), pinnedFig4)
+	checkPinned(t, "Figure 4", runExp(t, "fig4", pinnedOptions).Render(), pinnedFig4)
 }

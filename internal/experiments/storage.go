@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"glr"
 	"glr/internal/asciiplot"
-	"glr/internal/core"
+	"glr/internal/matrix"
 	"glr/internal/metrics"
 )
 
@@ -16,24 +17,22 @@ type Table4Result struct {
 	Agg      []metrics.Agg
 }
 
-// Table4StorageByMessages runs the Table-4 sweep.
-func Table4StorageByMessages(o Options) (*Table4Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
+// table4 runs GLR at 50 m, one section per message count.
+func table4(o Options) ([]matrix.Section, reader) {
 	res := &Table4Result{}
+	var secs []matrix.Section
 	for _, paperMsgs := range PaperTable4.Messages {
 		msgs := o.messages(paperMsgs)
-		s := paperWorld(50, 3800, msgs)
-		agg, err := o.runGLR(s, core.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
 		res.Messages = append(res.Messages, msgs)
-		res.Agg = append(res.Agg, agg)
-		o.progress("table4: %d msgs -> max peak %s", msgs, agg.MaxPeakStorage)
+		secs = append(secs, o.section(fmt.Sprintf("tab4-m%d", msgs), 3800, msgs,
+			glr.Matrix{Protocols: glrOnly, Ranges: []float64{50}}))
 	}
-	return res, nil
+	return secs, func(secs []matrix.SectionResult) Artifact {
+		for _, sec := range secs {
+			res.Agg = append(res.Agg, sec.Cells[0].Agg)
+		}
+		return res
+	}
 }
 
 // Render prints measured-vs-paper rows.
@@ -75,24 +74,14 @@ type Table5Result struct {
 	Messages int
 }
 
-// Table5StorageByRadius runs the Table-5 sweep.
-func Table5StorageByRadius(o Options) (*Table5Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	msgs := o.messages(1980)
-	res := &Table5Result{Messages: msgs}
-	for _, radius := range PaperTable5.Radius {
-		s := paperWorld(radius, 3800, msgs)
-		agg, err := o.runGLR(s, core.DefaultConfig())
-		if err != nil {
-			return nil, err
+// table5 runs GLR across Table 5's radii.
+func table5(o Options) ([]matrix.Section, reader) {
+	res := &Table5Result{Radius: PaperTable5.Radius, Messages: o.messages(1980)}
+	return []matrix.Section{o.section("tab5", 3800, res.Messages, glr.Matrix{Protocols: glrOnly, Ranges: res.Radius})},
+		func(secs []matrix.SectionResult) Artifact {
+			res.Agg = aggs(secs[0])
+			return res
 		}
-		res.Radius = append(res.Radius, radius)
-		res.Agg = append(res.Agg, agg)
-		o.progress("table5: %.0f m -> max peak %s", radius, agg.MaxPeakStorage)
-	}
-	return res, nil
 }
 
 // Render prints measured-vs-paper rows.

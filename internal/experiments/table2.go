@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"glr"
 	"glr/internal/asciiplot"
-	"glr/internal/core"
+	"glr/internal/matrix"
 	"glr/internal/metrics"
 )
 
@@ -24,41 +25,21 @@ type Table2Row struct {
 	Paper    PaperTable2Row
 }
 
-// Table2LocationKnowledge runs the Table-2 study.
-func Table2LocationKnowledge(o Options) (*Table2Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	msgs := o.messages(1980)
-	regimes := []struct {
-		copies int
-		loc    core.LocationKnowledge
-		paper  PaperTable2Row
-	}{
-		{1, core.LocAllKnow, PaperTable2[0]},
-		{3, core.LocSourceKnows, PaperTable2[1]},
-		{1, core.LocSourceKnows, PaperTable2[2]},
-		{3, core.LocNoneKnow, PaperTable2[3]},
-	}
-	res := &Table2Result{Messages: msgs}
-	for _, reg := range regimes {
-		cfg := core.DefaultConfig()
-		cfg.Copies = reg.copies
-		cfg.Location = reg.loc
-		s := paperWorld(100, 3800, msgs)
-		agg, err := o.runGLR(s, cfg)
-		if err != nil {
-			return nil, err
+// table2 runs Table 2's rows in the paper's order at 100 m: each row's
+// copy count and destination-location knowledge, the location default
+// being "source".
+func table2(o Options) ([]matrix.Section, reader) {
+	regimes := []glr.GLRConfig{{Copies: 1, Location: "all"}, {Copies: 3}, {Copies: 1}, {Copies: 3, Location: "none"}}
+	res := &Table2Result{Messages: o.messages(1980)}
+	return []matrix.Section{o.section("tab2", 3800, res.Messages,
+			glr.Matrix{Protocols: glrOnly, Ranges: []float64{100}, GLR: regimes})},
+		func(secs []matrix.SectionResult) Artifact {
+			for i, agg := range aggs(secs[0]) {
+				res.Rows = append(res.Rows, Table2Row{Copies: regimes[i].Copies, Scenario: PaperTable2[i].Scenario,
+					Agg: agg, Paper: PaperTable2[i]})
+			}
+			return res
 		}
-		res.Rows = append(res.Rows, Table2Row{
-			Copies:   reg.copies,
-			Scenario: reg.paper.Scenario,
-			Agg:      agg,
-			Paper:    reg.paper,
-		})
-		o.progress("table2: %d copies / %s -> latency %s", reg.copies, reg.paper.Scenario, agg.AvgLatency)
-	}
-	return res, nil
 }
 
 // Render prints measured-vs-paper rows.

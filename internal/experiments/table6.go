@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"glr"
 	"glr/internal/asciiplot"
+	"glr/internal/matrix"
 	"glr/internal/metrics"
 )
 
@@ -17,25 +19,14 @@ type Table6Result struct {
 	Messages int
 }
 
-// Table6HopCounts runs the Table-6 sweep.
-func Table6HopCounts(o Options) (*Table6Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	msgs := o.messages(1980)
-	res := &Table6Result{Messages: msgs}
-	for _, radius := range PaperTable6.Radius {
-		s := paperWorld(radius, 3800, msgs)
-		glr, epi, err := o.compare(s)
-		if err != nil {
-			return nil, err
+// table6 compares GLR and epidemic across Table 6's radii.
+func table6(o Options) ([]matrix.Section, reader) {
+	res := &Table6Result{Radius: PaperTable6.Radius, Messages: o.messages(1980)}
+	return []matrix.Section{o.section("tab6", 3800, res.Messages, glr.Matrix{Ranges: res.Radius})},
+		func(secs []matrix.SectionResult) Artifact {
+			res.GLR, res.Epidemic = pairs(secs[0])
+			return res
 		}
-		res.Radius = append(res.Radius, radius)
-		res.GLR = append(res.GLR, glr)
-		res.Epidemic = append(res.Epidemic, epi)
-		o.progress("table6: %.0f m -> GLR %s, epidemic %s hops", radius, glr.AvgHops, epi.AvgHops)
-	}
-	return res, nil
 }
 
 // Render prints measured-vs-paper rows.

@@ -49,6 +49,32 @@ func TestCellKeyStable(t *testing.T) {
 	}
 }
 
+// TestCellKeyPinned: a committed atlas cell keys to the name of its
+// committed cache file. A change to Cell's JSON (a new field without
+// omitempty, a renamed one) would orphan every committed entry; this
+// catches it without recomputing the atlas.
+func TestCellKeyPinned(t *testing.T) {
+	const want = "33bd8d4902f45a33"
+	var sec Section
+	for _, s := range DefaultSections() {
+		if s.Name == GoldenSection {
+			sec = s
+		}
+	}
+	m := sec.Matrix.Normalized()
+	c := m.Cells()[0]
+	if c.Faults != "" || c.GLR != nil {
+		t.Fatalf("cell %s is not a default fault-free cell", c.Label())
+	}
+	got := cellKey(Version, c, m.BaseSeed, m.Seeds)
+	if got[:16] != want {
+		t.Fatalf("cell %s keys to %s, want %s", c.Label(), got[:16], want)
+	}
+	if _, err := os.Stat(filepath.Join("..", "..", "docs", "atlas-cache", want+".json")); err != nil {
+		t.Fatalf("committed cache entry for %s: %v", c.Label(), err)
+	}
+}
+
 // TestCellKeyPerturbation: any axis value, seed-range, or version
 // perturbation changes the key.
 func TestCellKeyPerturbation(t *testing.T) {
@@ -63,6 +89,11 @@ func TestCellKeyPerturbation(t *testing.T) {
 		"storage":  func() string { c := base; c.StorageLimit = 5; return cellKey(Version, c, 1, 2) },
 		"messages": func() string { c := base; c.Messages++; return cellKey(Version, c, 1, 2) },
 		"simtime":  func() string { c := base; c.SimTime += 1; return cellKey(Version, c, 1, 2) },
+		"glr": func() string {
+			c := base
+			c.GLR = &glr.GLRConfig{DisableHysteresis: true}
+			return cellKey(Version, c, 1, 2)
+		},
 		"baseSeed": func() string { return cellKey(Version, base, 2, 2) },
 		"runs":     func() string { return cellKey(Version, base, 1, 3) },
 		"version":  func() string { return cellKey(Version+"-bumped", base, 1, 2) },

@@ -1,7 +1,9 @@
-// Package matrix is the scenario-matrix driver behind cmd/glratlas: it
-// executes the cross-product of scenario axes a glr.Matrix describes —
-// protocol × mobility × workload × node count × transmission range ×
-// storage limit — with multi-seed replication, collects each run's
+// Package matrix is the scenario-matrix driver behind cmd/glratlas and
+// cmd/glrexp (whose paper experiments, internal/experiments, are
+// sections of the Table-1 world): it executes the cross-product of
+// scenario axes a glr.Matrix describes — protocol × mobility × workload
+// × node count × transmission range × storage limit × fault set × GLR
+// configuration — with multi-seed replication, collects each run's
 // final metrics plus an observer time series, and aggregates mean ±
 // Student-t confidence half-width per cell.
 //

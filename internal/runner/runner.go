@@ -1,6 +1,6 @@
 // Package runner is the one seed sweep behind every replication in the
-// repo: the public glr.Runner, the paper experiments of
-// internal/experiments, and the atlas driver of internal/matrix. A
+// repo: the public glr.Runner and the matrix driver of internal/matrix,
+// which runs both the atlas and the paper experiments. A
 // sweep is a list of points, each a base seed, a run count and a run
 // function; every (point, seed) pair shares one bounded worker pool,
 // results come back per point in seed order, and a context cancels both

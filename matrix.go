@@ -89,17 +89,18 @@ type Axis struct {
 
 // Matrix describes a cross-product of scenario axes: every combination
 // of protocol × mobility × workload × node count × transmission range ×
-// storage limit × fault set becomes one Cell, and each cell is
-// replicated over
+// storage limit × fault set × GLR configuration becomes one Cell, and
+// each cell is replicated over
 // Seeds consecutive seeds starting at BaseSeed. Nil or zero fields take
 // the defaults noted on each field, so the zero Matrix is the paper's
 // Table-1 baseline compared across both protocols.
 //
 // A Matrix is pure description: Cells enumerates the cross-product in a
 // deterministic order, and each Cell compiles to a Scenario via
-// Cell.Scenario. The scenario-matrix driver behind cmd/glratlas
-// (internal/matrix) executes matrices with a content-keyed result cache
-// and renders the regime-map atlas in docs/ATLAS.md.
+// Cell.Scenario. The scenario-matrix driver behind cmd/glratlas and
+// cmd/glrexp (internal/matrix) executes matrices with a content-keyed
+// result cache; glratlas renders the regime-map atlas in docs/ATLAS.md,
+// and glrexp the paper's tables and figures.
 type Matrix struct {
 	// Protocols to compare (default {GLR, Epidemic}).
 	Protocols []Protocol
@@ -118,6 +119,11 @@ type Matrix struct {
 	// disruption models applied together; nil inside the list means
 	// fault-free (default {nil} — a single fault-free regime).
 	Faults [][]Fault
+	// GLR holds the GLR configurations to sweep (default {GLRConfig{}},
+	// the paper's settings). Only GLR cells take them: an epidemic cell
+	// carries none, so epidemic cells that differ only in this axis are
+	// one cell.
+	GLR []GLRConfig
 
 	// Messages is the per-cell workload size (default 200).
 	Messages int
@@ -159,6 +165,9 @@ func (m Matrix) Normalized() Matrix {
 	if len(m.Faults) == 0 {
 		m.Faults = [][]Fault{nil}
 	}
+	if len(m.GLR) == 0 {
+		m.GLR = []GLRConfig{{}}
+	}
 	if m.Messages == 0 {
 		m.Messages = 200
 	}
@@ -175,14 +184,21 @@ func (m Matrix) Normalized() Matrix {
 }
 
 // Validate reports a descriptive error for unusable matrices: a seed
-// count below 1, or a cell that does not compile via Cell.Scenario with
-// one of the matrix's seeds (a seed changes the workload's schedule). It
-// checks the normalized form, so empty axes (which default) are fine but
-// any explicit value out of its domain is not.
+// count below 1, a GLR configuration out of its domain (even when only
+// epidemic cells would run), or a cell that does not compile via
+// Cell.Scenario with one of the matrix's seeds (a seed changes the
+// workload's schedule). It checks the normalized form, so empty axes
+// (which default) are fine but any explicit value out of its domain is
+// not.
 func (m Matrix) Validate() error {
 	n := m.Normalized()
 	if n.Seeds < 1 {
 		return fmt.Errorf("glr: matrix seed count %d must be ≥ 1", n.Seeds)
+	}
+	for _, g := range n.GLR {
+		if _, err := buildFactory(GLR, &g); err != nil {
+			return fmt.Errorf("glr: matrix GLR configuration %+v: %w", g, err)
+		}
 	}
 	for _, c := range n.Cells() {
 		for r := 0; r < n.Seeds; r++ {
@@ -196,11 +212,12 @@ func (m Matrix) Validate() error {
 }
 
 // Axes returns the matrix's dimensions in canonical order — protocol,
-// mobility, workload, nodes, range, storage, faults — with their
-// normalized value lists rendered as strings.
+// mobility, workload, nodes, range, storage, faults, and glr unless the
+// GLR axis is only the default configuration — with their normalized
+// value lists rendered as strings.
 func (m Matrix) Axes() []Axis {
 	n := m.Normalized()
-	axes := make([]Axis, 0, 6)
+	axes := make([]Axis, 0, 8)
 	add := func(name string, vals []string) {
 		axes = append(axes, Axis{Name: name, Values: vals})
 	}
@@ -247,38 +264,55 @@ func (m Matrix) Axes() []Axis {
 		}
 	}
 	add("faults", fs)
+	if len(n.GLR) > 1 || n.GLR[0] != (GLRConfig{}) {
+		gs := make([]string, len(n.GLR))
+		for i, g := range n.GLR {
+			if gs[i] = g.slug(); gs[i] == "" {
+				gs[i] = "default"
+			}
+		}
+		add("glr", gs)
+	}
 	return axes
 }
 
 // Cells enumerates the cross-product of the normalized axes in a
 // deterministic order: mobility-major, then workload, nodes, range,
-// storage, faults, with protocol innermost so a coordinate's protocol
-// variants are adjacent. Every cell carries the matrix's Messages and
-// SimTime, making it a self-contained, canonically serializable
-// scenario spec.
+// storage, faults, GLR configuration, with protocol innermost so a
+// coordinate's protocol variants are adjacent. Every cell carries the
+// matrix's Messages and SimTime, making it a self-contained, canonically
+// serializable scenario spec. A GLR cell carries its configuration
+// unless it is the paper's default; an epidemic cell never does.
 func (m Matrix) Cells() []Cell {
 	n := m.Normalized()
 	cells := make([]Cell, 0,
 		len(n.Mobilities)*len(n.Workloads)*len(n.Nodes)*len(n.Ranges)*
-			len(n.StorageLimits)*len(n.Faults)*len(n.Protocols))
+			len(n.StorageLimits)*len(n.Faults)*len(n.GLR)*len(n.Protocols))
 	for _, mob := range n.Mobilities {
 		for _, work := range n.Workloads {
 			for _, nodes := range n.Nodes {
 				for _, rng := range n.Ranges {
 					for _, storage := range n.StorageLimits {
 						for _, faults := range n.Faults {
-							for _, proto := range n.Protocols {
-								cells = append(cells, Cell{
-									Protocol:     proto,
-									Mobility:     mob,
-									Workload:     work,
-									Nodes:        nodes,
-									Range:        rng,
-									StorageLimit: storage,
-									Faults:       EncodeFaults(faults),
-									Messages:     n.Messages,
-									SimTime:      n.SimTime,
-								})
+							for _, g := range n.GLR {
+								for _, proto := range n.Protocols {
+									c := Cell{
+										Protocol:     proto,
+										Mobility:     mob,
+										Workload:     work,
+										Nodes:        nodes,
+										Range:        rng,
+										StorageLimit: storage,
+										Faults:       EncodeFaults(faults),
+										Messages:     n.Messages,
+										SimTime:      n.SimTime,
+									}
+									if proto != Epidemic && g != (GLRConfig{}) {
+										g := g
+										c.GLR = &g
+									}
+									cells = append(cells, c)
+								}
 							}
 						}
 					}
@@ -309,6 +343,11 @@ type Cell struct {
 	Faults   string `json:",omitempty"`
 	Messages int
 	SimTime  float64 // seconds
+	// GLR is the cell's GLR configuration; nil means the paper's
+	// defaults, and epidemic cells always have nil. omitempty keeps
+	// default cells byte-identical to cells serialized before the GLR
+	// axis existed, so their cache keys stay the same.
+	GLR *GLRConfig `json:",omitempty"`
 }
 
 // Options expands the cell into the scenario options it pins. The run
@@ -339,6 +378,9 @@ func (c Cell) Options() ([]Option, error) {
 	if len(faults) > 0 {
 		opts = append(opts, WithFaults(faults...))
 	}
+	if c.GLR != nil {
+		opts = append(opts, WithGLR(*c.GLR))
+	}
 	return opts, nil
 }
 
@@ -353,10 +395,12 @@ func (c Cell) Scenario(extra ...Option) (*Scenario, error) {
 	return NewScenario(append(opts, extra...)...)
 }
 
-// Coordinate returns the cell with its protocol cleared — the shared
-// scenario coordinate a regime map compares protocols at.
+// Coordinate returns the cell with its protocol and GLR configuration
+// cleared — the shared scenario coordinate a regime map compares
+// protocol variants at.
 func (c Cell) Coordinate() Cell {
 	c.Protocol = ""
+	c.GLR = nil
 	return c
 }
 
@@ -364,8 +408,10 @@ func (c Cell) Coordinate() Cell {
 // protocol/mobility/workload/n<nodes>/r<range>/s<storage> — with "s∞"
 // for unlimited storage and the fault-set slug appended only when the
 // cell injects faults, so fault-free labels match those minted before
-// the fault axis existed. Labels identify cells in the atlas and in
-// golden files; cache files are named by content key, not label.
+// the fault axis existed, and likewise the GLR configuration's
+// settings (see Axes) only when the cell carries one. Labels identify
+// cells in the atlas and in golden files; cache files are named by
+// content key, not label.
 func (c Cell) Label() string {
 	storage := "s∞"
 	if c.StorageLimit > 0 {
@@ -385,5 +431,27 @@ func (c Cell) Label() string {
 	if c.Faults != "" {
 		parts = append(parts, c.Faults)
 	}
+	if c.GLR != nil {
+		parts = append(parts, c.GLR.slug())
+	}
 	return strings.Join(parts, "/")
+}
+
+// slug renders the configuration's non-default settings in field order,
+// e.g. "copies=3,location=none" or "nocustody"; "" for the defaults.
+func (g GLRConfig) slug() string {
+	var kv []string
+	add := func(set bool, s string) {
+		if set {
+			kv = append(kv, s)
+		}
+	}
+	add(g.CheckInterval != 0, "interval="+strconv.FormatFloat(g.CheckInterval, 'g', -1, 64))
+	add(g.Copies != 0, "copies="+strconv.Itoa(g.Copies))
+	add(g.DisableCustody, "nocustody")
+	add(g.Location != "", "location="+g.Location)
+	add(g.Spanner != "", "spanner="+g.Spanner)
+	add(g.DisableFaceRouting, "noface")
+	add(g.DisableHysteresis, "nohysteresis")
+	return strings.Join(kv, ",")
 }

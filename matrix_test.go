@@ -2,6 +2,7 @@ package glr
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,10 @@ func FuzzMatrix(f *testing.F) {
 		simTime          float64
 		seeds            int
 		baseSeed         int64
+		interval         float64
+		copies           int
+		spanner          string
+		noFace, noHyst   bool
 	}
 	for _, in := range []input{
 		{},
@@ -165,11 +170,18 @@ func FuzzMatrix(f *testing.F) {
 		{storage: -2, messages: 10, seeds: 1},
 		{messages: -1, seeds: 1},
 		{messages: 10, seeds: -1},
+		{proto: 3, messages: 10, seeds: 1, interval: 0.5, copies: 2, spanner: "gabriel", noFace: true, noHyst: true},
+		{proto: 2, messages: 10, seeds: 1, spanner: "voronoi"},
+		{proto: 3, messages: 10, seeds: 1, interval: -0.5},
+		{proto: 1, messages: 10, seeds: 1, copies: -1},
+		{proto: 1, messages: 10, seeds: 1, interval: nan, spanner: "udg"},
 	} {
-		f.Add(in.proto, in.mob, in.work, in.nodes, in.rangeM, in.storage, in.faults, in.messages, in.simTime, in.seeds, in.baseSeed)
+		f.Add(in.proto, in.mob, in.work, in.nodes, in.rangeM, in.storage, in.faults, in.messages, in.simTime, in.seeds, in.baseSeed,
+			in.interval, in.copies, in.spanner, in.noFace, in.noHyst)
 	}
 	f.Fuzz(func(t *testing.T, proto, mob, work uint8, nodes int, rangeM float64, storage int,
-		faults string, messages int, simTime float64, seeds int, baseSeed int64) {
+		faults string, messages int, simTime float64, seeds int, baseSeed int64,
+		interval float64, copies int, spanner string, noFace, noHyst bool) {
 		if messages > 2000 || seeds > 5 {
 			return // not small: Validate compiles every cell for every seed
 		}
@@ -199,9 +211,21 @@ func FuzzMatrix(f *testing.F) {
 		if len(fs) > 0 {
 			m.Faults = [][]Fault{fs}
 		}
+		g := GLRConfig{CheckInterval: interval, Copies: copies, Spanner: spanner,
+			DisableFaceRouting: noFace, DisableHysteresis: noHyst}
+		if g != (GLRConfig{}) {
+			m.GLR = []GLRConfig{{}, g}
+		}
 		got := m.Validate()
+		knownSpanner := map[string]bool{"": true, "ldtg": true, "gabriel": true, "udg": true}[spanner]
+		if got == nil && (!knownSpanner || interval < 0 || copies < 0) {
+			t.Fatalf("Validate accepted GLR configuration %+v", g)
+		}
 		n := m.Normalized()
-		compiles := n.Seeds >= 1
+		// A GLR configuration must be valid even where only epidemic
+		// cells would run it.
+		_, err = NewScenario(WithGLR(g))
+		compiles := n.Seeds >= 1 && err == nil
 		for _, c := range n.Cells() {
 			for r := 0; compiles && r < n.Seeds; r++ {
 				_, err := c.Scenario(WithSeed(n.BaseSeed + int64(r)))
@@ -212,4 +236,57 @@ func FuzzMatrix(f *testing.F) {
 			t.Fatalf("Validate = %v, but every cell compiles = %v (matrix %+v)", got, compiles, n)
 		}
 	})
+}
+
+// TestMatrixGLRAxis: GLR cells carry their non-default configuration,
+// epidemic cells and default GLR cells carry none (so they serialize as
+// before the axis existed), and the axis shows in Axes and Label only
+// where it is set.
+func TestMatrixGLRAxis(t *testing.T) {
+	m := Matrix{
+		GLR:      []GLRConfig{{}, {Spanner: "gabriel", DisableHysteresis: true}},
+		Messages: 20,
+		Seeds:    1,
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	axes := m.Axes()
+	last := axes[len(axes)-1]
+	if want := []string{"default", "spanner=gabriel,nohysteresis"}; last.Name != "glr" || !reflect.DeepEqual(last.Values, want) {
+		t.Errorf("last axis %+v, want glr %v", last, want)
+	}
+	for _, ax := range (Matrix{}).Axes() {
+		if ax.Name == "glr" {
+			t.Error("a matrix without a GLR axis lists one")
+		}
+	}
+
+	cells := m.Cells()
+	if len(cells) != 4 { // 2 configurations × 2 protocols
+		t.Fatalf("got %d cells, want 4", len(cells))
+	}
+	plain := (Matrix{Messages: 20}).Cells()
+	for _, at := range [][2]int{{0, 0}, {1, 1}, {3, 1}} { // cell, plain cell
+		c := cells[at[0]]
+		if c.GLR != nil || c != plain[at[1]] {
+			t.Errorf("cell %s differs from the same cell without the axis", c.Label())
+		}
+	}
+	tuned := cells[2]
+	if tuned.Protocol != GLR || tuned.GLR == nil || *tuned.GLR != m.GLR[1] {
+		t.Fatalf("tuned cell %+v", tuned)
+	}
+	if l := tuned.Label(); !strings.HasSuffix(l, "/spanner=gabriel,nohysteresis") {
+		t.Errorf("tuned label %q lacks the configuration", l)
+	}
+	if tuned.Coordinate() != cells[3].Coordinate() {
+		t.Error("a GLR variant and epidemic at one coordinate have different coordinates")
+	}
+
+	for _, bad := range []GLRConfig{{Spanner: "voronoi"}, {CheckInterval: -1}, {Copies: -1}} {
+		if err := (Matrix{Protocols: []Protocol{Epidemic}, GLR: []GLRConfig{bad}}).Validate(); err == nil {
+			t.Errorf("GLR configuration %+v accepted", bad)
+		}
+	}
 }

@@ -521,6 +521,7 @@ func TestConfigValidation(t *testing.T) {
 	for name, opt := range map[string]Option{
 		"negative copies":         WithGLR(GLRConfig{Copies: -1}),
 		"negative check interval": WithGLR(GLRConfig{CheckInterval: -0.5}),
+		"unknown spanner":         WithGLR(GLRConfig{Spanner: "voronoi"}),
 	} {
 		for _, p := range []Protocol{GLR, Epidemic} {
 			_, err := NewScenario(WithProtocol(p), WithWorkload(PaperWorkload{Messages: 5}), WithSimTime(50), opt)
@@ -640,10 +641,15 @@ func FuzzScenarioOptions(f *testing.F) {
 		{inf, 500, 300, 20, 20, 0, 20, 1, 0.9, 0},
 	} {
 		for _, walk := range []bool{false, true} {
-			f.Add(walk, seed[0], seed[1], seed[2], seed[3], seed[4], seed[5], seed[6], seed[7], seed[8], seed[9])
+			f.Add(walk, seed[0], seed[1], seed[2], seed[3], seed[4], seed[5], seed[6], seed[7], seed[8], seed[9],
+				"", false, false)
 		}
 	}
-	f.Fuzz(func(t *testing.T, walk bool, rangeM, width, height, simTime, speed, pause, leg, rate, check, every float64) {
+	f.Add(false, 100.0, 500.0, 300.0, 20.0, 20.0, 0.0, 20.0, 1.0, 0.9, 5.0, "gabriel", true, true)
+	f.Add(true, 100.0, 500.0, 300.0, 20.0, 20.0, 0.0, 20.0, 1.0, 0.9, 0.0, "udg", false, true)
+	f.Add(false, 100.0, 500.0, 300.0, 20.0, 20.0, 0.0, 20.0, 1.0, 0.9, 0.0, "delaunay", false, false)
+	f.Fuzz(func(t *testing.T, walk bool, rangeM, width, height, simTime, speed, pause, leg, rate, check, every float64,
+		spanner string, noFace, noHyst bool) {
 		var mob Mobility = Waypoint{MaxSpeed: speed, Pause: pause}
 		if walk {
 			mob = RandomWalk{MaxSpeed: speed, LegTime: leg}
@@ -655,7 +661,8 @@ func FuzzScenarioOptions(f *testing.F) {
 			WithSimTime(simTime),
 			WithMobility(mob),
 			WithWorkload(PoissonWorkload{Messages: 4, Rate: rate}),
-			WithGLR(GLRConfig{CheckInterval: check}),
+			WithGLR(GLRConfig{CheckInterval: check, Spanner: spanner,
+				DisableFaceRouting: noFace, DisableHysteresis: noHyst}),
 		}
 		if every != 0 {
 			opts = append(opts, WithObserver(&Observer{SampleEvery: every, OnSample: func(Sample) {}}))
@@ -663,6 +670,9 @@ func FuzzScenarioOptions(f *testing.F) {
 		sc, err := NewScenario(opts...)
 		if (sc == nil) == (err == nil) {
 			t.Fatalf("NewScenario = %v, %v; want exactly one of a scenario and an error", sc, err)
+		}
+		if known := map[string]bool{"": true, "ldtg": true, "gabriel": true, "udg": true}[spanner]; !known && err == nil {
+			t.Fatalf("NewScenario accepted spanner %q", spanner)
 		}
 		orDefault := func(x, def float64) float64 {
 			if x == 0 {
